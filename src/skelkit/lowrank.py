@@ -2,36 +2,53 @@
 
 An ID approximates A ~ A[:, skel] @ P where the k retained columns are
 actual columns of A and P carries a k x k identity on the skeleton.  The
-deterministic path is column-pivoted Householder QR; the randomized path
-sketches with a Gaussian test matrix first and falls back to deterministic
-when its a-posteriori probe check fails.
+deterministic path is one column-pivoted QR (LAPACK geqp3) per ID; the full
+triangular factor is kept so the ID can later be cut at any other rank
+without a second factorization.  The randomized path sketches with a
+Gaussian test matrix first and falls back to deterministic when its
+a-posteriori probe check fails.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr, solve_triangular
 
 from .errors import InvalidInput
-
-# exact column norms are recomputed this often to curb downdating drift
-_RENORM_EVERY = 32
 
 
 @dataclass
 class InterpDecomp:
     """skel: retained column indices (pivot order); proj: k x n matrix with
-    proj[:, skel] == I exactly; achieved_error: estimated ||A - BP|| / ||A||."""
+    proj[:, skel] == I exactly; achieved_error: estimated ||A - BP|| / ||A||.
+
+    piv and R are the column pivot order and the full triangular factor the
+    ID was read from; ``sketched`` marks a factor of a random sketch of A
+    rather than of A itself."""
 
     skel: np.ndarray
     proj: np.ndarray
     rank: int
     achieved_error: float
+    piv: np.ndarray | None = None
+    R: np.ndarray | None = None
+    sketched: bool = False
 
     @property
     def k(self):
         return self.rank
+
+    def cut(self, k):
+        """The same ID with exactly k skeleton columns, read off the stored
+        factor; None when that factor is a sketch with fewer than k rows."""
+        if k == self.rank:
+            return self
+        if self.sketched and k > self.R.shape[0]:
+            return None
+        skel, proj = _interp(self.piv, self.R, k, self.proj.dtype)
+        return replace(self, skel=skel, proj=proj, rank=k,
+                       achieved_error=_ratio(self.R, k))
 
 
 def _check_matrix(A):
@@ -45,120 +62,66 @@ def _check_matrix(A):
     return A
 
 
-def pivoted_qr(A, eps, min_rank=0):
-    """Column-pivoted Householder QR, stopped once the trailing pivot drops
-    below eps times the leading one (but not before min_rank columns).
+def _ratio(R, k):
+    d = np.abs(np.diagonal(R))
+    return float(d[k] / d[0]) if k < d.size and d[0] > 0 else 0.0
 
-    Returns (piv, R, rank, trailing_ratio): R is rank x n upper-trapezoidal
-    with columns in pivot order, trailing_ratio the first rejected pivot
-    magnitude over the leading pivot.
+
+def pivoted_qr(A, eps, min_rank=0):
+    """Column-pivoted QR (LAPACK geqp3) with the rank read off R's diagonal:
+    the first k >= min_rank whose pivot |R_kk| is at most eps*|R_00|, or
+    min(m, n) if there is none.
+
+    Returns (piv, R, rank, trailing_ratio): R is the full min(m, n) x n
+    upper-trapezoidal factor with columns in pivot order, trailing_ratio
+    |R_kk| / |R_00| at k = rank (0 when no pivot was rejected).
     """
     m, n = A.shape
-    W = np.array(A, order="F", copy=True)
-    cplx = W.dtype.kind == "c"
-    piv = np.arange(n)
-    norms2 = np.real(np.einsum("ij,ij->j", W.conj(), W))
-    # reference norms from the last exact evaluation; once a downdated value
-    # falls far below its reference, cancellation has eaten it and the true
-    # norm must be recomputed (same safeguard LAPACK applies per column)
-    ref2 = norms2.copy()
     kmax = min(m, n)
-    rank = 0
-    p0 = 0.0
-    trailing = 0.0
-
-    for step in range(kmax):
-        if step > 0 and step % _RENORM_EVERY == 0:
-            sub = W[step:, step:]
-            norms2[step:] = np.real(np.einsum("ij,ij->j", sub.conj(), sub))
-            ref2[step:] = norms2[step:]
-        stale = norms2[step:] < 1e-8 * ref2[step:]
-        if np.any(stale):
-            cols = step + np.nonzero(stale)[0]
-            sub = W[step:, cols]
-            fresh = np.real(np.einsum("ij,ij->j", sub.conj(), sub))
-            norms2[cols] = fresh
-            ref2[cols] = fresh
-        j = step + int(np.argmax(norms2[step:]))
-        pn = np.sqrt(max(norms2[j], 0.0))
-        if step == 0:
-            p0 = pn
-            if p0 == 0.0:
-                return piv, W[:0, :], 0, 0.0
-        if step >= min_rank and pn <= eps * p0:
-            trailing = pn
-            break
-        if pn == 0.0:
-            # exactly rank-deficient; caller pads if it needs more columns
-            break
-        if j != step:
-            W[:, [step, j]] = W[:, [j, step]]
-            norms2[[step, j]] = norms2[[j, step]]
-            piv[[step, j]] = piv[[j, step]]
-        x = W[step:, step]
-        normx = np.linalg.norm(x)
-        x0 = x[0]
-        phase = x0 / abs(x0) if x0 != 0 else 1.0
-        alpha = -phase * normx
-        v = x.copy()
-        v[0] -= alpha
-        vnorm2 = np.real(np.vdot(v, v))
-        if vnorm2 > 0:
-            w = (v.conj() @ W[step:, step + 1:]) * (2.0 / vnorm2)
-            W[step:, step + 1:] -= np.outer(v, w)
-        W[step, step] = alpha
-        W[step + 1:, step] = 0
-        row = W[step, step + 1:]
-        norms2[step + 1:] -= (row * row.conj()).real if cplx else row * row
-        np.clip(norms2[step + 1:], 0.0, None, out=norms2[step + 1:])
-        norms2[step] = 0.0
-        rank = step + 1
-
-    R = W[:rank, :]
-    ratio = trailing / p0 if p0 > 0 else 0.0
-    return piv, R, rank, ratio
+    if kmax == 0:
+        return np.arange(n), np.zeros((0, n), dtype=A.dtype), 0, 0.0
+    # "raw" skips the m x n triu of mode="r"; its R is already min(m, n) x n
+    _, R, piv = qr(A, mode="raw", pivoting=True, check_finite=False)
+    d = np.abs(np.diagonal(R))
+    stop = np.flatnonzero(d[min_rank:] <= eps * d[0])
+    rank = min_rank + int(stop[0]) if stop.size else kmax
+    return piv.astype(np.int64), R, rank, _ratio(R, rank)
 
 
-def _proj_from_qr(piv, R, rank, n, dtype):
-    P = np.zeros((rank, n), dtype=dtype)
-    if rank > 0:
-        P[np.arange(rank), piv[:rank]] = 1.0
-        if rank < n:
-            P[:, piv[rank:]] = solve_triangular(R[:, :rank], R[:, rank:])
+def _interp(piv, R, k, dtype):
+    """Skeleton and projection of the ID cut at exactly k columns.
+
+    Columns past the last nonzero pivot (exact rank deficiency, or k beyond
+    R's rows) are padded in: each such skeleton reconstructs only itself."""
+    n = piv.size
+    r = min(k, int(np.count_nonzero(np.diagonal(R))))
+    P = np.zeros((k, n), dtype=dtype)
+    P[np.arange(k), piv[:k]] = 1.0
+    if r > 0 and k < n:
+        P[:r, piv[k:]] = solve_triangular(R[:r, :r], R[:r, k:])
     big = np.abs(P).max(initial=0.0)
     if big > 2.0:
         warnings.warn(
             f"interpolation matrix entries reach {big:.3g} (> 2); "
             "pivoting quality degraded on this block", stacklevel=3)
-    return P
+    return piv[:k].copy(), P
 
 
 def id_fixed_precision(A, eps, min_rank=0) -> InterpDecomp:
     """Column ID to relative precision eps via column-pivoted QR.
 
-    The rank is the first k at which the next pivot magnitude falls below
-    eps times the leading pivot.  A zero matrix yields rank 0.
+    The rank is the first k >= min_rank at which the next pivot magnitude
+    falls below eps times the leading pivot.  A zero matrix yields rank 0;
+    with min_rank > 0 unused columns are padded in as needed.
     """
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     A = _check_matrix(A)
-    n = A.shape[1]
     piv, R, rank, ratio = pivoted_qr(A, eps, min_rank=min_rank)
-    if rank < min_rank:
-        # exact rank deficiency: pad with arbitrary unused columns; each
-        # padded column is then reconstructed by itself (unit projection row)
-        extra = min(min_rank, n) - rank
-        P = _proj_from_qr(piv, R, rank, n, A.dtype)
-        padded = piv[rank:rank + extra]
-        P[:, padded] = 0.0
-        pad = np.zeros((extra, n), dtype=A.dtype)
-        pad[np.arange(extra), padded] = 1.0
-        proj = np.vstack([P, pad])
-        rank += extra
-    else:
-        proj = _proj_from_qr(piv, R, rank, n, A.dtype)
-    return InterpDecomp(skel=piv[:rank].copy(), proj=proj, rank=rank,
-                        achieved_error=ratio)
+    k = max(rank, min(min_rank, A.shape[1]))
+    skel, proj = _interp(piv, R, k, A.dtype)
+    return InterpDecomp(skel=skel, proj=proj, rank=k, achieved_error=ratio,
+                        piv=piv, R=R)
 
 
 def id_rows(A, eps, min_rank=0) -> InterpDecomp:
@@ -196,11 +159,9 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
     rng = np.random.default_rng(seed)
     cplx = A.dtype.kind == "c"
 
-    normA = _spectral_norm_estimate(A, rng)
+    normA = _spectral_norm_estimate(A, rng) if A.size else 0.0
     if normA == 0.0:
-        return InterpDecomp(skel=np.empty(0, dtype=np.int64),
-                            proj=np.zeros((0, n), dtype=A.dtype), rank=0,
-                            achieved_error=0.0)
+        return id_fixed_precision(A, eps)
 
     ell = 2 * oversampling
     while True:
@@ -215,8 +176,7 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
             break
         ell *= 2
 
-    proj = _proj_from_qr(piv, R, rank, n, A.dtype)
-    skel = piv[:rank].copy()
+    skel, proj = _interp(piv, R, rank, A.dtype)
 
     # a-posteriori check on random probes
     worst = 0.0
@@ -228,4 +188,5 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
         worst = max(worst, err / (normA * np.linalg.norm(v)))
     if worst > 3 * eps:
         return id_fixed_precision(A, eps)
-    return InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst)
+    return InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst,
+                        piv=piv, R=R, sketched=True)

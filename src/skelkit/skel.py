@@ -14,6 +14,7 @@ sources around each box, so per-node work depends only on neighbor sizes.
 """
 
 import io
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from .lowrank import id_fixed_precision, id_randomized
 DEFAULT_N_PROXY = {2: 64, 3: 512}
 
 # in global mode, sketch the off-diagonal block when it is this much taller
-# than the node itself
+# than the node itself; proxy-mode blocks always take the deterministic ID
 _RANDOMIZED_CUTOFF = 4096
 
 GLOBAL_MODE_LIMIT = 20000
@@ -274,8 +275,8 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     surface]; mode="global" uses the full off-diagonal block row/column
     (quadratic work, refused above 20000 points unless allow_large).
 
-    equalize_ranks grows the smaller of each node's row/column skeleton sets
-    to the larger so every diagonal block of the inverse recursion is square.
+    equalize_ranks cuts each node's row and column IDs to the larger of their
+    two ranks so every diagonal block of the inverse recursion is square.
     """
     source = KernelSource(spec, points, tree.perm)
     return compress_source(source, tree, eps, proxy=proxy, mode=mode,
@@ -372,14 +373,11 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 t_row = _blk(rd, other_c)
                 t_col = _blk(other_r, cd)
 
-            idr = _run_id(t_row.T, eps, seed, (_li, a, 0))
-            idc = _run_id(t_col, eps, seed, (_li, a, 1))
-            if equalize_ranks and idr.rank != idc.rank:
-                k = max(idr.rank, idc.rank)
-                if idr.rank < k:
-                    idr = id_fixed_precision(t_row.T, eps, min_rank=k)
-                else:
-                    idc = id_fixed_precision(t_col, eps, min_rank=k)
+            sketch = mode == "global"
+            idr = _run_id(t_row.T, eps, seed, (_li, a, 0), sketch)
+            idc = _run_id(t_col, eps, seed, (_li, a, 1), sketch)
+            if equalize_ranks:
+                idr, idc = _equalize([idr, idc], [t_row.T, t_col], eps)
 
             ro = np.argsort(idr.skel)
             co = np.argsort(idc.skel)
@@ -411,15 +409,30 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                             perm=tree.perm.copy(), scalar_field=field, tree=tree)
 
 
-def _run_id(A, eps, seed, tag):
-    """Deterministic ID unless the block is so tall that sketching pays off
-    (global mode); the randomized seed mixes in the node tag for
-    reproducibility."""
+def _run_id(A, eps, seed, tag, sketch):
+    """Deterministic ID unless ``sketch`` (global mode) is set and the block
+    is so tall that sketching pays off; the randomized seed mixes in the
+    node tag for reproducibility."""
     m, nn = A.shape
-    if m > max(_RANDOMIZED_CUTOFF, 4 * nn + 256):
+    if sketch and m > max(_RANDOMIZED_CUTOFF, 4 * nn + 256):
         sub = (seed * 1000003 + hash(tag)) % (2 ** 31)
         return id_randomized(A, eps, seed=sub)
     return id_fixed_precision(A, eps)
+
+
+def _equalize(ids, blocks, eps):
+    """Cut the IDs of ``blocks`` to one common rank k, the largest of theirs.
+
+    Each ID is cut from its own stored factor.  One whose factor is a
+    sketch with fewer than k rows is recomputed deterministically with
+    min_rank=k; if that raises k, every ID is cut again at the new k."""
+    while True:
+        k = max(idp.rank for idp in ids)
+        cut = [idp.cut(k) for idp in ids]
+        if all(c is not None for c in cut):
+            return cut
+        ids = [idp if c is not None else id_fixed_precision(b, eps, min_rank=k)
+               for idp, c, b in zip(ids, cut, blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +452,55 @@ def _write_arr(f, a):
     f.write(a.tobytes())
 
 
-def _read_arr(f):
-    code, ndim = struct.unpack("<BB", f.read(2))
-    shape = struct.unpack(f"<{ndim}q", f.read(8 * ndim))
-    dt = np.dtype(np.int64) if code == 2 else _CODE_DT[code]
-    nbytes = int(np.prod(shape)) * dt.itemsize
-    return np.frombuffer(f.read(nbytes), dtype=dt).reshape(shape).copy()
+class _Reader:
+    """Bounds-checked cursor over container bytes.  A short read, a wrong
+    header or a malformed array record raises InvalidInput, never a
+    struct or numpy error."""
+
+    def __init__(self, data, kind):
+        self.buf = memoryview(data)
+        self.pos = 0
+        if bytes(self.take(4)) != _MAGIC:
+            raise InvalidInput("not a skelkit container")
+        version, got, fieldcode = self.unpack("<HBB")
+        if version != _VERSION:
+            raise InvalidInput(f"unsupported container version {version}")
+        if got != kind:
+            raise InvalidInput(f"container kind {got}, expected {kind}")
+        self.field = "complex" if fieldcode else "real"
+
+    def take(self, nbytes):
+        if nbytes > len(self.buf) - self.pos:
+            raise InvalidInput("truncated skelkit container")
+        self.pos += nbytes
+        return self.buf[self.pos - nbytes:self.pos]
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, ndim, index=False):
+        """Next array record: an int64 index array, or a float64/complex128
+        value array, of exactly ``ndim`` dimensions."""
+        code, nd = self.unpack("<BB")
+        if nd != ndim or code not in ((2,) if index else (0, 1)):
+            raise InvalidInput("corrupt skelkit container: bad array header")
+        shape = self.unpack(f"<{nd}q")
+        if min(shape) < 0:
+            raise InvalidInput("corrupt skelkit container: negative extent")
+        dt = np.dtype(np.int64) if index else _CODE_DT[code]
+        raw = self.take(math.prod(shape) * dt.itemsize)
+        return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+
+    def perm(self, n):
+        """The tree permutation record: a permutation of range(n)."""
+        perm = self.array(1, index=True)
+        if perm.size != n or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise InvalidInput("corrupt skelkit container: bad permutation")
+        return perm
+
+    def finish(self):
+        if self.pos != len(self.buf):
+            raise InvalidInput("trailing bytes after skelkit container")
 
 
 def serialize_compressed(cm: CompressedMatrix) -> bytes:
@@ -471,34 +527,32 @@ def serialize_compressed(cm: CompressedMatrix) -> bytes:
 
 
 def deserialize_compressed(data: bytes) -> CompressedMatrix:
-    f = io.BytesIO(data)
-    if f.read(4) != _MAGIC:
-        raise InvalidInput("not a skelkit compressed-matrix container")
-    version, _kind, fieldcode = struct.unpack("<HBB", f.read(4))
-    if version != _VERSION:
-        raise InvalidInput(f"unsupported container version {version}")
-    n, nlev, eps = struct.unpack("<qId", f.read(20))
-    perm = _read_arr(f)
+    """Inverse of serialize_compressed; raises InvalidInput on bytes that
+    are truncated or do not form a consistent container."""
+    f = _Reader(data, kind=1)
+    n, nlev, eps = f.unpack("<qId")
+    perm = f.perm(n)
     levels = []
     for _ in range(nlev):
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = f.unpack("<I")
         nodes = []
         for _ in range(count):
-            (has_ch,) = struct.unpack("<B", f.read(1))
-            ch = _read_arr(f)
-            row_skel = _read_arr(f)
-            col_skel = _read_arr(f)
-            D = _read_arr(f)
-            L = _read_arr(f)
-            R = _read_arr(f)
+            (has_ch,) = f.unpack("<B")
+            ch = f.array(1, index=True)
+            row_skel = f.array(1, index=True)
+            col_skel = f.array(1, index=True)
+            D, L, R = f.array(2), f.array(2), f.array(2)
+            if L.shape != (D.shape[0], row_skel.size) or \
+                    R.shape != (col_skel.size, D.shape[1]):
+                raise InvalidInput("corrupt skelkit container: block shapes")
             nodes.append(CompressedNode(row_skel=row_skel, col_skel=col_skel,
                                         D=D, L=L, R=R,
                                         children=ch if has_ch else None))
         levels.append(CompressedLevel(nodes))
-    S = _read_arr(f)
+    S = f.array(2)
+    f.finish()
     return CompressedMatrix(levels=levels, S=S, n=n, eps=eps, perm=perm,
-                            scalar_field="complex" if fieldcode else "real",
-                            tree=None)
+                            scalar_field=f.field, tree=None)
 
 
 def save_compressed(cm: CompressedMatrix, path):

@@ -419,18 +419,15 @@ def export_matrix_market(se: SparseEmbedding, path):
     rows, cols, vals = rows[order], cols[order], vals[order]
     complex_field = np.issubdtype(se.dtype, np.complexfloating)
     field_name = "complex" if complex_field else "real"
-    try:
-        with open(path, "w") as f:
-            f.write(f"%%MatrixMarket matrix coordinate {field_name} general\n")
-            f.write(f"{se.m} {se.m} {len(vals)}\n")
-            if complex_field:
-                for r, c, v in zip(rows, cols, vals):
-                    f.write(f"{r + 1} {c + 1} {v.real:.17g} {v.imag:.17g}\n")
-            else:
-                for r, c, v in zip(rows, cols, vals):
-                    f.write(f"{r + 1} {c + 1} {v:.17g}\n")
-    except OSError:
-        raise
+    with open(path, "w") as f:
+        f.write(f"%%MatrixMarket matrix coordinate {field_name} general\n")
+        f.write(f"{se.m} {se.m} {len(vals)}\n")
+        if complex_field:
+            for r, c, v in zip(rows, cols, vals):
+                f.write(f"{r + 1} {c + 1} {v.real:.17g} {v.imag:.17g}\n")
+        else:
+            for r, c, v in zip(rows, cols, vals):
+                f.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -462,37 +459,30 @@ def serialize_factored(fi: FactoredInverse) -> bytes:
 
 
 def deserialize_factored(data: bytes) -> FactoredInverse:
-    import io
-    import struct
-
-    from .skel import _MAGIC, _VERSION, _read_arr
-    f = io.BytesIO(data)
-    if f.read(4) != _MAGIC:
-        raise InvalidInput("not a skelkit container")
-    version, kind, fieldcode = struct.unpack("<HBB", f.read(4))
-    if version != _VERSION or kind != 2:
-        raise InvalidInput("not a factored-inverse container")
-    n, nlev, _eps = struct.unpack("<qId", f.read(20))
-    perm = _read_arr(f)
+    """Inverse of serialize_factored; raises InvalidInput on bytes that are
+    truncated or do not form a factored-inverse container."""
+    from .skel import _Reader
+    f = _Reader(data, kind=2)
+    n, nlev, _eps = f.unpack("<qId")
+    perm = f.perm(n)
     levels = []
     for _ in range(nlev):
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = f.unpack("<I")
         nodes = []
         offsets = _Offsets()
         for _ in range(count):
-            Dd = _read_arr(f)
-            Ld = _read_arr(f)
-            Rd = _read_arr(f)
+            Dd, Ld, Rd = f.array(2), f.array(2), f.array(2)
             nodes.append(FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd,
                                       Lam=np.zeros((0, 0), dtype=Dd.dtype),
                                       lu_D=None, lu_M=None))
             offsets.push(Dd.shape[0], Dd.shape[1], Ld.shape[1], Rd.shape[0])
         levels.append(FactoredLevel(nodes, offsets.finish()))
-    lu = _read_arr(f)
-    piv = _read_arr(f)
+    lu = f.array(2)
+    piv = f.array(1, index=True)
+    f.finish()
     S_lu = None if lu.size == 0 else (lu, piv.astype(np.int32))
     return FactoredInverse(levels=levels, S_lu=S_lu, n=n, perm=perm,
-                           scalar_field="complex" if fieldcode else "real")
+                           scalar_field=f.field)
 
 
 class _Offsets:

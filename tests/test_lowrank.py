@@ -195,3 +195,78 @@ def test_property_reconstruction_and_identity(seed, profile, eps_exp):
     k = idp.rank
     bound = 10 * eps * np.sqrt(1 + k * (n - k))
     assert reconstruction_error(A, idp, ord="fro") <= max(bound, 1e-13)
+
+
+def test_stop_rule_with_min_rank():
+    # orthogonal columns: the pivots are exactly the column norms
+    A = np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    for min_rank, rank in [(0, 3), (2, 3), (3, 3), (4, 4), (5, 5), (9, 5)]:
+        piv, R, got, ratio = pivoted_qr(A, 1e-5, min_rank=min_rank)
+        assert got == rank, min_rank
+        assert ratio == pytest.approx(A[rank, rank] if rank < 5 else 0.0)
+        assert id_fixed_precision(A, 1e-5, min_rank=min_rank).rank == rank
+    assert piv.tolist() == [0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("m,n,cplx", [(200, 30, False), (30, 200, False),
+                                      (60, 40, True)])
+def test_pivoted_qr_keeps_full_factor(m, n, cplx):
+    A = decay_matrix(m, n, "geometric", 7)
+    if cplx:
+        A = A + 1j * decay_matrix(m, n, "geometric", 8)
+    eps = 1e-4
+    piv, R, rank, _ = pivoted_qr(A, eps)
+    assert sorted(piv.tolist()) == list(range(n))
+    assert R.shape == (min(m, n), n)
+    assert np.array_equal(R, np.triu(R))
+    # A[:, piv] = Q R with Q unitary: the Gram matrices agree
+    Ap = A[:, piv]
+    np.testing.assert_allclose(R.conj().T @ R, Ap.conj().T @ Ap, atol=1e-12)
+    d = np.abs(np.diag(R))
+    assert d[rank] <= eps * d[0] < d[rank - 1]
+    idp = id_fixed_precision(A, eps)
+    assert idp.rank == rank and idp.R.shape == R.shape
+    assert reconstruction_error(A, idp) <= 10 * eps * np.sqrt(1 + rank * (n - rank))
+
+
+def test_zero_and_empty_inputs():
+    for shape in [(6, 4), (0, 5), (5, 0), (0, 0)]:
+        A = np.zeros(shape)
+        piv, R, rank, ratio = pivoted_qr(A, 1e-9)
+        assert (rank, ratio) == (0, 0.0)
+        assert R.shape == (min(shape), shape[1])
+        assert sorted(piv.tolist()) == list(range(shape[1]))
+        idp = id_fixed_precision(A, 1e-9)
+        assert idp.rank == 0 and idp.proj.shape == (0, shape[1])
+        assert id_randomized(A, 1e-9).rank == 0
+        # min_rank pads with unused columns, never beyond n
+        idp = id_fixed_precision(A, 1e-9, min_rank=2)
+        k = min(2, shape[1])
+        assert idp.rank == k and idp.proj.shape == (k, shape[1])
+        assert np.array_equal(idp.proj[:, idp.skel], np.eye(k))
+
+
+def test_cut_is_exact_and_equals_rerun():
+    A = decay_matrix(80, 60, "geometric", 4)
+    idp = id_fixed_precision(A, 1e-4)
+    for k in (idp.rank, idp.rank + 1, idp.rank + 7, 60):
+        c = idp.cut(k)
+        assert c.rank == k and c.proj.shape == (k, 60)
+        assert np.array_equal(c.proj[:, c.skel], np.eye(k))  # tolerance 0
+        assert np.array_equal(c.skel[:idp.rank], idp.skel)
+        # cutting the stored factor gives the same ID as a second QR
+        rerun = id_fixed_precision(A, 1e-4, min_rank=k)
+        assert rerun.rank == k
+        assert np.array_equal(c.skel, rerun.skel)
+        np.testing.assert_allclose(c.proj, rerun.proj, rtol=0, atol=1e-12)
+    assert reconstruction_error(A, idp.cut(idp.rank + 7)) < reconstruction_error(A, idp)
+
+
+def test_cut_of_short_sketch_needs_recompute():
+    A = decay_matrix(600, 50, "geometric", 1)
+    idz = id_randomized(A, 1e-6, seed=3)
+    assert idz.sketched and idz.R.shape[0] < 50
+    assert idz.cut(idz.R.shape[0] + 1) is None
+    c = idz.cut(idz.R.shape[0])
+    assert np.array_equal(c.proj[:, c.skel], np.eye(c.rank))
+    assert reconstruction_error(A, c) <= 1e-4

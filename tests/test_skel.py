@@ -335,3 +335,39 @@ def test_far_separated_clusters():
     x = rng.standard_normal(200)
     err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
     assert err <= 1e-7
+
+
+def test_global_mode_short_sketch_is_equalized(monkeypatch):
+    # every other sketched ID runs at a coarse eps, so its sketch has fewer
+    # rows than its partner's rank: that side is recomputed deterministically
+    # at min_rank=k, and where its own rank then exceeds k the partner is cut
+    # again, so both still come out at one common k
+    from skelkit import lowrank, skel
+    calls = []
+
+    def sketch(A, eps, seed=0):
+        calls.append(1)
+        return lowrank.id_randomized(A, 1e-2 if len(calls) % 2 else eps, seed=seed)
+
+    reruns = []
+
+    def deterministic(A, eps, min_rank=0):
+        idp = lowrank.id_fixed_precision(A, eps, min_rank=min_rank)
+        if min_rank:
+            reruns.append((min_rank, idp.rank))
+        return idp
+
+    monkeypatch.setattr(skel, "_RANDOMIZED_CUTOFF", 0)
+    monkeypatch.setattr(skel, "id_randomized", sketch)
+    monkeypatch.setattr(skel, "id_fixed_precision", deterministic)
+    pts = square_points(800, seed=5)
+    cm = compress(LAPLACE2, pts, build_tree(pts, 64), 1e-8, mode="global")
+    assert calls and reruns
+    assert any(rank > k for k, rank in reruns)
+    for lv in cm.levels:
+        for nd in lv.nodes:
+            assert nd.k_r == nd.k_c == nd.L.shape[1] == nd.R.shape[0]
+    dense = dense_matrix(LAPLACE2, pts)
+    x = np.random.default_rng(2).standard_normal(800)
+    err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
+    assert err <= 100 * 1e-8

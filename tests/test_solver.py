@@ -1,14 +1,20 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skelkit import bie
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedLevel, CompressedMatrix, CompressedNode,
-                          apply, compress)
-from skelkit.solver import (assemble_embedding, export_matrix_market, factor,
-                            gmres, read_matrix_market, solve)
+                          apply, compress, deserialize_compressed,
+                          serialize_compressed)
+from skelkit.solver import (assemble_embedding, deserialize_factored,
+                            export_matrix_market, factor, gmres,
+                            read_matrix_market, serialize_factored, solve)
 
 LAPLACE2 = KernelSpec("laplace", 2)
 
@@ -384,3 +390,50 @@ def test_threaded_factor_matches_serial(monkeypatch):
     fi2 = factor(cm)
     b = np.random.default_rng(0).standard_normal(512)
     assert np.array_equal(solve(fi1, b), solve(fi2, b))
+
+
+def test_default_3d_cube_compresses_to_a_factorable_matrix():
+    # default settings once sent these tall proxy blocks through the sketched
+    # ID and re-ran the shorter side's QR, leaving a 341x334 Lambda block
+    pts = PointSet(np.random.default_rng(0).uniform(size=(4096, 3)))
+    cm = compress(KernelSpec("laplace", 3), pts, build_tree(pts), 1e-6)
+    for lv in cm.levels:
+        for nd in lv.nodes:
+            assert nd.k_r == nd.k_c
+    fi = factor(cm)
+    b = np.random.default_rng(1).standard_normal(4096)
+    x = solve(fi, b)
+    assert np.linalg.norm(apply(cm, x) - b) <= 100 * 1e-6 * np.linalg.norm(b)
+
+
+@cache
+def _containers():
+    pts = circle_points(120)
+    cm = compress(LAPLACE2, pts, build_tree(pts, 16), 1e-3)
+    assert cm.nlevels >= 2
+    return {"compressed": (serialize_compressed(cm), deserialize_compressed,
+                           serialize_compressed),
+            "factored": (serialize_factored(factor(cm)), deserialize_factored,
+                         serialize_factored)}
+
+
+@pytest.mark.parametrize("kind", ["compressed", "factored"])
+@settings(max_examples=80, deadline=None)
+@given(cut=st.floats(0, 1, exclude_max=True),
+       # flips land in the 38-byte container and permutation headers half
+       # the time, anywhere in the container otherwise
+       flips=st.lists(st.tuples(st.one_of(st.integers(0, 37), st.integers(38, 10 ** 9)),
+                                st.integers(1, 255)), min_size=1, max_size=3))
+def test_corrupt_containers_raise_invalid_input(kind, cut, flips):
+    blob, read, write = _containers()[kind]
+    with pytest.raises(InvalidInput):
+        read(blob[:int(cut * len(blob))])
+    bad = bytearray(blob)
+    for pos, mask in flips:
+        bad[pos % len(bad)] ^= mask
+    try:
+        read(bytes(bad))   # a flip inside array data can still parse
+    except InvalidInput:
+        pass
+    # the reader is exact: reading back and writing again is bit-identical
+    assert write(read(blob)) == blob
