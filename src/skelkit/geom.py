@@ -266,15 +266,21 @@ def write_points_binary(ps: PointSet, path):
 
 
 def read_points_binary(path) -> PointSet:
+    """Inverse of write_points_binary; a file that is not one, or whose
+    length does not match its header, raises InvalidInput."""
     with open(path, "rb") as f:
-        if f.read(4) != _BIN_MAGIC:
-            raise InvalidInput(f"{path}: not a skelkit binary point file")
-        n, dim, flags = struct.unpack("<IBB", f.read(6))
-        coords = np.frombuffer(f.read(8 * n * dim), dtype=np.float64).reshape(n, dim)
-        normals = weights = None
-        if flags & 1:
-            normals = np.frombuffer(f.read(8 * n * dim), dtype=np.float64).reshape(n, dim)
-        if flags & 2:
-            weights = np.frombuffer(f.read(8 * n), dtype=np.float64)
-    return PointSet(coords.copy(), None if normals is None else normals.copy(),
-                    None if weights is None else weights.copy())
+        data = f.read()
+    if data[:4] != _BIN_MAGIC:
+        raise InvalidInput(f"{path}: not a skelkit binary point file")
+    if len(data) < 10:
+        raise InvalidInput(f"{path}: truncated skelkit binary point file")
+    n, dim, flags = struct.unpack_from("<IBB", data, 4)
+    sizes = [n * dim, n * dim if flags & 1 else 0, n if flags & 2 else 0]
+    if len(data) != 10 + 8 * sum(sizes):
+        raise InvalidInput(f"{path}: {len(data)} bytes, header (N={n}, dim={dim}, "
+                           f"flags={flags}) needs {10 + 8 * sum(sizes)}")
+    vals = np.frombuffer(data, dtype=np.float64, offset=10).copy()
+    coords, normals, weights = np.split(vals, np.cumsum(sizes)[:2])
+    return PointSet(coords.reshape(n, dim),
+                    normals.reshape(n, dim) if flags & 1 else None,
+                    weights if flags & 2 else None)

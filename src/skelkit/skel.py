@@ -143,17 +143,18 @@ class CompressedNode:
         return self.col_skel.size
 
 
+def _offsets(sizes):
+    """Slice offsets [0, s0, s0 + s1, ...] of blocks stacked with ``sizes``."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
 class CompressedLevel:
     def __init__(self, nodes):
         self.nodes = nodes
-        self.row_dof_counts = np.array([nd.D.shape[0] for nd in nodes])
-        self.col_dof_counts = np.array([nd.D.shape[1] for nd in nodes])
-        self.kr_counts = np.array([nd.k_r for nd in nodes])
-        self.kc_counts = np.array([nd.k_c for nd in nodes])
-        self.row_dof_off = np.concatenate([[0], np.cumsum(self.row_dof_counts)])
-        self.col_dof_off = np.concatenate([[0], np.cumsum(self.col_dof_counts)])
-        self.kr_off = np.concatenate([[0], np.cumsum(self.kr_counts)])
-        self.kc_off = np.concatenate([[0], np.cumsum(self.kc_counts)])
+        self.row_dof_off = _offsets([nd.D.shape[0] for nd in nodes])
+        self.col_dof_off = _offsets([nd.D.shape[1] for nd in nodes])
+        self.kr_off = _offsets([nd.k_r for nd in nodes])
+        self.kc_off = _offsets([nd.k_c for nd in nodes])
 
     @property
     def K_r(self):
@@ -209,44 +210,52 @@ def apply(cm: CompressedMatrix, x) -> np.ndarray:
     upward pass through the column interpolants, dense top-level skeleton
     multiply, downward pass through the row interpolants, accumulating the
     extracted diagonal blocks on the way down."""
+    levels = [([(nd.R, nd.D, nd.L) for nd in lv.nodes],
+               (lv.col_dof_off, lv.kc_off, lv.row_dof_off, lv.kr_off))
+              for lv in cm.levels]
+    return _telescope(levels, lambda u: cm.S @ u, cm.n, cm.perm, cm.dtype, x)
+
+
+def _telescope(levels, top, n, perm, dtype, x):
+    """The telescoping sweep behind both ``apply`` and ``solver.solve``:
+    y = diag1 x + down1 [ diag2 u1 + down2 ( ... top(u_t) ... ) ] with
+    u1 = up1 x, u2 = up2 u1, and so on.
+
+    ``levels`` lists, finest first, each level's per-node ``(up, diag,
+    down)`` blocks with its offsets ``(x_off, u_off, y_off, v_off)``: node a
+    maps its input slice x_off to the skeleton slice u_off on the way up,
+    and on the way down writes y_off from x_off and the coarser level's
+    slice v_off.  ``top`` acts on the coarsest skeleton vector."""
     x = np.asarray(x)
     single = x.ndim == 1
-    if x.shape[0] != cm.n:
-        raise InvalidInput(f"length mismatch: matrix is {cm.n}, vector {x.shape[0]}")
-    dtype = np.result_type(cm.dtype, x.dtype)
-    xc = x.reshape(cm.n, -1).astype(dtype, copy=False)
-    xt = xc[cm.perm]
+    if x.shape[0] != n:
+        raise InvalidInput(f"length mismatch: operator is {n}, input {x.shape[0]}")
+    dtype = np.result_type(dtype, x.dtype)
+    xt = x.reshape(n, -1).astype(dtype, copy=False)[perm]
+    nrhs = xt.shape[1]
 
-    if cm.nlevels == 0:
-        yt = cm.S @ xt
-    else:
-        # upward: restrict to column skeletons level by level
-        us = [xt]
-        u = xt
-        for lv in cm.levels:
-            nxt = np.empty((lv.K_c, xt.shape[1]), dtype=dtype)
-            for a, nd in enumerate(lv.nodes):
-                seg = u[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
-                if nd.k_c:
-                    nxt[lv.kc_off[a]:lv.kc_off[a + 1]] = nd.R @ seg
-            us.append(nxt)
-            u = nxt
-        v = cm.S @ u
-        # downward: diagonal contributions plus prolonged skeleton data
-        for li in range(cm.nlevels - 1, -1, -1):
-            lv = cm.levels[li]
-            w = np.empty((int(lv.row_dof_off[-1]), xt.shape[1]), dtype=dtype)
-            ul = us[li]
-            for a, nd in enumerate(lv.nodes):
-                seg = nd.D @ ul[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
-                if nd.k_r:
-                    seg = seg + nd.L @ v[lv.kr_off[a]:lv.kr_off[a + 1]]
-                w[lv.row_dof_off[a]:lv.row_dof_off[a + 1]] = seg
-            v = w
-        yt = v
+    us = []
+    u = xt
+    for blocks, (x_off, u_off, _, _) in levels:
+        us.append(u)
+        nxt = np.empty((int(u_off[-1]), nrhs), dtype=dtype)
+        for a, (up, _, _) in enumerate(blocks):
+            if up.shape[0]:
+                nxt[u_off[a]:u_off[a + 1]] = up @ u[x_off[a]:x_off[a + 1]]
+        u = nxt
+    v = top(u)
+    for blocks, (x_off, _, y_off, v_off) in reversed(levels):
+        ul = us.pop()
+        w = np.empty((int(y_off[-1]), nrhs), dtype=dtype)
+        for a, (_, diag, down) in enumerate(blocks):
+            seg = diag @ ul[x_off[a]:x_off[a + 1]]
+            if down.shape[1]:
+                seg = seg + down @ v[v_off[a]:v_off[a + 1]]
+            w[y_off[a]:y_off[a + 1]] = seg
+        v = w
 
     out = np.empty_like(xt)
-    out[cm.perm] = yt
+    out[perm] = v
     return out[:, 0] if single else out
 
 
@@ -328,10 +337,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                         np.empty(0, dtype=np.int64) for ch in children]
             col_dofs = [np.concatenate([prev_col[c] for c in ch]) if len(ch) else
                         np.empty(0, dtype=np.int64) for ch in children]
-            child_off = [
-                (np.concatenate([[0], np.cumsum([prev_row[c].size for c in ch])]),
-                 np.concatenate([[0], np.cumsum([prev_col[c].size for c in ch])]))
-                for ch in children]
+            child_off = [(_offsets([prev_row[c].size for c in ch]),
+                          _offsets([prev_col[c].size for c in ch])) for ch in children]
 
         def _blk(rows, cols):
             # nodes can be isolated (no neighbors) or fully compressed away
@@ -452,10 +459,20 @@ def _write_arr(f, a):
     f.write(a.tobytes())
 
 
+def _write_header(f, kind, field, n, nlevels, eps, perm):
+    """Magic, version, container kind and scalar field, then (N, levels,
+    eps) and the tree permutation; ``_Reader`` reads them back."""
+    f.write(_MAGIC)
+    f.write(struct.pack("<HBB", _VERSION, kind, 1 if field == "complex" else 0))
+    f.write(struct.pack("<qId", n, nlevels, eps))
+    _write_arr(f, perm.astype(np.int64))
+
+
 class _Reader:
-    """Bounds-checked cursor over container bytes.  A short read, a wrong
-    header or a malformed array record raises InvalidInput, never a
-    struct or numpy error."""
+    """Bounds-checked cursor over container bytes; the constructor reads
+    the header ``_write_header`` writes.  A short read, a wrong header or a
+    malformed array record raises InvalidInput, never a struct or numpy
+    error."""
 
     def __init__(self, data, kind):
         self.buf = memoryview(data)
@@ -468,6 +485,11 @@ class _Reader:
         if got != kind:
             raise InvalidInput(f"container kind {got}, expected {kind}")
         self.field = "complex" if fieldcode else "real"
+        self.n, self.nlevels, self.eps = self.unpack("<qId")
+        self.perm = self.array(1, index=True)
+        if self.perm.size != self.n or \
+                not np.array_equal(np.sort(self.perm), np.arange(self.n)):
+            raise InvalidInput("corrupt skelkit container: bad permutation")
 
     def take(self, nbytes):
         if nbytes > len(self.buf) - self.pos:
@@ -491,13 +513,6 @@ class _Reader:
         raw = self.take(math.prod(shape) * dt.itemsize)
         return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
 
-    def perm(self, n):
-        """The tree permutation record: a permutation of range(n)."""
-        perm = self.array(1, index=True)
-        if perm.size != n or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise InvalidInput("corrupt skelkit container: bad permutation")
-        return perm
-
     def finish(self):
         if self.pos != len(self.buf):
             raise InvalidInput("trailing bytes after skelkit container")
@@ -507,10 +522,7 @@ def serialize_compressed(cm: CompressedMatrix) -> bytes:
     """Bit-exact binary container: header (N, levels, eps, field), the
     permutation, per-level block tables, dense top S.  See README."""
     f = io.BytesIO()
-    f.write(_MAGIC)
-    f.write(struct.pack("<HBB", _VERSION, 1, 1 if cm.scalar_field == "complex" else 0))
-    f.write(struct.pack("<qId", cm.n, cm.nlevels, cm.eps))
-    _write_arr(f, cm.perm.astype(np.int64))
+    _write_header(f, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
     for lv in cm.levels:
         f.write(struct.pack("<I", len(lv.nodes)))
         for nd in lv.nodes:
@@ -530,10 +542,8 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
     """Inverse of serialize_compressed; raises InvalidInput on bytes that
     are truncated or do not form a consistent container."""
     f = _Reader(data, kind=1)
-    n, nlev, eps = f.unpack("<qId")
-    perm = f.perm(n)
     levels = []
-    for _ in range(nlev):
+    for li in range(f.nlevels):
         (count,) = f.unpack("<I")
         nodes = []
         for _ in range(count):
@@ -542,16 +552,34 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
             row_skel = f.array(1, index=True)
             col_skel = f.array(1, index=True)
             D, L, R = f.array(2), f.array(2), f.array(2)
+            if has_ch != (li > 0) or (li == 0 and ch.size):
+                raise InvalidInput("corrupt skelkit container: children flag")
             if L.shape != (D.shape[0], row_skel.size) or \
                     R.shape != (col_skel.size, D.shape[1]):
                 raise InvalidInput("corrupt skelkit container: block shapes")
             nodes.append(CompressedNode(row_skel=row_skel, col_skel=col_skel,
                                         D=D, L=L, R=R,
                                         children=ch if has_ch else None))
-        levels.append(CompressedLevel(nodes))
+        lv = CompressedLevel(nodes)
+        if li == 0:
+            # the finest level's blocks tile all n points
+            ok = lv.row_dof_off[-1] == lv.col_dof_off[-1] == f.n
+        else:
+            # children list the previous level's nodes once each, in order,
+            # and each block stacks its children's skeletons
+            kr, kc = np.diff(levels[-1].kr_off), np.diff(levels[-1].kc_off)
+            kids = [nd.children for nd in nodes]
+            ok = np.array_equal(np.concatenate(kids) if kids else [], np.arange(kr.size)) and \
+                all(nd.D.shape == (kr[c].sum(), kc[c].sum()) for nd, c in zip(nodes, kids))
+        if not ok:
+            raise InvalidInput(f"corrupt skelkit container: level {li + 1} "
+                               "does not fit the tree")
+        levels.append(lv)
     S = f.array(2)
     f.finish()
-    return CompressedMatrix(levels=levels, S=S, n=n, eps=eps, perm=perm,
+    if S.shape != ((levels[-1].K_r, levels[-1].K_c) if levels else (f.n, f.n)):
+        raise InvalidInput("corrupt skelkit container: top block shape")
+    return CompressedMatrix(levels=levels, S=S, n=f.n, eps=f.eps, perm=f.perm,
                             scalar_field=f.field, tree=None)
 
 

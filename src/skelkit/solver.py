@@ -18,6 +18,9 @@ embedding is still assembled (and exportable as Matrix Market) so an
 external sparse solver can serve as an independent cross-check.
 """
 
+import io
+import itertools
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,7 +28,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .skel import CompressedMatrix, _map_nodes
+from .skel import (CompressedMatrix, _map_nodes, _offsets, _Reader, _telescope,
+                   _write_arr, _write_header)
 
 _RCOND_WARN = 1e-14
 
@@ -151,12 +155,14 @@ class FactoredNode:
 
 
 class FactoredLevel:
-    def __init__(self, nodes, ref):
+    def __init__(self, nodes):
+        # solve maps row DOFs up to Rd's rows and Ld's columns down to column
+        # DOFs; Dd is (column DOFs) x (row DOFs)
         self.nodes = nodes
-        self.row_dof_off = ref.row_dof_off
-        self.col_dof_off = ref.col_dof_off
-        self.kr_off = ref.kr_off
-        self.kc_off = ref.kc_off
+        self.row_dof_off = _offsets([fn.Dd.shape[1] for fn in nodes])
+        self.col_dof_off = _offsets([fn.Dd.shape[0] for fn in nodes])
+        self.kr_off = _offsets([fn.Rd.shape[0] for fn in nodes])
+        self.kc_off = _offsets([fn.Ld.shape[1] for fn in nodes])
 
 
 @dataclass
@@ -212,11 +218,6 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             raise SingularBlock(level, node, what)
         return lu, piv
 
-    if cm.nlevels == 0:
-        S_lu = _lu(np.ascontiguousarray(cm.S, dtype=dtype), "top", 0, "S")
-        return FactoredInverse(levels=[], S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
-                               scalar_field=cm.scalar_field, warnings=warnings_list)
-
     lam_prev = None
     flevels = []
     for li, lv in enumerate(cm.levels):
@@ -262,15 +263,15 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                                 Lam=Lam, lu_D=lu_D, lu_M=lu_M)
 
         fnodes = _map_nodes(factor_node, list(range(len(lv.nodes))))
-        flevels.append(FactoredLevel(fnodes, lv))
+        flevels.append(FactoredLevel(fnodes))
         lam_prev = [fn.Lam for fn in fnodes]
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
-    top = cm.levels[-1]
     Shat = np.array(cm.S, dtype=dtype)
-    for a in range(len(top.nodes)):
-        lam = lam_prev[a]
-        Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = lam
+    if cm.levels:
+        top = cm.levels[-1]
+        for a, lam in enumerate(lam_prev):
+            Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = lam
     S_lu = _lu(Shat, "top", 0, "S")
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
                            scalar_field=cm.scalar_field, warnings=warnings_list)
@@ -278,44 +279,15 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
 
 def solve(fi: FactoredInverse, b) -> np.ndarray:
     """Apply the factored inverse: x = Dd1 b + Ld1 [ ... Shat^-1 ... ] Rd1 b,
-    mirroring the structure (and cost) of the forward apply."""
-    b = np.asarray(b)
-    single = b.ndim == 1
-    if b.shape[0] != fi.n:
-        raise InvalidInput(f"length mismatch: system is {fi.n}, rhs {b.shape[0]}")
-    dtype = np.result_type(fi.dtype, b.dtype)
-    bc = b.reshape(fi.n, -1).astype(dtype, copy=False)
-    bt = bc[fi.perm]
+    the same telescoping sweep (and cost) as the forward apply."""
+    levels = [([(fn.Rd, fn.Dd, fn.Ld) for fn in lv.nodes],
+               (lv.row_dof_off, lv.kr_off, lv.col_dof_off, lv.kc_off))
+              for lv in fi.levels]
 
-    if not fi.levels:
-        xt = lu_solve(fi.S_lu, bt, check_finite=False)
-    else:
-        us = [bt]
-        u = bt
-        for lv in fi.levels:
-            nxt = np.empty((int(lv.kr_off[-1]), bt.shape[1]), dtype=dtype)
-            for a, fn in enumerate(lv.nodes):
-                if fn.Rd.shape[0]:
-                    nxt[lv.kr_off[a]:lv.kr_off[a + 1]] = \
-                        fn.Rd @ u[lv.row_dof_off[a]:lv.row_dof_off[a + 1]]
-            us.append(nxt)
-            u = nxt
-        v = lu_solve(fi.S_lu, u, check_finite=False) if u.shape[0] else u
-        for li in range(len(fi.levels) - 1, -1, -1):
-            lv = fi.levels[li]
-            w = np.empty((int(lv.col_dof_off[-1]), bt.shape[1]), dtype=dtype)
-            ul = us[li]
-            for a, fn in enumerate(lv.nodes):
-                seg = fn.Dd @ ul[lv.row_dof_off[a]:lv.row_dof_off[a + 1]]
-                if fn.Ld.shape[1]:
-                    seg = seg + fn.Ld @ v[lv.kc_off[a]:lv.kc_off[a + 1]]
-                w[lv.col_dof_off[a]:lv.col_dof_off[a + 1]] = seg
-            v = w
-        xt = v
+    def top(u):
+        return lu_solve(fi.S_lu, u, check_finite=False) if u.shape[0] else u
 
-    out = np.empty_like(bt)
-    out[fi.perm] = xt
-    return out[:, 0] if single else out
+    return _telescope(levels, top, fi.n, fi.perm, fi.dtype, b)
 
 
 def _as_operator(op):
@@ -434,15 +406,8 @@ def export_matrix_market(se: SparseEmbedding, path):
 # factored-inverse serialization (same binary container as CompressedMatrix)
 
 def serialize_factored(fi: FactoredInverse) -> bytes:
-    import io
-    import struct
-
-    from .skel import _MAGIC, _VERSION, _write_arr
     f = io.BytesIO()
-    f.write(_MAGIC)
-    f.write(struct.pack("<HBB", _VERSION, 2, 1 if fi.scalar_field == "complex" else 0))
-    f.write(struct.pack("<qId", fi.n, len(fi.levels), 0.0))
-    _write_arr(f, fi.perm.astype(np.int64))
+    _write_header(f, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
     for lv in fi.levels:
         f.write(struct.pack("<I", len(lv.nodes)))
         for fn in lv.nodes:
@@ -461,52 +426,23 @@ def serialize_factored(fi: FactoredInverse) -> bytes:
 def deserialize_factored(data: bytes) -> FactoredInverse:
     """Inverse of serialize_factored; raises InvalidInput on bytes that are
     truncated or do not form a factored-inverse container."""
-    from .skel import _Reader
     f = _Reader(data, kind=2)
-    n, nlev, _eps = f.unpack("<qId")
-    perm = f.perm(n)
     levels = []
-    for _ in range(nlev):
+    for _ in range(f.nlevels):
         (count,) = f.unpack("<I")
         nodes = []
-        offsets = _Offsets()
         for _ in range(count):
             Dd, Ld, Rd = f.array(2), f.array(2), f.array(2)
             nodes.append(FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd,
                                       Lam=np.zeros((0, 0), dtype=Dd.dtype),
                                       lu_D=None, lu_M=None))
-            offsets.push(Dd.shape[0], Dd.shape[1], Ld.shape[1], Rd.shape[0])
-        levels.append(FactoredLevel(nodes, offsets.finish()))
+        levels.append(FactoredLevel(nodes))
     lu = f.array(2)
     piv = f.array(1, index=True)
     f.finish()
     S_lu = None if lu.size == 0 else (lu, piv.astype(np.int32))
-    return FactoredInverse(levels=levels, S_lu=S_lu, n=n, perm=perm,
+    return FactoredInverse(levels=levels, S_lu=S_lu, n=f.n, perm=f.perm,
                            scalar_field=f.field)
-
-
-class _Offsets:
-    """Rebuilds the per-level slicing tables from stored block shapes."""
-
-    def __init__(self):
-        self.rd, self.cd, self.kr, self.kc = [0], [0], [0], [0]
-
-    def push(self, nr, nc, kr, kc):
-        self.rd.append(self.rd[-1] + nr)
-        self.cd.append(self.cd[-1] + nc)
-        self.kr.append(self.kr[-1] + kr)
-        self.kc.append(self.kc[-1] + kc)
-
-    def finish(self):
-        class Ref:
-            pass
-
-        ref = Ref()
-        ref.row_dof_off = np.array(self.rd)
-        ref.col_dof_off = np.array(self.cd)
-        ref.kr_off = np.array(self.kr)
-        ref.kc_off = np.array(self.kc)
-        return ref
 
 
 def save_factored(fi: FactoredInverse, path):
@@ -520,25 +456,39 @@ def load_factored(path) -> FactoredInverse:
 
 
 def read_matrix_market(path):
-    """Minimal coordinate-format reader; returns (shape, rows, cols, vals)."""
+    """Minimal coordinate-format reader; returns (shape, rows, cols, vals).
+    A malformed or truncated file raises InvalidInput."""
     with open(path) as f:
         header = f.readline()
         if not header.startswith("%%MatrixMarket matrix coordinate"):
             raise InvalidInput("unsupported Matrix Market header")
         complex_field = "complex" in header
+        width = 4 if complex_field else 3
         line = f.readline()
         while line.startswith("%"):
             line = f.readline()
-        mm, nn, nnz = (int(t) for t in line.split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.complex128 if complex_field else np.float64)
-        for i in range(nnz):
-            parts = f.readline().split()
-            rows[i] = int(parts[0]) - 1
-            cols[i] = int(parts[1]) - 1
-            if complex_field:
-                vals[i] = float(parts[2]) + 1j * float(parts[3])
-            else:
-                vals[i] = float(parts[2])
+        try:
+            mm, nn, nnz = (int(t) for t in line.split())
+            if min(mm, nn, nnz) < 0:
+                raise ValueError(f"negative size {mm} {nn} {nnz}")
+            lines = list(itertools.islice(f, nnz))
+            if len(lines) < nnz:
+                raise ValueError(f"{len(lines)} of {nnz} entries present")
+            rows = np.empty(nnz, dtype=np.int64)
+            cols = np.empty(nnz, dtype=np.int64)
+            vals = np.empty(nnz, dtype=np.complex128 if complex_field else np.float64)
+            for i, entry in enumerate(lines):
+                parts = entry.split()
+                if len(parts) != width:
+                    raise ValueError(f"entry {i + 1} has {len(parts)} fields, not {width}")
+                rows[i] = int(parts[0]) - 1
+                cols[i] = int(parts[1]) - 1
+                if complex_field:
+                    vals[i] = float(parts[2]) + 1j * float(parts[3])
+                else:
+                    vals[i] = float(parts[2])
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: malformed Matrix Market file: {exc}") from None
+    if nnz and (min(rows.min(), cols.min()) < 0 or rows.max() >= mm or cols.max() >= nn):
+        raise InvalidInput(f"{path}: entry index outside the {mm}x{nn} matrix")
     return (mm, nn), rows, cols, vals

@@ -195,3 +195,19 @@ def test_point_file_roundtrips(tmp_path):
 
     with pytest.raises(InvalidInput):
         read_points_text(txt, 2)  # wrong column count
+
+
+def test_truncated_binary_point_file_raises_invalid_input(tmp_path):
+    rng = np.random.default_rng(0)
+    nrm = rng.standard_normal((10, 3))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    path = tmp_path / "pts.bin"
+    write_points_binary(PointSet(rng.random((10, 3)), nrm, rng.random(10) + 0.1), path)
+    blob = path.read_bytes()
+    # inside the magic, inside the (N, dim, flags) header, just after it,
+    # halfway, one byte short, one byte over
+    for data in (blob[:3], blob[:7], blob[:10], blob[:len(blob) // 2],
+                 blob[:-1], blob + b"\0"):
+        path.write_bytes(data)
+        with pytest.raises(InvalidInput):
+            read_points_binary(path)

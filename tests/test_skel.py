@@ -99,9 +99,12 @@ def test_apply_zero_and_linearity():
 
 def test_apply_length_mismatch():
     pts = circle_points(64)
-    cm = compress(LAPLACE2, pts, build_tree(pts, 16), 1e-6)
-    with pytest.raises(InvalidInput):
-        apply(cm, np.zeros(65))
+    # with levels, and a single leaf without any
+    for tree in (build_tree(pts, 16), build_tree(pts, 64)):
+        cm = compress(LAPLACE2, pts, tree, 1e-6)
+        for x in (np.zeros(65), np.zeros(63), np.zeros((65, 3))):
+            with pytest.raises(InvalidInput, match="length mismatch"):
+                apply(cm, x)
 
 
 def test_level_conformance_invariant():

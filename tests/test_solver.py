@@ -26,27 +26,32 @@ def circle_points(n):
 
 def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
     """Hand-built one-level block-separable matrix A = D + L S R with known
-    blocks, well conditioned via a diagonal shift.  Returns (cm, A_dense)."""
+    blocks, well conditioned via a diagonal shift.  ``k`` is the skeleton
+    count of every node, or a sequence of one per node.  Returns
+    (cm, A_dense)."""
     rng = np.random.default_rng(seed)
     p = len(sizes)
+    ks = [k] * p if np.isscalar(k) else list(k)
     offs = np.concatenate([[0], np.cumsum(sizes)])
+    koff = np.concatenate([[0], np.cumsum(ks)])
     n = offs[-1]
     nodes = []
     Ds, Ls, Rs = [], [], []
-    for a, na in enumerate(sizes):
+    for a, (na, ka) in enumerate(zip(sizes, ks)):
         D = rng.standard_normal((na, na)) + diag_shift * np.eye(na)
-        L = rng.standard_normal((na, k))
-        R = rng.standard_normal((k, na))
+        L = rng.standard_normal((na, ka))
+        R = rng.standard_normal((ka, na))
         Ds.append(D)
         Ls.append(L)
         Rs.append(R)
-        skel = np.arange(offs[a], offs[a] + k)
+        skel = np.arange(offs[a], offs[a] + ka)
         nodes.append(CompressedNode(skel, skel.copy(), D, L, R, None))
-    S = np.zeros((p * k, p * k))
+    S = np.zeros((koff[-1], koff[-1]))
     for a in range(p):
         for b in range(p):
             if a != b:
-                S[a * k:(a + 1) * k, b * k:(b + 1) * k] = rng.standard_normal((k, k))
+                S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] = \
+                    rng.standard_normal((ks[a], ks[b]))
     cm = CompressedMatrix(levels=[CompressedLevel(nodes)], S=S, n=n, eps=1e-15,
                           perm=np.arange(n), scalar_field="real")
     A = np.zeros((n, n))
@@ -56,7 +61,7 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
         for b in range(p):
             if a != b:
                 sb = slice(offs[b], offs[b + 1])
-                A[sa, sb] = Ls[a] @ S[a * k:(a + 1) * k, b * k:(b + 1) * k] @ Rs[b]
+                A[sa, sb] = Ls[a] @ S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] @ Rs[b]
     return cm, A
 
 
@@ -221,10 +226,67 @@ class TestFactor:
 
     def test_length_mismatch(self):
         cm, _ = one_level_synthetic()
-        fi = factor(cm)
-        with pytest.raises(InvalidInput):
-            solve(fi, np.zeros(7))
-        assert np.all(solve(fi, np.zeros(cm.n)) == 0.0)
+        pts = circle_points(40)
+        cm0 = compress(LAPLACE2, pts, build_tree(pts, 64), 1e-9)   # no levels
+        for fi in (factor(cm), factor(cm0)):
+            for b in (np.zeros(7), np.zeros(fi.n + 1), np.zeros((fi.n - 1, 3))):
+                with pytest.raises(InvalidInput, match="length mismatch"):
+                    solve(fi, b)
+            assert np.all(solve(fi, np.zeros(fi.n)) == 0.0)
+
+
+def _sweep_fn(op, cm, A):
+    """``apply`` or ``solve`` on ``cm`` as a function of the right-hand
+    side, and the dense matrix that function multiplies by."""
+    if op == "apply":
+        return (lambda x: apply(cm, x)), A
+    fi = factor(cm)
+    return (lambda b: solve(fi, b)), np.linalg.inv(A)
+
+
+@cache
+def _circle_dirichlet(n):
+    sys_ = bie.discretize_dirichlet(bie.circle(1.0, n), LAPLACE2)
+    return bie.compress_system(sys_, 1e-9)[1], sys_.matrix()
+
+
+@pytest.mark.parametrize("op", ["apply", "solve"])
+class TestSweep:
+    """apply and solve run one telescoping sweep; each case runs through
+    both callers."""
+
+    def test_real_operator_complex_rhs(self, op):
+        cm, A = one_level_synthetic(seed=4, sizes=(30, 20, 25), k=4)
+        fn, M = _sweep_fn(op, cm, A)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(cm.n) + 1j * rng.standard_normal(cm.n)
+        y = fn(x)
+        assert y.dtype == np.complex128
+        assert np.linalg.norm(y - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
+
+    def test_block_equals_columns(self, op):
+        cm, A = _circle_dirichlet(256)
+        assert cm.nlevels >= 2
+        fn, _ = _sweep_fn(op, cm, A)
+        X = np.random.default_rng(1).standard_normal((cm.n, 5))
+        Y = fn(X)
+        assert Y.shape == X.shape
+        cols = np.column_stack([fn(X[:, j]) for j in range(5)])
+        np.testing.assert_allclose(Y, cols, rtol=1e-12, atol=1e-13 * np.abs(Y).max())
+
+    def test_no_levels(self, op):
+        cm, A = _circle_dirichlet(40)
+        assert cm.nlevels == 0
+        fn, M = _sweep_fn(op, cm, A)
+        x = np.random.default_rng(2).standard_normal(cm.n)
+        assert np.linalg.norm(fn(x) - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
+
+    def test_node_with_zero_skeletons(self, op):
+        cm, A = one_level_synthetic(seed=6, sizes=(12, 9, 10), k=(3, 0, 3))
+        assert [nd.k_r for nd in cm.levels[0].nodes] == [3, 0, 3]
+        fn, M = _sweep_fn(op, cm, A)
+        x = np.random.default_rng(3).standard_normal((cm.n, 2))
+        assert np.linalg.norm(fn(x) - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
 
 
 class TestGmres:
@@ -336,6 +398,29 @@ class TestMatrixMarket:
         dense[rows, cols] = vals
         np.testing.assert_array_equal(dense, se.to_dense())
 
+    @pytest.mark.parametrize("corrupt", ["truncated", "size_line", "short", "index"])
+    def test_corrupt_export_raises_invalid_input(self, tmp_path, corrupt):
+        pts = circle_points(120)
+        cm = compress(LAPLACE2, pts, build_tree(pts, 16), 1e-3)
+        path = tmp_path / "emb.mtx"
+        export_matrix_market(assemble_embedding(cm), path)
+        text = path.read_text()
+        lines = text.splitlines(keepends=True)
+        m, _, nnz = (int(t) for t in lines[1].split())
+        if corrupt == "truncated":
+            text = text[:len(text) // 2]
+        else:
+            if corrupt == "size_line":
+                lines[1] = "3 3 x\n"
+            elif corrupt == "short":
+                lines[1] = f"{m} {m} {nnz + 1}\n"
+            else:
+                lines[2] = f"{m + 1} " + lines[2].split(" ", 1)[1]
+            text = "".join(lines)
+        path.write_text(text)
+        with pytest.raises(InvalidInput):
+            read_matrix_market(path)
+
 
 class TestFactoredSerialization:
     def test_roundtrip_solves_identically(self, tmp_path):
@@ -437,3 +522,22 @@ def test_corrupt_containers_raise_invalid_input(kind, cut, flips):
         pass
     # the reader is exact: reading back and writing again is bit-identical
     assert write(read(blob)) == blob
+
+
+@pytest.mark.parametrize("corrupt", ["child_out_of_range", "child_dropped",
+                                     "flag_at_finest", "flag_missing"])
+def test_inconsistent_children_raise_invalid_input(corrupt):
+    # well-formed records whose child positions do not describe the levels
+    # below once parsed cleanly, and factor then raised IndexError
+    cm = deserialize_compressed(_containers()["compressed"][0])
+    nd = cm.levels[1].nodes[0]
+    if corrupt == "child_out_of_range":
+        nd.children[0] = 10 ** 6
+    elif corrupt == "child_dropped":
+        nd.children = nd.children[1:]
+    elif corrupt == "flag_at_finest":
+        cm.levels[0].nodes[0].children = np.array([0])
+    else:
+        nd.children = None
+    with pytest.raises(InvalidInput):
+        deserialize_compressed(serialize_compressed(cm))
