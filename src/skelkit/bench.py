@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bie
 from .errors import InvalidInput, NotConverged, RefusedTooLarge
-from .geom import PointSet, build_tree
+from .geom import PointSet, build_tree, fibonacci_sphere
 from .kernels import KernelSpec, eval_block
 from .skel import ProxyConfig, apply, compress, serialize_compressed
 from .solver import (assemble_embedding, export_matrix_market, factor, gmres,
@@ -106,11 +106,7 @@ def make_points(geometry, n, seed, params=(2.0, 1.0)) -> PointSet:
     if geometry == "square":
         return PointSet(rng.random((n, 2)))
     if geometry == "sphere":
-        i = np.arange(n) + 0.5
-        z = 1.0 - 2.0 * i / n
-        rho = np.sqrt(np.clip(1 - z * z, 0, None))
-        th = np.pi * (3 - np.sqrt(5.0)) * i
-        return PointSet(np.column_stack([rho * np.cos(th), rho * np.sin(th), z]))
+        return PointSet(fibonacci_sphere(n))
     if geometry == "cube":
         return PointSet(rng.random((n, 3)))
     if geometry == "ellipse":

@@ -184,9 +184,21 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
     return OrthTree(nodes=nodes, levels=levels, perm=perm, dim=d)
 
 
-def _boxes_touch(na: TreeNode, nb: TreeNode, tol: float) -> bool:
-    gap = np.abs(na.center - nb.center) - (na.halfwidth + nb.halfwidth)
-    return bool(np.all(gap <= tol))
+# chunk the (rows x boxes x d) box-gap tensor to roughly this many entries
+_CHUNK_ENTRIES = 4_000_000
+
+
+def _boxes(tree: OrthTree, ids):
+    """Centres (len(ids) x d) and half-widths of the given nodes' boxes."""
+    return (np.array([tree.nodes[i].center for i in ids]),
+            np.array([tree.nodes[i].halfwidth for i in ids]))
+
+
+def _touching(c_rows, h_rows, c, h, tol):
+    """(rows x boxes) mask of box pairs that touch: on every axis, the gap
+    |c_a - c_b| - (h_a + h_b) is at most tol."""
+    gap = np.abs(c_rows[:, None, :] - c[None, :, :]) - (h_rows[:, None, None] + h[None, :, None])
+    return np.all(gap <= tol, axis=2)
 
 
 def neighbors(tree: OrthTree, node_id: int) -> list:
@@ -195,28 +207,39 @@ def neighbors(tree: OrthTree, node_id: int) -> list:
     if not isinstance(node_id, (int, np.integer)) or not 0 <= node_id < len(tree.nodes):
         raise InvalidInput(f"invalid node id {node_id!r}")
     node = tree.nodes[node_id]
-    tol = 1e-9 * tree.root.halfwidth
-    out = [i for i, other in enumerate(tree.nodes)
-           if i != node_id and other.depth == node.depth
-           and _boxes_touch(node, other, tol)]
-    return out
+    same = [i for i, nd in enumerate(tree.nodes) if nd.depth == node.depth]
+    c, h = _boxes(tree, same)
+    a = same.index(node_id)
+    hit = _touching(c[a:a + 1], h[a:a + 1], c, h, 1e-9 * tree.root.halfwidth)[0]
+    hit[a] = False
+    return [same[j] for j in np.flatnonzero(hit)]
 
 
 def level_neighbors(tree: OrthTree, level: int) -> list:
-    """Adjacency lists within one cover (``tree.levels[level]``).  Unlike
+    """Adjacency lists within one cover (``tree.levels[level]``): for each
+    box, the ascending positions of the boxes it touches.  Unlike
     :func:`neighbors` this mixes box sizes, since early-stopped leaves are
     carried down through finer covers."""
     ids = tree.levels[level]
+    c, h = _boxes(tree, ids)
     tol = 1e-9 * tree.root.halfwidth
-    nbrs = [[] for _ in ids]
-    for a in range(len(ids)):
-        na = tree.nodes[ids[a]]
-        for b in range(a + 1, len(ids)):
-            nb = tree.nodes[ids[b]]
-            if _boxes_touch(na, nb, tol):
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+    nb = len(ids)
+    rows = max(1, _CHUNK_ENTRIES // (nb * tree.dim))
+    nbrs = []
+    for lo in range(0, nb, rows):
+        hit = _touching(c[lo:lo + rows], h[lo:lo + rows], c, h, tol)
+        hit[np.arange(hit.shape[0]), np.arange(lo, lo + hit.shape[0])] = False
+        nbrs.extend(np.flatnonzero(row).tolist() for row in hit)
     return nbrs
+
+
+def fibonacci_sphere(n) -> np.ndarray:
+    """n x 3 points of a spherical Fibonacci spiral on the unit sphere."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    th = np.pi * (3.0 - np.sqrt(5.0)) * i
+    return np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
 
 
 # ---------------------------------------------------------------------------

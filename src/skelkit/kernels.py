@@ -106,7 +106,7 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet,
         return out
 
     diff = targets.coords[:, None, :] - sources.coords[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
 
     span = max(
         float(np.ptp(targets.coords, axis=0).max()),
@@ -115,33 +115,37 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet,
         float(np.abs(sources.coords).max()),
         1.0,
     )
-    coincident = r < COINCIDENT_RTOL * span
-    rs = np.where(coincident, 1.0, r)  # safe radius, overwritten below
+    coincident = r2 < (COINCIDENT_RTOL * span) ** 2
+    np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
 
     k = spec.wavenumber
-    if spec.layer == "single":
-        if spec.equation == "laplace":
-            block = -np.log(rs) / (2 * np.pi) if spec.dim == 2 else 1.0 / (4 * np.pi * rs)
+    if spec.layer == "double":
+        # dG/dnu_y with nu the source normal; ndot[i,j] = (y_j - x_i) . nu_j
+        ndot = -np.einsum("ijk,jk->ij", diff, sources.normals)
+    if spec.equation == "laplace" and spec.dim == 2:
+        # from r^2 directly: -log(r)/(2 pi) = -log(r^2)/(4 pi), no sqrt
+        if spec.layer == "single":
+            block = np.log(r2)
+            block *= -0.25 / np.pi
         else:
-            if spec.dim == 2:
+            block = -ndot / (2 * np.pi * r2)
+    else:
+        rs = np.sqrt(r2)
+        if spec.layer == "single":
+            if spec.equation == "laplace":
+                block = 1.0 / (4 * np.pi * rs)
+            elif spec.dim == 2:
                 block = 0.25j * (sp.j0(k * rs) + 1j * sp.y0(k * rs))
             else:
                 block = np.exp(1j * k * rs) / (4 * np.pi * rs)
-    else:
-        # dG/dnu_y with nu the source normal; ndot[i,j] = (y_j - x_i) . nu_j
-        ndot = -np.einsum("ijk,jk->ij", diff, sources.normals)
-        if spec.equation == "laplace":
-            if spec.dim == 2:
-                block = -ndot / (2 * np.pi * rs * rs)
-            else:
-                # grad_y |x-y|^{-1} = (x-y)/r^3, so dG/dnu_y = -(y-x).nu/(4 pi r^3)
-                block = -ndot / (4 * np.pi * rs ** 3)
+        elif spec.equation == "laplace":
+            # grad_y |x-y|^{-1} = (x-y)/r^3, so dG/dnu_y = -(y-x).nu/(4 pi r^3)
+            block = -ndot / (4 * np.pi * rs ** 3)
+        elif spec.dim == 2:
+            block = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndot / rs
         else:
-            if spec.dim == 2:
-                block = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndot / rs
-            else:
-                dgdr = np.exp(1j * k * rs) * (1j * k * rs - 1.0) / (4 * np.pi * rs * rs)
-                block = dgdr * ndot / rs
+            dgdr = np.exp(1j * k * rs) * (1j * k * rs - 1.0) / (4 * np.pi * rs * rs)
+            block = dgdr * ndot / rs
 
     if np.any(coincident):
         if spec.self_interaction == "zero":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, RefusedTooLarge
-from .geom import OrthTree, PointSet, level_neighbors
+from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
 from .lowrank import id_fixed_precision, id_randomized
 
@@ -89,12 +89,7 @@ def proxy_points(box, config: ProxyConfig, dim) -> PointSet:
         th = 2 * np.pi * np.arange(n) / n
         pts = c + r * np.column_stack([np.cos(th), np.sin(th)])
     else:
-        i = np.arange(n) + 0.5
-        z = 1.0 - 2.0 * i / n
-        rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-        golden = np.pi * (3.0 - np.sqrt(5.0))
-        th = golden * i
-        pts = c + r * np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
+        pts = c + r * fibonacci_sphere(n)
     return PointSet(pts)
 
 

@@ -425,21 +425,42 @@ def serialize_factored(fi: FactoredInverse) -> bytes:
 
 def deserialize_factored(data: bytes) -> FactoredInverse:
     """Inverse of serialize_factored; raises InvalidInput on bytes that are
-    truncated or do not form a factored-inverse container."""
+    truncated or do not form a factored-inverse container, including block
+    shapes that do not chain from N through the levels to the top LU, and
+    pivots out of range."""
     f = _Reader(data, kind=2)
     levels = []
-    for _ in range(f.nlevels):
+    dofs = (f.n, f.n)    # (row, column) DOFs the next level must take in
+    for li in range(f.nlevels):
         (count,) = f.unpack("<I")
         nodes = []
-        for _ in range(count):
+        for a in range(count):
             Dd, Ld, Rd = f.array(2), f.array(2), f.array(2)
+            if Ld.shape[0] != Dd.shape[0] or Rd.shape[1] != Dd.shape[1]:
+                raise InvalidInput(
+                    f"corrupt skelkit container: level {li + 1}, node {a} has Dd "
+                    f"{Dd.shape}, Ld {Ld.shape} and Rd {Rd.shape}")
             nodes.append(FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd,
                                       Lam=np.zeros((0, 0), dtype=Dd.dtype),
                                       lu_D=None, lu_M=None))
-        levels.append(FactoredLevel(nodes))
+        lv = FactoredLevel(nodes)
+        got = (int(lv.row_dof_off[-1]), int(lv.col_dof_off[-1]))
+        if got != dofs:
+            raise InvalidInput(
+                f"corrupt skelkit container: level {li + 1} takes {got[0]} row and "
+                f"{got[1]} column DOFs, the level below leaves {dofs[0]} and {dofs[1]}")
+        dofs = (int(lv.kr_off[-1]), int(lv.kc_off[-1]))
+        levels.append(lv)
     lu = f.array(2)
     piv = f.array(1, index=True)
     f.finish()
+    k = dofs[0]
+    if dofs[1] != k or lu.shape != (k, k) or piv.shape != (k,):
+        raise InvalidInput(
+            f"corrupt skelkit container: top LU {lu.shape} with {piv.size} pivots "
+            f"for {dofs[0]} row and {dofs[1]} column skeletons")
+    if k and not 0 <= piv.min() <= piv.max() < k:
+        raise InvalidInput(f"corrupt skelkit container: top LU pivot outside [0, {k})")
     S_lu = None if lu.size == 0 else (lu, piv.astype(np.int32))
     return FactoredInverse(levels=levels, S_lu=S_lu, n=f.n, perm=f.perm,
                            scalar_field=f.field)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from skelkit.bench import (CSV_COLUMNS, BenchRecord, RunConfig,
                            _apply_bench_one, fit_exponent, main, make_kernel,
                            make_points, run, write_csv)
 from skelkit.errors import InvalidInput
-from skelkit.skel import serialize_compressed
+from skelkit.skel import (ProxyConfig, proxy_points, proxy_radius,
+                          serialize_compressed)
 
 
 class TestFitExponent:
@@ -62,6 +65,20 @@ class TestConfig:
             assert pts.n == 100 and pts.dim == d
         s = make_points("sphere", 64, 0)
         np.testing.assert_allclose(np.linalg.norm(s.coords, axis=1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [32, 64, 512, 1000])
+    def test_sphere_points_are_the_proxy_spiral(self, n):
+        # the formula both generators used before they shared one
+        i = np.arange(n) + 0.5
+        z = 1.0 - 2.0 * i / n
+        rho = np.sqrt(np.clip(1 - z * z, 0, None))
+        th = np.pi * (3 - np.sqrt(5.0)) * i
+        ref = np.column_stack([rho * np.cos(th), rho * np.sin(th), z])
+        assert np.array_equal(make_points("sphere", n, seed=0).coords, ref)
+        box = SimpleNamespace(center=np.array([0.25, -1.5, 3.0]), halfwidth=0.375)
+        cfg = ProxyConfig(n_proxy=n)
+        want = box.center + proxy_radius(box.halfwidth, cfg, 3) * ref
+        assert np.array_equal(proxy_points(box, cfg, 3).coords, want)
 
 
 def test_apply_bench_record_and_storage_column():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelkit import geom
 from skelkit.errors import InvalidInput
 from skelkit.geom import (PointSet, build_tree, level_neighbors,
                           neighbors, read_points_binary, read_points_text,
@@ -211,3 +212,38 @@ def test_truncated_binary_point_file_raises_invalid_input(tmp_path):
         path.write_bytes(data)
         with pytest.raises(InvalidInput):
             read_points_binary(path)
+
+
+def _touch(na, nb, tol):
+    return all(abs(float(na.center[x]) - float(nb.center[x]))
+               - (na.halfwidth + nb.halfwidth) <= tol for x in range(len(na.center)))
+
+
+def _adaptive_tree(d, seed):
+    # a dense cluster in one corner and a sparse spread: leaves stop early
+    # outside the cluster and are carried through the finer covers
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([0.04 * rng.random((400, d)), rng.random((150, d))])
+    return build_tree(PointSet(pts), 6)
+
+
+@pytest.mark.parametrize("entries", [1, 40, None])
+@pytest.mark.parametrize("d", [2, 3])
+def test_level_neighbors_match_brute_force(monkeypatch, d, entries):
+    if entries is not None:  # a few rows per chunk: cross chunk boundaries
+        monkeypatch.setattr(geom, "_CHUNK_ENTRIES", entries)
+    tree = _adaptive_tree(d, 3 + d)
+    tol = 1e-9 * tree.root.halfwidth
+    mixed = 0
+    for li, ids in enumerate(tree.levels):
+        want = [[b for b, j in enumerate(ids)
+                 if j != i and _touch(tree.nodes[i], tree.nodes[j], tol)] for i in ids]
+        got = level_neighbors(tree, li)
+        assert got == want
+        assert all(type(b) is int for lst in got for b in lst)
+        mixed += len({tree.nodes[i].halfwidth for i in ids}) > 1
+    assert mixed >= 2  # several covers mix box sizes
+    for i, nd in enumerate(tree.nodes):
+        assert neighbors(tree, i) == [j for j, other in enumerate(tree.nodes)
+                                      if j != i and other.depth == nd.depth
+                                      and _touch(nd, other, tol)]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from skelkit.errors import InvalidInput
 from skelkit.geom import PointSet
-from skelkit.kernels import KernelSpec, bessel_h0, eval_block
+from skelkit.kernels import COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block
 
 
 def h0_series(z, terms=40):
@@ -219,3 +219,49 @@ def test_spec_validation():
         KernelSpec("stokes", 2)
     with pytest.raises(InvalidInput):
         KernelSpec("laplace", 4)
+
+
+@pytest.mark.parametrize("layer", ["single", "double"])
+def test_laplace2d_blocks_match_closed_forms(layer):
+    # targets and sources over several length scales, with close pairs
+    rng = np.random.default_rng(21)
+    tg = rng.random((40, 2)) * 4 - 2
+    src = np.vstack([rng.random((30, 2)) * 4 - 2, tg[:20] + 1e-7 * rng.standard_normal((20, 2))])
+    nrm = rng.standard_normal(src.shape)
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    blk = eval_block(KernelSpec("laplace", 2, layer), PointSet(tg), PointSet(src, nrm))
+    d = src[None, :, :] - tg[:, None, :]                      # y - x
+    r = np.hypot(d[..., 0], d[..., 1])
+    if layer == "single":
+        want = -np.log(r) / (2 * np.pi)
+    else:
+        want = -np.einsum("ijk,jk->ij", d, nrm) / (2 * np.pi * r * r)
+    assert np.abs(blk - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("laplace", 2),
+    KernelSpec("laplace", 2, "double"),
+    KernelSpec("laplace", 2, "double", self_interaction="curvature_limit"),
+    KernelSpec("laplace", 3),
+], ids=["l2-single", "l2-double", "l2-curvature", "l3-single"])
+def test_coincidence_threshold_fill(spec):
+    # cloud extent 1, so pairs closer than COINCIDENT_RTOL count as coincident
+    d = spec.dim
+    tg = np.zeros((1, d))
+    src = np.zeros((3, d))
+    src[:, 0] = [0.9 * COINCIDENT_RTOL, 1.1 * COINCIDENT_RTOL, 1.0]
+    nrm = np.zeros((3, d))
+    nrm[:, 0] = 1.0
+    kappa = np.array([0.5, 2.0, 3.0])
+    blk = eval_block(spec, PointSet(tg), PointSet(src, nrm, curvatures=kappa))[0]
+    r = src[:, 0]
+    if spec.dim == 3:
+        outside = 1 / (4 * np.pi * r)
+    elif spec.layer == "single":
+        outside = -np.log(r) / (2 * np.pi)
+    else:
+        outside = -r / (2 * np.pi * r * r)
+    inside = -kappa[0] / (4 * np.pi) if spec.self_interaction == "curvature_limit" else 0.0
+    assert blk[0] == inside
+    np.testing.assert_allclose(blk[1:], outside[1:], rtol=1e-14)

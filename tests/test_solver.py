@@ -541,3 +541,35 @@ def test_inconsistent_children_raise_invalid_input(corrupt):
         nd.children = None
     with pytest.raises(InvalidInput):
         deserialize_compressed(serialize_compressed(cm))
+
+
+@pytest.mark.parametrize("corrupt", [
+    "level2_dd_rd_column", "level1_dd_ld_row", "ld_row", "rd_column",
+    "top_not_square", "top_too_small", "pivot_too_large", "pivot_negative"])
+def test_inconsistent_factored_shapes_raise_invalid_input(corrupt):
+    # well-formed records whose block shapes do not chain: dropping a column
+    # of a level-2 Dd and Rd once parsed and solve returned a wrong result
+    # with no error; dropping a row of a level-1 Dd and Ld made solve raise
+    # ValueError
+    fi = deserialize_factored(_containers()["factored"][0])
+    level = 0 if corrupt == "level1_dd_ld_row" else 1
+    fn = next(fn for fn in fi.levels[level].nodes if fn.Dd.size and fn.Rd.shape[0])
+    lu, piv = fi.S_lu
+    if corrupt == "level2_dd_rd_column":
+        fn.Dd, fn.Rd = fn.Dd[:, :-1], fn.Rd[:, :-1]
+    elif corrupt == "level1_dd_ld_row":
+        fn.Dd, fn.Ld = fn.Dd[:-1], fn.Ld[:-1]
+    elif corrupt == "ld_row":
+        fn.Ld = fn.Ld[:-1]
+    elif corrupt == "rd_column":
+        fn.Rd = fn.Rd[:, :-1]
+    elif corrupt == "top_not_square":
+        fi.S_lu = (lu[:, :-1], piv)
+    elif corrupt == "top_too_small":
+        fi.S_lu = (lu[:-1, :-1], piv[:-1])
+    elif corrupt == "pivot_too_large":
+        fi.S_lu = (lu, np.where(np.arange(piv.size) == 0, piv.size, piv))
+    else:
+        fi.S_lu = (lu, np.where(np.arange(piv.size) == 0, -1, piv))
+    with pytest.raises(InvalidInput):
+        deserialize_factored(serialize_factored(fi))
