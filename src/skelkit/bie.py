@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AccuracyWarning, InvalidInput
 from .geom import PointSet, build_tree
 from .kernels import KernelSpec, eval_block
-from .skel import ProxyConfig, compress_source
+from .skel import KernelSource, ProxyConfig, compress_source
 from .solver import factor, solve
 
 # Two-sided Kapur-Rokhlin correction weights of order 10 for integrands of
@@ -132,6 +132,15 @@ def _cyclic_distance(i, j, n):
     return np.minimum(d, n - d)
 
 
+def _kr_correct(blk, dist):
+    """``blk`` with the Kapur-Rokhlin weights 1 + gamma_d applied to node
+    pairs at cyclic distance d = 1..10."""
+    near = (dist >= 1) & (dist <= KR10_GAMMA.size)
+    if not np.any(near):
+        return blk
+    return blk * np.where(near, 1.0 + KR10_GAMMA[np.minimum(dist, KR10_GAMMA.size) - 1], 1.0)
+
+
 @dataclass
 class BieSystem:
     """Discretized second-kind system: entries K(x_i, x_j) w_j off the
@@ -162,10 +171,7 @@ class BieSystem:
         src = self.points.subset(cols)
         base = eval_block(self.spec, tgt, src)
         if self.quad == "kapur_rokhlin_10":
-            dist = _cyclic_distance(rows, cols, self.n)
-            near = (dist >= 1) & (dist <= KR10_GAMMA.size)
-            if np.any(near):
-                base = base * np.where(near, 1.0 + KR10_GAMMA[np.minimum(dist, KR10_GAMMA.size) - 1], 1.0)
+            base = _kr_correct(base, _cyclic_distance(rows, cols, self.n))
         same = rows[:, None] == cols[None, :]
         if np.any(same):
             base = base + np.where(same, self.identity_coef, 0.0)
@@ -230,44 +236,17 @@ def eval_interior(curve: Curve2D, density, spec: KernelSpec, targets) -> np.ndar
     return block @ np.asarray(density)
 
 
-class _BieSource:
-    """Presents a BieSystem to the compression sweep in tree ordering.
-
-    Proxy blocks use the single-layer kernel of the same equation: rows of
-    the system are point evaluations of exterior fields, and distant columns
-    are curve-supported densities whose far fields the proxy ring spans.
-    """
-
-    def __init__(self, system: BieSystem, perm):
-        self.system = system
-        self.perm = np.asarray(perm)
-        self.n = system.n
-        self.dtype = system.dtype
-        self.wavenumber = system.spec.wavenumber
-        self.points = system.points.subset(self.perm)
-        self.pspec = system.spec.single_layer()
-        # bring the unweighted proxy columns onto the quadrature scale of the
-        # system columns, so the rank cutoff sees one consistent magnitude
-        self.wscale = float(np.mean(self.points.weights))
-
-    def block(self, rows, cols):
-        return self.system.block(self.perm[rows], self.perm[cols])
-
-    def proxy_row_block(self, rows, pxy):
-        return self.wscale * eval_block(self.pspec, self.points.subset(rows), pxy)
-
-    def proxy_col_block(self, cols, pxy):
-        src = self.points.subset(cols)
-        src = PointSet(src.coords, None, src.weights)
-        return eval_block(self.pspec, pxy, src)
-
-
 def compress_system(system: BieSystem, eps, max_leaf_size=None,
                     proxy: ProxyConfig | None = None, mode="proxy", seed=0):
     """Build a tree over the curve nodes and skeletonize the system matrix.
     Returns (tree, CompressedMatrix)."""
     tree = build_tree(system.points, max_leaf_size)
-    src = _BieSource(system, tree.perm)
+    # proxy rows are single-layer fields scaled to the quadrature weights of
+    # the system columns, so the rank cutoff sees one consistent magnitude
+    wscale = float(np.mean(system.points.weights[tree.perm]))
+    pspec = system.spec.single_layer()
+    src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
+                       proxy_rows=lambda t, p: wscale * eval_block(pspec, t, p))
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode, seed=seed)
     return tree, cm
 
@@ -316,37 +295,10 @@ def _neumann_trace_block(k, targets: PointSet, sources: PointSet,
     blk = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndotx / rs
     blk = np.where(same, 0.0, blk)
     if kr_dist is not None:
-        near = (kr_dist >= 1) & (kr_dist <= KR10_GAMMA.size)
-        blk = blk * np.where(near, 1.0 + KR10_GAMMA[np.minimum(kr_dist, KR10_GAMMA.size) - 1], 1.0)
+        blk = _kr_correct(blk, kr_dist)
     if sources.weights is not None:
         blk = blk * sources.weights[None, :]
     return blk
-
-
-class _ScattererSource:
-    """Self-block of one scatterer for the preconditioner: the Neumann-trace
-    rows are derivative functionals, so the row-side proxy uses the target-
-    normal derivative of the single-layer proxy field."""
-
-    def __init__(self, scat, perm):
-        self.scat = scat
-        self.perm = np.asarray(perm)
-        self.n = scat.npts
-        self.dtype = np.complex128
-        self.wavenumber = scat.k
-        self.points = scat.points.subset(self.perm)
-
-    def block(self, rows, cols):
-        return self.scat.self_block(self.perm[rows], self.perm[cols])
-
-    def proxy_row_block(self, rows, pxy):
-        tgt = self.points.subset(rows)
-        return _neumann_trace_block(self.scat.k, tgt, pxy)
-
-    def proxy_col_block(self, cols, pxy):
-        src = self.points.subset(cols)
-        src = PointSet(src.coords, None, src.weights)
-        return eval_block(KernelSpec("helmholtz", 2, "single", self.scat.k), pxy, src)
 
 
 class _Scatterer:
@@ -410,7 +362,11 @@ class ScatteringSystem:
         facs = []
         for s in self.scatterers:
             tree = build_tree(s.points, max_leaf_size)
-            src = _ScattererSource(s, tree.perm)
+            # the rows are Neumann traces, so the incoming proxy field is the
+            # target-normal derivative of the single layer
+            src = KernelSource(KernelSpec("helmholtz", 2, "single", s.k), s.points,
+                               tree.perm, block=s.self_block,
+                               proxy_rows=lambda t, p, k=s.k: _neumann_trace_block(k, t, p))
             cm = compress_source(src, tree, eps)
             facs.append(factor(cm))
         return facs

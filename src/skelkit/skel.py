@@ -94,24 +94,32 @@ def proxy_points(box, config: ProxyConfig, dim) -> PointSet:
 
 
 class KernelSource:
-    """Adapter presenting a plain kernel matrix (in tree ordering) to the
-    compression sweep.  Proxy blocks always use the single-layer kernel of
-    the same equation: the proxy only has to span exterior fields."""
+    """Adapter presenting a matrix over ``points`` to the compression sweep
+    in tree ordering ``perm``.  ``block(rows, cols)`` evaluates entries in
+    point order (default: the kernel of ``spec``); ``proxy_rows(targets,
+    proxy)`` the incoming proxy field (default: the single layer).  Outgoing
+    proxy fields always use the single-layer kernel of the same equation:
+    the proxy only has to span exterior fields."""
 
-    def __init__(self, spec: KernelSpec, points: PointSet, perm):
-        self.spec = spec
-        self.points = points.subset(perm)
+    def __init__(self, spec: KernelSpec, points: PointSet, perm, block=None,
+                 proxy_rows=None):
+        self.perm = np.asarray(perm)
+        self.points = points.subset(self.perm)
         self.proxy_spec = spec.single_layer()
         self.n = points.n
         self.dtype = spec.dtype
         self.wavenumber = spec.wavenumber
+        self._block = block or (
+            lambda r, c: eval_block(spec, points.subset(r), points.subset(c)))
+        self._proxy_rows = proxy_rows or (
+            lambda t, p: eval_block(self.proxy_spec, t, p))
 
     def block(self, rows, cols):
-        return eval_block(self.spec, self.points.subset(rows), self.points.subset(cols))
+        return self._block(self.perm[rows], self.perm[cols])
 
     def proxy_row_block(self, rows, proxy: PointSet):
         # incoming fields: proxy charges evaluated at the node's points
-        return eval_block(self.proxy_spec, self.points.subset(rows), proxy)
+        return self._proxy_rows(self.points.subset(rows), proxy)
 
     def proxy_col_block(self, cols, proxy: PointSet):
         # outgoing fields: node sources evaluated on the proxy surface
@@ -226,11 +234,10 @@ def _telescope(levels, top, n, perm, dtype, x):
     if x.shape[0] != n:
         raise InvalidInput(f"length mismatch: operator is {n}, input {x.shape[0]}")
     dtype = np.result_type(dtype, x.dtype)
-    xt = x.reshape(n, -1).astype(dtype, copy=False)[perm]
-    nrhs = xt.shape[1]
+    u = x.reshape(n, -1).astype(dtype, copy=False)[perm]
+    nrhs = u.shape[1]
 
     us = []
-    u = xt
     for blocks, (x_off, u_off, _, _) in levels:
         us.append(u)
         nxt = np.empty((int(u_off[-1]), nrhs), dtype=dtype)
@@ -240,16 +247,18 @@ def _telescope(levels, top, n, perm, dtype, x):
         u = nxt
     v = top(u)
     for blocks, (x_off, _, y_off, v_off) in reversed(levels):
-        ul = us.pop()
+        u = us.pop()
         w = np.empty((int(y_off[-1]), nrhs), dtype=dtype)
         for a, (_, diag, down) in enumerate(blocks):
-            seg = diag @ ul[x_off[a]:x_off[a + 1]]
+            seg = diag @ u[x_off[a]:x_off[a + 1]]
             if down.shape[1]:
                 seg = seg + down @ v[v_off[a]:v_off[a + 1]]
             w[y_off[a]:y_off[a + 1]] = seg
         v = w
 
-    out = np.empty_like(xt)
+    # u is now the permuted input; free it before allocating the output
+    del u
+    out = np.empty((n, nrhs), dtype=dtype)
     out[perm] = v
     return out[:, 0] if single else out
 
@@ -474,12 +483,12 @@ class _Reader:
         self.pos = 0
         if bytes(self.take(4)) != _MAGIC:
             raise InvalidInput("not a skelkit container")
-        version, got, fieldcode = self.unpack("<HBB")
+        version, got, self.value_code = self.unpack("<HBB")
         if version != _VERSION:
             raise InvalidInput(f"unsupported container version {version}")
         if got != kind:
             raise InvalidInput(f"container kind {got}, expected {kind}")
-        self.field = "complex" if fieldcode else "real"
+        self.field = "complex" if self.value_code else "real"
         self.n, self.nlevels, self.eps = self.unpack("<qId")
         self.perm = self.array(1, index=True)
         if self.perm.size != self.n or \
@@ -496,10 +505,11 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, ndim, index=False):
-        """Next array record: an int64 index array, or a float64/complex128
-        value array, of exactly ``ndim`` dimensions."""
+        """Next array record: an int64 index array, or a value array of the
+        header's field (float64 or complex128), of exactly ``ndim``
+        dimensions."""
         code, nd = self.unpack("<BB")
-        if nd != ndim or code not in ((2,) if index else (0, 1)):
+        if nd != ndim or code != (2 if index else self.value_code):
             raise InvalidInput("corrupt skelkit container: bad array header")
         shape = self.unpack(f"<{nd}q")
         if min(shape) < 0:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import iv
 
-from skelkit import bie
+from skelkit import bie, skel
 from skelkit.errors import AccuracyWarning, InvalidInput, NotConverged
-from skelkit.kernels import KernelSpec, bessel_h0
+from skelkit.geom import PointSet, build_tree
+from skelkit.kernels import KernelSpec, bessel_h0, eval_block
 from skelkit.solver import gmres, solve
 
 LAPLACE2 = KernelSpec("laplace", 2)
@@ -329,3 +330,72 @@ def test_tiny_curve_degenerate_tree():
     assert cm.nlevels == 0
     ref = np.linalg.solve(system.matrix(), rhs)
     np.testing.assert_allclose(sigma, ref, rtol=1e-10)
+
+
+def _captured_source(monkeypatch, module, run):
+    """The (source, tree) that ``run`` hands to ``module.compress_source``."""
+    seen = []
+    real = module.compress_source
+
+    def capture(source, tree, *args, **kwargs):
+        seen.append((source, tree))
+        return real(source, tree, *args, **kwargs)
+
+    monkeypatch.setattr(module, "compress_source", capture)
+    run()
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", ["laplace_bie", "helmholtz_bie", "scatterer", "kernel"])
+def test_proxy_source_matches_definitions(case, monkeypatch):
+    # every driver hands compress_source the same adapter; check it against
+    # the matrix and the proxy fields it stands for
+    if case == "kernel":
+        spec = LAPLACE2
+        pts = PointSet(np.random.default_rng(0).random((300, 2)))
+        A = eval_block(spec, pts, pts)
+        src, tree = _captured_source(monkeypatch, skel, lambda: skel.compress(
+            spec, pts, build_tree(pts), 1e-6))
+
+        def incoming(t, p):
+            return eval_block(spec, t, p)
+    elif case == "scatterer":
+        curve = bie.trefoil(128)
+        k = 2 * np.pi * 2.0 / curve.diameter()
+        system = bie.scattering_system([curve], k)
+        pts, A = curve.point_set(), system.matrix()
+        src, tree = _captured_source(monkeypatch, bie,
+                                     lambda: system.precond_blocks(eps=1e-6))
+        spec = KernelSpec("helmholtz", 2, "single", k)
+
+        def incoming(t, p):
+            return bie._neumann_trace_block(k, t, p)
+    else:
+        eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        system = bie.discretize_dirichlet(bie.ellipse(1.0, 0.5, 256), eq)
+        pts, A = system.points, system.matrix()
+        src, tree = _captured_source(monkeypatch, bie,
+                                     lambda: bie.compress_system(system, 1e-6))
+        spec = system.spec.single_layer()
+        wscale = float(np.mean(pts.weights[tree.perm]))
+
+        def incoming(t, p):
+            return wscale * eval_block(spec, t, p)
+
+    perm = tree.perm
+    assert (src.n, src.dtype, src.wavenumber) == (pts.n, spec.dtype, spec.wavenumber)
+    assert not np.array_equal(perm, np.arange(pts.n))   # tree order is not point order
+    idx = np.arange(pts.n)
+    np.testing.assert_array_equal(src.block(idx, idx), A[np.ix_(perm, perm)])
+    rng = np.random.default_rng(1)
+    rows, cols = rng.choice(pts.n, 40, replace=False), rng.choice(pts.n, 30, replace=False)
+    np.testing.assert_array_equal(src.block(rows, cols), A[np.ix_(perm[rows], perm[cols])])
+
+    pxy = skel.proxy_points(tree.nodes[tree.levels[0][0]], skel.ProxyConfig(), 2)
+    np.testing.assert_array_equal(src.proxy_row_block(rows, pxy),
+                                  incoming(pts.subset(perm[rows]), pxy))
+    # outgoing fields are the single layer: source normals play no part
+    tgt = pts.subset(perm[cols])
+    bare = PointSet(tgt.coords, None, tgt.weights)
+    np.testing.assert_array_equal(src.proxy_col_block(cols, pxy), eval_block(spec, pxy, bare))

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -288,6 +289,20 @@ class TestSweep:
         x = np.random.default_rng(3).standard_normal((cm.n, 2))
         assert np.linalg.norm(fn(x) - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
 
+    def test_peak_memory(self, op):
+        # the permuted input, the finest level's output and the un-permuted
+        # result were once alive together: a peak of 3.0 input sizes
+        cm, _ = _circle_dirichlet(4096)
+        fi = factor(cm) if op == "solve" else None
+        x = np.random.default_rng(4).standard_normal((cm.n, 128))
+        tracemalloc.start()
+        try:
+            apply(cm, x) if fi is None else solve(fi, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * x.nbytes
+
 
 class TestGmres:
     def test_identity_one_iteration(self):
@@ -522,6 +537,21 @@ def test_corrupt_containers_raise_invalid_input(kind, cut, flips):
         pass
     # the reader is exact: reading back and writing again is bit-identical
     assert write(read(blob)) == blob
+
+
+@pytest.mark.parametrize("kind", ["compressed", "factored"])
+def test_complex_block_in_real_container_raises_invalid_input(kind):
+    # a complex D (or Dd) block in a real container once parsed, and apply
+    # (solve) dropped its imaginary part with only a ComplexWarning
+    blob, read, write = _containers()[kind]
+    obj = read(blob)
+    nd = obj.levels[1].nodes[0]
+    if kind == "compressed":
+        nd.D = nd.D + 1j
+    else:
+        nd.Dd = nd.Dd + 1j
+    with pytest.raises(InvalidInput):
+        read(write(obj))
 
 
 @pytest.mark.parametrize("corrupt", ["child_out_of_range", "child_dropped",
