@@ -145,19 +145,31 @@ class CompressedNode:
     def k_c(self):
         return self.col_skel.size
 
+    @property
+    def blocks(self):
+        return self.R, self.D, self.L
+
 
 def _offsets(sizes):
     """Slice offsets [0, s0, s0 + s1, ...] of blocks stacked with ``sizes``."""
     return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
 
 
-class CompressedLevel:
+class Level:
+    """One level of a telescoping operator.  Each node's ``blocks`` are
+    (up, diag, down): (R, D, L) for the compressed matrix, (Rd, Dd, Ld) for
+    its inverse.  Node a takes the input slice col_dof_off, which up maps
+    to the skeleton slice kc_off; on the way down it writes the output
+    slice row_dof_off from diag and from down on the coarser slice
+    kr_off.  The blocks and offsets are taken when the level is built."""
+
     def __init__(self, nodes):
         self.nodes = nodes
-        self.row_dof_off = _offsets([nd.D.shape[0] for nd in nodes])
-        self.col_dof_off = _offsets([nd.D.shape[1] for nd in nodes])
-        self.kr_off = _offsets([nd.k_r for nd in nodes])
-        self.kc_off = _offsets([nd.k_c for nd in nodes])
+        self.blocks = blocks = [nd.blocks for nd in nodes]
+        self.row_dof_off = _offsets([diag.shape[0] for _, diag, _ in blocks])
+        self.col_dof_off = _offsets([diag.shape[1] for _, diag, _ in blocks])
+        self.kr_off = _offsets([down.shape[1] for _, _, down in blocks])
+        self.kc_off = _offsets([up.shape[0] for up, _, _ in blocks])
 
     @property
     def K_r(self):
@@ -213,23 +225,17 @@ def apply(cm: CompressedMatrix, x) -> np.ndarray:
     upward pass through the column interpolants, dense top-level skeleton
     multiply, downward pass through the row interpolants, accumulating the
     extracted diagonal blocks on the way down."""
-    levels = [([(nd.R, nd.D, nd.L) for nd in lv.nodes],
-               (lv.col_dof_off, lv.kc_off, lv.row_dof_off, lv.kr_off))
-              for lv in cm.levels]
-    return _telescope(levels, lambda u: cm.S @ u, cm.n, cm.perm, cm.dtype, x)
+    return _telescope(cm.levels, lambda u: cm.S @ u, cm.n, cm.perm, cm.dtype, x)
 
 
 def _telescope(levels, top, n, perm, dtype, x):
     """The telescoping sweep behind both ``apply`` and ``solver.solve``:
     y = diag1 x + down1 [ diag2 u1 + down2 ( ... top(u_t) ... ) ] with
-    u1 = up1 x, u2 = up2 u1, and so on.
-
-    ``levels`` lists, finest first, each level's per-node ``(up, diag,
-    down)`` blocks with its offsets ``(x_off, u_off, y_off, v_off)``: node a
-    maps its input slice x_off to the skeleton slice u_off on the way up,
-    and on the way down writes y_off from x_off and the coarser level's
-    slice v_off.  ``top`` acts on the coarsest skeleton vector."""
+    u1 = up1 x, u2 = up2 u1, and so on, over ``Level``s listed finest
+    first.  ``top`` acts on the coarsest skeleton vector."""
     x = np.asarray(x)
+    if x.ndim not in (1, 2):
+        raise InvalidInput(f"expected a vector or a column block, got {x.ndim} dimensions")
     single = x.ndim == 1
     if x.shape[0] != n:
         raise InvalidInput(f"length mismatch: operator is {n}, input {x.shape[0]}")
@@ -238,18 +244,20 @@ def _telescope(levels, top, n, perm, dtype, x):
     nrhs = u.shape[1]
 
     us = []
-    for blocks, (x_off, u_off, _, _) in levels:
+    for lv in levels:
         us.append(u)
-        nxt = np.empty((int(u_off[-1]), nrhs), dtype=dtype)
-        for a, (up, _, _) in enumerate(blocks):
+        x_off, u_off = lv.col_dof_off, lv.kc_off
+        nxt = np.empty((lv.K_c, nrhs), dtype=dtype)
+        for a, (up, _, _) in enumerate(lv.blocks):
             if up.shape[0]:
                 nxt[u_off[a]:u_off[a + 1]] = up @ u[x_off[a]:x_off[a + 1]]
         u = nxt
     v = top(u)
-    for blocks, (x_off, _, y_off, v_off) in reversed(levels):
+    for lv in reversed(levels):
         u = us.pop()
+        x_off, y_off, v_off = lv.col_dof_off, lv.row_dof_off, lv.kr_off
         w = np.empty((int(y_off[-1]), nrhs), dtype=dtype)
-        for a, (_, diag, down) in enumerate(blocks):
+        for a, (_, diag, down) in enumerate(lv.blocks):
             seg = diag @ u[x_off[a]:x_off[a + 1]]
             if down.shape[1]:
                 seg = seg + down @ v[v_off[a]:v_off[a + 1]]
@@ -400,7 +408,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 children=_children[a])
 
         nodes = _map_nodes(build_node, list(range(len(ids))))
-        lv = CompressedLevel(nodes)
+        lv = Level(nodes)
         levels.append(lv)
         prev_row = [nd.row_skel for nd in nodes]
         prev_col = [nd.col_skel for nd in nodes]
@@ -518,9 +526,76 @@ class _Reader:
         raw = self.take(math.prod(shape) * dt.itemsize)
         return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
 
+    def blocks(self):
+        """The next node's diag, down and up records, as (up, diag, down)."""
+        diag, down, up = self.array(2), self.array(2), self.array(2)
+        return up, diag, down
+
     def finish(self):
         if self.pos != len(self.buf):
             raise InvalidInput("trailing bytes after skelkit container")
+
+
+def _write_levels(f, levels, write_head=None):
+    """The per-level block tables both container kinds share: per level a
+    u32 node count, then per node its kind's head record (``write_head``,
+    if the kind has one) and its diag, down and up blocks."""
+    for lv in levels:
+        f.write(struct.pack("<I", len(lv.nodes)))
+        for nd in lv.nodes:
+            if write_head is not None:
+                write_head(f, nd)
+            up, diag, down = nd.blocks
+            for blk in (diag, down, up):
+                _write_arr(f, blk)
+
+
+def _read_levels(f, read_node):
+    """Inverse of ``_write_levels``; ``read_node(f, li)`` reads one node
+    record, its blocks through ``f.blocks()``.  Checks that the block shapes
+    chain: each down block has diag's rows and each up block diag's
+    columns, the finest level takes N DOFs both ways and every coarser
+    level exactly the skeletons the level below leaves.  Returns the levels
+    and the (rows, columns) the top must take."""
+    levels = []
+    leaves = (f.n, f.n)
+    for li in range(f.nlevels):
+        (count,) = f.unpack("<I")
+        lv = Level([read_node(f, li) for _ in range(count)])
+        for a, (up, diag, down) in enumerate(lv.blocks):
+            if down.shape[0] != diag.shape[0] or up.shape[1] != diag.shape[1]:
+                raise InvalidInput(
+                    f"corrupt skelkit container: level {li + 1}, node {a} has diag "
+                    f"{diag.shape}, down {down.shape} and up {up.shape}")
+        takes = (int(lv.row_dof_off[-1]), int(lv.col_dof_off[-1]))
+        if takes != leaves:
+            raise InvalidInput(
+                f"corrupt skelkit container: level {li + 1} takes {takes[0]} row and "
+                f"{takes[1]} column DOFs, the level below leaves {leaves[0]} and {leaves[1]}")
+        leaves = (lv.K_r, lv.K_c)
+        levels.append(lv)
+    return levels, leaves
+
+
+def _write_compressed_head(f, nd):
+    ch = nd.children if nd.children is not None else np.empty(0, dtype=np.int64)
+    f.write(struct.pack("<B", 1 if nd.children is not None else 0))
+    _write_arr(f, np.asarray(ch, dtype=np.int64))
+    _write_arr(f, nd.row_skel.astype(np.int64))
+    _write_arr(f, nd.col_skel.astype(np.int64))
+
+
+def _read_compressed_node(f, li):
+    (has_ch,) = f.unpack("<B")
+    ch = f.array(1, index=True)
+    row_skel, col_skel = f.array(1, index=True), f.array(1, index=True)
+    R, D, L = f.blocks()
+    if has_ch != (li > 0) or (li == 0 and ch.size):
+        raise InvalidInput("corrupt skelkit container: children flag")
+    if L.shape[1] != row_skel.size or R.shape[0] != col_skel.size:
+        raise InvalidInput("corrupt skelkit container: skeleton sizes")
+    return CompressedNode(row_skel=row_skel, col_skel=col_skel, D=D, L=L, R=R,
+                          children=ch if has_ch else None)
 
 
 def serialize_compressed(cm: CompressedMatrix) -> bytes:
@@ -528,17 +603,7 @@ def serialize_compressed(cm: CompressedMatrix) -> bytes:
     permutation, per-level block tables, dense top S.  See README."""
     f = io.BytesIO()
     _write_header(f, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
-    for lv in cm.levels:
-        f.write(struct.pack("<I", len(lv.nodes)))
-        for nd in lv.nodes:
-            ch = nd.children if nd.children is not None else np.empty(0, dtype=np.int64)
-            f.write(struct.pack("<B", 1 if nd.children is not None else 0))
-            _write_arr(f, np.asarray(ch, dtype=np.int64))
-            _write_arr(f, nd.row_skel.astype(np.int64))
-            _write_arr(f, nd.col_skel.astype(np.int64))
-            _write_arr(f, nd.D)
-            _write_arr(f, nd.L)
-            _write_arr(f, nd.R)
+    _write_levels(f, cm.levels, _write_compressed_head)
     _write_arr(f, cm.S)
     return f.getvalue()
 
@@ -547,42 +612,20 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
     """Inverse of serialize_compressed; raises InvalidInput on bytes that
     are truncated or do not form a consistent container."""
     f = _Reader(data, kind=1)
-    levels = []
-    for li in range(f.nlevels):
-        (count,) = f.unpack("<I")
-        nodes = []
-        for _ in range(count):
-            (has_ch,) = f.unpack("<B")
-            ch = f.array(1, index=True)
-            row_skel = f.array(1, index=True)
-            col_skel = f.array(1, index=True)
-            D, L, R = f.array(2), f.array(2), f.array(2)
-            if has_ch != (li > 0) or (li == 0 and ch.size):
-                raise InvalidInput("corrupt skelkit container: children flag")
-            if L.shape != (D.shape[0], row_skel.size) or \
-                    R.shape != (col_skel.size, D.shape[1]):
-                raise InvalidInput("corrupt skelkit container: block shapes")
-            nodes.append(CompressedNode(row_skel=row_skel, col_skel=col_skel,
-                                        D=D, L=L, R=R,
-                                        children=ch if has_ch else None))
-        lv = CompressedLevel(nodes)
-        if li == 0:
-            # the finest level's blocks tile all n points
-            ok = lv.row_dof_off[-1] == lv.col_dof_off[-1] == f.n
-        else:
-            # children list the previous level's nodes once each, in order,
-            # and each block stacks its children's skeletons
-            kr, kc = np.diff(levels[-1].kr_off), np.diff(levels[-1].kc_off)
-            kids = [nd.children for nd in nodes]
-            ok = np.array_equal(np.concatenate(kids) if kids else [], np.arange(kr.size)) and \
-                all(nd.D.shape == (kr[c].sum(), kc[c].sum()) for nd, c in zip(nodes, kids))
-        if not ok:
+    levels, top = _read_levels(f, _read_compressed_node)
+    for li in range(1, len(levels)):
+        # children list the previous level's nodes once each, in order, and
+        # each D block stacks its children's skeletons
+        kr, kc = np.diff(levels[li - 1].kr_off), np.diff(levels[li - 1].kc_off)
+        kids = [nd.children for nd in levels[li].nodes]
+        if not (np.array_equal(np.concatenate(kids) if kids else [], np.arange(kr.size))
+                and all(nd.D.shape == (kr[c].sum(), kc[c].sum())
+                        for nd, c in zip(levels[li].nodes, kids))):
             raise InvalidInput(f"corrupt skelkit container: level {li + 1} "
                                "does not fit the tree")
-        levels.append(lv)
     S = f.array(2)
     f.finish()
-    if S.shape != ((levels[-1].K_r, levels[-1].K_c) if levels else (f.n, f.n)):
+    if S.shape != top:
         raise InvalidInput("corrupt skelkit container: top block shape")
     return CompressedMatrix(levels=levels, S=S, n=f.n, eps=f.eps, perm=f.perm,
                             scalar_field=f.field, tree=None)

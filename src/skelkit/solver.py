@@ -20,7 +20,6 @@ external sparse solver can serve as an independent cross-check.
 
 import io
 import itertools
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,8 +27,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .skel import (CompressedMatrix, _map_nodes, _offsets, _Reader, _telescope,
-                   _write_arr, _write_header)
+from .skel import (CompressedMatrix, Level, _map_nodes, _read_levels, _Reader,
+                   _telescope, _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 
@@ -151,18 +150,11 @@ class FactoredNode:
     Rd: np.ndarray          # Lambda R D^-1
     Lam: np.ndarray         # (R D^-1 L)^-1, needed one level up
     lu_D: tuple             # pivoted LU of the effective diagonal block
-    lu_M: tuple | None      # pivoted LU of Lambda^-1 = R D^-1 L
+    lu_M: tuple             # pivoted LU of Lambda^-1 = R D^-1 L
 
-
-class FactoredLevel:
-    def __init__(self, nodes):
-        # solve maps row DOFs up to Rd's rows and Ld's columns down to column
-        # DOFs; Dd is (column DOFs) x (row DOFs)
-        self.nodes = nodes
-        self.row_dof_off = _offsets([fn.Dd.shape[1] for fn in nodes])
-        self.col_dof_off = _offsets([fn.Dd.shape[0] for fn in nodes])
-        self.kr_off = _offsets([fn.Rd.shape[0] for fn in nodes])
-        self.kc_off = _offsets([fn.Ld.shape[1] for fn in nodes])
+    @property
+    def blocks(self):
+        return self.Rd, self.Dd, self.Ld
 
 
 @dataclass
@@ -207,8 +199,6 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             raise InvalidInput(
                 f"non-square {what} block ({block.shape[0]}x{block.shape[1]}) at "
                 f"level {level}, node {node}; compress with equalize_ranks=True")
-        if block.size == 0:
-            return None
         if regularize:
             block = block + regularize * np.eye(block.shape[0], dtype=dtype)
         with warnings.catch_warnings():
@@ -235,21 +225,10 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             nn = D_eff.shape[0]
             k = nd.k_r
             lu_D = _lu(D_eff, _li + 1, a, "D")
-            if lu_D is None:
-                return FactoredNode(Dd=np.zeros((0, 0), dtype=dtype),
-                                    Ld=np.zeros((0, 0), dtype=dtype),
-                                    Rd=np.zeros((0, 0), dtype=dtype),
-                                    Lam=np.zeros((0, 0), dtype=dtype),
-                                    lu_D=None, lu_M=None)
             Dinv = lu_solve(lu_D, np.eye(nn, dtype=dtype), check_finite=False)
             rc = _rcond1(D_eff, Dinv)
             if rc < _RCOND_WARN:
                 warnings_list.append((_li + 1, a, "D", rc))
-            if k == 0:
-                return FactoredNode(
-                    Dd=Dinv, Ld=np.zeros((nn, 0), dtype=dtype),
-                    Rd=np.zeros((0, nn), dtype=dtype),
-                    Lam=np.zeros((0, 0), dtype=dtype), lu_D=lu_D, lu_M=None)
             X = lu_solve(lu_D, nd.L, check_finite=False)            # D^-1 L
             RD = lu_solve(lu_D, nd.R.T, trans=1, check_finite=False).T  # R D^-1
             M_blk = nd.R @ X
@@ -263,7 +242,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                                 Lam=Lam, lu_D=lu_D, lu_M=lu_M)
 
         fnodes = _map_nodes(factor_node, list(range(len(lv.nodes))))
-        flevels.append(FactoredLevel(fnodes))
+        flevels.append(Level(fnodes))
         lam_prev = [fn.Lam for fn in fnodes]
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
@@ -280,14 +259,8 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
 def solve(fi: FactoredInverse, b) -> np.ndarray:
     """Apply the factored inverse: x = Dd1 b + Ld1 [ ... Shat^-1 ... ] Rd1 b,
     the same telescoping sweep (and cost) as the forward apply."""
-    levels = [([(fn.Rd, fn.Dd, fn.Ld) for fn in lv.nodes],
-               (lv.row_dof_off, lv.kr_off, lv.col_dof_off, lv.kc_off))
-              for lv in fi.levels]
-
-    def top(u):
-        return lu_solve(fi.S_lu, u, check_finite=False) if u.shape[0] else u
-
-    return _telescope(levels, top, fi.n, fi.perm, fi.dtype, b)
+    return _telescope(fi.levels, lambda u: lu_solve(fi.S_lu, u, check_finite=False),
+                      fi.n, fi.perm, fi.dtype, b)
 
 
 def _as_operator(op):
@@ -307,6 +280,8 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     """
     if not tol > 0:
         raise InvalidInput("tol must be positive")
+    if max_iter is not None and max_iter < 1:
+        raise InvalidInput("max_iter must be at least 1")
     A = _as_operator(apply_fn)
     M = _as_operator(precond) if precond is not None else None
     b = np.asarray(b)
@@ -408,19 +383,16 @@ def export_matrix_market(se: SparseEmbedding, path):
 def serialize_factored(fi: FactoredInverse) -> bytes:
     f = io.BytesIO()
     _write_header(f, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
-    for lv in fi.levels:
-        f.write(struct.pack("<I", len(lv.nodes)))
-        for fn in lv.nodes:
-            _write_arr(f, fn.Dd)
-            _write_arr(f, fn.Ld)
-            _write_arr(f, fn.Rd)
-    if fi.S_lu is None:
-        _write_arr(f, np.zeros((0, 0), dtype=fi.dtype))
-        _write_arr(f, np.zeros(0, dtype=np.int64))
-    else:
-        _write_arr(f, fi.S_lu[0])
-        _write_arr(f, np.asarray(fi.S_lu[1], dtype=np.int64))
+    _write_levels(f, fi.levels)
+    _write_arr(f, fi.S_lu[0])
+    _write_arr(f, np.asarray(fi.S_lu[1], dtype=np.int64))
     return f.getvalue()
+
+
+def _read_factored_node(f, _):
+    Rd, Dd, Ld = f.blocks()
+    return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd, Lam=np.zeros((0, 0), dtype=Dd.dtype),
+                        lu_D=None, lu_M=None)
 
 
 def deserialize_factored(data: bytes) -> FactoredInverse:
@@ -429,41 +401,18 @@ def deserialize_factored(data: bytes) -> FactoredInverse:
     shapes that do not chain from N through the levels to the top LU, and
     pivots out of range."""
     f = _Reader(data, kind=2)
-    levels = []
-    dofs = (f.n, f.n)    # (row, column) DOFs the next level must take in
-    for li in range(f.nlevels):
-        (count,) = f.unpack("<I")
-        nodes = []
-        for a in range(count):
-            Dd, Ld, Rd = f.array(2), f.array(2), f.array(2)
-            if Ld.shape[0] != Dd.shape[0] or Rd.shape[1] != Dd.shape[1]:
-                raise InvalidInput(
-                    f"corrupt skelkit container: level {li + 1}, node {a} has Dd "
-                    f"{Dd.shape}, Ld {Ld.shape} and Rd {Rd.shape}")
-            nodes.append(FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd,
-                                      Lam=np.zeros((0, 0), dtype=Dd.dtype),
-                                      lu_D=None, lu_M=None))
-        lv = FactoredLevel(nodes)
-        got = (int(lv.row_dof_off[-1]), int(lv.col_dof_off[-1]))
-        if got != dofs:
-            raise InvalidInput(
-                f"corrupt skelkit container: level {li + 1} takes {got[0]} row and "
-                f"{got[1]} column DOFs, the level below leaves {dofs[0]} and {dofs[1]}")
-        dofs = (int(lv.kr_off[-1]), int(lv.kc_off[-1]))
-        levels.append(lv)
+    levels, (k, kc) = _read_levels(f, _read_factored_node)
     lu = f.array(2)
     piv = f.array(1, index=True)
     f.finish()
-    k = dofs[0]
-    if dofs[1] != k or lu.shape != (k, k) or piv.shape != (k,):
+    if kc != k or lu.shape != (k, k) or piv.shape != (k,):
         raise InvalidInput(
             f"corrupt skelkit container: top LU {lu.shape} with {piv.size} pivots "
-            f"for {dofs[0]} row and {dofs[1]} column skeletons")
+            f"for {k} row and {kc} column skeletons")
     if k and not 0 <= piv.min() <= piv.max() < k:
         raise InvalidInput(f"corrupt skelkit container: top LU pivot outside [0, {k})")
-    S_lu = None if lu.size == 0 else (lu, piv.astype(np.int32))
-    return FactoredInverse(levels=levels, S_lu=S_lu, n=f.n, perm=f.perm,
-                           scalar_field=f.field)
+    return FactoredInverse(levels=levels, S_lu=(lu, piv.astype(np.int32)), n=f.n,
+                           perm=f.perm, scalar_field=f.field)
 
 
 def save_factored(fi: FactoredInverse, path):

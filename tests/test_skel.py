@@ -4,7 +4,7 @@ import pytest
 from skelkit.errors import InvalidInput, RefusedTooLarge
 from skelkit.geom import PointSet, TreeNode, build_tree
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedLevel, CompressedMatrix, CompressedNode,
+from skelkit.skel import (CompressedMatrix, CompressedNode, Level,
                           ProxyConfig, apply, compress, deserialize_compressed,
                           proxy_points, serialize_compressed)
 
@@ -315,7 +315,7 @@ def test_synthetic_compressed_matrix_apply():
         CompressedNode(np.arange(0, k), np.arange(0, k), D1, L1, R1, None),
         CompressedNode(np.arange(n1, n1 + k), np.arange(n1, n1 + k), D2, L2, R2, None),
     ]
-    cm = CompressedMatrix(levels=[CompressedLevel(nodes)], S=S, n=n1 + n2,
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=n1 + n2,
                           eps=1e-15, perm=np.arange(n1 + n2), scalar_field="real")
     Afull = np.zeros((n1 + n2, n1 + n2))
     Afull[:n1, :n1] = D1

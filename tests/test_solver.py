@@ -10,9 +10,9 @@ from skelkit import bie
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedLevel, CompressedMatrix, CompressedNode,
-                          apply, compress, deserialize_compressed,
-                          serialize_compressed)
+from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
+                          apply, compress, compress_source,
+                          deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
                             export_matrix_market, factor, gmres,
                             read_matrix_market, serialize_factored, solve)
@@ -53,7 +53,7 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
             if a != b:
                 S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] = \
                     rng.standard_normal((ks[a], ks[b]))
-    cm = CompressedMatrix(levels=[CompressedLevel(nodes)], S=S, n=n, eps=1e-15,
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=n, eps=1e-15,
                           perm=np.arange(n), scalar_field="real")
     A = np.zeros((n, n))
     for a in range(p):
@@ -64,6 +64,20 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
                 sb = slice(offs[b], offs[b + 1])
                 A[sa, sb] = Ls[a] @ S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] @ Rs[b]
     return cm, A
+
+
+def rank_zero_two_level(n=64):
+    """Two-level compression of a diagonal matrix whose proxy fields are
+    zero: rank-0 leaves, then 0x0 nodes at level 2 and a 0x0 top.  Returns
+    (cm, A_dense)."""
+    pts = PointSet(np.random.default_rng(0).uniform(size=(n, 2)))
+    tree = build_tree(pts, 16)
+    d = 2.0 + np.arange(float(n))
+    src = KernelSource(LAPLACE2, pts, tree.perm,
+                       block=lambda r, c: np.where(r[:, None] == c, d[r][:, None], 0.0),
+                       proxy_rows=lambda t, p: np.zeros((t.n, p.n)))
+    src.proxy_col_block = lambda cols, proxy: np.zeros((proxy.n, len(cols)))
+    return compress_source(src, tree, 1e-9), np.diag(d)
 
 
 class TestEmbedding:
@@ -158,7 +172,7 @@ class TestFactor:
                                 np.array([[2.0]]), np.zeros((1, 0)), np.zeros((0, 1)), None),
                  CompressedNode(np.empty(0, dtype=int), np.empty(0, dtype=int),
                                 np.array([[3.0]]), np.zeros((1, 0)), np.zeros((0, 1)), None)]
-        cm = CompressedMatrix(levels=[CompressedLevel(nodes)], S=np.zeros((0, 0)),
+        cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((0, 0)),
                               n=2, eps=1e-15, perm=np.arange(2), scalar_field="real")
         fi = factor(cm)
         b = np.array([4.0, 9.0])
@@ -225,6 +239,22 @@ class TestFactor:
         fi = factor(cm, regularize=1e-8)
         assert fi is not None
 
+    def test_rank_zero_leaves_and_empty_nodes(self):
+        # a diagonal matrix with zero proxy fields: every leaf has rank 0,
+        # so every level-2 node and the top are 0x0 and go through the same
+        # LU path as the rest
+        cm, A = rank_zero_two_level()
+        assert cm.nlevels == 2 and cm.S.shape == (0, 0)
+        assert all(nd.k_r == 0 for nd in cm.levels[0].nodes)
+        assert all(nd.D.shape == (0, 0) for nd in cm.levels[1].nodes)
+        fi = factor(cm)
+        B = np.random.default_rng(0).standard_normal((cm.n, 3))
+        np.testing.assert_allclose(solve(fi, B), np.linalg.inv(A) @ B, rtol=1e-14)
+        blob = serialize_factored(fi)
+        fi2 = deserialize_factored(blob)
+        assert serialize_factored(fi2) == blob
+        assert np.array_equal(solve(fi2, B), solve(fi, B))
+
     def test_length_mismatch(self):
         cm, _ = one_level_synthetic()
         pts = circle_points(40)
@@ -288,6 +318,15 @@ class TestSweep:
         fn, M = _sweep_fn(op, cm, A)
         x = np.random.default_rng(3).standard_normal((cm.n, 2))
         assert np.linalg.norm(fn(x) - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
+
+    def test_rejects_more_than_two_dimensions(self, op):
+        # trailing axes were once flattened into columns: an (n, 2, 2)
+        # input returned an (n, 4) result
+        cm, A = one_level_synthetic(seed=7, sizes=(6, 5), k=2)
+        fn, _ = _sweep_fn(op, cm, A)
+        for x in (np.ones((cm.n, 2, 2)), np.float64(1.0)):
+            with pytest.raises(InvalidInput, match="dimensions"):
+                fn(x)
 
     def test_peak_memory(self, op):
         # the permuted input, the finest level's output and the un-permuted
@@ -363,6 +402,12 @@ class TestGmres:
     def test_bad_tol(self):
         with pytest.raises(InvalidInput):
             gmres(np.eye(2), np.ones(2), tol=0.0)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_bad_max_iter(self, max_iter):
+        # both once raised IndexError
+        with pytest.raises(InvalidInput, match="max_iter"):
+            gmres(np.eye(3) * 2, np.ones(3), max_iter=max_iter)
 
 
 class TestMatrixMarket:
@@ -476,7 +521,7 @@ def test_nonsquare_lambda_rejected():
     S = np.zeros((6, 4))
     S[:3, 2:] = rng.standard_normal((3, 2))
     S[3:, :2] = rng.standard_normal((3, 2))
-    cm = CompressedMatrix(levels=[CompressedLevel(nodes)], S=S, n=2 * n1,
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=2 * n1,
                           eps=1e-15, perm=np.arange(2 * n1), scalar_field="real")
     with pytest.raises(InvalidInput, match="equalize_ranks"):
         factor(cm)
@@ -570,6 +615,16 @@ def test_inconsistent_children_raise_invalid_input(corrupt):
     else:
         nd.children = None
     with pytest.raises(InvalidInput):
+        deserialize_compressed(serialize_compressed(cm))
+
+
+def test_compressed_level1_d_l_row_raises_invalid_input():
+    # the compressed-kind twin of the factored level1_dd_ld_row case below:
+    # both kinds share one chain check, and only it sees this corruption
+    cm = deserialize_compressed(_containers()["compressed"][0])
+    nd = next(nd for nd in cm.levels[0].nodes if nd.D.size and nd.L.shape[1])
+    nd.D, nd.L = nd.D[:-1], nd.L[:-1]
+    with pytest.raises(InvalidInput, match="level 1 takes"):
         deserialize_compressed(serialize_compressed(cm))
 
 
