@@ -155,8 +155,7 @@ def _apply_bench_one(config, n, want_error):
                            f"{config.geometry} is {pts.dim}D")
     tree = build_tree(pts, config.max_leaf)
     t0 = time.perf_counter()
-    cm = compress(spec, pts, tree, config.eps, ProxyConfig(), mode=config.mode,
-                  seed=config.seed)
+    cm = compress(spec, pts, tree, config.eps, ProxyConfig(), mode=config.mode)
     tcm = time.perf_counter() - t0
     rng = np.random.default_rng(config.seed + 1)
     x = rng.standard_normal(n)
@@ -192,7 +191,7 @@ def _solve_bench_one(config, n):
 
     t0 = time.perf_counter()
     tree, cm = bie.compress_system(system, config.eps, config.max_leaf,
-                                   mode=config.mode, seed=config.seed)
+                                   mode=config.mode)
     tcm = time.perf_counter() - t0
     t0 = time.perf_counter()
     fi = factor(cm, regularize=config.regularize)

@@ -237,7 +237,7 @@ def eval_interior(curve: Curve2D, density, spec: KernelSpec, targets) -> np.ndar
 
 
 def compress_system(system: BieSystem, eps, max_leaf_size=None,
-                    proxy: ProxyConfig | None = None, mode="proxy", seed=0):
+                    proxy: ProxyConfig | None = None, mode="proxy"):
     """Build a tree over the curve nodes and skeletonize the system matrix.
     Returns (tree, CompressedMatrix)."""
     tree = build_tree(system.points, max_leaf_size)
@@ -247,7 +247,7 @@ def compress_system(system: BieSystem, eps, max_leaf_size=None,
     pspec = system.spec.single_layer()
     src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
                        proxy_rows=lambda t, p: wscale * eval_block(pspec, t, p))
-    cm = compress_source(src, tree, eps, proxy=proxy, mode=mode, seed=seed)
+    cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
     return tree, cm
 
 

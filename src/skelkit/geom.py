@@ -248,7 +248,10 @@ def fibonacci_sphere(n) -> np.ndarray:
 def read_points_text(path, dim, has_normals=False, has_weights=False) -> PointSet:
     """Whitespace-delimited text, one point per row: d coordinate columns,
     then optionally d normal columns, then optionally one weight column."""
-    data = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    try:
+        data = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInput(f"{path}: malformed point file: {exc}") from None
     want = dim + (dim if has_normals else 0) + (1 if has_weights else 0)
     if data.shape[1] != want:
         raise InvalidInput(f"expected {want} columns, found {data.shape[1]}")

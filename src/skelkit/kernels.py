@@ -79,14 +79,13 @@ def bessel_h0(z):
 _CHUNK_ENTRIES = 4_000_000
 
 
-def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet,
-               source_curvature=None) -> np.ndarray:
+def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.ndarray:
     """Dense m x n kernel block G(x_i, y_j) (or dG/dnu_y for double layer).
 
     Coincident pairs (distance below 1e-14 times the joint cloud extent) are
     set by ``spec.self_interaction``: "zero", or "curvature_limit" which
     fills -kappa/(4 pi) (2D Laplace double layer smooth limit; the curvature
-    comes from ``sources.curvatures`` or the explicit argument).
+    comes from ``sources.curvatures``).
     """
     if targets.dim != spec.dim or sources.dim != spec.dim:
         raise InvalidInput(
@@ -102,7 +101,7 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet,
         for lo in range(0, m, rows_per_chunk):
             hi = min(lo + rows_per_chunk, m)
             sub = targets.subset(np.arange(lo, hi))
-            out[lo:hi] = eval_block(spec, sub, sources, source_curvature)
+            out[lo:hi] = eval_block(spec, sub, sources)
         return out
 
     diff = targets.coords[:, None, :] - sources.coords[None, :, :]
@@ -154,7 +153,7 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet,
         else:
             if spec.equation != "laplace" or spec.dim != 2 or spec.layer != "double":
                 raise InvalidInput("curvature_limit only defined for the 2D Laplace double layer")
-            kappa = source_curvature if source_curvature is not None else sources.curvatures
+            kappa = sources.curvatures
             if kappa is None:
                 raise InvalidInput("curvature_limit needs source curvatures")
             limit = np.broadcast_to(-np.asarray(kappa) / (4 * np.pi), block.shape[1:])

@@ -35,10 +35,6 @@ class InterpDecomp:
     R: np.ndarray | None = None
     sketched: bool = False
 
-    @property
-    def k(self):
-        return self.rank
-
     def cut(self, k):
         """The same ID with exactly k skeleton columns, read off the stored
         factor; None when that factor is a sketch with fewer than k rows."""

@@ -25,13 +25,10 @@ import numpy as np
 from .errors import InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
-from .lowrank import id_fixed_precision, id_randomized
+# id_randomized is unused here; the benchmark tracer wraps skel.id_randomized
+from .lowrank import id_fixed_precision, id_randomized  # noqa: F401
 
 DEFAULT_N_PROXY = {2: 64, 3: 512}
-
-# in global mode, sketch the off-diagonal block when it is this much taller
-# than the node itself; proxy-mode blocks always take the deterministic ID
-_RANDOMIZED_CUTOFF = 4096
 
 GLOBAL_MODE_LIMIT = 20000
 
@@ -53,24 +50,19 @@ def _map_nodes(fn, items):
 
 @dataclass
 class ProxyConfig:
-    """Proxy surface: n_proxy points on the circle/sphere circumscribing the
-    3^d supercell of a box's neighbors, scaled by radius_factor."""
+    """Proxy surface: n_proxy points on the circle (2D) or sphere (3D)
+    circumscribing the 3^d supercell of a box's neighbors, scaled by
+    radius_factor."""
 
     n_proxy: int | None = None     # None -> 64 (2D) / 512 (3D)
     radius_factor: float = 1.0
-    shape: str = "auto"            # "auto" | "circle" | "sphere"
 
     def resolve(self, dim):
         n = self.n_proxy if self.n_proxy is not None else DEFAULT_N_PROXY[dim]
         floor = 8 if dim == 2 else 32
         if n < floor:
             raise InvalidInput(f"n_proxy must be >= {floor} in {dim}D")
-        shape = self.shape
-        if shape == "auto":
-            shape = "circle" if dim == 2 else "sphere"
-        if (shape == "circle") != (dim == 2):
-            raise InvalidInput(f"proxy shape {shape!r} incompatible with {dim}D")
-        return replace(self, n_proxy=n, shape=shape)
+        return replace(self, n_proxy=n)
 
 
 def proxy_radius(halfwidth, config: ProxyConfig, dim):
@@ -190,7 +182,6 @@ class CompressedMatrix:
     eps: float
     perm: np.ndarray
     scalar_field: str
-    tree: OrthTree | None = None
 
     @property
     def nlevels(self):
@@ -214,10 +205,6 @@ class CompressedMatrix:
 
     def apply(self, x):
         return apply(self, x)
-
-    def matvec_dense(self):
-        """Densify by applying to identity columns (test/debug helper)."""
-        return apply(self, np.eye(self.n, dtype=self.dtype))
 
 
 def apply(cm: CompressedMatrix, x) -> np.ndarray:
@@ -288,7 +275,6 @@ def _cover_children(tree, cover_prev, cover):
 
 def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
              proxy: ProxyConfig | None = None, mode: str = "proxy",
-             equalize_ranks: bool = True, seed: int = 0,
              allow_large: bool = False) -> CompressedMatrix:
     """Recursively skeletonize the kernel matrix of ``spec`` over ``points``.
 
@@ -296,18 +282,16 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     surface]; mode="global" uses the full off-diagonal block row/column
     (quadratic work, refused above 20000 points unless allow_large).
 
-    equalize_ranks cuts each node's row and column IDs to the larger of their
-    two ranks so every diagonal block of the inverse recursion is square.
+    Each node's row and column IDs are cut to the larger of their two ranks,
+    so every diagonal block of the inverse recursion is square.
     """
     source = KernelSource(spec, points, tree.perm)
     return compress_source(source, tree, eps, proxy=proxy, mode=mode,
-                           equalize_ranks=equalize_ranks, seed=seed,
                            allow_large=allow_large)
 
 
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
-                    mode: str = "proxy", equalize_ranks: bool = True,
-                    seed: int = 0, allow_large: bool = False) -> CompressedMatrix:
+                    mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over any matrix source exposing ``block``,
     ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``."""
     if not 0 < eps < 1:
@@ -329,7 +313,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         allidx = np.arange(n)
         S = np.ascontiguousarray(source.block(allidx, allidx), dtype=dtype)
         return CompressedMatrix(levels=[], S=S, n=n, eps=eps,
-                                perm=tree.perm.copy(), scalar_field=field, tree=tree)
+                                perm=tree.perm.copy(), scalar_field=field)
 
     k_wave = getattr(source, "wavenumber", 0.0)
     levels = []
@@ -392,11 +376,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 t_row = _blk(rd, other_c)
                 t_col = _blk(other_r, cd)
 
-            sketch = mode == "global"
-            idr = _run_id(t_row.T, eps, seed, (_li, a, 0), sketch)
-            idc = _run_id(t_col, eps, seed, (_li, a, 1), sketch)
-            if equalize_ranks:
-                idr, idc = _equalize([idr, idc], [t_row.T, t_col], eps)
+            idr = id_fixed_precision(t_row.T, eps)
+            idc = id_fixed_precision(t_col, eps)
+            k = max(idr.rank, idc.rank)
+            idr, idc = idr.cut(k), idc.cut(k)
 
             ro = np.argsort(idr.skel)
             co = np.argsort(idc.skel)
@@ -425,33 +408,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 source.block(nda.row_skel, ndb.col_skel)
 
     return CompressedMatrix(levels=levels, S=S, n=n, eps=eps,
-                            perm=tree.perm.copy(), scalar_field=field, tree=tree)
-
-
-def _run_id(A, eps, seed, tag, sketch):
-    """Deterministic ID unless ``sketch`` (global mode) is set and the block
-    is so tall that sketching pays off; the randomized seed mixes in the
-    node tag for reproducibility."""
-    m, nn = A.shape
-    if sketch and m > max(_RANDOMIZED_CUTOFF, 4 * nn + 256):
-        sub = (seed * 1000003 + hash(tag)) % (2 ** 31)
-        return id_randomized(A, eps, seed=sub)
-    return id_fixed_precision(A, eps)
-
-
-def _equalize(ids, blocks, eps):
-    """Cut the IDs of ``blocks`` to one common rank k, the largest of theirs.
-
-    Each ID is cut from its own stored factor.  One whose factor is a
-    sketch with fewer than k rows is recomputed deterministically with
-    min_rank=k; if that raises k, every ID is cut again at the new k."""
-    while True:
-        k = max(idp.rank for idp in ids)
-        cut = [idp.cut(k) for idp in ids]
-        if all(c is not None for c in cut):
-            return cut
-        ids = [idp if c is not None else id_fixed_precision(b, eps, min_rank=k)
-               for idp, c, b in zip(ids, cut, blocks)]
+                            perm=tree.perm.copy(), scalar_field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +585,7 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
     if S.shape != top:
         raise InvalidInput("corrupt skelkit container: top block shape")
     return CompressedMatrix(levels=levels, S=S, n=f.n, eps=f.eps, perm=f.perm,
-                            scalar_field=f.field, tree=None)
+                            scalar_field=f.field)
 
 
 def save_compressed(cm: CompressedMatrix, path):

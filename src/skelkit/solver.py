@@ -187,7 +187,9 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
 
     Per level and node, the effective diagonal block (extracted D plus the
     children's Lambda fill-in) is LU-factored with partial pivoting; an
-    exactly zero pivot raises SingularBlock naming the level and node.
+    exactly zero pivot raises SingularBlock naming the level and node.  A
+    node that keeps every DOF as a skeleton (L = R = I exactly) is passed
+    through unfactored: its Lambda is the effective diagonal block itself.
     Blocks with reciprocal condition below 1e-14 are recorded in
     ``warnings`` rather than aborting.  ``regularize`` adds delta*I to every
     diagonal block before factorization (off by default)."""
@@ -198,7 +200,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
         if block.shape[0] != block.shape[1]:
             raise InvalidInput(
                 f"non-square {what} block ({block.shape[0]}x{block.shape[1]}) at "
-                f"level {level}, node {node}; compress with equalize_ranks=True")
+                f"level {level}, node {node}: row and column skeleton counts differ")
         if regularize:
             block = block + regularize * np.eye(block.shape[0], dtype=dtype)
         with warnings.catch_warnings():
@@ -224,6 +226,12 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                     co += lam_c.shape[1]
             nn = D_eff.shape[0]
             k = nd.k_r
+            if nd.L.shape == nd.R.shape == (nn, nn) and \
+                    np.array_equal(nd.L, np.eye(nn)) and np.array_equal(nd.R, np.eye(nn)):
+                # every DOF is a skeleton: Lambda = D_eff and nothing is eliminated
+                return FactoredNode(Dd=np.zeros_like(D_eff), Ld=np.asarray(nd.L, dtype=dtype),
+                                    Rd=np.asarray(nd.R, dtype=dtype), Lam=D_eff,
+                                    lu_D=None, lu_M=None)
             lu_D = _lu(D_eff, _li + 1, a, "D")
             Dinv = lu_solve(lu_D, np.eye(nn, dtype=dtype), check_finite=False)
             rc = _rcond1(D_eff, Dinv)

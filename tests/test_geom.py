@@ -196,6 +196,10 @@ def test_point_file_roundtrips(tmp_path):
 
     with pytest.raises(InvalidInput):
         read_points_text(txt, 2)  # wrong column count
+    for bad in ("0.1 0.2\n0.3 abc\n", "0.1 0.2\n0.3\n"):
+        txt.write_text(bad)
+        with pytest.raises(InvalidInput):
+            read_points_text(txt, 2)
 
 
 def test_truncated_binary_point_file_raises_invalid_input(tmp_path):

@@ -241,8 +241,8 @@ class TestFactor:
 
     def test_rank_zero_leaves_and_empty_nodes(self):
         # a diagonal matrix with zero proxy fields: every leaf has rank 0,
-        # so every level-2 node and the top are 0x0 and go through the same
-        # LU path as the rest
+        # so every level-2 node and the top are 0x0; the 0x0 nodes are
+        # passed through and the 0x0 top is LU-factored
         cm, A = rank_zero_two_level()
         assert cm.nlevels == 2 and cm.S.shape == (0, 0)
         assert all(nd.k_r == 0 for nd in cm.levels[0].nodes)
@@ -523,7 +523,7 @@ def test_nonsquare_lambda_rejected():
     S[3:, :2] = rng.standard_normal((3, 2))
     cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=2 * n1,
                           eps=1e-15, perm=np.arange(2 * n1), scalar_field="real")
-    with pytest.raises(InvalidInput, match="equalize_ranks"):
+    with pytest.raises(InvalidInput, match="skeleton counts differ"):
         factor(cm)
 
 
@@ -549,6 +549,20 @@ def test_default_3d_cube_compresses_to_a_factorable_matrix():
     b = np.random.default_rng(1).standard_normal(4096)
     x = solve(fi, b)
     assert np.linalg.norm(apply(cm, x) - b) <= 100 * 1e-6 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_one_point_leaf_is_passed_through(seed):
+    # these clouds have a 1-point leaf whose D is [[0]] and whose one point is
+    # its skeleton; factoring it once raised SingularBlock
+    pts = PointSet(np.random.default_rng(seed).standard_normal((4096, 2)))
+    cm = compress(LAPLACE2, pts, build_tree(pts), 1e-6)
+    assert any(nd.D.shape == (1, 1) and nd.D[0, 0] == 0 and nd.k_r == 1
+               for nd in cm.levels[0].nodes)
+    fi = factor(cm)
+    b = np.random.default_rng(3).standard_normal(4096)
+    x = solve(fi, b)
+    assert np.linalg.norm(apply(cm, x) - b) <= 1e-8 * np.linalg.norm(b)
 
 
 @cache
