@@ -19,8 +19,10 @@ from scipy import special as sp
 from .errors import InvalidInput
 from .geom import PointSet
 
-# targets closer to a source than this times the cloud extent count as
-# coincident and are handled by the self-interaction policy
+# targets closer to a source than this times max(extent of either set,
+# largest |coordinate| of either set, 1) count as coincident and are handled
+# by the self-interaction policy; the threshold is symmetric in targets and
+# sources, so single-layer blocks transpose bit for bit
 COINCIDENT_RTOL = 1e-14
 
 
@@ -82,10 +84,13 @@ _CHUNK_ENTRIES = 4_000_000
 def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.ndarray:
     """Dense m x n kernel block G(x_i, y_j) (or dG/dnu_y for double layer).
 
-    Coincident pairs (distance below 1e-14 times the joint cloud extent) are
-    set by ``spec.self_interaction``: "zero", or "curvature_limit" which
-    fills -kappa/(4 pi) (2D Laplace double layer smooth limit; the curvature
-    comes from ``sources.curvatures``).
+    Coincident pairs (distance below 1e-14 times the largest of the extent
+    of either set, the largest |coordinate| of either set, and 1) are set by
+    ``spec.self_interaction``: "zero", or "curvature_limit" which fills
+    -kappa/(4 pi) (2D Laplace double layer smooth limit; the curvature
+    comes from ``sources.curvatures``).  The threshold is symmetric in
+    targets and sources, so a single-layer block of unweighted sources
+    equals the transpose of the swapped block bit for bit.
     """
     if targets.dim != spec.dim or sources.dim != spec.dim:
         raise InvalidInput(
@@ -94,19 +99,7 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
     if spec.layer == "double" and sources.normals is None:
         raise InvalidInput("double layer needs source normals")
 
-    m, n = targets.n, sources.n
-    rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
-    if m > rows_per_chunk:
-        out = np.empty((m, n), dtype=spec.dtype)
-        for lo in range(0, m, rows_per_chunk):
-            hi = min(lo + rows_per_chunk, m)
-            sub = targets.subset(np.arange(lo, hi))
-            out[lo:hi] = eval_block(spec, sub, sources)
-        return out
-
-    diff = targets.coords[:, None, :] - sources.coords[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-
+    # one coincidence scale for the whole block, however it is chunked
     span = max(
         float(np.ptp(targets.coords, axis=0).max()),
         float(np.ptp(sources.coords, axis=0).max()),
@@ -114,6 +107,22 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
         float(np.abs(sources.coords).max()),
         1.0,
     )
+    m, n = targets.n, sources.n
+    rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
+    if m <= rows_per_chunk:
+        return _block_rows(spec, targets.coords, sources, span)
+    out = np.empty((m, n), dtype=spec.dtype)
+    for lo in range(0, m, rows_per_chunk):
+        hi = min(lo + rows_per_chunk, m)
+        out[lo:hi] = _block_rows(spec, targets.coords[lo:hi], sources, span)
+    return out
+
+
+def _block_rows(spec, x, sources, span):
+    """The rows of ``eval_block`` at target coordinates ``x``; pairs closer
+    than COINCIDENT_RTOL * span are coincident."""
+    diff = x[:, None, :] - sources.coords[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
     coincident = r2 < (COINCIDENT_RTOL * span) ** 2
     np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
 

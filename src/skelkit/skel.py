@@ -15,6 +15,8 @@ sources around each box, so per-node work depends only on neighbor sizes.
 
 import io
 import math
+import numbers
+import operator
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +61,14 @@ class ProxyConfig:
 
     def resolve(self, dim):
         n = self.n_proxy if self.n_proxy is not None else DEFAULT_N_PROXY[dim]
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise InvalidInput(f"n_proxy must be an integer, got {n!r}") from None
+        # a zero radius stacks every proxy point at the box centre
+        r = self.radius_factor
+        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+            raise InvalidInput(f"radius_factor must be finite and > 0, got {r!r}")
         floor = 8 if dim == 2 else 32
         if n < floor:
             raise InvalidInput(f"n_proxy must be >= {floor} in {dim}D")
@@ -91,7 +101,12 @@ class KernelSource:
     point order (default: the kernel of ``spec``); ``proxy_rows(targets,
     proxy)`` the incoming proxy field (default: the single layer).  Outgoing
     proxy fields always use the single-layer kernel of the same equation:
-    the proxy only has to span exterior fields."""
+    the proxy only has to span exterior fields.
+
+    ``symmetric`` marks a plain unweighted single-layer kernel.  Its row
+    blocks are the transposes of its column blocks bit for bit (plain
+    transpose, Helmholtz included), so ``compress_source`` needs one ID per
+    node."""
 
     def __init__(self, spec: KernelSpec, points: PointSet, perm, block=None,
                  proxy_rows=None):
@@ -101,6 +116,8 @@ class KernelSource:
         self.n = points.n
         self.dtype = spec.dtype
         self.wavenumber = spec.wavenumber
+        self.symmetric = (block is None and proxy_rows is None
+                          and spec.layer == "single" and points.weights is None)
         self._block = block or (
             lambda r, c: eval_block(spec, points.subset(r), points.subset(c)))
         self._proxy_rows = proxy_rows or (
@@ -283,7 +300,11 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     (quadratic work, refused above 20000 points unless allow_large).
 
     Each node's row and column IDs are cut to the larger of their two ranks,
-    so every diagonal block of the inverse recursion is square.
+    so every diagonal block of the inverse recursion is square.  The kernel
+    matrix here is symmetric (``KernelSource.symmetric``: single layer, no
+    quadrature weights), so each node takes one ID, with row skeletons equal
+    to column skeletons and L = R^T; sources with their own entries, such
+    as BIE systems and the scatterer preconditioner, take two.
     """
     source = KernelSource(spec, points, tree.perm)
     return compress_source(source, tree, eps, proxy=proxy, mode=mode,
@@ -316,6 +337,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                                 perm=tree.perm.copy(), scalar_field=field)
 
     k_wave = getattr(source, "wavenumber", 0.0)
+    sym = getattr(source, "symmetric", False)
     levels = []
     prev_row = prev_col = None
 
@@ -350,36 +372,41 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 roff, coff = _coff[a]
                 for ci in range(len(_children[a])):
                     D[roff[ci]:roff[ci + 1], coff[ci]:coff[ci + 1]] = 0
-            nbr_cols = (np.concatenate([_col[b] for b in _nbrs[a]])
-                        if _nbrs[a] else np.empty(0, dtype=np.int64))
-            nbr_rows = (np.concatenate([_row[b] for b in _nbrs[a]])
-                        if _nbrs[a] else np.empty(0, dtype=np.int64))
             if mode == "proxy":
+                nbr_rows = (np.concatenate([_row[b] for b in _nbrs[a]])
+                            if _nbrs[a] else np.empty(0, dtype=np.int64))
                 node = tree.nodes[_ids[a]]
                 n_eff = cfg.n_proxy
                 if k_wave > 0:
                     n_eff += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
                 pxy = proxy_points(node, replace(cfg, n_proxy=n_eff), tree.dim)
-                if rd.size:
-                    t_row = np.hstack([_blk(rd, nbr_cols),
-                                       source.proxy_row_block(rd, pxy)])
-                else:
-                    t_row = np.zeros((0, n_eff), dtype=dtype)
                 if cd.size:
                     t_col = np.vstack([_blk(nbr_rows, cd),
                                        source.proxy_col_block(cd, pxy)])
                 else:
                     t_col = np.zeros((n_eff, 0), dtype=dtype)
             else:
-                other_c = np.concatenate([_col[b] for b in range(len(_ids)) if b != a])
                 other_r = np.concatenate([_row[b] for b in range(len(_ids)) if b != a])
-                t_row = _blk(rd, other_c)
                 t_col = _blk(other_r, cd)
-
-            idr = id_fixed_precision(t_row.T, eps)
             idc = id_fixed_precision(t_col, eps)
-            k = max(idr.rank, idc.rank)
-            idr, idc = idr.cut(k), idc.cut(k)
+
+            if sym:
+                # the row block is t_col.T, so the row ID is the column ID
+                idr = idc
+            else:
+                if mode == "global":
+                    other_c = np.concatenate([_col[b] for b in range(len(_ids)) if b != a])
+                    t_row = _blk(rd, other_c)
+                elif rd.size:
+                    nbr_cols = (np.concatenate([_col[b] for b in _nbrs[a]])
+                                if _nbrs[a] else np.empty(0, dtype=np.int64))
+                    t_row = np.hstack([_blk(rd, nbr_cols),
+                                       source.proxy_row_block(rd, pxy)])
+                else:
+                    t_row = np.zeros((0, n_eff), dtype=dtype)
+                idr = id_fixed_precision(t_row.T, eps)
+                k = max(idr.rank, idc.rank)
+                idr, idc = idr.cut(k), idc.cut(k)
 
             ro = np.argsort(idr.skel)
             co = np.argsort(idc.skel)
@@ -399,13 +426,16 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     # dense top-level skeleton matrix; diagonal blocks stay zero (their
     # interactions were extracted into the final D level)
     lv = levels[-1]
+    r_off, c_off = lv.kr_off, lv.kc_off
     S = np.zeros((lv.K_r, lv.K_c), dtype=dtype)
     for a, nda in enumerate(lv.nodes):
         for b, ndb in enumerate(lv.nodes):
-            if a == b or nda.k_r == 0 or ndb.k_c == 0:
+            if a == b or nda.k_r == 0 or ndb.k_c == 0 or (sym and b < a):
                 continue
-            S[lv.kr_off[a]:lv.kr_off[a + 1], lv.kc_off[b]:lv.kc_off[b + 1]] = \
-                source.block(nda.row_skel, ndb.col_skel)
+            blk = source.block(nda.row_skel, ndb.col_skel)
+            S[r_off[a]:r_off[a + 1], c_off[b]:c_off[b + 1]] = blk
+            if sym:
+                S[r_off[b]:r_off[b + 1], c_off[a]:c_off[a + 1]] = blk.T
 
     return CompressedMatrix(levels=levels, S=S, n=n, eps=eps,
                             perm=tree.perm.copy(), scalar_field=field)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelkit import kernels
 from skelkit.errors import InvalidInput
 from skelkit.geom import PointSet
 from skelkit.kernels import COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block
@@ -265,3 +266,27 @@ def test_coincidence_threshold_fill(spec):
     inside = -kappa[0] / (4 * np.pi) if spec.self_interaction == "curvature_limit" else 0.0
     assert blk[0] == inside
     np.testing.assert_allclose(blk[1:], outside[1:], rtol=1e-14)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("laplace", 2), KernelSpec("laplace", 3),
+    KernelSpec("helmholtz", 2, wavenumber=1.7), KernelSpec("helmholtz", 3, wavenumber=1.7),
+], ids=["l2", "l3", "h2", "h3"])
+def test_single_layer_transposes_bitwise_across_chunks(spec, monkeypatch):
+    # compress mirrors S and takes one ID per node on this identity, so it
+    # must hold however a block is chunked.  The pair (0, 0) is 1e-13 apart:
+    # coincident at the whole block's scale (100), not at the first row
+    # chunk's own scale (1)
+    d = spec.dim
+    rng = np.random.default_rng(3)
+    tg = rng.random((40, d))
+    tg[10:] *= 100
+    src = rng.random((30, d))
+    src[0] = tg[0]
+    src[0, 0] += 1e-13
+    tg, src = PointSet(tg), PointSet(src)
+    whole = eval_block(spec, tg, src)
+    assert whole[0, 0] == 0 and np.all(whole[1:, 1:] != 0)
+    monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 10 * src.n)
+    assert np.array_equal(eval_block(spec, tg, src), whole)
+    assert np.array_equal(eval_block(spec, src, tg).T, whole)

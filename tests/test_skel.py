@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from skelkit import bie, skel
 from skelkit.errors import InvalidInput, RefusedTooLarge
 from skelkit.geom import PointSet, TreeNode, build_tree
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedMatrix, CompressedNode, Level,
-                          ProxyConfig, apply, compress, deserialize_compressed,
-                          proxy_points, serialize_compressed)
+from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
+                          ProxyConfig, apply, compress, compress_source,
+                          deserialize_compressed, proxy_points, serialize_compressed)
 
 
 def circle_points(n, radius=1.0):
@@ -49,6 +50,24 @@ class TestProxyPoints:
         box = TreeNode(center=np.zeros(3), halfwidth=1.0, lo=0, hi=0, depth=0)
         with pytest.raises(InvalidInput):
             proxy_points(box, ProxyConfig(n_proxy=16), 3)
+
+    @pytest.mark.parametrize("n_proxy", [64.5, 64.0, "64"])
+    def test_non_integer_count_rejected(self, n_proxy):
+        # 64.5 would give 65 unevenly spaced points
+        with pytest.raises(InvalidInput, match="integer"):
+            ProxyConfig(n_proxy=n_proxy).resolve(2)
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf, None])
+    def test_degenerate_radius_rejected(self, factor):
+        # radius 0 stacks every proxy point at the box centre, which costs
+        # an order of magnitude of accuracy without a word
+        pts = square_points(256)
+        with pytest.raises(InvalidInput, match="radius_factor"):
+            compress(LAPLACE2, pts, build_tree(pts, 64), 1e-6,
+                     ProxyConfig(radius_factor=factor))
+
+    def test_numpy_integer_count_accepted(self):
+        assert ProxyConfig(n_proxy=np.int64(40)).resolve(3).n_proxy == 40
 
     def test_doubling_proxy_count_keeps_accuracy(self):
         pts = circle_points(1024)
@@ -350,3 +369,86 @@ def test_global_mode_equal_ranks_and_accuracy():
     x = np.random.default_rng(2).standard_normal(800)
     err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
     assert err <= 100 * 1e-8
+
+
+@pytest.mark.parametrize("case", ["laplace2d", "helmholtz2d", "laplace3d", "global2d"])
+def test_symmetric_shortcut_is_bit_identical(case):
+    # one ID per node with L = R^T and a mirrored S give the bytes of two IDs
+    dim = 3 if case == "laplace3d" else 2
+    spec = {"laplace2d": LAPLACE2, "global2d": LAPLACE2, "laplace3d": KernelSpec("laplace", 3),
+            "helmholtz2d": KernelSpec("helmholtz", 2, wavenumber=20.0)}[case]
+    n = 1024 if case == "laplace3d" else 2048
+    pts = PointSet(np.random.default_rng(7).random((n, dim)))
+    tree = build_tree(pts)
+    mode = "global" if case == "global2d" else "proxy"
+    source = KernelSource(spec, pts, tree.perm)
+    assert source.symmetric
+    one = compress_source(source, tree, 1e-6, mode=mode)
+    source.symmetric = False
+    two = compress_source(source, tree, 1e-6, mode=mode)
+    assert len(one.levels) >= 2 and len(one.levels[-1].nodes) > 1
+    assert serialize_compressed(one) == serialize_compressed(two)
+    for lv in one.levels:
+        for nd in lv.nodes:
+            assert np.array_equal(nd.row_skel, nd.col_skel)
+            assert np.array_equal(nd.L, nd.R.T)
+    assert np.array_equal(one.S, one.S.T)
+
+
+def _ellipse_points(n, normals=False, weights=False):
+    curve = bie.ellipse(2.0, 1.0, n)
+    return PointSet(curve.xy, curve.normals if normals else None,
+                    curve.weights if weights else None)
+
+
+@pytest.mark.parametrize("case, symmetric", [
+    ("single", True), ("double", False), ("weighted", False), ("custom", False),
+    ("laplace_bie", False), ("helmholtz_bie", False), ("scatterer", False)])
+def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
+    ids, seen = [], []
+    real_id = skel.id_fixed_precision
+
+    def counting_id(*args, **kwargs):
+        ids.append(1)
+        return real_id(*args, **kwargs)
+
+    def capture(module):
+        real = module.compress_source
+
+        def run(source, tree, *args, **kwargs):
+            cm = real(source, tree, *args, **kwargs)
+            seen.append((source, cm))
+            return cm
+        monkeypatch.setattr(module, "compress_source", run)
+
+    monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    if case in ("single", "double", "weighted"):
+        capture(skel)
+        spec = KernelSpec("laplace", 2, "double" if case == "double" else "single")
+        pts = _ellipse_points(1024, normals=case == "double", weights=case == "weighted")
+        compress(spec, pts, build_tree(pts, 64), 1e-6)
+    elif case == "custom":
+        # a source without the attribute keeps both IDs
+        pts = _ellipse_points(1024)
+        tree = build_tree(pts, 64)
+        ks = KernelSource(LAPLACE2, pts, tree.perm)
+        custom = type("Custom", (), {})()
+        for name in ("block", "proxy_row_block", "proxy_col_block", "n", "dtype",
+                     "wavenumber"):
+            setattr(custom, name, getattr(ks, name))
+        seen.append((custom, compress_source(custom, tree, 1e-6)))
+    elif case == "scatterer":
+        capture(bie)
+        curve = bie.trefoil(256)
+        k = 2 * np.pi * 2.0 / curve.diameter()
+        bie.scattering_system([curve], k).precond_blocks(eps=1e-6)
+    else:
+        capture(bie)
+        eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        bie.compress_system(bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq), 1e-6)
+
+    ((source, cm),) = seen
+    assert getattr(source, "symmetric", False) == symmetric
+    nodes = sum(len(lv.nodes) for lv in cm.levels)
+    assert nodes > 0
+    assert len(ids) == (1 if symmetric else 2) * nodes
