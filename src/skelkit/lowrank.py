@@ -4,18 +4,34 @@ An ID approximates A ~ A[:, skel] @ P where the k retained columns are
 actual columns of A and P carries a k x k identity on the skeleton.  The
 deterministic path is one column-pivoted QR (LAPACK geqp3) per ID; the full
 triangular factor is kept so the ID can later be cut at any other rank
-without a second factorization.  The randomized path sketches with a
-Gaussian test matrix first and falls back to deterministic when its
-a-posteriori probe check fails.
+without a second factorization.  A tall block (m >= 2n, n >= 192) is first
+reduced to its n x n triangle by a blocked, unpivoted QR (LAPACK geqrf), and
+geqp3 runs on that triangle: the pivots and R are those of A, but most of
+the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  The
+randomized path sketches with a Gaussian test matrix first and falls back
+to deterministic when its a-posteriori probe check fails.
 """
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import qr, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .errors import InvalidInput
+from .errors import AccuracyWarning, InvalidInput
+
+# blocks with m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS take
+# geqrf before geqp3; on smaller or squarer blocks the extra pass costs more
+# than it saves (block-shape sweep in BENCH_pr9_tall_qr.json)
+_QR_FIRST_ASPECT = 2
+_QR_FIRST_MIN_COLS = 192
+# ilaenv's geqrf block size in reference LAPACK and OpenBLAS; an lwork sized
+# for it covers the optimal workspace of geqrf and geqp3, so neither falls
+# back to unblocked code
+_LAPACK_NB = 32
+_PKG_DIR = os.path.dirname(__file__) + os.sep
 
 
 @dataclass
@@ -34,6 +50,11 @@ class InterpDecomp:
     piv: np.ndarray | None = None
     R: np.ndarray | None = None
     sketched: bool = False
+
+    @property
+    def max_entry(self):
+        """max |proj|: at most 2 unless pivoting degraded on this block."""
+        return float(np.abs(self.proj).max(initial=0.0))
 
     def cut(self, k):
         """The same ID with exactly k skeleton columns, read off the stored
@@ -68,6 +89,12 @@ def pivoted_qr(A, eps, min_rank=0):
     the first k >= min_rank whose pivot |R_kk| is at most eps*|R_00|, or
     min(m, n) if there is none.
 
+    A tall block, m >= 2n with n >= 192, is first factored A = Q0 R0 by
+    unpivoted blocked Householder QR (geqrf), and geqp3 then factors the
+    n x n triangle R0.  Q0 is unitary, so R0 has A's column norms and Gram
+    matrix, and geqp3 picks the same pivots in exact arithmetic (Chan,
+    LAA 1987) while most of the flops run as BLAS-3.
+
     Returns (piv, R, rank, trailing_ratio): R is the full min(m, n) x n
     upper-trapezoidal factor with columns in pivot order, trailing_ratio
     |R_kk| / |R_00| at k = rank (0 when no pivot was rejected).
@@ -76,16 +103,34 @@ def pivoted_qr(A, eps, min_rank=0):
     kmax = min(m, n)
     if kmax == 0:
         return np.arange(n), np.zeros((0, n), dtype=A.dtype), 0, 0.0
-    # "raw" skips the m x n triu of mode="r"; its R is already min(m, n) x n
-    _, R, piv = qr(A, mode="raw", pivoting=True, check_finite=False)
+    geqrf, geqp3 = get_lapack_funcs(("geqrf", "geqp3"), (A,))
+    lwork = 2 * n + (n + 1) * _LAPACK_NB
+    if m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS:
+        A = np.triu(geqrf(A, lwork=lwork)[0][:n])
+    qr, jpvt = geqp3(A, lwork=lwork)[:2]
+    R = np.triu(qr[:kmax])
     d = np.abs(np.diagonal(R))
     stop = np.flatnonzero(d[min_rank:] <= eps * d[0])
     rank = min_rank + int(stop[0]) if stop.size else kmax
-    return piv.astype(np.int64), R, rank, _ratio(R, rank)
+    return jpvt.astype(np.int64) - 1, R, rank, _ratio(R, rank)
+
+
+def _warn(message):
+    """AccuracyWarning attributed to the first caller outside skelkit."""
+    frame, level = sys._getframe(0), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PKG_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, AccuracyWarning, stacklevel=level)
+
+
+def _above_two(x):
+    """x with just enough digits to read above 2."""
+    return next(s for p in range(3, 18) if float(s := f"{x:.{p}g}") > 2.0)
 
 
 def _interp(piv, R, k, dtype):
-    """Skeleton and projection of the ID cut at exactly k columns.
+    """Skeleton and projection of the ID cut at exactly k columns; warns
+    when an entry of the projection exceeds 2.
 
     Columns past the last nonzero pivot (exact rank deficiency, or k beyond
     R's rows) are padded in: each such skeleton reconstructs only itself."""
@@ -97,9 +142,8 @@ def _interp(piv, R, k, dtype):
         P[:r, piv[k:]] = solve_triangular(R[:r, :r], R[:r, k:])
     big = np.abs(P).max(initial=0.0)
     if big > 2.0:
-        warnings.warn(
-            f"interpolation matrix entries reach {big:.3g} (> 2); "
-            "pivoting quality degraded on this block", stacklevel=3)
+        _warn(f"interpolation matrix entries reach {_above_two(big)} (> 2); "
+              "pivoting quality degraded on this block")
     return piv[:k].copy(), P
 
 

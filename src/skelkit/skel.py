@@ -19,16 +19,18 @@ import numbers
 import operator
 import os
 import struct
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInput, RefusedTooLarge
+from .errors import AccuracyWarning, InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
+from .lowrank import _above_two, _warn, id_fixed_precision
 # id_randomized is unused here; the benchmark tracer wraps skel.id_randomized
-from .lowrank import id_fixed_precision, id_randomized  # noqa: F401
+from .lowrank import id_randomized  # noqa: F401
 
 DEFAULT_N_PROXY = {2: 64, 3: 512}
 
@@ -314,7 +316,10 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over any matrix source exposing ``block``,
-    ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``."""
+    ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``.
+
+    IDs whose interpolation entries exceed 2 are counted, and reported in
+    one AccuracyWarning per call rather than one per block."""
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     if mode not in ("proxy", "global"):
@@ -340,6 +345,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     sym = getattr(source, "symmetric", False)
     levels = []
     prev_row = prev_col = None
+    interp_max = []     # max |P| of every ID kept, in any order
 
     for li in range(top):
         ids = covers[li]
@@ -407,6 +413,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 idr = id_fixed_precision(t_row.T, eps)
                 k = max(idr.rank, idc.rank)
                 idr, idc = idr.cut(k), idc.cut(k)
+            interp_max.extend((idc.max_entry,) if sym else
+                              (idr.max_entry, idc.max_entry))
 
             ro = np.argsort(idr.skel)
             co = np.argsort(idc.skel)
@@ -417,7 +425,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 D=D, L=L, R=R,
                 children=_children[a])
 
-        nodes = _map_nodes(build_node, list(range(len(ids))))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "interpolation matrix entries reach",
+                                    AccuracyWarning)
+            nodes = _map_nodes(build_node, list(range(len(ids))))
         lv = Level(nodes)
         levels.append(lv)
         prev_row = [nd.row_skel for nd in nodes]
@@ -437,6 +448,11 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             if sym:
                 S[r_off[b]:r_off[b + 1], c_off[a]:c_off[a + 1]] = blk.T
 
+    bad = [x for x in interp_max if x > 2.0]
+    if bad:
+        _warn(f"interpolation matrix entries exceed 2 in {len(bad)} of "
+              f"{len(interp_max)} ID blocks (worst {_above_two(max(bad))}); "
+              "pivoting quality degraded")
     return CompressedMatrix(levels=levels, S=S, n=n, eps=eps,
                             perm=tree.perm.copy(), scalar_field=field)
 

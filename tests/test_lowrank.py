@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelkit.errors import InvalidInput
+from skelkit import lowrank
+from skelkit.errors import AccuracyWarning, InvalidInput
 from skelkit.lowrank import (id_fixed_precision, id_randomized, id_rows,
                              pivoted_qr)
 
@@ -270,3 +274,141 @@ def test_cut_of_short_sketch_needs_recompute():
     c = idz.cut(idz.R.shape[0])
     assert np.array_equal(c.proj[:, c.skel], np.eye(c.rank))
     assert reconstruction_error(A, c) <= 1e-4
+
+
+# tall blocks: m >= 2n with n at the QR-first threshold or above
+TALL = (480, lowrank._QR_FIRST_MIN_COLS + 8)
+
+
+def tall_block(cplx, seed=11):
+    A = decay_matrix(*TALL, "algebraic", seed)
+    return A + 1j * decay_matrix(*TALL, "algebraic", seed + 1) if cplx else A
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Count the LAPACK routines pivoted_qr calls, by name."""
+    calls = []
+    real = lowrank.get_lapack_funcs
+
+    def counting(names, arrays):
+        def wrap(name, fn):
+            return lambda *a, **k: calls.append(name) or fn(*a, **k)
+        return tuple(wrap(nm, fn) for nm, fn in zip(names, real(names, arrays)))
+
+    monkeypatch.setattr(lowrank, "get_lapack_funcs", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_tall_qr_first_matches_plain_pivoting(cplx, lapack_calls):
+    A = tall_block(cplx)
+    m, n = A.shape
+    eps = 1e-5
+    piv, R, rank, ratio = pivoted_qr(A, eps)
+    assert lapack_calls == ["geqrf", "geqp3"]
+    assert R.shape == (n, n) and np.array_equal(R, np.triu(R))
+    assert sorted(piv.tolist()) == list(range(n))
+    # A[:, piv] = Q0 Q1 R with Q0 Q1 unitary: the Gram matrices agree
+    Ap = A[:, piv]
+    scale = np.linalg.norm(A, 2) ** 2
+    np.testing.assert_allclose(R.conj().T @ R, Ap.conj().T @ Ap, rtol=0,
+                               atol=1e-13 * scale)
+    # the same rank and skeleton set as geqp3 on the whole block
+    _, R_ref, piv_ref = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    d_ref = np.abs(np.diag(R_ref))
+    rank_ref = int(np.flatnonzero(d_ref <= eps * d_ref[0])[0])
+    assert 0 < rank == rank_ref < n
+    assert set(piv[:rank].tolist()) == set(piv_ref[:rank].tolist())
+    np.testing.assert_allclose(np.abs(np.diag(R)), d_ref, rtol=1e-8, atol=1e-14 * d_ref[0])
+    assert ratio == pytest.approx(d_ref[rank] / d_ref[0], rel=1e-6)
+
+
+def test_tall_qr_first_min_rank_and_cut(lapack_calls):
+    A = tall_block(False, seed=4)
+    n = A.shape[1]
+    idp = id_fixed_precision(A, 1e-4)
+    assert "geqrf" in lapack_calls and idp.R.shape == (n, n)
+    piv, R, rank, _ = pivoted_qr(A, 1e-4, min_rank=idp.rank + 5)
+    assert rank == idp.rank + 5 and np.array_equal(piv, idp.piv)
+    for k in (idp.rank, idp.rank + 1, idp.rank + 7, n):
+        c = idp.cut(k)
+        assert c.rank == k and c.proj.shape == (k, n)
+        assert np.array_equal(c.proj[:, c.skel], np.eye(k))  # tolerance 0
+        rerun = id_fixed_precision(A, 1e-4, min_rank=k)
+        assert np.array_equal(c.skel, rerun.skel)
+        np.testing.assert_allclose(c.proj, rerun.proj, rtol=0, atol=1e-12)
+    assert reconstruction_error(A, idp) <= 10 * 1e-4 * np.sqrt(1 + idp.rank * (n - idp.rank))
+    assert reconstruction_error(A, idp.cut(idp.rank + 7)) < reconstruction_error(A, idp)
+
+
+def test_tall_zero_blocks_pad_skeletons(lapack_calls):
+    m, n = TALL
+    idp = id_fixed_precision(np.zeros(TALL), 1e-9)
+    assert lapack_calls == ["geqrf", "geqp3"]
+    assert idp.rank == 0 and idp.skel.size == 0 and idp.proj.shape == (0, n)
+    assert idp.R.shape == (n, n) and not idp.R.any()
+    pad = id_fixed_precision(np.zeros(TALL), 1e-9, min_rank=3)
+    assert pad.rank == 3 and np.array_equal(pad.proj[:, pad.skel], np.eye(3))
+    assert np.count_nonzero(pad.proj) == 3
+
+    # exact zero columns are never chosen before the live ones, and padded
+    # in at ranks past them, each reconstructing only itself
+    rng = np.random.default_rng(3)
+    A = decay_matrix(m, n, "algebraic", 5)
+    dead = rng.choice(n, n // 2, replace=False)
+    A[:, dead] = 0.0
+    live = n - dead.size
+    _, R, rank, _ = pivoted_qr(A, 1e-9)
+    assert np.count_nonzero(np.diagonal(R)) == live and not R[live:].any()
+    idp = id_fixed_precision(A, 1e-9, min_rank=live + 4)
+    assert idp.rank == live + 4
+    assert set(idp.skel[:live].tolist()).isdisjoint(dead.tolist())
+    assert set(idp.skel[live:].tolist()) <= set(dead.tolist())
+    pad_rows = idp.proj[live:]
+    assert np.array_equal(pad_rows[:, idp.skel[live:]], np.eye(4))
+    assert np.count_nonzero(pad_rows) == 4
+    assert not idp.proj[:, dead[~np.isin(dead, idp.skel)]].any()
+    assert reconstruction_error(A, idp) < 1e-12
+
+
+def test_below_threshold_is_plain_geqp3(lapack_calls, monkeypatch):
+    # below either bound the block goes straight to geqp3, bit for bit as
+    # scipy's pivoted QR of the whole block
+    m, n = TALL
+    for shape in [(2 * n - 1, n), (m, lowrank._QR_FIRST_MIN_COLS - 1), (n, n)]:
+        A = decay_matrix(*shape, "algebraic", 2)
+        lapack_calls.clear()
+        piv, R, _, _ = pivoted_qr(A, 1e-6)
+        assert lapack_calls == ["geqp3"], shape
+        _, R_ref, piv_ref = scipy.linalg.qr(A, mode="raw", pivoting=True)
+        assert np.array_equal(piv, piv_ref) and np.array_equal(R, R_ref)
+    monkeypatch.setattr(lowrank, "_QR_FIRST_MIN_COLS", 10 ** 9)
+    lapack_calls.clear()
+    pivoted_qr(tall_block(False), 1e-6)
+    assert lapack_calls == ["geqp3"]
+
+
+def kahan(n, c=0.285):
+    """Kahan's matrix, columns scaled apart so that geqp3 does not pivot:
+    its interpolation coefficients grow exponentially with the rank."""
+    s = np.sqrt(1 - c * c)
+    K = s ** np.arange(n)[:, None] * (np.eye(n) + np.triu(-c * np.ones((n, n)), 1))
+    return K * (1 - 25 * np.finfo(float).eps * np.arange(n))
+
+
+def test_degraded_pivoting_warns_once_at_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        idp = id_fixed_precision(kahan(100), 0.05)
+    assert idp.max_entry > 2
+    assert len(caught) == 1
+    w = caught[0]
+    assert w.category is AccuracyWarning and w.filename == __file__
+    assert "reach 3.75e+04 (> 2)" in str(w.message)
+
+
+@pytest.mark.parametrize("x, text", [(2.004, "2.004"), (2.0000001, "2.0000001"),
+                                     (2.69, "2.69"), (37491.37, "3.75e+04")])
+def test_interp_value_reads_above_two(x, text):
+    assert lowrank._above_two(x) == text

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from skelkit import bie, skel
-from skelkit.errors import InvalidInput, RefusedTooLarge
+from skelkit import bie, lowrank, skel
+from skelkit.errors import AccuracyWarning, InvalidInput, RefusedTooLarge
 from skelkit.geom import PointSet, TreeNode, build_tree
 from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
@@ -393,6 +395,69 @@ def test_symmetric_shortcut_is_bit_identical(case):
             assert np.array_equal(nd.row_skel, nd.col_skel)
             assert np.array_equal(nd.L, nd.R.T)
     assert np.array_equal(one.S, one.S.T)
+
+
+def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
+    # the largest ID blocks of a 3D cube are tall enough for geqrf before
+    # geqp3; forcing plain geqp3 everywhere must pick the same skeletons
+    spec = KernelSpec("laplace", 3)
+    pts = PointSet(np.random.default_rng(201).random((2048, 3)))
+    tree = build_tree(pts)
+    shapes, geqrf_calls = [], []
+    real_qr, real_funcs = lowrank.pivoted_qr, lowrank.get_lapack_funcs
+
+    def counting_qr(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return real_qr(A, *args, **kwargs)
+
+    def counting_funcs(names, arrays):
+        fns = real_funcs(names, arrays)
+        return tuple((lambda *a, _f=f, **k: geqrf_calls.append(1) or _f(*a, **k))
+                     if nm == "geqrf" else f for nm, f in zip(names, fns))
+
+    monkeypatch.setattr(lowrank, "pivoted_qr", counting_qr)
+    monkeypatch.setattr(lowrank, "get_lapack_funcs", counting_funcs)
+    cm = compress(spec, pts, tree, 1e-6)
+    tall = [(m, n) for m, n in shapes
+            if m >= lowrank._QR_FIRST_ASPECT * n and n >= lowrank._QR_FIRST_MIN_COLS]
+    assert len(shapes) == sum(len(lv.nodes) for lv in cm.levels)
+    assert len(tall) >= 4 and len(geqrf_calls) == len(tall)
+
+    monkeypatch.setattr(lowrank, "_QR_FIRST_MIN_COLS", 10 ** 9)
+    plain = compress(spec, pts, tree, 1e-6)
+    assert len(geqrf_calls) == len(tall)
+    for lv, lv_plain in zip(cm.levels, plain.levels, strict=True):
+        for nd, nd_plain in zip(lv.nodes, lv_plain.nodes, strict=True):
+            assert np.array_equal(nd.row_skel, nd_plain.row_skel)
+            assert np.array_equal(nd.col_skel, nd_plain.col_skel)
+
+    dense = dense_matrix(spec, pts)
+    x = np.random.default_rng(1).standard_normal(2048)
+    err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
+    assert err <= 100 * 1e-6
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "two_ids"])
+def test_degraded_interpolation_warns_once_per_compression(symmetric):
+    # 2D Helmholtz at k=20 has a few blocks whose |P| exceeds 2; they are
+    # counted into one warning that points at the caller
+    pts = PointSet(np.random.default_rng(201).random((1024, 2)))
+    tree = build_tree(pts)
+    source = KernelSource(KernelSpec("helmholtz", 2, wavenumber=20.0), pts, tree.perm)
+    source.symmetric = symmetric
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cm = compress_source(source, tree, 1e-6)
+    maxima = [np.abs(nd.R).max(initial=0.0) for lv in cm.levels for nd in lv.nodes]
+    if not symmetric:
+        maxima += [np.abs(nd.L).max(initial=0.0) for lv in cm.levels for nd in lv.nodes]
+    bad = [x for x in maxima if x > 2]
+    assert len(bad) >= 2
+    assert len(caught) == 1
+    w = caught[0]
+    assert w.category is AccuracyWarning and w.filename == __file__
+    assert (f"exceed 2 in {len(bad)} of {len(maxima)} ID blocks "
+            f"(worst {lowrank._above_two(max(bad))})") in str(w.message)
 
 
 def _ellipse_points(n, normals=False, weights=False):
