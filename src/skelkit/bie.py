@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AccuracyWarning, InvalidInput
 from .geom import PointSet, build_tree
 from .kernels import KernelSpec, eval_block
-from .skel import KernelSource, ProxyConfig, compress_source
+from .skel import KernelSource, ProxyConfig, _offsets, compress_source
 from .solver import factor, solve
 
 # Two-sided Kapur-Rokhlin correction weights of order 10 for integrands of
@@ -40,8 +40,6 @@ KR10_GAMMA = np.array([
     2.053584266072635e+01,
     -2.166984103403823e+00,
 ])
-
-QUAD_RULES = ("plain_trapezoid", "kapur_rokhlin_10")
 
 
 @dataclass
@@ -141,17 +139,23 @@ def _kr_correct(blk, dist):
     return blk * np.where(near, 1.0 + KR10_GAMMA[np.minimum(dist, KR10_GAMMA.size) - 1], 1.0)
 
 
+def _minus_half_identity(blk, rows, cols):
+    """``blk`` with -1/2 added where the row and the column are one node."""
+    same = rows[:, None] == cols[None, :]
+    if not np.any(same):
+        return blk
+    return blk + np.where(same, -0.5, 0.0)
+
+
 @dataclass
 class BieSystem:
     """Discretized second-kind system: entries K(x_i, x_j) w_j off the
-    diagonal (plus Kapur-Rokhlin reweighting near it, when active) and
-    identity_coef (+ smooth kernel limit, Laplace) on the diagonal.
+    diagonal (Kapur-Rokhlin reweighted near it for Helmholtz) and -1/2
+    (+ the smooth kernel limit, Laplace) on the diagonal.
     The ``block`` accessor is deterministic and side-effect free."""
 
     spec: KernelSpec
     curve: Curve2D
-    quad: str
-    identity_coef: float = -0.5
 
     def __post_init__(self):
         self.points = self.curve.point_set()
@@ -167,44 +171,33 @@ class BieSystem:
     def block(self, rows, cols):
         rows = np.asarray(rows)
         cols = np.asarray(cols)
-        tgt = self.points.subset(rows)
-        src = self.points.subset(cols)
-        base = eval_block(self.spec, tgt, src)
-        if self.quad == "kapur_rokhlin_10":
+        base = eval_block(self.spec, self.points.subset(rows), self.points.subset(cols))
+        if self.spec.equation == "helmholtz":
             base = _kr_correct(base, _cyclic_distance(rows, cols, self.n))
-        same = rows[:, None] == cols[None, :]
-        if np.any(same):
-            base = base + np.where(same, self.identity_coef, 0.0)
-        return base
+        return _minus_half_identity(base, rows, cols)
+
+    def proxy_rows(self, targets, proxy):
+        """Incoming proxy field: the single layer of the proxy charges."""
+        return eval_block(self.spec.single_layer(), targets, proxy)
 
     def matrix(self):
         idx = np.arange(self.n)
         return self.block(idx, idx)
 
 
-def discretize_dirichlet(curve: Curve2D, spec: KernelSpec,
-                         quad: str | None = None) -> BieSystem:
+def discretize_dirichlet(curve: Curve2D, spec: KernelSpec) -> BieSystem:
     """Nystrom system for the interior Dirichlet problem on ``curve``.
 
-    Laplace pairs with the plain trapezoidal rule (smooth kernel; diagonal
-    -1/2 + w * (-kappa/(4 pi))); Helmholtz requires the tenth-order
-    Kapur-Rokhlin corrected rule and a bare -1/2 diagonal.
+    The quadrature follows the equation.  Laplace takes the plain
+    trapezoidal rule (smooth kernel; diagonal -1/2 + w * (-kappa/(4 pi))).
+    Helmholtz is weakly singular and takes the tenth-order Kapur-Rokhlin
+    corrected rule with a bare -1/2 diagonal.
     """
-    if spec.dim != 2 or spec.layer != "double":
-        spec = KernelSpec(spec.equation, 2, "double", spec.wavenumber,
-                          "curvature_limit" if spec.equation == "laplace" else "zero")
-    if quad is None:
-        quad = "plain_trapezoid" if spec.equation == "laplace" else "kapur_rokhlin_10"
-    if quad not in QUAD_RULES:
-        raise InvalidInput(f"unknown quadrature {quad!r}")
-    if spec.equation == "helmholtz" and quad == "plain_trapezoid":
-        raise InvalidInput("helmholtz double layer is weakly singular; "
-                           "plain trapezoid cannot meet the accuracy contract")
-    if spec.equation == "laplace" and quad != "plain_trapezoid":
-        raise InvalidInput("laplace double layer is smooth; use plain_trapezoid")
-    if spec.equation == "laplace" and spec.self_interaction != "curvature_limit":
-        spec = KernelSpec(spec.equation, 2, "double", 0.0, "curvature_limit")
-    return BieSystem(spec=spec, curve=curve, quad=quad)
+    if spec.equation == "laplace":
+        spec = KernelSpec("laplace", 2, "double", 0.0, "curvature_limit")
+    else:
+        spec = KernelSpec("helmholtz", 2, "double", spec.wavenumber)
+    return BieSystem(spec=spec, curve=curve)
 
 
 def point_source_data(curve: Curve2D, source, spec: KernelSpec) -> np.ndarray:
@@ -236,17 +229,21 @@ def eval_interior(curve: Curve2D, density, spec: KernelSpec, targets) -> np.ndar
     return block @ np.asarray(density)
 
 
-def compress_system(system: BieSystem, eps, max_leaf_size=None,
+def compress_system(system, eps, max_leaf_size=None,
                     proxy: ProxyConfig | None = None, mode="proxy"):
-    """Build a tree over the curve nodes and skeletonize the system matrix.
-    Returns (tree, CompressedMatrix)."""
+    """Build a tree over the nodes of a curve system and skeletonize its
+    matrix.  Returns (tree, CompressedMatrix).
+
+    A curve system is a ``BieSystem`` or one scatterer of a
+    ``ScatteringSystem``: anything with ``points``, ``spec``,
+    ``block(rows, cols)`` and ``proxy_rows(targets, proxy)``.  The proxy
+    rows are scaled by the mean quadrature weight of the nodes, like the
+    weighted columns of the system, so the rank cutoff sees one consistent
+    magnitude."""
     tree = build_tree(system.points, max_leaf_size)
-    # proxy rows are single-layer fields scaled to the quadrature weights of
-    # the system columns, so the rank cutoff sees one consistent magnitude
     wscale = float(np.mean(system.points.weights[tree.perm]))
-    pspec = system.spec.single_layer()
     src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
-                       proxy_rows=lambda t, p: wscale * eval_block(pspec, t, p))
+                       proxy_rows=lambda t, p: wscale * system.proxy_rows(t, p))
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
     return tree, cm
 
@@ -283,17 +280,13 @@ def write_field_csv(path, points, values):
 
 def _neumann_trace_block(k, targets: PointSet, sources: PointSet,
                          kr_dist=None) -> np.ndarray:
-    """d/dnu_x of the 2D Helmholtz single layer: -(ik/4) H1(kr) (x-y).nu_x/r,
-    scaled by source weights; diagonal entries zero.  kr_dist, when given,
-    is the cyclic node distance used for Kapur-Rokhlin reweighting."""
-    from scipy import special as sp
-    diff = targets.coords[:, None, :] - sources.coords[None, :, :]
-    r = np.sqrt(np.sum(diff * diff, axis=2))
-    same = r < 1e-14
-    rs = np.where(same, 1.0, r)
-    ndotx = np.einsum("ijk,ik->ij", diff, targets.normals)
-    blk = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndotx / rs
-    blk = np.where(same, 0.0, blk)
+    """d/dnu_x of the 2D Helmholtz single layer, scaled by source weights;
+    coincident pairs are zero.  G is symmetric, so this is the double layer
+    of ``eval_block`` with targets and sources swapped (the target normal
+    becomes the source normal), transposed.  kr_dist, when given, is the
+    cyclic node distance used for Kapur-Rokhlin reweighting."""
+    dspec = KernelSpec("helmholtz", 2, "double", k)
+    blk = eval_block(dspec, sources, PointSet(targets.coords, targets.normals)).T
     if kr_dist is not None:
         blk = _kr_correct(blk, kr_dist)
     if sources.weights is not None:
@@ -302,20 +295,28 @@ def _neumann_trace_block(k, targets: PointSet, sources: PointSet,
 
 
 class _Scatterer:
+    """One sound-hard obstacle as a curve system: -1/2 plus the
+    Kapur-Rokhlin corrected Neumann trace of the Helmholtz single layer."""
+
     def __init__(self, curve: Curve2D, k):
         self.curve = curve
         self.k = k
+        self.spec = KernelSpec("helmholtz", 2, "single", k)
         self.points = curve.point_set()
         self.npts = curve.n
 
-    def self_block(self, rows, cols):
+    def block(self, rows, cols):
         rows = np.asarray(rows)
         cols = np.asarray(cols)
         dist = _cyclic_distance(rows, cols, self.npts)
         blk = _neumann_trace_block(self.k, self.points.subset(rows),
                                    self.points.subset(cols), kr_dist=dist)
-        same = rows[:, None] == cols[None, :]
-        return blk + np.where(same, -0.5, 0.0)
+        return _minus_half_identity(blk, rows, cols)
+
+    def proxy_rows(self, targets, proxy):
+        """Incoming proxy field: the rows are Neumann traces, so it is the
+        target-normal derivative of the single layer."""
+        return _neumann_trace_block(self.k, targets, proxy)
 
 
 @dataclass
@@ -332,8 +333,7 @@ class ScatteringSystem:
         return sum(s.npts for s in self.scatterers)
 
     def offsets(self):
-        sizes = [s.npts for s in self.scatterers]
-        return np.concatenate([[0], np.cumsum(sizes)])
+        return _offsets([s.npts for s in self.scatterers])
 
     def matrix(self):
         off = self.offsets()
@@ -344,7 +344,7 @@ class ScatteringSystem:
                 bj = slice(off[j], off[j + 1])
                 if i == j:
                     idx = np.arange(si.npts)
-                    A[bi, bj] = si.self_block(idx, idx)
+                    A[bi, bj] = si.block(idx, idx)
                 else:
                     A[bi, bj] = _neumann_trace_block(self.k, si.points, sj.points)
         return A
@@ -359,17 +359,7 @@ class ScatteringSystem:
 
     def precond_blocks(self, eps=1e-6, max_leaf_size=None):
         """Per-scatterer factored inverses of the isolated self-systems."""
-        facs = []
-        for s in self.scatterers:
-            tree = build_tree(s.points, max_leaf_size)
-            # the rows are Neumann traces, so the incoming proxy field is the
-            # target-normal derivative of the single layer
-            src = KernelSource(KernelSpec("helmholtz", 2, "single", s.k), s.points,
-                               tree.perm, block=s.self_block,
-                               proxy_rows=lambda t, p, k=s.k: _neumann_trace_block(k, t, p))
-            cm = compress_source(src, tree, eps)
-            facs.append(factor(cm))
-        return facs
+        return [factor(compress_system(s, eps, max_leaf_size)[1]) for s in self.scatterers]
 
     def precond_apply(self, facs):
         off = self.offsets()

@@ -133,10 +133,9 @@ class KernelSource:
         return self._proxy_rows(self.points.subset(rows), proxy)
 
     def proxy_col_block(self, cols, proxy: PointSet):
-        # outgoing fields: node sources evaluated on the proxy surface
-        src = self.points.subset(cols)
-        src = PointSet(src.coords, None, src.weights)  # single layer: drop normals
-        return eval_block(self.proxy_spec, proxy, src)
+        # outgoing fields: node sources evaluated on the proxy surface; the
+        # single layer reads no source normals
+        return eval_block(self.proxy_spec, proxy, self.points.subset(cols))
 
 
 @dataclass
@@ -370,18 +369,17 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 return np.zeros((len(rows), len(cols)), dtype=dtype)
             return source.block(rows, cols)
 
-        def build_node(a, _li=li, _ids=ids, _nbrs=nbrs, _children=children,
-                       _row=row_dofs, _col=col_dofs, _coff=child_off):
-            rd, cd = _row[a], _col[a]
+        def build_node(a):
+            rd, cd = row_dofs[a], col_dofs[a]
             D = np.ascontiguousarray(_blk(rd, cd), dtype=dtype)
-            if _li > 0:
-                roff, coff = _coff[a]
-                for ci in range(len(_children[a])):
+            if li > 0:
+                roff, coff = child_off[a]
+                for ci in range(len(children[a])):
                     D[roff[ci]:roff[ci + 1], coff[ci]:coff[ci + 1]] = 0
             if mode == "proxy":
-                nbr_rows = (np.concatenate([_row[b] for b in _nbrs[a]])
-                            if _nbrs[a] else np.empty(0, dtype=np.int64))
-                node = tree.nodes[_ids[a]]
+                nbr_rows = (np.concatenate([row_dofs[b] for b in nbrs[a]])
+                            if nbrs[a] else np.empty(0, dtype=np.int64))
+                node = tree.nodes[ids[a]]
                 n_eff = cfg.n_proxy
                 if k_wave > 0:
                     n_eff += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
@@ -392,7 +390,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 else:
                     t_col = np.zeros((n_eff, 0), dtype=dtype)
             else:
-                other_r = np.concatenate([_row[b] for b in range(len(_ids)) if b != a])
+                other_r = np.concatenate([row_dofs[b] for b in range(len(ids)) if b != a])
                 t_col = _blk(other_r, cd)
             idc = id_fixed_precision(t_col, eps)
 
@@ -401,11 +399,11 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 idr = idc
             else:
                 if mode == "global":
-                    other_c = np.concatenate([_col[b] for b in range(len(_ids)) if b != a])
+                    other_c = np.concatenate([col_dofs[b] for b in range(len(ids)) if b != a])
                     t_row = _blk(rd, other_c)
                 elif rd.size:
-                    nbr_cols = (np.concatenate([_col[b] for b in _nbrs[a]])
-                                if _nbrs[a] else np.empty(0, dtype=np.int64))
+                    nbr_cols = (np.concatenate([col_dofs[b] for b in nbrs[a]])
+                                if nbrs[a] else np.empty(0, dtype=np.int64))
                     t_row = np.hstack([_blk(rd, nbr_cols),
                                        source.proxy_row_block(rd, pxy)])
                 else:
@@ -423,7 +421,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             return CompressedNode(
                 row_skel=rd[idr.skel[ro]], col_skel=cd[idc.skel[co]],
                 D=D, L=L, R=R,
-                children=_children[a])
+                children=children[a])
 
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "interpolation matrix entries reach",

@@ -96,10 +96,6 @@ def assemble_embedding(cm: CompressedMatrix) -> SparseEmbedding:
     n = cm.n
     dtype = cm.dtype
     blocks = {}
-    if cm.nlevels == 0:
-        _block_entries(blocks, "S", 0, 0, cm.S)
-        return SparseEmbedding(m=n, n=n, dtype=dtype, blocks=blocks, perm=cm.perm)
-
     # column offsets of [x, y1, z1, y2, z2, ...]
     col_off = [0, n]
     for lv in cm.levels:
@@ -214,13 +210,13 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     flevels = []
     for li, lv in enumerate(cm.levels):
 
-        def factor_node(a, _li=li, _lv=lv, _lam=lam_prev):
-            nd = _lv.nodes[a]
+        def factor_node(a):
+            nd = lv.nodes[a]
             D_eff = np.array(nd.D, dtype=dtype)
-            if _li > 0:
+            if li > 0:
                 ro = co = 0
                 for ci in nd.children:
-                    lam_c = _lam[ci]
+                    lam_c = lam_prev[ci]
                     D_eff[ro:ro + lam_c.shape[0], co:co + lam_c.shape[1]] = lam_c
                     ro += lam_c.shape[0]
                     co += lam_c.shape[1]
@@ -232,19 +228,19 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                 return FactoredNode(Dd=np.zeros_like(D_eff), Ld=np.asarray(nd.L, dtype=dtype),
                                     Rd=np.asarray(nd.R, dtype=dtype), Lam=D_eff,
                                     lu_D=None, lu_M=None)
-            lu_D = _lu(D_eff, _li + 1, a, "D")
+            lu_D = _lu(D_eff, li + 1, a, "D")
             Dinv = lu_solve(lu_D, np.eye(nn, dtype=dtype), check_finite=False)
             rc = _rcond1(D_eff, Dinv)
             if rc < _RCOND_WARN:
-                warnings_list.append((_li + 1, a, "D", rc))
+                warnings_list.append((li + 1, a, "D", rc))
             X = lu_solve(lu_D, nd.L, check_finite=False)            # D^-1 L
             RD = lu_solve(lu_D, nd.R.T, trans=1, check_finite=False).T  # R D^-1
             M_blk = nd.R @ X
-            lu_M = _lu(M_blk, _li + 1, a, "Lambda")
+            lu_M = _lu(M_blk, li + 1, a, "Lambda")
             Lam = lu_solve(lu_M, np.eye(k, dtype=dtype), check_finite=False)
             rc = _rcond1(M_blk, Lam)
             if rc < _RCOND_WARN:
-                warnings_list.append((_li + 1, a, "Lambda", rc))
+                warnings_list.append((li + 1, a, "Lambda", rc))
             Rd = Lam @ RD
             return FactoredNode(Dd=Dinv - X @ Rd, Ld=X @ Lam, Rd=Rd,
                                 Lam=Lam, lu_D=lu_D, lu_M=lu_M)

@@ -132,16 +132,8 @@ class TestDirichletSystem:
                 uex = eval_block(spec, PointSet(chk.reshape(1, 2)),
                                  PointSet(src.reshape(1, 2)))[0, 0]
             errs.append(abs(u - uex) / abs(uex))
-        assert errs[0] / errs[1] >= 10.0
-
-    def test_quadrature_pairing_enforced(self):
-        hspec = KernelSpec("helmholtz", 2, wavenumber=3.0)
-        with pytest.raises(InvalidInput):
-            bie.discretize_dirichlet(bie.circle(1.0, 64), hspec, "plain_trapezoid")
-        with pytest.raises(InvalidInput):
-            bie.discretize_dirichlet(bie.circle(1.0, 64), LAPLACE2, "kapur_rokhlin_10")
-        with pytest.raises(InvalidInput):
-            bie.discretize_dirichlet(bie.circle(1.0, 64), LAPLACE2, "gauss")
+        # the n=128 error can be exactly 0.0, so no division
+        assert errs[0] >= 10.0 * errs[1]
 
     def test_helmholtz_system_solves(self):
         # manufactured solution: field of an exterior source evaluated at an
@@ -368,9 +360,10 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
         src, tree = _captured_source(monkeypatch, bie,
                                      lambda: system.precond_blocks(eps=1e-6))
         spec = KernelSpec("helmholtz", 2, "single", k)
+        wscale = float(np.mean(pts.weights[tree.perm]))
 
         def incoming(t, p):
-            return bie._neumann_trace_block(k, t, p)
+            return wscale * bie._neumann_trace_block(k, t, p)
     else:
         eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
         system = bie.discretize_dirichlet(bie.ellipse(1.0, 0.5, 256), eq)
@@ -399,3 +392,64 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
     tgt = pts.subset(perm[cols])
     bare = PointSet(tgt.coords, None, tgt.weights)
     np.testing.assert_array_equal(src.proxy_col_block(cols, pxy), eval_block(spec, pxy, bare))
+
+
+def _closed_form_neumann_trace(k, targets, sources, kr_dist=None):
+    """Reference: -(ik/4) H1(kr) (x-y).nu_x / r times the source weights,
+    zero at coincident pairs, written out without ``eval_block``."""
+    from scipy import special as sp
+    diff = targets.coords[:, None, :] - sources.coords[None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    same = r < 1e-14
+    rs = np.where(same, 1.0, r)
+    ndotx = np.einsum("ijk,ik->ij", diff, targets.normals)
+    blk = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndotx / rs
+    blk = np.where(same, 0.0, blk)
+    if kr_dist is not None:
+        blk = bie._kr_correct(blk, kr_dist)
+    if sources.weights is not None:
+        blk = blk * sources.weights[None, :]
+    return blk
+
+
+def test_neumann_trace_is_the_swapped_double_layer():
+    # the Neumann trace goes through eval_block; it must equal the closed
+    # form bit for bit on self blocks (Kapur-Rokhlin corrected), on blocks
+    # between two scatterers and on proxy rows
+    a, b = bie.trefoil(128), bie.trefoil(128, center=(3.0, 0.0))
+    k = 2 * np.pi * 2.0 / a.diameter()
+    pa, pb = a.point_set(), b.point_set()
+    rng = np.random.default_rng(3)
+    idx = np.arange(128)
+    rows, cols = np.sort(rng.choice(128, 50, replace=False)), np.arange(40, 100)
+    tree = build_tree(pa, 32)
+    proxy = skel.proxy_points(tree.nodes[tree.levels[0][0]], skel.ProxyConfig(), 2)
+    cases = [(pa, pa, bie._cyclic_distance(idx, idx, 128)), (pa, pa, None),
+             (pa.subset(rows), pa.subset(cols), bie._cyclic_distance(rows, cols, 128)),
+             (pa, pb, None), (pb, pa, None), (pa.subset(rows), proxy, None)]
+    for tgt, src, kr in cases:
+        np.testing.assert_array_equal(bie._neumann_trace_block(k, tgt, src, kr_dist=kr),
+                                      _closed_form_neumann_trace(k, tgt, src, kr_dist=kr))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-10])
+def test_scatterer_compression_meets_eps(eps, monkeypatch):
+    # the scatterer's proxy rows carry the mean quadrature weight, like its
+    # self-block entries; unscaled (about 85x larger at n=256) they biased
+    # the rank cutoff, and the compressed self-system missed eps by 2.4x at
+    # 1e-6 and 1.7x at 1e-10
+    curve = bie.trefoil(1024)
+    k = 2 * np.pi * 2.0 / curve.diameter()
+    system = bie.scattering_system([curve], k)
+    seen = []
+    real = bie.compress_source
+
+    def capture(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(bie, "compress_source", capture)
+    system.precond_blocks(eps=eps)
+    A = system.matrix()
+    err = skel.apply(seen[0], np.eye(curve.n, dtype=A.dtype)) - A
+    assert np.linalg.norm(err) <= 1.5 * eps * np.linalg.norm(A)
