@@ -15,6 +15,7 @@ sources around each box, so per-node work depends only on neighbor sizes.
 
 import io
 import math
+import mmap
 import numbers
 import operator
 import os
@@ -312,13 +313,35 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
                            allow_large=allow_large)
 
 
+def _cat(parts):
+    """Concatenated index arrays (empty int64 if there are none)."""
+    return np.concatenate(parts) if len(parts) else np.empty(0, dtype=np.int64)
+
+
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over any matrix source exposing ``block``,
     ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``.
 
-    IDs whose interpolation entries exceed 2 are counted, and reported in
-    one AccuracyWarning per call rather than one per block."""
+    Each level runs in four phases, and each kernel block is evaluated once:
+
+    1. The index sets: a leaf's DOFs are its points, a coarser node's the
+       skeletons of its children.
+    2. One ``block`` call per node for the blocks it shares with its
+       partners, its neighbours (proxy mode) and its siblings: node a
+       evaluates K(DOFs of a, DOFs of its partners).  For a symmetric
+       source only partners above a; the blocks below are transposes.
+    3. Each node's IDs (``_map_nodes``).  In proxy mode the target is
+       [neighbour blocks | proxy field], assembled from phase 2; in global
+       mode, the full off-diagonal block row and column, evaluated here.
+    4. The next level's D, and the top S (the root's, as it were), sliced
+       from the sibling blocks at the skeletons, since each level's matrix
+       is the submatrix of the one below at its skeletons (Martinsson-
+       Rokhlin 2005).  Then the level's blocks are freed.
+
+    Only the leaves' D are evaluated as such.  IDs whose interpolation
+    entries exceed 2 are counted, and reported in one AccuracyWarning per
+    call rather than one per block."""
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     if mode not in ("proxy", "global"):
@@ -343,69 +366,92 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     k_wave = getattr(source, "wavenumber", 0.0)
     sym = getattr(source, "symmetric", False)
     levels = []
-    prev_row = prev_col = None
     interp_max = []     # max |P| of every ID kept, in any order
+
+    def _blk(rows, cols):
+        # nodes can be isolated (no neighbors) or fully compressed away
+        if len(rows) == 0 or len(cols) == 0:
+            return np.zeros((len(rows), len(cols)), dtype=dtype)
+        return source.block(rows, cols)
+
+    children = [None] * len(covers[0])
+    row_dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in covers[0]]
+    col_dofs = [r.copy() for r in row_dofs]
+    Ds = None           # the level's diagonal blocks, sliced by the level below
 
     for li in range(top):
         ids = covers[li]
-        nbrs = level_neighbors(tree, li)
-        if li == 0:
-            children = [None] * len(ids)
-            row_dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in ids]
-            col_dofs = [r.copy() for r in row_dofs]
-            child_off = None
-        else:
-            children = _cover_children(tree, covers[li - 1], ids)
-            row_dofs = [np.concatenate([prev_row[c] for c in ch]) if len(ch) else
-                        np.empty(0, dtype=np.int64) for ch in children]
-            col_dofs = [np.concatenate([prev_col[c] for c in ch]) if len(ch) else
-                        np.empty(0, dtype=np.int64) for ch in children]
-            child_off = [(_offsets([prev_row[c].size for c in ch]),
-                          _offsets([prev_col[c].size for c in ch])) for ch in children]
+        nb = len(ids)
+        nbrs = level_neighbors(tree, li) if mode == "proxy" else [[]] * nb
+        parents = _cover_children(tree, ids, covers[li + 1])
+        sibs = {a: ch.tolist() for ch in parents for a in ch}
+        partners = [sorted(set(sibs[a]).union(nbrs[a]) - {a}) for a in range(nb)]
+        owned = [[b for b in partners[a] if b > a] for a in range(nb)] if sym else partners
+        at, shapes = [], []     # at[a][b]: the columns of own[a] that hold b's DOFs
+        for a, ow in enumerate(owned):
+            off = _offsets([col_dofs[b].size for b in ow])
+            at.append({b: slice(off[i], off[i + 1]) for i, b in enumerate(ow)})
+            shapes.append((row_dofs[a].size, int(off[-1])))
+        # own[a] = K(DOFs of a, DOFs of owned[a]): evaluated here in proxy
+        # mode, cut from the ID targets in global mode.  The level's blocks
+        # share one anonymous mapping, returned to the system whole when the
+        # level is done; freed one by one from the heap, they would stay
+        # resident under whatever was allocated after them.
+        sizes = [r * c for r, c in shapes]
+        mapping = mmap.mmap(-1, max(1, sum(sizes) * np.dtype(dtype).itemsize))
+        store = np.frombuffer(mapping, dtype=dtype, count=sum(sizes))
+        own = [v.reshape(shape) for v, shape in
+               zip(np.split(store, _offsets(sizes)[1:-1]), shapes)]
 
-        def _blk(rows, cols):
-            # nodes can be isolated (no neighbors) or fully compressed away
-            if len(rows) == 0 or len(cols) == 0:
-                return np.zeros((len(rows), len(cols)), dtype=dtype)
-            return source.block(rows, cols)
+        def evaluate(a):
+            own[a][...] = _blk(row_dofs[a], _cat([col_dofs[b] for b in owned[a]]))
+
+        if mode == "proxy":
+            _map_nodes(evaluate, list(range(nb)))
+
+        def pair(a, b):
+            # K(DOFs of a, DOFs of b) for partners a and b
+            if b in at[a]:
+                return own[a][:, at[a][b]]
+            return own[b][:, at[b][a]].T
 
         def build_node(a):
             rd, cd = row_dofs[a], col_dofs[a]
-            D = np.ascontiguousarray(_blk(rd, cd), dtype=dtype)
-            if li > 0:
-                roff, coff = child_off[a]
-                for ci in range(len(children[a])):
-                    D[roff[ci]:roff[ci + 1], coff[ci]:coff[ci + 1]] = 0
+            D = np.ascontiguousarray(_blk(rd, cd), dtype=dtype) if Ds is None else Ds[a]
             if mode == "proxy":
-                nbr_rows = (np.concatenate([row_dofs[b] for b in nbrs[a]])
-                            if nbrs[a] else np.empty(0, dtype=np.int64))
                 node = tree.nodes[ids[a]]
                 n_eff = cfg.n_proxy
                 if k_wave > 0:
                     n_eff += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
                 pxy = proxy_points(node, replace(cfg, n_proxy=n_eff), tree.dim)
                 if cd.size:
-                    t_col = np.vstack([_blk(nbr_rows, cd),
-                                       source.proxy_col_block(cd, pxy)])
+                    t_col = np.vstack([pair(b, a) for b in nbrs[a]]
+                                      + [source.proxy_col_block(cd, pxy)])
                 else:
                     t_col = np.zeros((n_eff, 0), dtype=dtype)
             else:
-                other_r = np.concatenate([row_dofs[b] for b in range(len(ids)) if b != a])
-                t_col = _blk(other_r, cd)
+                others = [b for b in range(nb) if b != a]
+                t_col = _blk(_cat([row_dofs[b] for b in others]), cd)
+                # own[a] is one run of the targets: the owned siblings are
+                # consecutive among the other nodes (row and column DOF
+                # counts agree, since the two IDs are cut to one rank)
+                off = _offsets([row_dofs[b].size for b in others])
+                lo, hi = ((off[others.index(owned[a][0])], off[others.index(owned[a][-1]) + 1])
+                          if owned[a] else (0, 0))
             idc = id_fixed_precision(t_col, eps)
 
             if sym:
                 # the row block is t_col.T, so the row ID is the column ID
                 idr = idc
+                if mode == "global":
+                    own[a][...] = t_col[lo:hi].T
             else:
                 if mode == "global":
-                    other_c = np.concatenate([col_dofs[b] for b in range(len(ids)) if b != a])
-                    t_row = _blk(rd, other_c)
+                    t_row = _blk(rd, _cat([col_dofs[b] for b in others]))
+                    own[a][...] = t_row[:, lo:hi]
                 elif rd.size:
-                    nbr_cols = (np.concatenate([col_dofs[b] for b in nbrs[a]])
-                                if nbrs[a] else np.empty(0, dtype=np.int64))
-                    t_row = np.hstack([_blk(rd, nbr_cols),
-                                       source.proxy_row_block(rd, pxy)])
+                    t_row = np.hstack([pair(a, b) for b in nbrs[a]]
+                                      + [source.proxy_row_block(rd, pxy)])
                 else:
                     t_row = np.zeros((0, n_eff), dtype=dtype)
                 idr = id_fixed_precision(t_row.T, eps)
@@ -416,42 +462,46 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
 
             ro = np.argsort(idr.skel)
             co = np.argsort(idc.skel)
+            rpos, cpos = idr.skel[ro], idc.skel[co]
             L = np.ascontiguousarray(idr.proj.T[:, ro], dtype=dtype)
             R = np.ascontiguousarray(idc.proj[co, :], dtype=dtype)
-            return CompressedNode(
-                row_skel=rd[idr.skel[ro]], col_skel=cd[idc.skel[co]],
-                D=D, L=L, R=R,
-                children=children[a])
+            return CompressedNode(row_skel=rd[rpos], col_skel=cd[cpos], D=D, L=L, R=R,
+                                  children=children[a]), rpos, cpos
 
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "interpolation matrix entries reach",
                                     AccuracyWarning)
-            nodes = _map_nodes(build_node, list(range(len(ids))))
-        lv = Level(nodes)
-        levels.append(lv)
-        prev_row = [nd.row_skel for nd in nodes]
-        prev_col = [nd.col_skel for nd in nodes]
+            nodes, rpos, cpos = zip(*_map_nodes(build_node, list(range(nb))))
+        levels.append(Level(list(nodes)))
 
-    # dense top-level skeleton matrix; diagonal blocks stay zero (their
-    # interactions were extracted into the final D level)
-    lv = levels[-1]
-    r_off, c_off = lv.kr_off, lv.kc_off
-    S = np.zeros((lv.K_r, lv.K_c), dtype=dtype)
-    for a, nda in enumerate(lv.nodes):
-        for b, ndb in enumerate(lv.nodes):
-            if a == b or nda.k_r == 0 or ndb.k_c == 0 or (sym and b < a):
-                continue
-            blk = source.block(nda.row_skel, ndb.col_skel)
-            S[r_off[a]:r_off[a + 1], c_off[b]:c_off[b + 1]] = blk
-            if sym:
-                S[r_off[b]:r_off[b + 1], c_off[a]:c_off[a + 1]] = blk.T
+        # the parents' diagonal blocks: sibling blocks at the skeletons, with
+        # the children's own blocks zero (they stay in this level's D)
+        Ds = []
+        for ch in parents:
+            r_off = _offsets([rpos[i].size for i in ch])
+            c_off = _offsets([cpos[i].size for i in ch])
+            M = np.zeros((r_off[-1], c_off[-1]), dtype=dtype)
+            for i, a in enumerate(ch):
+                for j, b in enumerate(ch):
+                    if b in at[a]:
+                        blk = own[a][:, at[a][b]][np.ix_(rpos[a], cpos[b])]
+                        M[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = blk
+                        if sym:
+                            M[r_off[j]:r_off[j + 1], c_off[i]:c_off[i + 1]] = blk.T
+            Ds.append(M)
+        own = store = mapping = None
+        children = parents
+        row_dofs = [_cat([nodes[c].row_skel for c in ch]) for ch in parents]
+        col_dofs = [_cat([nodes[c].col_skel for c in ch]) for ch in parents]
 
     bad = [x for x in interp_max if x > 2.0]
     if bad:
         _warn(f"interpolation matrix entries exceed 2 in {len(bad)} of "
               f"{len(interp_max)} ID blocks (worst {_above_two(max(bad))}); "
               "pivoting quality degraded")
-    return CompressedMatrix(levels=levels, S=S, n=n, eps=eps,
+    # the root's block is the dense top-level skeleton matrix; its diagonal
+    # blocks stay zero (their interactions were extracted into the final D level)
+    return CompressedMatrix(levels=levels, S=Ds[0], n=n, eps=eps,
                             perm=tree.perm.copy(), scalar_field=field)
 
 
@@ -464,12 +514,37 @@ _DT_CODE = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
 _CODE_DT = {v: k for k, v in _DT_CODE.items()}
 
 
+class _Sized:
+    """Byte sink that only counts what is written."""
+
+    def __init__(self):
+        self.nbytes = 0
+
+    def write(self, b):
+        self.nbytes += memoryview(b).nbytes
+
+
+def _serialized(write):
+    """The bytes ``write(f)`` writes, in one buffer allocated at its final
+    size: a first pass only counts them (a growing BytesIO over-allocates
+    and copies as it grows)."""
+    sized = _Sized()
+    write(sized)
+    f = io.BytesIO()
+    if sized.nbytes:
+        f.seek(sized.nbytes - 1)
+        f.write(b"\0")
+        f.seek(0)
+    write(f)
+    return f.getvalue()
+
+
 def _write_arr(f, a):
     a = np.ascontiguousarray(a)
     code = {np.dtype(np.int64): 2}.get(a.dtype) or _DT_CODE[a.dtype]
-    f.write(struct.pack("<BB", code, a.ndim))
-    f.write(struct.pack(f"<{a.ndim}q", *a.shape))
-    f.write(a.tobytes())
+    f.write(struct.pack(f"<BB{a.ndim}q", code, a.ndim, *a.shape))
+    # the array's own buffer: tobytes() would copy every block once more
+    f.write(a)
 
 
 def _write_header(f, kind, field, n, nlevels, eps, perm):
@@ -478,7 +553,7 @@ def _write_header(f, kind, field, n, nlevels, eps, perm):
     f.write(_MAGIC)
     f.write(struct.pack("<HBB", _VERSION, kind, 1 if field == "complex" else 0))
     f.write(struct.pack("<qId", n, nlevels, eps))
-    _write_arr(f, perm.astype(np.int64))
+    _write_arr(f, np.asarray(perm, dtype=np.int64))
 
 
 class _Reader:
@@ -582,8 +657,8 @@ def _write_compressed_head(f, nd):
     ch = nd.children if nd.children is not None else np.empty(0, dtype=np.int64)
     f.write(struct.pack("<B", 1 if nd.children is not None else 0))
     _write_arr(f, np.asarray(ch, dtype=np.int64))
-    _write_arr(f, nd.row_skel.astype(np.int64))
-    _write_arr(f, nd.col_skel.astype(np.int64))
+    _write_arr(f, np.asarray(nd.row_skel, dtype=np.int64))
+    _write_arr(f, np.asarray(nd.col_skel, dtype=np.int64))
 
 
 def _read_compressed_node(f, li):
@@ -602,11 +677,11 @@ def _read_compressed_node(f, li):
 def serialize_compressed(cm: CompressedMatrix) -> bytes:
     """Bit-exact binary container: header (N, levels, eps, field), the
     permutation, per-level block tables, dense top S.  See README."""
-    f = io.BytesIO()
-    _write_header(f, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
-    _write_levels(f, cm.levels, _write_compressed_head)
-    _write_arr(f, cm.S)
-    return f.getvalue()
+    def write(f):
+        _write_header(f, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
+        _write_levels(f, cm.levels, _write_compressed_head)
+        _write_arr(f, cm.S)
+    return _serialized(write)
 
 
 def deserialize_compressed(data: bytes) -> CompressedMatrix:

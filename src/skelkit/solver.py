@@ -18,7 +18,6 @@ embedding is still assembled (and exportable as Matrix Market) so an
 external sparse solver can serve as an independent cross-check.
 """
 
-import io
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import InvalidInput, NotConverged, SingularBlock
 from .skel import (CompressedMatrix, Level, _map_nodes, _read_levels, _Reader,
-                   _telescope, _write_arr, _write_header, _write_levels)
+                   _serialized, _telescope, _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 
@@ -75,27 +74,18 @@ class SparseEmbedding:
         return sum(len(v[0]) for v in self.blocks.values())
 
 
-def _block_entries(blocks, label, r0, c0, B):
+def _block_entries(parts, label, r0, c0, B):
+    """Append B's nonzeros, shifted to (r0, c0), to the entries of ``label``."""
     nz = np.nonzero(B)
-    if len(nz[0]) == 0:
-        return
-    rows = nz[0] + r0
-    cols = nz[1] + c0
-    vals = B[nz]
-    if label in blocks:
-        old = blocks[label]
-        blocks[label] = (np.concatenate([old[0], rows]),
-                         np.concatenate([old[1], cols]),
-                         np.concatenate([old[2], vals]))
-    else:
-        blocks[label] = (rows, cols, vals)
+    if len(nz[0]):
+        parts.setdefault(label, []).append((nz[0] + r0, nz[1] + c0, B[nz]))
 
 
 def assemble_embedding(cm: CompressedMatrix) -> SparseEmbedding:
     """Build the coordinate-form multilevel embedding of ``cm``."""
     n = cm.n
     dtype = cm.dtype
-    blocks = {}
+    parts = {}          # label -> [(rows, cols, vals), ...], joined once at the end
     # column offsets of [x, y1, z1, y2, z2, ...]
     col_off = [0, n]
     for lv in cm.levels:
@@ -119,23 +109,25 @@ def assemble_embedding(cm: CompressedMatrix) -> SparseEmbedding:
         z_cols = col_off[2 * li + 2]
         r_rows = row_off[2 * li + 1]
         for a, nd in enumerate(lv.nodes):
-            _block_entries(blocks, f"D{l1}", dl_rows + lv.row_dof_off[a],
+            _block_entries(parts, f"D{l1}", dl_rows + lv.row_dof_off[a],
                            dl_cols + lv.col_dof_off[a], nd.D)
-            _block_entries(blocks, f"L{l1}", dl_rows + lv.row_dof_off[a],
+            _block_entries(parts, f"L{l1}", dl_rows + lv.row_dof_off[a],
                            y_cols + lv.kr_off[a], nd.L)
-            _block_entries(blocks, f"R{l1}", r_rows + lv.kc_off[a],
+            _block_entries(parts, f"R{l1}", r_rows + lv.kc_off[a],
                            dl_cols + lv.col_dof_off[a], nd.R)
         # coupling identities: R(l) x - z(l) = 0 and -y(l) + [next level] = 0
         idx = np.arange(lv.K_c)
-        blocks[f"I:z{l1}"] = (r_rows + idx, z_cols + idx,
-                              np.full(lv.K_c, -1.0, dtype=dtype))
+        parts[f"I:z{l1}"] = [(r_rows + idx, z_cols + idx,
+                              np.full(lv.K_c, -1.0, dtype=dtype))]
         idy = np.arange(lv.K_r)
         y_rows = row_off[2 * li + 2]
-        blocks[f"I:y{l1}"] = (y_rows + idy, y_cols + idy,
-                              np.full(lv.K_r, -1.0, dtype=dtype))
+        parts[f"I:y{l1}"] = [(y_rows + idy, y_cols + idy,
+                              np.full(lv.K_r, -1.0, dtype=dtype))]
 
     # S couples the y(L) rows to the z(L) columns
-    _block_entries(blocks, "S", row_off[2 * cm.nlevels], col_off[2 * cm.nlevels], cm.S)
+    _block_entries(parts, "S", row_off[2 * cm.nlevels], col_off[2 * cm.nlevels], cm.S)
+    blocks = {label: tuple(np.concatenate(arrs) for arrs in zip(*entries))
+              for label, entries in parts.items()}
     return SparseEmbedding(m=m, n=n, dtype=dtype, blocks=blocks, perm=cm.perm)
 
 
@@ -385,12 +377,15 @@ def export_matrix_market(se: SparseEmbedding, path):
 # factored-inverse serialization (same binary container as CompressedMatrix)
 
 def serialize_factored(fi: FactoredInverse) -> bytes:
-    f = io.BytesIO()
-    _write_header(f, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
-    _write_levels(f, fi.levels)
-    _write_arr(f, fi.S_lu[0])
-    _write_arr(f, np.asarray(fi.S_lu[1], dtype=np.int64))
-    return f.getvalue()
+    # lu_factor's LU is Fortran-ordered: one row-major copy serves both passes
+    top = np.ascontiguousarray(fi.S_lu[0])
+
+    def write(f):
+        _write_header(f, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
+        _write_levels(f, fi.levels)
+        _write_arr(f, top)
+        _write_arr(f, np.asarray(fi.S_lu[1], dtype=np.int64))
+    return _serialized(write)
 
 
 def _read_factored_node(f, _):

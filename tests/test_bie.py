@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -7,6 +9,8 @@ from skelkit.errors import AccuracyWarning, InvalidInput, NotConverged
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, bessel_h0, eval_block
 from skelkit.solver import gmres, solve
+from test_skel import (assert_each_entry_evaluated_once, assert_sliced_blocks_are_kernel_blocks,
+                       count_block_entries)
 
 LAPLACE2 = KernelSpec("laplace", 2)
 
@@ -453,3 +457,55 @@ def test_scatterer_compression_meets_eps(eps, monkeypatch):
     A = system.matrix()
     err = skel.apply(seen[0], np.eye(curve.n, dtype=A.dtype)) - A
     assert np.linalg.norm(err) <= 1.5 * eps * np.linalg.norm(A)
+
+
+def _scatterer(n=256):
+    curve = bie.trefoil(n)
+    return bie.scattering_system([curve], 2 * np.pi * 2.0 / curve.diameter()).scatterers[0]
+
+
+@pytest.mark.parametrize("case", ["laplace_bie", "helmholtz_bie", "scatterer"])
+def test_two_id_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
+    # the row block of each node is evaluated once; its neighbours' column
+    # blocks, the parents' D and the top S are slices of it
+    if case == "scatterer":
+        system = _scatterer()
+    else:
+        eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 2048), eq)
+    seen = []
+    real = bie.compress_source
+
+    def counted(source, tree, *args, **kwargs):
+        seen.append((source, tree, count_block_entries(source, monkeypatch)))
+        return real(source, tree, *args, **kwargs)
+
+    monkeypatch.setattr(bie, "compress_source", counted)
+    _, cm = bie.compress_system(system, 1e-8, 32)
+    ((source, tree, counts),) = seen
+    assert not source.symmetric
+    assert_each_entry_evaluated_once(counts, cm, tree, symmetric=False)
+    assert_sliced_blocks_are_kernel_blocks(source, cm)
+
+
+@pytest.mark.parametrize("case", ["helmholtz_bie", "scatterer", "global"])
+def test_threaded_two_id_compression_matches_serial(case, monkeypatch):
+    # the level's blocks are shared by the node workers, and in global mode
+    # each worker stores its own node's sibling blocks
+    mode = "global" if case == "global" else "proxy"
+    if case == "scatterer":
+        system = _scatterer(512)
+    else:
+        n = 1024 if case == "global" else 2048
+        eq = LAPLACE2 if case == "global" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, n), eq)
+    monkeypatch.delenv("SKELKIT_THREADS", raising=False)
+    serial = skel.serialize_compressed(bie.compress_system(system, 1e-8, 32, mode=mode)[1])
+    monkeypatch.setenv("SKELKIT_THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = bie.compress_system(system, 1e-8, 32, mode=mode)[1]
+    finally:
+        sys.setswitchinterval(interval)
+    assert skel.serialize_compressed(threaded) == serial

@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from skelkit import bie, lowrank, skel
 from skelkit.errors import AccuracyWarning, InvalidInput, RefusedTooLarge
-from skelkit.geom import PointSet, TreeNode, build_tree
+from skelkit.geom import PointSet, TreeNode, build_tree, level_neighbors
 from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           ProxyConfig, apply, compress, compress_source,
@@ -517,3 +519,188 @@ def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
     nodes = sum(len(lv.nodes) for lv in cm.levels)
     assert nodes > 0
     assert len(ids) == (1 if symmetric else 2) * nodes
+
+
+# ---------------------------------------------------------------------------
+# each kernel block evaluated once: neighbour pairs once, D and S sliced
+
+def _volume_source(case, symmetric=True):
+    """(source, tree) of a kernel matrix; "cloud" is an adaptive Gaussian
+    cloud with pass-through leaves and 1-point leaves."""
+    rng = np.random.default_rng(201)
+    if case == "square":
+        pts, leaf, spec = PointSet(rng.random((2048, 2))), None, LAPLACE2
+    elif case == "cube":
+        pts, leaf, spec = PointSet(rng.random((2048, 3))), None, KernelSpec("laplace", 3)
+    elif case == "helmholtz":
+        pts, leaf = PointSet(rng.random((1024, 2))), None
+        spec = KernelSpec("helmholtz", 2, wavenumber=20.0)
+    else:
+        pts, leaf, spec = PointSet(rng.standard_normal((1024, 2))), 16, LAPLACE2
+    tree = build_tree(pts, leaf)
+    source = KernelSource(spec, pts, tree.perm)
+    source.symmetric = symmetric
+    return source, tree
+
+
+def _direct_block(source, row_parts, col_parts):
+    """source.block over the stacked parts, with the parts' own diagonal
+    blocks zero: what a parent's D (or S) holds."""
+    rows, cols = np.concatenate(row_parts), np.concatenate(col_parts)
+    out = np.zeros((rows.size, cols.size), dtype=source.dtype)
+    if rows.size and cols.size:
+        out[...] = source.block(rows, cols)
+    r_off = skel._offsets([p.size for p in row_parts])
+    c_off = skel._offsets([p.size for p in col_parts])
+    for i in range(len(row_parts)):
+        out[r_off[i]:r_off[i + 1], c_off[i]:c_off[i + 1]] = 0
+    return out
+
+
+def assert_sliced_blocks_are_kernel_blocks(source, cm):
+    """Every D above the leaves, and S, equals a direct ``source.block`` of
+    the children's skeletons with the children's diagonal blocks zero."""
+    assert cm.nlevels >= 2
+    for below, lv in zip(cm.levels, cm.levels[1:]):
+        for nd in lv.nodes:
+            kids = [below.nodes[c] for c in nd.children]
+            np.testing.assert_array_equal(nd.D, _direct_block(
+                source, [k.row_skel for k in kids], [k.col_skel for k in kids]))
+    top = cm.levels[-1].nodes
+    np.testing.assert_array_equal(cm.S, _direct_block(
+        source, [k.row_skel for k in top], [k.col_skel for k in top]))
+
+
+def count_block_entries(source, monkeypatch):
+    """Install a counter on ``source.block``: counts[li][i, j] is how often
+    level li evaluates the entry at tree positions (i, j).  A level starts
+    with its neighbour search."""
+    counts = []
+    real_block, real_nbrs = source.block, skel.level_neighbors
+
+    def level_neighbors_(tree, li):
+        counts.append(np.zeros((source.n, source.n), dtype=np.int8))
+        return real_nbrs(tree, li)
+
+    def block(rows, cols):
+        counts[-1][np.ix_(rows, cols)] += 1
+        return real_block(rows, cols)
+
+    monkeypatch.setattr(skel, "level_neighbors", level_neighbors_)
+    source.block = block
+    return counts
+
+
+def assert_each_entry_evaluated_once(counts, cm, tree, symmetric):
+    """Per level, each neighbour pair's block once, in one orientation for
+    a symmetric source, plus the leaves' D; no D above the leaves, no S."""
+    assert len(counts) == cm.nlevels
+    leaf = np.zeros((tree.n_points,) * 2, dtype=bool)
+    for a, nd in enumerate(cm.levels[0].nodes):
+        lo = tree.nodes[tree.levels[0][a]].lo
+        leaf[lo:lo + nd.D.shape[0], lo:lo + nd.D.shape[1]] = True
+    for li, lv in enumerate(cm.levels):
+        c = counts[li].astype(np.int64)
+        assert c.max() == 1
+        if symmetric:
+            both = c + c.T
+            if li == 0:
+                both[leaf] = 0
+            assert both.max() <= 1
+        shapes = [nd.D.shape for nd in lv.nodes]
+        expected = sum(shapes[a][0] * shapes[b][1]
+                       for a, nbrs in enumerate(level_neighbors(tree, li))
+                       for b in nbrs if b > a or not symmetric)
+        if li == 0:
+            expected += sum(nd.D.size for nd in lv.nodes)
+        assert c.sum() == expected
+
+
+@pytest.mark.parametrize("case", ["square", "cube", "cloud", "helmholtz"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "two_ids"])
+def test_parent_blocks_are_sliced_and_pairs_evaluated_once(case, symmetric, monkeypatch):
+    source, tree = _volume_source(case, symmetric)
+    if case == "cloud":
+        assert any(tree.nodes[i].size == 1 for i in tree.levels[0])
+        assert any(set(a) & set(b) for a, b in zip(tree.levels, tree.levels[1:]))
+    counts = count_block_entries(source, monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        cm = compress_source(source, tree, 1e-6)
+    assert_each_entry_evaluated_once(counts, cm, tree, symmetric)
+    assert_sliced_blocks_are_kernel_blocks(source, cm)
+
+
+@pytest.mark.parametrize("case", ["square", "cube", "cloud", "ellipse", "far"])
+def test_siblings_are_neighbours(case):
+    # compress_source slices a parent's D from its children's neighbour
+    # blocks; all children of an orthtree node touch
+    if case == "ellipse":
+        tree = build_tree(_ellipse_points(4096), 32)
+    elif case == "far":
+        rng = np.random.default_rng(0)
+        tree = build_tree(PointSet(np.vstack([rng.random((100, 2)),
+                                              rng.random((100, 2)) + 60.0])), 16)
+    else:
+        tree = _volume_source(case)[1]
+    pairs = 0
+    for li in range(tree.depth - 1):
+        nbrs = level_neighbors(tree, li)
+        for ch in skel._cover_children(tree, tree.levels[li], tree.levels[li + 1]):
+            for a in ch:
+                assert set(ch.tolist()) - {a} <= set(nbrs[a])
+                pairs += len(ch) - 1
+    assert pairs > 0
+
+
+def test_global_mode_slices_its_targets():
+    # global mode cuts the sibling blocks from its own ID targets
+    for symmetric in (True, False):
+        source, tree = _volume_source("square", symmetric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            cm = compress_source(source, tree, 1e-6, mode="global")
+        assert_sliced_blocks_are_kernel_blocks(source, cm)
+
+
+def test_serialize_holds_no_second_copy_of_the_blocks():
+    # each block was copied by tobytes() and again into a growing buffer:
+    # a 55 MB peak for the 34 MB container of this cube
+    pts = PointSet(np.random.default_rng(201).random((2048, 3)))
+    cm = compress(KernelSpec("laplace", 3), pts, build_tree(pts), 1e-6)
+    tracemalloc.start()
+    try:
+        blob = serialize_compressed(cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) > 30e6
+    assert peak <= 1.05 * len(blob)
+
+
+def _write_arr_tobytes(f, a):
+    """Reference record writer: header, shape, then ``a.tobytes()``."""
+    a = np.ascontiguousarray(a)
+    code = {np.dtype(np.int64): 2}.get(a.dtype) or skel._DT_CODE[a.dtype]
+    f.write(struct.pack("<BB", code, a.ndim))
+    f.write(struct.pack(f"<{a.ndim}q", *a.shape))
+    f.write(a.tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_zero_size_blocks_round_trip(dtype, monkeypatch):
+    # a node compressed away entirely has 3 x 0 and 0 x 3 interpolants
+    rng = np.random.default_rng(0)
+    nodes = [CompressedNode(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                            rng.random((3, 3)).astype(dtype), np.zeros((3, 0), dtype),
+                            np.zeros((0, 3), dtype), None),
+             CompressedNode(np.array([4]), np.array([3]), rng.random((2, 2)).astype(dtype),
+                            rng.random((2, 1)).astype(dtype), rng.random((1, 2)).astype(dtype),
+                            None)]
+    cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((1, 1), dtype), n=5, eps=1e-6,
+                          perm=np.arange(5)[::-1].copy(),
+                          scalar_field="complex" if dtype is np.complex128 else "real")
+    blob = serialize_compressed(cm)
+    assert serialize_compressed(deserialize_compressed(blob)) == blob
+    monkeypatch.setattr(skel, "_write_arr", _write_arr_tobytes)
+    assert serialize_compressed(cm) == blob

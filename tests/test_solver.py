@@ -672,3 +672,58 @@ def test_inconsistent_factored_shapes_raise_invalid_input(corrupt):
         fi.S_lu = (lu, np.where(np.arange(piv.size) == 0, -1, piv))
     with pytest.raises(InvalidInput):
         deserialize_factored(serialize_factored(fi))
+
+
+def _quadratic_embedding_blocks(cm):
+    """Reference: the embedding's labeled blocks as they were once built,
+    each node's nonzeros concatenated onto its label's arrays in turn."""
+    blocks = {}
+
+    def add(label, r0, c0, B):
+        nz = np.nonzero(B)
+        if len(nz[0]):
+            new = (nz[0] + r0, nz[1] + c0, B[nz])
+            old = blocks.get(label)
+            blocks[label] = new if old is None else tuple(map(np.concatenate, zip(old, new)))
+
+    col_off, row_off = [0, cm.n], [0, cm.n]
+    for lv in cm.levels:
+        col_off += [col_off[-1] + lv.K_r, col_off[-1] + lv.K_r + lv.K_c]
+        row_off += [row_off[-1] + lv.K_c, row_off[-1] + lv.K_c + lv.K_r]
+    for li, lv in enumerate(cm.levels):
+        dl_rows = 0 if li == 0 else row_off[2 * li]
+        dl_cols = 0 if li == 0 else col_off[2 * li]
+        y_cols, z_cols, r_rows = col_off[2 * li + 1], col_off[2 * li + 2], row_off[2 * li + 1]
+        for a, nd in enumerate(lv.nodes):
+            add(f"D{li + 1}", dl_rows + lv.row_dof_off[a], dl_cols + lv.col_dof_off[a], nd.D)
+            add(f"L{li + 1}", dl_rows + lv.row_dof_off[a], y_cols + lv.kr_off[a], nd.L)
+            add(f"R{li + 1}", r_rows + lv.kc_off[a], dl_cols + lv.col_dof_off[a], nd.R)
+        idx, idy = np.arange(lv.K_c), np.arange(lv.K_r)
+        blocks[f"I:z{li + 1}"] = (r_rows + idx, z_cols + idx, np.full(lv.K_c, -1.0, cm.dtype))
+        blocks[f"I:y{li + 1}"] = (row_off[2 * li + 2] + idy, y_cols + idy,
+                                  np.full(lv.K_r, -1.0, cm.dtype))
+    add("S", row_off[2 * cm.nlevels], col_off[2 * cm.nlevels], cm.S)
+    return blocks
+
+
+@pytest.mark.parametrize("case", ["square", "helmholtz_bie"])
+def test_embedding_matches_quadratic_assembly(case, tmp_path):
+    # one concatenation per label: same entries, same order, same file bytes
+    if case == "square":
+        pts = PointSet(np.random.default_rng(0).random((512, 2)))
+        cm = compress(LAPLACE2, pts, build_tree(pts, 16), 1e-6)
+    else:
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512),
+                                          KernelSpec("helmholtz", 2, wavenumber=10.0))
+        cm = bie.compress_system(system, 1e-8, 16)[1]
+    assert cm.nlevels >= 3
+    se = assemble_embedding(cm)
+    ref = _quadratic_embedding_blocks(cm)
+    assert list(se.blocks) == list(ref)
+    ref_se = type(se)(m=se.m, n=se.n, dtype=se.dtype, blocks=ref, perm=se.perm)
+    for got, want in zip(se.to_coo(), ref_se.to_coo(), strict=True):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    export_matrix_market(se, tmp_path / "new.mtx")
+    export_matrix_market(ref_se, tmp_path / "ref.mtx")
+    assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
