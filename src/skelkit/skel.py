@@ -18,10 +18,8 @@ import math
 import mmap
 import numbers
 import operator
-import os
 import struct
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,21 +34,6 @@ from .lowrank import id_randomized  # noqa: F401
 DEFAULT_N_PROXY = {2: 64, 3: 512}
 
 GLOBAL_MODE_LIMIT = 20000
-
-
-def _workers():
-    try:
-        return max(1, int(os.environ.get("SKELKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_nodes(fn, items):
-    w = _workers()
-    if w == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -331,9 +314,9 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        partners, its neighbours (proxy mode) and its siblings: node a
        evaluates K(DOFs of a, DOFs of its partners).  For a symmetric
        source only partners above a; the blocks below are transposes.
-    3. Each node's IDs (``_map_nodes``).  In proxy mode the target is
-       [neighbour blocks | proxy field], assembled from phase 2; in global
-       mode, the full off-diagonal block row and column, evaluated here.
+    3. Each node's IDs.  In proxy mode the target is [neighbour blocks |
+       proxy field], assembled from phase 2; in global mode, the full
+       off-diagonal block row and column, evaluated here.
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -403,11 +386,9 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         own = [v.reshape(shape) for v, shape in
                zip(np.split(store, _offsets(sizes)[1:-1]), shapes)]
 
-        def evaluate(a):
-            own[a][...] = _blk(row_dofs[a], _cat([col_dofs[b] for b in owned[a]]))
-
         if mode == "proxy":
-            _map_nodes(evaluate, list(range(nb)))
+            for a in range(nb):
+                own[a][...] = _blk(row_dofs[a], _cat([col_dofs[b] for b in owned[a]]))
 
         def pair(a, b):
             # K(DOFs of a, DOFs of b) for partners a and b
@@ -471,7 +452,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "interpolation matrix entries reach",
                                     AccuracyWarning)
-            nodes, rpos, cpos = zip(*_map_nodes(build_node, list(range(nb))))
+            nodes, rpos, cpos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
 
         # the parents' diagonal blocks: sibling blocks at the skeletons, with

@@ -26,8 +26,8 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .skel import (CompressedMatrix, Level, _map_nodes, _read_levels, _Reader,
-                   _serialized, _telescope, _write_arr, _write_header, _write_levels)
+from .skel import (CompressedMatrix, Level, _read_levels, _Reader, _serialized,
+                   _telescope, _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 
@@ -237,7 +237,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             return FactoredNode(Dd=Dinv - X @ Rd, Ld=X @ Lam, Rd=Rd,
                                 Lam=Lam, lu_D=lu_D, lu_M=lu_M)
 
-        fnodes = _map_nodes(factor_node, list(range(len(lv.nodes))))
+        fnodes = [factor_node(a) for a in range(len(lv.nodes))]
         flevels.append(Level(fnodes))
         lam_prev = [fn.Lam for fn in fnodes]
 

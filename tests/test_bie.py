@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -488,24 +486,3 @@ def test_two_id_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
     assert_sliced_blocks_are_kernel_blocks(source, cm)
 
 
-@pytest.mark.parametrize("case", ["helmholtz_bie", "scatterer", "global"])
-def test_threaded_two_id_compression_matches_serial(case, monkeypatch):
-    # the level's blocks are shared by the node workers, and in global mode
-    # each worker stores its own node's sibling blocks
-    mode = "global" if case == "global" else "proxy"
-    if case == "scatterer":
-        system = _scatterer(512)
-    else:
-        n = 1024 if case == "global" else 2048
-        eq = LAPLACE2 if case == "global" else KernelSpec("helmholtz", 2, wavenumber=10.0)
-        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, n), eq)
-    monkeypatch.delenv("SKELKIT_THREADS", raising=False)
-    serial = skel.serialize_compressed(bie.compress_system(system, 1e-8, 32, mode=mode)[1])
-    monkeypatch.setenv("SKELKIT_THREADS", "4")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = bie.compress_system(system, 1e-8, 32, mode=mode)[1]
-    finally:
-        sys.setswitchinterval(interval)
-    assert skel.serialize_compressed(threaded) == serial

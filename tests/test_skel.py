@@ -220,20 +220,6 @@ def test_compress_deterministic():
     assert np.array_equal(apply(cm1, x), apply(cm2, x))
 
 
-def test_threaded_compression_matches_serial(monkeypatch):
-    pts = square_points(1024, seed=2)
-    tree = build_tree(pts, 64)
-    cm1 = compress(LAPLACE2, pts, tree, 1e-6)
-    monkeypatch.setenv("SKELKIT_THREADS", "4")
-    cm2 = compress(LAPLACE2, pts, tree, 1e-6)
-    assert np.array_equal(cm1.S, cm2.S)
-    for l1, l2 in zip(cm1.levels, cm2.levels):
-        for n1, n2 in zip(l1.nodes, l2.nodes):
-            assert np.array_equal(n1.D, n2.D)
-            assert np.array_equal(n1.L, n2.L)
-            assert np.array_equal(n1.R, n2.R)
-
-
 def test_helmholtz_complex_apply():
     spec = KernelSpec("helmholtz", 2, wavenumber=6.0)
     pts = circle_points(512)

@@ -1,12 +1,17 @@
+import sys
 import tracemalloc
+import warnings
 from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from skelkit import bie
+from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, eval_block
@@ -527,14 +532,21 @@ def test_nonsquare_lambda_rejected():
         factor(cm)
 
 
-def test_threaded_factor_matches_serial(monkeypatch):
-    sys_ = bie.discretize_dirichlet(bie.circle(1.0, 512), LAPLACE2)
-    tree, cm = bie.compress_system(sys_, 1e-9)
-    fi1 = factor(cm)
+def test_factor_leaves_warning_filters_alone(monkeypatch):
+    # factor once mapped its nodes over a thread pool sized by this variable,
+    # and the per-LU catch_warnings, which is process-global, then left a
+    # stray ("ignore", LinAlgWarning) filter behind; the variable is inert now
     monkeypatch.setenv("SKELKIT_THREADS", "4")
-    fi2 = factor(cm)
-    b = np.random.default_rng(0).standard_normal(512)
-    assert np.array_equal(solve(fi1, b), solve(fi2, b))
+    system = bie.discretize_dirichlet(bie.circle(1.0, 2048), LAPLACE2)
+    cm = bie.compress_system(system, 1e-9, 16)[1]
+    before = list(warnings.filters)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        factor(cm)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(warnings.filters) == before
 
 
 def test_default_3d_cube_compresses_to_a_factorable_matrix():
@@ -727,3 +739,23 @@ def test_embedding_matches_quadratic_assembly(case, tmp_path):
     export_matrix_market(se, tmp_path / "new.mtx")
     export_matrix_market(ref_se, tmp_path / "ref.mtx")
     assert (tmp_path / "new.mtx").read_bytes() == (tmp_path / "ref.mtx").read_bytes()
+
+
+def _splu_solve(cm, B):
+    """Solve with the sparse embedding of ``cm`` through SuperLU: an oracle
+    for ``factor`` and ``solve`` that shares none of their code."""
+    se = assemble_embedding(cm)
+    rows, cols, vals = se.to_coo()
+    lu = splu(csc_matrix((vals, (rows, cols)), shape=(se.m, se.m)))
+    return se.extract_x(lu.solve(se.rhs(B)))
+
+
+def test_factor_matches_sparse_lu_of_the_embedding():
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 16384), LAPLACE2)
+    cm = bie.compress_system(system, 1e-9)[1]
+    assert cm.n > DENSE_ORACLE_LIMIT
+    B = np.random.default_rng(0).standard_normal((cm.n, 3))
+    X = solve(factor(cm), B)
+    ref = _splu_solve(cm, B)
+    err = np.linalg.norm(X - ref, axis=0) / np.linalg.norm(ref, axis=0)
+    assert err.max() <= 1e-12
