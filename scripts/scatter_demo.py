@@ -3,9 +3,10 @@
 
 Two identical three-lobed sound-hard scatterers, a vertical plane wave, and
 a sweep over center separations.  Each configuration is solved by plain
-GMRES and by GMRES preconditioned with the per-scatterer compressed direct
-inverses; the table reports iteration counts and the agreement of the two
-solutions at an exterior checkpoint.
+GMRES and by GMRES preconditioned with the block-diagonal compressed direct
+inverse.  The second trefoil is a translate of the first, so both blocks
+share one compressed and factored self-system.  The table reports iteration
+counts and the agreement of the two solutions at an exterior checkpoint.
 """
 
 import argparse

@@ -319,6 +319,32 @@ class _Scatterer:
         return _neumann_trace_block(self.k, targets, proxy)
 
 
+def _translates(scatterers):
+    """For each scatterer, the index of the representative of its shape: the
+    first earlier representative it is a rigid translate of, or itself when
+    there is none.  A translate has the same wavenumber and node count,
+    bit-equal normals, weights and curvatures, and node offsets
+    ``xy - xy[0]`` equal to within 4 ulps of the largest coordinate.  The
+    kernel is translation invariant, so its self-system is that of its
+    representative."""
+    reps = []
+    for i, s in enumerate(scatterers):
+        reps.append(i)
+        for j in range(i):
+            r = scatterers[j]
+            if reps[j] != j or r.k != s.k or r.npts != s.npts:
+                continue
+            a, b = r.curve, s.curve
+            if not (np.array_equal(a.normals, b.normals) and np.array_equal(a.weights, b.weights)
+                    and np.array_equal(a.curvature, b.curvature)):
+                continue
+            ulp = np.spacing(max(np.abs(a.xy).max(), np.abs(b.xy).max()))
+            if np.abs((a.xy - a.xy[0]) - (b.xy - b.xy[0])).max() <= 4 * ulp:
+                reps[i] = j
+                break
+    return reps
+
+
 @dataclass
 class ScatteringSystem:
     """Block system A_ij = -I/2 + K_ii (i = j), K_ij (i != j), with K the
@@ -336,17 +362,23 @@ class ScatteringSystem:
         return _offsets([s.npts for s in self.scatterers])
 
     def matrix(self):
+        """The dense block system.  A translate of an earlier scatterer takes
+        that scatterer's diagonal block."""
         off = self.offsets()
+        reps = _translates(self.scatterers)
         A = np.zeros((self.n, self.n), dtype=np.complex128)
         for i, si in enumerate(self.scatterers):
             for j, sj in enumerate(self.scatterers):
                 bi = slice(off[i], off[i + 1])
                 bj = slice(off[j], off[j + 1])
-                if i == j:
+                if i != j:
+                    A[bi, bj] = _neumann_trace_block(self.k, si.points, sj.points)
+                elif reps[i] != i:
+                    br = slice(off[reps[i]], off[reps[i] + 1])
+                    A[bi, bj] = A[br, br]
+                else:
                     idx = np.arange(si.npts)
                     A[bi, bj] = si.block(idx, idx)
-                else:
-                    A[bi, bj] = _neumann_trace_block(self.k, si.points, sj.points)
         return A
 
     def rhs_plane_wave(self):
@@ -358,8 +390,13 @@ class ScatteringSystem:
         return np.concatenate(parts)
 
     def precond_blocks(self, eps=1e-6, max_leaf_size=None):
-        """Per-scatterer factored inverses of the isolated self-systems."""
-        return [factor(compress_system(s, eps, max_leaf_size)[1]) for s in self.scatterers]
+        """Per-scatterer factored inverses of the isolated self-systems.  Each
+        distinct shape is compressed and factored once: a translate of an
+        earlier scatterer shares that scatterer's inverse object."""
+        reps = _translates(self.scatterers)
+        facs = {r: factor(compress_system(self.scatterers[r], eps, max_leaf_size)[1])
+                for r in dict.fromkeys(reps)}
+        return [facs[r] for r in reps]
 
     def precond_apply(self, facs):
         off = self.offsets()

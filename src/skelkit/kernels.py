@@ -77,8 +77,11 @@ def bessel_h0(z):
     return complex(out) if out.ndim == 0 else out
 
 
-# chunk the pairwise-difference tensor to roughly this many entries
+# evaluate a block in row chunks of roughly this many entries
 _CHUNK_ENTRIES = 4_000_000
+
+# the order in which einsum sums the axes of a 2- or 3-term contraction
+_AXIS_ORDER = {2: (0, 1), 3: (0, 2, 1)}
 
 
 def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.ndarray:
@@ -121,15 +124,30 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
 def _block_rows(spec, x, sources, span):
     """The rows of ``eval_block`` at target coordinates ``x``; pairs closer
     than COINCIDENT_RTOL * span are coincident."""
-    diff = x[:, None, :] - sources.coords[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    # r2 and, for the double layer, ndot[i,j] = (y_j - x_i) . nu_j (nu the
+    # source normal) are summed axis by axis through one scratch array, with
+    # no (rows x cols x dim) difference tensor.  Like einsum they start from
+    # +0 and add the axes in its order, so the entries are those of its
+    # contraction bit for bit
+    y = sources.coords
+    d = np.empty((x.shape[0], y.shape[0]))
+    r2 = np.zeros_like(d)
+    ndot = np.zeros_like(d) if spec.layer == "double" else None
+    for ax in _AXIS_ORDER[spec.dim]:
+        if ndot is not None:
+            np.subtract(x[:, ax, None], y[:, ax], out=d)
+            d *= sources.normals[:, ax]
+            ndot += d
+        np.subtract(x[:, ax, None], y[:, ax], out=d)
+        d *= d
+        r2 += d
+    del d
+    if ndot is not None:
+        np.negative(ndot, out=ndot)
     coincident = r2 < (COINCIDENT_RTOL * span) ** 2
     np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
 
     k = spec.wavenumber
-    if spec.layer == "double":
-        # dG/dnu_y with nu the source normal; ndot[i,j] = (y_j - x_i) . nu_j
-        ndot = -np.einsum("ijk,jk->ij", diff, sources.normals)
     if spec.equation == "laplace" and spec.dim == 2:
         # from r^2 directly: -log(r)/(2 pi) = -log(r^2)/(4 pi), no sqrt
         if spec.layer == "single":

@@ -6,7 +6,7 @@ from skelkit import bie, skel
 from skelkit.errors import AccuracyWarning, InvalidInput, NotConverged
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, bessel_h0, eval_block
-from skelkit.solver import gmres, solve
+from skelkit.solver import factor, gmres, solve
 from test_skel import (assert_each_entry_evaluated_once, assert_sliced_blocks_are_kernel_blocks,
                        count_block_entries)
 
@@ -486,3 +486,82 @@ def test_two_id_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
     assert_sliced_blocks_are_kernel_blocks(source, cm)
 
 
+
+
+def _trefoil_grid(n=128, spacing=3.0):
+    # the benchmark's 2x2 grid of identical trefoils, at a smaller n
+    curves = [bie.trefoil(n, center=(spacing * i, spacing * j)) for i in range(2) for j in range(2)]
+    return bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
+
+
+def test_translated_scatterers_share_one_inverse(monkeypatch):
+    sys_ = _trefoil_grid()
+    assert bie._translates(sys_.scatterers) == [0, 0, 0, 0]
+    compressed = []
+    real = bie.compress_system
+
+    def counted(system, *args, **kwargs):
+        compressed.append(system)
+        return real(system, *args, **kwargs)
+
+    monkeypatch.setattr(bie, "compress_system", counted)
+    facs = sys_.precond_blocks(eps=1e-8)
+    assert len(compressed) == 1 and compressed[0] is sys_.scatterers[0]
+    assert len(facs) == 4 and all(f is facs[0] for f in facs)
+
+
+def _rotated(curve, angle, center):
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return bie.Curve2D(curve.t, center + (curve.xy - center) @ rot.T, curve.normals @ rot.T,
+                       curve.curvature, curve.weights)
+
+
+@pytest.mark.parametrize("case", ["n", "k", "scaled", "rotated", "moved"])
+def test_other_shapes_are_not_translates(case):
+    k = 2 * np.pi * 2.0 / bie.trefoil(128).diameter()
+    other, k_other = bie.trefoil(128, center=(3.0, 0.0)), k
+    if case == "n":
+        other = bie.trefoil(130, center=(3.0, 0.0))
+    elif case == "k":
+        k_other = 1.1 * k
+    elif case == "scaled":
+        other = bie.trefoil(128, center=(3.0, 0.0), scale=1.2)
+    elif case == "rotated":
+        # a trefoil is symmetric under a third of a turn; a tenth is not
+        other = _rotated(other, 0.2 * np.pi, np.array([3.0, 0.0]))
+        assert not np.array_equal(other.normals, bie.trefoil(128).normals)
+    else:
+        other.xy[5, 0] += 1e-9
+    scatterers = [bie._Scatterer(bie.trefoil(128), k), bie._Scatterer(other, k_other),
+                  bie._Scatterer(bie.trefoil(128, center=(0.0, 3.0)), k)]
+    assert bie._translates(scatterers) == [0, 1, 0]
+
+
+def test_shared_inverse_matches_per_scatterer_reference():
+    # the reference is the per-scatterer path: each scatterer's own self
+    # block in the matrix, and its own compressed and factored inverse
+    sys_ = _trefoil_grid()
+    off = sys_.offsets()
+    A = sys_.matrix()
+    A_ref = A.copy()
+    for i, s in enumerate(sys_.scatterers):
+        idx = np.arange(s.npts)
+        A_ref[off[i]:off[i + 1], off[i]:off[i + 1]] = s.block(idx, idx)
+    ref_facs = [factor(bie.compress_system(s, 1e-8)[1]) for s in sys_.scatterers]
+    b = sys_.rhs_plane_wave()
+    x, it = gmres(lambda v: A @ v, b, tol=1e-6,
+                  precond=sys_.precond_apply(sys_.precond_blocks(eps=1e-8)))
+    x_ref, it_ref = gmres(lambda v: A_ref @ v, b, tol=1e-6, precond=sys_.precond_apply(ref_facs))
+    assert it == it_ref
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_copied_diagonal_blocks_match_their_own():
+    sys_ = _trefoil_grid()
+    off = sys_.offsets()
+    A = sys_.matrix()
+    for i, s in enumerate(sys_.scatterers):
+        idx = np.arange(s.npts)
+        own = s.block(idx, idx)
+        got = A[off[i]:off[i + 1], off[i]:off[i + 1]]
+        assert np.linalg.norm(got - own) <= 1e-13 * np.linalg.norm(own)

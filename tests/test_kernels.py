@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from skelkit import kernels
 from skelkit.errors import InvalidInput
@@ -290,3 +291,84 @@ def test_single_layer_transposes_bitwise_across_chunks(spec, monkeypatch):
     monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 10 * src.n)
     assert np.array_equal(eval_block(spec, tg, src), whole)
     assert np.array_equal(eval_block(spec, src, tg).T, whole)
+
+
+def _einsum_block(spec, targets, sources):
+    """The kernel block as formed from the whole (rows x cols x dim)
+    difference tensor and its einsum contractions: a reference copy of the
+    formula that ``eval_block`` evaluates axis by axis."""
+    x, y = targets.coords, sources.coords
+    span = max(float(np.ptp(x, axis=0).max()), float(np.ptp(y, axis=0).max()),
+               float(np.abs(x).max()), float(np.abs(y).max()), 1.0)
+    diff = x[:, None, :] - y[None, :, :]
+    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    coincident = r2 < (COINCIDENT_RTOL * span) ** 2
+    np.putmask(r2, coincident, 1.0)
+    k = spec.wavenumber
+    if spec.layer == "double":
+        ndot = -np.einsum("ijk,jk->ij", diff, sources.normals)
+    if spec.equation == "laplace" and spec.dim == 2:
+        if spec.layer == "single":
+            block = np.log(r2)
+            block *= -0.25 / np.pi
+        else:
+            block = -ndot / (2 * np.pi * r2)
+    else:
+        rs = np.sqrt(r2)
+        if spec.layer == "single":
+            if spec.equation == "laplace":
+                block = 1.0 / (4 * np.pi * rs)
+            elif spec.dim == 2:
+                block = 0.25j * (sp.j0(k * rs) + 1j * sp.y0(k * rs))
+            else:
+                block = np.exp(1j * k * rs) / (4 * np.pi * rs)
+        elif spec.equation == "laplace":
+            block = -ndot / (4 * np.pi * rs ** 3)
+        elif spec.dim == 2:
+            block = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndot / rs
+        else:
+            dgdr = np.exp(1j * k * rs) * (1j * k * rs - 1.0) / (4 * np.pi * rs * rs)
+            block = dgdr * ndot / rs
+    if spec.self_interaction == "zero":
+        block = np.where(coincident, np.zeros(1, dtype=block.dtype), block)
+    else:
+        block = np.where(coincident, -sources.curvatures[None, :] / (4 * np.pi), block)
+    if sources.weights is not None:
+        block = block * sources.weights[None, :]
+    return block
+
+
+def _grid_cloud(n, d, seed):
+    # points on a coarse lattice plus a spread-out random part: many
+    # difference components are exactly zero, so signed zeros show, and
+    # the targets share points with the sources (coincident pairs); the
+    # normals are axis-aligned or random
+    rng = np.random.default_rng(seed)
+    h = n // 2
+    scales = 10.0 ** rng.integers(-3, 3, (n - h, 1))
+    coords = np.vstack([rng.integers(-2, 3, (h, d)).astype(float),
+                        rng.standard_normal((n - h, d)) * scales])
+    normals = rng.standard_normal((n, d))
+    normals[:h] = np.eye(d)[rng.integers(0, d, h)] * rng.choice([-1.0, 1.0], (h, 1))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return coords, normals, rng.random(n) + 0.5, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
+    for eq in ("laplace", "helmholtz") for dim in (2, 3) for layer in ("single", "double")
+] + [KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")],
+    ids=lambda s: f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}")
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+def test_eval_block_matches_einsum_formula_bitwise(spec, weighted, chunked, monkeypatch):
+    coords, normals, weights, kappa = _grid_cloud(90, spec.dim, 5)
+    sources = PointSet(coords, normals, weights if weighted else None, kappa)
+    targets = PointSet(np.vstack([coords[::2], coords[:20] + 1e-16]))
+    want = _einsum_block(spec, targets, sources)
+    assert np.any(want == 0) or spec.self_interaction == "curvature_limit"
+    if chunked:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 7 * sources.n)
+    got = eval_block(spec, targets, sources)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
