@@ -214,7 +214,8 @@ def _solve_bench_one(config, n):
 
 def _scatter_demo_one(config, n):
     """Two trefoil scatterers, plane-wave excitation, block-diagonal
-    direct-solver preconditioner versus plain GMRES."""
+    direct-solver preconditioner versus plain GMRES.  Returns the record,
+    the plain GMRES iteration count and the preconditioned density."""
     curves = [bie.trefoil(n, center=(0.0, 0.0)),
               bie.trefoil(n, center=(config.separation, 0.0))]
     diam = curves[0].diameter()
@@ -239,7 +240,7 @@ def _scatter_demo_one(config, n):
     u2 = sys_.scattered_field(x_prec, checkpoint)[0]
     rec = BenchRecord(N=n, Tlu=tlu, iters=it_prec,
                       E=float(abs(u1 - u2) / max(abs(u1), 1e-300)))
-    return rec, (it_plain, it_prec)
+    return rec, it_plain, x_prec
 
 
 def run(config: RunConfig):
@@ -256,7 +257,7 @@ def run(config: RunConfig):
             rec, cm = _solve_bench_one(config, n)
             last_cm = cm
         else:
-            rec, _ = _scatter_demo_one(config, n)
+            rec = _scatter_demo_one(config, n)[0]
         records.append(rec)
     if config.export_mm and last_cm is not None:
         export_matrix_market(assemble_embedding(last_cm), config.export_mm)

@@ -84,10 +84,10 @@ def _ratio(R, k):
     return float(d[k] / d[0]) if k < d.size and d[0] > 0 else 0.0
 
 
-def pivoted_qr(A, eps, min_rank=0):
+def pivoted_qr(A, eps):
     """Column-pivoted QR (LAPACK geqp3) with the rank read off R's diagonal:
-    the first k >= min_rank whose pivot |R_kk| is at most eps*|R_00|, or
-    min(m, n) if there is none.
+    the first k whose pivot |R_kk| is at most eps*|R_00|, or min(m, n) if
+    there is none.
 
     A tall block, m >= 2n with n >= 192, is first factored A = Q0 R0 by
     unpivoted blocked Householder QR (geqrf), and geqp3 then factors the
@@ -110,8 +110,8 @@ def pivoted_qr(A, eps, min_rank=0):
     qr, jpvt = geqp3(A, lwork=lwork)[:2]
     R = np.triu(qr[:kmax])
     d = np.abs(np.diagonal(R))
-    stop = np.flatnonzero(d[min_rank:] <= eps * d[0])
-    rank = min_rank + int(stop[0]) if stop.size else kmax
+    stop = np.flatnonzero(d <= eps * d[0])
+    rank = int(stop[0]) if stop.size else kmax
     return jpvt.astype(np.int64) - 1, R, rank, _ratio(R, rank)
 
 
@@ -147,26 +147,25 @@ def _interp(piv, R, k, dtype):
     return piv[:k].copy(), P
 
 
-def id_fixed_precision(A, eps, min_rank=0) -> InterpDecomp:
+def id_fixed_precision(A, eps) -> InterpDecomp:
     """Column ID to relative precision eps via column-pivoted QR.
 
-    The rank is the first k >= min_rank at which the next pivot magnitude
-    falls below eps times the leading pivot.  A zero matrix yields rank 0;
-    with min_rank > 0 unused columns are padded in as needed.
+    The rank is the first k at which the next pivot magnitude falls below
+    eps times the leading pivot.  A zero matrix yields rank 0; ``cut`` pads
+    unused columns in past the rank.
     """
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     A = _check_matrix(A)
-    piv, R, rank, ratio = pivoted_qr(A, eps, min_rank=min_rank)
-    k = max(rank, min(min_rank, A.shape[1]))
-    skel, proj = _interp(piv, R, k, A.dtype)
-    return InterpDecomp(skel=skel, proj=proj, rank=k, achieved_error=ratio,
+    piv, R, rank, ratio = pivoted_qr(A, eps)
+    skel, proj = _interp(piv, R, rank, A.dtype)
+    return InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
                         piv=piv, R=R)
 
 
-def id_rows(A, eps, min_rank=0) -> InterpDecomp:
+def id_rows(A, eps) -> InterpDecomp:
     """Row-space ID: A ~ proj.T @ A[skel, :] (plain transpose, no conjugate)."""
-    return id_fixed_precision(np.asarray(A).T, eps, min_rank=min_rank)
+    return id_fixed_precision(np.asarray(A).T, eps)
 
 
 def _spectral_norm_estimate(A, rng, iters=8):

@@ -306,7 +306,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     """Compression sweep over any matrix source exposing ``block``,
     ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``.
 
-    Each level runs in four phases, and each kernel block is evaluated once:
+    Each level runs in four phases; in proxy mode each kernel block is
+    evaluated once:
 
     1. The index sets: a leaf's DOFs are its points, a coarser node's the
        skeletons of its children.
@@ -314,9 +315,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        partners, its neighbours (proxy mode) and its siblings: node a
        evaluates K(DOFs of a, DOFs of its partners).  For a symmetric
        source only partners above a; the blocks below are transposes.
-    3. Each node's IDs.  In proxy mode the target is [neighbour blocks |
-       proxy field], assembled from phase 2; in global mode, the full
-       off-diagonal block row and column, evaluated here.
+    3. Each node's IDs, against [neighbour blocks from phase 2 | far
+       field]: the proxy field in proxy mode; in global mode, where a node
+       has no neighbours, its whole off-diagonal block row and column,
+       evaluated here (sibling blocks included again).
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -375,20 +377,17 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             off = _offsets([col_dofs[b].size for b in ow])
             at.append({b: slice(off[i], off[i + 1]) for i, b in enumerate(ow)})
             shapes.append((row_dofs[a].size, int(off[-1])))
-        # own[a] = K(DOFs of a, DOFs of owned[a]): evaluated here in proxy
-        # mode, cut from the ID targets in global mode.  The level's blocks
-        # share one anonymous mapping, returned to the system whole when the
-        # level is done; freed one by one from the heap, they would stay
-        # resident under whatever was allocated after them.
+        # own[a] = K(DOFs of a, DOFs of owned[a]).  The level's blocks share
+        # one anonymous mapping, returned to the system whole when the level
+        # is done; freed one by one from the heap, they would stay resident
+        # under whatever was allocated after them.
         sizes = [r * c for r, c in shapes]
         mapping = mmap.mmap(-1, max(1, sum(sizes) * np.dtype(dtype).itemsize))
         store = np.frombuffer(mapping, dtype=dtype, count=sum(sizes))
         own = [v.reshape(shape) for v, shape in
                zip(np.split(store, _offsets(sizes)[1:-1]), shapes)]
-
-        if mode == "proxy":
-            for a in range(nb):
-                own[a][...] = _blk(row_dofs[a], _cat([col_dofs[b] for b in owned[a]]))
+        for a in range(nb):
+            own[a][...] = _blk(row_dofs[a], _cat([col_dofs[b] for b in owned[a]]))
 
         def pair(a, b):
             # K(DOFs of a, DOFs of b) for partners a and b
@@ -399,42 +398,30 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         def build_node(a):
             rd, cd = row_dofs[a], col_dofs[a]
             D = np.ascontiguousarray(_blk(rd, cd), dtype=dtype) if Ds is None else Ds[a]
+            # the far field: the proxy surface, or in global mode every other
+            # node; evaluated inside the stacking, since one held through the
+            # ID raised the 4096-point cube's compression peak from 232 to 274 MB
             if mode == "proxy":
                 node = tree.nodes[ids[a]]
                 n_eff = cfg.n_proxy
                 if k_wave > 0:
                     n_eff += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
                 pxy = proxy_points(node, replace(cfg, n_proxy=n_eff), tree.dim)
-                if cd.size:
-                    t_col = np.vstack([pair(b, a) for b in nbrs[a]]
-                                      + [source.proxy_col_block(cd, pxy)])
-                else:
-                    t_col = np.zeros((n_eff, 0), dtype=dtype)
+                far_col = lambda: (source.proxy_col_block(cd, pxy) if cd.size
+                                   else np.zeros((n_eff, 0), dtype=dtype))
+                far_row = lambda: (source.proxy_row_block(rd, pxy) if rd.size
+                                   else np.zeros((0, n_eff), dtype=dtype))
             else:
                 others = [b for b in range(nb) if b != a]
-                t_col = _blk(_cat([row_dofs[b] for b in others]), cd)
-                # own[a] is one run of the targets: the owned siblings are
-                # consecutive among the other nodes (row and column DOF
-                # counts agree, since the two IDs are cut to one rank)
-                off = _offsets([row_dofs[b].size for b in others])
-                lo, hi = ((off[others.index(owned[a][0])], off[others.index(owned[a][-1]) + 1])
-                          if owned[a] else (0, 0))
+                far_col = lambda: _blk(_cat([row_dofs[b] for b in others]), cd)
+                far_row = lambda: _blk(rd, _cat([col_dofs[b] for b in others]))
+            t_col = np.vstack([pair(b, a) for b in nbrs[a]] + [far_col()])
             idc = id_fixed_precision(t_col, eps)
-
             if sym:
-                # the row block is t_col.T, so the row ID is the column ID
+                # the row target is t_col.T, so the row ID is the column ID
                 idr = idc
-                if mode == "global":
-                    own[a][...] = t_col[lo:hi].T
             else:
-                if mode == "global":
-                    t_row = _blk(rd, _cat([col_dofs[b] for b in others]))
-                    own[a][...] = t_row[:, lo:hi]
-                elif rd.size:
-                    t_row = np.hstack([pair(a, b) for b in nbrs[a]]
-                                      + [source.proxy_row_block(rd, pxy)])
-                else:
-                    t_row = np.zeros((0, n_eff), dtype=dtype)
+                t_row = np.hstack([pair(a, b) for b in nbrs[a]] + [far_row()])
                 idr = id_fixed_precision(t_row.T, eps)
                 k = max(idr.rank, idc.rank)
                 idr, idc = idr.cut(k), idc.cut(k)

@@ -19,11 +19,10 @@ external sparse solver can serve as an independent cross-check.
 """
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .errors import InvalidInput, NotConverged, SingularBlock
 from .skel import (CompressedMatrix, Level, _read_levels, _Reader, _serialized,
@@ -162,6 +161,19 @@ class FactoredInverse:
         return solve(self, b)
 
 
+def lu_factor(a):
+    """LU with partial pivoting through LAPACK getrf: (lu, piv) as scipy's
+    ``lu_factor`` returns them, 0-based pivots and 0x0 blocks included.  An
+    exactly zero pivot stays on lu's diagonal for the caller to check; no
+    warning is issued, so no warning filter has to be touched."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return np.empty_like(a), np.arange(0, dtype=np.int32)
+    getrf, = get_lapack_funcs(("getrf",), (a,))
+    lu, piv, _ = getrf(a)
+    return lu, piv
+
+
 def _rcond1(A, Ainv):
     if A.size == 0:
         return 1.0
@@ -191,9 +203,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                 f"level {level}, node {node}: row and column skeleton counts differ")
         if regularize:
             block = block + regularize * np.eye(block.shape[0], dtype=dtype)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(block, check_finite=False)
+        lu, piv = lu_factor(block)
         if np.any(np.diag(lu) == 0):
             raise SingularBlock(level, node, what)
         return lu, piv

@@ -17,6 +17,15 @@ def reconstruction_error(A, idp, ord=2):
         np.linalg.norm(A, ord), 1e-300)
 
 
+def interp_at(piv, R, k):
+    """Reference ID cut at k columns from A[:, piv] = Q R with R[:k, :k]
+    nonsingular: the skeleton piv[:k] and P[:, piv[k:]] = R11^-1 R12."""
+    P = np.zeros((k, piv.size), dtype=R.dtype)
+    P[:, piv[:k]] = np.eye(k)
+    P[:, piv[k:]] = scipy.linalg.solve_triangular(R[:k, :k], R[:k, k:])
+    return piv[:k], P
+
+
 def decay_matrix(m, n, profile, seed):
     """Random matrices with assorted singular-value decay profiles."""
     rng = np.random.default_rng(seed)
@@ -147,9 +156,9 @@ def test_zero_matrix():
     assert idp.proj.shape == (0, 5)
 
 
-def test_min_rank_padding():
+def test_cut_pads_past_the_rank():
     A = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 7.0))  # exact rank 1
-    idp = id_fixed_precision(A, 1e-10, min_rank=3)
+    idp = id_fixed_precision(A, 1e-10).cut(3)
     assert idp.rank == 3
     assert len(set(idp.skel.tolist())) == 3
     assert np.array_equal(idp.proj[:, idp.skel][np.arange(3)], np.eye(3)[np.arange(3)])
@@ -201,15 +210,19 @@ def test_property_reconstruction_and_identity(seed, profile, eps_exp):
     assert reconstruction_error(A, idp, ord="fro") <= max(bound, 1e-13)
 
 
-def test_stop_rule_with_min_rank():
+def test_stop_rule():
     # orthogonal columns: the pivots are exactly the column norms
     A = np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-8])
-    for min_rank, rank in [(0, 3), (2, 3), (3, 3), (4, 4), (5, 5), (9, 5)]:
-        piv, R, got, ratio = pivoted_qr(A, 1e-5, min_rank=min_rank)
-        assert got == rank, min_rank
+    for eps, rank in [(1e-5, 3), (1e-3, 2), (1e-9, 5)]:
+        piv, R, got, ratio = pivoted_qr(A, eps)
+        assert got == rank, eps
         assert ratio == pytest.approx(A[rank, rank] if rank < 5 else 0.0)
-        assert id_fixed_precision(A, 1e-5, min_rank=min_rank).rank == rank
+        assert id_fixed_precision(A, eps).rank == rank
     assert piv.tolist() == [0, 1, 2, 3, 4]
+    idp = id_fixed_precision(A, 1e-5)
+    for k in (3, 4, 5):
+        c = idp.cut(k)
+        assert c.rank == k and c.achieved_error == pytest.approx(A[k, k] if k < 5 else 0.0)
 
 
 @pytest.mark.parametrize("m,n,cplx", [(200, 30, False), (30, 200, False),
@@ -243,11 +256,11 @@ def test_zero_and_empty_inputs():
         idp = id_fixed_precision(A, 1e-9)
         assert idp.rank == 0 and idp.proj.shape == (0, shape[1])
         assert id_randomized(A, 1e-9).rank == 0
-        # min_rank pads with unused columns, never beyond n
-        idp = id_fixed_precision(A, 1e-9, min_rank=2)
-        k = min(2, shape[1])
-        assert idp.rank == k and idp.proj.shape == (k, shape[1])
-        assert np.array_equal(idp.proj[:, idp.skel], np.eye(k))
+        # cut pads with unused columns
+        if shape[1] >= 2:
+            c = idp.cut(2)
+            assert c.rank == 2 and c.proj.shape == (2, shape[1])
+            assert np.array_equal(c.proj[:, c.skel], np.eye(2))
 
 
 def test_cut_is_exact_and_equals_rerun():
@@ -259,10 +272,10 @@ def test_cut_is_exact_and_equals_rerun():
         assert np.array_equal(c.proj[:, c.skel], np.eye(k))  # tolerance 0
         assert np.array_equal(c.skel[:idp.rank], idp.skel)
         # cutting the stored factor gives the same ID as a second QR
-        rerun = id_fixed_precision(A, 1e-4, min_rank=k)
-        assert rerun.rank == k
-        assert np.array_equal(c.skel, rerun.skel)
-        np.testing.assert_allclose(c.proj, rerun.proj, rtol=0, atol=1e-12)
+        R_ref, piv_ref = scipy.linalg.qr(A, mode="r", pivoting=True)
+        skel, proj = interp_at(piv_ref, R_ref, k)
+        assert np.array_equal(c.skel, skel)
+        np.testing.assert_allclose(c.proj, proj, rtol=0, atol=1e-12)
     assert reconstruction_error(A, idp.cut(idp.rank + 7)) < reconstruction_error(A, idp)
 
 
@@ -324,20 +337,20 @@ def test_tall_qr_first_matches_plain_pivoting(cplx, lapack_calls):
     assert ratio == pytest.approx(d_ref[rank] / d_ref[0], rel=1e-6)
 
 
-def test_tall_qr_first_min_rank_and_cut(lapack_calls):
+def test_tall_qr_first_cut(lapack_calls):
     A = tall_block(False, seed=4)
     n = A.shape[1]
     idp = id_fixed_precision(A, 1e-4)
     assert "geqrf" in lapack_calls and idp.R.shape == (n, n)
-    piv, R, rank, _ = pivoted_qr(A, 1e-4, min_rank=idp.rank + 5)
-    assert rank == idp.rank + 5 and np.array_equal(piv, idp.piv)
+    piv, R, _, _ = pivoted_qr(A, 1e-4)
+    assert np.array_equal(piv, idp.piv)
     for k in (idp.rank, idp.rank + 1, idp.rank + 7, n):
         c = idp.cut(k)
         assert c.rank == k and c.proj.shape == (k, n)
         assert np.array_equal(c.proj[:, c.skel], np.eye(k))  # tolerance 0
-        rerun = id_fixed_precision(A, 1e-4, min_rank=k)
-        assert np.array_equal(c.skel, rerun.skel)
-        np.testing.assert_allclose(c.proj, rerun.proj, rtol=0, atol=1e-12)
+        skel, proj = interp_at(piv, R, k)
+        assert np.array_equal(c.skel, skel)
+        np.testing.assert_allclose(c.proj, proj, rtol=0, atol=1e-12)
     assert reconstruction_error(A, idp) <= 10 * 1e-4 * np.sqrt(1 + idp.rank * (n - idp.rank))
     assert reconstruction_error(A, idp.cut(idp.rank + 7)) < reconstruction_error(A, idp)
 
@@ -348,7 +361,7 @@ def test_tall_zero_blocks_pad_skeletons(lapack_calls):
     assert lapack_calls == ["geqrf", "geqp3"]
     assert idp.rank == 0 and idp.skel.size == 0 and idp.proj.shape == (0, n)
     assert idp.R.shape == (n, n) and not idp.R.any()
-    pad = id_fixed_precision(np.zeros(TALL), 1e-9, min_rank=3)
+    pad = idp.cut(3)
     assert pad.rank == 3 and np.array_equal(pad.proj[:, pad.skel], np.eye(3))
     assert np.count_nonzero(pad.proj) == 3
 
@@ -361,7 +374,7 @@ def test_tall_zero_blocks_pad_skeletons(lapack_calls):
     live = n - dead.size
     _, R, rank, _ = pivoted_qr(A, 1e-9)
     assert np.count_nonzero(np.diagonal(R)) == live and not R[live:].any()
-    idp = id_fixed_precision(A, 1e-9, min_rank=live + 4)
+    idp = id_fixed_precision(A, 1e-9).cut(live + 4)
     assert idp.rank == live + 4
     assert set(idp.skel[:live].tolist()).isdisjoint(dead.tolist())
     assert set(idp.skel[live:].tolist()) <= set(dead.tolist())

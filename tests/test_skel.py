@@ -640,13 +640,55 @@ def test_siblings_are_neighbours(case):
 
 
 def test_global_mode_slices_its_targets():
-    # global mode cuts the sibling blocks from its own ID targets
+    # global mode evaluates its sibling blocks as proxy mode does, and slices
+    # the parents' D and the top S from them
     for symmetric in (True, False):
         source, tree = _volume_source("square", symmetric)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
             cm = compress_source(source, tree, 1e-6, mode="global")
         assert_sliced_blocks_are_kernel_blocks(source, cm)
+
+
+@pytest.mark.parametrize("symmetric", [True, False], ids=["one-ID", "two-ID"])
+def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monkeypatch):
+    # a global-mode node has no neighbours and its far field is every other
+    # node: its column target is K(DOFs of the others, its DOFs), and its row
+    # target K(its DOFs, DOFs of the others)
+    source, tree = _volume_source("square", symmetric)
+    targets, real_id = [], skel.id_fixed_precision
+
+    def capture(A, eps):
+        targets.append(np.array(A))
+        return real_id(A, eps)
+
+    monkeypatch.setattr(skel, "id_fixed_precision", capture)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        cm = compress_source(source, tree, 1e-6, mode="global")
+
+    def assert_bits_equal(got, want):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    captured = iter(targets)
+    for li, lv in enumerate(cm.levels):
+        if li == 0:
+            row_dofs = col_dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi)
+                                   for i in tree.levels[0]]
+        else:
+            below = cm.levels[li - 1].nodes
+            row_dofs = [np.concatenate([below[c].row_skel for c in nd.children])
+                        for nd in lv.nodes]
+            col_dofs = [np.concatenate([below[c].col_skel for c in nd.children])
+                        for nd in lv.nodes]
+        for a in range(len(lv.nodes)):
+            others = [b for b in range(len(lv.nodes)) if b != a]
+            rows = np.concatenate([row_dofs[b] for b in others])
+            assert_bits_equal(next(captured), source.block(rows, col_dofs[a]))
+            if not symmetric:
+                cols = np.concatenate([col_dofs[b] for b in others])
+                assert_bits_equal(next(captured), source.block(row_dofs[a], cols).T)
+    assert next(captured, None) is None
 
 
 def test_serialize_holds_no_second_copy_of_the_blocks():

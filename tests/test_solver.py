@@ -1,10 +1,12 @@
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
@@ -19,7 +21,7 @@ from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
-                            export_matrix_market, factor, gmres,
+                            export_matrix_market, factor, gmres, lu_factor,
                             read_matrix_market, serialize_factored, solve)
 
 LAPLACE2 = KernelSpec("laplace", 2)
@@ -547,6 +549,41 @@ def test_factor_leaves_warning_filters_alone(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert list(warnings.filters) == before
+
+
+def test_concurrent_factors_leave_warning_filters_alone():
+    # factor wrapped each LU in warnings.catch_warnings, which swaps the
+    # process-global filter list: two threads factoring at once left a stray
+    # ("ignore", LinAlgWarning) filter behind
+    system = bie.discretize_dirichlet(bie.circle(1.0, 2048), LAPLACE2)
+    cm = bie.compress_system(system, 1e-9, 16)[1]
+    before = list(warnings.filters)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            for fut in [pool.submit(factor, cm) for _ in range(2)]:
+                fut.result(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(warnings.filters) == before
+
+
+def test_lu_factor_is_scipys_without_the_warning():
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((5, 5)),
+              rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),
+              np.zeros((3, 3)), np.zeros((0, 0)), np.zeros((0, 0), complex)]
+    for a in blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lu, piv = lu_factor(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            ref_lu, ref_piv = scipy.linalg.lu_factor(a, check_finite=False)
+        assert lu.dtype == ref_lu.dtype and piv.dtype == ref_piv.dtype
+        np.testing.assert_array_equal(lu, ref_lu)
+        np.testing.assert_array_equal(piv, ref_piv)
 
 
 def test_default_3d_cube_compresses_to_a_factorable_matrix():
