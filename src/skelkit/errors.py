@@ -15,11 +15,12 @@ class RefusedTooLarge(SkelkitError):
 
 
 class SingularBlock(SkelkitError):
-    """A diagonal or skeleton block hit an exactly zero pivot during
-    factorization.  Carries the level and node so the caller can fall back to
-    a dense solve of the sparse embedding."""
+    """A block hit an exactly zero pivot during factorization.  Carries the
+    level and node so the caller can fall back to a dense solve of the sparse
+    embedding; ``what`` is "bordered" for a node's [[D, L], [R, 0]] block and
+    "S" for the top block (level "top")."""
 
-    def __init__(self, level, node, what="D"):
+    def __init__(self, level, node, what="bordered"):
         self.level = level
         self.node = node
         self.what = what

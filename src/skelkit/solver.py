@@ -11,14 +11,17 @@ by introducing per-level auxiliary variables z = R x and y = S z:
     [              -I   S   ]
 
 Rather than handing that system to a generic sparse LU, the factorization
-here eliminates blockwise: per node Lambda = (R D^-1 L)^-1, then
-Dd = D^-1 - D^-1 L Lambda R D^-1, Ld = D^-1 L Lambda, Rd = Lambda R D^-1,
-and the recursion continues on Shat = Lambda + S one level up.  The
-embedding is still assembled (and exportable as Matrix Market) so an
-external sparse solver can serve as an independent cross-check.
+here eliminates x and y blockwise: per node, one pivoted LU and inverse of
+the bordered block gives [[D, L], [R, 0]]^-1 = [[Dd, Ld], [Rd, -Lambda]],
+that is Lambda = (R D^-1 L)^-1, Dd = D^-1 - D^-1 L Lambda R D^-1,
+Ld = D^-1 L Lambda and Rd = Lambda R D^-1, without inverting D alone.  The
+recursion continues on Shat = Lambda + S one level up.  The embedding is
+still assembled (and exportable as Matrix Market) so an external sparse
+solver can serve as an independent cross-check.
 """
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,12 +135,11 @@ def assemble_embedding(cm: CompressedMatrix) -> SparseEmbedding:
 
 @dataclass
 class FactoredNode:
-    Dd: np.ndarray          # D^-1 - D^-1 L Lambda R D^-1
-    Ld: np.ndarray          # D^-1 L Lambda
-    Rd: np.ndarray          # Lambda R D^-1
-    Lam: np.ndarray         # (R D^-1 L)^-1, needed one level up
-    lu_D: tuple             # pivoted LU of the effective diagonal block
-    lu_M: tuple             # pivoted LU of Lambda^-1 = R D^-1 L
+    Dd: np.ndarray          # B^-1[:n, :n] = D^-1 - D^-1 L Lambda R D^-1, B = [[D, L], [R, 0]]
+    Ld: np.ndarray          # B^-1[:n, n:] = D^-1 L Lambda
+    Rd: np.ndarray          # B^-1[n:, :n] = Lambda R D^-1
+    Lam: np.ndarray         # -B^-1[n:, n:] = (R D^-1 L)^-1, needed one level up
+    lu_D = lu_M = None      # no LU is kept; benchmark/spans.py still reads the names
 
     @property
     def blocks(self):
@@ -185,25 +187,24 @@ def _rcond1(A, Ainv):
 def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     """Telescoping inverse of a compressed matrix.
 
-    Per level and node, the effective diagonal block (extracted D plus the
-    children's Lambda fill-in) is LU-factored with partial pivoting; an
-    exactly zero pivot raises SingularBlock naming the level and node.  A
-    node that keeps every DOF as a skeleton (L = R = I exactly) is passed
-    through unfactored: its Lambda is the effective diagonal block itself.
+    Per level and node, B = [[D, L], [R, 0]], with the children's Lambda on
+    D's diagonal, is LU-factored with partial pivoting and inverted once; an
+    exactly zero pivot raises SingularBlock naming the level and node.  D is
+    never inverted alone, so a singular D inside an invertible B factors.
     Blocks with reciprocal condition below 1e-14 are recorded in
-    ``warnings`` rather than aborting.  ``regularize`` adds delta*I to every
-    diagonal block before factorization (off by default)."""
+    ``warnings`` rather than aborting.  ``regularize``, a finite real, adds
+    delta*I to the D part of every B and to the top block before
+    factorization (off by default)."""
+    if not isinstance(regularize, numbers.Real) or not np.isfinite(regularize):
+        raise InvalidInput(f"regularize must be a finite real, got {regularize!r}")
     dtype = cm.dtype
     warnings_list = []
 
-    def _lu(block, level, node, what):
-        if block.shape[0] != block.shape[1]:
-            raise InvalidInput(
-                f"non-square {what} block ({block.shape[0]}x{block.shape[1]}) at "
-                f"level {level}, node {node}: row and column skeleton counts differ")
+    def _lu(B, level, node, what, n_reg):
+        """LU of B after adding delta to its first n_reg diagonal entries."""
         if regularize:
-            block = block + regularize * np.eye(block.shape[0], dtype=dtype)
-        lu, piv = lu_factor(block)
+            B[np.arange(n_reg), np.arange(n_reg)] += regularize
+        lu, piv = lu_factor(B)
         if np.any(np.diag(lu) == 0):
             raise SingularBlock(level, node, what)
         return lu, piv
@@ -214,38 +215,30 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
 
         def factor_node(a):
             nd = lv.nodes[a]
-            D_eff = np.array(nd.D, dtype=dtype)
+            nn, k = nd.D.shape[0], nd.k_r
+            if nd.D.shape[1] != nn or nd.k_c != k:
+                raise InvalidInput(
+                    f"non-square node at level {li + 1}, node {a} (D {nn}x{nd.D.shape[1]}, "
+                    f"{k}x{nd.k_c} skeletons): row and column skeleton counts differ")
+            B = np.zeros((nn + k, nn + k), dtype=dtype)
+            B[:nn, :nn] = nd.D
+            B[:nn, nn:] = nd.L
+            B[nn:, :nn] = nd.R
             if li > 0:
                 ro = co = 0
                 for ci in nd.children:
                     lam_c = lam_prev[ci]
-                    D_eff[ro:ro + lam_c.shape[0], co:co + lam_c.shape[1]] = lam_c
+                    B[ro:ro + lam_c.shape[0], co:co + lam_c.shape[1]] = lam_c
                     ro += lam_c.shape[0]
                     co += lam_c.shape[1]
-            nn = D_eff.shape[0]
-            k = nd.k_r
-            if nd.L.shape == nd.R.shape == (nn, nn) and \
-                    np.array_equal(nd.L, np.eye(nn)) and np.array_equal(nd.R, np.eye(nn)):
-                # every DOF is a skeleton: Lambda = D_eff and nothing is eliminated
-                return FactoredNode(Dd=np.zeros_like(D_eff), Ld=np.asarray(nd.L, dtype=dtype),
-                                    Rd=np.asarray(nd.R, dtype=dtype), Lam=D_eff,
-                                    lu_D=None, lu_M=None)
-            lu_D = _lu(D_eff, li + 1, a, "D")
-            Dinv = lu_solve(lu_D, np.eye(nn, dtype=dtype), check_finite=False)
-            rc = _rcond1(D_eff, Dinv)
+            lu = _lu(B, li + 1, a, "bordered", nn)
+            Binv = lu_solve(lu, np.eye(nn + k, dtype=dtype), check_finite=False)
+            rc = _rcond1(B, Binv)
             if rc < _RCOND_WARN:
-                warnings_list.append((li + 1, a, "D", rc))
-            X = lu_solve(lu_D, nd.L, check_finite=False)            # D^-1 L
-            RD = lu_solve(lu_D, nd.R.T, trans=1, check_finite=False).T  # R D^-1
-            M_blk = nd.R @ X
-            lu_M = _lu(M_blk, li + 1, a, "Lambda")
-            Lam = lu_solve(lu_M, np.eye(k, dtype=dtype), check_finite=False)
-            rc = _rcond1(M_blk, Lam)
-            if rc < _RCOND_WARN:
-                warnings_list.append((li + 1, a, "Lambda", rc))
-            Rd = Lam @ RD
-            return FactoredNode(Dd=Dinv - X @ Rd, Ld=X @ Lam, Rd=Rd,
-                                Lam=Lam, lu_D=lu_D, lu_M=lu_M)
+                warnings_list.append((li + 1, a, "bordered", rc))
+            # contiguous copies: a loaded inverse then solves bit for bit alike
+            return FactoredNode(Dd=Binv[:nn, :nn].copy(), Ld=Binv[:nn, nn:].copy(),
+                                Rd=Binv[nn:, :nn].copy(), Lam=-Binv[nn:, nn:])
 
         fnodes = [factor_node(a) for a in range(len(lv.nodes))]
         flevels.append(Level(fnodes))
@@ -257,7 +250,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
         top = cm.levels[-1]
         for a, lam in enumerate(lam_prev):
             Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = lam
-    S_lu = _lu(Shat, "top", 0, "S")
+    S_lu = _lu(Shat, "top", 0, "S", Shat.shape[0])
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
                            scalar_field=cm.scalar_field, warnings=warnings_list)
 
@@ -400,8 +393,7 @@ def serialize_factored(fi: FactoredInverse) -> bytes:
 
 def _read_factored_node(f, _):
     Rd, Dd, Ld = f.blocks()
-    return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd, Lam=np.zeros((0, 0), dtype=Dd.dtype),
-                        lu_D=None, lu_M=None)
+    return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd, Lam=np.zeros((0, 0), dtype=Dd.dtype))
 
 
 def deserialize_factored(data: bytes) -> FactoredInverse:

@@ -158,6 +158,8 @@ def test_cli_main(tmp_path, capsys):
     assert rc == 2
     rc = main(["solve_bench", "--geometry", "cube", "--kernel", "laplace3d"])
     assert rc == 2
+    rc = main(["solve_bench", "--n", "256", "--regularize", "nan"])
+    assert rc == 2
 
 
 def test_write_csv_roundtrip(tmp_path):

@@ -15,7 +15,7 @@ from scipy.sparse.linalg import splu
 from skelkit import bie
 from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
-from skelkit.geom import PointSet, build_tree
+from skelkit.geom import PointSet, build_tree, fibonacci_sphere
 from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           apply, compress, compress_source,
@@ -246,10 +246,29 @@ class TestFactor:
         fi = factor(cm, regularize=1e-8)
         assert fi is not None
 
+    def test_singular_d_inside_invertible_bordered_block_factors(self):
+        # node 1's D is singular, but [[D, L], [R, 0]] is not: inverting D on
+        # its own raised SingularBlock(level 1, node 1, "D")
+        cm, A = one_level_synthetic(seed=3, sizes=(8, 8), k=2)
+        cm.levels[0].nodes[1].D[:, 0] = 0.0
+        A[8:, 8] = 0.0
+        fi = factor(cm)
+        assert fi.warnings == []
+        b = np.random.default_rng(0).standard_normal(16)
+        x = solve(fi, b)
+        assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), "1e-8"])
+    def test_regularize_must_be_a_finite_real(self, delta):
+        # a nan or inf shift once factored and made solve return non-finite x
+        cm, _ = one_level_synthetic()
+        with pytest.raises(InvalidInput, match="regularize"):
+            factor(cm, regularize=delta)
+
     def test_rank_zero_leaves_and_empty_nodes(self):
         # a diagonal matrix with zero proxy fields: every leaf has rank 0,
-        # so every level-2 node and the top are 0x0; the 0x0 nodes are
-        # passed through and the 0x0 top is LU-factored
+        # so every level-2 node and the top are 0x0; the 0x0 bordered blocks
+        # and the 0x0 top are LU-factored like any other
         cm, A = rank_zero_two_level()
         assert cm.nlevels == 2 and cm.S.shape == (0, 0)
         assert all(nd.k_r == 0 for nd in cm.levels[0].nodes)
@@ -600,10 +619,23 @@ def test_default_3d_cube_compresses_to_a_factorable_matrix():
     assert np.linalg.norm(apply(cm, x) - b) <= 100 * 1e-6 * np.linalg.norm(b)
 
 
+def test_sphere_8192_backward_error():
+    # inverting each node's D on its own, then R D^-1 L, left a backward
+    # error of 1.35e-9 here; one LU of [[D, L], [R, 0]] per node gives 6.5e-13.
+    # Spheres of 2048 and 4096 points do not show the loss
+    pts = PointSet(fibonacci_sphere(8192))
+    cm = compress(KernelSpec("laplace", 3), pts, build_tree(pts), 1e-6)
+    fi = factor(cm)
+    b = np.random.default_rng(0).standard_normal(8192)
+    x = solve(fi, b)
+    assert np.linalg.norm(apply(cm, x) - b) <= 1e-11 * np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
-def test_one_point_leaf_is_passed_through(seed):
+def test_one_point_leaf_factors(seed):
     # these clouds have a 1-point leaf whose D is [[0]] and whose one point is
-    # its skeleton; factoring it once raised SingularBlock
+    # its skeleton; factoring it once raised SingularBlock.  Its bordered block
+    # [[0, 1], [1, 0]] is invertible
     pts = PointSet(np.random.default_rng(seed).standard_normal((4096, 2)))
     cm = compress(LAPLACE2, pts, build_tree(pts), 1e-6)
     assert any(nd.D.shape == (1, 1) and nd.D[0, 0] == 0 and nd.k_r == 1
