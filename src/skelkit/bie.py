@@ -139,12 +139,15 @@ def _kr_correct(blk, dist):
     return blk * np.where(near, 1.0 + KR10_GAMMA[np.minimum(dist, KR10_GAMMA.size) - 1], 1.0)
 
 
-def _minus_half_identity(blk, rows, cols):
-    """``blk`` with -1/2 added where the row and the column are one node."""
-    same = rows[:, None] == cols[None, :]
-    if not np.any(same):
+def _minus_half_identity(blk, rows, cols, n):
+    """``blk`` with -1/2 added where the row and the column are the same one
+    of the n nodes.  Most blocks join disjoint sets of nodes, which a mark
+    per node shows before any comparison of every row with every column."""
+    mark = np.zeros(n, dtype=bool)
+    mark[cols] = True
+    if not mark[rows].any():
         return blk
-    return blk + np.where(same, -0.5, 0.0)
+    return blk + np.where(rows[:, None] == cols[None, :], -0.5, 0.0)
 
 
 @dataclass
@@ -174,7 +177,7 @@ class BieSystem:
         base = eval_block(self.spec, self.points.subset(rows), self.points.subset(cols))
         if self.spec.equation == "helmholtz":
             base = _kr_correct(base, _cyclic_distance(rows, cols, self.n))
-        return _minus_half_identity(base, rows, cols)
+        return _minus_half_identity(base, rows, cols, self.n)
 
     def proxy_rows(self, targets, proxy):
         """Incoming proxy field: the single layer of the proxy charges."""
@@ -311,7 +314,7 @@ class _Scatterer:
         dist = _cyclic_distance(rows, cols, self.npts)
         blk = _neumann_trace_block(self.k, self.points.subset(rows),
                                    self.points.subset(cols), kr_dist=dist)
-        return _minus_half_identity(blk, rows, cols)
+        return _minus_half_identity(blk, rows, cols, self.npts)
 
     def proxy_rows(self, targets, proxy):
         """Incoming proxy field: the rows are Neumann traces, so it is the

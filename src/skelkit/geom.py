@@ -65,13 +65,18 @@ class PointSet:
         return self.coords.shape[1]
 
     def subset(self, idx):
-        """New PointSet restricted to the given indices (fancy indexing)."""
-        return PointSet(
-            self.coords[idx],
-            None if self.normals is None else self.normals[idx],
-            None if self.weights is None else self.weights[idx],
-            None if self.curvatures is None else self.curvatures[idx],
-        )
+        """New PointSet restricted to the given 1-D index (fancy indexing).
+        The rows of a validated set are valid, so they are not checked
+        again; an index that selects no point, or is not 1-D, raises
+        InvalidInput."""
+        out = object.__new__(type(self))
+        out.coords = self.coords[idx]
+        if out.coords.ndim != 2 or out.coords.shape[0] < 1:
+            raise InvalidInput("subset index must be 1-D and select at least one point")
+        for name in ("normals", "weights", "curvatures"):
+            arr = getattr(self, name)
+            setattr(out, name, None if arr is None else arr[idx])
+        return out
 
 
 @dataclass

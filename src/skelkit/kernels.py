@@ -103,13 +103,7 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
         raise InvalidInput("double layer needs source normals")
 
     # one coincidence scale for the whole block, however it is chunked
-    span = max(
-        float(np.ptp(targets.coords, axis=0).max()),
-        float(np.ptp(sources.coords, axis=0).max()),
-        float(np.abs(targets.coords).max()),
-        float(np.abs(sources.coords).max()),
-        1.0,
-    )
+    span = max(*_extent(targets.coords), *_extent(sources.coords), 1.0)
     m, n = targets.n, sources.n
     rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
     if m <= rows_per_chunk:
@@ -119,6 +113,14 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
         hi = min(lo + rows_per_chunk, m)
         out[lo:hi] = _block_rows(spec, targets.coords[lo:hi], sources, span)
     return out
+
+
+def _extent(coords):
+    """(largest per-axis extent, largest |coordinate|) of a point set, read
+    off its per-axis minimum and maximum; the same bits as ``np.ptp`` and
+    ``np.abs`` over all of it."""
+    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    return max(h - l for l, h in zip(lo, hi)), max(max(hi), -min(lo))
 
 
 def _block_rows(spec, x, sources, span):

@@ -139,7 +139,8 @@ def _interp(piv, R, k, dtype):
     P = np.zeros((k, n), dtype=dtype)
     P[np.arange(k), piv[:k]] = 1.0
     if r > 0 and k < n:
-        P[:r, piv[k:]] = solve_triangular(R[:r, :r], R[:r, k:])
+        # R is the factor of a block _check_matrix found finite
+        P[:r, piv[k:]] = solve_triangular(R[:r, :r], R[:r, k:], check_finite=False)
     big = np.abs(P).max(initial=0.0)
     if big > 2.0:
         _warn(f"interpolation matrix entries reach {_above_two(big)} (> 2); "

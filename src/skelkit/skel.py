@@ -13,6 +13,7 @@ interactions are replaced by a constant-size ring/sphere of equivalent
 sources around each box, so per-node work depends only on neighbor sizes.
 """
 
+import functools
 import io
 import math
 import mmap
@@ -65,20 +66,27 @@ def proxy_radius(halfwidth, config: ProxyConfig, dim):
     return config.radius_factor * 3.0 * halfwidth * np.sqrt(dim)
 
 
-def proxy_points(box, config: ProxyConfig, dim) -> PointSet:
-    """Deterministic points on the proxy surface around ``box`` (anything
-    with .center and .halfwidth).  2D: equispaced on the circle; 3D:
-    spherical Fibonacci spiral."""
-    cfg = config.resolve(dim)
-    n = cfg.n_proxy
-    r = proxy_radius(box.halfwidth, cfg, dim)
-    c = np.asarray(box.center, dtype=np.float64)
+@functools.lru_cache(maxsize=64)
+def _unit_surface(dim, n):
+    """n points on the unit circle (2D, equispaced) or sphere (3D, spherical
+    Fibonacci spiral), read-only: every proxy surface shares it."""
     if dim == 2:
         th = 2 * np.pi * np.arange(n) / n
-        pts = c + r * np.column_stack([np.cos(th), np.sin(th)])
+        pts = np.column_stack([np.cos(th), np.sin(th)])
     else:
-        pts = c + r * fibonacci_sphere(n)
-    return PointSet(pts)
+        pts = fibonacci_sphere(n)
+    pts.flags.writeable = False
+    return pts
+
+
+def proxy_points(box, config: ProxyConfig, dim) -> PointSet:
+    """Deterministic points on the proxy surface around ``box`` (anything
+    with .center and .halfwidth): the unit surface of ``_unit_surface``,
+    scaled to the proxy radius and centred on the box."""
+    cfg = config.resolve(dim)
+    r = proxy_radius(box.halfwidth, cfg, dim)
+    c = np.asarray(box.center, dtype=np.float64)
+    return PointSet(c + r * _unit_surface(dim, cfg.n_proxy))
 
 
 class KernelSource:
@@ -262,7 +270,9 @@ def _telescope(levels, top, n, perm, dtype, x):
 
 def _cover_children(tree, cover_prev, cover):
     """For each node of ``cover``, positions of its members in ``cover_prev``
-    (both sorted by range start; a pass-through leaf is its own child)."""
+    (both sorted by range start).  A leaf that stopped early is listed in
+    both covers and is its own only child: ``compress_source`` carries it
+    through with L = R = I."""
     out = []
     j = 0
     for nid in cover:
@@ -318,7 +328,11 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     3. Each node's IDs, against [neighbour blocks from phase 2 | far
        field]: the proxy field in proxy mode; in global mode, where a node
        has no neighbours, its whole off-diagonal block row and column,
-       evaluated here (sibling blocks included again).
+       evaluated here (sibling blocks included again).  A carried node, a
+       leaf listed again in this cover as its own only child, was
+       compressed against the same box one level down, so it takes no
+       proxy surface, far field or ID: it keeps every DOF, with L = R = I,
+       which is what an ID that finds full rank gives.
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -398,6 +412,13 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         def build_node(a):
             rd, cd = row_dofs[a], col_dofs[a]
             D = np.ascontiguousarray(_blk(rd, cd), dtype=dtype) if Ds is None else Ds[a]
+            if li and covers[li - 1][children[a][0]] == ids[a]:
+                # carried: its only child is itself, so its D is zero
+                rpos, cpos = np.arange(rd.size), np.arange(cd.size)
+                return CompressedNode(row_skel=rd, col_skel=cd, D=D,
+                                      L=np.eye(rd.size, dtype=dtype),
+                                      R=np.eye(cd.size, dtype=dtype),
+                                      children=children[a]), rpos, cpos
             # the far field: the proxy surface, or in global mode every other
             # node; evaluated inside the stacking, since one held through the
             # ID raised the 4096-point cube's compression peak from 232 to 274 MB

@@ -428,17 +428,19 @@ def load_factored(path) -> FactoredInverse:
 
 def read_matrix_market(path):
     """Minimal coordinate-format reader; returns (shape, rows, cols, vals).
-    A malformed or truncated file raises InvalidInput."""
+    A malformed, truncated or undecodable file raises InvalidInput."""
     with open(path) as f:
-        header = f.readline()
-        if not header.startswith("%%MatrixMarket matrix coordinate"):
-            raise InvalidInput("unsupported Matrix Market header")
-        complex_field = "complex" in header
-        width = 4 if complex_field else 3
-        line = f.readline()
-        while line.startswith("%"):
-            line = f.readline()
         try:
+            # undecodable bytes raise UnicodeDecodeError, a ValueError, at
+            # whichever read decodes them; for a small file that is the first
+            header = f.readline()
+            if not header.startswith("%%MatrixMarket matrix coordinate"):
+                raise InvalidInput("unsupported Matrix Market header")
+            complex_field = "complex" in header
+            width = 4 if complex_field else 3
+            line = f.readline()
+            while line.startswith("%"):
+                line = f.readline()
             mm, nn, nnz = (int(t) for t in line.split())
             if min(mm, nn, nnz) < 0:
                 raise ValueError(f"negative size {mm} {nn} {nnz}")

@@ -174,6 +174,41 @@ def test_invalid_inputs():
         build_tree(uniform_cloud(10), 0)
 
 
+def _full_point_set(n, d, seed):
+    rng = np.random.default_rng(seed)
+    nrm = rng.standard_normal((n, d))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    return PointSet(rng.standard_normal((n, d)), nrm, rng.random(n) + 0.5,
+                    rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["int", "list", "mask", "repeat"])
+def test_subset_equals_validated_point_set(d, kind):
+    # subset skips re-validation; what it returns must still be what the
+    # validating constructor builds from the same slices
+    ps = _full_point_set(50, d, 4)
+    idx = {"int": np.array([7, 3, 49, 0]), "list": [1, 2, 3],
+           "mask": np.arange(50) % 3 == 0, "repeat": np.array([5, 5, 5])}[kind]
+    sub = ps.subset(idx)
+    want = PointSet(ps.coords[idx], ps.normals[idx], ps.weights[idx], ps.curvatures[idx])
+    assert type(sub) is PointSet
+    for name in ("coords", "normals", "weights", "curvatures"):
+        got, ref = getattr(sub, name), getattr(want, name)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+    bare = PointSet(ps.coords).subset(idx)
+    assert bare.normals is None and bare.weights is None and bare.curvatures is None
+
+
+@pytest.mark.parametrize("idx", [np.array([], dtype=np.int64), [], np.zeros(50, dtype=bool),
+                                 np.array([[0, 1], [2, 3]]), 3],
+                         ids=["empty", "empty_list", "empty_mask", "2d", "scalar"])
+def test_subset_rejects_empty_and_non_1d_index(idx):
+    with pytest.raises(InvalidInput):
+        _full_point_set(50, 2, 4).subset(idx)
+
+
 def test_point_file_roundtrips(tmp_path):
     rng = np.random.default_rng(0)
     nrm = rng.standard_normal((10, 2))

@@ -372,3 +372,34 @@ def test_eval_block_matches_einsum_formula_bitwise(spec, weighted, chunked, monk
     got = eval_block(spec, targets, sources)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("laplace", 2), KernelSpec("laplace", 3),
+    KernelSpec("laplace", 2, "double", self_interaction="curvature_limit"),
+    KernelSpec("helmholtz", 2, "double", 1.7),
+], ids=["l2-single", "l3-single", "l2-curvature", "h2-double"])
+def test_span_far_from_the_origin_comes_from_the_coordinates(spec):
+    # a unit-sized cloud around |c| ~ 3000: the coincidence scale is the
+    # largest |coordinate|, not the extent, so a pair 0.5 * COINCIDENT_RTOL
+    # * |c| apart is coincident and one 4 * COINCIDENT_RTOL * |c| apart is not
+    d = spec.dim
+    rng = np.random.default_rng(11)
+    c = np.array([1000.0, -3000.0, 500.0][:d])
+    scale = float(np.abs(c).max())
+    tg = c + rng.random((30, d))
+    src = np.vstack([c + rng.random((20, d)), tg[:2]])
+    src[-2, 0] += 0.5 * COINCIDENT_RTOL * scale
+    src[-1, 0] += 4 * COINCIDENT_RTOL * scale
+    nrm = rng.standard_normal(src.shape)
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    sources = PointSet(src, nrm, rng.random(src.shape[0]) + 0.5, rng.standard_normal(src.shape[0]))
+    targets = PointSet(tg)
+    got = eval_block(spec, targets, sources)
+    want = _einsum_block(spec, targets, sources)
+    assert got.tobytes() == want.tobytes()
+    fill = -sources.curvatures[-2] / (4 * np.pi) * sources.weights[-2] \
+        if spec.self_interaction == "curvature_limit" else 0.0
+    assert got[0, -2] == fill and got[1, -1] != 0
+    # the extent alone would not have made the first pair coincident
+    assert np.ptp(np.vstack([tg, src]), axis=0).max() * COINCIDENT_RTOL < 0.5 * COINCIDENT_RTOL * scale

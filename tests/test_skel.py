@@ -425,6 +425,18 @@ def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
     assert err <= 100 * 1e-6
 
 
+def _carried(tree, li, a, nd):
+    """Whether node a of level li is carried: a leaf listed again in that
+    cover, its own only child."""
+    return li > 0 and tree.levels[li - 1][nd.children[0]] == tree.levels[li][a]
+
+
+def _compressed_nodes(tree, cm):
+    """The nodes of ``cm`` that took IDs: all but the carried ones."""
+    return [nd for li, lv in enumerate(cm.levels) for a, nd in enumerate(lv.nodes)
+            if not _carried(tree, li, a, nd)]
+
+
 @pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "two_ids"])
 def test_degraded_interpolation_warns_once_per_compression(symmetric):
     # 2D Helmholtz at k=20 has a few blocks whose |P| exceeds 2; they are
@@ -436,9 +448,11 @@ def test_degraded_interpolation_warns_once_per_compression(symmetric):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cm = compress_source(source, tree, 1e-6)
-    maxima = [np.abs(nd.R).max(initial=0.0) for lv in cm.levels for nd in lv.nodes]
+    # carried nodes take no ID, so their L = R = I count in no ID block
+    nodes = _compressed_nodes(tree, cm)
+    maxima = [np.abs(nd.R).max(initial=0.0) for nd in nodes]
     if not symmetric:
-        maxima += [np.abs(nd.L).max(initial=0.0) for lv in cm.levels for nd in lv.nodes]
+        maxima += [np.abs(nd.L).max(initial=0.0) for nd in nodes]
     bad = [x for x in maxima if x > 2]
     assert len(bad) >= 2
     assert len(caught) == 1
@@ -470,7 +484,7 @@ def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
 
         def run(source, tree, *args, **kwargs):
             cm = real(source, tree, *args, **kwargs)
-            seen.append((source, cm))
+            seen.append((source, tree, cm))
             return cm
         monkeypatch.setattr(module, "compress_source", run)
 
@@ -489,7 +503,7 @@ def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
         for name in ("block", "proxy_row_block", "proxy_col_block", "n", "dtype",
                      "wavenumber"):
             setattr(custom, name, getattr(ks, name))
-        seen.append((custom, compress_source(custom, tree, 1e-6)))
+        seen.append((custom, tree, compress_source(custom, tree, 1e-6)))
     elif case == "scatterer":
         capture(bie)
         curve = bie.trefoil(256)
@@ -500,9 +514,10 @@ def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
         eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
         bie.compress_system(bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq), 1e-6)
 
-    ((source, cm),) = seen
+    ((source, tree, cm),) = seen
     assert getattr(source, "symmetric", False) == symmetric
-    nodes = sum(len(lv.nodes) for lv in cm.levels)
+    # carried nodes take no ID
+    nodes = len(_compressed_nodes(tree, cm))
     assert nodes > 0
     assert len(ids) == (1 if symmetric else 2) * nodes
 
@@ -689,6 +704,55 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
                 cols = np.concatenate([col_dofs[b] for b in others])
                 assert_bits_equal(next(captured), source.block(row_dofs[a], cols).T)
     assert next(captured, None) is None
+
+
+@pytest.mark.parametrize("case", ["cloud", "ellipse_bie"])
+def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
+    # a leaf that stopped early is listed again in each coarser cover, as
+    # its own only child; it was compressed against the same box below, so
+    # it keeps every DOF with L = R = I and a zero D, and takes no ID
+    ids, real_id = [], skel.id_fixed_precision
+
+    def counting_id(*args, **kwargs):
+        ids.append(1)
+        return real_id(*args, **kwargs)
+
+    monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    if case == "cloud":
+        eps = 1e-6
+        source, tree = _volume_source("cloud")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            cm = compress_source(source, tree, eps)
+        per_node = 1
+    else:
+        eps = 1e-9
+        source = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
+        tree, cm = bie.compress_system(source, eps)
+        per_node = 2
+
+    carried = [(li, nd) for li, lv in enumerate(cm.levels) for a, nd in enumerate(lv.nodes)
+               if _carried(tree, li, a, nd)]
+    assert len(carried) >= 40
+    assert len(ids) == per_node * len(_compressed_nodes(tree, cm))
+    for li, nd in carried:
+        # every DOF, that is every skeleton of its only child, survives
+        child = cm.levels[li - 1].nodes[nd.children[0]]
+        assert np.array_equal(nd.row_skel, child.row_skel)
+        assert np.array_equal(nd.col_skel, child.col_skel)
+        assert np.array_equal(nd.L, np.eye(nd.k_r)) and np.array_equal(nd.R, np.eye(nd.k_c))
+        assert nd.D.shape == (nd.k_r, nd.k_c) and not np.any(nd.D)
+
+    n = tree.n_points
+    x = np.random.default_rng(0).standard_normal(n)
+    if case == "cloud":
+        # source.block takes tree positions: the dense matrix in tree order
+        idx = np.arange(n)
+        ref = (source.block(idx, idx) @ x[tree.perm])[np.argsort(tree.perm)]
+    else:
+        ref = source.matrix() @ x
+    err = np.linalg.norm(apply(cm, x) - ref) / np.linalg.norm(ref)
+    assert err <= 100 * eps
 
 
 def test_serialize_holds_no_second_copy_of_the_blocks():

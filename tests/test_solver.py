@@ -484,7 +484,7 @@ class TestMatrixMarket:
         dense[rows, cols] = vals
         np.testing.assert_array_equal(dense, se.to_dense())
 
-    @pytest.mark.parametrize("corrupt", ["truncated", "size_line", "short", "index"])
+    @pytest.mark.parametrize("corrupt", ["truncated", "size_line", "short", "index", "binary"])
     def test_corrupt_export_raises_invalid_input(self, tmp_path, corrupt):
         pts = circle_points(120)
         cm = compress(LAPLACE2, pts, build_tree(pts, 16), 1e-3)
@@ -495,7 +495,7 @@ class TestMatrixMarket:
         m, _, nnz = (int(t) for t in lines[1].split())
         if corrupt == "truncated":
             text = text[:len(text) // 2]
-        else:
+        elif corrupt != "binary":
             if corrupt == "size_line":
                 lines[1] = "3 3 x\n"
             elif corrupt == "short":
@@ -503,9 +503,14 @@ class TestMatrixMarket:
             else:
                 lines[2] = f"{m + 1} " + lines[2].split(" ", 1)[1]
             text = "".join(lines)
-        path.write_text(text)
-        with pytest.raises(InvalidInput):
-            read_matrix_market(path)
+        # non-UTF-8 bytes in place of the header, and in an entry line after
+        # a valid header
+        blobs = ([b"\xff\xfe\x00garbage\n", lines[0].encode() + b"1 1 \xff\n"]
+                 if corrupt == "binary" else [text.encode()])
+        for blob in blobs:
+            path.write_bytes(blob)
+            with pytest.raises(InvalidInput):
+                read_matrix_market(path)
 
 
 class TestFactoredSerialization:
