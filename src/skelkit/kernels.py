@@ -125,69 +125,107 @@ def _extent(coords):
 
 def _block_rows(spec, x, sources, span):
     """The rows of ``eval_block`` at target coordinates ``x``; pairs closer
-    than COINCIDENT_RTOL * span are coincident."""
-    # r2 and, for the double layer, ndot[i,j] = (y_j - x_i) . nu_j (nu the
+    than COINCIDENT_RTOL * span are coincident.
+
+    Every step writes into an array that is already there (``out=`` and
+    in-place operators), with the operands in the order of the plain
+    formulas written in the comments, so the entries are theirs bit for bit
+    from a few arrays of the block's shape instead of one per operation."""
+    # r2 and, for the double layer, xdot[i,j] = (x_i - y_j) . nu_j (nu the
     # source normal) are summed axis by axis through one scratch array, with
-    # no (rows x cols x dim) difference tensor.  Like einsum they start from
-    # +0 and add the axes in its order, so the entries are those of its
-    # contraction bit for bit
+    # no (rows x cols x dim) difference tensor, adding the axes in einsum's
+    # order.  r2 starts at the first axis's d*d, equal to einsum's 0 + d*d
+    # since d*d is never -0; xdot starts from +0 like einsum, since its
+    # signed zeros show
     y = sources.coords
+    first, *rest = _AXIS_ORDER[spec.dim]
     d = np.empty((x.shape[0], y.shape[0]))
-    r2 = np.zeros_like(d)
-    ndot = np.zeros_like(d) if spec.layer == "double" else None
-    for ax in _AXIS_ORDER[spec.dim]:
-        if ndot is not None:
-            np.subtract(x[:, ax, None], y[:, ax], out=d)
-            d *= sources.normals[:, ax]
-            ndot += d
+    r2 = np.subtract(x[:, first, None], y[:, first], out=np.empty_like(d))
+    r2 *= r2
+    for ax in rest:
         np.subtract(x[:, ax, None], y[:, ax], out=d)
         d *= d
         r2 += d
-    del d
-    if ndot is not None:
-        np.negative(ndot, out=ndot)
+    xdot = None
+    if spec.layer == "double":
+        xdot = np.zeros_like(d)
+        for ax in _AXIS_ORDER[spec.dim]:
+            np.subtract(x[:, ax, None], y[:, ax], out=d)
+            d *= sources.normals[:, ax]
+            xdot += d
     coincident = r2 < (COINCIDENT_RTOL * span) ** 2
-    np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
+    if coincident.any():
+        np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
+    else:
+        coincident = None
 
+    # ndot = (y - x) . nu = -xdot; -(-xdot) is xdot bit for bit
     k = spec.wavenumber
     if spec.equation == "laplace" and spec.dim == 2:
-        # from r^2 directly: -log(r)/(2 pi) = -log(r^2)/(4 pi), no sqrt
         if spec.layer == "single":
-            block = np.log(r2)
+            # from r^2 directly: -log(r)/(2 pi) = -log(r^2)/(4 pi), no sqrt
+            block = np.log(r2, out=r2)
             block *= -0.25 / np.pi
         else:
-            block = -ndot / (2 * np.pi * r2)
+            # -ndot / (2 pi r2)
+            r2 *= 2 * np.pi
+            block = np.divide(xdot, r2, out=xdot)
     else:
-        rs = np.sqrt(r2)
+        rs = np.sqrt(r2, out=r2)
         if spec.layer == "single":
             if spec.equation == "laplace":
-                block = 1.0 / (4 * np.pi * rs)
+                # 1 / (4 pi rs)
+                rs *= 4 * np.pi
+                block = np.divide(1.0, rs, out=rs)
             elif spec.dim == 2:
-                block = 0.25j * (sp.j0(k * rs) + 1j * sp.y0(k * rs))
+                # 0.25j * (j0(k rs) + 1j * y0(k rs))
+                kr = np.multiply(k, rs, out=rs)
+                block = np.multiply(1j, sp.y0(kr, out=d))
+                block += sp.j0(kr, out=d)
+                np.multiply(0.25j, block, out=block)
             else:
-                block = np.exp(1j * k * rs) / (4 * np.pi * rs)
+                # exp(1j k rs) / (4 pi rs)
+                block = np.exp(np.multiply(1j * k, rs))
+                rs *= 4 * np.pi
+                block /= rs
         elif spec.equation == "laplace":
-            # grad_y |x-y|^{-1} = (x-y)/r^3, so dG/dnu_y = -(y-x).nu/(4 pi r^3)
-            block = -ndot / (4 * np.pi * rs ** 3)
+            # grad_y |x-y|^{-1} = (x-y)/r^3, so dG/dnu_y = -ndot / (4 pi rs^3)
+            r3 = np.power(rs, 3, out=rs)
+            r3 *= 4 * np.pi
+            block = np.divide(xdot, r3, out=xdot)
         elif spec.dim == 2:
-            block = -0.25j * k * (sp.j1(k * rs) + 1j * sp.y1(k * rs)) * ndot / rs
+            # -0.25j k (j1(k rs) + 1j * y1(k rs)) * ndot / rs
+            kr = np.multiply(k, rs, out=d)
+            block = np.multiply(1j, sp.y1(kr))
+            block += sp.j1(kr, out=d)
+            np.multiply(-0.25j * k, block, out=block)
+            block *= np.negative(xdot, out=xdot)
+            block /= rs
         else:
-            dgdr = np.exp(1j * k * rs) * (1j * k * rs - 1.0) / (4 * np.pi * rs * rs)
-            block = dgdr * ndot / rs
+            # exp(1j k rs) * (1j k rs - 1) / (4 pi rs rs) * ndot / rs
+            ikr = np.multiply(1j * k, rs)
+            block = np.exp(ikr)
+            ikr -= 1.0
+            block *= ikr
+            del ikr
+            rr = np.multiply(4 * np.pi, rs, out=d)
+            rr *= rs
+            block /= rr
+            block *= np.negative(xdot, out=xdot)
+            block /= rs
 
-    if np.any(coincident):
+    if coincident is not None:
         if spec.self_interaction == "zero":
-            fill = np.zeros(1, dtype=block.dtype)
-            block = np.where(coincident, fill, block)
+            fill = 0.0
         else:
             if spec.equation != "laplace" or spec.dim != 2 or spec.layer != "double":
                 raise InvalidInput("curvature_limit only defined for the 2D Laplace double layer")
             kappa = sources.curvatures
             if kappa is None:
                 raise InvalidInput("curvature_limit needs source curvatures")
-            limit = np.broadcast_to(-np.asarray(kappa) / (4 * np.pi), block.shape[1:])
-            block = np.where(coincident, limit[None, :], block)
+            fill = np.broadcast_to(-np.asarray(kappa) / (4 * np.pi), block.shape[1:])
+        np.copyto(block, fill, where=coincident)
 
     if sources.weights is not None:
-        block = block * sources.weights[None, :]
+        block *= sources.weights
     return block

@@ -10,6 +10,12 @@ geqp3 runs on that triangle: the pivots and R are those of A, but most of
 the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  The
 randomized path sketches with a Gaussian test matrix first and falls back
 to deterministic when its a-posteriori probe check fails.
+
+An ID whose interpolation entries exceed 2 (degraded pivoting) is reported
+by an AccuracyWarning from the public call that returns it, unless that
+call comes from within skelkit: a compression counts such IDs and reports
+them once.  No warning filter is touched, so IDs in several threads at once
+leave the process-global filter list alone.
 """
 
 import os
@@ -18,7 +24,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .errors import AccuracyWarning, InvalidInput
 
@@ -41,7 +47,8 @@ class InterpDecomp:
 
     piv and R are the column pivot order and the full triangular factor the
     ID was read from; ``sketched`` marks a factor of a random sketch of A
-    rather than of A itself."""
+    rather than of A itself.  max_entry is max |proj|: at most 2 unless
+    pivoting degraded on this block (read off proj when not given)."""
 
     skel: np.ndarray
     proj: np.ndarray
@@ -50,11 +57,11 @@ class InterpDecomp:
     piv: np.ndarray | None = None
     R: np.ndarray | None = None
     sketched: bool = False
+    max_entry: float | None = None
 
-    @property
-    def max_entry(self):
-        """max |proj|: at most 2 unless pivoting degraded on this block."""
-        return float(np.abs(self.proj).max(initial=0.0))
+    def __post_init__(self):
+        if self.max_entry is None:
+            self.max_entry = float(np.abs(self.proj).max(initial=0.0))
 
     def cut(self, k):
         """The same ID with exactly k skeleton columns, read off the stored
@@ -63,9 +70,9 @@ class InterpDecomp:
             return self
         if self.sketched and k > self.R.shape[0]:
             return None
-        skel, proj = _interp(self.piv, self.R, k, self.proj.dtype)
-        return replace(self, skel=skel, proj=proj, rank=k,
-                       achieved_error=_ratio(self.R, k))
+        skel, proj, big = _interp(self.piv, self.R, k, self.proj.dtype)
+        return _reported(replace(self, skel=skel, proj=proj, rank=k,
+                                 achieved_error=_ratio(self.R, k), max_entry=big))
 
 
 def _check_matrix(A):
@@ -84,7 +91,7 @@ def _ratio(R, k):
     return float(d[k] / d[0]) if k < d.size and d[0] > 0 else 0.0
 
 
-def pivoted_qr(A, eps):
+def pivoted_qr(A, eps, *, overwrite_a=False):
     """Column-pivoted QR (LAPACK geqp3) with the rank read off R's diagonal:
     the first k whose pivot |R_kk| is at most eps*|R_00|, or min(m, n) if
     there is none.
@@ -98,6 +105,10 @@ def pivoted_qr(A, eps):
     Returns (piv, R, rank, trailing_ratio): R is the full min(m, n) x n
     upper-trapezoidal factor with columns in pivot order, trailing_ratio
     |R_kk| / |R_00| at k = rank (0 when no pivot was rejected).
+
+    ``overwrite_a=True`` lets LAPACK factor A in place, as in scipy: an
+    F-contiguous floating-point A is then not copied, and its contents are
+    undefined afterwards.  By default A is left alone.
     """
     m, n = A.shape
     kmax = min(m, n)
@@ -106,8 +117,12 @@ def pivoted_qr(A, eps):
     geqrf, geqp3 = get_lapack_funcs(("geqrf", "geqp3"), (A,))
     lwork = 2 * n + (n + 1) * _LAPACK_NB
     if m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS:
-        A = np.triu(geqrf(A, lwork=lwork)[0][:n])
-    qr, jpvt = geqp3(A, lwork=lwork)[:2]
+        # geqp3 factors triu(R0) as a column-major scratch copy, in place
+        R0 = geqrf(A, lwork=lwork, overwrite_a=overwrite_a)[0]
+        A = np.asfortranarray(R0[:n])
+        np.copyto(A, 0, where=np.tri(n, k=-1, dtype=bool))
+        overwrite_a = True
+    qr, jpvt = geqp3(A, lwork=lwork, overwrite_a=overwrite_a)[:2]
     R = np.triu(qr[:kmax])
     d = np.abs(np.diagonal(R))
     stop = np.flatnonzero(d <= eps * d[0])
@@ -129,8 +144,8 @@ def _above_two(x):
 
 
 def _interp(piv, R, k, dtype):
-    """Skeleton and projection of the ID cut at exactly k columns; warns
-    when an entry of the projection exceeds 2.
+    """Skeleton, projection and max |projection| of the ID cut at exactly k
+    columns.
 
     Columns past the last nonzero pivot (exact rank deficiency, or k beyond
     R's rows) are padded in: each such skeleton reconstructs only itself."""
@@ -139,29 +154,56 @@ def _interp(piv, R, k, dtype):
     P = np.zeros((k, n), dtype=dtype)
     P[np.arange(k), piv[:k]] = 1.0
     if r > 0 and k < n:
-        # R is the factor of a block _check_matrix found finite
-        P[:r, piv[k:]] = solve_triangular(R[:r, :r], R[:r, k:], check_finite=False)
-    big = np.abs(P).max(initial=0.0)
-    if big > 2.0:
-        _warn(f"interpolation matrix entries reach {_above_two(big)} (> 2); "
+        # R[:r, :r] x = R[:r, k:] by LAPACK trtrs, called as scipy's
+        # solve_triangular calls it (R is the factor of a block
+        # _check_matrix found finite): a triangle that is not F-contiguous
+        # goes in as the lower triangle of its transpose, transposed again
+        a, b = R[:r, :r], R[:r, k:]
+        trtrs, = get_lapack_funcs(("trtrs",), (a, b))
+        if a.flags.f_contiguous:
+            x, info = trtrs(a, b, lower=False, trans=0)
+        else:
+            x, info = trtrs(a.T, b, lower=True, trans=1)
+        if info:
+            raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+        P[:r, piv[k:]] = x
+    return piv[:k].copy(), P, float(np.abs(P).max(initial=0.0))
+
+
+def _reported(idp):
+    """``idp``, after an AccuracyWarning if its entries exceed 2 and no
+    skelkit module outside this one is on the call stack: a compression
+    reports its degraded IDs itself, in one summary per call."""
+    if idp.max_entry > 2.0:
+        frame = sys._getframe(1)
+        while frame is not None:
+            name = frame.f_code.co_filename
+            if name.startswith(_PKG_DIR) and name != __file__:
+                return idp
+            frame = frame.f_back
+        _warn(f"interpolation matrix entries reach {_above_two(idp.max_entry)} (> 2); "
               "pivoting quality degraded on this block")
-    return piv[:k].copy(), P
+    return idp
 
 
-def id_fixed_precision(A, eps) -> InterpDecomp:
+def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
     """Column ID to relative precision eps via column-pivoted QR.
 
     The rank is the first k at which the next pivot magnitude falls below
     eps times the leading pivot.  A zero matrix yields rank 0; ``cut`` pads
     unused columns in past the rank.
+
+    ``overwrite_a=True`` hands A to LAPACK to factor in place (scipy's
+    convention): an F-contiguous floating-point A is then not copied, and
+    its contents are undefined afterwards.  By default A is left alone.
     """
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     A = _check_matrix(A)
-    piv, R, rank, ratio = pivoted_qr(A, eps)
-    skel, proj = _interp(piv, R, rank, A.dtype)
-    return InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
-                        piv=piv, R=R)
+    piv, R, rank, ratio = pivoted_qr(A, eps, overwrite_a=overwrite_a)
+    skel, proj, big = _interp(piv, R, rank, A.dtype)
+    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
+                                  piv=piv, R=R, max_entry=big))
 
 
 def id_rows(A, eps) -> InterpDecomp:
@@ -216,7 +258,7 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
             break
         ell *= 2
 
-    skel, proj = _interp(piv, R, rank, A.dtype)
+    skel, proj, big = _interp(piv, R, rank, A.dtype)
 
     # a-posteriori check on random probes
     worst = 0.0
@@ -228,5 +270,5 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
         worst = max(worst, err / (normA * np.linalg.norm(v)))
     if worst > 3 * eps:
         return id_fixed_precision(A, eps)
-    return InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst,
-                        piv=piv, R=R, sketched=True)
+    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst,
+                                  piv=piv, R=R, sketched=True, max_entry=big))

@@ -15,17 +15,17 @@ sources around each box, so per-node work depends only on neighbor sizes.
 
 import functools
 import io
+import itertools
 import math
 import mmap
 import numbers
 import operator
 import struct
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import AccuracyWarning, InvalidInput, RefusedTooLarge
+from .errors import InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
 from .lowrank import _above_two, _warn, id_fixed_precision
@@ -163,7 +163,10 @@ class Level:
     its inverse.  Node a takes the input slice col_dof_off, which up maps
     to the skeleton slice kc_off; on the way down it writes the output
     slice row_dof_off from diag and from down on the coarser slice
-    kr_off.  The blocks and offsets are taken when the level is built."""
+    kr_off.  The blocks and offsets are taken when the level is built, and
+    so are the slices between consecutive offsets (row_slices, col_slices,
+    kr_slices, kc_slices), which a sweep over many small nodes would
+    otherwise rebuild from numpy integers at every node."""
 
     def __init__(self, nodes):
         self.nodes = nodes
@@ -172,6 +175,9 @@ class Level:
         self.col_dof_off = _offsets([diag.shape[1] for _, diag, _ in blocks])
         self.kr_off = _offsets([down.shape[1] for _, _, down in blocks])
         self.kc_off = _offsets([up.shape[0] for up, _, _ in blocks])
+        self.row_slices, self.col_slices, self.kr_slices, self.kc_slices = (
+            [slice(lo, hi) for lo, hi in itertools.pairwise(off.tolist())]
+            for off in (self.row_dof_off, self.col_dof_off, self.kr_off, self.kc_off))
 
     @property
     def K_r(self):
@@ -243,22 +249,21 @@ def _telescope(levels, top, n, perm, dtype, x):
     us = []
     for lv in levels:
         us.append(u)
-        x_off, u_off = lv.col_dof_off, lv.kc_off
         nxt = np.empty((lv.K_c, nrhs), dtype=dtype)
-        for a, (up, _, _) in enumerate(lv.blocks):
+        for (up, _, _), xs, ks in zip(lv.blocks, lv.col_slices, lv.kc_slices):
             if up.shape[0]:
-                nxt[u_off[a]:u_off[a + 1]] = up @ u[x_off[a]:x_off[a + 1]]
+                np.matmul(up, u[xs], out=nxt[ks])
         u = nxt
     v = top(u)
     for lv in reversed(levels):
         u = us.pop()
-        x_off, y_off, v_off = lv.col_dof_off, lv.row_dof_off, lv.kr_off
-        w = np.empty((int(y_off[-1]), nrhs), dtype=dtype)
-        for a, (_, diag, down) in enumerate(lv.blocks):
-            seg = diag @ u[x_off[a]:x_off[a + 1]]
+        w = np.empty((int(lv.row_dof_off[-1]), nrhs), dtype=dtype)
+        for (_, diag, down), xs, ys, vs in zip(lv.blocks, lv.col_slices, lv.row_slices,
+                                               lv.kr_slices):
+            # each product is written straight into its slice of the output
+            seg = np.matmul(diag, u[xs], out=w[ys])
             if down.shape[1]:
-                seg = seg + down @ v[v_off[a]:v_off[a + 1]]
-            w[y_off[a]:y_off[a + 1]] = seg
+                seg += down @ v[vs]
         v = w
 
     # u is now the permuted input; free it before allocating the output
@@ -309,6 +314,18 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
 def _cat(parts):
     """Concatenated index arrays (empty int64 if there are none)."""
     return np.concatenate(parts) if len(parts) else np.empty(0, dtype=np.int64)
+
+
+def _stacked(parts):
+    """The row blocks ``parts`` stacked into one new column-major array,
+    the layout LAPACK factors in place: ``np.vstack`` with Fortran order."""
+    t = np.empty((sum(p.shape[0] for p in parts), parts[0].shape[1]),
+                 dtype=np.result_type(*parts), order="F")
+    r0 = 0
+    for p in parts:
+        t[r0:r0 + p.shape[0]] = p
+        r0 += p.shape[0]
+    return t
 
 
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
@@ -436,14 +453,18 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 others = [b for b in range(nb) if b != a]
                 far_col = lambda: _blk(_cat([row_dofs[b] for b in others]), cd)
                 far_row = lambda: _blk(rd, _cat([col_dofs[b] for b in others]))
-            t_col = np.vstack([pair(b, a) for b in nbrs[a]] + [far_col()])
-            idc = id_fixed_precision(t_col, eps)
+            # each target is written once, column-major, and LAPACK factors
+            # it in place
+            t_col = _stacked([pair(b, a) for b in nbrs[a]] + [far_col()])
+            idc = id_fixed_precision(t_col, eps, overwrite_a=True)
+            del t_col
             if sym:
                 # the row target is t_col.T, so the row ID is the column ID
                 idr = idc
             else:
-                t_row = np.hstack([pair(a, b) for b in nbrs[a]] + [far_row()])
-                idr = id_fixed_precision(t_row.T, eps)
+                t_row = _stacked([pair(a, b).T for b in nbrs[a]] + [far_row().T])
+                idr = id_fixed_precision(t_row, eps, overwrite_a=True)
+                del t_row
                 k = max(idr.rank, idc.rank)
                 idr, idc = idr.cut(k), idc.cut(k)
             interp_max.extend((idc.max_entry,) if sym else
@@ -457,10 +478,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             return CompressedNode(row_skel=rd[rpos], col_skel=cd[cpos], D=D, L=L, R=R,
                                   children=children[a]), rpos, cpos
 
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "interpolation matrix entries reach",
-                                    AccuracyWarning)
-            nodes, rpos, cpos = zip(*[build_node(a) for a in range(nb)])
+        nodes, rpos, cpos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
 
         # the parents' diagonal blocks: sibling blocks at the skeletons, with

@@ -425,3 +425,82 @@ def test_degraded_pivoting_warns_once_at_the_caller():
                                      (2.69, "2.69"), (37491.37, "3.75e+04")])
 def test_interp_value_reads_above_two(x, text):
     assert lowrank._above_two(x) == text
+
+
+def _id_bytes(idp):
+    return [np.asarray(v).tobytes() for v in (idp.skel, idp.proj, idp.piv, idp.R)] + [
+        idp.rank, idp.achieved_error, idp.max_entry]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(120, 80), TALL], ids=["plain", "tall"])
+def test_id_leaves_its_input_alone_by_default(order, cplx, shape):
+    A = decay_matrix(*shape, "algebraic", 6)
+    if cplx:
+        A = A + 1j * decay_matrix(*shape, "algebraic", 7)
+    A = np.asarray(A, order=order)
+    before = A.copy(order="K")
+    id_fixed_precision(A, 1e-6)
+    pivoted_qr(A, 1e-6)
+    assert A.tobytes(order="A") == before.tobytes(order="A")
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(120, 80), TALL], ids=["plain", "tall"])
+def test_overwrite_a_factors_in_place(cplx, shape):
+    # an F-ordered block handed over is factored where it lies: the ID is
+    # the copying path's bit for bit, and the block's contents are gone
+    A = decay_matrix(*shape, "algebraic", 8)
+    if cplx:
+        A = A + 1j * decay_matrix(*shape, "algebraic", 9)
+    want = id_fixed_precision(A, 1e-6)
+    F = np.asfortranarray(A)
+    got = id_fixed_precision(F, 1e-6, overwrite_a=True)
+    assert _id_bytes(got) == _id_bytes(want)
+    assert not np.array_equal(F, A)
+    # a C-ordered block cannot be factored in place, so it is copied
+    C = np.ascontiguousarray(A)
+    assert _id_bytes(id_fixed_precision(C, 1e-6, overwrite_a=True)) == _id_bytes(want)
+    assert np.array_equal(C, A)
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_interp_matches_solve_triangular_bitwise(cplx, order):
+    # _interp calls LAPACK trtrs itself, as solve_triangular would
+    A = decay_matrix(90, 60, "geometric", 10)
+    if cplx:
+        A = A + 1j * decay_matrix(90, 60, "geometric", 11)
+    piv, R, rank, _ = pivoted_qr(A, 1e-8)
+    R = np.asarray(R, order=order)
+    for k in (1, rank // 2, rank, 60):
+        skel, P, big = lowrank._interp(piv, R, k, A.dtype)
+        want = np.zeros_like(P)
+        want[np.arange(k), piv[:k]] = 1.0
+        if k < 60:
+            want[:, piv[k:]] = scipy.linalg.solve_triangular(R[:k, :k], R[:k, k:],
+                                                             check_finite=False)
+        assert np.array_equal(skel, piv[:k]) and P.tobytes() == want.tobytes()
+        assert big == np.abs(want).max()
+
+
+def test_max_entry_is_kept_with_the_id():
+    idp = id_fixed_precision(decay_matrix(80, 60, "geometric", 12), 1e-6)
+    assert idp.max_entry == np.abs(idp.proj).max()
+    for k in (idp.rank + 3, 60):
+        assert idp.cut(k).max_entry == np.abs(idp.cut(k).proj).max()
+    # built by hand, it is read off proj
+    hand = lowrank.InterpDecomp(skel=idp.skel, proj=3 * idp.proj, rank=idp.rank,
+                                achieved_error=0.0)
+    assert hand.max_entry == 3 * idp.max_entry
+
+
+def test_degraded_cut_and_row_id_warn_at_the_caller():
+    K = kahan(100)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        idp = id_rows(K.T, 0.05)
+        idp.cut(idp.rank + 1)
+    assert len(caught) == 2
+    assert all(w.category is AccuracyWarning and w.filename == __file__ for w in caught)

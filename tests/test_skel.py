@@ -1,6 +1,8 @@
 import struct
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -673,9 +675,9 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
     source, tree = _volume_source("square", symmetric)
     targets, real_id = [], skel.id_fixed_precision
 
-    def capture(A, eps):
+    def capture(A, eps, **kwargs):
         targets.append(np.array(A))
-        return real_id(A, eps)
+        return real_id(A, eps, **kwargs)
 
     monkeypatch.setattr(skel, "id_fixed_precision", capture)
     with warnings.catch_warnings():
@@ -705,6 +707,46 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
                 assert_bits_equal(next(captured), source.block(row_dofs[a], cols).T)
     assert next(captured, None) is None
 
+
+@pytest.mark.parametrize("case", ["cube", "ellipse_bie"], ids=["one_id", "two_ids"])
+def test_in_place_targets_give_the_copying_bytes(case, monkeypatch):
+    # compress_source hands each column-major ID target to LAPACK to factor
+    # in place; an ID of a copy, with the overwrite dropped, gives the same
+    # container bytes
+    if case == "cube":
+        source, tree = _volume_source("cube")
+        run = lambda: compress_source(source, tree, 1e-6)
+    else:
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
+        run = lambda: bie.compress_system(system, 1e-9)[1]
+    in_place = serialize_compressed(run())
+    handed, real_id = [], skel.id_fixed_precision
+
+    def copying_id(A, eps, **kwargs):
+        handed.append((A.flags.f_contiguous, kwargs.pop("overwrite_a", False)))
+        return real_id(np.array(A), eps, **kwargs)
+
+    monkeypatch.setattr(skel, "id_fixed_precision", copying_id)
+    assert serialize_compressed(run()) == in_place
+    assert handed and all(f and o for f, o in handed)
+
+
+def test_concurrent_compressions_leave_warning_filters_alone():
+    # compress_source once silenced its per-block warnings with
+    # warnings.catch_warnings, which swaps the process-global filter list:
+    # two threads compressing at once left a stray filter behind
+    system = bie.discretize_dirichlet(bie.circle(1.0, 2048), LAPLACE2)
+    before = list(warnings.filters)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futs = [pool.submit(bie.compress_system, system, 1e-9, 16) for _ in range(2)]
+            for fut in futs:
+                fut.result(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(warnings.filters) == before
 
 @pytest.mark.parametrize("case", ["cloud", "ellipse_bie"])
 def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):

@@ -22,7 +22,7 @@ from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
                             export_matrix_market, factor, gmres, lu_factor,
-                            read_matrix_market, serialize_factored, solve)
+                            lu_solve, read_matrix_market, serialize_factored, solve)
 
 LAPLACE2 = KernelSpec("laplace", 2)
 
@@ -609,6 +609,96 @@ def test_lu_factor_is_scipys_without_the_warning():
         np.testing.assert_array_equal(lu, ref_lu)
         np.testing.assert_array_equal(piv, ref_piv)
 
+
+
+@pytest.mark.parametrize("cplx_lu, cplx_b", [(False, False), (True, True), (False, True)],
+                         ids=["real", "complex", "real-lu-complex-b"])
+@pytest.mark.parametrize("nrhs", [None, 1, 7])
+def test_lu_solve_is_scipys(cplx_lu, cplx_b, nrhs):
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((9, 9)) + (1j * rng.standard_normal((9, 9)) if cplx_lu else 0)
+    b = rng.standard_normal((9,) if nrhs is None else (9, nrhs))
+    if cplx_b:
+        b = b + 1j * rng.standard_normal(b.shape)
+    lu = lu_factor(a)
+    want = scipy.linalg.lu_solve(lu, b, check_finite=False)
+    got = lu_solve(lu, b)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # overwrite_b solves into a column-major right-hand side of the LAPACK dtype
+    bf = np.asfortranarray(b, dtype=want.dtype)
+    assert lu_solve(lu, bf, overwrite_b=True).tobytes() == want.tobytes()
+    assert bf.tobytes(order="A") == np.asfortranarray(want).tobytes(order="A")
+    # an empty right-hand side gives an empty answer of the same dtype
+    empty = lu_solve(lu, np.zeros((9, 0), dtype=b.dtype))
+    assert empty.shape == (9, 0) and empty.dtype == want.dtype
+
+
+def test_lu_factor_overwrites_only_when_asked():
+    rng = np.random.default_rng(2)
+    a = np.asfortranarray(rng.standard_normal((6, 6)))
+    before = a.copy(order="F")
+    lu, piv = lu_factor(a)
+    assert np.array_equal(a, before)
+    lu2, piv2 = lu_factor(a, overwrite_a=True)
+    assert np.shares_memory(lu2, a)
+    assert np.array_equal(lu2, lu) and np.array_equal(piv2, piv)
+
+
+@pytest.mark.parametrize("regularize", [0.0, 1e-3])
+def test_factor_leaves_the_compressed_matrix_alone(regularize):
+    # factor builds each bordered block afresh, and LAPACK overwrites only that
+    system = bie.discretize_dirichlet(bie.circle(1.0, 512), LAPLACE2)
+    cm = bie.compress_system(system, 1e-9, 16)[1]
+    before = serialize_compressed(cm)
+    factor(cm, regularize=regularize)
+    assert serialize_compressed(cm) == before
+
+
+def _reference_sweep(levels, top, perm, x):
+    """The telescoping sweep as first written: each product a new array,
+    copied into place by offset."""
+    dtype = np.result_type(levels[0].blocks[0][1].dtype, x.dtype)
+    u = x.reshape(x.shape[0], -1).astype(dtype)[perm]
+    us = []
+    for lv in levels:
+        us.append(u)
+        nxt = np.empty((lv.K_c, u.shape[1]), dtype=dtype)
+        for a, (up, _, _) in enumerate(lv.blocks):
+            if up.shape[0]:
+                nxt[lv.kc_off[a]:lv.kc_off[a + 1]] = up @ u[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
+        u = nxt
+    v = top(u)
+    for lv in reversed(levels):
+        u = us.pop()
+        w = np.empty((lv.row_dof_off[-1], u.shape[1]), dtype=dtype)
+        for a, (_, diag, down) in enumerate(lv.blocks):
+            seg = diag @ u[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
+            if down.shape[1]:
+                seg = seg + down @ v[lv.kr_off[a]:lv.kr_off[a + 1]]
+            w[lv.row_dof_off[a]:lv.row_dof_off[a + 1]] = seg
+        v = w
+    out = np.empty_like(v)
+    out[perm] = v
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("spec", [LAPLACE2, KernelSpec("helmholtz", 2, wavenumber=10.0)],
+                         ids=["laplace", "helmholtz"])
+@pytest.mark.parametrize("shape", [(512,), (512, 16)], ids=["vector", "block"])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real_x", "complex_x"])
+def test_sweeps_write_the_reference_bytes(spec, shape, cplx):
+    # apply and solve write each product straight into its output slice,
+    # through slices made once per level: the bytes of the plain sweep
+    system = bie.discretize_dirichlet(bie.circle(1.0, 512), spec)
+    cm = bie.compress_system(system, 1e-9, 16)[1]
+    fi = factor(cm)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0)
+    want = _reference_sweep(cm.levels, lambda u: cm.S @ u, cm.perm, x)
+    assert apply(cm, x).tobytes() == want.tobytes()
+    want = _reference_sweep(fi.levels, lambda u: lu_solve(fi.S_lu, u), fi.perm, x)
+    assert solve(fi, x).tobytes() == want.tobytes()
 
 def test_default_3d_cube_compresses_to_a_factorable_matrix():
     # default settings once sent these tall proxy blocks through the sketched
