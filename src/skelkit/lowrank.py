@@ -13,7 +13,7 @@ to deterministic when its a-posteriori probe check fails.
 
 An ID whose interpolation entries exceed 2 (degraded pivoting) is reported
 by an AccuracyWarning from the public call that returns it, unless that
-call comes from within skelkit: a compression counts such IDs and reports
+call is made by skelkit itself: a compression counts such IDs and reports
 them once.  No warning filter is touched, so IDs in several threads at once
 leave the process-global filter list alone.
 """
@@ -21,7 +21,7 @@ leave the process-global filter list alone.
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -47,8 +47,8 @@ class InterpDecomp:
 
     piv and R are the column pivot order and the full triangular factor the
     ID was read from; ``sketched`` marks a factor of a random sketch of A
-    rather than of A itself.  max_entry is max |proj|: at most 2 unless
-    pivoting degraded on this block (read off proj when not given)."""
+    rather than of A itself.  max_entry is max |proj|, read off proj when
+    the ID is built: at most 2 unless pivoting degraded on this block."""
 
     skel: np.ndarray
     proj: np.ndarray
@@ -57,11 +57,10 @@ class InterpDecomp:
     piv: np.ndarray | None = None
     R: np.ndarray | None = None
     sketched: bool = False
-    max_entry: float | None = None
+    max_entry: float = field(init=False)
 
     def __post_init__(self):
-        if self.max_entry is None:
-            self.max_entry = float(np.abs(self.proj).max(initial=0.0))
+        self.max_entry = float(np.abs(self.proj).max(initial=0.0))
 
     def cut(self, k):
         """The same ID with exactly k skeleton columns, read off the stored
@@ -70,9 +69,9 @@ class InterpDecomp:
             return self
         if self.sketched and k > self.R.shape[0]:
             return None
-        skel, proj, big = _interp(self.piv, self.R, k, self.proj.dtype)
+        skel, proj = _interp(self.piv, self.R, k, self.proj.dtype)
         return _reported(replace(self, skel=skel, proj=proj, rank=k,
-                                 achieved_error=_ratio(self.R, k), max_entry=big))
+                                 achieved_error=_ratio(self.R, k)))
 
 
 def _check_matrix(A):
@@ -130,11 +129,18 @@ def pivoted_qr(A, eps, *, overwrite_a=False):
     return jpvt.astype(np.int64) - 1, R, rank, _ratio(R, rank)
 
 
-def _warn(message):
-    """AccuracyWarning attributed to the first caller outside skelkit."""
+def _warn(message, quiet_inside=False):
+    """AccuracyWarning attributed to the first caller outside skelkit.
+
+    With ``quiet_inside`` only this module's frames are skipped, and nothing
+    is issued when the first caller past them is skelkit's own (a
+    compression counts its degraded IDs and reports them once)."""
+    skip = __file__ if quiet_inside else _PKG_DIR
     frame, level = sys._getframe(0), 1
-    while frame is not None and frame.f_code.co_filename.startswith(_PKG_DIR):
+    while frame is not None and frame.f_code.co_filename.startswith(skip):
         frame, level = frame.f_back, level + 1
+    if frame is not None and frame.f_code.co_filename.startswith(_PKG_DIR):
+        return
     warnings.warn(message, AccuracyWarning, stacklevel=level)
 
 
@@ -144,8 +150,7 @@ def _above_two(x):
 
 
 def _interp(piv, R, k, dtype):
-    """Skeleton, projection and max |projection| of the ID cut at exactly k
-    columns.
+    """Skeleton and projection of the ID cut at exactly k columns.
 
     Columns past the last nonzero pivot (exact rank deficiency, or k beyond
     R's rows) are padded in: each such skeleton reconstructs only itself."""
@@ -167,22 +172,15 @@ def _interp(piv, R, k, dtype):
         if info:
             raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
         P[:r, piv[k:]] = x
-    return piv[:k].copy(), P, float(np.abs(P).max(initial=0.0))
+    return piv[:k].copy(), P
 
 
 def _reported(idp):
-    """``idp``, after an AccuracyWarning if its entries exceed 2 and no
-    skelkit module outside this one is on the call stack: a compression
-    reports its degraded IDs itself, in one summary per call."""
+    """``idp``, after an AccuracyWarning to a caller outside skelkit if its
+    entries exceed 2."""
     if idp.max_entry > 2.0:
-        frame = sys._getframe(1)
-        while frame is not None:
-            name = frame.f_code.co_filename
-            if name.startswith(_PKG_DIR) and name != __file__:
-                return idp
-            frame = frame.f_back
         _warn(f"interpolation matrix entries reach {_above_two(idp.max_entry)} (> 2); "
-              "pivoting quality degraded on this block")
+              "pivoting quality degraded on this block", quiet_inside=True)
     return idp
 
 
@@ -201,9 +199,9 @@ def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
         raise InvalidInput("eps must lie in (0, 1)")
     A = _check_matrix(A)
     piv, R, rank, ratio = pivoted_qr(A, eps, overwrite_a=overwrite_a)
-    skel, proj, big = _interp(piv, R, rank, A.dtype)
+    skel, proj = _interp(piv, R, rank, A.dtype)
     return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
-                                  piv=piv, R=R, max_entry=big))
+                                  piv=piv, R=R))
 
 
 def id_rows(A, eps) -> InterpDecomp:
@@ -258,7 +256,7 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
             break
         ell *= 2
 
-    skel, proj, big = _interp(piv, R, rank, A.dtype)
+    skel, proj = _interp(piv, R, rank, A.dtype)
 
     # a-posteriori check on random probes
     worst = 0.0
@@ -271,4 +269,4 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
     if worst > 3 * eps:
         return id_fixed_precision(A, eps)
     return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst,
-                                  piv=piv, R=R, sketched=True, max_entry=big))
+                                  piv=piv, R=R, sketched=True))

@@ -15,7 +15,6 @@ sources around each box, so per-node work depends only on neighbor sizes.
 
 import functools
 import io
-import itertools
 import math
 import mmap
 import numbers
@@ -163,10 +162,7 @@ class Level:
     its inverse.  Node a takes the input slice col_dof_off, which up maps
     to the skeleton slice kc_off; on the way down it writes the output
     slice row_dof_off from diag and from down on the coarser slice
-    kr_off.  The blocks and offsets are taken when the level is built, and
-    so are the slices between consecutive offsets (row_slices, col_slices,
-    kr_slices, kc_slices), which a sweep over many small nodes would
-    otherwise rebuild from numpy integers at every node."""
+    kr_off.  The blocks and offsets are taken when the level is built."""
 
     def __init__(self, nodes):
         self.nodes = nodes
@@ -175,9 +171,6 @@ class Level:
         self.col_dof_off = _offsets([diag.shape[1] for _, diag, _ in blocks])
         self.kr_off = _offsets([down.shape[1] for _, _, down in blocks])
         self.kc_off = _offsets([up.shape[0] for up, _, _ in blocks])
-        self.row_slices, self.col_slices, self.kr_slices, self.kc_slices = (
-            [slice(lo, hi) for lo, hi in itertools.pairwise(off.tolist())]
-            for off in (self.row_dof_off, self.col_dof_off, self.kr_off, self.kc_off))
 
     @property
     def K_r(self):
@@ -249,21 +242,24 @@ def _telescope(levels, top, n, perm, dtype, x):
     us = []
     for lv in levels:
         us.append(u)
+        # offsets as Python ints: slicing by numpy integers costs more per node
+        x_off, u_off = lv.col_dof_off.tolist(), lv.kc_off.tolist()
         nxt = np.empty((lv.K_c, nrhs), dtype=dtype)
-        for (up, _, _), xs, ks in zip(lv.blocks, lv.col_slices, lv.kc_slices):
+        for a, (up, _, _) in enumerate(lv.blocks):
             if up.shape[0]:
-                np.matmul(up, u[xs], out=nxt[ks])
+                np.matmul(up, u[x_off[a]:x_off[a + 1]], out=nxt[u_off[a]:u_off[a + 1]])
         u = nxt
     v = top(u)
     for lv in reversed(levels):
         u = us.pop()
-        w = np.empty((int(lv.row_dof_off[-1]), nrhs), dtype=dtype)
-        for (_, diag, down), xs, ys, vs in zip(lv.blocks, lv.col_slices, lv.row_slices,
-                                               lv.kr_slices):
+        x_off, y_off, v_off = (lv.col_dof_off.tolist(), lv.row_dof_off.tolist(),
+                               lv.kr_off.tolist())
+        w = np.empty((y_off[-1], nrhs), dtype=dtype)
+        for a, (_, diag, down) in enumerate(lv.blocks):
             # each product is written straight into its slice of the output
-            seg = np.matmul(diag, u[xs], out=w[ys])
+            seg = np.matmul(diag, u[x_off[a]:x_off[a + 1]], out=w[y_off[a]:y_off[a + 1]])
             if down.shape[1]:
-                seg += down @ v[vs]
+                seg += down @ v[v_off[a]:v_off[a + 1]]
         v = w
 
     # u is now the permuted input; free it before allocating the output
@@ -319,13 +315,9 @@ def _cat(parts):
 def _stacked(parts):
     """The row blocks ``parts`` stacked into one new column-major array,
     the layout LAPACK factors in place: ``np.vstack`` with Fortran order."""
-    t = np.empty((sum(p.shape[0] for p in parts), parts[0].shape[1]),
-                 dtype=np.result_type(*parts), order="F")
-    r0 = 0
-    for p in parts:
-        t[r0:r0 + p.shape[0]] = p
-        r0 += p.shape[0]
-    return t
+    out = np.empty((sum(p.shape[0] for p in parts), parts[0].shape[1]),
+                   dtype=np.result_type(*parts), order="F")
+    return np.concatenate(parts, out=out)
 
 
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,

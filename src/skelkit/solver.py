@@ -163,28 +163,22 @@ class FactoredInverse:
         return solve(self, b)
 
 
-def lu_factor(a, *, overwrite_a=False):
+def lu_factor(a):
     """LU with partial pivoting through LAPACK getrf: (lu, piv) as scipy's
     ``lu_factor`` returns them, 0-based pivots and 0x0 blocks included.  An
     exactly zero pivot stays on lu's diagonal for the caller to check; no
-    warning is issued, so no warning filter has to be touched.
-
-    ``overwrite_a=True`` lets getrf factor an F-contiguous ``a`` of the
-    LAPACK dtype in place, as in scipy; by default ``a`` is left alone."""
+    warning is issued, so no warning filter has to be touched."""
     a = np.asarray(a)
     if a.size == 0:
         return np.empty_like(a), np.arange(0, dtype=np.int32)
     getrf, = get_lapack_funcs(("getrf",), (a,))
-    lu, piv, _ = getrf(a, overwrite_a=overwrite_a)
+    lu, piv, _ = getrf(a)
     return lu, piv
 
 
-def lu_solve(lu_and_piv, b, *, overwrite_b=False):
+def lu_solve(lu_and_piv, b):
     """x with a x = b, from lu_factor's (lu, piv) of a, through LAPACK getrs
-    as scipy's ``lu_solve`` calls it, without its batching and input checks.
-
-    ``overwrite_b=True`` lets getrs solve into an F-contiguous ``b`` of the
-    LAPACK dtype in place, as in scipy; by default ``b`` is left alone."""
+    as scipy's ``lu_solve`` calls it, without its batching and input checks."""
     lu, piv = lu_and_piv
     b = np.asarray(b)
     if lu.shape[0] != b.shape[0]:
@@ -192,21 +186,14 @@ def lu_solve(lu_and_piv, b, *, overwrite_b=False):
     getrs, = get_lapack_funcs(("getrs",), (lu, b))
     if b.size == 0:
         return np.empty_like(b, dtype=getrs.dtype)
-    x, _ = getrs(lu, piv, b, overwrite_b=overwrite_b)
+    x, _ = getrs(lu, piv, b)
     return x
 
 
-def _norm1(A):
-    """||A||_1, the largest column sum of |A|.  |A| is formed row-major, so
-    numpy adds each column one row at a time whatever A's layout; a
-    column-major |A| would be summed pairwise, to other bits."""
-    return np.abs(A, order="C").sum(axis=0).max() if A.size else 0.0
-
-
-def _rcond1(na, Ainv):
-    """1 / (||A||_1 ||A^-1||_1), given na = ||A||_1."""
-    if Ainv.size == 0:
+def _rcond1(A, Ainv):
+    if A.size == 0:
         return 1.0
+    na = np.abs(A).sum(axis=0).max()
     nb = np.abs(Ainv).sum(axis=0).max()
     return 1.0 / (na * nb) if na * nb > 0 else 0.0
 
@@ -227,18 +214,14 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     dtype = cm.dtype
     warnings_list = []
 
-    def _lu(B, level, node, what):
-        """LU of the column-major B, which it overwrites."""
-        lu, piv = lu_factor(B, overwrite_a=True)
+    def _lu(B, level, node, what, n_reg):
+        """LU of B after adding delta to its first n_reg diagonal entries."""
+        if regularize:
+            B[np.arange(n_reg), np.arange(n_reg)] += regularize
+        lu, piv = lu_factor(B)
         if np.any(np.diag(lu) == 0):
             raise SingularBlock(level, node, what)
         return lu, piv
-
-    def _regularized(B, n_reg):
-        """B after adding delta to its first n_reg diagonal entries."""
-        if regularize:
-            B[np.arange(n_reg), np.arange(n_reg)] += regularize
-        return B
 
     lam_prev = None
     flevels = []
@@ -251,10 +234,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                 raise InvalidInput(
                     f"non-square node at level {li + 1}, node {a} (D {nn}x{nd.D.shape[1]}, "
                     f"{k}x{nd.k_c} skeletons): row and column skeleton counts differ")
-            # B and its inverse are built column-major, and LAPACK
-            # overwrites them: the LU factors B in place, and the solve
-            # turns the identity into B^-1
-            B = np.zeros((nn + k, nn + k), dtype=dtype, order="F")
+            B = np.zeros((nn + k, nn + k), dtype=dtype)
             B[:nn, :nn] = nd.D
             B[:nn, nn:] = nd.L
             B[nn:, :nn] = nd.R
@@ -265,10 +245,9 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                     B[ro:ro + lam_c.shape[0], co:co + lam_c.shape[1]] = lam_c
                     ro += lam_c.shape[0]
                     co += lam_c.shape[1]
-            norm = _norm1(_regularized(B, nn))
-            lu = _lu(B, li + 1, a, "bordered")
-            Binv = lu_solve(lu, np.eye(nn + k, dtype=dtype, order="F"), overwrite_b=True)
-            rc = _rcond1(norm, Binv)
+            lu = _lu(B, li + 1, a, "bordered", nn)
+            Binv = lu_solve(lu, np.eye(nn + k, dtype=dtype))
+            rc = _rcond1(B, Binv)
             if rc < _RCOND_WARN:
                 warnings_list.append((li + 1, a, "bordered", rc))
             # contiguous copies: a loaded inverse then solves bit for bit alike
@@ -280,12 +259,12 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
         lam_prev = [fn.Lam for fn in fnodes]
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
-    Shat = np.array(cm.S, dtype=dtype, order="F")
+    Shat = np.array(cm.S, dtype=dtype)
     if cm.levels:
         top = cm.levels[-1]
         for a, lam in enumerate(lam_prev):
             Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = lam
-    S_lu = _lu(_regularized(Shat, Shat.shape[0]), "top", 0, "S")
+    S_lu = _lu(Shat, "top", 0, "S", Shat.shape[0])
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
                            scalar_field=cm.scalar_field, warnings=warnings_list)
 
