@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, InvalidInput
 from .geom import PointSet, build_tree
-from .kernels import KernelSpec, eval_block
+from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
 from .skel import KernelSource, ProxyConfig, _offsets, compress_source
 from .solver import factor, solve
 
@@ -297,6 +297,20 @@ def _neumann_trace_block(k, targets: PointSet, sources: PointSet,
     return blk
 
 
+def _neumann_trace_pair(k, a: PointSet, b: PointSet):
+    """(_neumann_trace_block(k, a, b), _neumann_trace_block(k, b, a)) bit
+    for bit, from one evaluation of the Hankel factor per pair of nodes."""
+    dspec = KernelSpec("helmholtz", 2, "double", k)
+    ba, ab = eval_block_pair(dspec, PointSet(b.coords, b.normals),
+                             PointSet(a.coords, a.normals))
+    ba, ab = ba.T, ab.T
+    if b.weights is not None:
+        ba = ba * b.weights[None, :]
+    if a.weights is not None:
+        ab = ab * a.weights[None, :]
+    return ba, ab
+
+
 class _Scatterer:
     """One sound-hard obstacle as a curve system: -1/2 plus the
     Kapur-Rokhlin corrected Neumann trace of the Helmholtz single layer."""
@@ -366,22 +380,23 @@ class ScatteringSystem:
 
     def matrix(self):
         """The dense block system.  A translate of an earlier scatterer takes
-        that scatterer's diagonal block."""
+        that scatterer's diagonal block; the two cross blocks of each pair
+        of scatterers come from one evaluation of their Hankel factors."""
         off = self.offsets()
         reps = _translates(self.scatterers)
         A = np.zeros((self.n, self.n), dtype=np.complex128)
         for i, si in enumerate(self.scatterers):
-            for j, sj in enumerate(self.scatterers):
-                bi = slice(off[i], off[i + 1])
+            bi = slice(off[i], off[i + 1])
+            if reps[i] != i:
+                br = slice(off[reps[i]], off[reps[i] + 1])
+                A[bi, bi] = A[br, br]
+            else:
+                idx = np.arange(si.npts)
+                A[bi, bi] = si.block(idx, idx)
+            for j in range(i + 1, len(self.scatterers)):
                 bj = slice(off[j], off[j + 1])
-                if i != j:
-                    A[bi, bj] = _neumann_trace_block(self.k, si.points, sj.points)
-                elif reps[i] != i:
-                    br = slice(off[reps[i]], off[reps[i] + 1])
-                    A[bi, bj] = A[br, br]
-                else:
-                    idx = np.arange(si.npts)
-                    A[bi, bj] = si.block(idx, idx)
+                A[bi, bj], A[bj, bi] = _neumann_trace_pair(self.k, si.points,
+                                                           self.scatterers[j].points)
         return A
 
     def rhs_plane_wave(self):
@@ -426,8 +441,7 @@ class ScatteringSystem:
 
 def scattering_system(scatterers, k) -> ScatteringSystem:
     """Validate geometry (pairwise disjoint) and assemble the block system."""
-    if k <= 0:
-        raise InvalidInput("wavenumber must be positive")
+    check_wavenumber(k)
     curves = list(scatterers)
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):

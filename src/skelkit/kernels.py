@@ -11,6 +11,8 @@ If the source set carries quadrature weights, column j of every block is
 scaled by w_j, so a block times a density vector is a quadrature sum.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +45,8 @@ class KernelSpec:
             raise InvalidInput(f"unknown layer {self.layer!r}")
         if self.self_interaction not in ("zero", "curvature_limit"):
             raise InvalidInput(f"unknown self_interaction {self.self_interaction!r}")
-        if self.equation == "helmholtz" and not self.wavenumber > 0:
-            raise InvalidInput("helmholtz requires wavenumber > 0")
+        if self.equation == "helmholtz":
+            check_wavenumber(self.wavenumber)
         if self.equation == "laplace" and self.wavenumber != 0:
             raise InvalidInput("laplace requires wavenumber == 0")
 
@@ -62,6 +64,19 @@ class KernelSpec:
             return self
         return KernelSpec(self.equation, self.dim, "single", self.wavenumber,
                           self.self_interaction)
+
+
+def check_wavenumber(k):
+    """Raise InvalidInput unless k is a finite positive real number.  A
+    complex k is refused even with a zero imaginary part, and so is an
+    infinite one, which would make every off-diagonal entry NaN."""
+    try:
+        ok = (isinstance(k, numbers.Real) and not isinstance(k, bool)
+              and math.isfinite(k) and k > 0)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise InvalidInput(f"helmholtz requires a finite real wavenumber > 0, got {k!r}")
 
 
 def bessel_h0(z):
@@ -95,24 +110,52 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
     targets and sources, so a single-layer block of unweighted sources
     equals the transpose of the swapped block bit for bit.
     """
+    return _evaluate(spec, targets, sources, pair=False)[0]
+
+
+def eval_block_pair(spec: KernelSpec, a: PointSet, b: PointSet):
+    """``(eval_block(spec, a, b), eval_block(spec, b, a))`` bit for bit, with
+    the radial part of the kernel (the Hankel or exponential factor of
+    Helmholtz) evaluated once for each pair of points.
+
+    Both orientations share it exactly: (x - y)**2 and (y - x)**2 are the
+    same bits, summed over the axes in the same order, and the coincidence
+    scale is symmetric in the two sets.  Only the normal, the coincidence
+    fill and the weights, all of the source side, are per orientation.  The
+    second block is the transpose of an array laid out like the first."""
+    ab, ba = _evaluate(spec, a, b, pair=True)
+    return ab, ba.T
+
+
+def _evaluate(spec, a, b, pair):
+    """(eval_block(spec, a, b), the transpose of eval_block(spec, b, a) if
+    ``pair`` else None), in row chunks of a."""
+    _check_operands(spec, a, b)
+    if pair:
+        _check_operands(spec, b, a)
+    # one coincidence scale for the whole block, however it is chunked
+    span = max(*_extent(a.coords), *_extent(b.coords), 1.0)
+    m, n = a.n, b.n
+    rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
+    if m <= rows_per_chunk:
+        return _block_rows(spec, a, b, slice(None), span, pair)
+    ab = np.empty((m, n), dtype=spec.dtype)
+    ba = np.empty((m, n), dtype=spec.dtype) if pair else None
+    for lo in range(0, m, rows_per_chunk):
+        rows = slice(lo, min(lo + rows_per_chunk, m))
+        ab[rows], ba_rows = _block_rows(spec, a, b, rows, span, pair)
+        if pair:
+            ba[rows] = ba_rows
+    return ab, ba
+
+
+def _check_operands(spec, targets, sources):
     if targets.dim != spec.dim or sources.dim != spec.dim:
         raise InvalidInput(
             f"dimension mismatch: spec is {spec.dim}D, targets {targets.dim}D, "
             f"sources {sources.dim}D")
     if spec.layer == "double" and sources.normals is None:
         raise InvalidInput("double layer needs source normals")
-
-    # one coincidence scale for the whole block, however it is chunked
-    span = max(*_extent(targets.coords), *_extent(sources.coords), 1.0)
-    m, n = targets.n, sources.n
-    rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
-    if m <= rows_per_chunk:
-        return _block_rows(spec, targets.coords, sources, span)
-    out = np.empty((m, n), dtype=spec.dtype)
-    for lo in range(0, m, rows_per_chunk):
-        hi = min(lo + rows_per_chunk, m)
-        out[lo:hi] = _block_rows(spec, targets.coords[lo:hi], sources, span)
-    return out
 
 
 def _extent(coords):
@@ -123,96 +166,136 @@ def _extent(coords):
     return max(h - l for l, h in zip(lo, hi)), max(max(hi), -min(lo))
 
 
-def _block_rows(spec, x, sources, span):
-    """The rows of ``eval_block`` at target coordinates ``x``; pairs closer
-    than COINCIDENT_RTOL * span are coincident.
+def _along(arr, rows):
+    """A per-point array of the source set laid along the columns of a
+    block (``rows`` None) or, cut to the slice ``rows``, along its rows."""
+    return arr if rows is None else arr[rows, None]
+
+
+def _block_rows(spec, a, b, rows, span, pair):
+    """Rows ``rows`` of eval_block(spec, a, b) and, if ``pair``, the same
+    rows of the transpose of eval_block(spec, b, a) (else None); pairs
+    closer than COINCIDENT_RTOL * span are coincident.  The second is
+    finished first, from a copy, since the first may overwrite the shared
+    factor."""
+    x = a.coords[rows, None]
+    f, rs, coincident, d = _radial(spec, x, b.coords, span)
+    ba = _finish(spec, f, rs, coincident, d, b.coords, a, rows, True) if pair else None
+    return _finish(spec, f, rs, coincident, d, x, b, None, False), ba
+
+
+def _radial(spec, x, y, span):
+    """The part of a block that is the same in both orientations: the
+    radial factor of the kernel at each pair of target coordinates ``x``
+    (laid along the rows) and source coordinates ``y`` (along the columns),
+    with coincident pairs marked.  Returns (f, rs, coincident, scratch):
+    the whole block for the single layer, the denominator for the Laplace
+    double layer, dG/drs for the Helmholtz double layer; rs, the distances,
+    where the finish needs them; the mask, or None if no pair coincides;
+    and a scratch array of the block's shape.
 
     Every step writes into an array that is already there (``out=`` and
     in-place operators), with the operands in the order of the plain
     formulas written in the comments, so the entries are theirs bit for bit
     from a few arrays of the block's shape instead of one per operation."""
-    # r2 and, for the double layer, xdot[i,j] = (x_i - y_j) . nu_j (nu the
-    # source normal) are summed axis by axis through one scratch array, with
-    # no (rows x cols x dim) difference tensor, adding the axes in einsum's
-    # order.  r2 starts at the first axis's d*d, equal to einsum's 0 + d*d
-    # since d*d is never -0; xdot starts from +0 like einsum, since its
-    # signed zeros show
-    y = sources.coords
+    # r2 is summed axis by axis through one scratch array, with no
+    # (rows x cols x dim) difference tensor, adding the axes in einsum's
+    # order.  It starts at the first axis's d*d, equal to einsum's 0 + d*d
+    # since d*d is never -0
     first, *rest = _AXIS_ORDER[spec.dim]
     d = np.empty((x.shape[0], y.shape[0]))
-    r2 = np.subtract(x[:, first, None], y[:, first], out=np.empty_like(d))
+    r2 = np.subtract(x[..., first], y[..., first], out=np.empty_like(d))
     r2 *= r2
     for ax in rest:
-        np.subtract(x[:, ax, None], y[:, ax], out=d)
+        np.subtract(x[..., ax], y[..., ax], out=d)
         d *= d
         r2 += d
-    xdot = None
-    if spec.layer == "double":
-        xdot = np.zeros_like(d)
-        for ax in _AXIS_ORDER[spec.dim]:
-            np.subtract(x[:, ax, None], y[:, ax], out=d)
-            d *= sources.normals[:, ax]
-            xdot += d
     coincident = r2 < (COINCIDENT_RTOL * span) ** 2
     if coincident.any():
         np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
     else:
         coincident = None
 
-    # ndot = (y - x) . nu = -xdot; -(-xdot) is xdot bit for bit
     k = spec.wavenumber
+    rs = None
     if spec.equation == "laplace" and spec.dim == 2:
         if spec.layer == "single":
             # from r^2 directly: -log(r)/(2 pi) = -log(r^2)/(4 pi), no sqrt
-            block = np.log(r2, out=r2)
-            block *= -0.25 / np.pi
+            f = np.log(r2, out=r2)
+            f *= -0.25 / np.pi
         else:
-            # -ndot / (2 pi r2)
-            r2 *= 2 * np.pi
-            block = np.divide(xdot, r2, out=xdot)
+            # the 2 pi r2 of -ndot / (2 pi r2)
+            f = r2
+            f *= 2 * np.pi
     else:
         rs = np.sqrt(r2, out=r2)
         if spec.layer == "single":
             if spec.equation == "laplace":
                 # 1 / (4 pi rs)
                 rs *= 4 * np.pi
-                block = np.divide(1.0, rs, out=rs)
+                f = np.divide(1.0, rs, out=rs)
             elif spec.dim == 2:
                 # 0.25j * (j0(k rs) + 1j * y0(k rs))
                 kr = np.multiply(k, rs, out=rs)
-                block = np.multiply(1j, sp.y0(kr, out=d))
-                block += sp.j0(kr, out=d)
-                np.multiply(0.25j, block, out=block)
+                f = np.multiply(1j, sp.y0(kr, out=d))
+                f += sp.j0(kr, out=d)
+                np.multiply(0.25j, f, out=f)
             else:
                 # exp(1j k rs) / (4 pi rs)
-                block = np.exp(np.multiply(1j * k, rs))
+                f = np.exp(np.multiply(1j * k, rs))
                 rs *= 4 * np.pi
-                block /= rs
+                f /= rs
+            rs = None
         elif spec.equation == "laplace":
-            # grad_y |x-y|^{-1} = (x-y)/r^3, so dG/dnu_y = -ndot / (4 pi rs^3)
-            r3 = np.power(rs, 3, out=rs)
-            r3 *= 4 * np.pi
-            block = np.divide(xdot, r3, out=xdot)
+            # grad_y |x-y|^{-1} = (x-y)/r^3, so dG/dnu_y = -ndot / (4 pi rs^3):
+            # the 4 pi rs^3
+            f = np.power(rs, 3, out=rs)
+            f *= 4 * np.pi
+            rs = None
         elif spec.dim == 2:
-            # -0.25j k (j1(k rs) + 1j * y1(k rs)) * ndot / rs
+            # -0.25j k (j1(k rs) + 1j * y1(k rs)) of dG/drs * ndot / rs
             kr = np.multiply(k, rs, out=d)
-            block = np.multiply(1j, sp.y1(kr))
-            block += sp.j1(kr, out=d)
-            np.multiply(-0.25j * k, block, out=block)
-            block *= np.negative(xdot, out=xdot)
-            block /= rs
+            f = np.multiply(1j, sp.y1(kr))
+            f += sp.j1(kr, out=d)
+            np.multiply(-0.25j * k, f, out=f)
         else:
-            # exp(1j k rs) * (1j k rs - 1) / (4 pi rs rs) * ndot / rs
+            # exp(1j k rs) * (1j k rs - 1) / (4 pi rs rs) of dG/drs * ndot / rs
             ikr = np.multiply(1j * k, rs)
-            block = np.exp(ikr)
+            f = np.exp(ikr)
             ikr -= 1.0
-            block *= ikr
+            f *= ikr
             del ikr
             rr = np.multiply(4 * np.pi, rs, out=d)
             rr *= rs
-            block /= rr
-            block *= np.negative(xdot, out=xdot)
+            f /= rr
+    return f, rs, coincident, d
+
+
+def _finish(spec, f, rs, coincident, d, x, sources, rows, copy):
+    """One orientation's block from ``_radial``'s output: target
+    coordinates ``x`` and the source set laid out as ``_along(..., rows)``
+    says.  The block is written over f unless ``copy``; d is scratch."""
+    if spec.layer == "double":
+        # xdot[i,j] = (x_i - y_j) . nu_j (nu the source normal), summed axis
+        # by axis in einsum's order from +0 like einsum, since its signed
+        # zeros show
+        y, nu = _along(sources.coords, rows), _along(sources.normals, rows)
+        xdot = np.zeros_like(d)
+        for ax in _AXIS_ORDER[spec.dim]:
+            np.subtract(x[..., ax], y[..., ax], out=d)
+            d *= nu[..., ax]
+            xdot += d
+        # ndot = (y - x) . nu = -xdot; -(-xdot) is xdot bit for bit
+        if spec.equation == "laplace":
+            # -ndot / (2 pi r2) in 2D, -ndot / (4 pi rs^3) in 3D
+            block = np.divide(xdot, f, out=xdot)
+        else:
+            # dG/drs * ndot / rs
+            ndot = np.negative(xdot, out=xdot)
+            block = np.multiply(f, ndot, out=None if copy else f)
             block /= rs
+    else:
+        block = f.copy() if copy else f
 
     if coincident is not None:
         if spec.self_interaction == "zero":
@@ -223,9 +306,9 @@ def _block_rows(spec, x, sources, span):
             kappa = sources.curvatures
             if kappa is None:
                 raise InvalidInput("curvature_limit needs source curvatures")
-            fill = np.broadcast_to(-np.asarray(kappa) / (4 * np.pi), block.shape[1:])
+            fill = -_along(kappa, rows) / (4 * np.pi)
         np.copyto(block, fill, where=coincident)
 
     if sources.weights is not None:
-        block *= sources.weights
+        block *= _along(sources.weights, rows)
     return block

@@ -138,7 +138,7 @@ class FactoredNode:
     Dd: np.ndarray          # B^-1[:n, :n] = D^-1 - D^-1 L Lambda R D^-1, B = [[D, L], [R, 0]]
     Ld: np.ndarray          # B^-1[:n, n:] = D^-1 L Lambda
     Rd: np.ndarray          # B^-1[n:, :n] = Lambda R D^-1
-    Lam: np.ndarray         # -B^-1[n:, n:] = (R D^-1 L)^-1, needed one level up
+    Lam: np.ndarray         # -B^-1[n:, n:] = (R D^-1 L)^-1; 0x0 once the level up has read it
     lu_D = lu_M = None      # no LU is kept; benchmark/spans.py still reads the names
 
     @property
@@ -223,7 +223,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             raise SingularBlock(level, node, what)
         return lu, piv
 
-    lam_prev = None
+    prev = []
     flevels = []
     for li, lv in enumerate(cm.levels):
 
@@ -241,7 +241,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             if li > 0:
                 ro = co = 0
                 for ci in nd.children:
-                    lam_c = lam_prev[ci]
+                    lam_c = prev[ci].Lam
                     B[ro:ro + lam_c.shape[0], co:co + lam_c.shape[1]] = lam_c
                     ro += lam_c.shape[0]
                     co += lam_c.shape[1]
@@ -256,17 +256,26 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
 
         fnodes = [factor_node(a) for a in range(len(lv.nodes))]
         flevels.append(Level(fnodes))
-        lam_prev = [fn.Lam for fn in fnodes]
+        _release_lam(prev)
+        prev = fnodes
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
     Shat = np.array(cm.S, dtype=dtype)
     if cm.levels:
         top = cm.levels[-1]
-        for a, lam in enumerate(lam_prev):
-            Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = lam
+        for a, fn in enumerate(prev):
+            Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = fn.Lam
+    _release_lam(prev)
     S_lu = _lu(Shat, "top", 0, "S", Shat.shape[0])
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
                            scalar_field=cm.scalar_field, warnings=warnings_list)
+
+
+def _release_lam(fnodes):
+    """Drop each node's Lambda once the level above has read it: ``solve``
+    never does, and a loaded inverse holds the same empty block."""
+    for fn in fnodes:
+        fn.Lam = np.zeros((0, 0), dtype=fn.Lam.dtype)
 
 
 def solve(fi: FactoredInverse, b) -> np.ndarray:

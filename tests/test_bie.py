@@ -249,6 +249,13 @@ class TestScattering:
         for wide, tight in zip(counts, counts[1:]):
             assert tight >= wide - 2
 
+    @pytest.mark.parametrize("k", [1 + 0j, np.inf, np.nan, 0.0])
+    def test_wavenumber_must_be_a_finite_positive_real(self, k):
+        # a complex k once raised TypeError from the k <= 0 comparison
+        curves = [bie.trefoil(64), bie.trefoil(64, center=(3.0, 0.0))]
+        with pytest.raises(InvalidInput, match="wavenumber"):
+            bie.scattering_system(curves, k)
+
     def test_overlapping_scatterers_rejected(self):
         curves = [bie.trefoil(64), bie.trefoil(64, center=(0.1, 0.0))]
         with pytest.raises(InvalidInput):
@@ -565,3 +572,59 @@ def test_copied_diagonal_blocks_match_their_own():
         own = s.block(idx, idx)
         got = A[off[i]:off[i + 1], off[i]:off[i + 1]]
         assert np.linalg.norm(got - own) <= 1e-13 * np.linalg.norm(own)
+
+
+def _per_block_matrix(sys_):
+    """The scattering matrix assembled block by block: each cross block
+    K(i, j) evaluated on its own, and each diagonal block copied from the
+    scatterer's representative."""
+    off = sys_.offsets()
+    reps = bie._translates(sys_.scatterers)
+    A = np.zeros((sys_.n, sys_.n), dtype=np.complex128)
+    for i, si in enumerate(sys_.scatterers):
+        for j, sj in enumerate(sys_.scatterers):
+            bi = slice(off[i], off[i + 1])
+            bj = slice(off[j], off[j + 1])
+            if i != j:
+                A[bi, bj] = bie._neumann_trace_block(sys_.k, si.points, sj.points)
+            elif reps[i] != i:
+                br = slice(off[reps[i]], off[reps[i] + 1])
+                A[bi, bj] = A[br, br]
+            else:
+                idx = np.arange(si.npts)
+                A[bi, bj] = si.block(idx, idx)
+    return A
+
+
+def _mixed_pair():
+    # a trefoil and a 2:1 ellipse, of different node counts
+    ell = bie.ellipse(0.6, 0.3, 150)
+    ell.xy += np.array([2.0, 0.5])
+    return bie.scattering_system([bie.trefoil(200), ell], 7.3)
+
+
+def _demo_pair(sep):
+    # scripts/scatter_demo.py's layout at one of its separations
+    curves = [bie.trefoil(256), bie.trefoil(256, center=(sep, 0.0))]
+    return bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
+
+
+@pytest.mark.parametrize("make", [_trefoil_grid, _mixed_pair] +
+                         [lambda s=s: _demo_pair(s) for s in (3.0, 2.0, 1.5, 1.25)],
+                         ids=["grid", "mixed", "demo-3.0", "demo-2.0", "demo-1.5", "demo-1.25"])
+def test_matrix_is_the_per_block_assembly_bitwise(make):
+    # matrix() evaluates each pair of scatterers once for both cross blocks
+    sys_ = make()
+    A = sys_.matrix()
+    assert A.tobytes() == _per_block_matrix(sys_).tobytes()
+
+
+def test_neumann_trace_pair_is_both_blocks_bitwise():
+    # weighted and unweighted sources, and sets of different sizes
+    k = 2 * np.pi * 2.0 / bie.trefoil(128).diameter()
+    pa, pb = bie.trefoil(128).point_set(), bie.trefoil(96, center=(2.0, 1.0)).point_set()
+    bare = PointSet(pb.coords, pb.normals)
+    for a, b in ((pa, pb), (pb, pa), (pa, bare)):
+        ab, ba = bie._neumann_trace_pair(k, a, b)
+        assert ab.tobytes() == bie._neumann_trace_block(k, a, b).tobytes()
+        assert ba.tobytes() == bie._neumann_trace_block(k, b, a).tobytes()

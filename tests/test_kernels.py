@@ -8,7 +8,8 @@ from scipy import special as sp
 from skelkit import kernels
 from skelkit.errors import InvalidInput
 from skelkit.geom import PointSet
-from skelkit.kernels import COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block
+from skelkit.kernels import (COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block,
+                             eval_block_pair)
 
 
 def h0_series(z, terms=40):
@@ -223,6 +224,20 @@ def test_spec_validation():
         KernelSpec("laplace", 4)
 
 
+@pytest.mark.parametrize("k", [np.inf, np.nan, -np.inf, 1 + 0j, 2.0 + 0.5j, True, "1"],
+                         ids=["inf", "nan", "-inf", "complex-real", "complex", "bool", "str"])
+def test_helmholtz_wavenumber_must_be_a_finite_positive_real(k):
+    # an infinite k made every off-diagonal entry NaN, and a complex one
+    # reached a comparison that raised TypeError
+    with pytest.raises(InvalidInput, match="finite real wavenumber"):
+        KernelSpec("helmholtz", 2, wavenumber=k)
+
+
+@pytest.mark.parametrize("k", [1, 2.5, np.float64(2.5), np.int64(3)])
+def test_real_wavenumbers_of_any_type_are_accepted(k):
+    assert KernelSpec("helmholtz", 3, "double", k).wavenumber == k
+
+
 @pytest.mark.parametrize("layer", ["single", "double"])
 def test_laplace2d_blocks_match_closed_forms(layer):
     # targets and sources over several length scales, with close pairs
@@ -372,6 +387,43 @@ def test_eval_block_matches_einsum_formula_bitwise(spec, weighted, chunked, monk
     got = eval_block(spec, targets, sources)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
+    for eq in ("laplace", "helmholtz") for dim in (2, 3) for layer in ("single", "double")
+] + [KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")],
+    ids=lambda s: f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}")
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+def test_eval_block_pair_matches_einsum_formula_bitwise(spec, weighted, chunked, monkeypatch):
+    # both orientations of a pair, each with its own normals, weights and
+    # curvatures, and pairs of points within COINCIDENT_RTOL of each other
+    coords, normals, weights, kappa = _grid_cloud(90, spec.dim, 5)
+    b_coords, b_normals, b_weights, b_kappa = _grid_cloud(40, spec.dim, 6)
+    b_coords[:20] = coords[1:40:2] + 1e-16
+    a = PointSet(coords, normals, weights if weighted else None, kappa)
+    b = PointSet(b_coords, b_normals, b_weights if weighted else None, b_kappa)
+    want_ab, want_ba = _einsum_block(spec, a, b), _einsum_block(spec, b, a)
+    for want in (want_ab, want_ba):
+        assert np.any(want == 0) or spec.self_interaction == "curvature_limit"
+    if chunked:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 7 * b.n)
+    got_ab, got_ba = eval_block_pair(spec, a, b)
+    for got, want in ((got_ab, want_ab), (got_ba, want_ba)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_eval_block_pair_checks_both_sides():
+    spec = KernelSpec("helmholtz", 2, "double", 1.7)
+    with_normals = PointSet(random_cloud(5, 2, 1).coords, np.tile([1.0, 0.0], (5, 1)))
+    bare = random_cloud(4, 2, 2)
+    for a, b in ((with_normals, bare), (bare, with_normals)):
+        with pytest.raises(InvalidInput, match="normals"):
+            eval_block_pair(spec, a, b)
+    with pytest.raises(InvalidInput, match="dimension"):
+        eval_block_pair(spec, with_normals, random_cloud(4, 3, 2))
 
 
 @pytest.mark.parametrize("spec", [

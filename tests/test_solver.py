@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from skelkit import bie
+from skelkit import bie, solver
 from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
@@ -637,6 +637,28 @@ def test_factor_leaves_the_compressed_matrix_alone(regularize):
     before = serialize_compressed(cm)
     factor(cm, regularize=regularize)
     assert serialize_compressed(cm) == before
+
+
+@pytest.mark.parametrize("spec", [LAPLACE2, KernelSpec("helmholtz", 2, wavenumber=10.0)],
+                         ids=["laplace", "helmholtz"])
+def test_factor_keeps_no_lambda(spec, monkeypatch):
+    # each Lambda is dropped once the level above, or the top block, has
+    # read it; what solve reads and what serialize writes stay the same
+    system = bie.discretize_dirichlet(bie.circle(1.0, 1024), spec)
+    cm = bie.compress_system(system, 1e-9, 16)[1]
+    assert cm.nlevels >= 3
+    fi = factor(cm)
+    assert all(fn.Lam.shape == (0, 0) and fn.Lam.dtype == fn.Dd.dtype
+               for lv in fi.levels for fn in lv.nodes)
+    monkeypatch.setattr(solver, "_release_lam", lambda fnodes: None)
+    kept = factor(cm)
+    assert any(fn.Lam.size for lv in kept.levels for fn in lv.nodes)
+    assert serialize_factored(fi) == serialize_factored(kept)
+    rng = np.random.default_rng(5)
+    for shape in ((1024,), (1024, 16)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert solve(fi, x).tobytes() == solve(kept, x).tobytes()
+        assert solve(fi, x.real).tobytes() == solve(kept, x.real).tobytes()
 
 
 def _reference_sweep(levels, top, perm, x):
