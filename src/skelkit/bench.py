@@ -69,6 +69,10 @@ class RunConfig:
         self.ns = ns
         if not 0 < self.eps < 1:
             raise InvalidInput("eps must lie in (0, 1)")
+        axes = self.geometry_params
+        if self.geometry == "ellipse" and not (
+                len(axes) == 2 and all(0 < v < np.inf for v in axes)):
+            raise InvalidInput(f"an ellipse takes two positive semi-axes, got {axes}")
 
 
 @dataclass
@@ -319,37 +323,44 @@ def _build_parser():
     return p
 
 
+def _numbers(text, conv, what):
+    """The comma-separated numbers in ``text``, each through ``conv``."""
+    try:
+        return tuple(conv(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidInput(f"{what} must be comma-separated numbers, got {text!r}") from None
+
+
 def _parse_geometry(text):
     if ":" not in text:
         return text, None
     name, args = text.split(":", 1)
-    vals = tuple(float(v) for v in args.split(","))
-    return name, vals
+    return name, _numbers(args, float, f"{name} parameters")
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    geometry, gparams = _parse_geometry(args.geometry)
-    kwargs = dict(
-        experiment=args.experiment,
-        geometry=geometry,
-        ns=tuple(int(v) for v in args.n.split(",")),
-        eps=args.eps,
-        kernel=args.kernel,
-        omega=args.omega,
-        seed=args.seed,
-        out=args.out,
-        export_mm=args.export_mm,
-        mode=args.mode,
-        regularize=args.regularize,
-        max_leaf=args.max_leaf,
-        tol=args.tol,
-    )
-    if geometry == "ellipse" and gparams:
-        kwargs["geometry_params"] = gparams
-    if geometry == "trefoil_scatterers" and gparams:
-        kwargs["separation"] = gparams[0]
     try:
+        geometry, gparams = _parse_geometry(args.geometry)
+        kwargs = dict(
+            experiment=args.experiment,
+            geometry=geometry,
+            ns=_numbers(args.n, int, "--n"),
+            eps=args.eps,
+            kernel=args.kernel,
+            omega=args.omega,
+            seed=args.seed,
+            out=args.out,
+            export_mm=args.export_mm,
+            mode=args.mode,
+            regularize=args.regularize,
+            max_leaf=args.max_leaf,
+            tol=args.tol,
+        )
+        if geometry == "ellipse" and gparams:
+            kwargs["geometry_params"] = gparams
+        if geometry == "trefoil_scatterers" and gparams:
+            kwargs["separation"] = gparams[0]
         config = RunConfig(**kwargs)
         records = run(config)
     except (InvalidInput, RefusedTooLarge) as exc:

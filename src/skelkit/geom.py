@@ -171,9 +171,6 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
             offs = np.array([(0.5 if (c >> a) & 1 else -0.5) * hw for a in range(d)])
             cid = recurse(sel, center + offs, 0.5 * hw, depth + 1, node_id)
             node.children.append(cid)
-        if len(node.children) == 0:  # defensive; cannot happen
-            perm[node.lo:node.hi] = idx
-            pos[0] += idx.size
         return node_id
 
     recurse(order, center, halfwidth, 0, None)

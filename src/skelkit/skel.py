@@ -14,7 +14,6 @@ sources around each box, so per-node work depends only on neighbor sizes.
 """
 
 import functools
-import io
 import math
 import mmap
 import numbers
@@ -104,7 +103,7 @@ class KernelSource:
     def __init__(self, spec: KernelSpec, points: PointSet, perm, block=None,
                  proxy_rows=None):
         self.perm = np.asarray(perm)
-        self.points = points.subset(self.perm)
+        self._points = points
         self.proxy_spec = spec.single_layer()
         self.n = points.n
         self.dtype = spec.dtype
@@ -121,12 +120,12 @@ class KernelSource:
 
     def proxy_row_block(self, rows, proxy: PointSet):
         # incoming fields: proxy charges evaluated at the node's points
-        return self._proxy_rows(self.points.subset(rows), proxy)
+        return self._proxy_rows(self._points.subset(self.perm[rows]), proxy)
 
     def proxy_col_block(self, cols, proxy: PointSet):
         # outgoing fields: node sources evaluated on the proxy surface; the
         # single layer reads no source normals
-        return eval_block(self.proxy_spec, proxy, self.points.subset(cols))
+        return eval_block(self.proxy_spec, proxy, self._points.subset(self.perm[cols]))
 
 
 @dataclass
@@ -482,11 +481,9 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             M = np.zeros((r_off[-1], c_off[-1]), dtype=dtype)
             for i, a in enumerate(ch):
                 for j, b in enumerate(ch):
-                    if b in at[a]:
-                        blk = own[a][:, at[a][b]][np.ix_(rpos[a], cpos[b])]
-                        M[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = blk
-                        if sym:
-                            M[r_off[j]:r_off[j + 1], c_off[i]:c_off[i + 1]] = blk.T
+                    if b != a:
+                        M[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = \
+                            pair(a, b)[np.ix_(rpos[a], cpos[b])]
             Ds.append(M)
         own = store = mapping = None
         children = parents
@@ -513,46 +510,20 @@ _DT_CODE = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
 _CODE_DT = {v: k for k, v in _DT_CODE.items()}
 
 
-class _Sized:
-    """Byte sink that only counts what is written."""
-
-    def __init__(self):
-        self.nbytes = 0
-
-    def write(self, b):
-        self.nbytes += memoryview(b).nbytes
-
-
-def _serialized(write):
-    """The bytes ``write(f)`` writes, in one buffer allocated at its final
-    size: a first pass only counts them (a growing BytesIO over-allocates
-    and copies as it grows)."""
-    sized = _Sized()
-    write(sized)
-    f = io.BytesIO()
-    if sized.nbytes:
-        f.seek(sized.nbytes - 1)
-        f.write(b"\0")
-        f.seek(0)
-    write(f)
-    return f.getvalue()
-
-
-def _write_arr(f, a):
+def _write_arr(out, a):
+    """Append one array record to the list ``out``: its header, then the
+    array's own buffer (tobytes() would copy every block once more)."""
     a = np.ascontiguousarray(a)
     code = {np.dtype(np.int64): 2}.get(a.dtype) or _DT_CODE[a.dtype]
-    f.write(struct.pack(f"<BB{a.ndim}q", code, a.ndim, *a.shape))
-    # the array's own buffer: tobytes() would copy every block once more
-    f.write(a)
+    out += struct.pack(f"<BB{a.ndim}q", code, a.ndim, *a.shape), a
 
 
-def _write_header(f, kind, field, n, nlevels, eps, perm):
+def _write_header(out, kind, field, n, nlevels, eps, perm):
     """Magic, version, container kind and scalar field, then (N, levels,
     eps) and the tree permutation; ``_Reader`` reads them back."""
-    f.write(_MAGIC)
-    f.write(struct.pack("<HBB", _VERSION, kind, 1 if field == "complex" else 0))
-    f.write(struct.pack("<qId", n, nlevels, eps))
-    _write_arr(f, np.asarray(perm, dtype=np.int64))
+    out += _MAGIC, struct.pack("<HBBqId", _VERSION, kind, 1 if field == "complex" else 0,
+                               n, nlevels, eps)
+    _write_arr(out, np.asarray(perm, dtype=np.int64))
 
 
 class _Reader:
@@ -587,10 +558,10 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, ndim, index=False):
+    def array(self, ndim, index=False, order="C"):
         """Next array record: an int64 index array, or a value array of the
         header's field (float64 or complex128), of exactly ``ndim``
-        dimensions."""
+        dimensions, copied out in memory ``order``."""
         code, nd = self.unpack("<BB")
         if nd != ndim or code != (2 if index else self.value_code):
             raise InvalidInput("corrupt skelkit container: bad array header")
@@ -599,7 +570,7 @@ class _Reader:
             raise InvalidInput("corrupt skelkit container: negative extent")
         dt = np.dtype(np.int64) if index else _CODE_DT[code]
         raw = self.take(math.prod(shape) * dt.itemsize)
-        return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+        return np.frombuffer(raw, dtype=dt).reshape(shape).copy(order=order)
 
     def blocks(self):
         """The next node's diag, down and up records, as (up, diag, down)."""
@@ -611,18 +582,18 @@ class _Reader:
             raise InvalidInput("trailing bytes after skelkit container")
 
 
-def _write_levels(f, levels, write_head=None):
+def _write_levels(out, levels, write_head=None):
     """The per-level block tables both container kinds share: per level a
     u32 node count, then per node its kind's head record (``write_head``,
     if the kind has one) and its diag, down and up blocks."""
     for lv in levels:
-        f.write(struct.pack("<I", len(lv.nodes)))
+        out.append(struct.pack("<I", len(lv.nodes)))
         for nd in lv.nodes:
             if write_head is not None:
-                write_head(f, nd)
+                write_head(out, nd)
             up, diag, down = nd.blocks
             for blk in (diag, down, up):
-                _write_arr(f, blk)
+                _write_arr(out, blk)
 
 
 def _read_levels(f, read_node):
@@ -652,12 +623,11 @@ def _read_levels(f, read_node):
     return levels, leaves
 
 
-def _write_compressed_head(f, nd):
+def _write_compressed_head(out, nd):
     ch = nd.children if nd.children is not None else np.empty(0, dtype=np.int64)
-    f.write(struct.pack("<B", 1 if nd.children is not None else 0))
-    _write_arr(f, np.asarray(ch, dtype=np.int64))
-    _write_arr(f, np.asarray(nd.row_skel, dtype=np.int64))
-    _write_arr(f, np.asarray(nd.col_skel, dtype=np.int64))
+    out.append(struct.pack("<B", 1 if nd.children is not None else 0))
+    for idx in (ch, nd.row_skel, nd.col_skel):
+        _write_arr(out, np.asarray(idx, dtype=np.int64))
 
 
 def _read_compressed_node(f, li):
@@ -675,12 +645,14 @@ def _read_compressed_node(f, li):
 
 def serialize_compressed(cm: CompressedMatrix) -> bytes:
     """Bit-exact binary container: header (N, levels, eps, field), the
-    permutation, per-level block tables, dense top S.  See README."""
-    def write(f):
-        _write_header(f, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
-        _write_levels(f, cm.levels, _write_compressed_head)
-        _write_arr(f, cm.S)
-    return _serialized(write)
+    permutation, per-level block tables, dense top S.  See README.  The
+    records are collected as a list of headers and array buffers and joined
+    once, into one allocation of the container's size."""
+    out = []
+    _write_header(out, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
+    _write_levels(out, cm.levels, _write_compressed_head)
+    _write_arr(out, cm.S)
+    return b"".join(out)
 
 
 def deserialize_compressed(data: bytes) -> CompressedMatrix:

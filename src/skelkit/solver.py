@@ -28,8 +28,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .skel import (CompressedMatrix, Level, _read_levels, _Reader, _serialized,
-                   _telescope, _write_arr, _write_header, _write_levels)
+from .skel import (CompressedMatrix, Level, _read_levels, _Reader, _telescope,
+                   _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 
@@ -138,8 +138,13 @@ class FactoredNode:
     Dd: np.ndarray          # B^-1[:n, :n] = D^-1 - D^-1 L Lambda R D^-1, B = [[D, L], [R, 0]]
     Ld: np.ndarray          # B^-1[:n, n:] = D^-1 L Lambda
     Rd: np.ndarray          # B^-1[n:, :n] = Lambda R D^-1
-    Lam: np.ndarray         # -B^-1[n:, n:] = (R D^-1 L)^-1; 0x0 once the level up has read it
     lu_D = lu_M = None      # no LU is kept; benchmark/spans.py still reads the names
+
+    @property
+    def Lam(self):
+        # nor is Lambda = -B^-1[n:, n:], which only factor reads, one level
+        # up; benchmark/spans.py still reads its nbytes
+        return np.zeros((0, 0), dtype=self.Dd.dtype)
 
     @property
     def blocks(self):
@@ -198,6 +203,15 @@ def _rcond1(A, Ainv):
     return 1.0 / (na * nb) if na * nb > 0 else 0.0
 
 
+def _put_diagonal(M, blocks):
+    """Write the square ``blocks`` down M's diagonal, one after another."""
+    o = 0
+    for blk in blocks:
+        k = blk.shape[0]
+        M[o:o + k, o:o + k] = blk
+        o += k
+
+
 def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     """Telescoping inverse of a compressed matrix.
 
@@ -223,7 +237,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             raise SingularBlock(level, node, what)
         return lu, piv
 
-    prev = []
+    lams = []           # the Lambdas of the level below, until this level has read them
     flevels = []
     for li, lv in enumerate(cm.levels):
 
@@ -239,43 +253,26 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             B[:nn, nn:] = nd.L
             B[nn:, :nn] = nd.R
             if li > 0:
-                ro = co = 0
-                for ci in nd.children:
-                    lam_c = prev[ci].Lam
-                    B[ro:ro + lam_c.shape[0], co:co + lam_c.shape[1]] = lam_c
-                    ro += lam_c.shape[0]
-                    co += lam_c.shape[1]
+                _put_diagonal(B, [lams[c] for c in nd.children])
             lu = _lu(B, li + 1, a, "bordered", nn)
             Binv = lu_solve(lu, np.eye(nn + k, dtype=dtype))
             rc = _rcond1(B, Binv)
             if rc < _RCOND_WARN:
                 warnings_list.append((li + 1, a, "bordered", rc))
             # contiguous copies: a loaded inverse then solves bit for bit alike
-            return FactoredNode(Dd=Binv[:nn, :nn].copy(), Ld=Binv[:nn, nn:].copy(),
-                                Rd=Binv[nn:, :nn].copy(), Lam=-Binv[nn:, nn:])
+            return (FactoredNode(Dd=Binv[:nn, :nn].copy(), Ld=Binv[:nn, nn:].copy(),
+                                 Rd=Binv[nn:, :nn].copy()), -Binv[nn:, nn:])
 
-        fnodes = [factor_node(a) for a in range(len(lv.nodes))]
-        flevels.append(Level(fnodes))
-        _release_lam(prev)
-        prev = fnodes
+        fnodes, lams = zip(*[factor_node(a) for a in range(len(lv.nodes))])
+        flevels.append(Level(list(fnodes)))
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
     Shat = np.array(cm.S, dtype=dtype)
-    if cm.levels:
-        top = cm.levels[-1]
-        for a, fn in enumerate(prev):
-            Shat[top.kr_off[a]:top.kr_off[a + 1], top.kc_off[a]:top.kc_off[a + 1]] = fn.Lam
-    _release_lam(prev)
+    _put_diagonal(Shat, lams)
+    lams = None
     S_lu = _lu(Shat, "top", 0, "S", Shat.shape[0])
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
                            scalar_field=cm.scalar_field, warnings=warnings_list)
-
-
-def _release_lam(fnodes):
-    """Drop each node's Lambda once the level above has read it: ``solve``
-    never does, and a loaded inverse holds the same empty block."""
-    for fn in fnodes:
-        fn.Lam = np.zeros((0, 0), dtype=fn.Lam.dtype)
 
 
 def solve(fi: FactoredInverse, b) -> np.ndarray:
@@ -403,20 +400,17 @@ def export_matrix_market(se: SparseEmbedding, path):
 # factored-inverse serialization (same binary container as CompressedMatrix)
 
 def serialize_factored(fi: FactoredInverse) -> bytes:
-    # lu_factor's LU is Fortran-ordered: one row-major copy serves both passes
-    top = np.ascontiguousarray(fi.S_lu[0])
-
-    def write(f):
-        _write_header(f, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
-        _write_levels(f, fi.levels)
-        _write_arr(f, top)
-        _write_arr(f, np.asarray(fi.S_lu[1], dtype=np.int64))
-    return _serialized(write)
+    out = []
+    _write_header(out, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
+    _write_levels(out, fi.levels)
+    _write_arr(out, fi.S_lu[0])
+    _write_arr(out, np.asarray(fi.S_lu[1], dtype=np.int64))
+    return b"".join(out)
 
 
 def _read_factored_node(f, _):
     Rd, Dd, Ld = f.blocks()
-    return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd, Lam=np.zeros((0, 0), dtype=Dd.dtype))
+    return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd)
 
 
 def deserialize_factored(data: bytes) -> FactoredInverse:
@@ -426,7 +420,8 @@ def deserialize_factored(data: bytes) -> FactoredInverse:
     pivots out of range."""
     f = _Reader(data, kind=2)
     levels, (k, kc) = _read_levels(f, _read_factored_node)
-    lu = f.array(2)
+    # column-major, as factor leaves it: getrs would copy a row-major LU on every solve
+    lu = f.array(2, order="F")
     piv = f.array(1, index=True)
     f.finish()
     if kc != k or lu.shape != (k, k) or piv.shape != (k,):

@@ -160,6 +160,11 @@ def test_cli_main(tmp_path, capsys):
     assert rc == 2
     rc = main(["solve_bench", "--n", "256", "--regularize", "nan"])
     assert rc == 2
+    # malformed numbers, and an ellipse without two positive semi-axes
+    for bad in (["--n", "1024,"], ["--geometry", "ellipse:x,1"], ["--geometry", "ellipse:2"],
+                ["--geometry", "ellipse:0,1"], ["--geometry", "trefoil_scatterers:x"]):
+        assert main(["apply_bench", *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_write_csv_roundtrip(tmp_path):

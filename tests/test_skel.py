@@ -812,13 +812,12 @@ def test_serialize_holds_no_second_copy_of_the_blocks():
     assert peak <= 1.05 * len(blob)
 
 
-def _write_arr_tobytes(f, a):
+def _write_arr_tobytes(out, a):
     """Reference record writer: header, shape, then ``a.tobytes()``."""
     a = np.ascontiguousarray(a)
     code = {np.dtype(np.int64): 2}.get(a.dtype) or skel._DT_CODE[a.dtype]
-    f.write(struct.pack("<BB", code, a.ndim))
-    f.write(struct.pack(f"<{a.ndim}q", *a.shape))
-    f.write(a.tobytes())
+    out += [struct.pack("<BB", code, a.ndim), struct.pack(f"<{a.ndim}q", *a.shape),
+            a.tobytes()]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

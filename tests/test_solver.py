@@ -1,3 +1,4 @@
+import struct
 import sys
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from skelkit import bie, solver
+from skelkit import bie
 from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
@@ -523,8 +524,11 @@ class TestFactoredSerialization:
         save_factored(fi, path)
         fi2 = load_factored(path)
         assert fi2.n == fi.n and fi2.scalar_field == fi.scalar_field
+        # the top LU comes back column-major, as factor leaves it, so getrs
+        # solves with it in place
+        assert fi.S_lu[0].flags.f_contiguous and fi2.S_lu[0].flags.f_contiguous
         b = np.random.default_rng(0).standard_normal(512)
-        assert np.array_equal(solve(fi, b), solve(fi2, b))
+        assert solve(fi, b).tobytes() == solve(fi2, b).tobytes()
 
     def test_roundtrip_complex_and_degenerate(self, tmp_path):
         from skelkit.solver import load_factored, save_factored
@@ -641,24 +645,83 @@ def test_factor_leaves_the_compressed_matrix_alone(regularize):
 
 @pytest.mark.parametrize("spec", [LAPLACE2, KernelSpec("helmholtz", 2, wavenumber=10.0)],
                          ids=["laplace", "helmholtz"])
-def test_factor_keeps_no_lambda(spec, monkeypatch):
-    # each Lambda is dropped once the level above, or the top block, has
-    # read it; what solve reads and what serialize writes stay the same
+def test_factor_keeps_no_lambda(spec):
+    # Lambda stays inside factor: a factored node is built as a loaded one
+    # is, holding Dd, Ld and Rd, and the two solve alike
     system = bie.discretize_dirichlet(bie.circle(1.0, 1024), spec)
     cm = bie.compress_system(system, 1e-9, 16)[1]
     assert cm.nlevels >= 3
     fi = factor(cm)
-    assert all(fn.Lam.shape == (0, 0) and fn.Lam.dtype == fn.Dd.dtype
-               for lv in fi.levels for fn in lv.nodes)
-    monkeypatch.setattr(solver, "_release_lam", lambda fnodes: None)
-    kept = factor(cm)
-    assert any(fn.Lam.size for lv in kept.levels for fn in lv.nodes)
-    assert serialize_factored(fi) == serialize_factored(kept)
+    loaded = deserialize_factored(serialize_factored(fi))
+    for lv, lv2 in zip(fi.levels, loaded.levels, strict=True):
+        for fn, fn2 in zip(lv.nodes, lv2.nodes, strict=True):
+            assert fn.Lam.shape == (0, 0) and fn.Lam.dtype == fn.Dd.dtype
+            for name in ("Dd", "Ld", "Rd"):
+                a, b = getattr(fn, name), getattr(fn2, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
     rng = np.random.default_rng(5)
     for shape in ((1024,), (1024, 16)):
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert solve(fi, x).tobytes() == solve(kept, x).tobytes()
-        assert solve(fi, x.real).tobytes() == solve(kept, x.real).tobytes()
+        assert solve(fi, x).tobytes() == solve(loaded, x).tobytes()
+        assert solve(fi, x.real).tobytes() == solve(loaded, x.real).tobytes()
+
+
+def _ref_array(a):
+    """README's array record: u8 dtype code, u8 ndim, i64 shape, raw
+    little-endian row-major bytes."""
+    code = {"float64": 0, "complex128": 1, "int64": 2}[a.dtype.name]
+    return (struct.pack("<BB", code, a.ndim) + struct.pack(f"<{a.ndim}q", *a.shape)
+            + a.astype(a.dtype.newbyteorder("<")).tobytes(order="C"))
+
+
+def _ref_container(kind, field, n, eps, perm, levels, tail):
+    """README's container: the header, the permutation, per level a u32 node
+    count and the nodes' records, then the ``tail`` arrays."""
+    out = b"SKLC" + struct.pack("<HBB", 1, kind, field == "complex")
+    out += struct.pack("<qId", n, len(levels), eps) + _ref_array(perm)
+    for records in levels:
+        out += struct.pack("<I", len(records)) + b"".join(records)
+    return out + b"".join(_ref_array(a) for a in tail)
+
+
+def _ref_compressed(cm):
+    def record(nd):
+        ch = nd.children if nd.children is not None else np.empty(0, np.int64)
+        return (struct.pack("<B", nd.children is not None)
+                + b"".join(_ref_array(a) for a in (ch, nd.row_skel, nd.col_skel,
+                                                   nd.D, nd.L, nd.R)))
+    return _ref_container(1, cm.scalar_field, cm.n, cm.eps, cm.perm,
+                          [[record(nd) for nd in lv.nodes] for lv in cm.levels], [cm.S])
+
+
+def _ref_factored(fi):
+    levels = [[b"".join(_ref_array(a) for a in (fn.Dd, fn.Ld, fn.Rd)) for fn in lv.nodes]
+              for lv in fi.levels]
+    lu, piv = fi.S_lu
+    return _ref_container(2, fi.scalar_field, fi.n, 0.0, fi.perm, levels,
+                          [lu, piv.astype(np.int64)])
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "no_levels", "empty_top"])
+def test_containers_follow_the_readme_layout(case):
+    # byte for byte against an encoder written from README's layout with
+    # struct and tobytes: a writer that drops or reorders a record on both
+    # the writing and the reading side fails here, not in a round trip
+    if case == "empty_top":
+        cm = rank_zero_two_level()[0]
+        assert cm.nlevels == 2 and cm.S.shape == (0, 0)
+    elif case == "no_levels":
+        pts = circle_points(40)
+        cm = compress(LAPLACE2, pts, build_tree(pts, 64), 1e-9)
+        assert cm.nlevels == 0
+    else:
+        spec = LAPLACE2 if case == "real" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        cm = bie.compress_system(bie.discretize_dirichlet(bie.circle(1.0, 512), spec),
+                                 1e-9, 16)[1]
+        assert cm.nlevels >= 2 and cm.scalar_field == case
+    fi = factor(cm)
+    assert serialize_compressed(cm) == _ref_compressed(cm)
+    assert serialize_factored(fi) == _ref_factored(fi)
 
 
 def _reference_sweep(levels, top, perm, x):
