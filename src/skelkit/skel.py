@@ -241,36 +241,28 @@ def _telescope(levels, top, n, perm, dtype, x):
     us = []
     for lv in levels:
         us.append(u)
-        # offsets as Python ints: slicing by numpy integers costs more per node;
-        # np.dot makes the same BLAS call as np.matmul with less dispatch
+        # offsets as Python ints: slicing by numpy integers costs more per node
         x_off, u_off = lv.col_dof_off.tolist(), lv.kc_off.tolist()
         nxt = np.empty((lv.K_c, nrhs), dtype=dtype)
         for a, (up, _, _) in enumerate(lv.blocks):
             if up.shape[0]:
-                np.dot(up, u[x_off[a]:x_off[a + 1]], out=nxt[u_off[a]:u_off[a + 1]])
+                np.matmul(up, u[x_off[a]:x_off[a + 1]], out=nxt[u_off[a]:u_off[a + 1]])
         u = nxt
     v = top(u)
     for lv in reversed(levels):
         u = us.pop()
         x_off, y_off, v_off = (lv.col_dof_off.tolist(), lv.row_dof_off.tolist(),
                                lv.kr_off.tolist())
-        # the down products go to a second vector, added to w once per level
-        # rather than once per node; with square nodes that is u, whose
-        # slice a node overwrites only after reading it
-        far = u if x_off == y_off else np.empty((y_off[-1], nrhs), dtype=dtype)
         w = np.empty((y_off[-1], nrhs), dtype=dtype)
         for a, (_, diag, down) in enumerate(lv.blocks):
             # each product is written straight into its slice of the output
-            np.dot(diag, u[x_off[a]:x_off[a + 1]], out=w[y_off[a]:y_off[a + 1]])
+            seg = np.matmul(diag, u[x_off[a]:x_off[a + 1]], out=w[y_off[a]:y_off[a + 1]])
             if down.shape[1]:
-                np.dot(down, v[v_off[a]:v_off[a + 1]], out=far[y_off[a]:y_off[a + 1]])
-            else:
-                far[y_off[a]:y_off[a + 1]] = -0.0   # x + -0.0 is x, signed zeros included
-        w += far
+                seg += down @ v[v_off[a]:v_off[a + 1]]
         v = w
 
-    # free the permuted input's buffer before allocating the output
-    u = far = None
+    # u is now the permuted input; free it before allocating the output
+    del u
     out = np.empty((n, nrhs), dtype=dtype)
     out[perm] = v
     return out[:, 0] if single else out

@@ -122,34 +122,6 @@ def test_apply_zero_and_linearity():
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) <= 1e-13
 
 
-@pytest.mark.parametrize("square", [True, False])
-def test_apply_sweep_leaves_input_alone(square):
-    # the down sweep writes its coupling products over its own copy of the
-    # input when every node is square, and into a new vector otherwise; a
-    # node without skeletons couples to nothing
-    rng = np.random.default_rng(5)
-    shapes = [(3, 3), (2, 2)] if square else [(3, 2), (2, 3)]
-    D1, D2 = (rng.standard_normal(s) for s in shapes)
-    L2, R2 = rng.standard_normal((shapes[1][0], 1)), rng.standard_normal((1, shapes[1][1]))
-    nodes = [CompressedNode(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                            D1, np.zeros((3, 0)), np.zeros((0, shapes[0][1])), None),
-             CompressedNode(np.array([3]), np.array([3]), D2, L2, R2, None)]
-    S = rng.standard_normal((1, 1))
-    perm = np.array([4, 0, 3, 1, 2])
-    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=5, eps=1e-6, perm=perm,
-                          scalar_field="real")
-    dense = np.zeros((5, 5))
-    dense[:3, :shapes[0][1]] = D1
-    dense[3:, shapes[0][1]:] = D2 + L2 @ S @ R2
-    full = np.empty_like(dense)
-    full[np.ix_(perm, perm)] = dense
-    X = rng.standard_normal((5, 2))
-    X0 = X.copy()
-    for x in (X, X[:, 0]):
-        assert np.allclose(apply(cm, x), full @ x, rtol=1e-14, atol=1e-14)
-    assert np.array_equal(X, X0)
-
-
 def test_apply_length_mismatch():
     pts = circle_points(64)
     # with levels, and a single leaf without any
