@@ -335,7 +335,12 @@ def _parse_geometry(text):
     if ":" not in text:
         return text, None
     name, args = text.split(":", 1)
-    return name, _numbers(args, float, f"{name} parameters")
+    params = _numbers(args, float, f"{name} parameters")
+    # an ellipse reads two semi-axes, the scatterers one separation
+    want = {"ellipse": 2, "trefoil_scatterers": 1}.get(name, 0)
+    if name in GEOMETRIES and len(params) != want:
+        raise InvalidInput(f"geometry {name} takes {want} parameter(s), got {text!r}")
+    return name, params
 
 
 def main(argv=None):

@@ -239,14 +239,12 @@ def compress_system(system, eps, max_leaf_size=None,
 
     A curve system is a ``BieSystem`` or one scatterer of a
     ``ScatteringSystem``: anything with ``points``, ``spec``,
-    ``block(rows, cols)`` and ``proxy_rows(targets, proxy)``.  The proxy
-    rows are scaled by the mean quadrature weight of the nodes, like the
-    weighted columns of the system, so the rank cutoff sees one consistent
-    magnitude."""
+    ``block(rows, cols)`` and ``proxy_rows(targets, proxy)``.
+    ``KernelSource`` scales the proxy rows by the mean quadrature weight of
+    the nodes, like the weighted columns of the system."""
     tree = build_tree(system.points, max_leaf_size)
-    wscale = float(np.mean(system.points.weights[tree.perm]))
     src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
-                       proxy_rows=lambda t, p: wscale * system.proxy_rows(t, p))
+                       proxy_rows=system.proxy_rows)
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
     return tree, cm
 

@@ -93,12 +93,14 @@ class KernelSource:
     point order (default: the kernel of ``spec``); ``proxy_rows(targets,
     proxy)`` the incoming proxy field (default: the single layer).  Outgoing
     proxy fields always use the single-layer kernel of the same equation:
-    the proxy only has to span exterior fields.
+    the proxy only has to span exterior fields.  Over weighted points the
+    incoming field is scaled by the mean weight, like the weighted columns
+    of ``block``, so both halves of a node's ID share one magnitude.
 
     ``symmetric`` marks a plain unweighted single-layer kernel.  Its row
     blocks are the transposes of its column blocks bit for bit (plain
-    transpose, Helmholtz included), so ``compress_source`` needs one ID per
-    node."""
+    transpose, Helmholtz included), so ``compress_source`` leaves the row
+    half out of each node's ID."""
 
     def __init__(self, spec: KernelSpec, points: PointSet, perm, block=None,
                  proxy_rows=None):
@@ -112,8 +114,9 @@ class KernelSource:
                           and spec.layer == "single" and points.weights is None)
         self._block = block or (
             lambda r, c: eval_block(spec, points.subset(r), points.subset(c)))
-        self._proxy_rows = proxy_rows or (
-            lambda t, p: eval_block(self.proxy_spec, t, p))
+        rows = proxy_rows or (lambda t, p: eval_block(self.proxy_spec, t, p))
+        w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
+        self._proxy_rows = rows if w is None else (lambda t, p: w * rows(t, p))
 
     def block(self, rows, cols):
         return self._block(self.perm[rows], self.perm[cols])
@@ -294,12 +297,12 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     surface]; mode="global" uses the full off-diagonal block row/column
     (quadratic work, refused above 20000 points unless allow_large).
 
-    Each node's row and column IDs are cut to the larger of their two ranks,
-    so every diagonal block of the inverse recursion is square.  The kernel
-    matrix here is symmetric (``KernelSource.symmetric``: single layer, no
-    quadrature weights), so each node takes one ID, with row skeletons equal
-    to column skeletons and L = R^T; sources with their own entries, such
-    as BIE systems and the scatterer preconditioner, take two.
+    Each node takes one ID, whose skeleton serves its rows and columns
+    alike: row skeletons equal column skeletons and L = R^T, so every
+    diagonal block of the inverse recursion is square.  A single-layer
+    kernel without quadrature weights is symmetric
+    (``KernelSource.symmetric``), and its ID leaves out the row half of the
+    target, which repeats the column half; see ``compress_source``.
     """
     source = KernelSource(spec, points, tree.perm)
     return compress_source(source, tree, eps, proxy=proxy, mode=mode,
@@ -333,14 +336,17 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        partners, its neighbours (proxy mode) and its siblings: node a
        evaluates K(DOFs of a, DOFs of its partners).  For a symmetric
        source only partners above a; the blocks below are transposes.
-    3. Each node's IDs, against [neighbour blocks from phase 2 | far
-       field]: the proxy field in proxy mode; in global mode, where a node
-       has no neighbours, its whole off-diagonal block row and column,
-       evaluated here (sibling blocks included again).  A carried node, a
-       leaf listed again in this cover as its own only child, was
-       compressed against the same box one level down, so it takes no
-       proxy surface, far field or ID: it keeps every DOF, with L = R = I,
-       which is what an ID that finds full rank gives.
+    3. Each node's ID, one skeleton for rows and columns with L = R^T
+       (Ho-Ying's index sets, CPAM 2016), of [column target; row target
+       transposed], each [neighbour blocks from phase 2; far field]: the
+       proxy field, or in global mode, where a node has no neighbours, its
+       whole off-diagonal block column and row, evaluated here (sibling
+       blocks again).  A symmetric source's row half repeats its column
+       half and is left out.  A carried node, a leaf listed again in this
+       cover as its own only child, was compressed against the same box one
+       level down, so it takes no proxy surface, far field or ID: it keeps
+       every DOF, with L = R = I, which is what an ID that finds full rank
+       gives.
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -382,8 +388,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         return source.block(rows, cols)
 
     children = [None] * len(covers[0])
-    row_dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in covers[0]]
-    col_dofs = [r.copy() for r in row_dofs]
+    dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in covers[0]]
     Ds = None           # the level's diagonal blocks, sliced by the level below
 
     for li in range(top):
@@ -396,9 +401,9 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         owned = [[b for b in partners[a] if b > a] for a in range(nb)] if sym else partners
         at, shapes = [], []     # at[a][b]: the columns of own[a] that hold b's DOFs
         for a, ow in enumerate(owned):
-            off = _offsets([col_dofs[b].size for b in ow])
+            off = _offsets([dofs[b].size for b in ow])
             at.append({b: slice(off[i], off[i + 1]) for i, b in enumerate(ow)})
-            shapes.append((row_dofs[a].size, int(off[-1])))
+            shapes.append((dofs[a].size, int(off[-1])))
         # own[a] = K(DOFs of a, DOFs of owned[a]).  The level's blocks share
         # one anonymous mapping, returned to the system whole when the level
         # is done; freed one by one from the heap, they would stay resident
@@ -409,7 +414,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         own = [v.reshape(shape) for v, shape in
                zip(np.split(store, _offsets(sizes)[1:-1]), shapes)]
         for a in range(nb):
-            own[a][...] = _blk(row_dofs[a], _cat([col_dofs[b] for b in owned[a]]))
+            own[a][...] = _blk(dofs[a], _cat([dofs[b] for b in owned[a]]))
 
         def pair(a, b):
             # K(DOFs of a, DOFs of b) for partners a and b
@@ -418,15 +423,14 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             return own[b][:, at[b][a]].T
 
         def build_node(a):
-            rd, cd = row_dofs[a], col_dofs[a]
-            D = np.ascontiguousarray(_blk(rd, cd), dtype=dtype) if Ds is None else Ds[a]
+            d = dofs[a]
+            D = np.ascontiguousarray(_blk(d, d), dtype=dtype) if Ds is None else Ds[a]
             if li and covers[li - 1][children[a][0]] == ids[a]:
                 # carried: its only child is itself, so its D is zero
-                rpos, cpos = np.arange(rd.size), np.arange(cd.size)
-                return CompressedNode(row_skel=rd, col_skel=cd, D=D,
-                                      L=np.eye(rd.size, dtype=dtype),
-                                      R=np.eye(cd.size, dtype=dtype),
-                                      children=children[a]), rpos, cpos
+                return CompressedNode(row_skel=d, col_skel=d, D=D,
+                                      L=np.eye(d.size, dtype=dtype),
+                                      R=np.eye(d.size, dtype=dtype),
+                                      children=children[a]), np.arange(d.size)
             # the far field: the proxy surface, or in global mode every other
             # node; evaluated inside the stacking, since one held through the
             # ID raised the 4096-point cube's compression peak from 232 to 274 MB
@@ -436,59 +440,46 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 if k_wave > 0:
                     n_eff += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
                 pxy = proxy_points(node, replace(cfg, n_proxy=n_eff), tree.dim)
-                far_col = lambda: (source.proxy_col_block(cd, pxy) if cd.size
-                                   else np.zeros((n_eff, 0), dtype=dtype))
-                far_row = lambda: (source.proxy_row_block(rd, pxy) if rd.size
-                                   else np.zeros((0, n_eff), dtype=dtype))
+                empty = np.zeros((n_eff, 0), dtype=dtype)
+                far_col = lambda: source.proxy_col_block(d, pxy) if d.size else empty
+                far_row = lambda: source.proxy_row_block(d, pxy).T if d.size else empty
             else:
-                others = [b for b in range(nb) if b != a]
-                far_col = lambda: _blk(_cat([row_dofs[b] for b in others]), cd)
-                far_row = lambda: _blk(rd, _cat([col_dofs[b] for b in others]))
-            # each target is written once, column-major, and LAPACK factors
-            # it in place
-            t_col = _stacked([pair(b, a) for b in nbrs[a]] + [far_col()])
-            idc = id_fixed_precision(t_col, eps, overwrite_a=True)
-            del t_col
-            if sym:
-                # the row target is t_col.T, so the row ID is the column ID
-                idr = idc
-            else:
-                t_row = _stacked([pair(a, b).T for b in nbrs[a]] + [far_row().T])
-                idr = id_fixed_precision(t_row, eps, overwrite_a=True)
-                del t_row
-                k = max(idr.rank, idc.rank)
-                idr, idc = idr.cut(k), idc.cut(k)
-            interp_max.extend((idc.max_entry,) if sym else
-                              (idr.max_entry, idc.max_entry))
+                rest = _cat([dofs[b] for b in range(nb) if b != a])
+                far_col = lambda: _blk(rest, d)
+                far_row = lambda: _blk(d, rest).T
+            # [column target; row target transposed], the row half left out
+            # for a symmetric source; written once, column-major, and
+            # factored in place by LAPACK
+            t = _stacked([pair(b, a) for b in nbrs[a]] + [far_col()] + (
+                [] if sym else [pair(a, b).T for b in nbrs[a]] + [far_row()]))
+            idp = id_fixed_precision(t, eps, overwrite_a=True)
+            del t
+            interp_max.append(idp.max_entry)
+            order = np.argsort(idp.skel)
+            pos = idp.skel[order]
+            R = np.ascontiguousarray(idp.proj[order, :], dtype=dtype)
+            L = np.ascontiguousarray(R.T)
+            return CompressedNode(row_skel=d[pos], col_skel=d[pos], D=D, L=L, R=R,
+                                  children=children[a]), pos
 
-            ro = np.argsort(idr.skel)
-            co = np.argsort(idc.skel)
-            rpos, cpos = idr.skel[ro], idc.skel[co]
-            L = np.ascontiguousarray(idr.proj.T[:, ro], dtype=dtype)
-            R = np.ascontiguousarray(idc.proj[co, :], dtype=dtype)
-            return CompressedNode(row_skel=rd[rpos], col_skel=cd[cpos], D=D, L=L, R=R,
-                                  children=children[a]), rpos, cpos
-
-        nodes, rpos, cpos = zip(*[build_node(a) for a in range(nb)])
+        nodes, pos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
 
         # the parents' diagonal blocks: sibling blocks at the skeletons, with
         # the children's own blocks zero (they stay in this level's D)
         Ds = []
         for ch in parents:
-            r_off = _offsets([rpos[i].size for i in ch])
-            c_off = _offsets([cpos[i].size for i in ch])
-            M = np.zeros((r_off[-1], c_off[-1]), dtype=dtype)
+            off = _offsets([pos[i].size for i in ch])
+            M = np.zeros((off[-1], off[-1]), dtype=dtype)
             for i, a in enumerate(ch):
                 for j, b in enumerate(ch):
                     if b != a:
-                        M[r_off[i]:r_off[i + 1], c_off[j]:c_off[j + 1]] = \
-                            pair(a, b)[np.ix_(rpos[a], cpos[b])]
+                        M[off[i]:off[i + 1], off[j]:off[j + 1]] = \
+                            pair(a, b)[np.ix_(pos[a], pos[b])]
             Ds.append(M)
         own = store = mapping = None
         children = parents
-        row_dofs = [_cat([nodes[c].row_skel for c in ch]) for ch in parents]
-        col_dofs = [_cat([nodes[c].col_skel for c in ch]) for ch in parents]
+        dofs = [_cat([nodes[c].col_skel for c in ch]) for ch in parents]
 
     bad = [x for x in interp_max if x > 2.0]
     if bad:

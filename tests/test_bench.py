@@ -160,11 +160,15 @@ def test_cli_main(tmp_path, capsys):
     assert rc == 2
     rc = main(["solve_bench", "--n", "256", "--regularize", "nan"])
     assert rc == 2
-    # malformed numbers, and an ellipse without two positive semi-axes
+    # malformed numbers, an ellipse without two positive semi-axes, and
+    # parameters the geometry does not read
     for bad in (["--n", "1024,"], ["--geometry", "ellipse:x,1"], ["--geometry", "ellipse:2"],
-                ["--geometry", "ellipse:0,1"], ["--geometry", "trefoil_scatterers:x"]):
+                ["--geometry", "ellipse:0,1"], ["--geometry", "trefoil_scatterers:x"],
+                ["--geometry", "circle:5"], ["--geometry", "cube:2", "--kernel", "laplace3d"]):
         assert main(["apply_bench", *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+    assert main(["scatter_demo", "--geometry", "trefoil_scatterers:1,2,3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_write_csv_roundtrip(tmp_path):

@@ -348,19 +348,25 @@ def _captured_source(monkeypatch, module, run):
     return seen[0]
 
 
-@pytest.mark.parametrize("case", ["laplace_bie", "helmholtz_bie", "scatterer", "kernel"])
+@pytest.mark.parametrize("case", ["laplace_bie", "helmholtz_bie", "scatterer", "kernel",
+                                  "weighted_kernel"])
 def test_proxy_source_matches_definitions(case, monkeypatch):
     # every driver hands compress_source the same adapter; check it against
-    # the matrix and the proxy fields it stands for
-    if case == "kernel":
+    # the matrix and the proxy fields it stands for.  Over weighted points
+    # the incoming field carries the mean weight, like the weighted columns.
+    if case in ("kernel", "weighted_kernel"):
         spec = LAPLACE2
-        pts = PointSet(np.random.default_rng(0).random((300, 2)))
+        rng = np.random.default_rng(0)
+        pts = PointSet(rng.random((300, 2)))
+        if case == "weighted_kernel":
+            pts = PointSet(pts.coords, None, rng.uniform(0.5, 1.5, 300))
         A = eval_block(spec, pts, pts)
         src, tree = _captured_source(monkeypatch, skel, lambda: skel.compress(
             spec, pts, build_tree(pts), 1e-6))
+        wscale = 1.0 if pts.weights is None else float(np.mean(pts.weights[tree.perm]))
 
         def incoming(t, p):
-            return eval_block(spec, t, p)
+            return wscale * eval_block(spec, t, p)
     elif case == "scatterer":
         curve = bie.trefoil(128)
         k = 2 * np.pi * 2.0 / curve.diameter()

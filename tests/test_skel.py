@@ -365,7 +365,11 @@ def test_global_mode_equal_ranks_and_accuracy():
 
 @pytest.mark.parametrize("case", ["laplace2d", "helmholtz2d", "laplace3d", "global2d"])
 def test_symmetric_shortcut_is_bit_identical(case):
-    # one ID per node with L = R^T and a mirrored S give the bytes of two IDs
+    # a symmetric source's row target transposed repeats its column target,
+    # so the shortcut factors the column half alone; the joint ID of both
+    # halves picks the same skeleton at every node and the same S, and both
+    # paths give L = R^T bit for bit.  Only the interpolants' last bits
+    # differ: the two apply errors agreed to 1.3e-16 when this was written.
     dim = 3 if case == "laplace3d" else 2
     spec = {"laplace2d": LAPLACE2, "global2d": LAPLACE2, "laplace3d": KernelSpec("laplace", 3),
             "helmholtz2d": KernelSpec("helmholtz", 2, wavenumber=20.0)}[case]
@@ -377,14 +381,21 @@ def test_symmetric_shortcut_is_bit_identical(case):
     assert source.symmetric
     one = compress_source(source, tree, 1e-6, mode=mode)
     source.symmetric = False
-    two = compress_source(source, tree, 1e-6, mode=mode)
+    joint = compress_source(source, tree, 1e-6, mode=mode)
     assert len(one.levels) >= 2 and len(one.levels[-1].nodes) > 1
-    assert serialize_compressed(one) == serialize_compressed(two)
-    for lv in one.levels:
-        for nd in lv.nodes:
-            assert np.array_equal(nd.row_skel, nd.col_skel)
-            assert np.array_equal(nd.L, nd.R.T)
-    assert np.array_equal(one.S, one.S.T)
+    for lv, lv_joint in zip(one.levels, joint.levels, strict=True):
+        for nd, nd_joint in zip(lv.nodes, lv_joint.nodes, strict=True):
+            assert np.array_equal(nd.col_skel, nd_joint.col_skel)
+            for m in (nd, nd_joint):
+                assert np.array_equal(m.row_skel, m.col_skel)
+                assert np.array_equal(m.L, m.R.T)
+    assert np.array_equal(one.S, one.S.T) and np.array_equal(one.S, joint.S)
+    dense = dense_matrix(spec, pts)
+    x = np.random.default_rng(1).standard_normal(n)
+    errs = [np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
+            for cm in (one, joint)]
+    assert errs[0] <= 100 * 1e-6
+    assert abs(errs[0] - errs[1]) <= 1e-15
 
 
 def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
@@ -442,7 +453,8 @@ def _compressed_nodes(tree, cm):
 @pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "two_ids"])
 def test_degraded_interpolation_warns_once_per_compression(symmetric):
     # 2D Helmholtz at k=20 has a few blocks whose |P| exceeds 2; they are
-    # counted into one warning that points at the caller
+    # counted into one warning that points at the caller.  The symmetric
+    # shortcut and the joint ID alike take one ID per node, with L = R^T.
     pts = PointSet(np.random.default_rng(201).random((1024, 2)))
     tree = build_tree(pts)
     source = KernelSource(KernelSpec("helmholtz", 2, wavenumber=20.0), pts, tree.perm)
@@ -451,10 +463,7 @@ def test_degraded_interpolation_warns_once_per_compression(symmetric):
         warnings.simplefilter("always")
         cm = compress_source(source, tree, 1e-6)
     # carried nodes take no ID, so their L = R = I count in no ID block
-    nodes = _compressed_nodes(tree, cm)
-    maxima = [np.abs(nd.R).max(initial=0.0) for nd in nodes]
-    if not symmetric:
-        maxima += [np.abs(nd.L).max(initial=0.0) for nd in nodes]
+    maxima = [np.abs(nd.R).max(initial=0.0) for nd in _compressed_nodes(tree, cm)]
     bad = [x for x in maxima if x > 2]
     assert len(bad) >= 2
     assert len(caught) == 1
@@ -470,16 +479,14 @@ def _ellipse_points(n, normals=False, weights=False):
                     curve.weights if weights else None)
 
 
-@pytest.mark.parametrize("case, symmetric", [
-    ("single", True), ("double", False), ("weighted", False), ("custom", False),
-    ("laplace_bie", False), ("helmholtz_bie", False), ("scatterer", False)])
-def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
-    ids, seen = [], []
-    real_id = skel.id_fixed_precision
-
-    def counting_id(*args, **kwargs):
-        ids.append(1)
-        return real_id(*args, **kwargs)
+def _caught_compression(case, monkeypatch):
+    """(source, tree, compressed matrix) of one compression at eps 1e-6,
+    caught at ``compress_source``: a 1024-point kernel matrix through
+    ``compress`` (single or double layer, or the single layer with
+    quadrature weights), the same matrix as a custom source without the
+    ``symmetric`` attribute, a 1024-point Dirichlet BIE or the 256-point
+    scatterer preconditioner."""
+    seen = []
 
     def capture(module):
         real = module.compress_source
@@ -490,14 +497,12 @@ def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
             return cm
         monkeypatch.setattr(module, "compress_source", run)
 
-    monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
     if case in ("single", "double", "weighted"):
         capture(skel)
         spec = KernelSpec("laplace", 2, "double" if case == "double" else "single")
         pts = _ellipse_points(1024, normals=case == "double", weights=case == "weighted")
         compress(spec, pts, build_tree(pts, 64), 1e-6)
     elif case == "custom":
-        # a source without the attribute keeps both IDs
         pts = _ellipse_points(1024)
         tree = build_tree(pts, 64)
         ks = KernelSource(LAPLACE2, pts, tree.perm)
@@ -515,13 +520,48 @@ def test_only_symmetric_sources_take_one_id(case, symmetric, monkeypatch):
         capture(bie)
         eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
         bie.compress_system(bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq), 1e-6)
-
     ((source, tree, cm),) = seen
+    return source, tree, cm
+
+
+@pytest.mark.parametrize("case, symmetric", [
+    ("single", True), ("double", False), ("weighted", False), ("custom", False),
+    ("laplace_bie", False), ("helmholtz_bie", False), ("scatterer", False)])
+def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
+    ids, real_id = [], skel.id_fixed_precision
+
+    def counting_id(*args, **kwargs):
+        ids.append(1)
+        return real_id(*args, **kwargs)
+
+    monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    source, tree, cm = _caught_compression(case, monkeypatch)
+    # a source without the attribute takes the joint ID
     assert getattr(source, "symmetric", False) == symmetric
     # carried nodes take no ID
     nodes = len(_compressed_nodes(tree, cm))
     assert nodes > 0
-    assert len(ids) == (1 if symmetric else 2) * nodes
+    assert len(ids) == nodes
+
+
+@pytest.mark.parametrize("case", ["double", "weighted", "custom", "laplace_bie",
+                                  "helmholtz_bie", "scatterer"])
+def test_every_source_is_square_by_construction(case, monkeypatch):
+    # one skeleton serves a node's rows and columns, whatever the source
+    source, tree, cm = _caught_compression(case, monkeypatch)
+    assert not getattr(source, "symmetric", False)
+    assert len(cm.levels) >= 2
+    for lv in cm.levels:
+        for nd in lv.nodes:
+            assert np.array_equal(nd.row_skel, nd.col_skel)
+            assert np.array_equal(nd.L, nd.R.T)
+    # source.block takes tree positions: the dense matrix in tree order
+    n = tree.n_points
+    idx = np.arange(n)
+    x = np.random.default_rng(0).standard_normal(n)
+    ref = (source.block(idx, idx) @ x[tree.perm])[np.argsort(tree.perm)]
+    err = np.linalg.norm(apply(cm, x) - ref) / np.linalg.norm(ref)
+    assert err <= 100 * 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +710,8 @@ def test_global_mode_slices_its_targets():
 @pytest.mark.parametrize("symmetric", [True, False], ids=["one-ID", "two-ID"])
 def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monkeypatch):
     # a global-mode node has no neighbours and its far field is every other
-    # node: its column target is K(DOFs of the others, its DOFs), and its row
-    # target K(its DOFs, DOFs of the others)
+    # node: its target is [K(DOFs of the others, its DOFs); K(its DOFs, DOFs
+    # of the others)^T], and for a symmetric source the upper half alone
     source, tree = _volume_source("square", symmetric)
     targets, real_id = [], skel.id_fixed_precision
 
@@ -690,21 +730,17 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
     captured = iter(targets)
     for li, lv in enumerate(cm.levels):
         if li == 0:
-            row_dofs = col_dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi)
-                                   for i in tree.levels[0]]
+            dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in tree.levels[0]]
         else:
             below = cm.levels[li - 1].nodes
-            row_dofs = [np.concatenate([below[c].row_skel for c in nd.children])
-                        for nd in lv.nodes]
-            col_dofs = [np.concatenate([below[c].col_skel for c in nd.children])
-                        for nd in lv.nodes]
+            dofs = [np.concatenate([below[c].col_skel for c in nd.children])
+                    for nd in lv.nodes]
         for a in range(len(lv.nodes)):
-            others = [b for b in range(len(lv.nodes)) if b != a]
-            rows = np.concatenate([row_dofs[b] for b in others])
-            assert_bits_equal(next(captured), source.block(rows, col_dofs[a]))
+            rest = np.concatenate([dofs[b] for b in range(len(lv.nodes)) if b != a])
+            want = source.block(rest, dofs[a])
             if not symmetric:
-                cols = np.concatenate([col_dofs[b] for b in others])
-                assert_bits_equal(next(captured), source.block(row_dofs[a], cols).T)
+                want = np.vstack([want, source.block(dofs[a], rest).T])
+            assert_bits_equal(next(captured), want)
     assert next(captured, None) is None
 
 
@@ -766,17 +802,15 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
             cm = compress_source(source, tree, eps)
-        per_node = 1
     else:
         eps = 1e-9
         source = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
         tree, cm = bie.compress_system(source, eps)
-        per_node = 2
 
     carried = [(li, nd) for li, lv in enumerate(cm.levels) for a, nd in enumerate(lv.nodes)
                if _carried(tree, li, a, nd)]
     assert len(carried) >= 40
-    assert len(ids) == per_node * len(_compressed_nodes(tree, cm))
+    assert len(ids) == len(_compressed_nodes(tree, cm))
     for li, nd in carried:
         # every DOF, that is every skeleton of its only child, survives
         child = cm.levels[li - 1].nodes[nd.children[0]]

@@ -562,6 +562,26 @@ def test_nonsquare_lambda_rejected():
         factor(cm)
 
 
+def test_loaded_non_square_node_is_named():
+    # compression makes every node square (one skeleton for rows and
+    # columns), so factor's guard meets only hand-built or loaded input:
+    # a container whose node 1 keeps 3 row and 2 column skeletons
+    rng = np.random.default_rng(0)
+    n1, ks = 8, [(2, 2), (3, 2), (2, 2)]
+    nodes = [CompressedNode(np.arange(n1 * a, n1 * a + kr), np.arange(n1 * a, n1 * a + kc),
+                            rng.standard_normal((n1, n1)) + 4 * np.eye(n1),
+                            rng.standard_normal((n1, kr)), rng.standard_normal((kc, n1)),
+                            None)
+             for a, (kr, kc) in enumerate(ks)]
+    S = rng.standard_normal((7, 6))
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=3 * n1,
+                          eps=1e-15, perm=np.arange(3 * n1), scalar_field="real")
+    loaded = deserialize_compressed(serialize_compressed(cm))
+    assert loaded.levels[0].nodes[1].k_r == 3 and loaded.levels[0].nodes[1].k_c == 2
+    with pytest.raises(InvalidInput, match=r"non-square node at level 1, node 1 \("):
+        factor(loaded)
+
+
 def test_factor_leaves_warning_filters_alone(monkeypatch):
     # factor once mapped its nodes over a thread pool sized by this variable,
     # and the per-LU catch_warnings, which is process-global, then left a
