@@ -133,20 +133,19 @@ class KernelSource:
 
 @dataclass
 class CompressedNode:
-    row_skel: np.ndarray    # surviving row indices, global tree order, sorted
-    col_skel: np.ndarray
-    D: np.ndarray           # extracted diagonal block (n_r x n_c)
-    L: np.ndarray           # row interpolation, n_r x k_r
-    R: np.ndarray           # column interpolation, k_c x n_c
+    """One node of a compressed level.  Rows and columns share one
+    skeleton, so D is square and L and R have k = skel.size columns and
+    rows; ``Level`` checks the shapes."""
+
+    skel: np.ndarray        # surviving indices, global tree order, sorted
+    D: np.ndarray           # extracted diagonal block (n x n)
+    L: np.ndarray           # row interpolation, n x k
+    R: np.ndarray           # column interpolation, k x n
     children: np.ndarray | None   # positions in the previous level (None at finest)
 
     @property
-    def k_r(self):
-        return self.row_skel.size
-
-    @property
-    def k_c(self):
-        return self.col_skel.size
+    def k(self):
+        return self.skel.size
 
     @property
     def blocks(self):
@@ -161,26 +160,26 @@ def _offsets(sizes):
 class Level:
     """One level of a telescoping operator.  Each node's ``blocks`` are
     (up, diag, down): (R, D, L) for the compressed matrix, (Rd, Dd, Ld) for
-    its inverse.  Node a takes the input slice col_dof_off, which up maps
-    to the skeleton slice kc_off; on the way down it writes the output
-    slice row_dof_off from diag and from down on the coarser slice
-    kr_off.  The blocks and offsets are taken when the level is built."""
+    its inverse.  Node a takes and gives the DOF slice dof_off; up maps it
+    to the skeleton slice k_off, and down maps that slice of the coarser
+    vector back.  The blocks and offsets are taken when the level is built.
+
+    This is where squareness is checked, for compressed and factored
+    nodes alike: each node's (up, diag, down) must be (k x n, n x n,
+    n x k), or InvalidInput names the node."""
 
     def __init__(self, nodes):
         self.nodes = nodes
         self.blocks = blocks = [nd.blocks for nd in nodes]
-        self.row_dof_off = _offsets([diag.shape[0] for _, diag, _ in blocks])
-        self.col_dof_off = _offsets([diag.shape[1] for _, diag, _ in blocks])
-        self.kr_off = _offsets([down.shape[1] for _, _, down in blocks])
-        self.kc_off = _offsets([up.shape[0] for up, _, _ in blocks])
-
-    @property
-    def K_r(self):
-        return int(self.kr_off[-1])
-
-    @property
-    def K_c(self):
-        return int(self.kc_off[-1])
+        for a, (up, diag, down) in enumerate(blocks):
+            n, k = diag.shape[0], up.shape[0]
+            if diag.shape != (n, n) or down.shape != (n, k) or up.shape != (k, n):
+                raise InvalidInput(
+                    f"node {a} has diag {diag.shape}, down {down.shape} and up "
+                    f"{up.shape}, not (n x n, n x k, k x n)")
+        self.dof_off = _offsets([diag.shape[0] for _, diag, _ in blocks])
+        self.k_off = _offsets([up.shape[0] for up, _, _ in blocks])
+        self.K = int(self.k_off[-1])
 
 
 @dataclass
@@ -203,15 +202,15 @@ class CompressedMatrix:
         return np.complex128 if self.scalar_field == "complex" else np.float64
 
     def skeleton_counts(self):
-        """(K_r, K_c) totals per level, finest first."""
-        return [(lv.K_r, lv.K_c) for lv in self.levels]
+        """Skeleton total K per level, finest first."""
+        return [lv.K for lv in self.levels]
 
     def storage_bytes(self):
         total = self.S.nbytes + self.perm.nbytes
         for lv in self.levels:
             for nd in lv.nodes:
                 total += nd.D.nbytes + nd.L.nbytes + nd.R.nbytes
-                total += nd.row_skel.nbytes + nd.col_skel.nbytes
+                total += nd.skel.nbytes
         return total
 
     def apply(self, x):
@@ -245,26 +244,31 @@ def _telescope(levels, top, n, perm, dtype, x):
     for lv in levels:
         us.append(u)
         # offsets as Python ints: slicing by numpy integers costs more per node
-        x_off, u_off = lv.col_dof_off.tolist(), lv.kc_off.tolist()
-        nxt = np.empty((lv.K_c, nrhs), dtype=dtype)
+        off, k_off = lv.dof_off.tolist(), lv.k_off.tolist()
+        nxt = np.empty((lv.K, nrhs), dtype=dtype)
         for a, (up, _, _) in enumerate(lv.blocks):
             if up.shape[0]:
-                np.matmul(up, u[x_off[a]:x_off[a + 1]], out=nxt[u_off[a]:u_off[a + 1]])
+                np.dot(up, u[off[a]:off[a + 1]], out=nxt[k_off[a]:k_off[a + 1]])
         u = nxt
     v = top(u)
     for lv in reversed(levels):
         u = us.pop()
-        x_off, y_off, v_off = (lv.col_dof_off.tolist(), lv.row_dof_off.tolist(),
-                               lv.kr_off.tolist())
-        w = np.empty((y_off[-1], nrhs), dtype=dtype)
+        off, k_off = lv.dof_off.tolist(), lv.k_off.tolist()
+        w = np.empty((off[-1], nrhs), dtype=dtype)
         for a, (_, diag, down) in enumerate(lv.blocks):
-            # each product is written straight into its slice of the output
-            seg = np.matmul(diag, u[x_off[a]:x_off[a + 1]], out=w[y_off[a]:y_off[a + 1]])
+            # each product is written straight into a slice: diag's into w;
+            # once diag has read the node's (square) slice of u, down's
+            # product takes its place, and u is added to w once per level
+            s = slice(off[a], off[a + 1])
+            np.dot(diag, u[s], out=w[s])
             if down.shape[1]:
-                seg += down @ v[v_off[a]:v_off[a + 1]]
+                np.dot(down, v[k_off[a]:k_off[a + 1]], out=u[s])
+            else:
+                u[s] = 0
+        w += u
         v = w
 
-    # u is now the permuted input; free it before allocating the output
+    # u is now the permuted input's buffer; free it before allocating the output
     del u
     out = np.empty((n, nrhs), dtype=dtype)
     out[perm] = v
@@ -275,7 +279,7 @@ def _cover_children(tree, cover_prev, cover):
     """For each node of ``cover``, positions of its members in ``cover_prev``
     (both sorted by range start).  A leaf that stopped early is listed in
     both covers and is its own only child: ``compress_source`` carries it
-    through with L = R = I."""
+    through with every DOF its skeleton, so L = R = I."""
     out = []
     j = 0
     for nid in cover:
@@ -298,8 +302,8 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     (quadratic work, refused above 20000 points unless allow_large).
 
     Each node takes one ID, whose skeleton serves its rows and columns
-    alike: row skeletons equal column skeletons and L = R^T, so every
-    diagonal block of the inverse recursion is square.  A single-layer
+    alike, with L = R^T, so every diagonal block of the inverse recursion is
+    square.  A single-layer
     kernel without quadrature weights is symmetric
     (``KernelSource.symmetric``), and its ID leaves out the row half of the
     target, which repeats the column half; see ``compress_source``.
@@ -427,8 +431,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             D = np.ascontiguousarray(_blk(d, d), dtype=dtype) if Ds is None else Ds[a]
             if li and covers[li - 1][children[a][0]] == ids[a]:
                 # carried: its only child is itself, so its D is zero
-                return CompressedNode(row_skel=d, col_skel=d, D=D,
-                                      L=np.eye(d.size, dtype=dtype),
+                return CompressedNode(skel=d, D=D, L=np.eye(d.size, dtype=dtype),
                                       R=np.eye(d.size, dtype=dtype),
                                       children=children[a]), np.arange(d.size)
             # the far field: the proxy surface, or in global mode every other
@@ -459,8 +462,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             pos = idp.skel[order]
             R = np.ascontiguousarray(idp.proj[order, :], dtype=dtype)
             L = np.ascontiguousarray(R.T)
-            return CompressedNode(row_skel=d[pos], col_skel=d[pos], D=D, L=L, R=R,
-                                  children=children[a]), pos
+            return CompressedNode(skel=d[pos], D=D, L=L, R=R, children=children[a]), pos
 
         nodes, pos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
@@ -479,7 +481,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             Ds.append(M)
         own = store = mapping = None
         children = parents
-        dofs = [_cat([nodes[c].col_skel for c in ch]) for ch in parents]
+        dofs = [_cat([nodes[c].skel for c in ch]) for ch in parents]
 
     bad = [x for x in interp_max if x > 2.0]
     if bad:
@@ -588,50 +590,53 @@ def _write_levels(out, levels, write_head=None):
 
 
 def _read_levels(f, read_node):
-    """Inverse of ``_write_levels``; ``read_node(f, li)`` reads one node
-    record, its blocks through ``f.blocks()``.  Checks that the block shapes
-    chain: each down block has diag's rows and each up block diag's
-    columns, the finest level takes N DOFs both ways and every coarser
-    level exactly the skeletons the level below leaves.  Returns the levels
-    and the (rows, columns) the top must take."""
+    """Inverse of ``_write_levels``; ``read_node(f, li, a)`` reads node a's
+    record at level li, its blocks through ``f.blocks()``.  ``Level`` checks
+    each node's shapes, and its message is given the level.  One DOF count
+    chains from N: the finest level takes N DOFs, and every coarser level
+    exactly the skeletons the level below leaves.  Returns the levels and
+    the skeleton count the top must take."""
     levels = []
-    leaves = (f.n, f.n)
+    leaves = f.n
     for li in range(f.nlevels):
         (count,) = f.unpack("<I")
-        lv = Level([read_node(f, li) for _ in range(count)])
-        for a, (up, diag, down) in enumerate(lv.blocks):
-            if down.shape[0] != diag.shape[0] or up.shape[1] != diag.shape[1]:
-                raise InvalidInput(
-                    f"corrupt skelkit container: level {li + 1}, node {a} has diag "
-                    f"{diag.shape}, down {down.shape} and up {up.shape}")
-        takes = (int(lv.row_dof_off[-1]), int(lv.col_dof_off[-1]))
-        if takes != leaves:
+        nodes = [read_node(f, li, a) for a in range(count)]
+        try:
+            lv = Level(nodes)
+        except InvalidInput as exc:
+            raise InvalidInput(f"corrupt skelkit container: level {li + 1}, {exc}") from None
+        if lv.dof_off[-1] != leaves:
             raise InvalidInput(
-                f"corrupt skelkit container: level {li + 1} takes {takes[0]} row and "
-                f"{takes[1]} column DOFs, the level below leaves {leaves[0]} and {leaves[1]}")
-        leaves = (lv.K_r, lv.K_c)
+                f"corrupt skelkit container: level {li + 1} takes {lv.dof_off[-1]} "
+                f"DOFs, the level below leaves {leaves}")
+        leaves = lv.K
         levels.append(lv)
     return levels, leaves
 
 
 def _write_compressed_head(out, nd):
+    # the layout has a row and a column skeleton array: both are nd.skel
     ch = nd.children if nd.children is not None else np.empty(0, dtype=np.int64)
     out.append(struct.pack("<B", 1 if nd.children is not None else 0))
-    for idx in (ch, nd.row_skel, nd.col_skel):
+    for idx in (ch, nd.skel, nd.skel):
         _write_arr(out, np.asarray(idx, dtype=np.int64))
 
 
-def _read_compressed_node(f, li):
+def _read_compressed_node(f, li, a):
     (has_ch,) = f.unpack("<B")
     ch = f.array(1, index=True)
-    row_skel, col_skel = f.array(1, index=True), f.array(1, index=True)
+    skel, again = f.array(1, index=True), f.array(1, index=True)
     R, D, L = f.blocks()
     if has_ch != (li > 0) or (li == 0 and ch.size):
         raise InvalidInput("corrupt skelkit container: children flag")
-    if L.shape[1] != row_skel.size or R.shape[0] != col_skel.size:
+    if not np.array_equal(skel, again):
+        # what a source with separate row and column IDs wrote
+        raise InvalidInput(
+            f"skelkit container: level {li + 1}, node {a} has different row and "
+            "column skeletons; recompress the matrix to load it")
+    if L.shape[1] != skel.size or R.shape[0] != skel.size:
         raise InvalidInput("corrupt skelkit container: skeleton sizes")
-    return CompressedNode(row_skel=row_skel, col_skel=col_skel, D=D, L=L, R=R,
-                          children=ch if has_ch else None)
+    return CompressedNode(skel=skel, D=D, L=L, R=R, children=ch if has_ch else None)
 
 
 def serialize_compressed(cm: CompressedMatrix) -> bytes:
@@ -654,16 +659,15 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
     for li in range(1, len(levels)):
         # children list the previous level's nodes once each, in order, and
         # each D block stacks its children's skeletons
-        kr, kc = np.diff(levels[li - 1].kr_off), np.diff(levels[li - 1].kc_off)
+        k = np.diff(levels[li - 1].k_off)
         kids = [nd.children for nd in levels[li].nodes]
-        if not (np.array_equal(np.concatenate(kids) if kids else [], np.arange(kr.size))
-                and all(nd.D.shape == (kr[c].sum(), kc[c].sum())
-                        for nd, c in zip(levels[li].nodes, kids))):
+        if not (np.array_equal(np.concatenate(kids) if kids else [], np.arange(k.size))
+                and all(nd.D.shape[0] == k[c].sum() for nd, c in zip(levels[li].nodes, kids))):
             raise InvalidInput(f"corrupt skelkit container: level {li + 1} "
                                "does not fit the tree")
     S = f.array(2)
     f.finish()
-    if S.shape != top:
+    if S.shape != (top, top):
         raise InvalidInput("corrupt skelkit container: top block shape")
     return CompressedMatrix(levels=levels, S=S, n=f.n, eps=f.eps, perm=f.perm,
                             scalar_field=f.field)

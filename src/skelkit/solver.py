@@ -88,46 +88,32 @@ def assemble_embedding(cm: CompressedMatrix) -> SparseEmbedding:
     n = cm.n
     dtype = cm.dtype
     parts = {}          # label -> [(rows, cols, vals), ...], joined once at the end
-    # column offsets of [x, y1, z1, y2, z2, ...]
-    col_off = [0, n]
+    # column offsets of [x, y1, z1, y2, z2, ...]; y(l) and z(l) both have K
+    # entries, so these are also the row offsets of [b-rows, z1-coupling,
+    # y1-coupling, z2-coupling, ...]
+    off = [0, n]
     for lv in cm.levels:
-        col_off.append(col_off[-1] + lv.K_r)   # y(l)
-        col_off.append(col_off[-1] + lv.K_c)   # z(l)
-    # row offsets of [b-rows, z1-coupling, y1-coupling, z2-coupling, ...]
-    row_off = [0, n]
-    for lv in cm.levels:
-        row_off.append(row_off[-1] + lv.K_c)
-        row_off.append(row_off[-1] + lv.K_r)
-    m = col_off[-1]
-    assert row_off[-1] == m
+        off += [off[-1] + lv.K, off[-1] + 2 * lv.K]
+    m = off[-1]
 
     for li, lv in enumerate(cm.levels):
         l1 = li + 1
-        # this level's D/L rows: b-rows at the finest level, otherwise the
-        # y(l-1) coupling rows
-        dl_rows = 0 if li == 0 else row_off[2 * li]
-        dl_cols = 0 if li == 0 else col_off[2 * li]       # x or z(l-1)
-        y_cols = col_off[2 * li + 1]
-        z_cols = col_off[2 * li + 2]
-        r_rows = row_off[2 * li + 1]
+        # this level's D/L rows and D/R columns: the b-rows and x at the
+        # finest level, otherwise the y(l-1) coupling rows and z(l-1)
+        dl = 0 if li == 0 else off[2 * li]
+        y, z = off[2 * li + 1], off[2 * li + 2]     # y(l) and z(l)
         for a, nd in enumerate(lv.nodes):
-            _block_entries(parts, f"D{l1}", dl_rows + lv.row_dof_off[a],
-                           dl_cols + lv.col_dof_off[a], nd.D)
-            _block_entries(parts, f"L{l1}", dl_rows + lv.row_dof_off[a],
-                           y_cols + lv.kr_off[a], nd.L)
-            _block_entries(parts, f"R{l1}", r_rows + lv.kc_off[a],
-                           dl_cols + lv.col_dof_off[a], nd.R)
+            _block_entries(parts, f"D{l1}", dl + lv.dof_off[a], dl + lv.dof_off[a], nd.D)
+            _block_entries(parts, f"L{l1}", dl + lv.dof_off[a], y + lv.k_off[a], nd.L)
+            _block_entries(parts, f"R{l1}", y + lv.k_off[a], dl + lv.dof_off[a], nd.R)
         # coupling identities: R(l) x - z(l) = 0 and -y(l) + [next level] = 0
-        idx = np.arange(lv.K_c)
-        parts[f"I:z{l1}"] = [(r_rows + idx, z_cols + idx,
-                              np.full(lv.K_c, -1.0, dtype=dtype))]
-        idy = np.arange(lv.K_r)
-        y_rows = row_off[2 * li + 2]
-        parts[f"I:y{l1}"] = [(y_rows + idy, y_cols + idy,
-                              np.full(lv.K_r, -1.0, dtype=dtype))]
+        idx = np.arange(lv.K)
+        minus = np.full(lv.K, -1.0, dtype=dtype)
+        parts[f"I:z{l1}"] = [(y + idx, z + idx, minus)]
+        parts[f"I:y{l1}"] = [(z + idx, y + idx, minus)]
 
     # S couples the y(L) rows to the z(L) columns
-    _block_entries(parts, "S", row_off[2 * cm.nlevels], col_off[2 * cm.nlevels], cm.S)
+    _block_entries(parts, "S", off[2 * cm.nlevels], off[2 * cm.nlevels], cm.S)
     blocks = {label: tuple(np.concatenate(arrs) for arrs in zip(*entries))
               for label, entries in parts.items()}
     return SparseEmbedding(m=m, n=n, dtype=dtype, blocks=blocks, perm=cm.perm)
@@ -243,11 +229,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
 
         def factor_node(a):
             nd = lv.nodes[a]
-            nn, k = nd.D.shape[0], nd.k_r
-            if nd.D.shape[1] != nn or nd.k_c != k:
-                raise InvalidInput(
-                    f"non-square node at level {li + 1}, node {a} (D {nn}x{nd.D.shape[1]}, "
-                    f"{k}x{nd.k_c} skeletons): row and column skeleton counts differ")
+            nn, k = nd.D.shape[0], nd.k
             B = np.zeros((nn + k, nn + k), dtype=dtype)
             B[:nn, :nn] = nd.D
             B[:nn, nn:] = nd.L
@@ -408,7 +390,7 @@ def serialize_factored(fi: FactoredInverse) -> bytes:
     return b"".join(out)
 
 
-def _read_factored_node(f, _):
+def _read_factored_node(f, *_):
     Rd, Dd, Ld = f.blocks()
     return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd)
 
@@ -419,15 +401,15 @@ def deserialize_factored(data: bytes) -> FactoredInverse:
     shapes that do not chain from N through the levels to the top LU, and
     pivots out of range."""
     f = _Reader(data, kind=2)
-    levels, (k, kc) = _read_levels(f, _read_factored_node)
+    levels, k = _read_levels(f, _read_factored_node)
     # column-major, as factor leaves it: getrs would copy a row-major LU on every solve
     lu = f.array(2, order="F")
     piv = f.array(1, index=True)
     f.finish()
-    if kc != k or lu.shape != (k, k) or piv.shape != (k,):
+    if lu.shape != (k, k) or piv.shape != (k,):
         raise InvalidInput(
             f"corrupt skelkit container: top LU {lu.shape} with {piv.size} pivots "
-            f"for {k} row and {kc} column skeletons")
+            f"for {k} skeletons")
     if k and not 0 <= piv.min() <= piv.max() < k:
         raise InvalidInput(f"corrupt skelkit container: top LU pivot outside [0, {k})")
     return FactoredInverse(levels=levels, S_lu=(lu, piv.astype(np.int32)), n=f.n,

@@ -100,7 +100,7 @@ def test_criterion_3_skeleton_ranks():
             cm = compress(LAPLACE2, pts, build_tree(pts, 64), 1e-9)
             ks[n] = (cm.S.shape[0], paper)
     ok = all(ref / 2 <= k <= ref * 2 for k, ref in ks.values()) and t.elapsed < 30.0
-    _report(3, ok, f"top-level K_r within factor 2 of reference: "
+    _report(3, ok, f"top-level skeleton count K within factor 2 of reference: "
                    f"{ {n: v[0] for n, v in ks.items()} } vs { {n: v[1] for n, v in ks.items()} }; "
                    f"{t.elapsed:.1f}s")
 

@@ -476,9 +476,10 @@ def _scatterer(n=256):
 
 
 @pytest.mark.parametrize("case", ["laplace_bie", "helmholtz_bie", "scatterer"])
-def test_two_id_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
-    # the row block of each node is evaluated once; its neighbours' column
-    # blocks, the parents' D and the top S are slices of it
+def test_stacked_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
+    # both halves stacked (source.symmetric is False): the row block of each
+    # node is evaluated once; its neighbours' column blocks, the parents' D
+    # and the top S are slices of it
     if case == "scatterer":
         system = _scatterer()
     else:

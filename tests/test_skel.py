@@ -133,16 +133,14 @@ def test_apply_length_mismatch():
 
 
 def test_level_conformance_invariant():
-    # column skeletons at level l == sum of block sizes at level l+1, exactly
+    # skeletons at level l == sum of block sizes at level l+1, exactly
     pts = square_points(2048, seed=5)
     tree = build_tree(pts, 64)
     cm = compress(LAPLACE2, pts, tree, 1e-6)
     assert cm.nlevels >= 2
     for lv, nxt in zip(cm.levels, cm.levels[1:]):
-        assert lv.K_c == int(nxt.col_dof_off[-1])
-        assert lv.K_r == int(nxt.row_dof_off[-1])
-    assert cm.levels[-1].K_r == cm.S.shape[0]
-    assert cm.levels[-1].K_c == cm.S.shape[1]
+        assert lv.K == int(nxt.dof_off[-1])
+    assert cm.S.shape == (cm.levels[-1].K, cm.levels[-1].K)
 
 
 def test_square_8192_five_levels_decreasing_skeletons():
@@ -150,7 +148,7 @@ def test_square_8192_five_levels_decreasing_skeletons():
     tree = build_tree(pts, 64)
     assert tree.depth == 5  # 5-level quadtree at this occupancy
     cm = compress(LAPLACE2, pts, tree, 1e-3)
-    totals = [k[1] for k in cm.skeleton_counts()]
+    totals = cm.skeleton_counts()
     assert all(a > b for a, b in zip(totals, totals[1:]))
     assert totals[0] < 8192
 
@@ -163,7 +161,7 @@ def test_square_8192_five_levels_decreasing_skeletons():
         for a, nid in enumerate(tree.levels[level]):
             nd = tree.nodes[nid]
             for sel, acc in ((np.arange(nd.lo, nd.hi), dists_all),
-                             (cm.levels[level].nodes[a].col_skel, dists_skel)):
+                             (cm.levels[level].nodes[a].skel, dists_skel)):
                 if len(sel) == 0:
                     continue
                 rel = np.abs(coords[sel] - nd.center)
@@ -290,8 +288,7 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
                 assert np.array_equal(n1.D, n2.D)
                 assert np.array_equal(n1.L, n2.L)
                 assert np.array_equal(n1.R, n2.R)
-                assert np.array_equal(n1.row_skel, n2.row_skel)
-                assert np.array_equal(n1.col_skel, n2.col_skel)
+                assert np.array_equal(n1.skel, n2.skel)
         # a loaded matrix applies identically (bit-exact round trip)
         x = np.random.default_rng(0).standard_normal(cm.n)
         if cm.scalar_field == "complex":
@@ -323,8 +320,8 @@ def test_synthetic_compressed_matrix_apply():
     S[:k, k:] = rng.standard_normal((k, k))
     S[k:, :k] = rng.standard_normal((k, k))
     nodes = [
-        CompressedNode(np.arange(0, k), np.arange(0, k), D1, L1, R1, None),
-        CompressedNode(np.arange(n1, n1 + k), np.arange(n1, n1 + k), D2, L2, R2, None),
+        CompressedNode(np.arange(0, k), D1, L1, R1, None),
+        CompressedNode(np.arange(n1, n1 + k), D2, L2, R2, None),
     ]
     cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=n1 + n2,
                           eps=1e-15, perm=np.arange(n1 + n2), scalar_field="real")
@@ -356,7 +353,7 @@ def test_global_mode_equal_ranks_and_accuracy():
     cm = compress(LAPLACE2, pts, build_tree(pts, 64), 1e-8, mode="global")
     for lv in cm.levels:
         for nd in lv.nodes:
-            assert nd.k_r == nd.k_c == nd.L.shape[1] == nd.R.shape[0]
+            assert nd.k == nd.L.shape[1] == nd.R.shape[0]
     dense = dense_matrix(LAPLACE2, pts)
     x = np.random.default_rng(2).standard_normal(800)
     err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
@@ -385,9 +382,8 @@ def test_symmetric_shortcut_is_bit_identical(case):
     assert len(one.levels) >= 2 and len(one.levels[-1].nodes) > 1
     for lv, lv_joint in zip(one.levels, joint.levels, strict=True):
         for nd, nd_joint in zip(lv.nodes, lv_joint.nodes, strict=True):
-            assert np.array_equal(nd.col_skel, nd_joint.col_skel)
+            assert np.array_equal(nd.skel, nd_joint.skel)
             for m in (nd, nd_joint):
-                assert np.array_equal(m.row_skel, m.col_skel)
                 assert np.array_equal(m.L, m.R.T)
     assert np.array_equal(one.S, one.S.T) and np.array_equal(one.S, joint.S)
     dense = dense_matrix(spec, pts)
@@ -429,8 +425,7 @@ def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
     assert len(geqrf_calls) == len(tall)
     for lv, lv_plain in zip(cm.levels, plain.levels, strict=True):
         for nd, nd_plain in zip(lv.nodes, lv_plain.nodes, strict=True):
-            assert np.array_equal(nd.row_skel, nd_plain.row_skel)
-            assert np.array_equal(nd.col_skel, nd_plain.col_skel)
+            assert np.array_equal(nd.skel, nd_plain.skel)
 
     dense = dense_matrix(spec, pts)
     x = np.random.default_rng(1).standard_normal(2048)
@@ -553,7 +548,6 @@ def test_every_source_is_square_by_construction(case, monkeypatch):
     assert len(cm.levels) >= 2
     for lv in cm.levels:
         for nd in lv.nodes:
-            assert np.array_equal(nd.row_skel, nd.col_skel)
             assert np.array_equal(nd.L, nd.R.T)
     # source.block takes tree positions: the dense matrix in tree order
     n = tree.n_points
@@ -608,10 +602,10 @@ def assert_sliced_blocks_are_kernel_blocks(source, cm):
         for nd in lv.nodes:
             kids = [below.nodes[c] for c in nd.children]
             np.testing.assert_array_equal(nd.D, _direct_block(
-                source, [k.row_skel for k in kids], [k.col_skel for k in kids]))
+                source, [k.skel for k in kids], [k.skel for k in kids]))
     top = cm.levels[-1].nodes
     np.testing.assert_array_equal(cm.S, _direct_block(
-        source, [k.row_skel for k in top], [k.col_skel for k in top]))
+        source, [k.skel for k in top], [k.skel for k in top]))
 
 
 def count_block_entries(source, monkeypatch):
@@ -733,7 +727,7 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
             dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in tree.levels[0]]
         else:
             below = cm.levels[li - 1].nodes
-            dofs = [np.concatenate([below[c].col_skel for c in nd.children])
+            dofs = [np.concatenate([below[c].skel for c in nd.children])
                     for nd in lv.nodes]
         for a in range(len(lv.nodes)):
             rest = np.concatenate([dofs[b] for b in range(len(lv.nodes)) if b != a])
@@ -814,10 +808,9 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
     for li, nd in carried:
         # every DOF, that is every skeleton of its only child, survives
         child = cm.levels[li - 1].nodes[nd.children[0]]
-        assert np.array_equal(nd.row_skel, child.row_skel)
-        assert np.array_equal(nd.col_skel, child.col_skel)
-        assert np.array_equal(nd.L, np.eye(nd.k_r)) and np.array_equal(nd.R, np.eye(nd.k_c))
-        assert nd.D.shape == (nd.k_r, nd.k_c) and not np.any(nd.D)
+        assert np.array_equal(nd.skel, child.skel)
+        assert np.array_equal(nd.L, np.eye(nd.k)) and np.array_equal(nd.R, np.eye(nd.k))
+        assert nd.D.shape == (nd.k, nd.k) and not np.any(nd.D)
 
     n = tree.n_points
     x = np.random.default_rng(0).standard_normal(n)
@@ -858,10 +851,9 @@ def _write_arr_tobytes(out, a):
 def test_zero_size_blocks_round_trip(dtype, monkeypatch):
     # a node compressed away entirely has 3 x 0 and 0 x 3 interpolants
     rng = np.random.default_rng(0)
-    nodes = [CompressedNode(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                            rng.random((3, 3)).astype(dtype), np.zeros((3, 0), dtype),
-                            np.zeros((0, 3), dtype), None),
-             CompressedNode(np.array([4]), np.array([3]), rng.random((2, 2)).astype(dtype),
+    nodes = [CompressedNode(np.empty(0, dtype=np.int64), rng.random((3, 3)).astype(dtype),
+                            np.zeros((3, 0), dtype), np.zeros((0, 3), dtype), None),
+             CompressedNode(np.array([3]), rng.random((2, 2)).astype(dtype),
                             rng.random((2, 1)).astype(dtype), rng.random((1, 2)).astype(dtype),
                             None)]
     cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((1, 1), dtype), n=5, eps=1e-6,

@@ -54,7 +54,7 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
         Ls.append(L)
         Rs.append(R)
         skel = np.arange(offs[a], offs[a] + ka)
-        nodes.append(CompressedNode(skel, skel.copy(), D, L, R, None))
+        nodes.append(CompressedNode(skel, D, L, R, None))
     S = np.zeros((koff[-1], koff[-1]))
     for a in range(p):
         for b in range(p):
@@ -146,11 +146,11 @@ class TestEmbedding:
         zs = []
         u = xt
         for lv in cm.levels:
-            nxt = np.zeros(lv.K_c)
+            nxt = np.zeros(lv.K)
             for a, nd in enumerate(lv.nodes):
-                if nd.k_c:
-                    nxt[lv.kc_off[a]:lv.kc_off[a + 1]] = \
-                        nd.R @ u[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
+                if nd.k:
+                    nxt[lv.k_off[a]:lv.k_off[a + 1]] = \
+                        nd.R @ u[lv.dof_off[a]:lv.dof_off[a + 1]]
             zs.append(nxt)
             u = nxt
         ys = [None] * cm.nlevels
@@ -158,12 +158,12 @@ class TestEmbedding:
         ys[-1] = v
         for li in range(cm.nlevels - 1, 0, -1):
             lv = cm.levels[li]
-            w = np.zeros(int(lv.row_dof_off[-1]))
+            w = np.zeros(int(lv.dof_off[-1]))
             for a, nd in enumerate(lv.nodes):
-                seg = nd.D @ zs[li - 1][lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
-                if nd.k_r:
-                    seg = seg + nd.L @ ys[li][lv.kr_off[a]:lv.kr_off[a + 1]]
-                w[lv.row_dof_off[a]:lv.row_dof_off[a + 1]] = seg
+                seg = nd.D @ zs[li - 1][lv.dof_off[a]:lv.dof_off[a + 1]]
+                if nd.k:
+                    seg = seg + nd.L @ ys[li][lv.k_off[a]:lv.k_off[a + 1]]
+                w[lv.dof_off[a]:lv.dof_off[a + 1]] = seg
             ys[li - 1] = w
         vec = np.concatenate([xt] + [np.concatenate([ys[li], zs[li]])
                                      for li in range(cm.nlevels)])
@@ -176,10 +176,10 @@ class TestEmbedding:
 class TestFactor:
     def test_diagonal_matrix_trivial_compression(self):
         # 1x1 blocks with empty skeletons: solve is exact division
-        nodes = [CompressedNode(np.empty(0, dtype=int), np.empty(0, dtype=int),
-                                np.array([[2.0]]), np.zeros((1, 0)), np.zeros((0, 1)), None),
-                 CompressedNode(np.empty(0, dtype=int), np.empty(0, dtype=int),
-                                np.array([[3.0]]), np.zeros((1, 0)), np.zeros((0, 1)), None)]
+        nodes = [CompressedNode(np.empty(0, dtype=int), np.array([[2.0]]),
+                                np.zeros((1, 0)), np.zeros((0, 1)), None),
+                 CompressedNode(np.empty(0, dtype=int), np.array([[3.0]]),
+                                np.zeros((1, 0)), np.zeros((0, 1)), None)]
         cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((0, 0)),
                               n=2, eps=1e-15, perm=np.arange(2), scalar_field="real")
         fi = factor(cm)
@@ -272,7 +272,7 @@ class TestFactor:
         # and the 0x0 top are LU-factored like any other
         cm, A = rank_zero_two_level()
         assert cm.nlevels == 2 and cm.S.shape == (0, 0)
-        assert all(nd.k_r == 0 for nd in cm.levels[0].nodes)
+        assert all(nd.k == 0 for nd in cm.levels[0].nodes)
         assert all(nd.D.shape == (0, 0) for nd in cm.levels[1].nodes)
         fi = factor(cm)
         B = np.random.default_rng(0).standard_normal((cm.n, 3))
@@ -341,7 +341,7 @@ class TestSweep:
 
     def test_node_with_zero_skeletons(self, op):
         cm, A = one_level_synthetic(seed=6, sizes=(12, 9, 10), k=(3, 0, 3))
-        assert [nd.k_r for nd in cm.levels[0].nodes] == [3, 0, 3]
+        assert [nd.k for nd in cm.levels[0].nodes] == [3, 0, 3]
         fn, M = _sweep_fn(op, cm, A)
         x = np.random.default_rng(3).standard_normal((cm.n, 2))
         assert np.linalg.norm(fn(x) - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
@@ -439,8 +439,8 @@ class TestGmres:
 
 class TestMatrixMarket:
     def test_identity_format(self, tmp_path):
-        nodes = [CompressedNode(np.empty(0, dtype=int), np.empty(0, dtype=int),
-                                np.eye(1), np.zeros((1, 0)), np.zeros((0, 1)), None)
+        nodes = [CompressedNode(np.empty(0, dtype=int), np.eye(1), np.zeros((1, 0)),
+                                np.zeros((0, 1)), None)
                  for _ in range(2)]
         cm = CompressedMatrix(levels=[], S=np.eye(2), n=2, eps=1e-15,
                               perm=np.arange(2), scalar_field="real")
@@ -545,41 +545,57 @@ class TestFactoredSerialization:
 
 
 def test_nonsquare_lambda_rejected():
-    # rectangular skeleton blocks cannot enter the telescoping inverse
+    # rectangular skeleton blocks cannot enter the telescoping inverse:
+    # Level, the one shape check, refuses a node with 3 row and 2 column
+    # interpolation columns
     rng = np.random.default_rng(0)
     n1 = 8
-    nodes = [CompressedNode(np.arange(3), np.arange(2),
-                            rng.standard_normal((n1, n1)) + 4 * np.eye(n1),
-                            rng.standard_normal((n1, 3)),
-                            rng.standard_normal((2, n1)), None)
-             for _ in range(2)]
-    S = np.zeros((6, 4))
-    S[:3, 2:] = rng.standard_normal((3, 2))
-    S[3:, :2] = rng.standard_normal((3, 2))
-    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=2 * n1,
-                          eps=1e-15, perm=np.arange(2 * n1), scalar_field="real")
-    with pytest.raises(InvalidInput, match="skeleton counts differ"):
-        factor(cm)
+    square = CompressedNode(np.arange(2), rng.standard_normal((n1, n1)),
+                            rng.standard_normal((n1, 2)), rng.standard_normal((2, n1)), None)
+    skewed = CompressedNode(np.arange(3), rng.standard_normal((n1, n1)),
+                            rng.standard_normal((n1, 3)), rng.standard_normal((2, n1)), None)
+    with pytest.raises(InvalidInput, match=r"^node 1 has diag \(8, 8\), down \(8, 3\) "
+                                           r"and up \(2, 8\)"):
+        Level([square, skewed])
+
+
+def _one_level_container(n1, skels, rng):
+    """README's layout of a one-level compressed container whose node a
+    stores the row and column skeleton records ``skels[a]`` (offset into
+    its n1 points) with L and R of their sizes, and a random S."""
+    records = []
+    for a, (rows, cols) in enumerate(skels):
+        arrays = (np.empty(0, np.int64), n1 * a + rows, n1 * a + cols,
+                  rng.standard_normal((n1, n1)) + 4 * np.eye(n1),
+                  rng.standard_normal((n1, rows.size)), rng.standard_normal((cols.size, n1)))
+        records.append(struct.pack("<B", 0) + b"".join(_ref_array(x) for x in arrays))
+    S = rng.standard_normal((sum(r.size for r, _ in skels), sum(c.size for _, c in skels)))
+    n = n1 * len(skels)
+    return _ref_container(1, "real", n, 1e-15, np.arange(n), [records], [S])
 
 
 def test_loaded_non_square_node_is_named():
     # compression makes every node square (one skeleton for rows and
-    # columns), so factor's guard meets only hand-built or loaded input:
-    # a container whose node 1 keeps 3 row and 2 column skeletons
+    # columns); a container whose node 1 keeps 3 row and 2 column
+    # skeletons is refused when it is read, naming the node
+    blob = _one_level_container(8, [(np.arange(kr), np.arange(kc))
+                                    for kr, kc in [(2, 2), (3, 2), (2, 2)]],
+                                np.random.default_rng(0))
+    with pytest.raises(InvalidInput, match="level 1, node 1 "):
+        deserialize_compressed(blob)
+
+
+def test_loaded_two_skeleton_node_is_refused():
+    # a source with separate row and column IDs wrote row and column
+    # skeletons of one size but different points; such a container loaded
+    # and factored, and is now refused at load, naming the node
+    same, other = (np.arange(2), np.arange(2)), (np.array([0, 1]), np.array([0, 2]))
     rng = np.random.default_rng(0)
-    n1, ks = 8, [(2, 2), (3, 2), (2, 2)]
-    nodes = [CompressedNode(np.arange(n1 * a, n1 * a + kr), np.arange(n1 * a, n1 * a + kc),
-                            rng.standard_normal((n1, n1)) + 4 * np.eye(n1),
-                            rng.standard_normal((n1, kr)), rng.standard_normal((kc, n1)),
-                            None)
-             for a, (kr, kc) in enumerate(ks)]
-    S = rng.standard_normal((7, 6))
-    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=3 * n1,
-                          eps=1e-15, perm=np.arange(3 * n1), scalar_field="real")
-    loaded = deserialize_compressed(serialize_compressed(cm))
-    assert loaded.levels[0].nodes[1].k_r == 3 and loaded.levels[0].nodes[1].k_c == 2
-    with pytest.raises(InvalidInput, match=r"non-square node at level 1, node 1 \("):
-        factor(loaded)
+    deserialize_compressed(_one_level_container(8, [same] * 3, rng))
+    blob = _one_level_container(8, [same, other, same], rng)
+    with pytest.raises(InvalidInput, match="level 1, node 1 has different row and column "
+                                           "skeletons"):
+        deserialize_compressed(blob)
 
 
 def test_factor_leaves_warning_filters_alone(monkeypatch):
@@ -708,7 +724,7 @@ def _ref_compressed(cm):
     def record(nd):
         ch = nd.children if nd.children is not None else np.empty(0, np.int64)
         return (struct.pack("<B", nd.children is not None)
-                + b"".join(_ref_array(a) for a in (ch, nd.row_skel, nd.col_skel,
+                + b"".join(_ref_array(a) for a in (ch, nd.skel, nd.skel,
                                                    nd.D, nd.L, nd.R)))
     return _ref_container(1, cm.scalar_field, cm.n, cm.eps, cm.perm,
                           [[record(nd) for nd in lv.nodes] for lv in cm.levels], [cm.S])
@@ -752,20 +768,20 @@ def _reference_sweep(levels, top, perm, x):
     us = []
     for lv in levels:
         us.append(u)
-        nxt = np.empty((lv.K_c, u.shape[1]), dtype=dtype)
+        nxt = np.empty((lv.K, u.shape[1]), dtype=dtype)
         for a, (up, _, _) in enumerate(lv.blocks):
             if up.shape[0]:
-                nxt[lv.kc_off[a]:lv.kc_off[a + 1]] = up @ u[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
+                nxt[lv.k_off[a]:lv.k_off[a + 1]] = up @ u[lv.dof_off[a]:lv.dof_off[a + 1]]
         u = nxt
     v = top(u)
     for lv in reversed(levels):
         u = us.pop()
-        w = np.empty((lv.row_dof_off[-1], u.shape[1]), dtype=dtype)
+        w = np.empty((lv.dof_off[-1], u.shape[1]), dtype=dtype)
         for a, (_, diag, down) in enumerate(lv.blocks):
-            seg = diag @ u[lv.col_dof_off[a]:lv.col_dof_off[a + 1]]
+            seg = diag @ u[lv.dof_off[a]:lv.dof_off[a + 1]]
             if down.shape[1]:
-                seg = seg + down @ v[lv.kr_off[a]:lv.kr_off[a + 1]]
-            w[lv.row_dof_off[a]:lv.row_dof_off[a + 1]] = seg
+                seg = seg + down @ v[lv.k_off[a]:lv.k_off[a + 1]]
+            w[lv.dof_off[a]:lv.dof_off[a + 1]] = seg
         v = w
     out = np.empty_like(v)
     out[perm] = v
@@ -797,7 +813,7 @@ def test_default_3d_cube_compresses_to_a_factorable_matrix():
     cm = compress(KernelSpec("laplace", 3), pts, build_tree(pts), 1e-6)
     for lv in cm.levels:
         for nd in lv.nodes:
-            assert nd.k_r == nd.k_c
+            assert nd.L.shape[1] == nd.R.shape[0] == nd.k
     fi = factor(cm)
     b = np.random.default_rng(1).standard_normal(4096)
     x = solve(fi, b)
@@ -823,7 +839,7 @@ def test_one_point_leaf_factors(seed):
     # [[0, 1], [1, 0]] is invertible
     pts = PointSet(np.random.default_rng(seed).standard_normal((4096, 2)))
     cm = compress(LAPLACE2, pts, build_tree(pts), 1e-6)
-    assert any(nd.D.shape == (1, 1) and nd.D[0, 0] == 0 and nd.k_r == 1
+    assert any(nd.D.shape == (1, 1) and nd.D[0, 0] == 0 and nd.k == 1
                for nd in cm.levels[0].nodes)
     fi = factor(cm)
     b = np.random.default_rng(3).standard_normal(4096)
@@ -900,12 +916,27 @@ def test_inconsistent_children_raise_invalid_input(corrupt):
 
 def test_compressed_level1_d_l_row_raises_invalid_input():
     # the compressed-kind twin of the factored level1_dd_ld_row case below:
-    # both kinds share one chain check, and only it sees this corruption
+    # both kinds share one shape check, Level's, and the reader names the level
     cm = deserialize_compressed(_containers()["compressed"][0])
     nd = next(nd for nd in cm.levels[0].nodes if nd.D.size and nd.L.shape[1])
     nd.D, nd.L = nd.D[:-1], nd.L[:-1]
-    with pytest.raises(InvalidInput, match="level 1 takes"):
+    with pytest.raises(InvalidInput, match=r"level 1, node \d+ has diag"):
         deserialize_compressed(serialize_compressed(cm))
+
+
+@pytest.mark.parametrize("kind", ["compressed", "factored"])
+def test_level_short_of_the_dofs_below_raises_invalid_input(kind):
+    # a node that drops one DOF from all three blocks stays square, so only
+    # the count chained from N through the levels sees it
+    blob, read, write = _containers()[kind]
+    obj = read(blob)
+    nd = next(nd for nd in obj.levels[0].nodes if nd.blocks[1].size)
+    up, diag, down = nd.blocks
+    names = ("R", "D", "L") if kind == "compressed" else ("Rd", "Dd", "Ld")
+    for name, blk in zip(names, (up[:, :-1], diag[:-1, :-1], down[:-1])):
+        setattr(nd, name, blk)
+    with pytest.raises(InvalidInput, match=f"level 1 takes {obj.n - 1} DOFs"):
+        read(write(obj))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -952,23 +983,21 @@ def _quadratic_embedding_blocks(cm):
             old = blocks.get(label)
             blocks[label] = new if old is None else tuple(map(np.concatenate, zip(old, new)))
 
-    col_off, row_off = [0, cm.n], [0, cm.n]
+    # one offset list for rows and columns: y(l) and z(l) both have K entries
+    off = [0, cm.n]
     for lv in cm.levels:
-        col_off += [col_off[-1] + lv.K_r, col_off[-1] + lv.K_r + lv.K_c]
-        row_off += [row_off[-1] + lv.K_c, row_off[-1] + lv.K_c + lv.K_r]
+        off += [off[-1] + lv.K, off[-1] + 2 * lv.K]
     for li, lv in enumerate(cm.levels):
-        dl_rows = 0 if li == 0 else row_off[2 * li]
-        dl_cols = 0 if li == 0 else col_off[2 * li]
-        y_cols, z_cols, r_rows = col_off[2 * li + 1], col_off[2 * li + 2], row_off[2 * li + 1]
+        dl = 0 if li == 0 else off[2 * li]
+        y, z = off[2 * li + 1], off[2 * li + 2]
         for a, nd in enumerate(lv.nodes):
-            add(f"D{li + 1}", dl_rows + lv.row_dof_off[a], dl_cols + lv.col_dof_off[a], nd.D)
-            add(f"L{li + 1}", dl_rows + lv.row_dof_off[a], y_cols + lv.kr_off[a], nd.L)
-            add(f"R{li + 1}", r_rows + lv.kc_off[a], dl_cols + lv.col_dof_off[a], nd.R)
-        idx, idy = np.arange(lv.K_c), np.arange(lv.K_r)
-        blocks[f"I:z{li + 1}"] = (r_rows + idx, z_cols + idx, np.full(lv.K_c, -1.0, cm.dtype))
-        blocks[f"I:y{li + 1}"] = (row_off[2 * li + 2] + idy, y_cols + idy,
-                                  np.full(lv.K_r, -1.0, cm.dtype))
-    add("S", row_off[2 * cm.nlevels], col_off[2 * cm.nlevels], cm.S)
+            add(f"D{li + 1}", dl + lv.dof_off[a], dl + lv.dof_off[a], nd.D)
+            add(f"L{li + 1}", dl + lv.dof_off[a], y + lv.k_off[a], nd.L)
+            add(f"R{li + 1}", y + lv.k_off[a], dl + lv.dof_off[a], nd.R)
+        idx = np.arange(lv.K)
+        blocks[f"I:z{li + 1}"] = (y + idx, z + idx, np.full(lv.K, -1.0, cm.dtype))
+        blocks[f"I:y{li + 1}"] = (z + idx, y + idx, np.full(lv.K, -1.0, cm.dtype))
+    add("S", off[2 * cm.nlevels], off[2 * cm.nlevels], cm.S)
     return blocks
 
 
