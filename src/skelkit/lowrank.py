@@ -7,7 +7,11 @@ triangular factor is kept so the ID can later be cut at any other rank
 without a second factorization.  A tall block (m >= 2n, n >= 192) is first
 reduced to its n x n triangle by a blocked, unpivoted QR (LAPACK geqrf), and
 geqp3 runs on that triangle: the pivots and R are those of A, but most of
-the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  The
+the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  A
+compression at eps >= _GRAM_MIN_EPS (about 4.7e-7) takes a tall target
+past both: ``id_gram`` factors its Gram matrix, summed from its row
+blocks, by one pivoted Cholesky (LAPACK pstrf), which picks geqp3's
+pivots and stop in exact arithmetic at a fraction of the flops.  The
 randomized path sketches with a Gaussian test matrix first and falls back
 to deterministic when its a-posteriori probe check fails.
 
@@ -24,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import AccuracyWarning, InvalidInput
 
@@ -33,6 +37,10 @@ from .errors import AccuracyWarning, InvalidInput
 # than it saves (block-shape sweep in BENCH_pr9_tall_qr.json)
 _QR_FIRST_ASPECT = 2
 _QR_FIRST_MIN_COLS = 192
+# a tall target's ID is read off its Gram matrix at eps >= sqrt(1e3 u): the
+# rounding of A^H A moves the ID's residual by about u/eps ||A||, 1000 times
+# below eps ||A|| there (``id_gram``)
+_GRAM_MIN_EPS = float(np.sqrt(1e3 * np.finfo(np.float64).eps))
 # ilaenv's geqrf block size in reference LAPACK and OpenBLAS; an lwork sized
 # for it covers the optimal workspace of geqrf and geqp3, so neither falls
 # back to unblocked code
@@ -90,6 +98,17 @@ def _ratio(R, k):
     return float(d[k] / d[0]) if k < d.size and d[0] > 0 else 0.0
 
 
+def _tall(m, n):
+    """Whether an m x n block takes geqrf before geqp3 in ``pivoted_qr``."""
+    return m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS
+
+
+def gram_route(m, n, eps):
+    """Whether the ID of an m x n target to precision eps is ``id_gram``'s:
+    a tall target (``pivoted_qr``'s geqrf rule) at eps >= _GRAM_MIN_EPS."""
+    return _tall(m, n) and _GRAM_MIN_EPS <= eps < 1
+
+
 def pivoted_qr(A, eps, *, overwrite_a=False):
     """Column-pivoted QR (LAPACK geqp3) with the rank read off R's diagonal:
     the first k whose pivot |R_kk| is at most eps*|R_00|, or min(m, n) if
@@ -115,7 +134,7 @@ def pivoted_qr(A, eps, *, overwrite_a=False):
         return np.arange(n), np.zeros((0, n), dtype=A.dtype), 0, 0.0
     geqrf, geqp3 = get_lapack_funcs(("geqrf", "geqp3"), (A,))
     lwork = 2 * n + (n + 1) * _LAPACK_NB
-    if m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS:
+    if _tall(m, n):
         # geqp3 factors triu(R0) as a column-major scratch copy, in place
         R0 = geqrf(A, lwork=lwork, overwrite_a=overwrite_a)[0]
         A = np.asfortranarray(R0[:n])
@@ -202,6 +221,84 @@ def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
     skel, proj = _interp(piv, R, rank, A.dtype)
     return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
                                   piv=piv, R=R))
+
+
+def _gram(blocks):
+    """Upper triangle of sum X^H X over the row blocks ``blocks`` (None if
+    there are none), accumulated by BLAS syrk/herk.  Each block is taken
+    column-major first, so blocks of equal values give equal bits."""
+    G = None
+    for X in blocks:
+        X = np.asarray(X)
+        dt = np.result_type(X, np.float64 if G is None else G)
+        if G is None:
+            G = np.zeros((X.shape[1],) * 2, dtype=dt, order="F")
+        elif dt != G.dtype:
+            G = G.astype(dt, order="F")
+        if X.shape[1] != G.shape[0]:
+            raise InvalidInput("row blocks differ in their number of columns")
+        if X.size:
+            # X^H X: herk with trans "C" (2) for complex blocks, syrk "T" for real
+            cplx = dt.kind == "c"
+            rk, = get_blas_funcs(("herk" if cplx else "syrk",), (G,))
+            G = rk(1.0, np.asfortranarray(X, dtype=dt), beta=1.0, c=G,
+                   trans=2 if cplx else 1, overwrite_c=1)
+    return G
+
+
+def id_gram(halves, eps) -> InterpDecomp:
+    """Column ID of the matrix A whose row blocks ``halves`` holds, read
+    off one pivoted Cholesky (LAPACK pstrf) of G = A^H A; A is never formed.
+
+    ``halves`` is a list of iterables of row blocks with n columns each; A
+    is every block stacked in order.  G is summed block by block within
+    each half, and the halves' sums are then added, so two halves of equal
+    blocks give exactly twice the Gram matrix of one.  G is divided by its
+    largest diagonal, which gives one half and both the same bits.
+
+    pstrf pivots on the largest remaining Schur diagonal, the largest
+    residual column norm squared: geqp3's pivot in exact arithmetic.  It
+    stops once that is at most eps^2, the rule |R_kk| <= eps |R_00| of
+    ``pivoted_qr``, and its factor U (rank x n, columns in pivot order) is
+    R up to the signs of its rows, so the interpolation matrix
+    R11^-1 R12 is the same.  Forming G costs about u/eps^2 relative in
+    that matrix and u/eps ||A|| in the residual, 1000 times below eps
+    ||A|| at eps >= _GRAM_MIN_EPS; a smaller eps is refused.
+
+    The ID's R is U: ``cut`` beyond the rank pads columns in."""
+    if not _GRAM_MIN_EPS <= eps < 1:
+        raise InvalidInput(f"eps must lie in [{_GRAM_MIN_EPS:.3g}, 1) for a Gram-matrix ID")
+    grams = [G for G in map(_gram, halves) if G is not None]
+    if not grams:
+        raise InvalidInput("expected at least one row block")
+    G = grams[0]
+    for Gh in grams[1:]:
+        if Gh.shape != G.shape:
+            raise InvalidInput("row blocks differ in their number of columns")
+        G = G + Gh
+    n = G.shape[0]
+    diag = np.diagonal(G).real.copy()
+    # a non-finite entry of A reaches G's diagonal, a sum of squares
+    if not np.all(np.isfinite(diag)):
+        raise InvalidInput("matrix has non-finite entries")
+    top = float(diag.max(initial=0.0))
+    if top > 0:
+        G /= top
+        diag /= top
+        pstrf, = get_lapack_funcs(("pstrf",), (G,))
+        G, piv, rank, info = pstrf(G, tol=eps * eps, lower=0, overwrite_a=1)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"pstrf failed with info {info}")
+        piv = piv.astype(np.int64) - 1
+    else:
+        piv, rank = np.arange(n), 0
+    U = np.triu(G[:rank])
+    # the largest remaining Schur diagonal: (|R_kk| / |R_00|)^2 at k = rank
+    rest = diag[piv[rank:]] - np.square(np.abs(U[:, rank:])).sum(axis=0)
+    ratio = float(np.sqrt(max(rest.max(initial=0.0), 0.0)))
+    skel, proj = _interp(piv, U, rank, G.dtype)
+    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
+                                  piv=piv, R=U))
 
 
 def id_rows(A, eps) -> InterpDecomp:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
-from .lowrank import _above_two, _warn, id_fixed_precision
+from .lowrank import _above_two, _warn, gram_route, id_fixed_precision, id_gram
 # id_randomized is unused here; the benchmark tracer wraps skel.id_randomized
 from .lowrank import id_randomized  # noqa: F401
 
@@ -326,6 +326,13 @@ def _stacked(parts):
     return np.concatenate(parts, out=out)
 
 
+def _half(blocks, far):
+    """One half of a node's ID target, as row blocks: ``blocks``, then the
+    far field ``far()``, evaluated only when it is reached."""
+    yield from blocks
+    yield far()
+
+
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over any matrix source exposing ``block``,
@@ -346,11 +353,14 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        proxy field, or in global mode, where a node has no neighbours, its
        whole off-diagonal block column and row, evaluated here (sibling
        blocks again).  A symmetric source's row half repeats its column
-       half and is left out.  A carried node, a leaf listed again in this
-       cover as its own only child, was compressed against the same box one
-       level down, so it takes no proxy surface, far field or ID: it keeps
-       every DOF, with L = R = I, which is what an ID that finds full rank
-       gives.
+       half and is left out.  The target is stacked for
+       ``id_fixed_precision``, unless it is tall and eps is at least
+       ``lowrank._GRAM_MIN_EPS``: then ``id_gram`` reads the ID off the Gram
+       matrix of its blocks, taken one at a time.  A carried node, a leaf
+       listed again in this cover as its own only child, was compressed
+       against the same box one level down, so it takes no proxy surface,
+       far field or ID: it keeps every DOF, with L = R = I, which is what
+       an ID that finds full rank gives.
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -435,28 +445,39 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                                       R=np.eye(d.size, dtype=dtype),
                                       children=children[a]), np.arange(d.size)
             # the far field: the proxy surface, or in global mode every other
-            # node; evaluated inside the stacking, since one held through the
-            # ID raised the 4096-point cube's compression peak from 232 to 274 MB
+            # node; evaluated only when its half reaches it, since one held
+            # through the ID raised the 4096-point cube's compression peak
+            # from 232 to 274 MB
             if mode == "proxy":
                 node = tree.nodes[ids[a]]
-                n_eff = cfg.n_proxy
+                n_far = cfg.n_proxy
                 if k_wave > 0:
-                    n_eff += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
-                pxy = proxy_points(node, replace(cfg, n_proxy=n_eff), tree.dim)
-                empty = np.zeros((n_eff, 0), dtype=dtype)
+                    n_far += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
+                pxy = proxy_points(node, replace(cfg, n_proxy=n_far), tree.dim)
+                empty = np.zeros((n_far, 0), dtype=dtype)
                 far_col = lambda: source.proxy_col_block(d, pxy) if d.size else empty
                 far_row = lambda: source.proxy_row_block(d, pxy).T if d.size else empty
             else:
                 rest = _cat([dofs[b] for b in range(nb) if b != a])
+                n_far = rest.size
                 far_col = lambda: _blk(rest, d)
                 far_row = lambda: _blk(d, rest).T
-            # [column target; row target transposed], the row half left out
-            # for a symmetric source; written once, column-major, and
-            # factored in place by LAPACK
-            t = _stacked([pair(b, a) for b in nbrs[a]] + [far_col()] + (
-                [] if sym else [pair(a, b).T for b in nbrs[a]] + [far_row()]))
-            idp = id_fixed_precision(t, eps, overwrite_a=True)
-            del t
+            # [column target; row target transposed], each half its neighbour
+            # blocks then its far field; the row half is left out for a
+            # symmetric source
+            halves = [_half((pair(b, a) for b in nbrs[a]), far_col)]
+            if not sym:
+                halves.append(_half((pair(a, b).T for b in nbrs[a]), far_row))
+            m = len(halves) * (sum(dofs[b].size for b in nbrs[a]) + n_far)
+            if gram_route(m, d.size, eps):
+                # a tall target: its ID is read off the Gram matrix of its
+                # blocks, one at a time, and the target is never stacked
+                idp = id_gram(halves, eps)
+            else:
+                # stacked once, column-major, and factored in place by LAPACK
+                t = _stacked([X for h in halves for X in h])
+                idp = id_fixed_precision(t, eps, overwrite_a=True)
+                del t
             interp_max.append(idp.max_entry)
             order = np.argsort(idp.skel)
             pos = idp.skel[order]

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelkit import lowrank
+from skelkit import KernelSpec, PointSet, eval_block, lowrank
 from skelkit.errors import AccuracyWarning, InvalidInput
-from skelkit.lowrank import (id_fixed_precision, id_randomized, id_rows,
+from skelkit.lowrank import (id_fixed_precision, id_gram, id_randomized, id_rows,
                              pivoted_qr)
+from skelkit.skel import ProxyConfig, proxy_points
 from skelkit.solver import gmres
 
 
@@ -402,6 +404,65 @@ def test_below_threshold_is_plain_geqp3(lapack_calls, monkeypatch):
     lapack_calls.clear()
     pivoted_qr(tall_block(False), 1e-6)
     assert lapack_calls == ["geqp3"]
+
+
+def kernel_target(spec, n=256, seed=1):
+    """Row blocks of a compression-like ID target: K(near, box) for 3n
+    points around a unit box of n sources, then K(proxy surface, box)."""
+    rng = np.random.default_rng(seed)
+    d = spec.dim
+    near = rng.random((8 * n, d)) * 3 - 1.5
+    near = near[np.abs(near).max(axis=1) > 0.5][:3 * n]
+    box = PointSet(rng.random((n, d)) - 0.5)
+    cell = SimpleNamespace(center=np.zeros(d), halfwidth=0.5)
+    return [eval_block(spec, PointSet(near), box),
+            eval_block(spec, proxy_points(cell, ProxyConfig(), d), box)]
+
+
+@pytest.mark.parametrize("spec, seed", [
+    (KernelSpec("laplace", 3), 2), (KernelSpec("helmholtz", 3, wavenumber=4.0), 1)],
+    ids=["laplace3d", "helmholtz3d"])
+@pytest.mark.parametrize("eps", [1e-6, 1.01 * lowrank._GRAM_MIN_EPS], ids=["1e-6", "floor"])
+def test_gram_id_matches_pivoted_qr(spec, seed, eps):
+    # one pivoted Cholesky of A^H A picks geqp3's rank and skeleton on a tall
+    # kernel block; the reconstruction errors agreed to 1e-4 relative when
+    # this was written
+    blocks = kernel_target(spec, seed=seed)
+    A = np.vstack(blocks)
+    assert lowrank.gram_route(*A.shape, eps)
+    ref = id_fixed_precision(A, eps)
+    idp = id_gram([blocks], eps)
+    assert idp.proj.dtype == A.dtype and np.array_equal(idp.proj[:, idp.skel], np.eye(idp.rank))
+    assert 0 < idp.rank == ref.rank < A.shape[1]
+    assert set(idp.skel.tolist()) == set(ref.skel.tolist())
+    err, err_ref = reconstruction_error(A, idp), reconstruction_error(A, ref)
+    assert err <= 1.05 * err_ref and err_ref <= 1.05 * err
+    assert idp.achieved_error == pytest.approx(ref.achieved_error, rel=1e-2)
+    # two equal halves: twice the Gram matrix, the same bits once scaled
+    twice = id_gram([blocks, [X.copy(order="F") for X in blocks]], eps)
+    assert np.array_equal(twice.skel, idp.skel) and np.array_equal(twice.proj, idp.proj)
+
+
+def test_gram_id_of_zero_target_has_rank_zero():
+    m, n = TALL
+    idp = id_gram([[np.zeros((m // 2, n))], [np.zeros((m - m // 2, n))]], 1e-6)
+    assert idp.rank == 0 and idp.skel.size == 0 and idp.proj.shape == (0, n)
+    assert idp.achieved_error == 0.0
+
+
+def test_gram_id_refuses_eps_below_its_floor():
+    blocks = [tall_block(False)]
+    floor = lowrank._GRAM_MIN_EPS
+    assert floor == pytest.approx(np.sqrt(1e3 * np.finfo(float).eps))
+    assert lowrank.gram_route(*TALL, floor)
+    assert not lowrank.gram_route(*TALL, np.nextafter(floor, 0))
+    assert not lowrank.gram_route(TALL[0], lowrank._QR_FIRST_MIN_COLS - 1, 1e-3)
+    with pytest.raises(InvalidInput):
+        id_gram(blocks, np.nextafter(floor, 0))
+    bad = tall_block(False)
+    bad[3, 5] = np.nan
+    with pytest.raises(InvalidInput):
+        id_gram([[bad]], 1e-6)
 
 
 def kahan(n, c=0.285):

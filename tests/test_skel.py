@@ -394,13 +394,33 @@ def test_symmetric_shortcut_is_bit_identical(case):
     assert abs(errs[0] - errs[1]) <= 1e-15
 
 
+def _gram_route_shapes(monkeypatch):
+    """Install a recorder on ``skel.id_gram``: the (m, n) shape of the
+    target of each Gram-route ID, its row blocks stacked."""
+    shapes, real_gram = [], skel.id_gram
+
+    def recording_gram(halves, eps):
+        halves = [list(h) for h in halves]
+        blocks = [X for h in halves for X in h]
+        shapes.append((sum(X.shape[0] for X in blocks), blocks[0].shape[1]))
+        return real_gram(halves, eps)
+
+    monkeypatch.setattr(skel, "id_gram", recording_gram)
+    return shapes
+
+
 def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
-    # the largest ID blocks of a 3D cube are tall enough for geqrf before
-    # geqp3; forcing plain geqp3 everywhere must pick the same skeletons
+    # the largest ID targets of a 3D cube are tall.  At eps 1e-6 their IDs
+    # are read off Gram matrices; at 1e-7, below the Gram route's floor,
+    # they take geqrf before geqp3.  Either way plain geqp3 everywhere must
+    # pick the same skeletons.
     spec = KernelSpec("laplace", 3)
     pts = PointSet(np.random.default_rng(201).random((2048, 3)))
     tree = build_tree(pts)
+    dense = dense_matrix(spec, pts)
+    x = np.random.default_rng(1).standard_normal(2048)
     shapes, geqrf_calls = [], []
+    gram_shapes = _gram_route_shapes(monkeypatch)
     real_qr, real_funcs = lowrank.pivoted_qr, lowrank.get_lapack_funcs
 
     def counting_qr(A, *args, **kwargs):
@@ -414,23 +434,51 @@ def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
 
     monkeypatch.setattr(lowrank, "pivoted_qr", counting_qr)
     monkeypatch.setattr(lowrank, "get_lapack_funcs", counting_funcs)
-    cm = compress(spec, pts, tree, 1e-6)
-    tall = [(m, n) for m, n in shapes
-            if m >= lowrank._QR_FIRST_ASPECT * n and n >= lowrank._QR_FIRST_MIN_COLS]
-    assert len(shapes) == sum(len(lv.nodes) for lv in cm.levels)
-    assert len(tall) >= 4 and len(geqrf_calls) == len(tall)
+    for eps in (1e-6, 1e-7):
+        for log in (shapes, gram_shapes, geqrf_calls):
+            log.clear()
+        cm = compress(spec, pts, tree, eps)
+        tall = [(m, n) for m, n in shapes + gram_shapes if lowrank._tall(m, n)]
+        assert len(shapes) + len(gram_shapes) == sum(len(lv.nodes) for lv in cm.levels)
+        assert len(tall) >= 4
+        if eps >= lowrank._GRAM_MIN_EPS:
+            assert gram_shapes == tall and not geqrf_calls
+        else:
+            assert not gram_shapes and len(geqrf_calls) == len(tall)
 
-    monkeypatch.setattr(lowrank, "_QR_FIRST_MIN_COLS", 10 ** 9)
-    plain = compress(spec, pts, tree, 1e-6)
-    assert len(geqrf_calls) == len(tall)
-    for lv, lv_plain in zip(cm.levels, plain.levels, strict=True):
-        for nd, nd_plain in zip(lv.nodes, lv_plain.nodes, strict=True):
-            assert np.array_equal(nd.skel, nd_plain.skel)
+        calls = len(shapes), len(gram_shapes), len(geqrf_calls)
+        with monkeypatch.context() as mp:
+            mp.setattr(lowrank, "_QR_FIRST_MIN_COLS", 10 ** 9)
+            plain = compress(spec, pts, tree, eps)
+        assert len(shapes) == calls[0] + sum(len(lv.nodes) for lv in plain.levels)
+        assert (len(gram_shapes), len(geqrf_calls)) == calls[1:]
+        for lv, lv_plain in zip(cm.levels, plain.levels, strict=True):
+            for nd, nd_plain in zip(lv.nodes, lv_plain.nodes, strict=True):
+                assert np.array_equal(nd.skel, nd_plain.skel)
 
-    dense = dense_matrix(spec, pts)
-    x = np.random.default_rng(1).standard_normal(2048)
-    err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
-    assert err <= 100 * 1e-6
+        err = np.linalg.norm(apply(cm, x) - dense @ x) / np.linalg.norm(dense @ x)
+        assert err <= 100 * eps
+
+
+def test_bie_below_the_gram_floor_never_takes_the_route(monkeypatch):
+    # with the column bound lowered, the ellipse BIE's targets are tall; at
+    # eps 1e-9, below the floor, they still all go through geqrf and geqp3
+    monkeypatch.setattr(lowrank, "_QR_FIRST_MIN_COLS", 16)
+    gram_shapes = _gram_route_shapes(monkeypatch)
+    shapes, real_id = [], skel.id_fixed_precision
+
+    def recording_id(A, eps, **kwargs):
+        shapes.append(A.shape)
+        return real_id(A, eps, **kwargs)
+
+    monkeypatch.setattr(skel, "id_fixed_precision", recording_id)
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
+    bie.compress_system(system, 1e-9)
+    assert not gram_shapes
+    assert sum(lowrank._tall(*shape) for shape in shapes) >= 10
+    # above the floor the same targets take the route
+    bie.compress_system(system, 1e-6)
+    assert len(gram_shapes) >= 10
 
 
 def _carried(tree, li, a, nd):
@@ -445,7 +493,7 @@ def _compressed_nodes(tree, cm):
             if not _carried(tree, li, a, nd)]
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "two_ids"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "both_halves"])
 def test_degraded_interpolation_warns_once_per_compression(symmetric):
     # 2D Helmholtz at k=20 has a few blocks whose |P| exceeds 2; they are
     # counted into one warning that points at the caller.  The symmetric
@@ -654,7 +702,7 @@ def assert_each_entry_evaluated_once(counts, cm, tree, symmetric):
 
 
 @pytest.mark.parametrize("case", ["square", "cube", "cloud", "helmholtz"])
-@pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "two_ids"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["one_id", "both_halves"])
 def test_parent_blocks_are_sliced_and_pairs_evaluated_once(case, symmetric, monkeypatch):
     source, tree = _volume_source(case, symmetric)
     if case == "cloud":
@@ -701,19 +749,27 @@ def test_global_mode_slices_its_targets():
         assert_sliced_blocks_are_kernel_blocks(source, cm)
 
 
-@pytest.mark.parametrize("symmetric", [True, False], ids=["one-ID", "two-ID"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["one-ID", "both_halves"])
 def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monkeypatch):
     # a global-mode node has no neighbours and its far field is every other
     # node: its target is [K(DOFs of the others, its DOFs); K(its DOFs, DOFs
-    # of the others)^T], and for a symmetric source the upper half alone
+    # of the others)^T], and for a symmetric source the upper half alone.
+    # A tall target goes to the Gram route as the row blocks of its halves,
+    # in order.
     source, tree = _volume_source("square", symmetric)
-    targets, real_id = [], skel.id_fixed_precision
+    captured, real_id, real_gram = [], skel.id_fixed_precision, skel.id_gram
 
     def capture(A, eps, **kwargs):
-        targets.append(np.array(A))
+        captured.append(("qr", [np.array(A)]))
         return real_id(A, eps, **kwargs)
 
+    def capture_gram(halves, eps):
+        halves = [[np.array(X) for X in h] for h in halves]
+        captured.append(("gram", [np.vstack(h) for h in halves]))
+        return real_gram(halves, eps)
+
     monkeypatch.setattr(skel, "id_fixed_precision", capture)
+    monkeypatch.setattr(skel, "id_gram", capture_gram)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         cm = compress_source(source, tree, 1e-6, mode="global")
@@ -721,7 +777,8 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
     def assert_bits_equal(got, want):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    captured = iter(targets)
+    routes = []
+    captured = iter(captured)
     for li, lv in enumerate(cm.levels):
         if li == 0:
             dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in tree.levels[0]]
@@ -731,14 +788,21 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
                     for nd in lv.nodes]
         for a in range(len(lv.nodes)):
             rest = np.concatenate([dofs[b] for b in range(len(lv.nodes)) if b != a])
-            want = source.block(rest, dofs[a])
+            want = [source.block(rest, dofs[a])]
             if not symmetric:
-                want = np.vstack([want, source.block(dofs[a], rest).T])
-            assert_bits_equal(next(captured), want)
+                want.append(source.block(dofs[a], rest).T)
+            route, got = next(captured)
+            routes.append(route)
+            if route == "qr":
+                want = [np.vstack(want)]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_bits_equal(g, w)
     assert next(captured, None) is None
+    assert routes.count("gram") >= 4 and routes.count("qr") >= 40
 
 
-@pytest.mark.parametrize("case", ["cube", "ellipse_bie"], ids=["one_id", "two_ids"])
+@pytest.mark.parametrize("case", ["cube", "ellipse_bie"], ids=["one_id", "both_halves"])
 def test_in_place_targets_give_the_copying_bytes(case, monkeypatch):
     # compress_source hands each column-major ID target to LAPACK to factor
     # in place; an ID of a copy, with the overwrite dropped, gives the same
