@@ -17,8 +17,9 @@ class RefusedTooLarge(SkelkitError):
 class SingularBlock(SkelkitError):
     """A block hit an exactly zero pivot during factorization.  Carries the
     level and node so the caller can fall back to a dense solve of the sparse
-    embedding; ``what`` is "bordered" for a node's [[D, L], [R, 0]] block and
-    "S" for the top block (level "top")."""
+    embedding; ``what`` is "bordered" for a node's bordered block [[D, L],
+    [R, 0]], singular exactly when the block M = N^T D N that ``factor``
+    factors in its place is, and "S" for the top block (level "top")."""
 
     def __init__(self, level, node, what="bordered"):
         self.level = level

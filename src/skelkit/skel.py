@@ -354,9 +354,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        whole off-diagonal block column and row, evaluated here (sibling
        blocks again).  A symmetric source's row half repeats its column
        half and is left out.  The target is stacked for
-       ``id_fixed_precision``, unless it is tall and eps is at least
-       ``lowrank._GRAM_MIN_EPS``: then ``id_gram`` reads the ID off the Gram
-       matrix of its blocks, taken one at a time.  A carried node, a leaf
+       ``id_fixed_precision``, unless ``lowrank.gram_route`` takes it (a
+       tall target of at least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``):
+       then ``id_gram`` reads the ID off the Gram matrix of its blocks,
+       taken one at a time.  A carried node, a leaf
        listed again in this cover as its own only child, was compressed
        against the same box one level down, so it takes no proxy surface,
        far field or ID: it keeps every DOF, with L = R = I, which is what

@@ -11,13 +11,22 @@ by introducing per-level auxiliary variables z = R x and y = S z:
     [              -I   S   ]
 
 Rather than handing that system to a generic sparse LU, the factorization
-here eliminates x and y blockwise: per node, one pivoted LU and inverse of
-the bordered block gives [[D, L], [R, 0]]^-1 = [[Dd, Ld], [Rd, -Lambda]],
-that is Lambda = (R D^-1 L)^-1, Dd = D^-1 - D^-1 L Lambda R D^-1,
-Ld = D^-1 L Lambda and Rd = Lambda R D^-1, without inverting D alone.  The
-recursion continues on Shat = Lambda + S one level up.  The embedding is
-still assembled (and exportable as Matrix Market) so an external sparse
-solver can serve as an independent cross-check.
+here eliminates x and y blockwise, node by node, through the node's ID
+(Ho-Ying, CPAM 2016; Minden et al., Multiscale Model. Simul. 2017).  In the
+order [q, p], with p the node's skeleton positions and q the other r DOFs,
+R = [T, I] and L = R^T, so N = [I; -T] spans the null space of R and
+E = [0; I] satisfies R E = I.  One pivoted LU of the r x r block
+M = N^T D N then gives the inverse of the bordered block,
+[[D, L], [R, 0]]^-1 = [[Dd, Ld], [Rd, -Lambda]], as
+
+    Dd = N M^-1 N^T,   Ld = E - N W,   Rd = E^T - (D N)_p M^-1 N^T,
+    Lambda = D_pp - (D N)_p W,   with W = M^-1 N^T D E,
+
+without inverting D or the bordered block.  A node that keeps every DOF
+(r = 0) takes no LU: Dd = 0, Ld = L, Rd = R and Lambda = D.  The recursion
+continues on Shat = Lambda + S one level up.  The embedding is still
+assembled (and exportable as Matrix Market) so an external sparse solver
+can serve as an independent cross-check.
 """
 
 import itertools
@@ -28,8 +37,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .skel import (CompressedMatrix, Level, _read_levels, _Reader, _telescope,
-                   _write_arr, _write_header, _write_levels)
+from .skel import (CompressedMatrix, Level, _offsets, _read_levels, _Reader,
+                   _telescope, _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 
@@ -121,9 +130,13 @@ def assemble_embedding(cm: CompressedMatrix) -> SparseEmbedding:
 
 @dataclass
 class FactoredNode:
-    Dd: np.ndarray          # B^-1[:n, :n] = D^-1 - D^-1 L Lambda R D^-1, B = [[D, L], [R, 0]]
-    Ld: np.ndarray          # B^-1[:n, n:] = D^-1 L Lambda
-    Rd: np.ndarray          # B^-1[n:, :n] = Lambda R D^-1
+    """One node of the factored inverse: the blocks of B^-1, B = [[D, L],
+    [R, 0]] the node's bordered block, that ``solve`` reads; see the module
+    docstring for how ``factor`` reads them off the node's ID."""
+
+    Dd: np.ndarray          # B^-1[:n, :n] = N M^-1 N^T
+    Ld: np.ndarray          # B^-1[:n, n:] = E - N W
+    Rd: np.ndarray          # B^-1[n:, :n] = E^T - (D N)_p M^-1 N^T
     lu_D = lu_M = None      # no LU is kept; benchmark/spans.py still reads the names
 
     @property
@@ -182,10 +195,9 @@ def lu_solve(lu_and_piv, b):
 
 
 def _rcond1(A, Ainv):
-    if A.size == 0:
-        return 1.0
-    na = np.abs(A).sum(axis=0).max()
-    nb = np.abs(Ainv).sum(axis=0).max()
+    """1 / (||A||_1 ||A^-1||_1), the norms by LAPACK lange."""
+    lange, = get_lapack_funcs(("lange",), (A, Ainv))
+    na, nb = lange("1", A), lange("1", Ainv)
     return 1.0 / (na * nb) if na * nb > 0 else 0.0
 
 
@@ -198,61 +210,148 @@ def _put_diagonal(M, blocks):
         o += k
 
 
-def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
-    """Telescoping inverse of a compressed matrix.
+def _not_interpolative(level, node, why):
+    return InvalidInput(f"level {level}, node {node} is not interpolative: {why}")
 
-    Per level and node, B = [[D, L], [R, 0]], with the children's Lambda on
-    D's diagonal, is LU-factored with partial pivoting and inverted once; an
-    exactly zero pivot raises SingularBlock naming the level and node.  D is
-    never inverted alone, so a singular D inside an invertible B factors.
-    Blocks with reciprocal condition below 1e-14 are recorded in
-    ``warnings`` rather than aborting.  ``regularize``, a finite real, adds
-    delta*I to the D part of every B and to the top block before
-    factorization (off by default)."""
+
+def _level_orders(lv, dofs, level):
+    """Each node's elimination order [q, p] and its inverse, in positions
+    local to the node, cut from two level-wide arrays by ``lv.dof_off``.
+
+    ``dofs`` lists the level's DOFs, node after node.  p holds the positions
+    of a node's skeletons among its DOFs, in skeleton order, and q the rest,
+    ascending.  A skeleton that is not one of its node's DOFs, or is listed
+    twice, is refused with InvalidInput.  Returns (order, inverse, r, skel):
+    the two level-wide arrays, the count r of q per node, and the
+    skeletons, which are the next level's DOFs."""
+    nb, off, k_off = len(lv.nodes), lv.dof_off, lv.k_off
+    if off[-1] != dofs.size:
+        raise InvalidInput(f"level {level} takes {off[-1]} DOFs, the level below "
+                           f"leaves {dofs.size}")
+    sizes, ks = np.diff(off), np.diff(k_off)
+    owner = np.repeat(np.arange(nb), sizes)         # level position -> node
+    skel_owner = np.repeat(np.arange(nb), ks)
+    skel = np.concatenate([np.asarray(nd.skel, dtype=np.int64) for nd in lv.nodes]
+                          + [np.empty(0, dtype=np.int64)])
+    where = np.full(int(dofs.max(initial=-1)) + 1, -1)
+    where[dofs] = np.arange(dofs.size)
+    inside = (skel >= 0) & (skel < where.size)
+    p = np.full(skel.size, -1)
+    p[inside] = where[skel[inside]]
+    mine = p >= 0
+    mine[mine] = owner[p[mine]] == skel_owner[mine]
+    mask = np.zeros(dofs.size, dtype=bool)
+    mask[p[mine]] = True
+    # a node whose skeletons mark fewer of its DOFs than it has skeletons
+    bad = np.bincount(owner[mask], minlength=nb) != ks
+    if bad.any():
+        raise _not_interpolative(level, int(np.flatnonzero(bad)[0]),
+                                 "its skeletons are not distinct DOFs of its own")
+    q = np.flatnonzero(~mask)
+    r = sizes - ks
+    q_owner = owner[q]
+    order = np.empty(dofs.size, dtype=np.int64)
+    order[off[q_owner] + np.arange(q.size) - _offsets(r)[q_owner]] = q
+    order[off[skel_owner] + r[skel_owner] + np.arange(skel.size) - k_off[skel_owner]] = p
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    start = off[owner]
+    return order - start, inverse - start, r.tolist(), skel
+
+
+def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
+    """Telescoping inverse of a compressed matrix, in elimination form.
+
+    Every node must be interpolative, as ``compress_source`` builds it: R
+    is exactly I at the skeleton positions p (its skeletons among its DOFs)
+    and L == R^T bitwise; otherwise InvalidInput names the level and node.
+    Per level and node, D_eff is D with the children's Lambda on its
+    diagonal.  In the order [q, p], one pivoted LU of M = N^T D_eff N, r x r
+    with r = n - k, and one solve against [N^T | N^T D_eff E] give the
+    blocks of [[D_eff, L], [R, 0]]^-1 (module docstring).  That bordered
+    block is singular exactly when M is, since R has full row rank: an
+    exactly zero pivot of M raises SingularBlock(level, node, "bordered").
+    Neither D nor the bordered block is inverted, so a singular D inside an
+    invertible bordered block factors, and a node that keeps every DOF
+    takes no LU: Dd = 0, Ld = L, Rd = R and Lambda = D_eff exactly.
+    Blocks M with reciprocal condition (1-norm, of M and the M^-1 read off
+    the solve) below 1e-14 are recorded in ``warnings`` rather than
+    aborting.  ``regularize``, a finite real, adds delta*I to every D_eff
+    and to the top block before factorization (off by default)."""
     if not isinstance(regularize, numbers.Real) or not np.isfinite(regularize):
         raise InvalidInput(f"regularize must be a finite real, got {regularize!r}")
     dtype = cm.dtype
     warnings_list = []
 
-    def _lu(B, level, node, what, n_reg):
-        """LU of B after adding delta to its first n_reg diagonal entries."""
-        if regularize:
-            B[np.arange(n_reg), np.arange(n_reg)] += regularize
-        lu, piv = lu_factor(B)
-        if np.any(np.diag(lu) == 0):
+    def _lu(A, level, node, what):
+        lu, piv = lu_factor(A)
+        if not lu.diagonal().all():
             raise SingularBlock(level, node, what)
         return lu, piv
 
+    def _effective(D, blocks):
+        """D with ``blocks`` down its diagonal and delta added to it, a copy."""
+        De = np.array(D, dtype=dtype)
+        _put_diagonal(De, blocks)
+        if regularize:
+            De[np.diag_indices_from(De)] += regularize
+        return De
+
     lams = []           # the Lambdas of the level below, until this level has read them
     flevels = []
+    dofs = np.arange(cm.n)
     for li, lv in enumerate(cm.levels):
+        order, inverse, rs, dofs = _level_orders(lv, dofs, li + 1)
+        off = lv.dof_off.tolist()
 
         def factor_node(a):
             nd = lv.nodes[a]
-            nn, k = nd.D.shape[0], nd.k
-            B = np.zeros((nn + k, nn + k), dtype=dtype)
-            B[:nn, :nn] = nd.D
-            B[:nn, nn:] = nd.L
-            B[nn:, :nn] = nd.R
-            if li > 0:
-                _put_diagonal(B, [lams[c] for c in nd.children])
-            lu = _lu(B, li + 1, a, "bordered", nn)
-            Binv = lu_solve(lu, np.eye(nn + k, dtype=dtype))
-            rc = _rcond1(B, Binv)
+            n, k, r = nd.D.shape[0], nd.k, rs[a]
+            qp, iv = order[off[a]:off[a + 1]], inverse[off[a]:off[a + 1]]
+            R = nd.R.take(qp, axis=1)
+            if R[:, r:].tobytes() != np.eye(k, dtype=R.dtype).tobytes():
+                raise _not_interpolative(li + 1, a, "R is not I at its skeletons")
+            if nd.L.tobytes() != nd.R.T.tobytes():
+                raise _not_interpolative(li + 1, a, "L is not R^T")
+            C = _effective(nd.D, [lams[c] for c in nd.children] if li else ())
+            C = C.take(qp, axis=0).take(qp, axis=1)         # D_eff in [q, p] order
+            if r == 0:
+                # every DOF is a skeleton: B^-1 = [[0, L], [R, -D_eff]]
+                return (FactoredNode(Dd=np.zeros((n, n), dtype=dtype),
+                                     Ld=np.array(nd.L, dtype=dtype, order="C"),
+                                     Rd=np.array(nd.R, dtype=dtype, order="C")), C)
+            Tn = -R[:, :r]
+            # C = [N, E]^T D_eff [N, E] = [[M, N^T D E], [(D N)_p, D_pp]]
+            C[:, :r] += C[:, r:] @ Tn
+            C[:r] += Tn.T @ C[r:]
+            # X = M^-1 [N^T | N^T D E] = [M^-1 N^T | W]; the right-hand side is
+            # built transposed, column-major as getrs takes it, and it and the
+            # LU are freed once X is found
+            X = lu_solve(_lu(C[:r, :r], li + 1, a, "bordered"),
+                         np.concatenate((np.eye(r, dtype=dtype), Tn, C[:r, r:].T)).T)
+            rc = _rcond1(C[:r, :r], X[:, :r])
             if rc < _RCOND_WARN:
                 warnings_list.append((li + 1, a, "bordered", rc))
-            # contiguous copies: a loaded inverse then solves bit for bit alike
-            return (FactoredNode(Dd=Binv[:nn, :nn].copy(), Ld=Binv[:nn, nn:].copy(),
-                                 Rd=Binv[nn:, :nn].copy()), -Binv[nn:, nn:])
+            NX = np.concatenate((X, Tn @ X))                # N [M^-1 N^T | W]
+            Z = C[r:, :r] @ X                               # (D N)_p [M^-1 N^T | W]
+            # Ld = E - N W and Rd = E^T - (D N)_p M^-1 N^T, in [q, p] order,
+            # where E and E^T are the last k columns and rows of I_n
+            eye = np.eye(n, dtype=dtype)
+            np.subtract(eye[:, r:], NX[:, n:], out=NX[:, n:])
+            np.subtract(eye[r:], Z[:, :n], out=Z[:, :n])
+            # rows and columns back to the node's own order
+            return (FactoredNode(Dd=NX[:, :n].take(iv, axis=0).take(iv, axis=1),
+                                 Ld=NX[:, n:].take(iv, axis=0),
+                                 Rd=Z[:, :n].take(iv, axis=1)),
+                    C[r:, r:] - Z[:, n:])
 
         fnodes, lams = zip(*[factor_node(a) for a in range(len(lv.nodes))])
         flevels.append(Level(list(fnodes)))
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
-    Shat = np.array(cm.S, dtype=dtype)
-    _put_diagonal(Shat, lams)
+    Shat = _effective(cm.S, lams)
     lams = None
-    S_lu = _lu(Shat, "top", 0, "S", Shat.shape[0])
+    S_lu = _lu(Shat, "top", 0, "S")
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
                            scalar_field=cm.scalar_field, warnings=warnings_list)
 

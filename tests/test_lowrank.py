@@ -456,7 +456,13 @@ def test_gram_id_refuses_eps_below_its_floor():
     assert floor == pytest.approx(np.sqrt(1e3 * np.finfo(float).eps))
     assert lowrank.gram_route(*TALL, floor)
     assert not lowrank.gram_route(*TALL, np.nextafter(floor, 0))
-    assert not lowrank.gram_route(TALL[0], lowrank._QR_FIRST_MIN_COLS - 1, 1e-3)
+    # no geqrf floor of 192 columns; a column floor of its own, and the
+    # aspect ratio 2
+    assert lowrank.gram_route(TALL[0], lowrank._QR_FIRST_MIN_COLS - 1, 1e-3)
+    cols = lowrank._GRAM_MIN_COLS
+    assert lowrank.gram_route(2 * cols, cols, 1e-3)
+    assert not lowrank.gram_route(2 * cols, cols - 1, 1e-3)
+    assert not lowrank.gram_route(2 * TALL[1] - 1, TALL[1], 1e-3)
     with pytest.raises(InvalidInput):
         id_gram(blocks, np.nextafter(floor, 0))
     bad = tall_block(False)

@@ -410,10 +410,11 @@ def _gram_route_shapes(monkeypatch):
 
 
 def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
-    # the largest ID targets of a 3D cube are tall.  At eps 1e-6 their IDs
-    # are read off Gram matrices; at 1e-7, below the Gram route's floor,
-    # they take geqrf before geqp3.  Either way plain geqp3 everywhere must
-    # pick the same skeletons.
+    # the largest ID targets of a 3D cube are tall.  At eps 1e-6 their IDs,
+    # and those of the tall targets down to 64 columns, are read off Gram
+    # matrices; at 1e-7, below the Gram route's floor, they take geqrf
+    # before geqp3.
+    # Either way plain geqp3 everywhere must pick the same skeletons.
     spec = KernelSpec("laplace", 3)
     pts = PointSet(np.random.default_rng(201).random((2048, 3)))
     tree = build_tree(pts)
@@ -442,13 +443,16 @@ def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
         assert len(shapes) + len(gram_shapes) == sum(len(lv.nodes) for lv in cm.levels)
         assert len(tall) >= 4
         if eps >= lowrank._GRAM_MIN_EPS:
-            assert gram_shapes == tall and not geqrf_calls
+            assert [s for s in gram_shapes if lowrank._tall(*s)] == tall and not geqrf_calls
+            assert all(lowrank.gram_route(m, n, eps) for m, n in gram_shapes)
+            assert not any(lowrank.gram_route(m, n, eps) for m, n in shapes)
         else:
             assert not gram_shapes and len(geqrf_calls) == len(tall)
 
         calls = len(shapes), len(gram_shapes), len(geqrf_calls)
         with monkeypatch.context() as mp:
             mp.setattr(lowrank, "_QR_FIRST_MIN_COLS", 10 ** 9)
+            mp.setattr(lowrank, "_GRAM_MIN_COLS", 10 ** 9)
             plain = compress(spec, pts, tree, eps)
         assert len(shapes) == calls[0] + sum(len(lv.nodes) for lv in plain.levels)
         assert (len(gram_shapes), len(geqrf_calls)) == calls[1:]
@@ -461,9 +465,10 @@ def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
 
 
 def test_bie_below_the_gram_floor_never_takes_the_route(monkeypatch):
-    # with the column bound lowered, the ellipse BIE's targets are tall; at
+    # with the column bounds lowered, the ellipse BIE's targets are tall; at
     # eps 1e-9, below the floor, they still all go through geqrf and geqp3
     monkeypatch.setattr(lowrank, "_QR_FIRST_MIN_COLS", 16)
+    monkeypatch.setattr(lowrank, "_GRAM_MIN_COLS", 16)
     gram_shapes = _gram_route_shapes(monkeypatch)
     shapes, real_id = [], skel.id_fixed_precision
 
@@ -578,13 +583,14 @@ def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
         return real_id(*args, **kwargs)
 
     monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    gram_shapes = _gram_route_shapes(monkeypatch)
     source, tree, cm = _caught_compression(case, monkeypatch)
     # a source without the attribute takes the joint ID
     assert getattr(source, "symmetric", False) == symmetric
     # carried nodes take no ID
     nodes = len(_compressed_nodes(tree, cm))
     assert nodes > 0
-    assert len(ids) == nodes
+    assert len(ids) + len(gram_shapes) == nodes
 
 
 @pytest.mark.parametrize("case", ["double", "weighted", "custom", "laplace_bie",
@@ -854,6 +860,7 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
         return real_id(*args, **kwargs)
 
     monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    gram_shapes = _gram_route_shapes(monkeypatch)
     if case == "cloud":
         eps = 1e-6
         source, tree = _volume_source("cloud")
@@ -868,7 +875,7 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
     carried = [(li, nd) for li, lv in enumerate(cm.levels) for a, nd in enumerate(lv.nodes)
                if _carried(tree, li, a, nd)]
     assert len(carried) >= 40
-    assert len(ids) == len(_compressed_nodes(tree, cm))
+    assert len(ids) + len(gram_shapes) == len(_compressed_nodes(tree, cm))
     for li, nd in carried:
         # every DOF, that is every skeleton of its only child, survives
         child = cm.levels[li - 1].nodes[nd.children[0]]

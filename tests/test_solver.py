@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from skelkit import bie
+from skelkit import bie, solver
 from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
@@ -35,9 +35,10 @@ def circle_points(n):
 
 def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
     """Hand-built one-level block-separable matrix A = D + L S R with known
-    blocks, well conditioned via a diagonal shift.  ``k`` is the skeleton
-    count of every node, or a sequence of one per node.  Returns
-    (cm, A_dense)."""
+    blocks, well conditioned via a diagonal shift.  Each node is
+    interpolative, as compression builds them: its skeletons are its first
+    DOFs, R = [I, random] and L = R^T.  ``k`` is the skeleton count of every
+    node, or a sequence of one per node.  Returns (cm, A_dense)."""
     rng = np.random.default_rng(seed)
     p = len(sizes)
     ks = [k] * p if np.isscalar(k) else list(k)
@@ -48,8 +49,8 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
     Ds, Ls, Rs = [], [], []
     for a, (na, ka) in enumerate(zip(sizes, ks)):
         D = rng.standard_normal((na, na)) + diag_shift * np.eye(na)
-        L = rng.standard_normal((na, ka))
-        R = rng.standard_normal((ka, na))
+        R = np.hstack([np.eye(ka), rng.standard_normal((ka, na - ka))])
+        L = np.ascontiguousarray(R.T)
         Ds.append(D)
         Ls.append(L)
         Rs.append(R)
@@ -268,8 +269,9 @@ class TestFactor:
 
     def test_rank_zero_leaves_and_empty_nodes(self):
         # a diagonal matrix with zero proxy fields: every leaf has rank 0,
-        # so every level-2 node and the top are 0x0; the 0x0 bordered blocks
-        # and the 0x0 top are LU-factored like any other
+        # so every level-2 node and the top are 0x0; each leaf takes the LU
+        # of its M = D, the 0x0 nodes keep every DOF and take none, and the
+        # 0x0 top is LU-factored like any other
         cm, A = rank_zero_two_level()
         assert cm.nlevels == 2 and cm.S.shape == (0, 0)
         assert all(nd.k == 0 for nd in cm.levels[0].nodes)
@@ -702,6 +704,178 @@ def test_factor_keeps_no_lambda(spec):
         assert solve(fi, x.real).tobytes() == solve(loaded, x.real).tobytes()
 
 
+def _bordered_reference(cm):
+    """The inverse of each node's bordered block B = [[D_eff, L], [R, 0]],
+    D_eff with the children's Lambda = -B^-1[n:, n:] on its diagonal, by
+    np.linalg.inv: ``factor``'s blocks as they were first computed.  Yields
+    (level, node, B^-1, n)."""
+    lams = []
+    for li, lv in enumerate(cm.levels):
+        below, lams = lams, []
+        for a, nd in enumerate(lv.nodes):
+            n, k = nd.D.shape[0], nd.k
+            B = np.zeros((n + k, n + k), dtype=cm.dtype)
+            B[:n, :n], B[:n, n:], B[n:, :n] = nd.D, nd.L, nd.R
+            o = 0
+            for c in (nd.children if li else []):
+                kc = below[c].shape[0]
+                B[o:o + kc, o:o + kc] = below[c]
+                o += kc
+            Binv = np.linalg.inv(B)
+            lams.append(-Binv[n:, n:])
+            yield li, a, Binv, n
+
+
+@pytest.mark.parametrize("case, bound", [("ellipse_bie", 1e-13), ("square", 1e-11),
+                                         ("helmholtz_bie", 2e-13)],
+                         ids=["ellipse_bie", "square", "helmholtz_bie"])
+def test_elimination_matches_the_bordered_inverse(case, bound):
+    # factor reads each node's Dd, Ld and Rd off one LU of N^T D_eff N; they
+    # are the blocks of the bordered block's inverse.  Largest entry error
+    # over the node's largest |B^-1| entry, measured when this was written:
+    # 4e-15 (ellipse), 6e-13 (square), 1.3e-14 (Helmholtz ellipse)
+    if case == "square":
+        pts = PointSet(np.random.default_rng(201).random((2048, 2)))
+        cm = compress(LAPLACE2, pts, build_tree(pts), 1e-6)
+    else:
+        spec = LAPLACE2 if case == "ellipse_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), spec)
+        cm = bie.compress_system(system, 1e-9, None if case == "ellipse_bie" else 16)[1]
+    assert cm.nlevels >= 3
+    fi = factor(cm)
+    eliminated = 0
+    for li, a, Binv, n in _bordered_reference(cm):
+        fn = fi.levels[li].nodes[a]
+        scale = np.abs(Binv).max()
+        for got, want in ((fn.Dd, Binv[:n, :n]), (fn.Ld, Binv[:n, n:]), (fn.Rd, Binv[n:, :n])):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert np.abs(got - want).max(initial=0.0) <= bound * scale, (li, a)
+        eliminated += fn.Rd.shape[0] < n
+    assert eliminated >= 10
+
+
+def _pass_through_case(case):
+    if case == "ellipse_bie":
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
+        return bie.compress_system(system, 1e-9)[1]
+    pts = PointSet(np.random.default_rng(201).random((2048, 3)))
+    return compress(KernelSpec("laplace", 3), pts, build_tree(pts), 1e-6)
+
+
+@pytest.mark.parametrize("case", ["ellipse_bie", "cube"])
+def test_nodes_that_keep_every_dof_take_no_lu(case, monkeypatch):
+    # a node whose skeletons are all its DOFs (the ellipse's carried nodes,
+    # the cube's full-rank leaves) takes no getrf, and its blocks are exact:
+    # Dd = 0, Ld = Rd = I and Lambda = D_eff, bit for bit.  Through the
+    # bordered LU they held only up to its rounding.  Lambda is read where
+    # factor puts it, on the parent's diagonal or the top's
+    cm = _pass_through_case(case)
+    puts, lus = [], []
+    real_put, real_lu = solver._put_diagonal, solver.lu_factor
+    # the finest level's nodes put no blocks
+    monkeypatch.setattr(solver, "_put_diagonal",
+                        lambda M, blocks: (blocks and puts.append(list(blocks)))
+                        or real_put(M, blocks))
+    monkeypatch.setattr(solver, "lu_factor", lambda a: lus.append(a.shape) or real_lu(a))
+    fi = factor(cm)
+    calls = iter(puts)
+    lams = [[blk for _ in cm.levels[li].nodes for blk in next(calls)]
+            for li in range(1, cm.nlevels)] + [next(calls)]
+    assert next(calls, None) is None
+    kept = 0
+    for li, (lv, flv) in enumerate(zip(cm.levels, fi.levels)):
+        for a, (nd, fn) in enumerate(zip(lv.nodes, flv.nodes)):
+            n = nd.D.shape[0]
+            if nd.k < n:
+                continue
+            kept += 1
+            eye = np.eye(n)
+            assert not fn.Dd.any() and fn.Dd.shape == (n, n)
+            assert fn.Ld.tobytes() == eye.tobytes() and fn.Rd.tobytes() == eye.tobytes()
+            D_eff = nd.D.copy()
+            if li:
+                real_put(D_eff, [lams[li - 1][c] for c in nd.children])
+            assert lams[li][a].tobytes() == D_eff.tobytes()
+    nodes = sum(len(lv.nodes) for lv in cm.levels)
+    assert kept >= (40 if case == "ellipse_bie" else 8)
+    assert len(lus) == nodes - kept + 1
+
+
+def _interpolative_corruptions(corrupt):
+    """A level-2 node of the 120-point circle container, made not
+    interpolative; returns the container's bytes and the node's position."""
+    cm = deserialize_compressed(_containers()["compressed"][0])
+    lv = cm.levels[1]
+    a, nd = next((a, nd) for a, nd in enumerate(lv.nodes) if 2 <= nd.k < nd.D.shape[0])
+    dofs = np.concatenate([cm.levels[0].nodes[c].skel for c in nd.children])
+    p = np.searchsorted(dofs, nd.skel)
+    if corrupt == "r_not_identity":
+        nd.R[1, p[1]] = np.nextafter(1.0, 2.0)
+        nd.L = np.ascontiguousarray(nd.R.T)
+    elif corrupt == "l_not_r_transposed":
+        q = np.setdiff1d(np.arange(dofs.size), p)[0]
+        nd.L[q, 0] = np.nextafter(nd.L[q, 0], np.inf)
+    elif corrupt == "skeleton_of_another_node":
+        nd.skel[0] = next(i for i in range(cm.n) if i not in dofs)
+    else:
+        nd.skel[1] = nd.skel[0]
+    return serialize_compressed(cm), a
+
+
+@pytest.mark.parametrize("corrupt", ["r_not_identity", "l_not_r_transposed",
+                                     "skeleton_of_another_node", "skeleton_twice"])
+def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
+    # the elimination reads R = [T, I] and L = R^T off each node; a loaded
+    # node that is not so is refused by name rather than factored wrongly
+    blob, a = _interpolative_corruptions(corrupt)
+    cm = deserialize_compressed(blob)
+    with pytest.raises(InvalidInput, match=f"^level 2, node {a} is not interpolative"):
+        factor(cm)
+
+
+def test_factor_refuses_a_level_short_of_the_dofs_below():
+    # a hand-built level that takes fewer DOFs than the matrix has: the
+    # readers refuse such a container, and factor refuses the object
+    cm, _ = one_level_synthetic()
+    cm.n += 1
+    cm.perm = np.arange(cm.n)
+    with pytest.raises(InvalidInput, match=f"^level 1 takes {cm.n - 1} DOFs"):
+        factor(cm)
+
+
+def test_skeletons_in_any_order_and_place():
+    # the skeletons of a hand-built node need be neither its first DOFs nor
+    # sorted: R is I at their positions, in skeleton order, and L = R^T
+    rng = np.random.default_rng(11)
+    sizes, ks = (9, 12, 7), (3, 4, 2)
+    offs, koff = np.cumsum((0,) + sizes), np.cumsum((0,) + ks)
+    nodes, blocks = [], []
+    for a, (na, ka) in enumerate(zip(sizes, ks)):
+        pos = rng.permutation(na)[:ka]
+        assert not np.all(np.diff(pos) > 0)
+        R = rng.standard_normal((ka, na))
+        R[:, pos] = np.eye(ka)
+        D = rng.standard_normal((na, na)) + 4 * np.eye(na)
+        nodes.append(CompressedNode(offs[a] + pos, D, np.ascontiguousarray(R.T), R, None))
+        blocks.append((D, R))
+    S = rng.standard_normal((koff[-1], koff[-1]))
+    A = np.zeros((offs[-1], offs[-1]))
+    for a, (Da, Ra) in enumerate(blocks):
+        sa = slice(offs[a], offs[a + 1])
+        A[sa, sa] = Da
+        for b, (_, Rb) in enumerate(blocks):
+            if a != b:
+                Sab = S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]]
+                A[sa, offs[b]:offs[b + 1]] = Ra.T @ Sab @ Rb
+    for a in range(3):
+        S[koff[a]:koff[a + 1], koff[a]:koff[a + 1]] = 0
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=offs[-1], eps=1e-15,
+                          perm=np.arange(offs[-1]), scalar_field="real")
+    b = rng.standard_normal(offs[-1])
+    x = solve(factor(cm), b)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def _ref_array(a):
     """README's array record: u8 dtype code, u8 ndim, i64 shape, raw
     little-endian row-major bytes."""
@@ -822,7 +996,8 @@ def test_default_3d_cube_compresses_to_a_factorable_matrix():
 
 def test_sphere_8192_backward_error():
     # inverting each node's D on its own, then R D^-1 L, left a backward
-    # error of 1.35e-9 here; one LU of [[D, L], [R, 0]] per node gives 6.5e-13.
+    # error of 1.35e-9 here; one LU of [[D, L], [R, 0]] per node gave 6.5e-13,
+    # and its elimination form, one LU of N^T D N per node, gives 3.2e-13.
     # Spheres of 2048 and 4096 points do not show the loss
     pts = PointSet(fibonacci_sphere(8192))
     cm = compress(KernelSpec("laplace", 3), pts, build_tree(pts), 1e-6)
@@ -836,7 +1011,8 @@ def test_sphere_8192_backward_error():
 def test_one_point_leaf_factors(seed):
     # these clouds have a 1-point leaf whose D is [[0]] and whose one point is
     # its skeleton; factoring it once raised SingularBlock.  Its bordered block
-    # [[0, 1], [1, 0]] is invertible
+    # [[0, 1], [1, 0]] is invertible, and the leaf keeps its one DOF, so it
+    # takes no LU at all
     pts = PointSet(np.random.default_rng(seed).standard_normal((4096, 2)))
     cm = compress(LAPLACE2, pts, build_tree(pts), 1e-6)
     assert any(nd.D.shape == (1, 1) and nd.D[0, 0] == 0 and nd.k == 1
