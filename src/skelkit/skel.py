@@ -135,11 +135,12 @@ class KernelSource:
 class CompressedNode:
     """One node of a compressed level.  Rows and columns share one
     skeleton, so D is square and L and R have k = skel.size columns and
-    rows; ``Level`` checks the shapes."""
+    rows; ``Level`` checks the shapes.  ``compress_source`` and the reader
+    hold L as ``R.T``, a view of R's buffer."""
 
     skel: np.ndarray        # surviving indices, global tree order, sorted
     D: np.ndarray           # extracted diagonal block (n x n)
-    L: np.ndarray           # row interpolation, n x k
+    L: np.ndarray           # row interpolation, n x k: R.T
     R: np.ndarray           # column interpolation, k x n
     children: np.ndarray | None   # positions in the previous level (None at finest)
 
@@ -206,12 +207,14 @@ class CompressedMatrix:
         return [lv.K for lv in self.levels]
 
     def storage_bytes(self):
-        total = self.S.nbytes + self.perm.nbytes
+        """Bytes of the arrays held, each buffer counted once: an L that is
+        a view of R adds nothing."""
+        arrays = [self.S, self.perm]
         for lv in self.levels:
             for nd in lv.nodes:
-                total += nd.D.nbytes + nd.L.nbytes + nd.R.nbytes
-                total += nd.skel.nbytes
-        return total
+                arrays += nd.D, nd.L, nd.R, nd.skel
+        return sum({(a.__array_interface__["data"][0], a.nbytes): a.nbytes
+                    for a in arrays}.values())
 
     def apply(self, x):
         return apply(self, x)
@@ -236,6 +239,10 @@ def _telescope(levels, top, n, perm, dtype, x):
     single = x.ndim == 1
     if x.shape[0] != n:
         raise InvalidInput(f"length mismatch: operator is {n}, input {x.shape[0]}")
+    # against a complex input, np.dot of a real block held as a transposed
+    # view (L = R^T) has other bits than ``@``; np.matmul has ``@``'s, at
+    # a little more cost per call
+    mul = np.dot if np.result_type(dtype, x.dtype) == dtype else np.matmul
     dtype = np.result_type(dtype, x.dtype)
     u = x.reshape(n, -1).astype(dtype, copy=False)[perm]
     nrhs = u.shape[1]
@@ -248,7 +255,7 @@ def _telescope(levels, top, n, perm, dtype, x):
         nxt = np.empty((lv.K, nrhs), dtype=dtype)
         for a, (up, _, _) in enumerate(lv.blocks):
             if up.shape[0]:
-                np.dot(up, u[off[a]:off[a + 1]], out=nxt[k_off[a]:k_off[a + 1]])
+                mul(up, u[off[a]:off[a + 1]], out=nxt[k_off[a]:k_off[a + 1]])
         u = nxt
     v = top(u)
     for lv in reversed(levels):
@@ -260,9 +267,9 @@ def _telescope(levels, top, n, perm, dtype, x):
             # once diag has read the node's (square) slice of u, down's
             # product takes its place, and u is added to w once per level
             s = slice(off[a], off[a + 1])
-            np.dot(diag, u[s], out=w[s])
+            mul(diag, u[s], out=w[s])
             if down.shape[1]:
-                np.dot(down, v[k_off[a]:k_off[a + 1]], out=u[s])
+                mul(down, v[k_off[a]:k_off[a + 1]], out=u[s])
             else:
                 u[s] = 0
         w += u
@@ -302,8 +309,8 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     (quadratic work, refused above 20000 points unless allow_large).
 
     Each node takes one ID, whose skeleton serves its rows and columns
-    alike, with L = R^T, so every diagonal block of the inverse recursion is
-    square.  A single-layer
+    alike, with L = R^T, held as a view of R, so every diagonal block of the
+    inverse recursion is square.  A single-layer
     kernel without quadrature weights is symmetric
     (``KernelSource.symmetric``), and its ID leaves out the row half of the
     target, which repeats the column half; see ``compress_source``.
@@ -442,8 +449,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             D = np.ascontiguousarray(_blk(d, d), dtype=dtype) if Ds is None else Ds[a]
             if li and covers[li - 1][children[a][0]] == ids[a]:
                 # carried: its only child is itself, so its D is zero
-                return CompressedNode(skel=d, D=D, L=np.eye(d.size, dtype=dtype),
-                                      R=np.eye(d.size, dtype=dtype),
+                R = np.eye(d.size, dtype=dtype)
+                return CompressedNode(skel=d, D=D, L=R.T, R=R,
                                       children=children[a]), np.arange(d.size)
             # the far field: the proxy surface, or in global mode every other
             # node; evaluated only when its half reaches it, since one held
@@ -483,8 +490,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             order = np.argsort(idp.skel)
             pos = idp.skel[order]
             R = np.ascontiguousarray(idp.proj[order, :], dtype=dtype)
-            L = np.ascontiguousarray(R.T)
-            return CompressedNode(skel=d[pos], D=D, L=L, R=R, children=children[a]), pos
+            return CompressedNode(skel=d[pos], D=D, L=R.T, R=R, children=children[a]), pos
 
         nodes, pos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
@@ -527,10 +533,36 @@ _CODE_DT = {v: k for k, v in _DT_CODE.items()}
 
 def _write_arr(out, a):
     """Append one array record to the list ``out``: its header, then the
-    array's own buffer (tobytes() would copy every block once more)."""
-    a = np.ascontiguousarray(a)
+    array itself, in whatever memory order it is held; ``_joined`` writes
+    it row-major."""
     code = {np.dtype(np.int64): 2}.get(a.dtype) or _DT_CODE[a.dtype]
     out += struct.pack(f"<BB{a.ndim}q", code, a.ndim, *a.shape), a
+
+
+def _joined(records):
+    """The container whose records ``_write_arr`` and the writers listed:
+    one bytearray of their summed size, each header copied into its slice
+    and each array written there row-major by ``np.copyto``, transposed
+    views included, so no record is copied anywhere else first."""
+    sizes = [r.nbytes if isinstance(r, np.ndarray) else len(r) for r in records]
+    buf = bytearray(sum(sizes))
+    pos = 0
+    for r, size in zip(records, sizes):
+        if isinstance(r, np.ndarray):
+            dst = np.frombuffer(buf, r.dtype.newbyteorder("<"), r.size, pos)
+            np.copyto(dst.reshape(r.shape), r)
+        else:
+            buf[pos:pos + size] = r
+        pos += size
+    return buf
+
+
+def _same_bits(a, b):
+    """Whether a and b, float64 or complex128, have one shape and the same
+    bits in every entry (so -0.0 is not 0.0, and a NaN can equal itself)."""
+    parts = (np.real, np.imag) if np.iscomplexobj(a) else (np.asarray,)
+    return a.shape == b.shape and a.dtype == b.dtype and all(
+        np.array_equal(f(a).view(np.uint64), f(b).view(np.uint64)) for f in parts)
 
 
 def _write_header(out, kind, field, n, nlevels, eps, perm):
@@ -576,7 +608,8 @@ class _Reader:
     def array(self, ndim, index=False, order="C"):
         """Next array record: an int64 index array, or a value array of the
         header's field (float64 or complex128), of exactly ``ndim``
-        dimensions, copied out in memory ``order``."""
+        dimensions, copied out in memory ``order``, or with ``order=None``
+        a read-only view of the container's bytes."""
         code, nd = self.unpack("<BB")
         if nd != ndim or code != (2 if index else self.value_code):
             raise InvalidInput("corrupt skelkit container: bad array header")
@@ -585,12 +618,16 @@ class _Reader:
             raise InvalidInput("corrupt skelkit container: negative extent")
         dt = np.dtype(np.int64) if index else _CODE_DT[code]
         raw = self.take(math.prod(shape) * dt.itemsize)
-        return np.frombuffer(raw, dtype=dt).reshape(shape).copy(order=order)
+        a = np.frombuffer(raw, dtype=dt).reshape(shape)
+        return a if order is None else a.copy(order=order)
 
     def blocks(self):
-        """The next node's diag, down and up records, as (up, diag, down)."""
-        diag, down, up = self.array(2), self.array(2), self.array(2)
-        return up, diag, down
+        """The next node's diag, down and up records, as (up, diag, down).
+        A down record with the bits of up transposed is held as ``up.T``, a
+        view, as ``compress_source`` and ``solver.factor`` hold it; any
+        other is copied out as read."""
+        diag, down, up = self.array(2), self.array(2, order=None), self.array(2)
+        return up, diag, up.T if _same_bits(down, up.T) else down.copy()
 
     def finish(self):
         if self.pos != len(self.buf):
@@ -661,16 +698,16 @@ def _read_compressed_node(f, li, a):
     return CompressedNode(skel=skel, D=D, L=L, R=R, children=ch if has_ch else None)
 
 
-def serialize_compressed(cm: CompressedMatrix) -> bytes:
+def serialize_compressed(cm: CompressedMatrix) -> bytearray:
     """Bit-exact binary container: header (N, levels, eps, field), the
     permutation, per-level block tables, dense top S.  See README.  The
-    records are collected as a list of headers and array buffers and joined
-    once, into one allocation of the container's size."""
+    records are listed as headers and the arrays themselves, then written
+    by ``_joined`` into one bytearray of the container's size."""
     out = []
     _write_header(out, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
     _write_levels(out, cm.levels, _write_compressed_head)
     _write_arr(out, cm.S)
-    return b"".join(out)
+    return _joined(out)
 
 
 def deserialize_compressed(data: bytes) -> CompressedMatrix:

@@ -24,7 +24,9 @@ M = N^T D N then gives the inverse of the bordered block,
 
 without inverting D or the bordered block.  A node that keeps every DOF
 (r = 0) takes no LU: Dd = 0, Ld = L, Rd = R and Lambda = D.  The recursion
-continues on Shat = Lambda + S one level up.  The embedding is still
+continues on Shat = Lambda + S one level up.  When every D and S is
+symmetric, so is every bordered block and its inverse: Rd is then read off
+Ld^T, and Ld is held as a view of it.  The embedding is still
 assembled (and exportable as Matrix Market) so an external sparse solver
 can serve as an independent cross-check.
 """
@@ -37,8 +39,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .skel import (CompressedMatrix, Level, _offsets, _read_levels, _Reader,
-                   _telescope, _write_arr, _write_header, _write_levels)
+from .skel import (CompressedMatrix, Level, _joined, _offsets, _read_levels, _Reader,
+                   _same_bits, _telescope, _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 
@@ -135,8 +137,8 @@ class FactoredNode:
     docstring for how ``factor`` reads them off the node's ID."""
 
     Dd: np.ndarray          # B^-1[:n, :n] = N M^-1 N^T
-    Ld: np.ndarray          # B^-1[:n, n:] = E - N W
-    Rd: np.ndarray          # B^-1[n:, :n] = E^T - (D N)_p M^-1 N^T
+    Ld: np.ndarray          # B^-1[:n, n:] = E - N W; Rd.T, a view, where B is symmetric
+    Rd: np.ndarray          # B^-1[n:, :n] = E^T - (D N)_p M^-1 N^T, or Ld^T
     lu_D = lu_M = None      # no LU is kept; benchmark/spans.py still reads the names
 
     @property
@@ -210,6 +212,18 @@ def _put_diagonal(M, blocks):
         o += k
 
 
+def _symmetric(cm):
+    """Whether every node's D and the top S equal their transposes bit for
+    bit.  With L = R^T at every node, the matrix and each node's bordered
+    block are then symmetric.  Each block is compared in strips of 128 rows
+    of its upper triangle against the columns they mirror (half the reads
+    of a whole compare, in cache-sized pieces), and a BIE's first D ends the
+    search."""
+    blocks = [nd.D for lv in cm.levels for nd in lv.nodes] + [cm.S]
+    return all(_same_bits(A[i:i + 128, i:], A[i:, i:i + 128].T)
+               for A in blocks for i in range(0, A.shape[0], 128))
+
+
 def _not_interpolative(level, node, why):
     return InvalidInput(f"level {level}, node {node} is not interpolative: {why}")
 
@@ -265,6 +279,10 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     Every node must be interpolative, as ``compress_source`` builds it: R
     is exactly I at the skeleton positions p (its skeletons among its DOFs)
     and L == R^T bitwise; otherwise InvalidInput names the level and node.
+    If every D and S equals its transpose bit for bit, so that each
+    bordered block is symmetric, each node's Rd is read off Ld^T and Ld is
+    held as ``Rd.T``, a view: one buffer for the pair.  The matrix alone
+    decides this, so a loaded copy factors bit for bit alike.
     Per level and node, D_eff is D with the children's Lambda on its
     diagonal.  In the order [q, p], one pivoted LU of M = N^T D_eff N, r x r
     with r = n - k, and one solve against [N^T | N^T D_eff E] give the
@@ -273,7 +291,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     exactly zero pivot of M raises SingularBlock(level, node, "bordered").
     Neither D nor the bordered block is inverted, so a singular D inside an
     invertible bordered block factors, and a node that keeps every DOF
-    takes no LU: Dd = 0, Ld = L, Rd = R and Lambda = D_eff exactly.
+    takes no LU: Dd = 0, Ld = L = Rd^T, Rd = R and Lambda = D_eff exactly.
     Blocks M with reciprocal condition (1-norm, of M and the M^-1 read off
     the solve) below 1e-14 are recorded in ``warnings`` rather than
     aborting.  ``regularize``, a finite real, adds delta*I to every D_eff
@@ -297,6 +315,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             De[np.diag_indices_from(De)] += regularize
         return De
 
+    sym = _symmetric(cm)
     lams = []           # the Lambdas of the level below, until this level has read them
     flevels = []
     dofs = np.arange(cm.n)
@@ -316,10 +335,9 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             C = _effective(nd.D, [lams[c] for c in nd.children] if li else ())
             C = C.take(qp, axis=0).take(qp, axis=1)         # D_eff in [q, p] order
             if r == 0:
-                # every DOF is a skeleton: B^-1 = [[0, L], [R, -D_eff]]
-                return (FactoredNode(Dd=np.zeros((n, n), dtype=dtype),
-                                     Ld=np.array(nd.L, dtype=dtype, order="C"),
-                                     Rd=np.array(nd.R, dtype=dtype, order="C")), C)
+                # every DOF is a skeleton: B^-1 = [[0, L], [R, -D_eff]], L = R^T
+                Rd = np.array(nd.R, dtype=dtype, order="C")
+                return FactoredNode(Dd=np.zeros((n, n), dtype=dtype), Ld=Rd.T, Rd=Rd), C
             Tn = -R[:, :r]
             # C = [N, E]^T D_eff [N, E] = [[M, N^T D E], [(D N)_p, D_pp]]
             C[:, :r] += C[:, r:] @ Tn
@@ -338,11 +356,18 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             # where E and E^T are the last k columns and rows of I_n
             eye = np.eye(n, dtype=dtype)
             np.subtract(eye[:, r:], NX[:, n:], out=NX[:, n:])
-            np.subtract(eye[r:], Z[:, :n], out=Z[:, :n])
+            if sym:
+                # a symmetric B^-1 has Rd = Ld^T: Rd is taken from Ld's columns
+                # and Ld is held as its view.  Ld keeps its own arithmetic,
+                # which shares W with Lambda: Ld = Rd^T in its place raised
+                # the backward error up to tenfold
+                Rd = NX[:, n:].T.take(iv, axis=1)
+            else:
+                np.subtract(eye[r:], Z[:, :n], out=Z[:, :n])
+                Rd = Z[:, :n].take(iv, axis=1)
             # rows and columns back to the node's own order
             return (FactoredNode(Dd=NX[:, :n].take(iv, axis=0).take(iv, axis=1),
-                                 Ld=NX[:, n:].take(iv, axis=0),
-                                 Rd=Z[:, :n].take(iv, axis=1)),
+                                 Ld=Rd.T if sym else NX[:, n:].take(iv, axis=0), Rd=Rd),
                     C[r:, r:] - Z[:, n:])
 
         fnodes, lams = zip(*[factor_node(a) for a in range(len(lv.nodes))])
@@ -480,13 +505,16 @@ def export_matrix_market(se: SparseEmbedding, path):
 # ---------------------------------------------------------------------------
 # factored-inverse serialization (same binary container as CompressedMatrix)
 
-def serialize_factored(fi: FactoredInverse) -> bytes:
+def serialize_factored(fi: FactoredInverse) -> bytearray:
+    """The factored inverse in the container of ``serialize_compressed``,
+    written the same way: the column-major top LU, like a transposed Ld,
+    goes straight into its slice."""
     out = []
     _write_header(out, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
     _write_levels(out, fi.levels)
     _write_arr(out, fi.S_lu[0])
     _write_arr(out, np.asarray(fi.S_lu[1], dtype=np.int64))
-    return b"".join(out)
+    return _joined(out)
 
 
 def _read_factored_node(f, *_):

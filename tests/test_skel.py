@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -932,5 +933,73 @@ def test_zero_size_blocks_round_trip(dtype, monkeypatch):
                           scalar_field="complex" if dtype is np.complex128 else "real")
     blob = serialize_compressed(cm)
     assert serialize_compressed(deserialize_compressed(blob)) == blob
+    monkeypatch.setattr(skel, "_write_arr", _write_arr_tobytes)
+    assert serialize_compressed(cm) == blob
+
+
+def _holds_transpose(a, b):
+    """Whether ``a`` is ``b.T``: a view of b's own buffer, strides reversed."""
+    return a.base is b and a.shape == b.shape[::-1] and a.strides == b.strides[::-1]
+
+
+def _compressed_case(case):
+    dim = 3 if case == "cube" else 2
+    pts = PointSet(np.random.default_rng(201).random((2048, dim)))
+    return compress(KernelSpec("laplace", dim), pts, build_tree(pts), 1e-6)
+
+
+@pytest.mark.parametrize("case", ["square", "cube", "ellipse_bie"])
+def test_l_is_a_view_of_r_after_compress_and_load(case):
+    # one interpolant per node: L is R^T, in memory and once loaded
+    if case == "ellipse_bie":
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 2048), LAPLACE2)
+        cm = bie.compress_system(system, 1e-9)[1]
+    else:
+        cm = _compressed_case(case)
+    loaded = deserialize_compressed(serialize_compressed(cm))
+    for m in (cm, loaded):
+        nodes = [nd for lv in m.levels for nd in lv.nodes]
+        assert len(nodes) >= 8
+        assert all(_holds_transpose(nd.L, nd.R) for nd in nodes)
+
+
+def test_a_record_that_is_not_r_transposed_loads_as_read():
+    # a hand-built node whose L is not R^T bit for bit keeps its own L, and
+    # -0.0 is not 0.0
+    R = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
+    L = R.T.copy()
+    L[1, 0] = -0.0
+    assert np.array_equal(L, R.T)
+    nodes = [CompressedNode(np.array([0, 1]), np.eye(3), L, R, None),
+             CompressedNode(np.array([3]), np.eye(1), np.eye(1), np.eye(1), None)]
+    cm = CompressedMatrix(levels=[Level(nodes)], S=np.ones((3, 3)), n=4, eps=1e-6,
+                          perm=np.arange(4), scalar_field="real")
+    blob = serialize_compressed(cm)
+    got = deserialize_compressed(blob).levels[0].nodes
+    assert got[0].L.flags.c_contiguous and got[0].L.tobytes() == L.tobytes()
+    assert _holds_transpose(got[1].L, got[1].R)
+    assert serialize_compressed(deserialize_compressed(blob)) == blob
+
+
+@pytest.mark.parametrize("case", ["square", "cube"])
+def test_storage_bytes_counts_each_buffer_once(case):
+    # an L that is a view of R adds nothing; held as copies, the L blocks
+    # add exactly their own bytes
+    cm = _compressed_case(case)
+    copies = CompressedMatrix(
+        levels=[Level([replace(nd, L=nd.L.copy()) for nd in lv.nodes]) for lv in cm.levels],
+        S=cm.S, n=cm.n, eps=cm.eps, perm=cm.perm, scalar_field=cm.scalar_field)
+    sum_l = sum(nd.L.nbytes for lv in cm.levels for nd in lv.nodes)
+    assert sum_l > 0.1 * cm.storage_bytes()
+    assert copies.storage_bytes() - cm.storage_bytes() == sum_l
+
+
+def test_transposed_views_write_the_reference_bytes(monkeypatch):
+    # every L of this cube is a view, written row-major by np.copyto
+    cm = _compressed_case("cube")
+    assert all(not nd.L.flags.c_contiguous for lv in cm.levels for nd in lv.nodes
+               if nd.k > 1)
+    blob = serialize_compressed(cm)
+    assert isinstance(blob, bytearray)
     monkeypatch.setattr(skel, "_write_arr", _write_arr_tobytes)
     assert serialize_compressed(cm) == blob

@@ -748,7 +748,14 @@ def test_elimination_matches_the_bordered_inverse(case, bound):
         fn = fi.levels[li].nodes[a]
         scale = np.abs(Binv).max()
         for got, want in ((fn.Dd, Binv[:n, :n]), (fn.Ld, Binv[:n, n:]), (fn.Rd, Binv[n:, :n])):
-            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.shape == want.shape
+            if got is fn.Ld and (case == "square" or fn.Rd.shape[0] == n):
+                # the square's matrix is symmetric, and so is every bordered
+                # block; a node that keeps every DOF has Ld = L = R^T exactly.
+                # Either way Ld is Rd^T, sharing Rd's buffer
+                assert got.base is fn.Rd and got.strides == fn.Rd.strides[::-1]
+            else:
+                assert got.flags.c_contiguous
             assert np.abs(got - want).max(initial=0.0) <= bound * scale, (li, a)
         eliminated += fn.Rd.shape[0] < n
     assert eliminated >= 10
@@ -813,7 +820,9 @@ def _interpolative_corruptions(corrupt):
         nd.R[1, p[1]] = np.nextafter(1.0, 2.0)
         nd.L = np.ascontiguousarray(nd.R.T)
     elif corrupt == "l_not_r_transposed":
+        # L is a view of R: corrupt a copy, or R changes with it
         q = np.setdiff1d(np.arange(dofs.size), p)[0]
+        nd.L = nd.L.copy()
         nd.L[q, 0] = np.nextafter(nd.L[q, 0], np.inf)
     elif corrupt == "skeleton_of_another_node":
         nd.skel[0] = next(i for i in range(cm.n) if i not in dofs)
@@ -1218,3 +1227,67 @@ def test_factor_matches_sparse_lu_of_the_embedding():
     ref = _splu_solve(cm, B)
     err = np.linalg.norm(X - ref, axis=0) / np.linalg.norm(ref, axis=0)
     assert err.max() <= 1e-12
+
+
+def _holds_transpose(a, b):
+    """Whether ``a`` is ``b.T``: a view of b's own buffer, strides reversed."""
+    return a.base is b and a.shape == b.shape[::-1] and a.strides == b.strides[::-1]
+
+
+@pytest.mark.parametrize("case", ["cube", "ellipse_bie"])
+def test_ld_is_a_view_of_rd_for_a_symmetric_matrix(case):
+    # the 3D Laplace volume matrix is symmetric, so every Ld is Rd^T, held
+    # as a view; the ellipse BIE is not, and each node it eliminates keeps
+    # an Ld of its own.  Either way a node that keeps every DOF has Ld = Rd^T
+    cm = _pass_through_case(case)
+    fi = factor(cm)
+    eliminated = 0
+    for flv in fi.levels:
+        for fn in flv.nodes:
+            if case == "cube" or fn.Rd.shape[0] == fn.Dd.shape[0]:
+                assert _holds_transpose(fn.Ld, fn.Rd)
+            else:
+                assert not np.shares_memory(fn.Ld, fn.Rd) and fn.Ld.flags.c_contiguous
+            eliminated += fn.Rd.shape[0] < fn.Dd.shape[0]
+    assert eliminated >= 8
+
+
+def _square_2048():
+    pts = PointSet(np.random.default_rng(201).random((2048, 2)))
+    return compress(LAPLACE2, pts, build_tree(pts), 1e-6)
+
+
+@pytest.mark.parametrize("case", ["square", "ellipse_bie"])
+def test_a_loaded_matrix_factors_and_solves_bit_for_bit(case):
+    # the readers hold L as R^T and Ld as Rd^T as compress and factor did,
+    # and factor decides symmetry from the matrix alone: the loaded matrix's
+    # inverse is the same, in bytes and in the memory order of its blocks
+    cm = _square_2048() if case == "square" else _pass_through_case(case)
+    fi = factor(cm)
+    loaded = factor(deserialize_compressed(serialize_compressed(cm)))
+    assert serialize_factored(loaded) == serialize_factored(fi)
+    for lv, lv2 in zip(fi.levels, loaded.levels, strict=True):
+        for fn, fn2 in zip(lv.nodes, lv2.nodes, strict=True):
+            assert _holds_transpose(fn.Ld, fn.Rd) == _holds_transpose(fn2.Ld, fn2.Rd)
+    again = deserialize_factored(serialize_factored(fi))
+    rng = np.random.default_rng(5)
+    for shape in ((cm.n,), (cm.n, 16)):
+        x = rng.standard_normal(shape)
+        for b in (x, x + 1j * rng.standard_normal(shape)):
+            want = solve(fi, b).tobytes()
+            assert solve(loaded, b).tobytes() == want and solve(again, b).tobytes() == want
+
+
+def test_serialize_factored_holds_no_second_copy():
+    # the column-major top LU and the transposed Ld views are written
+    # straight into the container: one call once held a row-major copy of
+    # the top beside the joined container
+    fi = factor(_pass_through_case("cube"))
+    tracemalloc.start()
+    try:
+        blob = serialize_factored(fi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blob) > 30e6
+    assert peak <= 1.05 * len(blob)
