@@ -136,7 +136,7 @@ class CompressedNode:
     """One node of a compressed level.  Rows and columns share one
     skeleton, so D is square and L and R have k = skel.size columns and
     rows; ``Level`` checks the shapes.  ``compress_source`` and the reader
-    hold L as ``R.T``, a view of R's buffer."""
+    hold L as ``R.T``, a read-only view of R's buffer."""
 
     skel: np.ndarray        # surviving indices, global tree order, sorted
     D: np.ndarray           # extracted diagonal block (n x n)
@@ -151,6 +151,15 @@ class CompressedNode:
     @property
     def blocks(self):
         return self.R, self.D, self.L
+
+
+def _transposed(a):
+    """``a.T``, a view of a's buffer, made read-only: an L or Ld held this
+    way cannot be edited in place, since that edit would also reach R or
+    Rd."""
+    t = a.T
+    t.flags.writeable = False
+    return t
 
 
 def _offsets(sizes):
@@ -239,11 +248,13 @@ def _telescope(levels, top, n, perm, dtype, x):
     single = x.ndim == 1
     if x.shape[0] != n:
         raise InvalidInput(f"length mismatch: operator is {n}, input {x.shape[0]}")
-    # against a complex input, np.dot of a real block held as a transposed
-    # view (L = R^T) has other bits than ``@``; np.matmul has ``@``'s, at
-    # a little more cost per call
-    mul = np.dot if np.result_type(dtype, x.dtype) == dtype else np.matmul
     dtype = np.result_type(dtype, x.dtype)
+    # np.dot(..., out=) costs less per call than np.matmul (16384-point
+    # ellipse BIE, 2-vCPU Xeon: apply 5.5 against 7.5 ms) and writes the bits
+    # of ``@`` on real blocks; on complex ones, such as a block of one
+    # column or a real L held as R.T against a complex input, only
+    # np.matmul writes the bits of ``@``
+    mul = np.matmul if dtype == np.complex128 else np.dot
     u = x.reshape(n, -1).astype(dtype, copy=False)[perm]
     nrhs = u.shape[1]
 
@@ -450,7 +461,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             if li and covers[li - 1][children[a][0]] == ids[a]:
                 # carried: its only child is itself, so its D is zero
                 R = np.eye(d.size, dtype=dtype)
-                return CompressedNode(skel=d, D=D, L=R.T, R=R,
+                return CompressedNode(skel=d, D=D, L=_transposed(R), R=R,
                                       children=children[a]), np.arange(d.size)
             # the far field: the proxy surface, or in global mode every other
             # node; evaluated only when its half reaches it, since one held
@@ -490,7 +501,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             order = np.argsort(idp.skel)
             pos = idp.skel[order]
             R = np.ascontiguousarray(idp.proj[order, :], dtype=dtype)
-            return CompressedNode(skel=d[pos], D=D, L=R.T, R=R, children=children[a]), pos
+            return (CompressedNode(skel=d[pos], D=D, L=_transposed(R), R=R,
+                                   children=children[a]), pos)
 
         nodes, pos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
@@ -624,10 +636,10 @@ class _Reader:
     def blocks(self):
         """The next node's diag, down and up records, as (up, diag, down).
         A down record with the bits of up transposed is held as ``up.T``, a
-        view, as ``compress_source`` and ``solver.factor`` hold it; any
-        other is copied out as read."""
+        read-only view, as ``compress_source`` and ``solver.factor`` hold
+        it; any other is copied out as read."""
         diag, down, up = self.array(2), self.array(2, order=None), self.array(2)
-        return up, diag, up.T if _same_bits(down, up.T) else down.copy()
+        return up, diag, _transposed(up) if _same_bits(down, up.T) else down.copy()
 
     def finish(self):
         if self.pos != len(self.buf):

@@ -961,6 +961,9 @@ def test_l_is_a_view_of_r_after_compress_and_load(case):
         nodes = [nd for lv in m.levels for nd in lv.nodes]
         assert len(nodes) >= 8
         assert all(_holds_transpose(nd.L, nd.R) for nd in nodes)
+        # the view is read-only: an edit of L in place would also edit R
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0].L[0, 0] = 2.0
 
 
 def test_a_record_that_is_not_r_transposed_loads_as_read():
