@@ -2,19 +2,21 @@
 
 An ID approximates A ~ A[:, skel] @ P where the k retained columns are
 actual columns of A and P carries a k x k identity on the skeleton.  The
-deterministic path is one column-pivoted QR (LAPACK geqp3) per ID; the full
-triangular factor is kept so the ID can later be cut at any other rank
-without a second factorization.  A tall block (m >= 2n, n >= 192) is first
+deterministic path is one column-pivoted QR (LAPACK geqp3) per ID, and only
+the skeleton and P are kept.  A tall block (m >= 2n, n >= 192) is first
 reduced to its n x n triangle by a blocked, unpivoted QR (LAPACK geqrf), and
 geqp3 runs on that triangle: the pivots and R are those of A, but most of
-the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  A
-compression at eps >= _GRAM_MIN_EPS (about 4.7e-7) takes a tall target,
-m >= 2n with n >= 64 whatever the geqrf floor, past both: ``id_gram``
-factors its Gram matrix, summed from its row blocks, by one pivoted
-Cholesky (LAPACK pstrf), which picks geqp3's pivots and stop in exact
-arithmetic at a fraction of the flops (``gram_route``).  The
+the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  The
 randomized path sketches with a Gaussian test matrix first and falls back
 to deterministic when its a-posteriori probe check fails.
+
+A compression hands each node's target to ``_target_id`` as row blocks,
+which picks the route: at eps >= _GRAM_MIN_EPS (about 4.7e-7) a tall
+target, m >= 2n with n >= 64 whatever the geqrf floor, goes to ``id_gram``,
+which factors its Gram matrix, summed from the blocks, by one pivoted
+Cholesky (LAPACK pstrf): geqp3's pivots and stop in exact arithmetic at a
+fraction of the flops.  Any other target is stacked once, column-major, and
+factored in place by ``id_fixed_precision``.
 
 An ID whose interpolation entries exceed 2 (degraded pivoting) is reported
 by an AccuracyWarning from the public call that returns it, unless that
@@ -26,7 +28,7 @@ leave the process-global filter list alone.
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
@@ -61,33 +63,17 @@ class InterpDecomp:
     """skel: retained column indices (pivot order); proj: k x n matrix with
     proj[:, skel] == I exactly; achieved_error: estimated ||A - BP|| / ||A||.
 
-    piv and R are the column pivot order and the full triangular factor the
-    ID was read from; ``sketched`` marks a factor of a random sketch of A
-    rather than of A itself.  max_entry is max |proj|, read off proj when
-    the ID is built: at most 2 unless pivoting degraded on this block."""
+    max_entry is max |proj|, read off proj when the ID is built: at most 2
+    unless pivoting degraded on this block."""
 
     skel: np.ndarray
     proj: np.ndarray
     rank: int
     achieved_error: float
-    piv: np.ndarray | None = None
-    R: np.ndarray | None = None
-    sketched: bool = False
     max_entry: float = field(init=False)
 
     def __post_init__(self):
         self.max_entry = float(np.abs(self.proj).max(initial=0.0))
-
-    def cut(self, k):
-        """The same ID with exactly k skeleton columns, read off the stored
-        factor; None when that factor is a sketch with fewer than k rows."""
-        if k == self.rank:
-            return self
-        if self.sketched and k > self.R.shape[0]:
-            return None
-        skel, proj = _interp(self.piv, self.R, k, self.proj.dtype)
-        return _reported(replace(self, skel=skel, proj=proj, rank=k,
-                                 achieved_error=_ratio(self.R, k)))
 
 
 def _check_matrix(A):
@@ -111,7 +97,7 @@ def _tall(m, n):
     return m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS
 
 
-def gram_route(m, n, eps):
+def _gram_route(m, n, eps):
     """Whether the ID of an m x n target to precision eps is ``id_gram``'s:
     a tall target, m >= 2n with n >= _GRAM_MIN_COLS, at eps >= _GRAM_MIN_EPS.
     ``_tall``'s geqrf floor of 192 columns does not apply."""
@@ -178,20 +164,18 @@ def _above_two(x):
 
 
 def _interp(piv, R, k, dtype):
-    """Skeleton and projection of the ID cut at exactly k columns.
-
-    Columns past the last nonzero pivot (exact rank deficiency, or k beyond
-    R's rows) are padded in: each such skeleton reconstructs only itself."""
+    """Skeleton and projection of the rank-k ID read off the pivots piv and
+    the factor R; R's first k pivots are nonzero (``pivoted_qr``'s stop
+    and pstrf's rank give no more)."""
     n = piv.size
-    r = min(k, int(np.count_nonzero(np.diagonal(R))))
     P = np.zeros((k, n), dtype=dtype)
     P[np.arange(k), piv[:k]] = 1.0
-    if r > 0 and k < n:
-        # R[:r, :r] x = R[:r, k:] by LAPACK trtrs, called as scipy's
+    if 0 < k < n:
+        # R[:k, :k] x = R[:k, k:] by LAPACK trtrs, called as scipy's
         # solve_triangular calls it (R is the factor of a block
         # _check_matrix found finite): a triangle that is not F-contiguous
         # goes in as the lower triangle of its transpose, transposed again
-        a, b = R[:r, :r], R[:r, k:]
+        a, b = R[:k, :k], R[:k, k:]
         trtrs, = get_lapack_funcs(("trtrs",), (a, b))
         if a.flags.f_contiguous:
             x, info = trtrs(a, b, lower=False, trans=0)
@@ -199,7 +183,7 @@ def _interp(piv, R, k, dtype):
             x, info = trtrs(a.T, b, lower=True, trans=1)
         if info:
             raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
-        P[:r, piv[k:]] = x
+        P[:, piv[k:]] = x
     return piv[:k].copy(), P
 
 
@@ -216,8 +200,7 @@ def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
     """Column ID to relative precision eps via column-pivoted QR.
 
     The rank is the first k at which the next pivot magnitude falls below
-    eps times the leading pivot.  A zero matrix yields rank 0; ``cut`` pads
-    unused columns in past the rank.
+    eps times the leading pivot.  A zero matrix yields rank 0.
 
     ``overwrite_a=True`` hands A to LAPACK to factor in place (scipy's
     convention): an F-contiguous floating-point A is then not copied, and
@@ -228,8 +211,7 @@ def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
     A = _check_matrix(A)
     piv, R, rank, ratio = pivoted_qr(A, eps, overwrite_a=overwrite_a)
     skel, proj = _interp(piv, R, rank, A.dtype)
-    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
-                                  piv=piv, R=R))
+    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio))
 
 
 def _gram(blocks):
@@ -272,9 +254,7 @@ def id_gram(halves, eps) -> InterpDecomp:
     R up to the signs of its rows, so the interpolation matrix
     R11^-1 R12 is the same.  Forming G costs about u/eps^2 relative in
     that matrix and u/eps ||A|| in the residual, 1000 times below eps
-    ||A|| at eps >= _GRAM_MIN_EPS; a smaller eps is refused.
-
-    The ID's R is U: ``cut`` beyond the rank pads columns in."""
+    ||A|| at eps >= _GRAM_MIN_EPS; a smaller eps is refused."""
     if not _GRAM_MIN_EPS <= eps < 1:
         raise InvalidInput(f"eps must lie in [{_GRAM_MIN_EPS:.3g}, 1) for a Gram-matrix ID")
     grams = [G for G in map(_gram, halves) if G is not None]
@@ -306,13 +286,23 @@ def id_gram(halves, eps) -> InterpDecomp:
     rest = diag[piv[rank:]] - np.square(np.abs(U[:, rank:])).sum(axis=0)
     ratio = float(np.sqrt(max(rest.max(initial=0.0), 0.0)))
     skel, proj = _interp(piv, U, rank, G.dtype)
-    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio,
-                                  piv=piv, R=U))
+    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio))
 
 
-def id_rows(A, eps) -> InterpDecomp:
-    """Row-space ID: A ~ proj.T @ A[skel, :] (plain transpose, no conjugate)."""
-    return id_fixed_precision(np.asarray(A).T, eps)
+def _target_id(halves, shape, eps) -> InterpDecomp:
+    """ID of a compression target of shape (m, n) held as ``halves``, lists
+    or generators of its row blocks in order (as ``id_gram`` takes them).
+
+    ``id_gram`` reads it off the Gram matrix of its blocks, taken one at a
+    time, when ``_gram_route`` takes it; otherwise the blocks are stacked
+    once, column-major, and ``id_fixed_precision`` factors the stack in
+    place.  The blocks are let go before the ID runs."""
+    if _gram_route(*shape, eps):
+        return id_gram(halves, eps)
+    parts = [X for h in halves for X in h]
+    t = np.concatenate(parts, out=np.empty(shape, np.result_type(*parts), order="F"))
+    del parts
+    return id_fixed_precision(t, eps, overwrite_a=True)
 
 
 def _spectral_norm_estimate(A, rng, iters=8):
@@ -374,5 +364,4 @@ def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
         worst = max(worst, err / (normA * np.linalg.norm(v)))
     if worst > 3 * eps:
         return id_fixed_precision(A, eps)
-    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst,
-                                  piv=piv, R=R, sketched=True))
+    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst))

@@ -26,9 +26,10 @@ import numpy as np
 from .errors import InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
-from .lowrank import _above_two, _warn, gram_route, id_fixed_precision, id_gram
-# id_randomized is unused here; the benchmark tracer wraps skel.id_randomized
-from .lowrank import id_randomized  # noqa: F401
+from .lowrank import _above_two, _target_id, _warn
+# unused here; bound only for the benchmark tracer, which wraps them by name
+# as skel.id_fixed_precision and skel.id_randomized
+from .lowrank import id_fixed_precision, id_randomized  # noqa: F401
 
 DEFAULT_N_PROXY = {2: 64, 3: 512}
 
@@ -336,14 +337,6 @@ def _cat(parts):
     return np.concatenate(parts) if len(parts) else np.empty(0, dtype=np.int64)
 
 
-def _stacked(parts):
-    """The row blocks ``parts`` stacked into one new column-major array,
-    the layout LAPACK factors in place: ``np.vstack`` with Fortran order."""
-    out = np.empty((sum(p.shape[0] for p in parts), parts[0].shape[1]),
-                   dtype=np.result_type(*parts), order="F")
-    return np.concatenate(parts, out=out)
-
-
 def _half(blocks, far):
     """One half of a node's ID target, as row blocks: ``blocks``, then the
     far field ``far()``, evaluated only when it is reached."""
@@ -371,15 +364,15 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        proxy field, or in global mode, where a node has no neighbours, its
        whole off-diagonal block column and row, evaluated here (sibling
        blocks again).  A symmetric source's row half repeats its column
-       half and is left out.  The target is stacked for
-       ``id_fixed_precision``, unless ``lowrank.gram_route`` takes it (a
-       tall target of at least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``):
-       then ``id_gram`` reads the ID off the Gram matrix of its blocks,
-       taken one at a time.  A carried node, a leaf
-       listed again in this cover as its own only child, was compressed
-       against the same box one level down, so it takes no proxy surface,
-       far field or ID: it keeps every DOF, with L = R = I, which is what
-       an ID that finds full rank gives.
+       half and is left out.  ``lowrank._target_id`` takes the target as
+       these row blocks and picks the route: ``id_gram`` on the Gram
+       matrix of the blocks, taken one at a time, for a tall target of at
+       least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``, and otherwise
+       ``id_fixed_precision`` on one column-major stack of them, factored
+       in place.  A carried node, a leaf listed again in this cover as its
+       own only child, was compressed against the same box one level down,
+       so it takes no proxy surface, far field or ID: it keeps every DOF,
+       with L = R = I, which is what an ID that finds full rank gives.
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -488,15 +481,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             if not sym:
                 halves.append(_half((pair(a, b).T for b in nbrs[a]), far_row))
             m = len(halves) * (sum(dofs[b].size for b in nbrs[a]) + n_far)
-            if gram_route(m, d.size, eps):
-                # a tall target: its ID is read off the Gram matrix of its
-                # blocks, one at a time, and the target is never stacked
-                idp = id_gram(halves, eps)
-            else:
-                # stacked once, column-major, and factored in place by LAPACK
-                t = _stacked([X for h in halves for X in h])
-                idp = id_fixed_precision(t, eps, overwrite_a=True)
-                del t
+            idp = _target_id(halves, (m, d.size), eps)
             interp_max.append(idp.max_entry)
             order = np.argsort(idp.skel)
             pos = idp.skel[order]

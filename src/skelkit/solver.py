@@ -330,9 +330,9 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             n, k, r = nd.D.shape[0], nd.k, rs[a]
             qp, iv = order[off[a]:off[a + 1]], inverse[off[a]:off[a + 1]]
             R = nd.R.take(qp, axis=1)
-            if R[:, r:].tobytes() != np.eye(k, dtype=R.dtype).tobytes():
+            if not _same_bits(R[:, r:], np.eye(k, dtype=R.dtype)):
                 raise _not_interpolative(li + 1, a, "R is not I at its skeletons")
-            if nd.L.tobytes() != nd.R.T.tobytes():
+            if not _same_bits(nd.L, nd.R.T):
                 raise _not_interpolative(li + 1, a, "L is not R^T")
             C = _effective(nd.D, [lams[c] for c in nd.children] if li else ())
             C = C.take(qp, axis=0).take(qp, axis=1)         # D_eff in [q, p] order

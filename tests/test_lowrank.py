@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from skelkit import KernelSpec, PointSet, eval_block, lowrank
 from skelkit.errors import AccuracyWarning, InvalidInput
-from skelkit.lowrank import (id_fixed_precision, id_gram, id_randomized, id_rows,
-                             pivoted_qr)
+from skelkit.lowrank import id_fixed_precision, id_gram, id_randomized, pivoted_qr
 from skelkit.skel import ProxyConfig, proxy_points
 from skelkit.solver import gmres
 
@@ -22,7 +21,7 @@ def reconstruction_error(A, idp, ord=2):
 
 
 def interp_at(piv, R, k):
-    """Reference ID cut at k columns from A[:, piv] = Q R with R[:k, :k]
+    """Reference rank-k ID from A[:, piv] = Q R with R[:k, :k]
     nonsingular: the skeleton piv[:k] and P[:, piv[k:]] = R11^-1 R12."""
     P = np.zeros((k, piv.size), dtype=R.dtype)
     P[:, piv[:k]] = np.eye(k)
@@ -75,18 +74,20 @@ def test_rank3_product():
     assert sv[3] < 1e-12 * sv[0]
 
 
-def test_id_rows_variants():
-    idr = id_rows(np.eye(3), 1e-9)
+def test_row_id_is_the_id_of_the_transpose():
+    # a row-space ID, A ~ proj.T @ A[skel, :], is the column ID of the
+    # transposed view A.T (plain transpose, no conjugate)
+    idr = id_fixed_precision(np.eye(3).T, 1e-9)
     assert sorted(idr.skel.tolist()) == [0, 1, 2]
 
     A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    idr = id_rows(A, 1e-12)
+    idr = id_fixed_precision(A.T, 1e-12)
     assert idr.rank == 1
     np.testing.assert_allclose(idr.proj.T @ A[idr.skel, :], A, atol=1e-14)
 
     rng = np.random.default_rng(5)
     B = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 40))
-    idr = id_rows(B, 1e-10)
+    idr = id_fixed_precision(B.T, 1e-10)
     assert idr.rank == 3
     assert np.linalg.norm(B - idr.proj.T @ B[idr.skel, :]) <= 1e-8 * np.linalg.norm(B)
 
@@ -160,15 +161,6 @@ def test_zero_matrix():
     assert idp.proj.shape == (0, 5)
 
 
-def test_cut_pads_past_the_rank():
-    A = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 7.0))  # exact rank 1
-    idp = id_fixed_precision(A, 1e-10).cut(3)
-    assert idp.rank == 3
-    assert len(set(idp.skel.tolist())) == 3
-    assert np.array_equal(idp.proj[:, idp.skel][np.arange(3)], np.eye(3)[np.arange(3)])
-    assert reconstruction_error(A, idp) < 1e-13
-
-
 def test_invalid_inputs():
     with pytest.raises(InvalidInput):
         id_fixed_precision(np.array([[np.nan, 1.0]]), 1e-9)
@@ -217,16 +209,13 @@ def test_property_reconstruction_and_identity(seed, profile, eps_exp):
 def test_stop_rule():
     # orthogonal columns: the pivots are exactly the column norms
     A = np.diag([1.0, 1e-2, 1e-4, 1e-6, 1e-8])
-    for eps, rank in [(1e-5, 3), (1e-3, 2), (1e-9, 5)]:
+    for eps, rank in [(1e-5, 3), (1e-3, 2), (1e-7, 4), (1e-9, 5)]:
         piv, R, got, ratio = pivoted_qr(A, eps)
         assert got == rank, eps
         assert ratio == pytest.approx(A[rank, rank] if rank < 5 else 0.0)
-        assert id_fixed_precision(A, eps).rank == rank
+        idp = id_fixed_precision(A, eps)
+        assert idp.rank == rank and idp.achieved_error == ratio
     assert piv.tolist() == [0, 1, 2, 3, 4]
-    idp = id_fixed_precision(A, 1e-5)
-    for k in (3, 4, 5):
-        c = idp.cut(k)
-        assert c.rank == k and c.achieved_error == pytest.approx(A[k, k] if k < 5 else 0.0)
 
 
 @pytest.mark.parametrize("m,n,cplx", [(200, 30, False), (30, 200, False),
@@ -246,7 +235,7 @@ def test_pivoted_qr_keeps_full_factor(m, n, cplx):
     d = np.abs(np.diag(R))
     assert d[rank] <= eps * d[0] < d[rank - 1]
     idp = id_fixed_precision(A, eps)
-    assert idp.rank == rank and idp.R.shape == R.shape
+    assert idp.rank == rank
     assert reconstruction_error(A, idp) <= 10 * eps * np.sqrt(1 + rank * (n - rank))
 
 
@@ -260,37 +249,24 @@ def test_zero_and_empty_inputs():
         idp = id_fixed_precision(A, 1e-9)
         assert idp.rank == 0 and idp.proj.shape == (0, shape[1])
         assert id_randomized(A, 1e-9).rank == 0
-        # cut pads with unused columns
-        if shape[1] >= 2:
-            c = idp.cut(2)
-            assert c.rank == 2 and c.proj.shape == (2, shape[1])
-            assert np.array_equal(c.proj[:, c.skel], np.eye(2))
 
 
-def test_cut_is_exact_and_equals_rerun():
+def test_id_is_exact_and_equals_scipy_pivoted_qr():
     A = decay_matrix(80, 60, "geometric", 4)
+    R_ref, piv_ref = scipy.linalg.qr(A, mode="r", pivoting=True)
     idp = id_fixed_precision(A, 1e-4)
-    for k in (idp.rank, idp.rank + 1, idp.rank + 7, 60):
-        c = idp.cut(k)
-        assert c.rank == k and c.proj.shape == (k, 60)
+    for eps in (1e-4, 1e-5, 1e-6):
+        c = id_fixed_precision(A, eps)
+        k = c.rank
+        assert k >= idp.rank and c.proj.shape == (k, 60)
         assert np.array_equal(c.proj[:, c.skel], np.eye(k))  # tolerance 0
         assert np.array_equal(c.skel[:idp.rank], idp.skel)
-        # cutting the stored factor gives the same ID as a second QR
-        R_ref, piv_ref = scipy.linalg.qr(A, mode="r", pivoting=True)
+        # the ID at each rank is that of scipy's pivoted QR
         skel, proj = interp_at(piv_ref, R_ref, k)
         assert np.array_equal(c.skel, skel)
         np.testing.assert_allclose(c.proj, proj, rtol=0, atol=1e-12)
-    assert reconstruction_error(A, idp.cut(idp.rank + 7)) < reconstruction_error(A, idp)
-
-
-def test_cut_of_short_sketch_needs_recompute():
-    A = decay_matrix(600, 50, "geometric", 1)
-    idz = id_randomized(A, 1e-6, seed=3)
-    assert idz.sketched and idz.R.shape[0] < 50
-    assert idz.cut(idz.R.shape[0] + 1) is None
-    c = idz.cut(idz.R.shape[0])
-    assert np.array_equal(c.proj[:, c.skel], np.eye(c.rank))
-    assert reconstruction_error(A, c) <= 1e-4
+    assert c.rank > idp.rank
+    assert reconstruction_error(A, c) < reconstruction_error(A, idp)
 
 
 # tall blocks: m >= 2n with n at the QR-first threshold or above
@@ -339,38 +315,25 @@ def test_tall_qr_first_matches_plain_pivoting(cplx, lapack_calls):
     assert set(piv[:rank].tolist()) == set(piv_ref[:rank].tolist())
     np.testing.assert_allclose(np.abs(np.diag(R)), d_ref, rtol=1e-8, atol=1e-14 * d_ref[0])
     assert ratio == pytest.approx(d_ref[rank] / d_ref[0], rel=1e-6)
+    # the ID is read off the same factor
+    lapack_calls.clear()
+    idp = id_fixed_precision(A, eps)
+    assert lapack_calls[:2] == ["geqrf", "geqp3"] and idp.rank == rank
+    assert np.array_equal(idp.proj[:, idp.skel], np.eye(rank))  # tolerance 0
+    skel, proj = interp_at(piv, R, rank)
+    assert np.array_equal(idp.skel, skel)
+    np.testing.assert_allclose(idp.proj, proj, rtol=0, atol=1e-12)
+    assert reconstruction_error(A, idp) <= 10 * eps * np.sqrt(1 + rank * (n - rank))
 
 
-def test_tall_qr_first_cut(lapack_calls):
-    A = tall_block(False, seed=4)
-    n = A.shape[1]
-    idp = id_fixed_precision(A, 1e-4)
-    assert "geqrf" in lapack_calls and idp.R.shape == (n, n)
-    piv, R, _, _ = pivoted_qr(A, 1e-4)
-    assert np.array_equal(piv, idp.piv)
-    for k in (idp.rank, idp.rank + 1, idp.rank + 7, n):
-        c = idp.cut(k)
-        assert c.rank == k and c.proj.shape == (k, n)
-        assert np.array_equal(c.proj[:, c.skel], np.eye(k))  # tolerance 0
-        skel, proj = interp_at(piv, R, k)
-        assert np.array_equal(c.skel, skel)
-        np.testing.assert_allclose(c.proj, proj, rtol=0, atol=1e-12)
-    assert reconstruction_error(A, idp) <= 10 * 1e-4 * np.sqrt(1 + idp.rank * (n - idp.rank))
-    assert reconstruction_error(A, idp.cut(idp.rank + 7)) < reconstruction_error(A, idp)
-
-
-def test_tall_zero_blocks_pad_skeletons(lapack_calls):
+def test_tall_zero_columns_are_never_skeletons(lapack_calls):
     m, n = TALL
     idp = id_fixed_precision(np.zeros(TALL), 1e-9)
     assert lapack_calls == ["geqrf", "geqp3"]
     assert idp.rank == 0 and idp.skel.size == 0 and idp.proj.shape == (0, n)
-    assert idp.R.shape == (n, n) and not idp.R.any()
-    pad = idp.cut(3)
-    assert pad.rank == 3 and np.array_equal(pad.proj[:, pad.skel], np.eye(3))
-    assert np.count_nonzero(pad.proj) == 3
 
-    # exact zero columns are never chosen before the live ones, and padded
-    # in at ranks past them, each reconstructing only itself
+    # exact zero columns are never chosen before the live ones, and the
+    # rank stops at the live ones
     rng = np.random.default_rng(3)
     A = decay_matrix(m, n, "algebraic", 5)
     dead = rng.choice(n, n // 2, replace=False)
@@ -378,15 +341,11 @@ def test_tall_zero_blocks_pad_skeletons(lapack_calls):
     live = n - dead.size
     _, R, rank, _ = pivoted_qr(A, 1e-9)
     assert np.count_nonzero(np.diagonal(R)) == live and not R[live:].any()
-    idp = id_fixed_precision(A, 1e-9).cut(live + 4)
-    assert idp.rank == live + 4
-    assert set(idp.skel[:live].tolist()).isdisjoint(dead.tolist())
-    assert set(idp.skel[live:].tolist()) <= set(dead.tolist())
-    pad_rows = idp.proj[live:]
-    assert np.array_equal(pad_rows[:, idp.skel[live:]], np.eye(4))
-    assert np.count_nonzero(pad_rows) == 4
-    assert not idp.proj[:, dead[~np.isin(dead, idp.skel)]].any()
-    assert reconstruction_error(A, idp) < 1e-12
+    idp = id_fixed_precision(A, 1e-9)
+    assert idp.rank == rank <= live
+    assert set(idp.skel.tolist()).isdisjoint(dead.tolist())
+    assert not idp.proj[:, dead].any()
+    assert reconstruction_error(A, idp) < 1e-8
 
 
 def test_below_threshold_is_plain_geqp3(lapack_calls, monkeypatch):
@@ -429,7 +388,7 @@ def test_gram_id_matches_pivoted_qr(spec, seed, eps):
     # this was written
     blocks = kernel_target(spec, seed=seed)
     A = np.vstack(blocks)
-    assert lowrank.gram_route(*A.shape, eps)
+    assert lowrank._gram_route(*A.shape, eps)
     ref = id_fixed_precision(A, eps)
     idp = id_gram([blocks], eps)
     assert idp.proj.dtype == A.dtype and np.array_equal(idp.proj[:, idp.skel], np.eye(idp.rank))
@@ -450,19 +409,51 @@ def test_gram_id_of_zero_target_has_rank_zero():
     assert idp.achieved_error == 0.0
 
 
-def test_gram_id_refuses_eps_below_its_floor():
+def test_gram_id_refuses_eps_below_its_floor(monkeypatch):
     blocks = [tall_block(False)]
     floor = lowrank._GRAM_MIN_EPS
     assert floor == pytest.approx(np.sqrt(1e3 * np.finfo(float).eps))
-    assert lowrank.gram_route(*TALL, floor)
-    assert not lowrank.gram_route(*TALL, np.nextafter(floor, 0))
+    assert lowrank._gram_route(*TALL, floor)
+    assert not lowrank._gram_route(*TALL, np.nextafter(floor, 0))
     # no geqrf floor of 192 columns; a column floor of its own, and the
     # aspect ratio 2
-    assert lowrank.gram_route(TALL[0], lowrank._QR_FIRST_MIN_COLS - 1, 1e-3)
+    assert lowrank._gram_route(TALL[0], lowrank._QR_FIRST_MIN_COLS - 1, 1e-3)
     cols = lowrank._GRAM_MIN_COLS
-    assert lowrank.gram_route(2 * cols, cols, 1e-3)
-    assert not lowrank.gram_route(2 * cols, cols - 1, 1e-3)
-    assert not lowrank.gram_route(2 * TALL[1] - 1, TALL[1], 1e-3)
+    assert lowrank._gram_route(2 * cols, cols, 1e-3)
+    assert not lowrank._gram_route(2 * cols, cols - 1, 1e-3)
+    assert not lowrank._gram_route(2 * TALL[1] - 1, TALL[1], 1e-3)
+
+    # _target_id, given a target's row blocks in halves, takes the route
+    # on that rule; otherwise it hands one stack of the blocks to
+    # id_fixed_precision, and gives that ID's bits
+    routes, real_gram, real_id = [], lowrank.id_gram, lowrank.id_fixed_precision
+
+    def gram(halves, eps):
+        routes.append("gram")
+        return real_gram(halves, eps)
+
+    def qr(A, eps, **kwargs):
+        routes.append("qr")
+        return real_id(A, eps, **kwargs)
+
+    monkeypatch.setattr(lowrank, "id_gram", gram)
+    monkeypatch.setattr(lowrank, "id_fixed_precision", qr)
+    for m, n, eps, route in [(2 * cols, cols, floor, "gram"),
+                             (2 * cols, cols, np.nextafter(floor, 0), "qr"),
+                             (2 * cols - 1, cols, floor, "qr"),
+                             (2 * cols - 2, cols - 1, floor, "qr")]:
+        A = decay_matrix(m, n, "algebraic", 12)
+        # row blocks as compress_source holds them: a view, a transposed
+        # view, and a far field reached last
+        parts = [A[:n // 2], np.ascontiguousarray(A[n // 2:n].T).T, A[n:]]
+        halves = [iter(parts[:1]), (X for X in parts[1:])]
+        routes.clear()
+        idp = lowrank._target_id(halves, (m, n), eps)
+        assert routes == [route], (m, n, eps)
+        want = (real_gram([parts[:1], parts[1:]], eps) if route == "gram"
+                else real_id(np.vstack(parts), eps))
+        assert _id_bytes(idp) == _id_bytes(want)
+        assert np.array_equal(A, np.vstack(parts))
     with pytest.raises(InvalidInput):
         id_gram(blocks, np.nextafter(floor, 0))
     bad = tall_block(False)
@@ -497,7 +488,7 @@ def test_interp_value_reads_above_two(x, text):
 
 
 def _id_bytes(idp):
-    return [np.asarray(v).tobytes() for v in (idp.skel, idp.proj, idp.piv, idp.R)] + [
+    return [np.asarray(v).tobytes() for v in (idp.skel, idp.proj)] + [
         idp.rank, idp.achieved_error, idp.max_entry]
 
 
@@ -556,23 +547,11 @@ def test_interp_matches_solve_triangular_bitwise(cplx, order):
 def test_max_entry_is_kept_with_the_id():
     idp = id_fixed_precision(decay_matrix(80, 60, "geometric", 12), 1e-6)
     assert idp.max_entry == np.abs(idp.proj).max()
-    for k in (idp.rank + 3, 60):
-        assert idp.cut(k).max_entry == np.abs(idp.cut(k).proj).max()
     # built by hand or replaced, it is read off the new proj
     hand = lowrank.InterpDecomp(skel=idp.skel, proj=3 * idp.proj, rank=idp.rank,
                                 achieved_error=0.0)
     assert hand.max_entry == 3 * idp.max_entry
     assert replace(idp, proj=3 * idp.proj).max_entry == 3 * idp.max_entry
-
-
-def test_degraded_cut_and_row_id_warn_at_the_caller():
-    K = kahan(100)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        idp = id_rows(K.T, 0.05)
-        idp.cut(idp.rank + 1)
-    assert len(caught) == 2
-    assert all(w.category is AccuracyWarning and w.filename == __file__ for w in caught)
 
 
 def test_degraded_id_called_back_from_skelkit_warns_at_the_caller():

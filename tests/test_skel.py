@@ -396,9 +396,10 @@ def test_symmetric_shortcut_is_bit_identical(case):
 
 
 def _gram_route_shapes(monkeypatch):
-    """Install a recorder on ``skel.id_gram``: the (m, n) shape of the
-    target of each Gram-route ID, its row blocks stacked."""
-    shapes, real_gram = [], skel.id_gram
+    """Install a recorder on ``lowrank.id_gram``, the name through which
+    ``lowrank._target_id`` calls it: the (m, n) shape of the target of each
+    Gram-route ID, its row blocks stacked."""
+    shapes, real_gram = [], lowrank.id_gram
 
     def recording_gram(halves, eps):
         halves = [list(h) for h in halves]
@@ -406,7 +407,7 @@ def _gram_route_shapes(monkeypatch):
         shapes.append((sum(X.shape[0] for X in blocks), blocks[0].shape[1]))
         return real_gram(halves, eps)
 
-    monkeypatch.setattr(skel, "id_gram", recording_gram)
+    monkeypatch.setattr(lowrank, "id_gram", recording_gram)
     return shapes
 
 
@@ -442,11 +443,11 @@ def test_tall_qr_first_keeps_cube_skeletons(monkeypatch):
         cm = compress(spec, pts, tree, eps)
         tall = [(m, n) for m, n in shapes + gram_shapes if lowrank._tall(m, n)]
         assert len(shapes) + len(gram_shapes) == sum(len(lv.nodes) for lv in cm.levels)
-        assert len(tall) >= 4
+        assert shapes and len(tall) >= 4
         if eps >= lowrank._GRAM_MIN_EPS:
             assert [s for s in gram_shapes if lowrank._tall(*s)] == tall and not geqrf_calls
-            assert all(lowrank.gram_route(m, n, eps) for m, n in gram_shapes)
-            assert not any(lowrank.gram_route(m, n, eps) for m, n in shapes)
+            assert all(lowrank._gram_route(m, n, eps) for m, n in gram_shapes)
+            assert not any(lowrank._gram_route(m, n, eps) for m, n in shapes)
         else:
             assert not gram_shapes and len(geqrf_calls) == len(tall)
 
@@ -471,13 +472,13 @@ def test_bie_below_the_gram_floor_never_takes_the_route(monkeypatch):
     monkeypatch.setattr(lowrank, "_QR_FIRST_MIN_COLS", 16)
     monkeypatch.setattr(lowrank, "_GRAM_MIN_COLS", 16)
     gram_shapes = _gram_route_shapes(monkeypatch)
-    shapes, real_id = [], skel.id_fixed_precision
+    shapes, real_id = [], lowrank.id_fixed_precision
 
     def recording_id(A, eps, **kwargs):
         shapes.append(A.shape)
         return real_id(A, eps, **kwargs)
 
-    monkeypatch.setattr(skel, "id_fixed_precision", recording_id)
+    monkeypatch.setattr(lowrank, "id_fixed_precision", recording_id)
     system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
     bie.compress_system(system, 1e-9)
     assert not gram_shapes
@@ -577,13 +578,13 @@ def _caught_compression(case, monkeypatch):
     ("single", True), ("double", False), ("weighted", False), ("custom", False),
     ("laplace_bie", False), ("helmholtz_bie", False), ("scatterer", False)])
 def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
-    ids, real_id = [], skel.id_fixed_precision
+    ids, real_id = [], lowrank.id_fixed_precision
 
     def counting_id(*args, **kwargs):
         ids.append(1)
         return real_id(*args, **kwargs)
 
-    monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    monkeypatch.setattr(lowrank, "id_fixed_precision", counting_id)
     gram_shapes = _gram_route_shapes(monkeypatch)
     source, tree, cm = _caught_compression(case, monkeypatch)
     # a source without the attribute takes the joint ID
@@ -592,6 +593,9 @@ def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
     nodes = len(_compressed_nodes(tree, cm))
     assert nodes > 0
     assert len(ids) + len(gram_shapes) == nodes
+    # each recorder sees the IDs of its route: the stacked QR everywhere,
+    # the Gram route on the Helmholtz targets of 64 columns and more
+    assert ids and bool(gram_shapes) == (case in ("helmholtz_bie", "scatterer"))
 
 
 @pytest.mark.parametrize("case", ["double", "weighted", "custom", "laplace_bie",
@@ -764,7 +768,7 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
     # A tall target goes to the Gram route as the row blocks of its halves,
     # in order.
     source, tree = _volume_source("square", symmetric)
-    captured, real_id, real_gram = [], skel.id_fixed_precision, skel.id_gram
+    captured, real_id, real_gram = [], lowrank.id_fixed_precision, lowrank.id_gram
 
     def capture(A, eps, **kwargs):
         captured.append(("qr", [np.array(A)]))
@@ -775,8 +779,8 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
         captured.append(("gram", [np.vstack(h) for h in halves]))
         return real_gram(halves, eps)
 
-    monkeypatch.setattr(skel, "id_fixed_precision", capture)
-    monkeypatch.setattr(skel, "id_gram", capture_gram)
+    monkeypatch.setattr(lowrank, "id_fixed_precision", capture)
+    monkeypatch.setattr(lowrank, "id_gram", capture_gram)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         cm = compress_source(source, tree, 1e-6, mode="global")
@@ -821,13 +825,13 @@ def test_in_place_targets_give_the_copying_bytes(case, monkeypatch):
         system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 4096), LAPLACE2)
         run = lambda: bie.compress_system(system, 1e-9)[1]
     in_place = serialize_compressed(run())
-    handed, real_id = [], skel.id_fixed_precision
+    handed, real_id = [], lowrank.id_fixed_precision
 
     def copying_id(A, eps, **kwargs):
         handed.append((A.flags.f_contiguous, kwargs.pop("overwrite_a", False)))
         return real_id(np.array(A), eps, **kwargs)
 
-    monkeypatch.setattr(skel, "id_fixed_precision", copying_id)
+    monkeypatch.setattr(lowrank, "id_fixed_precision", copying_id)
     assert serialize_compressed(run()) == in_place
     assert handed and all(f and o for f, o in handed)
 
@@ -854,13 +858,13 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
     # a leaf that stopped early is listed again in each coarser cover, as
     # its own only child; it was compressed against the same box below, so
     # it keeps every DOF with L = R = I and a zero D, and takes no ID
-    ids, real_id = [], skel.id_fixed_precision
+    ids, real_id = [], lowrank.id_fixed_precision
 
     def counting_id(*args, **kwargs):
         ids.append(1)
         return real_id(*args, **kwargs)
 
-    monkeypatch.setattr(skel, "id_fixed_precision", counting_id)
+    monkeypatch.setattr(lowrank, "id_fixed_precision", counting_id)
     gram_shapes = _gram_route_shapes(monkeypatch)
     if case == "cloud":
         eps = 1e-6
@@ -877,6 +881,8 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
                if _carried(tree, li, a, nd)]
     assert len(carried) >= 40
     assert len(ids) + len(gram_shapes) == len(_compressed_nodes(tree, cm))
+    # the ellipse at eps 1e-9 is below the Gram route's floor
+    assert ids and bool(gram_shapes) == (case == "cloud")
     for li, nd in carried:
         # every DOF, that is every skeleton of its only child, survives
         child = cm.levels[li - 1].nodes[nd.children[0]]
