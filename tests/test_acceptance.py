@@ -168,16 +168,28 @@ def test_criterion_6_error_bound_property():
                    f"kappa={kappa:.2f}, ratios {ratios}; {t.elapsed:.1f}s")
 
 
+def _fastest_sweep(config, rounds=3):
+    """Records of ``rounds`` whole sweeps, each N's Tcm the fastest of all.
+    Each sweep already keeps the fastest of three compressions per N; the
+    rounds spread those over the run, so a burst of load on a shared machine
+    that slows one N's compressions does not bend the fitted slope."""
+    recs = run(config)
+    for _ in range(rounds - 1):
+        for rec, again in zip(recs, run(config)):
+            rec.Tcm = min(rec.Tcm, again.Tcm)
+    return recs
+
+
 def test_criterion_7_scaling_exponents():
     ns = (1024, 2048, 4096, 8192, 16384)
     with Timer() as t:
         # leaf 128 keeps the d=1 sweep BLAS-bound rather than dominated by
         # per-node dispatch, so the measured slope reflects the O(N) theory
-        recs_c = run(RunConfig(experiment="sweep", geometry="circle", ns=ns,
-                               eps=1e-9, max_leaf=128))
+        recs_c = _fastest_sweep(RunConfig(experiment="sweep", geometry="circle",
+                                          ns=ns, eps=1e-9, max_leaf=128))
         slope_c = fit_exponent(recs_c)
-        recs_s = run(RunConfig(experiment="sweep", geometry="square", ns=ns,
-                               eps=1e-6))
+        recs_s = _fastest_sweep(RunConfig(experiment="sweep", geometry="square",
+                                          ns=ns, eps=1e-6))
         slope_s = fit_exponent(recs_s)
     ok = 0.8 <= slope_c <= 1.3 and 1.2 <= slope_s <= 1.8 and t.elapsed < 600.0
     _report(7, ok, f"compression-time slopes: circle {slope_c:.2f} in [0.8,1.3], "

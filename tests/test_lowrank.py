@@ -326,6 +326,29 @@ def test_tall_qr_first_matches_plain_pivoting(cplx, lapack_calls):
     assert reconstruction_error(A, idp) <= 10 * eps * np.sqrt(1 + rank * (n - rank))
 
 
+def test_tall_qr_first_cut(lapack_calls):
+    # the pivots do not depend on eps: each tighter eps cuts the same
+    # QR-first factor at a larger rank
+    A = tall_block(False, seed=4)
+    n = A.shape[1]
+    piv, R, _, _ = pivoted_qr(A, 1e-4)
+    assert "geqrf" in lapack_calls and R.shape == (n, n)
+    ranks, errs = [], []
+    for eps in (1e-4, 5e-5, 3e-5, 2e-5):
+        idp = id_fixed_precision(A, eps)
+        k = idp.rank
+        assert idp.proj.shape == (k, n)
+        assert np.array_equal(idp.proj[:, idp.skel], np.eye(k))  # tolerance 0
+        skel, proj = interp_at(piv, R, k)
+        assert np.array_equal(idp.skel, skel)
+        np.testing.assert_allclose(idp.proj, proj, rtol=0, atol=1e-12)
+        ranks.append(k)
+        errs.append(reconstruction_error(A, idp))
+        assert errs[-1] <= 10 * eps * np.sqrt(1 + k * (n - k))
+    assert all(a < b for a, b in zip(ranks, ranks[1:])) and ranks[-1] < n
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
 def test_tall_zero_columns_are_never_skeletons(lapack_calls):
     m, n = TALL
     idp = id_fixed_precision(np.zeros(TALL), 1e-9)
