@@ -6,7 +6,7 @@ from .errors import (AccuracyWarning, InvalidInput, NotConverged,
                      RefusedTooLarge, SingularBlock, SkelkitError)
 from .geom import OrthTree, PointSet, build_tree, neighbors
 from .kernels import KernelSpec, bessel_h0, eval_block
-from .lowrank import InterpDecomp, id_fixed_precision, id_randomized
+from .lowrank import InterpDecomp, id_fixed_precision
 from .skel import (CompressedMatrix, ProxyConfig, apply, compress,
                    compress_source, load_compressed, proxy_points,
                    save_compressed)
@@ -21,7 +21,7 @@ __all__ = [
     "SingularBlock", "SkelkitError",
     "OrthTree", "PointSet", "build_tree", "neighbors",
     "KernelSpec", "bessel_h0", "eval_block",
-    "InterpDecomp", "id_fixed_precision", "id_randomized",
+    "InterpDecomp", "id_fixed_precision",
     "CompressedMatrix", "ProxyConfig", "apply", "compress", "compress_source",
     "load_compressed", "proxy_points", "save_compressed",
     "FactoredInverse", "SparseEmbedding", "assemble_embedding",

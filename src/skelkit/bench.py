@@ -69,6 +69,10 @@ class RunConfig:
         self.ns = ns
         if not 0 < self.eps < 1:
             raise InvalidInput("eps must lie in (0, 1)")
+        if not 0 < self.tol < 1:
+            raise InvalidInput("tol must lie in (0, 1)")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         axes = self.geometry_params
         if self.geometry == "ellipse" and not (
                 len(axes) == 2 and all(0 < v < np.inf for v in axes)):

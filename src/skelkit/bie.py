@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AccuracyWarning, InvalidInput
 from .geom import PointSet, build_tree
 from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
-from .skel import KernelSource, ProxyConfig, _offsets, compress_source
+from .skel import KernelSource, ProxyConfig, _index, _offsets, compress_source
 from .solver import factor, solve
 
 # Two-sided Kapur-Rokhlin correction weights of order 10 for integrands of
@@ -78,6 +78,7 @@ class Curve2D:
 
 def ellipse(a, b, n) -> Curve2D:
     """Ellipse with semi-axes a, b, counterclockwise, n nodes."""
+    n = _index(n, "n")
     if a <= 0 or b <= 0 or n < 4:
         raise InvalidInput("need positive semi-axes and n >= 4")
     t = 2 * np.pi * np.arange(n) / n
@@ -95,6 +96,7 @@ def circle(radius, n) -> Curve2D:
 
 def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
     """Three-lobed curve r(theta) = (2 + cos 3 theta)/6, counterclockwise."""
+    n = _index(n, "n")
     if n < 8:
         raise InvalidInput("need n >= 8")
     t = 2 * np.pi * np.arange(n) / n
@@ -215,10 +217,20 @@ def point_source_data(curve: Curve2D, source, spec: KernelSpec) -> np.ndarray:
     return eval_block(sspec, tgt, src)[:, 0]
 
 
+def _density(curve, density):
+    """``density`` as an array with one row per node of ``curve``."""
+    density = np.asarray(density)
+    if density.shape[:1] != (curve.n,):
+        raise InvalidInput(f"density of length {len(np.atleast_1d(density))} "
+                           f"on a curve of {curve.n} nodes")
+    return density
+
+
 def eval_interior(curve: Curve2D, density, spec: KernelSpec, targets) -> np.ndarray:
     """Double-layer potential of ``density`` at interior targets via the
     trapezoidal rule.  Targets within two node spacings of the curve get an
     AccuracyWarning (the result is returned regardless)."""
+    density = _density(curve, density)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     for p in targets:
         if not contains(curve, p):
@@ -229,7 +241,7 @@ def eval_interior(curve: Curve2D, density, spec: KernelSpec, targets) -> np.ndar
                       "quadrature accuracy degrades near the curve", AccuracyWarning)
     dspec = KernelSpec(spec.equation, 2, "double", spec.wavenumber)
     block = eval_block(dspec, PointSet(targets), curve.point_set())
-    return block @ np.asarray(density)
+    return block @ density
 
 
 def compress_system(system, eps, max_leaf_size=None,
@@ -258,7 +270,7 @@ def solve_dirichlet(system: BieSystem, rhs, eps, max_leaf_size=None):
 
 def write_density_csv(path, curve: Curve2D, density):
     """Solution density along a curve as CSV: t, x, y, re(sigma), im(sigma)."""
-    density = np.asarray(density)
+    density = _density(curve, density)
     with open(path, "w") as f:
         f.write("t,x,y,sigma_re,sigma_im\n")
         for i in range(curve.n):

@@ -6,9 +6,7 @@ deterministic path is one column-pivoted QR (LAPACK geqp3) per ID, and only
 the skeleton and P are kept.  A tall block (m >= 2n, n >= 192) is first
 reduced to its n x n triangle by a blocked, unpivoted QR (LAPACK geqrf), and
 geqp3 runs on that triangle: the pivots and R are those of A, but most of
-the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.  The
-randomized path sketches with a Gaussian test matrix first and falls back
-to deterministic when its a-posteriori probe check fails.
+the work is BLAS-3 instead of geqp3's BLAS-2 column-norm updates.
 
 A compression hands each node's target to ``_target_id`` as row blocks,
 which picks the route: at eps >= _GRAM_MIN_EPS (about 4.7e-7) a tall
@@ -61,7 +59,8 @@ _PKG_DIR = os.path.dirname(__file__) + os.sep
 @dataclass
 class InterpDecomp:
     """skel: retained column indices (pivot order); proj: k x n matrix with
-    proj[:, skel] == I exactly; achieved_error: estimated ||A - BP|| / ||A||.
+    proj[:, skel] == I exactly; achieved_error: |R_kk| / |R_00| at k = rank
+    (0 if no pivot was rejected), or ``id_gram``'s equivalent of that ratio.
 
     max_entry is max |proj|, read off proj when the ID is built: at most 2
     unless pivoting degraded on this block."""
@@ -74,22 +73,6 @@ class InterpDecomp:
 
     def __post_init__(self):
         self.max_entry = float(np.abs(self.proj).max(initial=0.0))
-
-
-def _check_matrix(A):
-    A = np.asarray(A)
-    if A.dtype.kind not in "fc":
-        A = A.astype(np.float64)
-    if A.ndim != 2:
-        raise InvalidInput("expected a 2D matrix")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInput("matrix has non-finite entries")
-    return A
-
-
-def _ratio(R, k):
-    d = np.abs(np.diagonal(R))
-    return float(d[k] / d[0]) if k < d.size and d[0] > 0 else 0.0
 
 
 def _tall(m, n):
@@ -140,7 +123,8 @@ def pivoted_qr(A, eps, *, overwrite_a=False):
     d = np.abs(np.diagonal(R))
     stop = np.flatnonzero(d <= eps * d[0])
     rank = int(stop[0]) if stop.size else kmax
-    return jpvt.astype(np.int64) - 1, R, rank, _ratio(R, rank)
+    ratio = float(d[rank] / d[0]) if rank < kmax and d[0] > 0 else 0.0
+    return jpvt.astype(np.int64) - 1, R, rank, ratio
 
 
 def _warn(message, quiet_inside=False):
@@ -172,8 +156,8 @@ def _interp(piv, R, k, dtype):
     P[np.arange(k), piv[:k]] = 1.0
     if 0 < k < n:
         # R[:k, :k] x = R[:k, k:] by LAPACK trtrs, called as scipy's
-        # solve_triangular calls it (R is the factor of a block
-        # _check_matrix found finite): a triangle that is not F-contiguous
+        # solve_triangular calls it (R is the factor of a block already
+        # found finite): a triangle that is not F-contiguous
         # goes in as the lower triangle of its transpose, transposed again
         a, b = R[:k, :k], R[:k, k:]
         trtrs, = get_lapack_funcs(("trtrs",), (a, b))
@@ -208,7 +192,13 @@ def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
     """
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
-    A = _check_matrix(A)
+    A = np.asarray(A)
+    if A.dtype.kind not in "fc":
+        A = A.astype(np.float64)
+    if A.ndim != 2:
+        raise InvalidInput("expected a 2D matrix")
+    if not np.all(np.isfinite(A)):
+        raise InvalidInput("matrix has non-finite entries")
     piv, R, rank, ratio = pivoted_qr(A, eps, overwrite_a=overwrite_a)
     skel, proj = _interp(piv, R, rank, A.dtype)
     return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=ratio))
@@ -303,65 +293,3 @@ def _target_id(halves, shape, eps) -> InterpDecomp:
     t = np.concatenate(parts, out=np.empty(shape, np.result_type(*parts), order="F"))
     del parts
     return id_fixed_precision(t, eps, overwrite_a=True)
-
-
-def _spectral_norm_estimate(A, rng, iters=8):
-    v = rng.standard_normal(A.shape[1])
-    if A.dtype.kind == "c":
-        v = v + 1j * rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    s = 0.0
-    for _ in range(iters):
-        w = A @ v
-        v = A.conj().T @ w
-        s = np.linalg.norm(v) ** 0.5
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-    return float(s)
-
-
-def id_randomized(A, eps, oversampling=10, seed=0) -> InterpDecomp:
-    """Randomized column ID: Gaussian sketch with adaptive size doubling,
-    verified a posteriori on 5 random probe vectors; falls back to the
-    deterministic path if the probes see more than 3*eps*||A|| error."""
-    if not 0 < eps < 1:
-        raise InvalidInput("eps must lie in (0, 1)")
-    if oversampling < 4:
-        raise InvalidInput("oversampling must be >= 4")
-    A = _check_matrix(A)
-    m, n = A.shape
-    rng = np.random.default_rng(seed)
-    cplx = A.dtype.kind == "c"
-
-    normA = _spectral_norm_estimate(A, rng) if A.size else 0.0
-    if normA == 0.0:
-        return id_fixed_precision(A, eps)
-
-    ell = 2 * oversampling
-    while True:
-        if ell >= m:
-            return id_fixed_precision(A, eps)
-        Om = rng.standard_normal((ell, m))
-        if cplx:
-            Om = Om + 1j * rng.standard_normal((ell, m))
-        Y = Om @ A
-        piv, R, rank, ratio = pivoted_qr(Y, eps)
-        if rank <= ell - oversampling:
-            break
-        ell *= 2
-
-    skel, proj = _interp(piv, R, rank, A.dtype)
-
-    # a-posteriori check on random probes
-    worst = 0.0
-    for _ in range(5):
-        v = rng.standard_normal(n)
-        if cplx:
-            v = v + 1j * rng.standard_normal(n)
-        err = np.linalg.norm(A @ v - A[:, skel] @ (proj @ v))
-        worst = max(worst, err / (normA * np.linalg.norm(v)))
-    if worst > 3 * eps:
-        return id_fixed_precision(A, eps)
-    return _reported(InterpDecomp(skel=skel, proj=proj, rank=rank, achieved_error=worst))

@@ -27,13 +27,24 @@ from .errors import InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
 from .lowrank import _above_two, _target_id, _warn
-# unused here; bound only for the benchmark tracer, which wraps them by name
-# as skel.id_fixed_precision and skel.id_randomized
-from .lowrank import id_fixed_precision, id_randomized  # noqa: F401
+# unused here: benchmark/spans.py::patch_table, their only reader, wraps both
+# by name.  id_randomized is deleted (ROADMAP item 2); None satisfies the
+# tracer's getattr until ROADMAP item 1a removes both lines.
+from .lowrank import id_fixed_precision  # noqa: F401
+id_randomized = None
 
 DEFAULT_N_PROXY = {2: 64, 3: 512}
 
 GLOBAL_MODE_LIMIT = 20000
+
+
+def _index(value, what):
+    """``value`` as an int (numpy integers pass), or InvalidInput naming
+    ``what``: a count must not be fractional."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -46,11 +57,8 @@ class ProxyConfig:
     radius_factor: float = 1.0
 
     def resolve(self, dim):
-        n = self.n_proxy if self.n_proxy is not None else DEFAULT_N_PROXY[dim]
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise InvalidInput(f"n_proxy must be an integer, got {n!r}") from None
+        n = _index(self.n_proxy if self.n_proxy is not None else DEFAULT_N_PROXY[dim],
+                   "n_proxy")
         # a zero radius stacks every proxy point at the box centre
         r = self.radius_factor
         if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):

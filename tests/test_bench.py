@@ -160,6 +160,11 @@ def test_cli_main(tmp_path, capsys):
     assert rc == 2
     rc = main(["solve_bench", "--n", "256", "--regularize", "nan"])
     assert rc == 2
+    # a negative seed, and a GMRES tolerance outside (0, 1)
+    for bad in (["apply_bench", "--geometry", "square", "--n", "256", "--seed", "-1"],
+                ["scatter_demo", "--n", "64", "--tol", "2"]):
+        assert main(bad) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     # malformed numbers, an ellipse without two positive semi-axes, and
     # parameters the geometry does not read
     for bad in (["--n", "1024,"], ["--geometry", "ellipse:x,1"], ["--geometry", "ellipse:2"],

@@ -44,6 +44,15 @@ class TestCurves:
         kappa0 = (r0 ** 2 - r0 * ddr0) / r0 ** 3
         assert c.curvature[0] == pytest.approx(kappa0, rel=1e-12)
 
+    @pytest.mark.parametrize("make", [lambda n: bie.ellipse(1.0, 1.0, n), bie.trefoil])
+    def test_node_count_must_be_an_integer(self, make):
+        # 64.5 nodes would give 65, with weights short of the length
+        with pytest.raises(InvalidInput, match="integer"):
+            make(64.5)
+        with pytest.raises(InvalidInput, match="integer"):
+            make(64.0)
+        assert make(np.int64(64)).n == 64
+
     def test_winding(self):
         c = bie.ellipse(2.0, 1.0, 128)
         assert bie.contains(c, (0.0, 0.0))
@@ -195,6 +204,14 @@ class TestEvalInterior:
         curve = bie.circle(1.0, 64)
         with pytest.warns(AccuracyWarning):
             bie.eval_interior(curve, np.ones(64), LAPLACE2, (0.999, 0.0))
+
+    def test_density_length_must_match(self, tmp_path):
+        curve = bie.circle(1.0, 64)
+        for density in (np.ones(63), np.ones((65, 2))):
+            with pytest.raises(InvalidInput, match=f"{len(density)} on a curve of 64"):
+                bie.eval_interior(curve, density, LAPLACE2, (0.1, 0.1))
+            with pytest.raises(InvalidInput, match=f"{len(density)} on a curve of 64"):
+                bie.write_density_csv(tmp_path / "d.csv", curve, density)
 
     def test_exterior_target_rejected(self):
         curve = bie.circle(1.0, 64)

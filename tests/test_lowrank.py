@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skelkit import KernelSpec, PointSet, eval_block, lowrank
 from skelkit.errors import AccuracyWarning, InvalidInput
-from skelkit.lowrank import id_fixed_precision, id_gram, id_randomized, pivoted_qr
+from skelkit.lowrank import id_fixed_precision, id_gram, pivoted_qr
 from skelkit.skel import ProxyConfig, proxy_points
 from skelkit.solver import gmres
 
@@ -90,29 +90,6 @@ def test_row_id_is_the_id_of_the_transpose():
     idr = id_fixed_precision(B.T, 1e-10)
     assert idr.rank == 3
     assert np.linalg.norm(B - idr.proj.T @ B[idr.skel, :]) <= 1e-8 * np.linalg.norm(B)
-
-
-def test_randomized_matches_deterministic():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((120, 3)) @ rng.standard_normal((3, 80))
-    idz = id_randomized(A, 1e-10, seed=1)
-    assert idz.rank == 3
-    assert reconstruction_error(A, idz) <= 1e-8
-
-    assert id_randomized(np.zeros((10, 10)), 1e-9).rank == 0
-
-    for seed in range(3):
-        B = decay_matrix(100, 90, "geometric", seed)
-        det = id_fixed_precision(B, 1e-9)
-        rnd = id_randomized(B, 1e-9, seed=seed)
-        e_det = reconstruction_error(B, det)
-        e_rnd = reconstruction_error(B, rnd)
-        assert e_rnd <= 10 * max(e_det, 1e-9)
-
-
-def test_randomized_validation():
-    with pytest.raises(InvalidInput):
-        id_randomized(np.eye(4), 1e-9, oversampling=2)
 
 
 def test_projection_identity_is_exact():
@@ -248,7 +225,6 @@ def test_zero_and_empty_inputs():
         assert sorted(piv.tolist()) == list(range(shape[1]))
         idp = id_fixed_precision(A, 1e-9)
         assert idp.rank == 0 and idp.proj.shape == (0, shape[1])
-        assert id_randomized(A, 1e-9).rank == 0
 
 
 def test_id_is_exact_and_equals_scipy_pivoted_qr():
