@@ -73,6 +73,8 @@ class RunConfig:
             raise InvalidInput("tol must lie in (0, 1)")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
+        if self.export_mm and self.experiment == "scatter_demo":
+            raise InvalidInput("scatter_demo builds no compressed matrix to export")
         axes = self.geometry_params
         if self.geometry == "ellipse" and not (
                 len(axes) == 2 and all(0 < v < np.inf for v in axes)):
@@ -267,7 +269,7 @@ def run(config: RunConfig):
         else:
             rec = _scatter_demo_one(config, n)[0]
         records.append(rec)
-    if config.export_mm and last_cm is not None:
+    if config.export_mm:
         export_matrix_market(assemble_embedding(last_cm), config.export_mm)
     if config.out:
         write_csv(records, config.out)

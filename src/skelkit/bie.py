@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, InvalidInput
-from .geom import PointSet, build_tree
+from .geom import PointSet, _index, build_tree
 from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
-from .skel import KernelSource, ProxyConfig, _index, _offsets, compress_source
+from .skel import KernelSource, ProxyConfig, _offsets, compress_source
 from .solver import factor, solve
 
 # Two-sided Kapur-Rokhlin correction weights of order 10 for integrands of

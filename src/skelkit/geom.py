@@ -7,6 +7,7 @@ root alone.  A leaf whose subdivision stopped early is listed again at every
 finer level it spans, so each level is a full partition of ``0..N-1``.
 """
 
+import operator
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +22,15 @@ ROOT_PAD = 1e-12
 
 # hard cap; beyond this, duplicated points are left together in one leaf
 _MAX_DEPTH = 60
+
+
+def _index(value, what):
+    """``value`` as an int (numpy integers pass), or InvalidInput naming
+    ``what``: a count must not be fractional."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -133,6 +143,7 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
     n = points.n
     if max_leaf_size is None:
         max_leaf_size = DEFAULT_MAX_LEAF[d]
+    max_leaf_size = _index(max_leaf_size, "max_leaf_size")
     if max_leaf_size < 1:
         raise InvalidInput("max_leaf_size must be >= 1")
     if not np.all(np.isfinite(coords)):

@@ -155,16 +155,13 @@ def _interp(piv, R, k, dtype):
     P = np.zeros((k, n), dtype=dtype)
     P[np.arange(k), piv[:k]] = 1.0
     if 0 < k < n:
-        # R[:k, :k] x = R[:k, k:] by LAPACK trtrs, called as scipy's
-        # solve_triangular calls it (R is the factor of a block already
-        # found finite): a triangle that is not F-contiguous
-        # goes in as the lower triangle of its transpose, transposed again
+        # R[:k, :k] x = R[:k, k:] by LAPACK trtrs (R is the factor of a block
+        # already found finite).  Both callers pass np.triu output, which is
+        # row-major, so the triangle goes in as the lower triangle of its
+        # transpose, transposed again, without a copy
         a, b = R[:k, :k], R[:k, k:]
         trtrs, = get_lapack_funcs(("trtrs",), (a, b))
-        if a.flags.f_contiguous:
-            x, info = trtrs(a, b, lower=False, trans=0)
-        else:
-            x, info = trtrs(a.T, b, lower=True, trans=1)
+        x, info = trtrs(a.T, b, lower=True, trans=1)
         if info:
             raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
         P[:, piv[k:]] = x

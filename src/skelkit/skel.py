@@ -17,14 +17,13 @@ import functools
 import math
 import mmap
 import numbers
-import operator
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInput, RefusedTooLarge
-from .geom import OrthTree, PointSet, fibonacci_sphere, level_neighbors
+from .geom import OrthTree, PointSet, _index, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
 from .lowrank import _above_two, _target_id, _warn
 # unused here: benchmark/spans.py::patch_table, their only reader, wraps both
@@ -36,15 +35,6 @@ id_randomized = None
 DEFAULT_N_PROXY = {2: 64, 3: 512}
 
 GLOBAL_MODE_LIMIT = 20000
-
-
-def _index(value, what):
-    """``value`` as an int (numpy integers pass), or InvalidInput naming
-    ``what``: a count must not be fractional."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -274,8 +264,7 @@ def _telescope(levels, top, n, perm, dtype, x):
         off, k_off = lv.dof_off.tolist(), lv.k_off.tolist()
         nxt = np.empty((lv.K, nrhs), dtype=dtype)
         for a, (up, _, _) in enumerate(lv.blocks):
-            if up.shape[0]:
-                mul(up, u[off[a]:off[a + 1]], out=nxt[k_off[a]:k_off[a + 1]])
+            mul(up, u[off[a]:off[a + 1]], out=nxt[k_off[a]:k_off[a + 1]])
         u = nxt
     v = top(u)
     for lv in reversed(levels):
@@ -285,13 +274,11 @@ def _telescope(levels, top, n, perm, dtype, x):
         for a, (_, diag, down) in enumerate(lv.blocks):
             # each product is written straight into a slice: diag's into w;
             # once diag has read the node's (square) slice of u, down's
-            # product takes its place, and u is added to w once per level
+            # product takes its place (exact zeros at rank 0, where out= is
+            # zero-filled), and u is added to w once per level
             s = slice(off[a], off[a + 1])
             mul(diag, u[s], out=w[s])
-            if down.shape[1]:
-                mul(down, v[k_off[a]:k_off[a + 1]], out=u[s])
-            else:
-                u[s] = 0
+            mul(down, v[k_off[a]:k_off[a + 1]], out=u[s])
         w += u
         v = w
 
@@ -303,20 +290,13 @@ def _telescope(levels, top, n, perm, dtype, x):
 
 
 def _cover_children(tree, cover_prev, cover):
-    """For each node of ``cover``, positions of its members in ``cover_prev``
-    (both sorted by range start).  A leaf that stopped early is listed in
-    both covers and is its own only child: ``compress_source`` carries it
-    through with every DOF its skeleton, so L = R = I."""
-    out = []
-    j = 0
-    for nid in cover:
-        nd = tree.nodes[nid]
-        kids = []
-        while j < len(cover_prev) and tree.nodes[cover_prev[j]].lo < nd.hi:
-            kids.append(j)
-            j += 1
-        out.append(np.array(kids, dtype=np.int64))
-    return out
+    """For each node of ``cover``, the ascending positions of its children
+    in the next finer cover ``cover_prev``: ``build_tree`` lists children in
+    range order, as covers are sorted.  A leaf that stopped early is listed
+    in both covers as its own only child; ``compress_source`` carries it."""
+    at = {nid: j for j, nid in enumerate(cover_prev)}
+    return [np.array([at[c] for c in tree.nodes[nid].children or [nid]], dtype=np.int64)
+            for nid in cover]
 
 
 def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
@@ -377,10 +357,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        matrix of the blocks, taken one at a time, for a tall target of at
        least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``, and otherwise
        ``id_fixed_precision`` on one column-major stack of them, factored
-       in place.  A carried node, a leaf listed again in this cover as its
-       own only child, was compressed against the same box one level down,
-       so it takes no proxy surface, far field or ID: it keeps every DOF,
-       with L = R = I, which is what an ID that finds full rank gives.
+       in place.  A carried node, a leaf above the finest cover (its own
+       only child), was compressed against the same box one level down, so
+       it takes no proxy surface, far field or ID: it keeps every DOF, with
+       L = R = I, which is what an ID that finds full rank gives.
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
@@ -459,8 +439,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         def build_node(a):
             d = dofs[a]
             D = np.ascontiguousarray(_blk(d, d), dtype=dtype) if Ds is None else Ds[a]
-            if li and covers[li - 1][children[a][0]] == ids[a]:
-                # carried: its only child is itself, so its D is zero
+            if li and not tree.nodes[ids[a]].children:
+                # carried: a leaf above the finest cover, so its D is zero
                 R = np.eye(d.size, dtype=dtype)
                 return CompressedNode(skel=d, D=D, L=_transposed(R), R=R,
                                       children=children[a]), np.arange(d.size)

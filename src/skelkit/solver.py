@@ -298,7 +298,8 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     the solve) below 1e-14 are recorded in ``warnings`` rather than
     aborting.  ``regularize``, a finite real, adds delta*I to every D_eff
     and to the top block before factorization (off by default)."""
-    if not isinstance(regularize, numbers.Real) or not np.isfinite(regularize):
+    if (not isinstance(regularize, numbers.Real) or isinstance(regularize, bool)
+            or not np.isfinite(regularize)):
         raise InvalidInput(f"regularize must be a finite real, got {regularize!r}")
     dtype = cm.dtype
     warnings_list = []

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from skelkit import bie
-from skelkit.bench import RunConfig, fit_exponent, run
+from skelkit import bie, skel
+from skelkit.bench import RunConfig, fit_exponent, make_points, run
 from skelkit.errors import NotConverged
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, eval_block
@@ -194,6 +194,41 @@ def test_criterion_7_scaling_exponents():
     ok = 0.8 <= slope_c <= 1.3 and 1.2 <= slope_s <= 1.8 and t.elapsed < 600.0
     _report(7, ok, f"compression-time slopes: circle {slope_c:.2f} in [0.8,1.3], "
                    f"square {slope_s:.2f} in [1.2,1.8]; {t.elapsed:.0f}s")
+
+
+def test_compression_counts_scale_as_criterion_7(monkeypatch):
+    # criterion 7's two compressions, one per N, counted rather than timed:
+    # the kernel entries skel evaluates, and each ID target's modelled QR
+    # flops, 2 M K^2 - 2 K^3 / 3 with K the shorter side.  Counts repeat
+    # exactly under any load; measured slopes (numpy 2.4 / scipy 1.17):
+    # circle 1.05 entries and 1.08 flops, square 1.32 and 1.69
+    entries, flops = [0], [0]
+    real_eval, real_id = skel.eval_block, skel._target_id
+
+    def counting_eval(spec, targets, sources):
+        entries[0] += targets.n * sources.n
+        return real_eval(spec, targets, sources)
+
+    def counting_id(halves, shape, eps):
+        k, m = sorted(shape)
+        flops[0] += 2 * m * k * k - 2 * k ** 3 / 3
+        return real_id(halves, shape, eps)
+
+    monkeypatch.setattr(skel, "eval_block", counting_eval)
+    monkeypatch.setattr(skel, "_target_id", counting_id)
+    slopes = {}
+    for geometry, eps, leaf in (("circle", 1e-9, 128), ("square", 1e-6, None)):
+        counted = []
+        for n in (1024, 2048, 4096, 8192, 16384):
+            entries[0] = flops[0] = 0
+            pts = make_points(geometry, n, 0)
+            compress(LAPLACE2, pts, build_tree(pts, leaf), eps)
+            counted.append((n, entries[0], flops[0]))
+        slopes[geometry] = [fit_exponent([(n, c[i]) for n, *c in counted]) for i in (0, 1)]
+    (ce, cf), (se, sf) = slopes["circle"], slopes["square"]
+    ok = 0.9 <= ce <= 1.2 and 0.9 <= cf <= 1.2 and 1.15 <= se <= 1.5 and 1.5 <= sf <= 1.85
+    _report("7 (counts)", ok, f"entries/flops slopes: circle {ce:.3f}/{cf:.3f} in [0.9,1.2], "
+                              f"square {se:.3f} in [1.15,1.5] / {sf:.3f} in [1.5,1.85]")
 
 
 def test_criterion_8_solve_phase_advantage():

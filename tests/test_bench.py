@@ -174,6 +174,10 @@ def test_cli_main(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["scatter_demo", "--geometry", "trefoil_scatterers:1,2,3"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # scatter_demo builds no compressed matrix, so it has nothing to export
+    mm = tmp_path / "demo.mtx"
+    assert main(["scatter_demo", "--n", "64", "--export-mm", str(mm)]) == 2
+    assert capsys.readouterr().err.startswith("error: ") and not mm.exists()
 
 
 def test_write_csv_roundtrip(tmp_path):

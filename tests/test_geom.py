@@ -174,6 +174,21 @@ def test_invalid_inputs():
         build_tree(uniform_cloud(10), 0)
 
 
+@pytest.mark.parametrize("leaf", [float("nan"), 2.5, 64.0])
+def test_leaf_size_must_be_an_integer(leaf):
+    # a NaN passed the >= 1 check and split every box down to _MAX_DEPTH
+    # (110,612 nodes for 2000 points); 2.5 would act as 2
+    with pytest.raises(InvalidInput, match="max_leaf_size must be an integer"):
+        build_tree(uniform_cloud(2000), leaf)
+
+
+def test_numpy_integer_leaf_size_accepted():
+    pts = uniform_cloud(2000)
+    ref = build_tree(pts, 8)
+    tree = build_tree(pts, np.int64(8))
+    assert tree.levels == ref.levels and np.array_equal(tree.perm, ref.perm)
+
+
 def _full_point_set(n, d, seed):
     rng = np.random.default_rng(seed)
     nrm = rng.standard_normal((n, d))

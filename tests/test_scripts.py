@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("run_desk_suite.py", ["--nmax", "1024"],
      ["apply_circle.csv", "apply_square.csv", "solve_ellipse.csv"]),
     ("scatter_demo.py", ["--n", "64"], ["scatter_demo.csv", "scatter_density.csv"]),
+    ("fingerprint.py", ["--quick"], ["fingerprint.txt"]),
 ])
 def test_script_runs(tmp_path, script, args, outputs):
     env = dict(os.environ)

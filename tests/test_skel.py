@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from skelkit import bie, lowrank, skel
+from skelkit import bie, geom, lowrank, skel
 from skelkit.errors import AccuracyWarning, InvalidInput, RefusedTooLarge
 from skelkit.geom import PointSet, TreeNode, build_tree, level_neighbors
 from skelkit.kernels import KernelSpec, eval_block
@@ -747,6 +747,58 @@ def test_siblings_are_neighbours(case):
                 assert set(ch.tolist()) - {a} <= set(nbrs[a])
                 pairs += len(ch) - 1
     assert pairs > 0
+
+
+def _range_walk(tree, cover_prev, cover):
+    """Reference for ``skel._cover_children``: for each node of ``cover``,
+    the positions of its members in ``cover_prev``, found by walking the
+    index ranges of both covers, which are sorted by range start."""
+    out = []
+    j = 0
+    for nid in cover:
+        kids = []
+        while j < len(cover_prev) and tree.nodes[cover_prev[j]].lo < tree.nodes[nid].hi:
+            kids.append(j)
+            j += 1
+        out.append(np.array(kids, dtype=np.int64))
+    return out
+
+
+@pytest.mark.parametrize("case", ["square", "two_scales", "ellipse", "duplicates", "leaf_1"])
+def test_cover_children_read_from_the_tree(case):
+    # compress_source takes each node's children from the tree, and carries
+    # a node exactly when it is a leaf above the finest cover; the walk over
+    # index ranges is the reference for both
+    rng = np.random.default_rng(201)
+    leaf = None
+    if case == "square":
+        pts = PointSet(rng.random((4096, 2)))
+    elif case == "two_scales":
+        pts = PointSet(np.vstack([0.01 * rng.random((2000, 2)), rng.random((2000, 2))]))
+    elif case == "ellipse":
+        pts = _ellipse_points(16384)
+    elif case == "duplicates":
+        # 50 copies of one point, more than a leaf holds, split to the cap
+        pts = PointSet(np.vstack([rng.standard_normal((1024, 2)), np.full((50, 2), 0.3)]))
+        leaf = 16
+    else:
+        pts, leaf = PointSet(rng.random((500, 2))), 1
+    tree = build_tree(pts, leaf)
+    if case == "duplicates":
+        assert tree.depth == geom._MAX_DEPTH + 1
+    carried = 0
+    for li in range(1, tree.depth):
+        prev, cover = tree.levels[li - 1], tree.levels[li]
+        walk = _range_walk(tree, prev, cover)
+        got = skel._cover_children(tree, prev, cover)
+        assert len(got) == len(walk)
+        for a, nid in enumerate(cover):
+            assert got[a].dtype == np.int64 and np.array_equal(got[a], walk[a])
+            # listed again as its own only child: the rule _carried reads
+            own = prev[walk[a][0]] == nid
+            assert own == (len(walk[a]) == 1 and not tree.nodes[nid].children)
+            carried += own
+    assert carried > 0
 
 
 def test_global_mode_slices_its_targets():

@@ -260,9 +260,10 @@ class TestFactor:
         x = solve(fi, b)
         assert np.linalg.norm(A @ x - b) <= 1e-13 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), "1e-8"])
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), "1e-8", True])
     def test_regularize_must_be_a_finite_real(self, delta):
-        # a nan or inf shift once factored and made solve return non-finite x
+        # a nan or inf shift once factored and made solve return non-finite
+        # x; True, a numbers.Real, once added 1.0 * I
         cm, _ = one_level_synthetic()
         with pytest.raises(InvalidInput, match="regularize"):
             factor(cm, regularize=delta)
