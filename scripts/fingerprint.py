@@ -4,7 +4,7 @@
 Each case compresses and factors one matrix.  The script then hashes the
 compressed and factored containers (``serialize_compressed`` and
 ``serialize_factored``) and the outputs of ``apply`` and ``solve`` on one
-vector and on a block of 16 columns drawn from ``--seed``.  A change meant
+vector and on a block of 16 columns drawn at ``SEED``.  A change meant
 to keep every bit prints the same lines before and after it, so running the
 script on both commits and comparing the files checks bit identity:
 
@@ -34,24 +34,27 @@ from skelkit.kernels import KernelSpec
 from skelkit.skel import apply, compress, serialize_compressed
 from skelkit.solver import factor, serialize_factored, solve
 
+# every random draw: the volume clouds and the apply/solve inputs
+SEED = 201
 
-def _ellipse(n, seed):
+
+def _ellipse(n):
     system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, n), KernelSpec("laplace", 2))
     return bie.compress_system(system, 1e-9)[1]
 
 
-def _volume(dim, n, seed):
-    pts = PointSet(np.random.default_rng(seed).random((n, dim)))
+def _volume(dim, n):
+    pts = PointSet(np.random.default_rng(SEED).random((n, dim)))
     return compress(KernelSpec("laplace", dim), pts, build_tree(pts), 1e-6)
 
 
-def _trefoil(n, seed):
+def _trefoil(n):
     curve = bie.trefoil(n)
     k = 2 * np.pi * 2.0 / curve.diameter()
     return bie.compress_system(bie.scattering_system([curve], k).scatterers[0], 1e-8)[1]
 
 
-# name: (full N, quick N, compressed matrix of N points at a seed)
+# name: (full N, quick N, compressed matrix of N points)
 CASES = {
     "ellipse-bie": (16384, 1024, _ellipse),
     "square": (8192, 1024, functools.partial(_volume, 2)),
@@ -66,12 +69,11 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprint(name, n, build, seed):
+def fingerprint(name, n, build):
     """Lines "<case> <item> <sha256>" for one case."""
-    cm = build(n, seed)
+    cm = build(n)
     fi = factor(cm)
-    rng = np.random.default_rng(seed)
-    draw = rng.standard_normal
+    draw = np.random.default_rng(SEED).standard_normal
     inputs = {"x1": draw(cm.n), "x16": draw((cm.n, 16))}
     if np.iscomplexobj(cm.S):
         inputs = {k: v + 1j * draw(v.shape) for k, v in inputs.items()}
@@ -83,14 +85,13 @@ def fingerprint(name, n, build, seed):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=201)
     ap.add_argument("--quick", action="store_true", help="small N for every case")
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
 
     lines = []
     for name, (n_full, n_quick, build) in CASES.items():
-        for line in fingerprint(name, n_quick if args.quick else n_full, build, args.seed):
+        for line in fingerprint(name, n_quick if args.quick else n_full, build):
             print(line, flush=True)
             lines.append(line)
     outdir = pathlib.Path(args.outdir)

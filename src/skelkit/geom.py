@@ -25,9 +25,10 @@ _MAX_DEPTH = 60
 
 
 def _index(value, what):
-    """``value`` as an int (numpy integers pass), or InvalidInput naming
-    ``what``: a count must not be fractional."""
+    """``value`` as an int, or InvalidInput naming ``what`` for a bool or a fraction."""
     try:
+        if isinstance(value, bool):  # a bool is an int: operator.index(True) is 1
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
@@ -141,9 +142,8 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
     coords = points.coords
     d = points.dim
     n = points.n
-    if max_leaf_size is None:
-        max_leaf_size = DEFAULT_MAX_LEAF[d]
-    max_leaf_size = _index(max_leaf_size, "max_leaf_size")
+    max_leaf_size = _index(DEFAULT_MAX_LEAF[d] if max_leaf_size is None else max_leaf_size,
+                           "max_leaf_size")
     if max_leaf_size < 1:
         raise InvalidInput("max_leaf_size must be >= 1")
     if not np.all(np.isfinite(coords)):

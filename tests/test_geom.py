@@ -174,10 +174,10 @@ def test_invalid_inputs():
         build_tree(uniform_cloud(10), 0)
 
 
-@pytest.mark.parametrize("leaf", [float("nan"), 2.5, 64.0])
+@pytest.mark.parametrize("leaf", [float("nan"), 2.5, 64.0, True])
 def test_leaf_size_must_be_an_integer(leaf):
     # a NaN passed the >= 1 check and split every box down to _MAX_DEPTH
-    # (110,612 nodes for 2000 points); 2.5 would act as 2
+    # (110,612 nodes for 2000 points); 2.5 would act as 2, True as 1
     with pytest.raises(InvalidInput, match="max_leaf_size must be an integer"):
         build_tree(uniform_cloud(2000), leaf)
 
