@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""SHA-256 fingerprints of what skelkit computes on four fixed cases.
+"""SHA-256 fingerprints of what skelkit computes on five fixed cases.
 
-Each case compresses and factors one matrix.  The script then hashes the
+Four cases compress and factor one matrix.  The script then hashes the
 compressed and factored containers (``serialize_compressed`` and
 ``serialize_factored``) and the outputs of ``apply`` and ``solve`` on one
-vector and on a block of 16 columns drawn at ``SEED``.  A change meant
+vector and on a block of 16 columns drawn at ``SEED``.  The fifth hashes the
+dense multiple-scattering path: ``matrix()`` and the preconditioner applied
+to one complex vector drawn at ``SEED``.  A change meant
 to keep every bit prints the same lines before and after it, so running the
 script on both commits and comparing the files checks bit identity:
 
@@ -16,7 +18,9 @@ The cases are:
 - the Laplace kernel on 8192 uniform points in the unit square, at eps 1e-6;
 - the Laplace kernel on 4096 uniform points in the unit cube, at eps 1e-6;
 - the self-system of one trefoil(256) scatterer at 2 wavelengths, at eps 1e-8,
-  as the scattering preconditioner compresses it.
+  as the scattering preconditioner compresses it;
+- the benchmark's 2x2 grid of trefoil(256) at spacing 3.0 and 2 wavelengths:
+  its ``matrix()``, and ``precond_apply(precond_blocks(eps=1e-8))``.
 
 ``--quick`` runs the same cases at small N.
 """
@@ -54,23 +58,9 @@ def _trefoil(n):
     return bie.compress_system(bie.scattering_system([curve], k).scatterers[0], 1e-8)[1]
 
 
-# name: (full N, quick N, compressed matrix of N points)
-CASES = {
-    "ellipse-bie": (16384, 1024, _ellipse),
-    "square": (8192, 1024, functools.partial(_volume, 2)),
-    "cube": (4096, 512, functools.partial(_volume, 3)),
-    "trefoil-scatterer": (256, 128, _trefoil),
-}
-
-
-def _sha(data):
-    if isinstance(data, np.ndarray):
-        data = np.ascontiguousarray(data).tobytes()
-    return hashlib.sha256(data).hexdigest()
-
-
-def fingerprint(name, n, build):
-    """Lines "<case> <item> <sha256>" for one case."""
+def _factored(build, n):
+    """(item, data) for the compressed matrix ``build(n)``: its containers
+    and its ``apply`` and ``solve`` outputs."""
     cm = build(n)
     fi = factor(cm)
     draw = np.random.default_rng(SEED).standard_normal
@@ -80,7 +70,39 @@ def fingerprint(name, n, build):
     items = [("compressed", serialize_compressed(cm)), ("factored", serialize_factored(fi))]
     for key, x in inputs.items():
         items += [(f"apply.{key}", apply(cm, x)), (f"solve.{key}", solve(fi, x))]
-    return [f"{name} {item} {_sha(data)}" for item, data in items]
+    return items
+
+
+def _scattering(n):
+    """(item, data) for the 2x2 grid of trefoil(n): the dense matrix and the
+    preconditioner applied to one vector."""
+    curves = [bie.trefoil(n, center=(3.0 * i, 3.0 * j)) for i in range(2) for j in range(2)]
+    system = bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
+    draw = np.random.default_rng(SEED).standard_normal
+    x = draw(system.n) + 1j * draw(system.n)
+    precond = system.precond_apply(system.precond_blocks(eps=1e-8))
+    return [("matrix", system.matrix()), ("precond.x1", precond(x))]
+
+
+# name: (full N, quick N, (item, data) pairs of a case of N points)
+CASES = {
+    "ellipse-bie": (16384, 1024, functools.partial(_factored, _ellipse)),
+    "square": (8192, 1024, functools.partial(_factored, functools.partial(_volume, 2))),
+    "cube": (4096, 512, functools.partial(_factored, functools.partial(_volume, 3))),
+    "trefoil-scatterer": (256, 128, functools.partial(_factored, _trefoil)),
+    "scattering": (256, 64, _scattering),
+}
+
+
+def _sha(data):
+    if isinstance(data, np.ndarray):
+        data = np.ascontiguousarray(data).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(name, n, items):
+    """Lines "<case> <item> <sha256>" for one case."""
+    return [f"{name} {item} {_sha(data)}" for item, data in items(n)]
 
 
 def main():
@@ -90,8 +112,8 @@ def main():
     args = ap.parse_args()
 
     lines = []
-    for name, (n_full, n_quick, build) in CASES.items():
-        for line in fingerprint(name, n_quick if args.quick else n_full, build):
+    for name, (n_full, n_quick, items) in CASES.items():
+        for line in fingerprint(name, n_quick if args.quick else n_full, items):
             print(line, flush=True)
             lines.append(line)
     outdir = pathlib.Path(args.outdir)

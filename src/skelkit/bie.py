@@ -57,6 +57,9 @@ class Curve2D:
     weights: np.ndarray
 
     def __post_init__(self):
+        for name in ("xy", "normals", "curvature", "weights"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInput(f"curve {name} must be finite")
         if np.any(self.weights <= 0):
             raise InvalidInput("curve weights must be positive")
 
@@ -79,8 +82,8 @@ class Curve2D:
 def ellipse(a, b, n) -> Curve2D:
     """Ellipse with semi-axes a, b, counterclockwise, n nodes."""
     n = _index(n, "n")
-    if a <= 0 or b <= 0 or n < 4:
-        raise InvalidInput("need positive semi-axes and n >= 4")
+    if not (np.isfinite(a) and np.isfinite(b) and a > 0 and b > 0) or n < 4:
+        raise InvalidInput("need finite positive semi-axes and n >= 4")
     t = 2 * np.pi * np.arange(n) / n
     xy = np.column_stack([a * np.cos(t), b * np.sin(t)])
     speed = np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
@@ -95,16 +98,22 @@ def circle(radius, n) -> Curve2D:
 
 
 def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
-    """Three-lobed curve r(theta) = (2 + cos 3 theta)/6, counterclockwise."""
+    """Three-lobed curve r(theta) = (2 + cos 3 theta)/6, counterclockwise,
+    scaled by ``scale`` > 0 about ``center``."""
     n = _index(n, "n")
     if n < 8:
         raise InvalidInput("need n >= 8")
+    if not (np.isfinite(scale) and scale > 0):
+        raise InvalidInput(f"trefoil scale must be finite and positive, got {scale}")
+    center = np.asarray(center, dtype=np.float64)
+    if center.shape != (2,) or not np.all(np.isfinite(center)):
+        raise InvalidInput("trefoil center must be a finite pair")
     t = 2 * np.pi * np.arange(n) / n
     r = (2 + np.cos(3 * t)) / 6
     dr = -np.sin(3 * t) / 2
     ddr = -1.5 * np.cos(3 * t)
     c, s = np.cos(t), np.sin(t)
-    xy = np.asarray(center) + scale * r[:, None] * np.column_stack([c, s])
+    xy = center + scale * r[:, None] * np.column_stack([c, s])
     dx = scale * (dr * c - r * s)
     dy = scale * (dr * s + r * c)
     speed = np.hypot(dx, dy)
@@ -353,7 +362,11 @@ def _translates(scatterers):
     bit-equal normals, weights and curvatures, and node offsets
     ``xy - xy[0]`` equal to within 4 ulps of the largest coordinate.  The
     kernel is translation invariant, so its self-system is that of its
-    representative."""
+    representative.  Its cross blocks with another scatterer depend only on
+    the two representatives and the offset between the two scatterers, to
+    the same 4 ulps: ``matrix()`` evaluates them once per class of pairs
+    (``_shared_pairs``), 4 pairs of 6 on a 2x2 grid and 24 of 120 on a 4x4
+    grid, and a copy can differ from its own evaluation in the last bits."""
     reps = []
     for i, s in enumerate(scatterers):
         reps.append(i)
@@ -370,6 +383,43 @@ def _translates(scatterers):
                 reps[i] = j
                 break
     return reps
+
+
+def _shared_pairs(scatterers, reps):
+    """For each pair i < j of scatterers, in order, the ordered pair (p, q)
+    whose blocks K(p, q) and K(q, p) are K(i, j) and K(j, i): (i, j) itself
+    when the pair is the first of its class.
+
+    Two pairs share a class when their scatterers have the same
+    representatives (``reps``, from ``_translates``) and their offsets
+    ``xy_j[0] - xy_i[0]`` agree to within 4 ulps of the largest coordinate
+    of the system.  A pair whose offset is the negative of an earlier one's,
+    with the representatives swapped, takes that pair's blocks swapped."""
+    m = len(scatterers)
+    first = np.array([s.curve.xy[0] for s in scatterers])
+    tol = 4 * np.spacing(max((np.abs(s.curve.xy).max() for s in scatterers), default=0.0))
+    reps = np.asarray(reps)
+    # the first pair of each class found so far, and its offset
+    heads = np.empty((m * (m - 1) // 2, 2), dtype=np.intp)
+    head_off = np.empty((len(heads), 2))
+    count = 0
+    shared = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            d = first[j] - first[i]
+            r = reps[heads[:count]]
+            same = (r == (reps[i], reps[j])).all(1) & (np.abs(head_off[:count] - d).max(1) <= tol)
+            swapped = ((r == (reps[j], reps[i])).all(1)
+                       & (np.abs(head_off[:count] + d).max(1) <= tol))
+            hit = np.flatnonzero(same | swapped)
+            if hit.size:
+                p, q = heads[hit[0]].tolist()
+                shared[i, j] = (p, q) if same[hit[0]] else (q, p)
+            else:
+                heads[count], head_off[count] = (i, j), d
+                count += 1
+                shared[i, j] = (i, j)
+    return shared
 
 
 @dataclass
@@ -390,23 +440,30 @@ class ScatteringSystem:
 
     def matrix(self):
         """The dense block system.  A translate of an earlier scatterer takes
-        that scatterer's diagonal block; the two cross blocks of each pair
-        of scatterers come from one evaluation of their Hankel factors."""
+        that scatterer's diagonal block.  The two cross blocks of each pair
+        of scatterers come from one evaluation of their Hankel factors, and
+        a later pair of translates at the same offset (or at the opposite
+        one, with the shapes swapped) copies them: a 2x2 grid of equal
+        shapes evaluates 4 pairs instead of 6, a 4x4 grid 24 instead of 120.
+        A copied block can differ from its own evaluation in the last bits;
+        ``_shared_pairs`` gives the tolerance."""
         off = self.offsets()
-        reps = _translates(self.scatterers)
+        sc = self.scatterers
+        reps = _translates(sc)
+        blk = [slice(off[i], off[i + 1]) for i in range(len(sc))]
         A = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i, si in enumerate(self.scatterers):
-            bi = slice(off[i], off[i + 1])
-            if reps[i] != i:
-                br = slice(off[reps[i]], off[reps[i] + 1])
-                A[bi, bi] = A[br, br]
+        for i, r in enumerate(reps):
+            if r != i:
+                A[blk[i], blk[i]] = A[blk[r], blk[r]]
             else:
-                idx = np.arange(si.npts)
-                A[bi, bi] = si.block(idx, idx)
-            for j in range(i + 1, len(self.scatterers)):
-                bj = slice(off[j], off[j + 1])
-                A[bi, bj], A[bj, bi] = _neumann_trace_pair(self.k, si.points,
-                                                           self.scatterers[j].points)
+                idx = np.arange(sc[i].npts)
+                A[blk[i], blk[i]] = sc[i].block(idx, idx)
+        for (i, j), (p, q) in _shared_pairs(sc, reps).items():
+            if (p, q) == (i, j):
+                A[blk[i], blk[j]], A[blk[j], blk[i]] = _neumann_trace_pair(self.k, sc[i].points,
+                                                                           sc[j].points)
+            else:
+                A[blk[i], blk[j]], A[blk[j], blk[i]] = A[blk[p], blk[q]], A[blk[q], blk[p]]
         return A
 
     def rhs_plane_wave(self):
