@@ -11,6 +11,11 @@ to keep every bit prints the same lines before and after it, so running the
 script on both commits and comparing the files checks bit identity:
 
     PYTHONPATH=src python scripts/fingerprint.py --outdir results
+    PYTHONPATH=src python scripts/fingerprint.py --outdir new --compare results
+
+``--compare DIR`` reads the ``fingerprint.txt`` a run saved in DIR, prints
+each line that differs from it ("-" the saved line, "+" this run's) and
+exits with status 1 if any does.
 
 The cases are:
 
@@ -29,6 +34,7 @@ import argparse
 import functools
 import hashlib
 import pathlib
+import sys
 
 import numpy as np
 
@@ -105,11 +111,24 @@ def fingerprint(name, n, items):
     return [f"{name} {item} {_sha(data)}" for item, data in items(n)]
 
 
+def differing(saved, lines):
+    """The saved lines this run did not print, marked "-", then this run's
+    lines that are not saved, marked "+"."""
+    now, before = set(lines), set(saved)
+    return ([f"- {line}" for line in saved if line not in now]
+            + [f"+ {line}" for line in lines if line not in before])
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--quick", action="store_true", help="small N for every case")
     ap.add_argument("--outdir", default="results")
+    ap.add_argument("--compare", metavar="DIR",
+                    help="exit 1 if any line differs from DIR/fingerprint.txt")
     args = ap.parse_args()
+    # read before this run writes, in case DIR is the output directory
+    saved = (pathlib.Path(args.compare, "fingerprint.txt").read_text().splitlines()
+             if args.compare else None)
 
     lines = []
     for name, (n_full, n_quick, items) in CASES.items():
@@ -119,6 +138,12 @@ def main():
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "fingerprint.txt").write_text("\n".join(lines) + "\n")
+    if saved is not None:
+        diff = differing(saved, lines)
+        for line in diff:
+            print(line)
+        if diff:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,10 @@ DEFAULT_N_PROXY = {2: 64, 3: 512}
 
 GLOBAL_MODE_LIMIT = 20000
 
+# compress_source evaluates each node's blocks in row tiles of about this
+# many entries, each written straight into its rows of the level's store
+_TILE_ENTRIES = 65_536
+
 
 @dataclass
 class ProxyConfig:
@@ -342,10 +346,17 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
 
     1. The index sets: a leaf's DOFs are its points, a coarser node's the
        skeletons of its children.
-    2. One ``block`` call per node for the blocks it shares with its
-       partners, its neighbours (proxy mode) and its siblings: node a
-       evaluates K(DOFs of a, DOFs of its partners).  For a symmetric
-       source only partners above a; the blocks below are transposes.
+    2. Each node evaluates the blocks it shares with its partners, its
+       neighbours (proxy mode) and its siblings: node a evaluates K(DOFs of
+       a, DOFs of its partners), for a symmetric source only partners above
+       a, since the blocks below are transposes.  ``block`` is called on
+       row tiles of about ``_TILE_ENTRIES`` entries (one row if a row is
+       longer), each written into its rows of the level's store, so no
+       full-size block is built as a temporary.  Each call takes its
+       coincidence scale from its own rows (``kernels.eval_block``): a
+       pair of points closer than 1e-14 of the whole block's scale, but
+       not of the tile's, is not classed as coincident, where a whole
+       block would class it so.
     3. Each node's ID, one skeleton for rows and columns with L = R^T
        (Ho-Ying's index sets, CPAM 2016), of [column target; row target
        transposed], each [neighbour blocks from phase 2; far field]: the
@@ -364,7 +375,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     4. The next level's D, and the top S (the root's, as it were), sliced
        from the sibling blocks at the skeletons, since each level's matrix
        is the submatrix of the one below at its skeletons (Martinsson-
-       Rokhlin 2005).  Then the level's blocks are freed.
+       Rokhlin 2005).  Each slice is one ``take`` from the row-major block
+       that holds it.  A symmetric source takes the slice for siblings
+       a < b once and writes its transpose in the mirrored position.  Then
+       the level's blocks are freed.
 
     Only the leaves' D are evaluated as such.  IDs whose interpolation
     entries exceed 2 are counted, and reported in one AccuracyWarning per
@@ -421,14 +435,23 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         # own[a] = K(DOFs of a, DOFs of owned[a]).  The level's blocks share
         # one anonymous mapping, returned to the system whole when the level
         # is done; freed one by one from the heap, they would stay resident
-        # under whatever was allocated after them.
+        # under whatever was allocated after them.  The tiles write every
+        # byte of it, so it is faulted in by the one mmap call (Linux
+        # MAP_POPULATE): page by page, the cube's level below the root took
+        # about 30 ms longer
         sizes = [r * c for r, c in shapes]
-        mapping = mmap.mmap(-1, max(1, sum(sizes) * np.dtype(dtype).itemsize))
+        mapping = mmap.mmap(-1, max(1, sum(sizes) * np.dtype(dtype).itemsize),
+                            flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+                            | getattr(mmap, "MAP_POPULATE", 0))
         store = np.frombuffer(mapping, dtype=dtype, count=sum(sizes))
         own = [v.reshape(shape) for v, shape in
                zip(np.split(store, _offsets(sizes)[1:-1]), shapes)]
         for a in range(nb):
-            own[a][...] = _blk(dofs[a], _cat([dofs[b] for b in owned[a]]))
+            rows, cols = dofs[a], _cat([dofs[b] for b in owned[a]])
+            if cols.size:
+                step = max(1, _TILE_ENTRIES // cols.size)
+                for lo in range(0, rows.size, step):
+                    own[a][lo:lo + step] = source.block(rows[lo:lo + step], cols)
 
         def pair(a, b):
             # K(DOFs of a, DOFs of b) for partners a and b
@@ -481,16 +504,23 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         levels.append(Level(list(nodes)))
 
         # the parents' diagonal blocks: sibling blocks at the skeletons, with
-        # the children's own blocks zero (they stay in this level's D)
+        # the children's own blocks zero (they stay in this level's D).  Each
+        # owned slice is one gather from own[a]'s row-major buffer, the bits
+        # of np.ix_; a symmetric source's slice below the diagonal is the
+        # transpose of the one above
         Ds = []
         for ch in parents:
             off = _offsets([pos[i].size for i in ch])
             M = np.zeros((off[-1], off[-1]), dtype=dtype)
             for i, a in enumerate(ch):
+                width = own[a].shape[1]
                 for j, b in enumerate(ch):
-                    if b != a:
-                        M[off[i]:off[i + 1], off[j]:off[j + 1]] = \
-                            pair(a, b)[np.ix_(pos[a], pos[b])]
+                    if b in at[a]:
+                        blk = own[a].ravel().take(
+                            pos[a][:, None] * width + (at[a][b].start + pos[b]))
+                        M[off[i]:off[i + 1], off[j]:off[j + 1]] = blk
+                        if sym:
+                            M[off[j]:off[j + 1], off[i]:off[i + 1]] = blk.T
             Ds.append(M)
         own = store = mapping = None
         children = parents

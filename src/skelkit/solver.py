@@ -39,6 +39,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
+from .geom import _index
 from .skel import (CompressedMatrix, Level, _joined, _offsets, _read_levels, _Reader,
                    _same_bits, _telescope, _transposed, _write_arr, _write_header,
                    _write_levels)
@@ -404,19 +405,22 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
 
     Returns (x, iterations), where iterations counts applications of the
     operator.  Raises NotConverged (carrying the best iterate) if the
-    relative residual has not reached tol within max_iter steps.
+    relative residual has not reached tol within max_iter steps.  ``tol``
+    must be a real number in (0, 1), not a bool; ``max_iter`` an integer of
+    at least 1, not a bool.
     """
-    if not tol > 0:
-        raise InvalidInput("tol must be positive")
-    if max_iter is not None and max_iter < 1:
-        raise InvalidInput("max_iter must be at least 1")
+    # a tol of 1 or more (True, inf) returned after one step, far from the answer
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < 1:
+        raise InvalidInput(f"tol must be a real number in (0, 1), got {tol!r}")
+    if max_iter is not None:
+        max_iter = _index(max_iter, "max_iter")
+        if max_iter < 1:
+            raise InvalidInput("max_iter must be at least 1")
     A = _as_operator(apply_fn)
     M = _as_operator(precond) if precond is not None else None
     b = np.asarray(b)
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = n
-    max_iter = min(max_iter, n)
+    max_iter = n if max_iter is None else min(max_iter, n)
 
     r0 = M(b) if M is not None else b
     r0 = np.asarray(r0)

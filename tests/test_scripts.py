@@ -10,6 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _run(script, args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("script, args, outputs", [
     ("run_desk_suite.py", ["--nmax", "1024"],
      ["apply_circle.csv", "apply_square.csv", "solve_ellipse.csv"]),
@@ -17,13 +25,26 @@ ROOT = Path(__file__).resolve().parents[1]
     ("fingerprint.py", ["--quick"], ["fingerprint.txt"]),
 ])
 def test_script_runs(tmp_path, script, args, outputs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args, "--outdir", str(tmp_path)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    proc = _run(script, [*args, "--outdir", str(tmp_path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) >= 2, name
+
+
+def test_fingerprint_compare_exits_1_on_a_differing_line(tmp_path):
+    saved, again, doctored = (tmp_path / d for d in ("saved", "again", "doctored"))
+    assert _run("fingerprint.py", ["--quick", "--outdir", str(saved)], tmp_path).returncode == 0
+    lines = (saved / "fingerprint.txt").read_text().splitlines()
+    proc = _run("fingerprint.py", ["--quick", "--outdir", str(again), "--compare", str(saved)],
+                tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # one hash changed: the saved line and this run's line are printed
+    case, item, sha = lines[3].split()
+    wrong = f"{case} {item} {sha[::-1]}"
+    doctored.mkdir()
+    (doctored / "fingerprint.txt").write_text("\n".join(lines[:3] + [wrong] + lines[4:]) + "\n")
+    proc = _run("fingerprint.py", ["--quick", "--outdir", str(again), "--compare",
+                                   str(doctored)], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-2:] == [f"- {wrong}", f"+ {lines[3]}"]

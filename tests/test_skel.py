@@ -727,6 +727,82 @@ def test_parent_blocks_are_sliced_and_pairs_evaluated_once(case, symmetric, monk
     assert_sliced_blocks_are_kernel_blocks(source, cm)
 
 
+@pytest.mark.parametrize("case", ["square", "cube", "cloud", "helmholtz"])
+def test_symmetric_parent_blocks_are_mirrored(case):
+    # a symmetric source slices each pair of siblings once and writes the
+    # transpose below the diagonal: every D and S is its own transpose
+    source, tree = _volume_source(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        cm = compress_source(source, tree, 1e-6)
+    for lv in cm.levels:
+        for nd in lv.nodes:
+            assert skel._same_bits(nd.D, nd.D.T)
+    assert skel._same_bits(cm.S, cm.S.T)
+    assert_sliced_blocks_are_kernel_blocks(source, cm)
+
+
+def _tile_case(case):
+    """(source, tree) for the tile tests: the cube's blocks under the root
+    are up to 512 x 3584, cut into tiles of 18 rows; "duplicates" is a
+    Gaussian cloud with 50 copies of one point, coincident in every tile."""
+    rng = np.random.default_rng(201)
+    if case == "cube":
+        pts, leaf, spec = PointSet(rng.random((4096, 3))), None, KernelSpec("laplace", 3)
+    elif case == "square":
+        pts, leaf, spec = PointSet(rng.random((4096, 2))), None, LAPLACE2
+    elif case == "cloud":
+        return _volume_source("cloud")
+    else:
+        pts = PointSet(np.vstack([rng.standard_normal((1024, 2)), np.full((50, 2), 0.3)]))
+        leaf, spec = 16, LAPLACE2
+    tree = build_tree(pts, leaf)
+    return KernelSource(spec, pts, tree.perm), tree
+
+
+@pytest.mark.parametrize("case, tile", [("cube", None), ("square", 4096)])
+def test_store_is_filled_in_tiles(case, tile, monkeypatch):
+    # every block call between distinct nodes (phase 2; the others are the
+    # leaves' D) spans at most one tile, or one row where a row is longer.
+    # The square's blocks fit the default tile, so it runs with a smaller one
+    if tile is not None:
+        monkeypatch.setattr(skel, "_TILE_ENTRIES", tile)
+    tile = skel._TILE_ENTRIES
+    source, tree = _tile_case(case)
+    real, calls = source.block, []
+
+    def block(rows, cols):
+        if not np.intersect1d(rows, cols).size:
+            calls.append((rows.size, cols.size, cols.tobytes()))
+        return real(rows, cols)
+
+    source.block = block
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        compress_source(source, tree, 1e-6)
+    assert all(r * c <= max(tile, c) for r, c, _ in calls)
+    # some blocks were larger than a tile: their columns recur, tile by tile
+    assert len({key for _, _, key in calls}) < len(calls)
+
+
+@pytest.mark.parametrize("case", ["cloud", "duplicates"])
+def test_tiles_give_the_whole_block_bits(case, monkeypatch):
+    # a tile's call takes its coincidence scale from its own rows; on these
+    # clouds that classes every pair as the whole block does
+    default = skel._TILE_ENTRIES
+
+    def compressed(tile):
+        monkeypatch.setattr(skel, "_TILE_ENTRIES", tile)
+        source, tree = _tile_case(case)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            return serialize_compressed(compress_source(source, tree, 1e-6))
+
+    whole = compressed(10 ** 12)
+    assert compressed(default) == whole
+    assert compressed(64) == whole
+
+
 @pytest.mark.parametrize("case", ["square", "cube", "cloud", "ellipse", "far"])
 def test_siblings_are_neighbours(case):
     # compress_source slices a parent's D from its children's neighbour

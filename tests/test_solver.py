@@ -439,6 +439,27 @@ class TestGmres:
         with pytest.raises(InvalidInput, match="max_iter"):
             gmres(np.eye(3) * 2, np.ones(3), max_iter=max_iter)
 
+    @pytest.mark.parametrize("max_iter", [True, 2.5, np.float64(3.0), "3"])
+    def test_max_iter_must_be_an_integer(self, max_iter):
+        # each once raised TypeError, from range or from <
+        with pytest.raises(InvalidInput, match="max_iter"):
+            gmres(np.eye(3) * 2, np.ones(3), max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        x, it = gmres(np.eye(3) * 2, np.ones(3), tol=1e-12, max_iter=np.int64(3))
+        assert it == 1
+        np.testing.assert_allclose(x, 0.5)
+
+    @pytest.mark.parametrize("tol", [True, float("inf"), 1.0, float("nan"), -1e-6, "1e-6",
+                                     1j * 1e-6])
+    def test_tol_must_lie_in_0_1(self, tol):
+        # True and inf were accepted: on I + 0.3 randn (50 x 50, seed 0)
+        # GMRES returned after one step, 0.99 off in relative error
+        rng = np.random.default_rng(0)
+        A = np.eye(50) + 0.3 * rng.standard_normal((50, 50))
+        with pytest.raises(InvalidInput, match="tol"):
+            gmres(A, rng.standard_normal(50), tol=tol)
+
 
 class TestMatrixMarket:
     def test_identity_format(self, tmp_path):
