@@ -385,28 +385,6 @@ def _translates(scatterers):
     return reps
 
 
-def _first_head(head_reps, head_off, pair_reps, d, tol):
-    """For pairs of representatives ``pair_reps`` (n x 2) at offsets ``d``
-    (n x 2), compared at once with the heads of classes (representatives
-    ``head_reps``, offsets ``head_off``): the position of the first head of
-    each pair's class, or -1 for none, and whether the pair takes that
-    head's blocks swapped."""
-    if not len(head_reps):
-        return np.full(len(d), -1), np.zeros(len(d), dtype=bool)
-    # one 2-D comparison per coordinate: reductions over an axis of length
-    # 2 cost more than the comparisons themselves
-    (ri, rj), (dx, dy) = pair_reps.T[:, :, None], d.T[:, :, None]
-    (hi, hj), (ox, oy) = head_reps.T, head_off.T
-    same = ((hi == ri) & (hj == rj)
-            & (np.abs(ox - dx) <= tol) & (np.abs(oy - dy) <= tol))
-    swapped = ((hi == rj) & (hj == ri)
-               & (np.abs(ox + dx) <= tol) & (np.abs(oy + dy) <= tol))
-    hit = same | swapped
-    k = hit.argmax(1)
-    rows = np.arange(len(d))
-    return np.where(hit[rows, k], k, -1), ~same[rows, k]
-
-
 def _shared_pairs(scatterers, reps):
     """For each pair i < j of scatterers, in order, the ordered pair (p, q)
     whose blocks K(p, q) and K(q, p) are K(i, j) and K(j, i): (i, j) itself
@@ -416,15 +394,9 @@ def _shared_pairs(scatterers, reps):
     representatives (``reps``, from ``_translates``) and their offsets
     ``xy_j[0] - xy_i[0]`` agree to within 4 ulps of the largest coordinate
     of the system.  A pair whose offset is the negative of an earlier one's,
-    with the representatives swapped, takes that pair's blocks swapped.
-
-    Row i's pairs (i, j > i) are compared with the classes of earlier rows
-    in one broadcast.  Only the pairs left over are then compared one at a
-    time, with the classes opened earlier in the row: a scatterer halfway
-    between two translates of each other has a pair at the negative offset
-    of another, with the shapes swapped."""
+    with the representatives swapped, takes that pair's blocks swapped."""
     m = len(scatterers)
-    first = np.array([s.curve.xy[0] for s in scatterers]).reshape(m, 2)
+    first = np.array([s.curve.xy[0] for s in scatterers])
     tol = 4 * np.spacing(max((np.abs(s.curve.xy).max() for s in scatterers), default=0.0))
     reps = np.asarray(reps)
     # the first pair of each class found so far, and its offset
@@ -433,23 +405,20 @@ def _shared_pairs(scatterers, reps):
     count = 0
     shared = {}
     for i in range(m):
-        js = np.arange(i + 1, m)
-        pair_reps = np.column_stack([np.full(js.size, reps[i]), reps[js]])
-        d = first[js] - first[i]
-        row = count
-        hit, swap = _first_head(reps[heads[:row]], head_off[:row], pair_reps, d, tol)
-        for t, j in enumerate(js.tolist()):
-            if hit[t] < 0:
-                h, s = _first_head(reps[heads[row:count]], head_off[row:count],
-                                   pair_reps[t:t + 1], d[t:t + 1], tol)
-                if h[0] < 0:
-                    heads[count], head_off[count] = (i, j), d[t]
-                    count += 1
-                    shared[i, j] = (i, j)
-                    continue
-                hit[t], swap[t] = row + h[0], s[0]
-            p, q = heads[hit[t]].tolist()
-            shared[i, j] = (q, p) if swap[t] else (p, q)
+        for j in range(i + 1, m):
+            d = first[j] - first[i]
+            r = reps[heads[:count]]
+            same = (r == (reps[i], reps[j])).all(1) & (np.abs(head_off[:count] - d).max(1) <= tol)
+            swapped = ((r == (reps[j], reps[i])).all(1)
+                       & (np.abs(head_off[:count] + d).max(1) <= tol))
+            hit = np.flatnonzero(same | swapped)
+            if hit.size:
+                p, q = heads[hit[0]].tolist()
+                shared[i, j] = (p, q) if same[hit[0]] else (q, p)
+            else:
+                heads[count], head_off[count] = (i, j), d
+                count += 1
+                shared[i, j] = (i, j)
     return shared
 
 

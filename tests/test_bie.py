@@ -708,19 +708,15 @@ def _other_shape_grid(case):
     return bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
 
 
-# scattering layouts, each with the number of pair evaluations its matrix makes
-_LAYOUTS = (
-    [(lambda: _trefoil_grid(64), 4), (lambda: _trefoil_grid(64, side=3), 12),
-     (lambda: _trefoil_grid(64, side=4), 24), (lambda: _trefoil_grid(64, 0.9, 3), 12),
-     (_mixed_pair, 1), (_swapped_shapes, 5), (_shuffled_grid, 12)] +
+@pytest.mark.parametrize("make, calls", [
+    (lambda: _trefoil_grid(64), 4), (lambda: _trefoil_grid(64, side=3), 12),
+    (lambda: _trefoil_grid(64, side=4), 24), (lambda: _trefoil_grid(64, 0.9, 3), 12),
+    (_mixed_pair, 1), (_swapped_shapes, 5), (_shuffled_grid, 12)] +
     [(lambda s=s: _demo_pair(s), 1) for s in (3.0, 2.0, 1.5, 1.25)] +
-    [(lambda c=c: _other_shape_grid(c), 6) for c in ("n", "scaled", "rotated", "moved")])
-_LAYOUT_IDS = ["2x2", "3x3", "4x4", "3x3-0.9", "mixed", "swapped-shapes", "shuffled-3x3",
-               "demo-3.0", "demo-2.0", "demo-1.5", "demo-1.25",
-               "other-n", "other-scaled", "other-rotated", "other-moved"]
-
-
-@pytest.mark.parametrize("make, calls", _LAYOUTS, ids=_LAYOUT_IDS)
+    [(lambda c=c: _other_shape_grid(c), 6) for c in ("n", "scaled", "rotated", "moved")],
+    ids=["2x2", "3x3", "4x4", "3x3-0.9", "mixed", "swapped-shapes", "shuffled-3x3",
+         "demo-3.0", "demo-2.0", "demo-1.5", "demo-1.25",
+         "other-n", "other-scaled", "other-rotated", "other-moved"])
 def test_pairs_at_one_offset_are_evaluated_once(make, calls, monkeypatch):
     sys_ = make()
     seen = []
@@ -733,54 +729,6 @@ def test_pairs_at_one_offset_are_evaluated_once(make, calls, monkeypatch):
     monkeypatch.setattr(bie, "_neumann_trace_pair", counted)
     sys_.matrix()
     assert len(seen) == calls
-
-
-def _pairwise_shared_pairs(scatterers, reps):
-    """Reference for ``bie._shared_pairs``: each pair compared on its own
-    with every class found before it."""
-    m = len(scatterers)
-    first = np.array([s.curve.xy[0] for s in scatterers])
-    tol = 4 * np.spacing(max((np.abs(s.curve.xy).max() for s in scatterers), default=0.0))
-    reps = np.asarray(reps)
-    heads = np.empty((m * (m - 1) // 2, 2), dtype=np.intp)
-    head_off = np.empty((len(heads), 2))
-    count = 0
-    shared = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = first[j] - first[i]
-            r = reps[heads[:count]]
-            same = (r == (reps[i], reps[j])).all(1) & (np.abs(head_off[:count] - d).max(1) <= tol)
-            swapped = ((r == (reps[j], reps[i])).all(1)
-                       & (np.abs(head_off[:count] + d).max(1) <= tol))
-            hit = np.flatnonzero(same | swapped)
-            if hit.size:
-                p, q = heads[hit[0]].tolist()
-                shared[i, j] = (p, q) if same[hit[0]] else (q, p)
-            else:
-                heads[count], head_off[count] = (i, j), d
-                count += 1
-                shared[i, j] = (i, j)
-    return shared
-
-
-def _centre_first_row():
-    # three translates in a row, listed centre first: row 0's pair (0, 2) is
-    # its pair (0, 1) reversed, so it is matched within its own row
-    curves = [bie.trefoil(32, center=(3.0 * c, 0.0)) for c in (0, -1, 1)]
-    return bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
-
-
-@pytest.mark.parametrize("make", [make for make, _ in _LAYOUTS] + [_centre_first_row],
-                         ids=_LAYOUT_IDS + ["centre-first-row"])
-def test_row_broadcast_classes_match_the_pairwise_loop(make):
-    sc = make().scatterers
-    reps = bie._translates(sc)
-    shared = bie._shared_pairs(sc, reps)
-    assert shared == _pairwise_shared_pairs(sc, reps)
-    assert list(shared) == [(i, j) for i in range(len(sc)) for j in range(i + 1, len(sc))]
-    if make is _centre_first_row:
-        assert shared[0, 2] == (1, 0)
 
 
 @pytest.mark.parametrize("make, bound", [

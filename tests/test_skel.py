@@ -803,6 +803,45 @@ def test_tiles_give_the_whole_block_bits(case, monkeypatch):
     assert compressed(64) == whole
 
 
+def test_a_tile_takes_its_coincidence_scale_from_its_rows(monkeypatch):
+    # points on a line, up to 1000 from the origin, with p and q 7.5e-12
+    # apart on either side of the split at -500.  p's node also holds the
+    # point at -1000: its whole block's coincidence threshold is 1e-14 *
+    # 1000, so the pair takes the "zero" fill, but a one-row tile of p sees
+    # coordinates up to 500 only, and evaluates the pair
+    delta = 7.5e-12
+    x = np.concatenate([[-1000.0, -500.0 - delta, -500.0, 0.0],
+                        -500.0 * np.random.default_rng(0).random(200)])
+    pts = PointSet(np.column_stack([x, np.zeros_like(x)]))
+    tree = build_tree(pts, 16)
+    p, q = np.argsort(tree.perm)[[1, 2]]
+    g = eval_block(LAPLACE2, pts.subset([1]), pts.subset([2]))[0, 0]
+    assert g == pytest.approx(-np.log(delta) / (2 * np.pi), rel=1e-4)
+
+    def pair_entries(tile):
+        # K(p, q) in every block call that holds it: all between nodes
+        monkeypatch.setattr(skel, "_TILE_ENTRIES", tile)
+        source, seen = KernelSource(LAPLACE2, pts, tree.perm), []
+        real = source.block
+
+        def block(rows, cols):
+            out = real(rows, cols)
+            if p in rows and q in cols:
+                seen.append(out[np.flatnonzero(rows == p)[0], np.flatnonzero(cols == q)[0]])
+            return out
+
+        source.block = block
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AccuracyWarning)
+            compress_source(source, tree, 1e-6)
+        assert seen
+        return seen
+
+    assert set(pair_entries(10 ** 12)) == {0.0}
+    assert set(pair_entries(skel._TILE_ENTRIES)) == {0.0}   # the blocks fit one tile
+    assert set(pair_entries(1)) == {g}
+
+
 @pytest.mark.parametrize("case", ["square", "cube", "cloud", "ellipse", "far"])
 def test_siblings_are_neighbours(case):
     # compress_source slices a parent's D from its children's neighbour
