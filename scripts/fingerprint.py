@@ -5,10 +5,12 @@ Four cases compress and factor one matrix.  The script then hashes the
 compressed and factored containers (``serialize_compressed`` and
 ``serialize_factored``) and the outputs of ``apply`` and ``solve`` on one
 vector and on a block of 16 columns drawn at ``SEED``.  The fifth hashes the
-dense multiple-scattering path: ``matrix()`` and the preconditioner applied
-to one complex vector drawn at ``SEED``.  A change meant
-to keep every bit prints the same lines before and after it, so running the
-script on both commits and comparing the files checks bit identity:
+dense multiple-scattering path: ``matrix()``, the preconditioner applied
+to one complex vector drawn at ``SEED``, and the preconditioned GMRES answer
+for that vector, whose item name carries its iteration count.  A change
+meant to keep every bit prints the same lines before and after it, so
+running the script on both commits and comparing the files checks bit
+identity:
 
     PYTHONPATH=src python scripts/fingerprint.py --outdir results
     PYTHONPATH=src python scripts/fingerprint.py --outdir new --compare results
@@ -25,7 +27,8 @@ The cases are:
 - the self-system of one trefoil(256) scatterer at 2 wavelengths, at eps 1e-8,
   as the scattering preconditioner compresses it;
 - the benchmark's 2x2 grid of trefoil(256) at spacing 3.0 and 2 wavelengths:
-  its ``matrix()``, and ``precond_apply(precond_blocks(eps=1e-8))``.
+  its ``matrix()``, ``precond_apply(precond_blocks(eps=1e-8))``, and
+  ``gmres`` with that preconditioner at tol 1e-6.
 
 ``--quick`` runs the same cases at small N.
 """
@@ -42,7 +45,7 @@ from skelkit import bie
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec
 from skelkit.skel import apply, compress, serialize_compressed
-from skelkit.solver import factor, serialize_factored, solve
+from skelkit.solver import factor, gmres, serialize_factored, solve
 
 # every random draw: the volume clouds and the apply/solve inputs
 SEED = 201
@@ -80,14 +83,18 @@ def _factored(build, n):
 
 
 def _scattering(n):
-    """(item, data) for the 2x2 grid of trefoil(n): the dense matrix and the
-    preconditioner applied to one vector."""
+    """(item, data) for the 2x2 grid of trefoil(n): the dense matrix, the
+    preconditioner applied to one vector, and the preconditioned GMRES
+    answer for that vector, named with its iteration count."""
     curves = [bie.trefoil(n, center=(3.0 * i, 3.0 * j)) for i in range(2) for j in range(2)]
     system = bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
     draw = np.random.default_rng(SEED).standard_normal
     x = draw(system.n) + 1j * draw(system.n)
     precond = system.precond_apply(system.precond_blocks(eps=1e-8))
-    return [("matrix", system.matrix()), ("precond.x1", precond(x))]
+    A = system.matrix()
+    items = [("matrix", A), ("precond.x1", precond(x))]
+    y, iters = gmres(lambda v: A @ v, x, tol=1e-6, precond=precond)
+    return items + [(f"gmres.x1.iters{iters}", y)]
 
 
 # name: (full N, quick N, (item, data) pairs of a case of N points)

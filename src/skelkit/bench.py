@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bie
 from .errors import InvalidInput, NotConverged, RefusedTooLarge
-from .geom import PointSet, build_tree, fibonacci_sphere
+from .geom import PointSet, _index, build_tree, fibonacci_sphere
 from .kernels import KernelSpec, eval_block
 from .skel import ProxyConfig, apply, compress, serialize_compressed
 from .solver import (assemble_embedding, export_matrix_market, factor, gmres,
@@ -61,7 +61,9 @@ class RunConfig:
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
         if self.geometry not in GEOMETRIES:
             raise InvalidInput(f"unknown geometry {self.geometry!r}")
-        ns = tuple(int(n) for n in self.ns)
+        if self.geometry == "trefoil_scatterers" and self.experiment != "scatter_demo":
+            raise InvalidInput("geometry trefoil_scatterers is for scatter_demo only")
+        ns = tuple(_index(n, "each N") for n in self.ns)
         if not ns or any(n <= 0 for n in ns):
             raise InvalidInput("N values must be positive")
         if any(b <= a for a, b in zip(ns, ns[1:])):
@@ -71,6 +73,7 @@ class RunConfig:
             raise InvalidInput("eps must lie in (0, 1)")
         if not 0 < self.tol < 1:
             raise InvalidInput("tol must lie in (0, 1)")
+        self.seed = _index(self.seed, "seed")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         if self.export_mm and self.experiment == "scatter_demo":

@@ -123,13 +123,19 @@ def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
     return Curve2D(t, xy, normals, curvature, weights)
 
 
+def _windings(curve: Curve2D, points) -> np.ndarray:
+    """Winding of the sampled curve around each of the m x 2 ``points``, in
+    one broadcast over points and nodes."""
+    d = curve.xy[None] - np.asarray(points)[:, None]
+    ang = np.arctan2(d[..., 1], d[..., 0])
+    dang = np.diff(ang, axis=1, append=ang[:, :1])
+    dang = (dang + np.pi) % (2 * np.pi) - np.pi
+    return np.round(dang.sum(axis=1) / (2 * np.pi)).astype(int)
+
+
 def winding_number(curve: Curve2D, point) -> int:
     """Winding of the sampled curve around a point (1 inside a CCW curve)."""
-    d = curve.xy - np.asarray(point)
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    dang = np.diff(np.concatenate([ang, ang[:1]]))
-    dang = (dang + np.pi) % (2 * np.pi) - np.pi
-    return int(np.round(dang.sum() / (2 * np.pi)))
+    return int(_windings(curve, np.asarray(point)[None])[0])
 
 
 def contains(curve: Curve2D, point) -> bool:
@@ -507,7 +513,9 @@ class ScatteringSystem:
 
 
 def scattering_system(scatterers, k) -> ScatteringSystem:
-    """Validate geometry (pairwise disjoint) and assemble the block system."""
+    """Validate geometry (pairwise disjoint) and assemble the block system.
+    Two scatterers whose bounding boxes meet are refused when any node of
+    either lies inside the other."""
     check_wavenumber(k)
     curves = list(scatterers)
     for i in range(len(curves)):
@@ -516,7 +524,6 @@ def scattering_system(scatterers, k) -> ScatteringSystem:
             lo_a, hi_a = a.xy.min(0), a.xy.max(0)
             lo_b, hi_b = b.xy.min(0), b.xy.max(0)
             boxes_overlap = np.all(lo_a <= hi_b) and np.all(lo_b <= hi_a)
-            if boxes_overlap and (contains(a, b.xy.mean(0)) or contains(b, a.xy.mean(0))
-                                  or contains(a, b.xy[0]) or contains(b, a.xy[0])):
+            if boxes_overlap and (_windings(a, b.xy).any() or _windings(b, a.xy).any()):
                 raise InvalidInput(f"scatterers {i} and {j} overlap")
     return ScatteringSystem([_Scatterer(c, k) for c in curves], k)

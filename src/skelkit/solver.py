@@ -36,7 +36,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .errors import InvalidInput, NotConverged, SingularBlock
 from .geom import _index
@@ -45,6 +45,8 @@ from .skel import (CompressedMatrix, Level, _joined, _offsets, _read_levels, _Re
                    _write_levels)
 
 _RCOND_WARN = 1e-14
+# gmres breaks down at a rotated pivot of at most this fraction of |M A v_j|
+_BREAKDOWN = 1e-13
 
 
 @dataclass
@@ -393,6 +395,8 @@ def solve(fi: FactoredInverse, b) -> np.ndarray:
 
 
 def _as_operator(op):
+    if op is None:
+        return lambda v: v
     if callable(op):
         return op
     mat = np.asarray(op)
@@ -400,12 +404,19 @@ def _as_operator(op):
 
 
 def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
-    """Full (no restart) GMRES with modified Gram-Schmidt and a single
-    re-orthogonalization pass when loss of orthogonality is detected.
+    """Full (no restart) GMRES, left-preconditioned by ``precond`` if given
+    (Saad & Schultz, SISC 7, 1986), so residuals are |M (b - A x)| / |M b|.
+    Each step orthogonalizes M A v_j by classical Gram-Schmidt twice, two
+    BLAS-2 products with the basis a pass, which keeps the basis orthogonal
+    to working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl.
+    50, 2005).
 
     Returns (x, iterations), where iterations counts applications of the
-    operator.  Raises NotConverged (carrying the best iterate) if the
-    relative residual has not reached tol within max_iter steps.  ``tol``
+    operator.  Raises NotConverged if the relative residual has not reached
+    tol within max_iter steps, or at a breakdown: a step whose rotated pivot
+    is not above rounding level against |M A v_j| (M A singular on the
+    Krylov space, or a NaN).  It carries the iterate of the steps before
+    that one, or of all of them, with that iterate's own residual.  ``tol``
     must be a real number in (0, 1), not a bool; ``max_iter`` an integer of
     at least 1, not a bool.
     """
@@ -417,13 +428,12 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
         if max_iter < 1:
             raise InvalidInput("max_iter must be at least 1")
     A = _as_operator(apply_fn)
-    M = _as_operator(precond) if precond is not None else None
+    M = _as_operator(precond)
     b = np.asarray(b)
     n = b.shape[0]
     max_iter = n if max_iter is None else min(max_iter, n)
 
-    r0 = M(b) if M is not None else b
-    r0 = np.asarray(r0)
+    r0 = np.asarray(M(b))
     dtype = np.result_type(r0.dtype, np.float64)
     beta = np.linalg.norm(r0)
     if beta == 0:
@@ -431,60 +441,45 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
 
     V = np.empty((max_iter + 1, n), dtype=dtype)
     V[0] = r0 / beta
-    H = np.zeros((max_iter + 1, max_iter), dtype=dtype)
-    cs = np.zeros(max_iter + 1, dtype=dtype)
-    sn = np.zeros(max_iter + 1, dtype=dtype)
+    R = np.zeros((max_iter, max_iter), dtype=dtype)   # the rotated Hessenberg matrix
+    cs = np.zeros(max_iter)
+    sn = np.zeros(max_iter, dtype=dtype)
     g = np.zeros(max_iter + 1, dtype=dtype)
     g[0] = beta
-
-    def _solution(j):
-        y = np.zeros(j, dtype=dtype)
-        for i in range(j - 1, -1, -1):
-            y[i] = (g[i] - H[i, i + 1:j] @ y[i + 1:j]) / H[i, i]
-        return V[:j].T @ y
-
-    res = 1.0
-    j = 0
+    k = 0   # steps in the iterate
     for j in range(max_iter):
-        w = A(V[j])
-        if M is not None:
-            w = M(w)
-        w = np.asarray(w, dtype=dtype).copy()
+        w = np.array(M(A(V[j])), dtype=dtype)
         norm0 = np.linalg.norm(w)
-        for i in range(j + 1):
-            hij = np.vdot(V[i], w)
-            H[i, j] = hij
-            w -= hij * V[i]
-        # DGKS-style correction when the projection removed nearly everything
-        corr = V[:j + 1].conj() @ w
-        if np.linalg.norm(corr) > 1e-10 * max(norm0, 1e-300):
-            w -= V[:j + 1].T @ corr
-            H[:j + 1, j] += corr
-        H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j] > 0:
-            V[j + 1] = w / H[j + 1, j]
-        # apply accumulated Givens rotations, then form a new one
+        h = np.zeros(j + 1, dtype=dtype)
+        for _ in range(2):   # h += V^H w, w -= V h, with no copy of conj(V)
+            c = (V[:j + 1] @ w.conj()).conj()
+            w -= c @ V[:j + 1]
+            h += c
+        hn = np.linalg.norm(w)
         for i in range(j):
-            t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-            H[i + 1, j] = -np.conj(sn[i]) * H[i, j] + cs[i] * H[i + 1, j]
-            H[i, j] = t
-        denom = np.sqrt(np.abs(H[j, j]) ** 2 + np.abs(H[j + 1, j]) ** 2)
-        if denom == 0:
-            res = 0.0
-            j += 1
+            h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                              -np.conj(sn[i]) * h[i] + cs[i] * h[i + 1])
+        # the pivot is at least sigma_min(M A): at rounding level, M A v_j is
+        # in the span of the basis
+        pivot = np.hypot(abs(h[j]), hn)
+        if not pivot > _BREAKDOWN * norm0:
             break
-        cs[j] = np.abs(H[j, j]) / denom
-        phase = H[j, j] / np.abs(H[j, j]) if H[j, j] != 0 else 1.0
-        sn[j] = phase * np.conj(H[j + 1, j]) / denom
-        H[j, j] = phase * denom
-        H[j + 1, j] = 0.0
+        cs[j] = abs(h[j]) / pivot
+        phase = h[j] / abs(h[j]) if h[j] != 0 else 1.0
+        sn[j] = phase * hn / pivot
+        h[j] = phase * pivot
+        R[:j + 1, j] = h
         g[j + 1] = -np.conj(sn[j]) * g[j]
-        g[j] = cs[j] * g[j]
-        res = abs(g[j + 1]) / beta
-        if res <= tol:
-            return _solution(j + 1), j + 1
-    x = _solution(j + 1)
-    raise NotConverged(x, float(res), int(max_iter))
+        g[j] *= cs[j]
+        k = j + 1
+        if abs(g[k]) / beta <= tol:
+            break
+        V[k] = w / hn
+    x = solve_triangular(R[:k, :k], g[:k], check_finite=False) @ V[:k]
+    res = float(abs(g[k]) / beta)
+    if res <= tol:
+        return x, k
+    raise NotConverged(x, res, j + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,19 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             RunConfig(experiment="apply_bench", eps=2.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("ns", (64.7,)), ("ns", (True,)), ("ns", ("64",)), ("seed", True), ("seed", 2.5)],
+        ids=["ns-fraction", "ns-bool", "ns-str", "seed-bool", "seed-fraction"])
+    def test_counts_must_be_integers(self, field, value):
+        # ns=(64.7,) was truncated to 64, ns=(True,) and seed=True were
+        # taken, and seed=2.5 passed only to fail in run with numpy's TypeError
+        with pytest.raises(InvalidInput, match="integer"):
+            RunConfig(experiment="apply_bench", **{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = RunConfig(experiment="apply_bench", ns=(np.int64(64),), seed=np.int64(3))
+        assert cfg.ns == (64,) and cfg.seed == 3
+
     def test_kernel_parsing(self):
         cfg = RunConfig(experiment="apply_bench", geometry="circle",
                         kernel="helmholtz2d", omega=10.0)
@@ -174,6 +187,12 @@ def test_cli_main(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
     assert main(["scatter_demo", "--geometry", "trefoil_scatterers:1,2,3"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # the scatterers are scatter_demo's geometry alone: with a Helmholtz
+    # kernel the other experiments once exited 1 with a KeyError traceback
+    for experiment in ("apply_bench", "solve_bench", "sweep"):
+        assert main([experiment, "--geometry", "trefoil_scatterers", "--kernel", "helmholtz2d",
+                     "--n", "64"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
     # scatter_demo builds no compressed matrix, so it has nothing to export
     mm = tmp_path / "demo.mtx"
     assert main(["scatter_demo", "--n", "64", "--export-mm", str(mm)]) == 2

@@ -302,6 +302,16 @@ class TestScattering:
         with pytest.raises(InvalidInput):
             bie.scattering_system(curves, 5.0)
 
+    @pytest.mark.parametrize("center", [0.35 * np.array([np.cos(np.pi / 6), np.sin(np.pi / 6)]),
+                                        (0.0, 0.9)], ids=["diagonal-0.35", "vertical-0.9"])
+    def test_intersecting_scatterers_rejected(self, center):
+        # the centroids and first nodes lie outside the other curve, so
+        # these were accepted, though 18 nodes (diagonal) and 1 node
+        # (vertical) of each lie inside the other
+        curves = [bie.trefoil(64), bie.trefoil(64, center=center)]
+        with pytest.raises(InvalidInput, match="overlap"):
+            bie.scattering_system(curves, 5.0)
+
     def test_direct_and_gmres_agree(self):
         # one scatterer: compressed direct solve of the self block against
         # dense GMRES on the same matrix
@@ -710,11 +720,11 @@ def _other_shape_grid(case):
 
 @pytest.mark.parametrize("make, calls", [
     (lambda: _trefoil_grid(64), 4), (lambda: _trefoil_grid(64, side=3), 12),
-    (lambda: _trefoil_grid(64, side=4), 24), (lambda: _trefoil_grid(64, 0.9, 3), 12),
+    (lambda: _trefoil_grid(64, side=4), 24), (lambda: _trefoil_grid(64, 0.91, 3), 12),
     (_mixed_pair, 1), (_swapped_shapes, 5), (_shuffled_grid, 12)] +
     [(lambda s=s: _demo_pair(s), 1) for s in (3.0, 2.0, 1.5, 1.25)] +
     [(lambda c=c: _other_shape_grid(c), 6) for c in ("n", "scaled", "rotated", "moved")],
-    ids=["2x2", "3x3", "4x4", "3x3-0.9", "mixed", "swapped-shapes", "shuffled-3x3",
+    ids=["2x2", "3x3", "4x4", "3x3-0.91", "mixed", "swapped-shapes", "shuffled-3x3",
          "demo-3.0", "demo-2.0", "demo-1.5", "demo-1.25",
          "other-n", "other-scaled", "other-rotated", "other-moved"])
 def test_pairs_at_one_offset_are_evaluated_once(make, calls, monkeypatch):
@@ -733,14 +743,14 @@ def test_pairs_at_one_offset_are_evaluated_once(make, calls, monkeypatch):
 
 @pytest.mark.parametrize("make, bound", [
     (lambda: _trefoil_grid(256), 2e-15), (lambda: _trefoil_grid(256, side=3), 1e-14),
-    (lambda: _trefoil_grid(256, 0.9, 3), 1e-12), (_swapped_shapes, 4e-15),
-    (_shuffled_grid, 1e-14)], ids=["2x2", "3x3", "3x3-0.9", "swapped-shapes", "shuffled-3x3"])
+    (lambda: _trefoil_grid(256, 0.91, 3), 7e-15), (_swapped_shapes, 4e-15),
+    (_shuffled_grid, 1e-14)], ids=["2x2", "3x3", "3x3-0.91", "swapped-shapes", "shuffled-3x3"])
 def test_copied_cross_blocks_match_their_own(make, bound):
     # a copied block is its class's block bit for bit, and within about
     # twice the measured error of the block evaluated on its own scatterers
     # (relative Frobenius norm, trefoil(256) at 2 wavelengths: 9.7e-16,
-    # 4.8e-15, 5.1e-13, 1.8e-15 and 4.8e-15; spacing 0.9 nearly joins the
-    # lobes)
+    # 4.8e-15, 3.4e-15, 1.8e-15 and 4.8e-15; at spacing 0.91 the lobes of
+    # vertical neighbours nearly touch, and below 0.9005 they cross)
     sys_ = make()
     A = sys_.matrix()
     blk = [slice(a, b) for a, b in zip(sys_.offsets()[:-1], sys_.offsets()[1:])]

@@ -413,6 +413,33 @@ class TestGmres:
         assert exc.value.x.shape == (60,)
         assert 0 < exc.value.residual < 1
 
+    def test_breakdown_at_the_first_step_returns_zero(self):
+        # A v_0 = 0: once x = [nan, nan, nan] with "best relative residual 0"
+        # after 3 iterations
+        with pytest.raises(NotConverged) as exc:
+            gmres(np.zeros((3, 3)), np.ones(3))
+        assert exc.value.iterations == 1
+        assert exc.value.residual == 1.0
+        assert np.all(exc.value.x == 0)
+
+    def test_breakdown_keeps_the_steps_before_it(self):
+        # the second step's column lies in the span: once IndexError
+        with pytest.raises(NotConverged) as exc:
+            gmres(np.diag([1.0, 0.0]), np.ones(2))
+        assert exc.value.iterations == 2
+        assert exc.value.residual == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+        np.testing.assert_allclose(exc.value.x, [1.0, 1.0], rtol=1e-12)
+
+    def test_breakdown_reports_the_true_residual(self):
+        # the upper shift: once residual 0.503 reported for an iterate whose
+        # own residual was 0.610, with x[0] = 4.8e15
+        A, b = np.diag(np.ones(2), 1), np.ones(3)
+        with pytest.raises(NotConverged) as exc:
+            gmres(A, b)
+        true = np.linalg.norm(A @ exc.value.x - b) / np.linalg.norm(b)
+        assert abs(exc.value.residual - true) <= 1e-12
+        assert abs(exc.value.residual - 1 / np.sqrt(3)) <= 1e-12
+
     def test_preconditioner_cuts_iterations(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((80, 80)) + 10 * np.eye(80)
