@@ -41,7 +41,7 @@ CSV_COLUMNS = ["N", "Kr", "Kc", "Tcm", "Tlu", "Tsv", "Tmv", "E", "M", "iters"]
 @dataclass
 class RunConfig:
     experiment: str
-    geometry: str = "circle"
+    geometry: str | None = None   # trefoil_scatterers for scatter_demo, else circle
     ns: tuple = (1024,)
     eps: float = 1e-9
     kernel: str = "laplace2d"
@@ -59,10 +59,14 @@ class RunConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
+        demo = self.experiment == "scatter_demo"
+        if self.geometry is None:
+            self.geometry = "trefoil_scatterers" if demo else "circle"
         if self.geometry not in GEOMETRIES:
             raise InvalidInput(f"unknown geometry {self.geometry!r}")
-        if self.geometry == "trefoil_scatterers" and self.experiment != "scatter_demo":
-            raise InvalidInput("geometry trefoil_scatterers is for scatter_demo only")
+        if (self.geometry == "trefoil_scatterers") != demo:
+            raise InvalidInput("geometry trefoil_scatterers goes with scatter_demo, and only "
+                               f"with it: got {self.experiment} on {self.geometry}")
         ns = tuple(_index(n, "each N") for n in self.ns)
         if not ns or any(n <= 0 for n in ns):
             raise InvalidInput("N values must be positive")
@@ -313,8 +317,9 @@ def _build_parser():
         prog="skelkit",
         description="desk-scale benchmarks for the recursive-skeletonization toolkit")
     p.add_argument("experiment", choices=EXPERIMENTS)
-    p.add_argument("--geometry", default="circle",
-                   help="circle|square|sphere|cube|ellipse[:a,b]|trefoil_scatterers[:sep]")
+    p.add_argument("--geometry", default=None,
+                   help="circle|square|sphere|cube|ellipse[:a,b]|trefoil_scatterers[:sep]; "
+                        "default trefoil_scatterers for scatter_demo, else circle")
     p.add_argument("--n", default="1024", help="comma-separated problem sizes")
     p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--kernel", default="laplace2d",
@@ -341,7 +346,7 @@ def _numbers(text, conv, what):
 
 
 def _parse_geometry(text):
-    if ":" not in text:
+    if text is None or ":" not in text:
         return text, None
     name, args = text.split(":", 1)
     params = _numbers(args, float, f"{name} parameters")

@@ -7,6 +7,7 @@ root alone.  A leaf whose subdivision stopped early is listed again at every
 finer level it spans, so each level is a full partition of ``0..N-1``.
 """
 
+import functools
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -130,6 +131,44 @@ class OrthTree:
     def leaves(self):
         return [i for i, nd in enumerate(self.nodes) if not nd.children]
 
+    def cover_children(self, level):
+        """For each node of cover ``level``, the ascending positions of its
+        children in the next finer cover, ``level - 1``: ``build_tree`` lists
+        children in range order, as covers are sorted.  A leaf that stopped
+        early is listed in both covers as its own only child."""
+        at = {nid: j for j, nid in enumerate(self.levels[level - 1])}
+        return [np.array([at[c] for c in self.nodes[nid].children or [nid]], dtype=np.int64)
+                for nid in self.levels[level]]
+
+    @functools.cached_property
+    def adjacency(self):
+        """For each cover, each box's ascending list of the boxes it touches:
+        on every axis, |c_a - c_b| - (h_a + h_b) <= 1e-9 h_root.  Found from
+        the root down (Carrier-Greengard-Rokhlin, SISC 1988): two touching
+        boxes of cover l lie in equal or touching boxes of cover l+1."""
+        boxes = np.array([[*nd.center, nd.halfwidth] for nd in self.nodes])
+        out, pa, pb = [[[]]], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        for level in range(self.depth - 1, 0, -1):
+            # each pair (p, q) of equal or touching boxes of cover l+1 gives
+            # the candidate pairs (children of p) x (children of q) of cover l
+            kids = self.cover_children(level)
+            flat, cnt = np.concatenate(kids), np.array([k.size for k in kids])
+            p, q = (np.concatenate([np.arange(cnt.size), x]) for x in (pa, pb))
+            size, start = cnt[p] * cnt[q], np.cumsum(cnt) - cnt
+            pair = np.repeat(np.arange(p.size), size)
+            r = np.arange(pair.size) - np.repeat(np.cumsum(size) - size, size)
+            a = flat[start[p][pair] + r // cnt[q][pair]]
+            b = flat[start[q][pair] + r % cnt[q][pair]]
+            c, h = np.hsplit(boxes[self.levels[level - 1]], [-1])
+            gap = np.abs(c[a] - c[b]) - (h[a] + h[b])
+            hit = (a != b) & np.all(gap <= 1e-9 * self.root.halfwidth, axis=1)
+            order = np.lexsort((b[hit], a[hit]))
+            pa, pb = a[hit][order], b[hit][order]
+            ends = [0, *np.cumsum(np.bincount(pa, minlength=flat.size)).tolist()]
+            col = pb.tolist()
+            out.append([col[i:j] for i, j in zip(ends, ends[1:])])
+        return out[::-1]
+
 
 def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
     """Sort points into an adaptive orthtree with contiguous per-node ranges.
@@ -197,53 +236,28 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
     return OrthTree(nodes=nodes, levels=levels, perm=perm, dim=d)
 
 
-# chunk the (rows x boxes x d) box-gap tensor to roughly this many entries
-_CHUNK_ENTRIES = 4_000_000
-
-
-def _boxes(tree: OrthTree, ids):
-    """Centres (len(ids) x d) and half-widths of the given nodes' boxes."""
-    return (np.array([tree.nodes[i].center for i in ids]),
-            np.array([tree.nodes[i].halfwidth for i in ids]))
-
-
-def _touching(c_rows, h_rows, c, h, tol):
-    """(rows x boxes) mask of box pairs that touch: on every axis, the gap
-    |c_a - c_b| - (h_a + h_b) is at most tol."""
-    gap = np.abs(c_rows[:, None, :] - c[None, :, :]) - (h_rows[:, None, None] + h[None, :, None])
-    return np.all(gap <= tol, axis=2)
-
-
 def neighbors(tree: OrthTree, node_id: int) -> list:
     """Same-depth nodes whose boxes touch the given node's box (itself
-    excluded), in increasing node-id order."""
-    if not isinstance(node_id, (int, np.integer)) or not 0 <= node_id < len(tree.nodes):
+    excluded), in increasing node-id order: the same-depth part of its row
+    in the cover that holds its depth."""
+    node_id = _index(node_id, "node id")
+    if not 0 <= node_id < len(tree.nodes):
         raise InvalidInput(f"invalid node id {node_id!r}")
-    node = tree.nodes[node_id]
-    same = [i for i, nd in enumerate(tree.nodes) if nd.depth == node.depth]
-    c, h = _boxes(tree, same)
-    a = same.index(node_id)
-    hit = _touching(c[a:a + 1], h[a:a + 1], c, h, 1e-9 * tree.root.halfwidth)[0]
-    hit[a] = False
-    return [same[j] for j in np.flatnonzero(hit)]
+    depth = tree.nodes[node_id].depth
+    ids, rows = tree.levels[tree.depth - 1 - depth], tree.adjacency[tree.depth - 1 - depth]
+    return sorted(ids[b] for b in rows[ids.index(node_id)] if tree.nodes[ids[b]].depth == depth)
 
 
 def level_neighbors(tree: OrthTree, level: int) -> list:
     """Adjacency lists within one cover (``tree.levels[level]``): for each
-    box, the ascending positions of the boxes it touches.  Unlike
+    box, the ascending positions of the boxes it touches, read from
+    ``tree.adjacency`` (shared, not to be modified).  Unlike
     :func:`neighbors` this mixes box sizes, since early-stopped leaves are
     carried down through finer covers."""
-    ids = tree.levels[level]
-    c, h = _boxes(tree, ids)
-    tol = 1e-9 * tree.root.halfwidth
-    nb = len(ids)
-    rows = max(1, _CHUNK_ENTRIES // (nb * tree.dim))
-    nbrs = []
-    for lo in range(0, nb, rows):
-        hit = _touching(c[lo:lo + rows], h[lo:lo + rows], c, h, tol)
-        hit[np.arange(hit.shape[0]), np.arange(lo, lo + hit.shape[0])] = False
-        nbrs.extend(np.flatnonzero(row).tolist() for row in hit)
-    return nbrs
+    level = _index(level, "level")
+    if not 0 <= level < tree.depth:
+        raise InvalidInput(f"level must lie in [0, {tree.depth}), got {level}")
+    return tree.adjacency[level]
 
 
 def fibonacci_sphere(n) -> np.ndarray:

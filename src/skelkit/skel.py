@@ -303,16 +303,6 @@ def _telescope(levels, top, n, perm, dtype, x):
     return out[:, 0] if single else out
 
 
-def _cover_children(tree, cover_prev, cover):
-    """For each node of ``cover``, the ascending positions of its children
-    in the next finer cover ``cover_prev``: ``build_tree`` lists children in
-    range order, as covers are sorted.  A leaf that stopped early is listed
-    in both covers as its own only child; ``compress_source`` carries it."""
-    at = {nid: j for j, nid in enumerate(cover_prev)}
-    return [np.array([at[c] for c in tree.nodes[nid].children or [nid]], dtype=np.int64)
-            for nid in cover]
-
-
 def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
              proxy: ProxyConfig | None = None, mode: str = "proxy",
              allow_large: bool = False) -> CompressedMatrix:
@@ -434,7 +424,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         ids = covers[li]
         nb = len(ids)
         nbrs = level_neighbors(tree, li) if mode == "proxy" else [[]] * nb
-        parents = _cover_children(tree, ids, covers[li + 1])
+        parents = tree.cover_children(li + 1)
         sibs = {a: ch.tolist() for ch in parents for a in ch}
         partners = [sorted(set(sibs[a]).union(nbrs[a]) - {a}) for a in range(nb)]
         owned = [[b for b in partners[a] if b > a] for a in range(nb)] if sym else partners

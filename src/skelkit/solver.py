@@ -456,9 +456,12 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
             w -= c @ V[:j + 1]
             h += c
         hn = np.linalg.norm(w)
-        for i in range(j):
-            h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
-                              -np.conj(sn[i]) * h[i] + cs[i] * h[i + 1])
+        # the earlier rotations, on Python scalars, which cost a fraction of
+        # numpy's per operation
+        hl = h.tolist()
+        for i, (ci, si) in enumerate(zip(cs[:j].tolist(), sn[:j].tolist())):
+            hl[i], hl[i + 1] = ci * hl[i] + si * hl[i + 1], -si.conjugate() * hl[i] + ci * hl[i + 1]
+        h[:] = hl
         # the pivot is at least sigma_min(M A): at rounding level, M A v_j is
         # in the span of the basis
         pivot = np.hypot(abs(h[j]), hn)

@@ -158,6 +158,16 @@ def test_scatter_demo_smoke():
     assert rec.E < 1e-4
 
 
+def test_scatter_demo_runs_the_scatterers_alone(capsys):
+    # scatter_demo built the two trefoils whatever --geometry named
+    assert main(["scatter_demo", "--geometry", "square", "--n", "64", "--omega", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # with no --geometry, scatter_demo runs the scatterers and the others the circle
+    assert main(["scatter_demo", "--n", "64", "--omega", "1", "--tol", "1e-5"]) == 0
+    assert RunConfig(experiment="scatter_demo").geometry == "trefoil_scatterers"
+    assert RunConfig(experiment="apply_bench").geometry == "circle"
+
+
 def test_cli_main(tmp_path, capsys):
     out = tmp_path / "cli.csv"
     rc = main(["apply_bench", "--geometry", "circle", "--n", "256",

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skelkit import geom
 from skelkit.errors import InvalidInput
 from skelkit.geom import (PointSet, build_tree, level_neighbors,
                           neighbors, read_points_binary, read_points_text,
@@ -76,9 +75,15 @@ def test_neighbors_absent_when_pruned():
 
 
 def test_neighbors_invalid_id():
-    tree = build_tree(uniform_cloud(32), 8)
-    with pytest.raises(InvalidInput):
-        neighbors(tree, 10 ** 9)
+    # a bool was taken as node 1, and a level out of range raised
+    # IndexError or, at -1, read the root cover
+    tree = build_tree(uniform_cloud(300), 8)
+    for bad in (10 ** 9, len(tree.nodes), -1, True, 1.0):
+        with pytest.raises(InvalidInput):
+            neighbors(tree, bad)
+    for bad in (99, tree.depth, -1, True, 1.0):
+        with pytest.raises(InvalidInput):
+            level_neighbors(tree, bad)
 
 
 @settings(max_examples=25, deadline=None)
@@ -268,36 +273,59 @@ def test_truncated_binary_point_file_raises_invalid_input(tmp_path):
             read_points_binary(path)
 
 
-def _touch(na, nb, tol):
-    return all(abs(float(na.center[x]) - float(nb.center[x]))
-               - (na.halfwidth + nb.halfwidth) <= tol for x in range(len(na.center)))
+def all_pairs(tree, ids):
+    """The reference rule, every box of ``ids`` against every other: for
+    each, the ascending positions in ``ids`` of the boxes it touches (on
+    every axis |c_a - c_b| - (h_a + h_b) <= 1e-9 h_root), itself excluded."""
+    c = np.array([tree.nodes[i].center for i in ids])
+    h = np.array([tree.nodes[i].halfwidth for i in ids])
+    gap = np.abs(c[:, None, :] - c[None, :, :]) - (h[:, None, None] + h[None, :, None])
+    hit = np.all(gap <= 1e-9 * tree.root.halfwidth, axis=2)
+    np.fill_diagonal(hit, False)
+    return [np.flatnonzero(row).tolist() for row in hit]
 
 
-def _adaptive_tree(d, seed):
+def assert_neighbours_match_all_pairs(tree):
+    """Every cover's lists, and every node's ``neighbors``, equal the
+    all-pairs rule's."""
+    for li, ids in enumerate(tree.levels):
+        got = level_neighbors(tree, li)
+        assert got == all_pairs(tree, ids)
+        assert all(type(b) is int for lst in got for b in lst)
+    for depth in {nd.depth for nd in tree.nodes}:
+        same = [i for i, nd in enumerate(tree.nodes) if nd.depth == depth]
+        for i, row in zip(same, all_pairs(tree, same)):
+            assert neighbors(tree, i) == [same[j] for j in row]
+
+
+def _adaptive_tree(d, seed, leaf=6):
     # a dense cluster in one corner and a sparse spread: leaves stop early
     # outside the cluster and are carried through the finer covers
     rng = np.random.default_rng(seed)
     pts = np.vstack([0.04 * rng.random((400, d)), rng.random((150, d))])
-    return build_tree(PointSet(pts), 6)
+    return build_tree(PointSet(pts), leaf)
 
 
-@pytest.mark.parametrize("entries", [1, 40, None])
+@pytest.mark.parametrize("leaf", [1, 40, None])
 @pytest.mark.parametrize("d", [2, 3])
-def test_level_neighbors_match_brute_force(monkeypatch, d, entries):
-    if entries is not None:  # a few rows per chunk: cross chunk boundaries
-        monkeypatch.setattr(geom, "_CHUNK_ENTRIES", entries)
-    tree = _adaptive_tree(d, 3 + d)
-    tol = 1e-9 * tree.root.halfwidth
-    mixed = 0
-    for li, ids in enumerate(tree.levels):
-        want = [[b for b, j in enumerate(ids)
-                 if j != i and _touch(tree.nodes[i], tree.nodes[j], tol)] for i in ids]
-        got = level_neighbors(tree, li)
-        assert got == want
-        assert all(type(b) is int for lst in got for b in lst)
-        mixed += len({tree.nodes[i].halfwidth for i in ids}) > 1
-    assert mixed >= 2  # several covers mix box sizes
-    for i, nd in enumerate(tree.nodes):
-        assert neighbors(tree, i) == [j for j, other in enumerate(tree.nodes)
-                                      if j != i and other.depth == nd.depth
-                                      and _touch(nd, other, tol)]
+def test_level_neighbors_match_brute_force(d, leaf):
+    tree = _adaptive_tree(d, 3 + d, leaf)
+    assert_neighbours_match_all_pairs(tree)
+    # several covers mix box sizes
+    assert sum(len({tree.nodes[i].halfwidth for i in ids}) > 1 for ids in tree.levels) >= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 400), seed=st.integers(0, 10 ** 6), d=st.sampled_from([2, 3]),
+       leaf=st.integers(1, 64), kind=st.sampled_from(["uniform", "clustered", "duplicates"]))
+def test_top_down_lists_match_all_pairs(n, seed, d, leaf, kind):
+    # the lists found from the root down are the all-pairs rule's on
+    # clustered clouds, whose leaves sit at very different depths, and on
+    # duplicated points, which split down to the depth cap
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, d))
+    if kind == "clustered":
+        pts[: n // 2] = 0.3 + 1e-3 * pts[: n // 2]
+    elif kind == "duplicates":
+        pts[: n // 3 + 1] = pts[0]
+    assert_neighbours_match_all_pairs(build_tree(PointSet(pts), leaf))

@@ -15,6 +15,7 @@ from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           ProxyConfig, apply, compress, compress_source,
                           deserialize_compressed, proxy_points, serialize_compressed)
+from test_geom import assert_neighbours_match_all_pairs
 
 
 def circle_points(n, radius=1.0):
@@ -857,7 +858,7 @@ def test_siblings_are_neighbours(case):
     pairs = 0
     for li in range(tree.depth - 1):
         nbrs = level_neighbors(tree, li)
-        for ch in skel._cover_children(tree, tree.levels[li], tree.levels[li + 1]):
+        for ch in tree.cover_children(li + 1):
             for a in ch:
                 assert set(ch.tolist()) - {a} <= set(nbrs[a])
                 pairs += len(ch) - 1
@@ -865,7 +866,7 @@ def test_siblings_are_neighbours(case):
 
 
 def _range_walk(tree, cover_prev, cover):
-    """Reference for ``skel._cover_children``: for each node of ``cover``,
+    """Reference for ``OrthTree.cover_children``: for each node of ``cover``,
     the positions of its members in ``cover_prev``, found by walking the
     index ranges of both covers, which are sorted by range start."""
     out = []
@@ -879,11 +880,11 @@ def _range_walk(tree, cover_prev, cover):
     return out
 
 
-@pytest.mark.parametrize("case", ["square", "two_scales", "ellipse", "duplicates", "leaf_1"])
-def test_cover_children_read_from_the_tree(case):
-    # compress_source takes each node's children from the tree, and carries
-    # a node exactly when it is a leaf above the finest cover; the walk over
-    # index ranges is the reference for both
+_COVER_CASES = ["square", "two_scales", "ellipse", "duplicates", "leaf_1"]
+
+
+def _cover_tree(case):
+    """An adaptive tree of one of ``_COVER_CASES``, at seed 201."""
     rng = np.random.default_rng(201)
     leaf = None
     if case == "square":
@@ -898,14 +899,22 @@ def test_cover_children_read_from_the_tree(case):
         leaf = 16
     else:
         pts, leaf = PointSet(rng.random((500, 2))), 1
-    tree = build_tree(pts, leaf)
+    return build_tree(pts, leaf)
+
+
+@pytest.mark.parametrize("case", _COVER_CASES)
+def test_cover_children_read_from_the_tree(case):
+    # compress_source takes each node's children from the tree, and carries
+    # a node exactly when it is a leaf above the finest cover; the walk over
+    # index ranges is the reference for both
+    tree = _cover_tree(case)
     if case == "duplicates":
         assert tree.depth == geom._MAX_DEPTH + 1
     carried = 0
     for li in range(1, tree.depth):
         prev, cover = tree.levels[li - 1], tree.levels[li]
         walk = _range_walk(tree, prev, cover)
-        got = skel._cover_children(tree, prev, cover)
+        got = tree.cover_children(li)
         assert len(got) == len(walk)
         for a, nid in enumerate(cover):
             assert got[a].dtype == np.int64 and np.array_equal(got[a], walk[a])
@@ -914,6 +923,12 @@ def test_cover_children_read_from_the_tree(case):
             assert own == (len(walk[a]) == 1 and not tree.nodes[nid].children)
             carried += own
     assert carried > 0
+
+
+@pytest.mark.parametrize("case", _COVER_CASES)
+def test_top_down_neighbours_match_all_pairs(case):
+    # the neighbour lists found from the root down are the all-pairs rule's
+    assert_neighbours_match_all_pairs(_cover_tree(case))
 
 
 def test_global_mode_slices_its_targets():
