@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, InvalidInput
-from .geom import PointSet, _index, build_tree
+from .geom import PointSet, _index, _positive, build_tree
 from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
 from .skel import KernelSource, ProxyConfig, _offsets, compress_source
 from .solver import factor, solve
@@ -82,7 +82,7 @@ class Curve2D:
 def ellipse(a, b, n) -> Curve2D:
     """Ellipse with semi-axes a, b, counterclockwise, n nodes."""
     n = _index(n, "n")
-    if not (np.isfinite(a) and np.isfinite(b) and a > 0 and b > 0) or n < 4:
+    if not (_positive(a) and _positive(b)) or n < 4:
         raise InvalidInput("need finite positive semi-axes and n >= 4")
     t = 2 * np.pi * np.arange(n) / n
     xy = np.column_stack([a * np.cos(t), b * np.sin(t)])
@@ -103,7 +103,7 @@ def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
     n = _index(n, "n")
     if n < 8:
         raise InvalidInput("need n >= 8")
-    if not (np.isfinite(scale) and scale > 0):
+    if not _positive(scale):
         raise InvalidInput(f"trefoil scale must be finite and positive, got {scale}")
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (2,) or not np.all(np.isfinite(center)):

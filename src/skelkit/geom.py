@@ -8,6 +8,8 @@ finer level it spans, so each level is a full partition of ``0..N-1``.
 """
 
 import functools
+import math
+import numbers
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -35,10 +37,26 @@ def _index(value, what):
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
 
 
+def _positive(value):
+    """Whether ``value`` is a finite real > 0: a bool, a non-number and an
+    int beyond the float range are not."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class PointSet:
     """N points in 2 or 3 dimensions, with optional unit normals (needed by
-    double-layer kernels), quadrature weights and signed curvatures."""
+    double-layer kernels), quadrature weights and signed curvatures.
+
+    ``scale``, max(largest per-axis extent, largest |coordinate|, 1), is the
+    length against which kernels class two points as coincident.  It is
+    found when a set is built and kept by every subset of it, so a kernel
+    entry between points of one set does not depend on the block that
+    evaluates it."""
 
     coords: np.ndarray
     normals: np.ndarray | None = None
@@ -53,12 +71,14 @@ class PointSet:
             raise InvalidInput("need at least one point")
         if not np.all(np.isfinite(self.coords)):
             raise InvalidInput("non-finite coordinate")
+        lo, hi = self.coords.min(axis=0).tolist(), self.coords.max(axis=0).tolist()
+        self.scale = max(max(h - l for l, h in zip(lo, hi)), max(hi), -min(lo), 1.0)
         if self.normals is not None:
             self.normals = np.ascontiguousarray(self.normals, dtype=np.float64)
             if self.normals.shape != self.coords.shape:
                 raise InvalidInput("normals must match coords shape")
             lens = np.linalg.norm(self.normals, axis=1)
-            if np.any(np.abs(lens - 1.0) > 1e-12):
+            if not np.all(np.abs(lens - 1.0) <= 1e-12):  # NaN included
                 raise InvalidInput("normals must be unit vectors (|n| = 1 within 1e-12)")
         for name in ("weights", "curvatures"):
             arr = getattr(self, name)
@@ -66,6 +86,8 @@ class PointSet:
                 arr = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
                 if arr.shape[0] != self.coords.shape[0]:
                     raise InvalidInput(f"{name} must have one entry per point")
+                if not np.all(np.isfinite(arr)):
+                    raise InvalidInput(f"non-finite {name[:-1]}")
                 setattr(self, name, arr)
 
     @property
@@ -77,12 +99,12 @@ class PointSet:
         return self.coords.shape[1]
 
     def subset(self, idx):
-        """New PointSet restricted to the given 1-D index (fancy indexing).
-        The rows of a validated set are valid, so they are not checked
-        again; an index that selects no point, or is not 1-D, raises
-        InvalidInput."""
+        """New PointSet restricted to the given 1-D index (fancy indexing),
+        with this set's ``scale``.  The rows of a validated set are valid,
+        so they are not checked again; an index that selects no point, or
+        is not 1-D, raises InvalidInput."""
         out = object.__new__(type(self))
-        out.coords = self.coords[idx]
+        out.coords, out.scale = self.coords[idx], self.scale
         if out.coords.ndim != 2 or out.coords.shape[0] < 1:
             raise InvalidInput("subset index must be 1-D and select at least one point")
         for name in ("normals", "weights", "curvatures"):
@@ -328,6 +350,8 @@ def read_points_binary(path) -> PointSet:
     if len(data) < 10:
         raise InvalidInput(f"{path}: truncated skelkit binary point file")
     n, dim, flags = struct.unpack_from("<IBB", data, 4)
+    if flags & ~3:
+        raise InvalidInput(f"{path}: unknown flag bits {flags:#x} (1 normals, 2 weights)")
     sizes = [n * dim, n * dim if flags & 1 else 0, n if flags & 2 else 0]
     if len(data) != 10 + 8 * sum(sizes):
         raise InvalidInput(f"{path}: {len(data)} bytes, header (N={n}, dim={dim}, "

@@ -11,20 +11,18 @@ If the source set carries quadrature weights, column j of every block is
 scaled by w_j, so a block times a density vector is a quadrature sum.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import InvalidInput
-from .geom import PointSet
+from .geom import PointSet, _positive
 
-# targets closer to a source than this times max(extent of either set,
-# largest |coordinate| of either set, 1) count as coincident and are handled
-# by the self-interaction policy; the threshold is symmetric in targets and
-# sources, so single-layer blocks transpose bit for bit
+# targets closer to a source than this times the larger ``scale`` of the
+# two point sets count as coincident and are handled by the self-interaction
+# policy; the threshold is symmetric in targets and sources, so single-layer
+# blocks transpose bit for bit
 COINCIDENT_RTOL = 1e-14
 
 
@@ -70,12 +68,7 @@ def check_wavenumber(k):
     """Raise InvalidInput unless k is a finite positive real number.  A
     complex k is refused even with a zero imaginary part, and so is an
     infinite one, which would make every off-diagonal entry NaN."""
-    try:
-        ok = (isinstance(k, numbers.Real) and not isinstance(k, bool)
-              and math.isfinite(k) and k > 0)
-    except OverflowError:
-        ok = False
-    if not ok:
+    if not _positive(k):
         raise InvalidInput(f"helmholtz requires a finite real wavenumber > 0, got {k!r}")
 
 
@@ -102,13 +95,15 @@ _AXIS_ORDER = {2: (0, 1), 3: (0, 2, 1)}
 def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.ndarray:
     """Dense m x n kernel block G(x_i, y_j) (or dG/dnu_y for double layer).
 
-    Coincident pairs (distance below 1e-14 times the largest of the extent
-    of either set, the largest |coordinate| of either set, and 1) are set by
+    Coincident pairs (distance below 1e-14 times the larger ``scale`` of the
+    two sets, which subsets take from the set they were cut from) are set by
     ``spec.self_interaction``: "zero", or "curvature_limit" which fills
     -kappa/(4 pi) (2D Laplace double layer smooth limit; the curvature
-    comes from ``sources.curvatures``).  The threshold is symmetric in
-    targets and sources, so a single-layer block of unweighted sources
-    equals the transpose of the swapped block bit for bit.
+    comes from ``sources.curvatures``).  Blocks between subsets of one set
+    thus class each pair alike, whatever rows and columns they hold.  The
+    threshold is symmetric in targets and sources, so a single-layer block
+    of unweighted sources equals the transpose of the swapped block bit for
+    bit.
     """
     return _evaluate(spec, targets, sources, pair=False)[0]
 
@@ -120,9 +115,10 @@ def eval_block_pair(spec: KernelSpec, a: PointSet, b: PointSet):
 
     Both orientations share it exactly: (x - y)**2 and (y - x)**2 are the
     same bits, summed over the axes in the same order, and the coincidence
-    scale is symmetric in the two sets.  Only the normal, the coincidence
-    fill and the weights, all of the source side, are per orientation.  The
-    second block is the transpose of an array laid out like the first."""
+    scale, the larger of the two sets', is symmetric in them.  Only the
+    normal, the coincidence fill and the weights, all of the source side,
+    are per orientation.  The second block is the transpose of an array
+    laid out like the first."""
     ab, ba = _evaluate(spec, a, b, pair=True)
     return ab, ba.T
 
@@ -133,8 +129,7 @@ def _evaluate(spec, a, b, pair):
     _check_operands(spec, a, b)
     if pair:
         _check_operands(spec, b, a)
-    # one coincidence scale for the whole block, however it is chunked
-    span = max(*_extent(a.coords), *_extent(b.coords), 1.0)
+    span = max(a.scale, b.scale)
     m, n = a.n, b.n
     rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
     if m <= rows_per_chunk:
@@ -156,14 +151,6 @@ def _check_operands(spec, targets, sources):
             f"sources {sources.dim}D")
     if spec.layer == "double" and sources.normals is None:
         raise InvalidInput("double layer needs source normals")
-
-
-def _extent(coords):
-    """(largest per-axis extent, largest |coordinate|) of a point set, read
-    off its per-axis minimum and maximum; the same bits as ``np.ptp`` and
-    ``np.abs`` over all of it."""
-    lo, hi = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
-    return max(h - l for l, h in zip(lo, hi)), max(max(hi), -min(lo))
 
 
 def _along(arr, rows):

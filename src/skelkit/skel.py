@@ -16,14 +16,13 @@ sources around each box, so per-node work depends only on neighbor sizes.
 import functools
 import math
 import mmap
-import numbers
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInput, RefusedTooLarge
-from .geom import OrthTree, PointSet, _index, fibonacci_sphere, level_neighbors
+from .geom import OrthTree, PointSet, _index, _positive, fibonacci_sphere, level_neighbors
 from .kernels import KernelSpec, eval_block
 from .lowrank import _above_two, _target_id, _warn
 # unused here: benchmark/spans.py::patch_table, their only reader, wraps both
@@ -65,7 +64,7 @@ class ProxyConfig:
                    "n_proxy")
         # a zero radius stacks every proxy point at the box centre
         r = self.radius_factor
-        if not (isinstance(r, numbers.Real) and math.isfinite(r) and r > 0):
+        if not _positive(r):
             raise InvalidInput(f"radius_factor must be finite and > 0, got {r!r}")
         floor = 8 if dim == 2 else 32
         if n < floor:
@@ -352,12 +351,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        a, since the blocks below are transposes.  ``block`` is called on
        row tiles of about ``_TILE_ENTRIES`` entries (one row if a row is
        longer), each written into its rows of the level's store, so no
-       full-size block is built as a temporary.  Each call takes its
-       coincidence scale from its own rows (``kernels.eval_block``): a
-       pair of points closer than 1e-14 of the whole block's scale, but
-       not of the tile's, is not classed as coincident, where a whole
-       block would class it so.  The scale is at least 1, so this needs
-       coordinates above 1.
+       full-size block is built as a temporary.  A ``KernelSource``'s
+       tiles are blocks between subsets of its point set, which keep that
+       set's coincidence scale (``PointSet.scale``), so each entry is the
+       whole block's, whatever tile holds it.
     3. Each node's ID, one skeleton for rows and columns with L = R^T
        (Ho-Ying's index sets, CPAM 2016), of [column target; row target
        transposed], each [neighbour blocks from phase 2; far field]: the

@@ -55,14 +55,16 @@ class TestCurves:
 
     @pytest.mark.parametrize("kwargs", [{"scale": -1.0}, {"scale": 0.0}, {"scale": np.nan},
                                         {"scale": np.inf}, {"center": (np.nan, 0.0)},
-                                        {"center": (0.0, -np.inf)}, {"center": (1.0, 2.0, 3.0)}])
+                                        {"center": (0.0, -np.inf)}, {"center": (1.0, 2.0, 3.0)},
+                                        {"scale": True}, {"scale": "2"}])
     def test_trefoil_scale_and_center_are_checked(self, kwargs):
         # a negative scale flipped every curvature, and with it the Laplace
         # diagonal limit; a non-finite one gave non-finite coordinates
         with pytest.raises(InvalidInput, match="trefoil"):
             bie.trefoil(64, **kwargs)
 
-    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0)])
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 1.0),
+                                      (True, 1.0), (1.0, True), ("2", 1.0)])
     def test_ellipse_semi_axes_must_be_finite(self, a, b):
         with pytest.raises(InvalidInput, match="finite positive semi-axes"):
             bie.ellipse(a, b, 64)

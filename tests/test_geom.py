@@ -179,6 +179,19 @@ def test_invalid_inputs():
         build_tree(uniform_cloud(10), 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["normals", "weights", "curvatures"])
+def test_non_finite_point_data_refused(field, bad):
+    # a non-finite weight or curvature loaded, and compress failed only
+    # inside an ID ("matrix has non-finite entries"); a NaN normal passed
+    # the unit-length check
+    data = {"normals": np.tile([1.0, 0.0], (3, 1)), "weights": np.ones(3),
+            "curvatures": np.ones(3)}[field]
+    data.flat[1] = bad
+    with pytest.raises(InvalidInput, match="non-finite|unit vectors"):
+        PointSet(np.random.default_rng(0).random((3, 2)), **{field: data})
+
+
 @pytest.mark.parametrize("leaf", [float("nan"), 2.5, 64.0, True])
 def test_leaf_size_must_be_an_integer(leaf):
     # a NaN passed the >= 1 check and split every box down to _MAX_DEPTH
@@ -219,6 +232,19 @@ def test_subset_equals_validated_point_set(d, kind):
         assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
     bare = PointSet(ps.coords).subset(idx)
     assert bare.normals is None and bare.weights is None and bare.curvatures is None
+
+
+def test_subsets_keep_the_coincidence_scale_of_their_set():
+    # the scale is max(largest per-axis extent, largest |coordinate|, 1) of
+    # the set as built; subsets, and subsets of those, keep it
+    xy = np.array([[-3.0, 0.5], [4.0, 0.25], [0.0, 0.0]])
+    assert PointSet(xy).scale == 7.0
+    assert PointSet(xy + [0.0, 10.0]).scale == 10.5
+    assert PointSet(xy * 0.1).scale == 1.0
+    ps = PointSet(xy)
+    sub = ps.subset([1, 2]).subset([1])
+    assert sub.coords.tolist() == [[0.0, 0.0]] and sub.scale == 7.0
+    assert PointSet(sub.coords).scale == 1.0
 
 
 @pytest.mark.parametrize("idx", [np.array([], dtype=np.int64), [], np.zeros(50, dtype=bool),
@@ -271,6 +297,37 @@ def test_truncated_binary_point_file_raises_invalid_input(tmp_path):
         path.write_bytes(data)
         with pytest.raises(InvalidInput):
             read_points_binary(path)
+
+
+def test_point_files_with_non_finite_weights_refused(tmp_path):
+    txt = tmp_path / "pts.txt"
+    txt.write_text("0.1 0.2 1.0\n0.3 0.4 nan\n")
+    with pytest.raises(InvalidInput, match="non-finite weight"):
+        read_points_text(txt, 2, has_weights=True)
+    path = tmp_path / "pts.bin"
+    write_points_binary(PointSet(np.random.default_rng(0).random((4, 2)),
+                                 weights=np.ones(4)), path)
+    path.write_bytes(path.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+    with pytest.raises(InvalidInput, match="non-finite weight"):
+        read_points_binary(path)
+
+
+@pytest.mark.parametrize("flags", [4, 7, 0x80])
+def test_binary_point_file_with_unknown_flag_bits_refused(tmp_path, flags):
+    # bit 0 marks normals and bit 1 weights; a file is written with the
+    # other bits clear, and the length matches the known bits' layout
+    rng = np.random.default_rng(0)
+    nrm = rng.standard_normal((5, 2))
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    ps = PointSet(rng.random((5, 2)), *((nrm, np.ones(5)) if flags & 3 else ()))
+    path = tmp_path / "pts.bin"
+    write_points_binary(ps, path)
+    blob = bytearray(path.read_bytes())
+    assert blob[9] == flags & 3
+    blob[9] = flags
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvalidInput, match="unknown flag bits"):
+        read_points_binary(path)
 
 
 def all_pairs(tree, ids):

@@ -65,7 +65,7 @@ class TestProxyPoints:
         with pytest.raises(InvalidInput, match="integer"):
             ProxyConfig(n_proxy=n_proxy).resolve(2)
 
-    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf, None])
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan, np.inf, None, True])
     def test_degenerate_radius_rejected(self, factor):
         # radius 0 stacks every proxy point at the box centre, which costs
         # an order of magnitude of accuracy without a word
@@ -788,8 +788,8 @@ def test_store_is_filled_in_tiles(case, tile, monkeypatch):
 
 @pytest.mark.parametrize("case", ["cloud", "duplicates"])
 def test_tiles_give_the_whole_block_bits(case, monkeypatch):
-    # a tile's call takes its coincidence scale from its own rows; on these
-    # clouds that classes every pair as the whole block does
+    # every tile is a block between subsets of one point set, so it classes
+    # every pair as the whole block does
     default = skel._TILE_ENTRIES
 
     def compressed(tile):
@@ -804,23 +804,25 @@ def test_tiles_give_the_whole_block_bits(case, monkeypatch):
     assert compressed(64) == whole
 
 
-def test_a_tile_takes_its_coincidence_scale_from_its_rows(monkeypatch):
+def test_tiles_share_the_coincidence_scale_of_their_point_set(monkeypatch):
     # points on a line, up to 1000 from the origin, with p and q 7.5e-12
-    # apart on either side of the split at -500.  p's node also holds the
-    # point at -1000: its whole block's coincidence threshold is 1e-14 *
-    # 1000, so the pair takes the "zero" fill, but a one-row tile of p sees
-    # coordinates up to 500 only, and evaluates the pair
+    # apart on either side of the split at -500.  The set's coincidence
+    # scale is 1000, so the pair is coincident (the "zero" fill) in every
+    # block between subsets of it, even a one-row tile of p whose own
+    # coordinates reach 500 only; two freshly built one-point sets, of
+    # scale 500, evaluate it
     delta = 7.5e-12
     x = np.concatenate([[-1000.0, -500.0 - delta, -500.0, 0.0],
                         -500.0 * np.random.default_rng(0).random(200)])
     pts = PointSet(np.column_stack([x, np.zeros_like(x)]))
     tree = build_tree(pts, 16)
     p, q = np.argsort(tree.perm)[[1, 2]]
-    g = eval_block(LAPLACE2, pts.subset([1]), pts.subset([2]))[0, 0]
+    assert eval_block(LAPLACE2, pts.subset([1]), pts.subset([2]))[0, 0] == 0.0
+    g = eval_block(LAPLACE2, PointSet(pts.coords[[1]]), PointSet(pts.coords[[2]]))[0, 0]
     assert g == pytest.approx(-np.log(delta) / (2 * np.pi), rel=1e-4)
 
-    def pair_entries(tile):
-        # K(p, q) in every block call that holds it: all between nodes
+    def compressed(tile):
+        # the container, and K(p, q) in every block call that holds it
         monkeypatch.setattr(skel, "_TILE_ENTRIES", tile)
         source, seen = KernelSource(LAPLACE2, pts, tree.perm), []
         real = source.block
@@ -834,13 +836,13 @@ def test_a_tile_takes_its_coincidence_scale_from_its_rows(monkeypatch):
         source.block = block
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", AccuracyWarning)
-            compress_source(source, tree, 1e-6)
-        assert seen
-        return seen
+            out = serialize_compressed(compress_source(source, tree, 1e-6))
+        assert seen and set(seen) == {0.0}
+        return out
 
-    assert set(pair_entries(10 ** 12)) == {0.0}
-    assert set(pair_entries(skel._TILE_ENTRIES)) == {0.0}   # the blocks fit one tile
-    assert set(pair_entries(1)) == {g}
+    whole = compressed(10 ** 12)
+    assert compressed(skel._TILE_ENTRIES) == whole
+    assert compressed(1) == whole
 
 
 @pytest.mark.parametrize("case", ["square", "cube", "cloud", "ellipse", "far"])
