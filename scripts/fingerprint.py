@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""SHA-256 fingerprints of what skelkit computes on five fixed cases.
+"""SHA-256 fingerprints of what skelkit computes on six fixed cases.
 
-Four cases compress and factor one matrix.  The script then hashes the
+Five cases compress and factor one matrix.  The script then hashes the
 compressed and factored containers (``serialize_compressed`` and
 ``serialize_factored``) and the outputs of ``apply`` and ``solve`` on one
-vector and on a block of 16 columns drawn at ``SEED``.  The fifth hashes the
+vector and on a block of 16 columns drawn at ``SEED``.  The sixth hashes the
 dense multiple-scattering path: ``matrix()``, the preconditioner applied
 to one complex vector drawn at ``SEED``, and the preconditioned GMRES answer
 for that vector, whose item name carries its iteration count.  A change
@@ -22,6 +22,9 @@ exits with status 1 if any does.
 The cases are:
 
 - the Dirichlet BIE on the 16384-point ellipse, at eps 1e-9;
+- the Helmholtz Dirichlet BIE on the 4096-point ellipse at wavenumber 10,
+  at eps 1e-8: complex blocks, Kapur-Rokhlin weights, and proxy surfaces
+  of more than 64 points;
 - the Laplace kernel on 8192 uniform points in the unit square, at eps 1e-6;
 - the Laplace kernel on 4096 uniform points in the unit cube, at eps 1e-6;
 - the self-system of one trefoil(256) scatterer at 2 wavelengths, at eps 1e-8,
@@ -54,6 +57,11 @@ SEED = 201
 def _ellipse(n):
     system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, n), KernelSpec("laplace", 2))
     return bie.compress_system(system, 1e-9)[1]
+
+
+def _helmholtz_ellipse(n):
+    spec = KernelSpec("helmholtz", 2, wavenumber=10.0)
+    return bie.compress_system(bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, n), spec), 1e-8)[1]
 
 
 def _volume(dim, n):
@@ -100,6 +108,7 @@ def _scattering(n):
 # name: (full N, quick N, (item, data) pairs of a case of N points)
 CASES = {
     "ellipse-bie": (16384, 1024, functools.partial(_factored, _ellipse)),
+    "ellipse-helmholtz-bie": (4096, 512, functools.partial(_factored, _helmholtz_ellipse)),
     "square": (8192, 1024, functools.partial(_factored, functools.partial(_volume, 2))),
     "cube": (4096, 512, functools.partial(_factored, functools.partial(_volume, 3))),
     "trefoil-scatterer": (256, 128, functools.partial(_factored, _trefoil)),

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, InvalidInput
-from .geom import PointSet, _index, _positive, build_tree
-from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
+from .geom import PointSet, _finite, _index, _positive, build_tree
+from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair, eval_block_self
 from .skel import KernelSource, ProxyConfig, _offsets, compress_source
 from .solver import factor, solve
 
@@ -105,9 +105,14 @@ def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
         raise InvalidInput("need n >= 8")
     if not _positive(scale):
         raise InvalidInput(f"trefoil scale must be finite and positive, got {scale}")
-    center = np.asarray(center, dtype=np.float64)
-    if center.shape != (2,) or not np.all(np.isfinite(center)):
+    # two finite reals: np.asarray would read True and "1" as 1.0
+    try:
+        pair = len(center) == 2 and all(map(_finite, center))
+    except TypeError:
+        pair = False
+    if not pair:
         raise InvalidInput("trefoil center must be a finite pair")
+    center = np.asarray(center, dtype=np.float64)
     t = 2 * np.pi * np.arange(n) / n
     r = (2 + np.cos(3 * t)) / 6
     dr = -np.sin(3 * t) / 2
@@ -158,13 +163,17 @@ def _kr_correct(blk, dist):
 
 def _minus_half_identity(blk, rows, cols, n):
     """``blk`` with -1/2 added where the row and the column are the same one
-    of the n nodes.  Most blocks join disjoint sets of nodes, which a mark
-    per node shows before any comparison of every row with every column."""
+    of the n nodes, and +0 to the rest of each column that holds one of the
+    rows' nodes (which makes a -0.0 +0.0); a column that holds none is left
+    alone, so a column's bits do not depend on the others in the call.
+    Most blocks join disjoint sets of nodes, which a mark per node shows
+    before any comparison of rows with columns."""
     mark = np.zeros(n, dtype=bool)
-    mark[cols] = True
-    if not mark[rows].any():
+    mark[rows] = True
+    hit = mark[cols]
+    if not hit.any():
         return blk
-    return blk + np.where(rows[:, None] == cols[None, :], -0.5, 0.0)
+    return blk + np.where(rows[:, None] == cols[None, :], -0.5, np.where(hit, 0.0, -0.0))
 
 
 @dataclass
@@ -195,10 +204,6 @@ class BieSystem:
         if self.spec.equation == "helmholtz":
             base = _kr_correct(base, _cyclic_distance(rows, cols, self.n))
         return _minus_half_identity(base, rows, cols, self.n)
-
-    def proxy_rows(self, targets, proxy):
-        """Incoming proxy field: the single layer of the proxy charges."""
-        return eval_block(self.spec.single_layer(), targets, proxy)
 
     def matrix(self):
         idx = np.arange(self.n)
@@ -265,13 +270,15 @@ def compress_system(system, eps, max_leaf_size=None,
     matrix.  Returns (tree, CompressedMatrix).
 
     A curve system is a ``BieSystem`` or one scatterer of a
-    ``ScatteringSystem``: anything with ``points``, ``spec``,
-    ``block(rows, cols)`` and ``proxy_rows(targets, proxy)``.
-    ``KernelSource`` scales the proxy rows by the mean quadrature weight of
-    the nodes, like the weighted columns of the system."""
+    ``ScatteringSystem``: anything with ``points``, ``spec`` and
+    ``block(rows, cols)``, and ``proxy_rows(targets, proxy)`` if its
+    incoming proxy field is not the single layer of ``spec`` (the
+    scatterer's is a Neumann trace).  ``KernelSource`` scales the proxy
+    rows by the mean quadrature weight of the nodes, like the weighted
+    columns of the system."""
     tree = build_tree(system.points, max_leaf_size)
     src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
-                       proxy_rows=system.proxy_rows)
+                       proxy_rows=getattr(system, "proxy_rows", None))
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
     return tree, cm
 
@@ -311,10 +318,15 @@ def _neumann_trace_block(k, targets: PointSet, sources: PointSet,
     """d/dnu_x of the 2D Helmholtz single layer, scaled by source weights;
     coincident pairs are zero.  G is symmetric, so this is the double layer
     of ``eval_block`` with targets and sources swapped (the target normal
-    becomes the source normal), transposed.  kr_dist, when given, is the
-    cyclic node distance used for Kapur-Rokhlin reweighting."""
+    becomes the source normal), transposed; a set's block with itself
+    (``targets is sources``, classed against its own coincidence scale, not
+    a parent set's) evaluates its Hankel factor once per unordered pair of
+    nodes.  kr_dist, when given, is the cyclic node distance used for
+    Kapur-Rokhlin reweighting."""
     dspec = KernelSpec("helmholtz", 2, "double", k)
-    blk = eval_block(dspec, sources, PointSet(targets.coords, targets.normals)).T
+    swapped = PointSet(targets.coords, targets.normals)
+    blk = (eval_block_self(dspec, swapped) if targets is sources and targets.scale == swapped.scale
+           else eval_block(dspec, sources, swapped)).T
     if kr_dist is not None:
         blk = _kr_correct(blk, kr_dist)
     if sources.weights is not None:
@@ -354,6 +366,14 @@ class _Scatterer:
         blk = _neumann_trace_block(self.k, self.points.subset(rows),
                                    self.points.subset(cols), kr_dist=dist)
         return _minus_half_identity(blk, rows, cols, self.npts)
+
+    def matrix(self):
+        """``block`` on every node bit for bit, from one evaluation of the
+        Hankel factor per unordered pair of nodes."""
+        idx = np.arange(self.npts)
+        blk = _neumann_trace_block(self.k, self.points, self.points,
+                                   kr_dist=_cyclic_distance(idx, idx, self.npts))
+        return _minus_half_identity(blk, idx, idx, self.npts)
 
     def proxy_rows(self, targets, proxy):
         """Incoming proxy field: the rows are Neumann traces, so it is the
@@ -446,7 +466,8 @@ class ScatteringSystem:
 
     def matrix(self):
         """The dense block system.  A translate of an earlier scatterer takes
-        that scatterer's diagonal block.  The two cross blocks of each pair
+        that scatterer's diagonal block, which evaluates its Hankel factor
+        once per unordered pair of nodes.  The two cross blocks of each pair
         of scatterers come from one evaluation of their Hankel factors, and
         a later pair of translates at the same offset (or at the opposite
         one, with the shapes swapped) copies them: a 2x2 grid of equal
@@ -462,8 +483,7 @@ class ScatteringSystem:
             if r != i:
                 A[blk[i], blk[i]] = A[blk[r], blk[r]]
             else:
-                idx = np.arange(sc[i].npts)
-                A[blk[i], blk[i]] = sc[i].block(idx, idx)
+                A[blk[i], blk[i]] = sc[i].matrix()
         for (i, j), (p, q) in _shared_pairs(sc, reps).items():
             if (p, q) == (i, j):
                 A[blk[i], blk[j]], A[blk[j], blk[i]] = _neumann_trace_pair(self.k, sc[i].points,

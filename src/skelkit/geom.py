@@ -37,14 +37,26 @@ def _index(value, what):
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
 
 
-def _positive(value):
-    """Whether ``value`` is a finite real > 0: a bool, a non-number and an
-    int beyond the float range are not."""
+def _finite(value):
+    """Whether ``value`` is a finite real: a bool, a non-number and an int
+    beyond the float range are not."""
     try:
         return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value) and value > 0)
+                and math.isfinite(value))
     except OverflowError:
         return False
+
+
+def _positive(value):
+    """Whether ``value`` is a finite real > 0 (``_finite``)."""
+    return _finite(value) and value > 0
+
+
+def coincidence_scale(lo, hi):
+    """max(largest per-axis extent, largest |coordinate|, 1) of a point set
+    whose coordinates on each axis run from lo to hi: arrays whose last axis
+    is the point's, and whose other axes, if any, list sets."""
+    return np.maximum(np.maximum(hi - lo, np.maximum(hi, -lo)).max(axis=-1), 1.0)
 
 
 @dataclass
@@ -52,8 +64,8 @@ class PointSet:
     """N points in 2 or 3 dimensions, with optional unit normals (needed by
     double-layer kernels), quadrature weights and signed curvatures.
 
-    ``scale``, max(largest per-axis extent, largest |coordinate|, 1), is the
-    length against which kernels class two points as coincident.  It is
+    ``scale``, the ``coincidence_scale`` of its coordinates, is the length
+    against which kernels class two points as coincident.  It is
     found when a set is built and kept by every subset of it, so a kernel
     entry between points of one set does not depend on the block that
     evaluates it."""
@@ -71,8 +83,7 @@ class PointSet:
             raise InvalidInput("need at least one point")
         if not np.all(np.isfinite(self.coords)):
             raise InvalidInput("non-finite coordinate")
-        lo, hi = self.coords.min(axis=0).tolist(), self.coords.max(axis=0).tolist()
-        self.scale = max(max(h - l for l, h in zip(lo, hi)), max(hi), -min(lo), 1.0)
+        self.scale = float(coincidence_scale(self.coords.min(axis=0), self.coords.max(axis=0)))
         if self.normals is not None:
             self.normals = np.ascontiguousarray(self.normals, dtype=np.float64)
             if self.normals.shape != self.coords.shape:

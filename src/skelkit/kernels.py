@@ -8,7 +8,8 @@ Conventions:
 
 ``layer="double"`` evaluates dG/dnu_y (normal derivative at the source).
 If the source set carries quadrature weights, column j of every block is
-scaled by w_j, so a block times a density vector is a quadrature sum.
+scaled by w_j, so a block times a density vector is a quadrature sum
+(``eval_fields`` leaves the weights to its caller).
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from scipy import special as sp
 
 from .errors import InvalidInput
-from .geom import PointSet, _positive
+from .geom import PointSet, _positive, coincidence_scale
 
 # targets closer to a source than this times the larger ``scale`` of the
 # two point sets count as coincident and are handled by the self-interaction
@@ -123,31 +124,107 @@ def eval_block_pair(spec: KernelSpec, a: PointSet, b: PointSet):
     return ab, ba.T
 
 
+def eval_block_self(spec: KernelSpec, points: PointSet) -> np.ndarray:
+    """``eval_block(spec, points, points)`` bit for bit, with the radial part
+    of the kernel evaluated once for each unordered pair of points: it is
+    symmetric in the two (``eval_block_pair``), so each pair's value is
+    written to both of its entries before the block is finished.  The
+    coincidence mask and the distances cost less to find again for every
+    entry, from the same squared distances, than to write twice."""
+    _check_operands(spec, points.dim, points)
+    n, x = points.n, points.coords[:, None]
+    r2, d = _squared_distances(spec, x, points.coords)
+    limit = (COINCIDENT_RTOL * points.scale) ** 2
+    # the flat positions of the upper triangle, and of its transpose
+    iu, ju = np.triu_indices(n)
+    upper, lower = iu * n + ju, ju * n + iu
+    half = r2.ravel().take(upper)
+    f_half, rs, _, _ = _of_distance(spec, half, np.empty_like(half), limit)
+    f = np.empty(n * n, dtype=f_half.dtype)
+    f[upper] = f_half
+    f[lower] = f_half
+    # as _of_distance finds them: the mask, and rs where it returns one
+    coincident = r2 < limit
+    if coincident.any():
+        np.putmask(r2, coincident, 1.0)
+    else:
+        coincident = None
+    if rs is not None:
+        rs = np.sqrt(r2, out=r2)
+    block = _finish(spec, f.reshape(n, n), rs, coincident, d, x, points, None, False)
+    return _weighted(block, points, None)
+
+
+def eval_fields(spec: KernelSpec, targets, sources: PointSet, counts) -> np.ndarray:
+    """The blocks of a group of target sets against consecutive runs of one
+    source set, side by side, from one evaluation.
+
+    ``targets`` is an (m, p, dim) array of m sets of p points, and
+    ``counts[g]`` the length of run g of ``sources``.  The columns of run g
+    are eval_block(spec, PointSet(targets[g]), run g) bit for bit, but for
+    the sources' weights, which are left to the caller: each target set is
+    classed for coincidence against its own scale, as a PointSet built from
+    it would be, and the sources'.  The p x n result is column-major: it is
+    evaluated transposed, a source per row, so that each run's columns are
+    contiguous, as the column-major ID targets that take them.
+    ``skel.compress_source`` evaluates the proxy fields of a group of nodes
+    with one call."""
+    m, p, dim = np.shape(targets)
+    _check_operands(spec, dim, sources)
+    n = sources.n
+    if p < 1 or len(counts) != m or sum(counts) != n or min(counts, default=0) < 0:
+        raise InvalidInput(f"{m} target sets of {p} points with runs {list(counts)} "
+                           f"of {n} sources")
+    # the sets axis by axis, (dim, m, p), where each reduction and gather
+    # reads rows
+    t = np.ascontiguousarray(np.transpose(targets, (2, 0, 1)), dtype=np.float64)
+    limit = np.array([(COINCIDENT_RTOL * max(s, sources.scale)) ** 2 for s in
+                      coincidence_scale(t.min(axis=2).T, t.max(axis=2).T).tolist()])
+    if m > 1:
+        runs = np.repeat(np.arange(m), counts)
+        t, limit = t[:, runs], limit[runs]
+    # each source row's own target set (one set is read for every row),
+    # laid out so that each axis of x is contiguous along the row
+    x = np.broadcast_to(t.transpose(1, 2, 0), (n, p, dim))
+    limit = np.broadcast_to(limit[:, None], (n, 1))
+    y = sources.coords[:, None]
+    step = max(1, _CHUNK_ENTRIES // p)
+    out = np.empty((n, p), dtype=spec.dtype) if n > step else None
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        f, rs, coincident, d = _radial(spec, x[rows], y[rows], limit[rows])
+        blk = _finish(spec, f, rs, coincident, d, x[rows], sources, rows, False)
+        if out is None:
+            return blk.T
+        out[rows] = blk
+    return out.T
+
+
 def _evaluate(spec, a, b, pair):
     """(eval_block(spec, a, b), the transpose of eval_block(spec, b, a) if
     ``pair`` else None), in row chunks of a."""
-    _check_operands(spec, a, b)
+    _check_operands(spec, a.dim, b)
     if pair:
-        _check_operands(spec, b, a)
-    span = max(a.scale, b.scale)
+        _check_operands(spec, b.dim, a)
+    limit = (COINCIDENT_RTOL * max(a.scale, b.scale)) ** 2
     m, n = a.n, b.n
     rows_per_chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
     if m <= rows_per_chunk:
-        return _block_rows(spec, a, b, slice(None), span, pair)
+        return _block_rows(spec, a, b, slice(None), limit, pair)
     ab = np.empty((m, n), dtype=spec.dtype)
     ba = np.empty((m, n), dtype=spec.dtype) if pair else None
     for lo in range(0, m, rows_per_chunk):
         rows = slice(lo, min(lo + rows_per_chunk, m))
-        ab[rows], ba_rows = _block_rows(spec, a, b, rows, span, pair)
+        ab[rows], ba_rows = _block_rows(spec, a, b, rows, limit, pair)
         if pair:
             ba[rows] = ba_rows
     return ab, ba
 
 
-def _check_operands(spec, targets, sources):
-    if targets.dim != spec.dim or sources.dim != spec.dim:
+def _check_operands(spec, target_dim, sources):
+    if target_dim != spec.dim or sources.dim != spec.dim:
         raise InvalidInput(
-            f"dimension mismatch: spec is {spec.dim}D, targets {targets.dim}D, "
+            f"dimension mismatch: spec is {spec.dim}D, targets {target_dim}D, "
             f"sources {sources.dim}D")
     if spec.layer == "double" and sources.normals is None:
         raise InvalidInput("double layer needs source normals")
@@ -159,23 +236,28 @@ def _along(arr, rows):
     return arr if rows is None else arr[rows, None]
 
 
-def _block_rows(spec, a, b, rows, span, pair):
+def _block_rows(spec, a, b, rows, limit, pair):
     """Rows ``rows`` of eval_block(spec, a, b) and, if ``pair``, the same
     rows of the transpose of eval_block(spec, b, a) (else None); pairs
-    closer than COINCIDENT_RTOL * span are coincident.  The second is
-    finished first, from a copy, since the first may overwrite the shared
-    factor."""
+    whose squared distance is below ``limit`` are coincident.  The second
+    is finished first, from a copy, since the first may overwrite the
+    shared factor."""
     x = a.coords[rows, None]
-    f, rs, coincident, d = _radial(spec, x, b.coords, span)
-    ba = _finish(spec, f, rs, coincident, d, b.coords, a, rows, True) if pair else None
-    return _finish(spec, f, rs, coincident, d, x, b, None, False), ba
+    f, rs, coincident, d = _radial(spec, x, b.coords, limit)
+    ba = (_weighted(_finish(spec, f, rs, coincident, d, b.coords, a, rows, True), a, rows)
+          if pair else None)
+    return _weighted(_finish(spec, f, rs, coincident, d, x, b, None, False), b, None), ba
 
 
-def _radial(spec, x, y, span):
+def _radial(spec, x, y, limit):
     """The part of a block that is the same in both orientations: the
     radial factor of the kernel at each pair of target coordinates ``x``
-    (laid along the rows) and source coordinates ``y`` (along the columns),
-    with coincident pairs marked.  Returns (f, rs, coincident, scratch):
+    and source coordinates ``y``, arrays whose last axis is the point's and
+    whose others broadcast to the block's shape (a target per row and a
+    source per column, or in ``eval_fields`` a source per row and its
+    target set along it), with the pairs whose squared distance is below
+    ``limit`` (a number, or an array that broadcasts likewise) marked
+    coincident.  Returns (f, rs, coincident, scratch):
     the whole block for the single layer, the denominator for the Laplace
     double layer, dG/drs for the Helmholtz double layer; rs, the distances,
     where the finish needs them; the mask, or None if no pair coincides;
@@ -185,19 +267,31 @@ def _radial(spec, x, y, span):
     in-place operators), with the operands in the order of the plain
     formulas written in the comments, so the entries are theirs bit for bit
     from a few arrays of the block's shape instead of one per operation."""
+    return _of_distance(spec, *_squared_distances(spec, x, y), limit)
+
+
+def _squared_distances(spec, x, y):
+    """(r2, scratch) for ``_radial``'s x and y: the squared distances, and
+    an array of their shape."""
     # r2 is summed axis by axis through one scratch array, with no
     # (rows x cols x dim) difference tensor, adding the axes in einsum's
     # order.  It starts at the first axis's d*d, equal to einsum's 0 + d*d
     # since d*d is never -0
     first, *rest = _AXIS_ORDER[spec.dim]
-    d = np.empty((x.shape[0], y.shape[0]))
-    r2 = np.subtract(x[..., first], y[..., first], out=np.empty_like(d))
+    r2 = np.subtract(x[..., first], y[..., first])
+    d = np.empty_like(r2)
     r2 *= r2
     for ax in rest:
         np.subtract(x[..., ax], y[..., ax], out=d)
         d *= d
         r2 += d
-    coincident = r2 < (COINCIDENT_RTOL * span) ** 2
+    return r2, d
+
+
+def _of_distance(spec, r2, d, limit):
+    """``_radial`` from the squared distances r2, overwritten, and a
+    scratch array d of their shape."""
+    coincident = r2 < limit
     if coincident.any():
         np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below
     else:
@@ -259,16 +353,20 @@ def _radial(spec, x, y, span):
 
 
 def _finish(spec, f, rs, coincident, d, x, sources, rows, copy):
-    """One orientation's block from ``_radial``'s output: target
-    coordinates ``x`` and the source set laid out as ``_along(..., rows)``
-    says.  The block is written over f unless ``copy``; d is scratch."""
+    """One orientation's block, without the source weights, from
+    ``_radial``'s output: target coordinates ``x`` and the source set laid
+    out as ``_along(..., rows)`` says.  The block is written over f unless
+    ``copy``; d is scratch."""
     if spec.layer == "double":
         # xdot[i,j] = (x_i - y_j) . nu_j (nu the source normal), summed axis
         # by axis in einsum's order from +0 like einsum, since its signed
-        # zeros show
+        # zeros show: the first axis's term plus 0.0 is einsum's 0 + term
         y, nu = _along(sources.coords, rows), _along(sources.normals, rows)
-        xdot = np.zeros_like(d)
-        for ax in _AXIS_ORDER[spec.dim]:
+        first, *rest = _AXIS_ORDER[spec.dim]
+        xdot = np.subtract(x[..., first], y[..., first], out=np.empty_like(d))
+        xdot *= nu[..., first]
+        xdot += 0.0
+        for ax in rest:
             np.subtract(x[..., ax], y[..., ax], out=d)
             d *= nu[..., ax]
             xdot += d
@@ -295,7 +393,12 @@ def _finish(spec, f, rs, coincident, d, x, sources, rows, copy):
                 raise InvalidInput("curvature_limit needs source curvatures")
             fill = -_along(kappa, rows) / (4 * np.pi)
         np.copyto(block, fill, where=coincident)
+    return block
 
+
+def _weighted(block, sources, rows):
+    """``block`` with the source weights laid out as ``_along(..., rows)``
+    says applied in place."""
     if sources.weights is not None:
         block *= _along(sources.weights, rows)
     return block

@@ -14,6 +14,7 @@ sources around each box, so per-node work depends only on neighbor sizes.
 """
 
 import functools
+import itertools
 import math
 import mmap
 import struct
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInput, RefusedTooLarge
 from .geom import OrthTree, PointSet, _index, _positive, fibonacci_sphere, level_neighbors
-from .kernels import KernelSpec, eval_block
+from .kernels import KernelSpec, eval_block, eval_fields
 from .lowrank import _above_two, _target_id, _warn
 # unused here: benchmark/spans.py::patch_table, their only reader, wraps both
 # by name.  id_randomized is deleted (ROADMAP item 2); None satisfies the
@@ -95,8 +96,16 @@ def proxy_points(box, config: ProxyConfig, dim) -> PointSet:
     scaled to the proxy radius and centred on the box."""
     cfg = config.resolve(dim)
     r = proxy_radius(box.halfwidth, cfg, dim)
-    c = np.asarray(box.center, dtype=np.float64)
-    return PointSet(c + r * _unit_surface(dim, cfg.n_proxy))
+    return PointSet(_rings([box.center], [r], cfg.n_proxy)[0])
+
+
+def _rings(centers, radii, n):
+    """The proxy surfaces of n points around m boxes with these centres and
+    proxy radii, as an (m, n, dim) array: each the unit surface scaled by
+    its radius and moved to its centre."""
+    centers = np.asarray(centers, dtype=np.float64)
+    radii = np.asarray(radii, dtype=np.float64)
+    return centers[:, None, :] + radii[:, None, None] * _unit_surface(centers.shape[1], n)
 
 
 class KernelSource:
@@ -126,21 +135,50 @@ class KernelSource:
                           and spec.layer == "single" and points.weights is None)
         self._block = block or (
             lambda r, c: eval_block(spec, points.subset(r), points.subset(c)))
-        rows = proxy_rows or (lambda t, p: eval_block(self.proxy_spec, t, p))
-        w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
-        self._proxy_rows = rows if w is None else (lambda t, p: w * rows(t, p))
+        self._rows = proxy_rows
+        self._w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
 
     def block(self, rows, cols):
         return self._block(self.perm[rows], self.perm[cols])
 
     def proxy_row_block(self, rows, proxy: PointSet):
         # incoming fields: proxy charges evaluated at the node's points
-        return self._proxy_rows(self._points.subset(self.perm[rows]), proxy)
+        t = self._points.subset(self.perm[rows])
+        blk = eval_block(self.proxy_spec, t, proxy) if self._rows is None else self._rows(t, proxy)
+        return blk if self._w is None else self._w * blk
 
     def proxy_col_block(self, cols, proxy: PointSet):
         # outgoing fields: node sources evaluated on the proxy surface; the
         # single layer reads no source normals
         return eval_block(self.proxy_spec, proxy, self._points.subset(self.perm[cols]))
+
+    def proxy_fields(self, cols, rings):
+        """The far fields of a group of nodes, from one kernel call: node g
+        has the DOFs ``cols[g]`` and the proxy surface ``rings[g]`` of an
+        (m, p, dim) array.  Returns two lists, whose g-th blocks are
+        ``proxy_col_block(cols[g], PointSet(rings[g]))`` and the transpose
+        of ``proxy_row_block`` of the same, bit for bit.  Both are read off
+        the one unweighted single-layer block G, as G diag(w) and w G with
+        w the mean weight, the products the per-node blocks make; G's
+        transpose is the incoming block bit for bit.  The second list is
+        None if the incoming field is not the single layer."""
+        counts = [c.size for c in cols]
+        pts = self._points.subset(self.perm[np.concatenate(cols)])
+        G = eval_fields(self.proxy_spec, rings, pts, counts)
+        at = np.cumsum(counts[:-1])
+        out = G if pts.weights is None else G * pts.weights
+        if self._rows is not None:
+            return np.split(out, at, axis=1), None
+        if self._w is not None:
+            # w comes from the weights, so out is a product, not G
+            G *= self._w
+        return np.split(out, at, axis=1), np.split(G, at, axis=1)
+
+
+def _node_fields(source, cols, rings):
+    """``KernelSource.proxy_fields`` for a source that has only per-node
+    proxy blocks: its outgoing fields, node by node, and None."""
+    return [source.proxy_col_block(c, PointSet(r)) for c, r in zip(cols, rings)], None
 
 
 @dataclass
@@ -338,7 +376,8 @@ def _half(blocks, far):
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over any matrix source exposing ``block``,
-    ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``.
+    ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``,
+    and optionally ``symmetric`` and ``proxy_fields`` (``KernelSource``).
 
     Each level runs in four phases; in proxy mode each kernel block is
     evaluated once:
@@ -348,21 +387,32 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     2. Each node evaluates the blocks it shares with its partners, its
        neighbours (proxy mode) and its siblings: node a evaluates K(DOFs of
        a, DOFs of its partners), for a symmetric source only partners above
-       a, since the blocks below are transposes.  ``block`` is called on
-       row tiles of about ``_TILE_ENTRIES`` entries (one row if a row is
-       longer), each written into its rows of the level's store, so no
-       full-size block is built as a temporary.  A ``KernelSource``'s
-       tiles are blocks between subsets of its point set, which keep that
-       set's coincidence scale (``PointSet.scale``), so each entry is the
-       whole block's, whatever tile holds it.
+       a, since the blocks below are transposes; at the finest level a
+       leaf's D comes from the same calls, as its tiles' first columns.
+       ``block`` is called on row tiles of about ``_TILE_ENTRIES`` entries
+       (one row if a row is longer), each written into its rows of the
+       level's store, so no full-size block is built as a temporary.  A
+       ``KernelSource``'s tiles are blocks between subsets of its point
+       set, which keep that set's coincidence scale (``PointSet.scale``),
+       so each entry is the whole block's, whatever tile holds it.
     3. Each node's ID, one skeleton for rows and columns with L = R^T
        (Ho-Ying's index sets, CPAM 2016), of [column target; row target
        transposed], each [neighbour blocks from phase 2; far field]: the
        proxy field, or in global mode, where a node has no neighbours, its
        whole off-diagonal block column and row, evaluated here (sibling
        blocks again).  A symmetric source's row half repeats its column
-       half and is left out.  ``lowrank._target_id`` takes the target as
-       these row blocks and picks the route: ``id_gram`` on the Gram
+       half and is left out.  The proxy fields of consecutive ID nodes
+       with one proxy count are evaluated together, in groups of up to
+       ``_TILE_ENTRIES`` entries (a larger field, such as a 3D node's, is
+       a group of one), by one ``proxy_fields`` call when the group's
+       first node reaches its far field; each node's surface is the one
+       ``proxy_points`` gives its box, and each node lets its fields go
+       once its last half has taken them.  A source without
+       ``proxy_fields`` has its outgoing fields evaluated node by node
+       (``proxy_col_block``), and an incoming half that ``proxy_fields``
+       does not give is the node's ``proxy_row_block``.
+       ``lowrank._target_id`` takes the target as these row blocks and
+       picks the route: ``id_gram`` on the Gram
        matrix of the blocks, taken one at a time, for a tall target of at
        least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``, and otherwise
        ``id_fixed_precision`` on one column-major stack of them, factored
@@ -404,6 +454,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
 
     k_wave = getattr(source, "wavenumber", 0.0)
     sym = getattr(source, "symmetric", False)
+    fields = getattr(source, "proxy_fields", None) or functools.partial(_node_fields, source)
     levels = []
     interp_max = []     # max |P| of every ID kept, in any order
 
@@ -415,7 +466,9 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
 
     children = [None] * len(covers[0])
     dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in covers[0]]
-    Ds = None           # the level's diagonal blocks, sliced by the level below
+    # the level's diagonal blocks: the leaves' evaluated in phase 2, each
+    # coarser level's sliced by the level below
+    Ds = [np.empty((d.size, d.size), dtype=dtype) for d in dofs]
 
     for li in range(top):
         ids = covers[li]
@@ -426,10 +479,13 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         partners = [sorted(set(sibs[a]).union(nbrs[a]) - {a}) for a in range(nb)]
         owned = [[b for b in partners[a] if b > a] for a in range(nb)] if sym else partners
         at, shapes = [], []     # at[a][b]: the columns of own[a] that hold b's DOFs
+        size = [d.size for d in dofs]
         for a, ow in enumerate(owned):
-            off = _offsets([dofs[b].size for b in ow])
+            # offsets as Python ints, which cost less than numpy's to make
+            # and to slice by
+            off = list(itertools.accumulate((size[b] for b in ow), initial=0))
             at.append({b: slice(off[i], off[i + 1]) for i, b in enumerate(ow)})
-            shapes.append((dofs[a].size, int(off[-1])))
+            shapes.append((size[a], off[-1]))
         # own[a] = K(DOFs of a, DOFs of owned[a]).  The level's blocks share
         # one anonymous mapping, returned to the system whole when the level
         # is done; freed one by one from the heap, they would stay resident
@@ -443,11 +499,17 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         own = [v.reshape(shape) for v, shape in
                zip(np.split(store, _offsets(sizes)[1:-1]), shapes)]
         for a in range(nb):
-            rows, cols = dofs[a], _cat([dofs[b] for b in owned[a]])
+            # at the finest level the tiles' first columns are the leaf's D
+            rows = dofs[a]
+            head = rows.size if li == 0 else 0
+            cols = _cat(([rows] if head else []) + [dofs[b] for b in owned[a]])
             if cols.size:
                 step = max(1, _TILE_ENTRIES // cols.size)
                 for lo in range(0, rows.size, step):
-                    own[a][lo:lo + step] = source.block(rows[lo:lo + step], cols)
+                    tile = source.block(rows[lo:lo + step], cols)
+                    if head:
+                        Ds[a][lo:lo + step] = tile[:, :head]
+                    own[a][lo:lo + step] = tile[:, head:]
 
         def pair(a, b):
             # K(DOFs of a, DOFs of b) for partners a and b
@@ -455,11 +517,50 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 return own[a][:, at[a][b]]
             return own[b][:, at[b][a]].T
 
+        # carried: a leaf above the finest cover, its own only child
+        carried = [li > 0 and not tree.nodes[i].children for i in ids]
+        if mode == "proxy":
+            # each ID node's proxy surface, and its far fields evaluated for
+            # a group of consecutive nodes with one proxy count, up to
+            # _TILE_ENTRIES entries (or one node), at once
+            boxes = [tree.nodes[i] for i in ids]
+            centers = np.array([b.center for b in boxes])
+            radii = proxy_radius(np.array([b.halfwidth for b in boxes]), cfg, tree.dim)
+            n_far = np.full(nb, cfg.n_proxy)
+            if k_wave > 0:
+                n_far += np.ceil(4.0 * k_wave * radii).astype(np.int64)
+            n_far = n_far.tolist()
+            group, members, entries = {}, [], 0
+            for a in range(nb):
+                if carried[a] or not size[a]:
+                    continue
+                e = n_far[a] * size[a]
+                if not members or n_far[a] != n_far[members[0]] or entries + e > _TILE_ENTRIES:
+                    members, entries = [], 0
+                members.append(a)
+                group[a] = members
+                entries += e
+            held = {}   # node -> (outgoing, incoming or None, proxy surface)
+
+        def far(a, half):
+            # half 0 or 1 of node a's proxy field; its group's fields are
+            # evaluated when the group's first node asks, and each node's
+            # are let go when its last half is taken
+            if a not in held:
+                g = group[a]
+                rings = _rings(centers[g], radii[g], n_far[a])
+                out, inc = fields([dofs[b] for b in g], rings)
+                held.update(zip(g, zip(out, inc or [None] * len(g), rings)))
+            out, inc, ring = held.pop(a) if half == (0 if sym else 1) else held[a]
+            if half == 0:
+                return out
+            return inc if inc is not None else source.proxy_row_block(dofs[a], PointSet(ring)).T
+
         def build_node(a):
             d = dofs[a]
-            D = np.ascontiguousarray(_blk(d, d), dtype=dtype) if Ds is None else Ds[a]
-            if li and not tree.nodes[ids[a]].children:
-                # carried: a leaf above the finest cover, so its D is zero
+            D = Ds[a]
+            if carried[a]:
+                # carried, so its D is zero
                 R = np.eye(d.size, dtype=dtype)
                 return CompressedNode(skel=d, D=D, L=_transposed(R), R=R,
                                       children=children[a]), np.arange(d.size)
@@ -468,17 +569,13 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             # through the ID raised the 4096-point cube's compression peak
             # from 232 to 274 MB
             if mode == "proxy":
-                node = tree.nodes[ids[a]]
-                n_far = cfg.n_proxy
-                if k_wave > 0:
-                    n_far += int(np.ceil(4.0 * k_wave * proxy_radius(node.halfwidth, cfg, tree.dim)))
-                pxy = proxy_points(node, replace(cfg, n_proxy=n_far), tree.dim)
-                empty = np.zeros((n_far, 0), dtype=dtype)
-                far_col = lambda: source.proxy_col_block(d, pxy) if d.size else empty
-                far_row = lambda: source.proxy_row_block(d, pxy).T if d.size else empty
+                n_far_a = n_far[a]
+                empty = np.zeros((n_far_a, 0), dtype=dtype)
+                far_col = lambda: far(a, 0) if d.size else empty
+                far_row = lambda: far(a, 1) if d.size else empty
             else:
                 rest = _cat([dofs[b] for b in range(nb) if b != a])
-                n_far = rest.size
+                n_far_a = rest.size
                 far_col = lambda: _blk(rest, d)
                 far_row = lambda: _blk(d, rest).T
             # [column target; row target transposed], each half its neighbour
@@ -487,7 +584,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             halves = [_half((pair(b, a) for b in nbrs[a]), far_col)]
             if not sym:
                 halves.append(_half((pair(a, b).T for b in nbrs[a]), far_row))
-            m = len(halves) * (sum(dofs[b].size for b in nbrs[a]) + n_far)
+            m = len(halves) * (sum(dofs[b].size for b in nbrs[a]) + n_far_a)
             idp = _target_id(halves, (m, d.size), eps)
             interp_max.append(idp.max_entry)
             order = np.argsort(idp.skel)
@@ -506,7 +603,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         # transpose of the one above
         Ds = []
         for ch in parents:
-            off = _offsets([pos[i].size for i in ch])
+            off = list(itertools.accumulate((pos[i].size for i in ch), initial=0))
             M = np.zeros((off[-1], off[-1]), dtype=dtype)
             for i, a in enumerate(ch):
                 width = own[a].shape[1]
@@ -570,10 +667,16 @@ def _joined(records):
 
 def _same_bits(a, b):
     """Whether a and b, float64 or complex128, have one shape and the same
-    bits in every entry (so -0.0 is not 0.0, and a NaN can equal itself)."""
-    parts = (np.real, np.imag) if np.iscomplexobj(a) else (np.asarray,)
-    return a.shape == b.shape and a.dtype == b.dtype and all(
-        np.array_equal(f(a).view(np.uint64), f(b).view(np.uint64)) for f in parts)
+    bits in every entry (so -0.0 is not 0.0, and a NaN can equal itself).
+    Two views that read the same bytes alike, such as an L held as R.T
+    against R.T, are not compared entry by entry."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if (a.strides == b.strides
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]):
+        return True
+    parts = ((a.real, b.real), (a.imag, b.imag)) if a.dtype.kind == "c" else ((a, b),)
+    return all((x.view(np.uint64) == y.view(np.uint64)).all() for x, y in parts)
 
 
 def _write_header(out, kind, field, n, nlevels, eps, perm):

@@ -203,11 +203,15 @@ def test_compression_counts_scale_as_criterion_7(monkeypatch):
     # exactly under any load; measured slopes (numpy 2.4 / scipy 1.17):
     # circle 1.05 entries and 1.08 flops, square 1.32 and 1.69
     entries, flops = [0], [0]
-    real_eval, real_id = skel.eval_block, skel._target_id
+    real_eval, real_fields, real_id = skel.eval_block, skel.eval_fields, skel._target_id
 
     def counting_eval(spec, targets, sources):
         entries[0] += targets.n * sources.n
         return real_eval(spec, targets, sources)
+
+    def counting_fields(spec, targets, sources, counts):
+        entries[0] += targets.shape[1] * sources.n
+        return real_fields(spec, targets, sources, counts)
 
     def counting_id(halves, shape, eps):
         k, m = sorted(shape)
@@ -215,6 +219,7 @@ def test_compression_counts_scale_as_criterion_7(monkeypatch):
         return real_id(halves, shape, eps)
 
     monkeypatch.setattr(skel, "eval_block", counting_eval)
+    monkeypatch.setattr(skel, "eval_fields", counting_fields)
     monkeypatch.setattr(skel, "_target_id", counting_id)
     slopes = {}
     for geometry, eps, leaf in (("circle", 1e-9, 128), ("square", 1e-6, None)):

@@ -9,7 +9,7 @@ from skelkit import kernels
 from skelkit.errors import InvalidInput
 from skelkit.geom import PointSet
 from skelkit.kernels import (COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block,
-                             eval_block_pair)
+                             eval_block_pair, eval_block_self, eval_fields)
 
 
 def h0_series(z, terms=40):
@@ -413,6 +413,78 @@ def test_eval_block_pair_matches_einsum_formula_bitwise(spec, weighted, chunked,
     for got, want in ((got_ab, want_ab), (got_ba, want_ba)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+_ALL_SPECS = [
+    KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
+    for eq in ("laplace", "helmholtz") for dim in (2, 3) for layer in ("single", "double")
+] + [KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")]
+
+
+def _spec_id(s):
+    return f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}"
+
+
+@pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_eval_block_self_matches_einsum_formula_bitwise(spec, weighted):
+    # one radial factor per unordered pair, mirrored: the lattice part of
+    # the cloud repeats points, so coincident pairs lie off the diagonal too
+    coords, normals, weights, kappa = _grid_cloud(90, spec.dim, 5)
+    points = PointSet(coords, normals, weights if weighted else None, kappa)
+    want = _einsum_block(spec, points, points)
+    assert np.count_nonzero(want == 0) > points.n or spec.self_interaction == "curvature_limit"
+    got = eval_block_self(spec, points)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+@pytest.mark.parametrize("m", [1, 4])
+def test_eval_fields_match_per_set_blocks_bitwise(spec, chunked, m, monkeypatch):
+    # each run of sources against its own target set, as eval_block gives
+    # it without the source weights.  Each set is classed against its own
+    # scale: set 2 is far from the origin, so a pair that is coincident
+    # there is not in a set of unit scale, and set 0 holds two sources
+    d = spec.dim
+    rng = np.random.default_rng(3)
+    coords, normals, weights, kappa = _grid_cloud(60, d, 7)
+    sources = PointSet(coords, normals, weights, kappa)
+    bare = PointSet(coords, normals, None, kappa)
+    counts = [15, 0, 25, 20][:m] if m > 1 else [60]
+    targets = rng.standard_normal((m, 9, d))
+    targets[0, :2] = coords[:2]
+    if m > 1:
+        targets[2] += 1e3
+        targets[2, 0] = coords[15] + 0.5 * COINCIDENT_RTOL * np.abs(targets[2]).max()
+    if chunked:
+        monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 2 * sources.n)
+    got = eval_fields(spec, targets, sources, counts)
+    assert got.shape == (9, 60) and got.dtype == spec.dtype
+    off = np.concatenate([[0], np.cumsum(counts)])
+    for g in range(m):
+        run = np.arange(off[g], off[g + 1])
+        if run.size:
+            want = eval_block(spec, PointSet(targets[g]), bare.subset(run))
+            assert np.ascontiguousarray(got[:, run]).tobytes() == want.tobytes()
+    coincident = [(0, 0), (1, 1)] + [(0, 15)] * (m > 1)
+    for i, j in coincident:
+        assert got[i, j] == (0.0 if spec.self_interaction == "zero" else -kappa[j] / (4 * np.pi))
+
+
+def test_eval_fields_checks_its_runs():
+    spec = KernelSpec("laplace", 2)
+    sources = random_cloud(10, 2, 1)
+    with pytest.raises(InvalidInput, match="runs"):
+        eval_fields(spec, np.zeros((2, 4, 2)), sources, [4, 5])
+    with pytest.raises(InvalidInput, match="runs"):
+        eval_fields(spec, np.zeros((2, 4, 2)), sources, [10])
+    with pytest.raises(InvalidInput, match="runs"):
+        eval_fields(spec, np.zeros((2, 4, 2)), sources, [12, -2])
+    with pytest.raises(InvalidInput, match="of 0 points"):
+        eval_fields(spec, np.zeros((1, 0, 2)), sources, [10])
+    with pytest.raises(InvalidInput, match="dimension"):
+        eval_fields(spec, np.zeros((1, 4, 3)), sources, [10])
 
 
 def test_eval_block_pair_checks_both_sides():

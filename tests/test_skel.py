@@ -618,6 +618,101 @@ def test_every_source_is_square_by_construction(case, monkeypatch):
     assert err <= 100 * 1e-6
 
 
+def _far_fields(case, monkeypatch):
+    """One compression's far fields as ``compress_source`` hands them to
+    the IDs: (source, tree, cm, far, groups), with far[i] the far block of
+    each half of the i-th ID's target and groups the (nodes, entries) of
+    each ``proxy_fields`` call."""
+    far, groups, seen = [], [], []
+    real_id = skel._target_id
+
+    def capture_id(halves, shape, eps):
+        halves = [list(h) for h in halves]
+        far.append([h[-1] for h in halves])
+        return real_id(halves, shape, eps)
+
+    def capture(module):
+        real = module.compress_source
+
+        def run(source, tree, *args, **kwargs):
+            fields = source.proxy_fields
+
+            def counted(cols, rings):
+                groups.append((len(cols), rings.shape[1] * sum(c.size for c in cols)))
+                return fields(cols, rings)
+            source.proxy_fields = counted
+            seen.append((source, tree, real(source, tree, *args, **kwargs)))
+            return seen[-1][2]
+        monkeypatch.setattr(module, "compress_source", run)
+
+    monkeypatch.setattr(skel, "_target_id", capture_id)
+    rng = np.random.default_rng(201)
+    if case in ("laplace_bie", "helmholtz_bie"):
+        capture(bie)
+        eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq)
+        bie.compress_system(system, 1e-8, 16)
+    else:
+        capture(skel)
+        dim = 2 if case == "square" else 3
+        pts = PointSet(rng.random((2048 if dim == 2 else 1024, dim)))
+        compress(KernelSpec("laplace", dim), pts, build_tree(pts), 1e-6)
+    ((source, tree, cm),) = seen
+    return source, tree, cm, far, groups
+
+
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("case", ["laplace_bie", "square", "cube", "helmholtz_bie"])
+def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
+    # each ID's far field comes from one evaluation for a group of nodes;
+    # it must equal, bit for bit, the per-node proxy blocks of the node's
+    # own proxy surface: weighted columns and the mean-weighted incoming
+    # half (BIE), one half (square), groups of one (cube) and a complex
+    # field with more points than n_proxy (Helmholtz)
+    source, tree, cm, far, groups = _far_fields(case, monkeypatch)
+    dim, k = tree.dim, source.wavenumber
+    if case == "laplace_bie":
+        depths = {tree.nodes[i].depth for i in tree.levels[0]}
+        assert len(depths) > 1     # a finest cover of mixed depths
+    # groups of up to _TILE_ENTRIES entries, or of one node
+    assert sum(n for n, _ in groups) == sum(1 for f in far if f[0].size)
+    assert all(n == 1 or e <= skel._TILE_ENTRIES for n, e in groups)
+    if case == "cube":
+        assert any(n == 1 and e > skel._TILE_ENTRIES for n, e in groups)
+    else:
+        assert max(n for n, _ in groups) > 1
+    seen = iter(far)
+    dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in tree.levels[0]]
+    n_far_seen = set()
+    for li, lv in enumerate(cm.levels):
+        if li:
+            dofs = [np.concatenate([cm.levels[li - 1].nodes[c].skel for c in nd.children])
+                    for nd in lv.nodes]
+        for a, nd in enumerate(lv.nodes):
+            if _carried(tree, li, a, nd):
+                continue
+            box, d = tree.nodes[tree.levels[li][a]], dofs[a]
+            n_far = skel.DEFAULT_N_PROXY[dim]
+            if k > 0:
+                n_far += int(np.ceil(4.0 * k * skel.proxy_radius(box.halfwidth, ProxyConfig(), dim)))
+            n_far_seen.add(n_far)
+            got = next(seen)
+            assert len(got) == (1 if source.symmetric else 2)
+            if not d.size:
+                assert all(g.shape == (n_far, 0) for g in got)
+                continue
+            pxy = proxy_points(box, ProxyConfig(n_proxy=n_far), dim)
+            want = [source.proxy_col_block(d, pxy), source.proxy_row_block(d, pxy).T]
+            for g, w in zip(got, want):
+                assert _bits(g) == _bits(w)
+    assert next(seen, None) is None
+    if case == "helmholtz_bie":
+        assert min(n_far_seen) > skel.DEFAULT_N_PROXY[2] and len(n_far_seen) > 1
+
+
 # ---------------------------------------------------------------------------
 # each kernel block evaluated once: neighbour pairs once, D and S sliced
 
@@ -656,8 +751,14 @@ def _direct_block(source, row_parts, col_parts):
 
 def assert_sliced_blocks_are_kernel_blocks(source, cm):
     """Every D above the leaves, and S, equals a direct ``source.block`` of
-    the children's skeletons with the children's diagonal blocks zero."""
+    the children's skeletons with the children's diagonal blocks zero; each
+    leaf's D, evaluated with its neighbour blocks, equals its own block
+    bit for bit."""
     assert cm.nlevels >= 2
+    finest = cm.levels[0]
+    for a, nd in enumerate(finest.nodes):
+        d = np.arange(finest.dof_off[a], finest.dof_off[a + 1])
+        assert nd.D.tobytes() == np.asarray(source.block(d, d), dtype=nd.D.dtype).tobytes()
     for below, lv in zip(cm.levels, cm.levels[1:]):
         for nd in lv.nodes:
             kids = [below.nodes[c] for c in nd.children]

@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
+from skelkit.skel import (CompressedMatrix, CompressedNode, Level,
                           apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
@@ -82,10 +83,15 @@ def rank_zero_two_level(n=64):
     pts = PointSet(np.random.default_rng(0).uniform(size=(n, 2)))
     tree = build_tree(pts, 16)
     d = 2.0 + np.arange(float(n))
-    src = KernelSource(LAPLACE2, pts, tree.perm,
-                       block=lambda r, c: np.where(r[:, None] == c, d[r][:, None], 0.0),
-                       proxy_rows=lambda t, p: np.zeros((t.n, p.n)))
-    src.proxy_col_block = lambda cols, proxy: np.zeros((proxy.n, len(cols)))
+
+    def block(rows, cols):
+        r, c = tree.perm[rows], tree.perm[cols]
+        return np.where(r[:, None] == c, d[r][:, None], 0.0)
+
+    # a source with per-node proxy blocks only, as compress_source takes it
+    src = SimpleNamespace(n=n, dtype=np.float64, wavenumber=0.0, block=block,
+                          proxy_row_block=lambda rows, proxy: np.zeros((len(rows), proxy.n)),
+                          proxy_col_block=lambda cols, proxy: np.zeros((proxy.n, len(cols))))
     return compress_source(src, tree, 1e-9), np.diag(d)
 
 
@@ -888,6 +894,33 @@ def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
     blob, a = _interpolative_corruptions(corrupt)
     cm = deserialize_compressed(blob)
     with pytest.raises(InvalidInput, match=f"^level 2, node {a} is not interpolative"):
+        factor(cm)
+
+
+@pytest.mark.parametrize("corrupt, why", [("r_not_identity", "R is not I at its skeletons"),
+                                         ("l_not_r_transposed", "L is not R\\^T")])
+@pytest.mark.parametrize("keeps_every_dof", [False, True], ids=["eliminated", "kept"])
+def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps_every_dof):
+    # the checks run at every node, one that keeps every DOF included, and
+    # name the node: here the last of its level, after nodes that pass.  An
+    # L held as R.T passes without a comparison, so L is made a copy first
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), LAPLACE2)
+    _, cm = bie.compress_system(system, 1e-8, 16)
+    li, a, nd = next((li, len(lv.nodes) - 1, lv.nodes[-1]) for li, lv in enumerate(cm.levels)
+                     if len(lv.nodes) > 1 and 2 <= lv.nodes[-1].k
+                     and (lv.nodes[-1].k == lv.nodes[-1].D.shape[0]) == keeps_every_dof)
+    assert factor(cm).levels[li].nodes[a].Dd.any() != keeps_every_dof
+    R = nd.R.copy()
+    dofs = (np.arange(*cm.levels[0].dof_off[a:a + 2]) if li == 0 else
+            np.concatenate([cm.levels[li - 1].nodes[c].skel for c in nd.children]))
+    p = np.searchsorted(dofs, nd.skel)
+    if corrupt == "r_not_identity":
+        R[1, p[1]] = np.nextafter(1.0, 2.0)
+        nd.R, nd.L = R, R.T
+    else:
+        nd.L = R.T.copy()
+        nd.L[p[0], 1] = np.nextafter(nd.L[p[0], 1], np.inf)
+    with pytest.raises(InvalidInput, match=f"^level {li + 1}, node {a} is not interpolative: {why}"):
         factor(cm)
 
 
