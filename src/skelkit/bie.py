@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, InvalidInput
 from .geom import PointSet, _finite, _index, _positive, build_tree
-from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair, eval_block_self
+from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
 from .skel import KernelSource, ProxyConfig, _offsets, compress_source
 from .solver import factor, solve
 
@@ -318,15 +318,10 @@ def _neumann_trace_block(k, targets: PointSet, sources: PointSet,
     """d/dnu_x of the 2D Helmholtz single layer, scaled by source weights;
     coincident pairs are zero.  G is symmetric, so this is the double layer
     of ``eval_block`` with targets and sources swapped (the target normal
-    becomes the source normal), transposed; a set's block with itself
-    (``targets is sources``, classed against its own coincidence scale, not
-    a parent set's) evaluates its Hankel factor once per unordered pair of
-    nodes.  kr_dist, when given, is the cyclic node distance used for
-    Kapur-Rokhlin reweighting."""
+    becomes the source normal), transposed.  kr_dist, when given, is the
+    cyclic node distance used for Kapur-Rokhlin reweighting."""
     dspec = KernelSpec("helmholtz", 2, "double", k)
-    swapped = PointSet(targets.coords, targets.normals)
-    blk = (eval_block_self(dspec, swapped) if targets is sources and targets.scale == swapped.scale
-           else eval_block(dspec, sources, swapped)).T
+    blk = eval_block(dspec, sources, PointSet(targets.coords, targets.normals)).T
     if kr_dist is not None:
         blk = _kr_correct(blk, kr_dist)
     if sources.weights is not None:
@@ -366,14 +361,6 @@ class _Scatterer:
         blk = _neumann_trace_block(self.k, self.points.subset(rows),
                                    self.points.subset(cols), kr_dist=dist)
         return _minus_half_identity(blk, rows, cols, self.npts)
-
-    def matrix(self):
-        """``block`` on every node bit for bit, from one evaluation of the
-        Hankel factor per unordered pair of nodes."""
-        idx = np.arange(self.npts)
-        blk = _neumann_trace_block(self.k, self.points, self.points,
-                                   kr_dist=_cyclic_distance(idx, idx, self.npts))
-        return _minus_half_identity(blk, idx, idx, self.npts)
 
     def proxy_rows(self, targets, proxy):
         """Incoming proxy field: the rows are Neumann traces, so it is the
@@ -466,8 +453,7 @@ class ScatteringSystem:
 
     def matrix(self):
         """The dense block system.  A translate of an earlier scatterer takes
-        that scatterer's diagonal block, which evaluates its Hankel factor
-        once per unordered pair of nodes.  The two cross blocks of each pair
+        that scatterer's diagonal block.  The two cross blocks of each pair
         of scatterers come from one evaluation of their Hankel factors, and
         a later pair of translates at the same offset (or at the opposite
         one, with the shapes swapped) copies them: a 2x2 grid of equal
@@ -483,7 +469,8 @@ class ScatteringSystem:
             if r != i:
                 A[blk[i], blk[i]] = A[blk[r], blk[r]]
             else:
-                A[blk[i], blk[i]] = sc[i].matrix()
+                idx = np.arange(sc[i].npts)
+                A[blk[i], blk[i]] = sc[i].block(idx, idx)
         for (i, j), (p, q) in _shared_pairs(sc, reps).items():
             if (p, q) == (i, j):
                 A[blk[i], blk[j]], A[blk[j], blk[i]] = _neumann_trace_pair(self.k, sc[i].points,

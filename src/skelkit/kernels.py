@@ -124,37 +124,6 @@ def eval_block_pair(spec: KernelSpec, a: PointSet, b: PointSet):
     return ab, ba.T
 
 
-def eval_block_self(spec: KernelSpec, points: PointSet) -> np.ndarray:
-    """``eval_block(spec, points, points)`` bit for bit, with the radial part
-    of the kernel evaluated once for each unordered pair of points: it is
-    symmetric in the two (``eval_block_pair``), so each pair's value is
-    written to both of its entries before the block is finished.  The
-    coincidence mask and the distances cost less to find again for every
-    entry, from the same squared distances, than to write twice."""
-    _check_operands(spec, points.dim, points)
-    n, x = points.n, points.coords[:, None]
-    r2, d = _squared_distances(spec, x, points.coords)
-    limit = (COINCIDENT_RTOL * points.scale) ** 2
-    # the flat positions of the upper triangle, and of its transpose
-    iu, ju = np.triu_indices(n)
-    upper, lower = iu * n + ju, ju * n + iu
-    half = r2.ravel().take(upper)
-    f_half, rs, _, _ = _of_distance(spec, half, np.empty_like(half), limit)
-    f = np.empty(n * n, dtype=f_half.dtype)
-    f[upper] = f_half
-    f[lower] = f_half
-    # as _of_distance finds them: the mask, and rs where it returns one
-    coincident = r2 < limit
-    if coincident.any():
-        np.putmask(r2, coincident, 1.0)
-    else:
-        coincident = None
-    if rs is not None:
-        rs = np.sqrt(r2, out=r2)
-    block = _finish(spec, f.reshape(n, n), rs, coincident, d, x, points, None, False)
-    return _weighted(block, points, None)
-
-
 def eval_fields(spec: KernelSpec, targets, sources: PointSet, counts) -> np.ndarray:
     """The blocks of a group of target sets against consecutive runs of one
     source set, side by side, from one evaluation.
@@ -267,12 +236,6 @@ def _radial(spec, x, y, limit):
     in-place operators), with the operands in the order of the plain
     formulas written in the comments, so the entries are theirs bit for bit
     from a few arrays of the block's shape instead of one per operation."""
-    return _of_distance(spec, *_squared_distances(spec, x, y), limit)
-
-
-def _squared_distances(spec, x, y):
-    """(r2, scratch) for ``_radial``'s x and y: the squared distances, and
-    an array of their shape."""
     # r2 is summed axis by axis through one scratch array, with no
     # (rows x cols x dim) difference tensor, adding the axes in einsum's
     # order.  It starts at the first axis's d*d, equal to einsum's 0 + d*d
@@ -285,12 +248,6 @@ def _squared_distances(spec, x, y):
         np.subtract(x[..., ax], y[..., ax], out=d)
         d *= d
         r2 += d
-    return r2, d
-
-
-def _of_distance(spec, r2, d, limit):
-    """``_radial`` from the squared distances r2, overwritten, and a
-    scratch array d of their shape."""
     coincident = r2 < limit
     if coincident.any():
         np.putmask(r2, coincident, 1.0)  # safe squared radius, overwritten below

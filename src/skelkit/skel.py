@@ -117,6 +117,11 @@ class KernelSource:
     the proxy only has to span exterior fields.  Over weighted points the
     incoming field is scaled by the mean weight, like the weighted columns
     of ``block``, so both halves of a node's ID share one magnitude.
+    ``compress_source`` takes the fields of a group of nodes at once from
+    ``proxy_fields``, which gives ``proxy_col_block``'s and
+    ``proxy_row_block``'s bits; where ``proxy_rows`` is given or either
+    per-node method is replaced, ``proxy_fields`` returns None and the
+    per-node methods are called.
 
     ``symmetric`` marks a plain unweighted single-layer kernel.  Its row
     blocks are the transposes of its column blocks bit for bit (plain
@@ -160,25 +165,25 @@ class KernelSource:
         of ``proxy_row_block`` of the same, bit for bit.  Both are read off
         the one unweighted single-layer block G, as G diag(w) and w G with
         w the mean weight, the products the per-node blocks make; G's
-        transpose is the incoming block bit for bit.  The second list is
-        None if the incoming field is not the single layer."""
+        transpose is the incoming block bit for bit.
+
+        Returns None if the incoming field is not the single layer (a
+        ``proxy_rows`` was given) or ``proxy_col_block`` or
+        ``proxy_row_block`` is replaced, on a subclass or on the instance:
+        ``compress_source`` then calls those two per node."""
+        if self._rows is not None or any(
+                getattr(getattr(self, name), "__func__", None) is not getattr(KernelSource, name)
+                for name in ("proxy_col_block", "proxy_row_block")):
+            return None
         counts = [c.size for c in cols]
         pts = self._points.subset(self.perm[np.concatenate(cols)])
         G = eval_fields(self.proxy_spec, rings, pts, counts)
         at = np.cumsum(counts[:-1])
         out = G if pts.weights is None else G * pts.weights
-        if self._rows is not None:
-            return np.split(out, at, axis=1), None
         if self._w is not None:
             # w comes from the weights, so out is a product, not G
             G *= self._w
         return np.split(out, at, axis=1), np.split(G, at, axis=1)
-
-
-def _node_fields(source, cols, rings):
-    """``KernelSource.proxy_fields`` for a source that has only per-node
-    proxy blocks: its outgoing fields, node by node, and None."""
-    return [source.proxy_col_block(c, PointSet(r)) for c, r in zip(cols, rings)], None
 
 
 @dataclass
@@ -377,7 +382,9 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over any matrix source exposing ``block``,
     ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``,
-    and optionally ``symmetric`` and ``proxy_fields`` (``KernelSource``).
+    and optionally ``symmetric`` and ``proxy_fields`` (``KernelSource``),
+    which takes precedence over the per-node proxy blocks where it does
+    not return None.
 
     Each level runs in four phases; in proxy mode each kernel block is
     evaluated once:
@@ -408,9 +415,11 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        first node reaches its far field; each node's surface is the one
        ``proxy_points`` gives its box, and each node lets its fields go
        once its last half has taken them.  A source without
-       ``proxy_fields`` has its outgoing fields evaluated node by node
-       (``proxy_col_block``), and an incoming half that ``proxy_fields``
-       does not give is the node's ``proxy_row_block``.
+       ``proxy_fields``, or whose ``proxy_fields`` returns None (a
+       ``KernelSource`` whose incoming field is not the single layer, or
+       whose per-node proxy blocks are replaced), has both halves
+       evaluated node by node, by ``proxy_col_block`` and
+       ``proxy_row_block``, on one ``PointSet`` of the node's surface.
        ``lowrank._target_id`` takes the target as these row blocks and
        picks the route: ``id_gram`` on the Gram
        matrix of the blocks, taken one at a time, for a tall target of at
@@ -454,7 +463,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
 
     k_wave = getattr(source, "wavenumber", 0.0)
     sym = getattr(source, "symmetric", False)
-    fields = getattr(source, "proxy_fields", None) or functools.partial(_node_fields, source)
+    fields = getattr(source, "proxy_fields", None)
     levels = []
     interp_max = []     # max |P| of every ID kept, in any order
 
@@ -540,21 +549,25 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 members.append(a)
                 group[a] = members
                 entries += e
-            held = {}   # node -> (outgoing, incoming or None, proxy surface)
+            held = {}   # node -> (outgoing, incoming), or its proxy surface
 
         def far(a, half):
             # half 0 or 1 of node a's proxy field; its group's fields are
             # evaluated when the group's first node asks, and each node's
-            # are let go when its last half is taken
+            # are let go when its last half is taken.  Without grouped
+            # fields, each node of the group gets its proxy surface, for
+            # the source's per-node blocks
             if a not in held:
                 g = group[a]
                 rings = _rings(centers[g], radii[g], n_far[a])
-                out, inc = fields([dofs[b] for b in g], rings)
-                held.update(zip(g, zip(out, inc or [None] * len(g), rings)))
-            out, inc, ring = held.pop(a) if half == (0 if sym else 1) else held[a]
+                got = fields([dofs[b] for b in g], rings) if fields else None
+                held.update(zip(g, zip(*got) if got else map(PointSet, rings)))
+            f = held.pop(a) if half == (0 if sym else 1) else held[a]
+            if not isinstance(f, PointSet):
+                return f[half]
             if half == 0:
-                return out
-            return inc if inc is not None else source.proxy_row_block(dofs[a], PointSet(ring)).T
+                return source.proxy_col_block(dofs[a], f)
+            return source.proxy_row_block(dofs[a], f).T
 
         def build_node(a):
             d = dofs[a]
@@ -667,16 +680,10 @@ def _joined(records):
 
 def _same_bits(a, b):
     """Whether a and b, float64 or complex128, have one shape and the same
-    bits in every entry (so -0.0 is not 0.0, and a NaN can equal itself).
-    Two views that read the same bytes alike, such as an L held as R.T
-    against R.T, are not compared entry by entry."""
-    if a.shape != b.shape or a.dtype != b.dtype:
-        return False
-    if (a.strides == b.strides
-            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]):
-        return True
-    parts = ((a.real, b.real), (a.imag, b.imag)) if a.dtype.kind == "c" else ((a, b),)
-    return all((x.view(np.uint64) == y.view(np.uint64)).all() for x, y in parts)
+    bits in every entry (so -0.0 is not 0.0, and a NaN can equal itself)."""
+    parts = (np.real, np.imag) if np.iscomplexobj(a) else (np.asarray,)
+    return a.shape == b.shape and a.dtype == b.dtype and all(
+        np.array_equal(f(a).view(np.uint64), f(b).view(np.uint64)) for f in parts)
 
 
 def _write_header(out, kind, field, n, nlevels, eps, perm):

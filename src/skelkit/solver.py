@@ -314,10 +314,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
         return lu, piv
 
     def _effective(D, blocks):
-        """D with ``blocks`` down its diagonal and delta added to it: a copy,
-        or D itself if there is nothing to add."""
-        if not (blocks or regularize):
-            return np.asarray(D, dtype=dtype)
+        """D with ``blocks`` down its diagonal and delta added to it, a copy."""
         De = np.array(D, dtype=dtype)
         _put_diagonal(De, blocks)
         if regularize:
@@ -331,23 +328,18 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     for li, lv in enumerate(cm.levels):
         order, inverse, rs, dofs = _level_orders(lv, dofs, li + 1)
         off = lv.dof_off.tolist()
-        # every identity a node of the level reads is a corner of this one
-        sizes = np.diff(lv.dof_off)
-        eye = np.eye(int(sizes.max(initial=0)), dtype=dtype)
 
         def factor_node(a):
             nd = lv.nodes[a]
             n, k, r = nd.D.shape[0], nd.k, rs[a]
             qp, iv = order[off[a]:off[a + 1]], inverse[off[a]:off[a + 1]]
             R = nd.R.take(qp, axis=1)
-            if not _same_bits(R[:, r:], eye[:k, :k].astype(R.dtype, copy=False)):
+            if not _same_bits(R[:, r:], np.eye(k, dtype=R.dtype)):
                 raise _not_interpolative(li + 1, a, "R is not I at its skeletons")
-            # O(1) for an L held as R.T: the same bytes, read alike
             if not _same_bits(nd.L, nd.R.T):
                 raise _not_interpolative(li + 1, a, "L is not R^T")
-            # D_eff in [q, p] order, a new array
             C = _effective(nd.D, [lams[c] for c in nd.children] if li else ())
-            C = C.take(qp, axis=0).take(qp, axis=1)
+            C = C.take(qp, axis=0).take(qp, axis=1)         # D_eff in [q, p] order
             if r == 0:
                 # every DOF is a skeleton: B^-1 = [[0, L], [R, -D_eff]], L = R^T
                 Rd = np.array(nd.R, dtype=dtype, order="C")
@@ -360,7 +352,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             # built transposed, column-major as getrs takes it, and it and the
             # LU are freed once X is found
             X = lu_solve(_lu(C[:r, :r], li + 1, a, "bordered"),
-                         np.concatenate((eye[:r, :r], Tn, C[:r, r:].T)).T)
+                         np.concatenate((np.eye(r, dtype=dtype), Tn, C[:r, r:].T)).T)
             rc = _rcond1(C[:r, :r], X[:, :r])
             if rc < _RCOND_WARN:
                 warnings_list.append((li + 1, a, "bordered", rc))
@@ -368,7 +360,8 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             Z = C[r:, :r] @ X                               # (D N)_p [M^-1 N^T | W]
             # Ld = E - N W and Rd = E^T - (D N)_p M^-1 N^T, in [q, p] order,
             # where E and E^T are the last k columns and rows of I_n
-            np.subtract(eye[:n, r:n], NX[:, n:], out=NX[:, n:])
+            eye = np.eye(n, dtype=dtype)
+            np.subtract(eye[:, r:], NX[:, n:], out=NX[:, n:])
             if sym:
                 # a symmetric B^-1 has Rd = Ld^T: Rd is taken from Ld's columns
                 # and Ld is held as its view.  Ld keeps its own arithmetic,
@@ -376,7 +369,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
                 # the backward error up to tenfold
                 Rd = NX[:, n:].T.take(iv, axis=1)
             else:
-                np.subtract(eye[r:n, :n], Z[:, :n], out=Z[:, :n])
+                np.subtract(eye[r:], Z[:, :n], out=Z[:, :n])
                 Rd = Z[:, :n].take(iv, axis=1)
             # rows and columns back to the node's own order
             return (FactoredNode(Dd=NX[:, :n].take(iv, axis=0).take(iv, axis=1),

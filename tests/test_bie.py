@@ -253,20 +253,6 @@ class TestScattering:
         k = 2 * np.pi * omega / curves[0].diameter()
         return bie.scattering_system(curves, k), k
 
-    @pytest.mark.parametrize("n", [64, 255])
-    def test_self_block_takes_one_hankel_factor_per_pair(self, n, monkeypatch):
-        # matrix()'s self block evaluates H1 once per unordered pair of
-        # nodes, and equals the block of every node bit for bit
-        from skelkit import kernels
-        system, _ = self.make(n=n, count=1)
-        (sc,), idx = system.scatterers, np.arange(n)
-        counted = []
-        real = kernels.sp.y1
-        monkeypatch.setattr(kernels.sp, "y1", lambda z, *a: counted.append(z.size) or real(z, *a))
-        A = system.matrix()
-        assert sum(counted) == n * (n + 1) // 2
-        assert A.tobytes() == sc.block(idx, idx).tobytes()
-
     def test_single_scatterer_preconditioner_is_exact(self):
         sys_, _ = self.make(count=1)
         A = sys_.matrix()

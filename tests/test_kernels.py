@@ -9,7 +9,7 @@ from skelkit import kernels
 from skelkit.errors import InvalidInput
 from skelkit.geom import PointSet
 from skelkit.kernels import (COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block,
-                             eval_block_pair, eval_block_self, eval_fields)
+                             eval_block_pair, eval_fields)
 
 
 def h0_series(z, terms=40):
@@ -423,19 +423,6 @@ _ALL_SPECS = [
 
 def _spec_id(s):
     return f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}"
-
-
-@pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_id)
-@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
-def test_eval_block_self_matches_einsum_formula_bitwise(spec, weighted):
-    # one radial factor per unordered pair, mirrored: the lattice part of
-    # the cloud repeats points, so coincident pairs lie off the diagonal too
-    coords, normals, weights, kappa = _grid_cloud(90, spec.dim, 5)
-    points = PointSet(coords, normals, weights if weighted else None, kappa)
-    want = _einsum_block(spec, points, points)
-    assert np.count_nonzero(want == 0) > points.n or spec.self_interaction == "curvature_limit"
-    got = eval_block_self(spec, points)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_id)

@@ -713,6 +713,44 @@ def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
         assert min(n_far_seen) > skel.DEFAULT_N_PROXY[2] and len(n_far_seen) > 1
 
 
+@pytest.mark.parametrize("replace", ["subclass", "instance", "proxy_rows"])
+def test_replaced_proxy_blocks_are_called_per_node(replace, monkeypatch):
+    # proxy_fields stands in for the per-node proxy blocks only while they
+    # are KernelSource's own and the incoming field is the single layer;
+    # otherwise every ID node calls them, here giving the same bits
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512), LAPLACE2)
+    tree = build_tree(system.points, 16)
+    calls, ids = [], []
+
+    class Counting(KernelSource):
+        def proxy_row_block(self, rows, proxy):
+            calls.append(rows.size)
+            return super().proxy_row_block(rows, proxy)
+
+    def make(cls=KernelSource, **kwargs):
+        return cls(system.spec, system.points, tree.perm, block=system.block, **kwargs)
+
+    plain = make()
+    if replace == "subclass":
+        src = make(Counting)
+    elif replace == "instance":
+        src = make()
+        own = src.proxy_row_block
+        src.proxy_row_block = lambda rows, proxy: calls.append(rows.size) or own(rows, proxy)
+    else:
+        single = system.spec.single_layer()
+        src = make(proxy_rows=lambda t, p: calls.append(t.n) or eval_block(single, t, p))
+    group = ([np.arange(3), np.arange(3, 7)], np.zeros((2, 8, 2)))
+    assert plain.proxy_fields(*group) is not None and src.proxy_fields(*group) is None
+    want = serialize_compressed(compress_source(plain, tree, 1e-9))
+    real_id = skel._target_id
+    monkeypatch.setattr(skel, "_target_id",
+                        lambda halves, shape, eps: ids.append(shape[1]) or real_id(halves, shape, eps))
+    got = serialize_compressed(compress_source(src, tree, 1e-9))
+    assert got == want
+    assert len(calls) == sum(1 for n in ids if n) > 0
+
+
 # ---------------------------------------------------------------------------
 # each kernel block evaluated once: neighbour pairs once, D and S sliced
 

@@ -4,7 +4,6 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedMatrix, CompressedNode, Level,
+from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
@@ -83,15 +82,10 @@ def rank_zero_two_level(n=64):
     pts = PointSet(np.random.default_rng(0).uniform(size=(n, 2)))
     tree = build_tree(pts, 16)
     d = 2.0 + np.arange(float(n))
-
-    def block(rows, cols):
-        r, c = tree.perm[rows], tree.perm[cols]
-        return np.where(r[:, None] == c, d[r][:, None], 0.0)
-
-    # a source with per-node proxy blocks only, as compress_source takes it
-    src = SimpleNamespace(n=n, dtype=np.float64, wavenumber=0.0, block=block,
-                          proxy_row_block=lambda rows, proxy: np.zeros((len(rows), proxy.n)),
-                          proxy_col_block=lambda cols, proxy: np.zeros((proxy.n, len(cols))))
+    src = KernelSource(LAPLACE2, pts, tree.perm,
+                       block=lambda r, c: np.where(r[:, None] == c, d[r][:, None], 0.0),
+                       proxy_rows=lambda t, p: np.zeros((t.n, p.n)))
+    src.proxy_col_block = lambda cols, proxy: np.zeros((proxy.n, len(cols)))
     return compress_source(src, tree, 1e-9), np.diag(d)
 
 
@@ -902,8 +896,8 @@ def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
 @pytest.mark.parametrize("keeps_every_dof", [False, True], ids=["eliminated", "kept"])
 def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps_every_dof):
     # the checks run at every node, one that keeps every DOF included, and
-    # name the node: here the last of its level, after nodes that pass.  An
-    # L held as R.T passes without a comparison, so L is made a copy first
+    # name the node: here the last of its level, after nodes that pass.  L,
+    # held as R.T, is made a copy before one of its entries is changed
     system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), LAPLACE2)
     _, cm = bie.compress_system(system, 1e-8, 16)
     li, a, nd = next((li, len(lv.nodes) - 1, lv.nodes[-1]) for li, lv in enumerate(cm.levels)
