@@ -271,14 +271,16 @@ def compress_system(system, eps, max_leaf_size=None,
 
     A curve system is a ``BieSystem`` or one scatterer of a
     ``ScatteringSystem``: anything with ``points``, ``spec`` and
-    ``block(rows, cols)``, and ``proxy_rows(targets, proxy)`` if its
-    incoming proxy field is not the single layer of ``spec`` (the
-    scatterer's is a Neumann trace).  ``KernelSource`` scales the proxy
-    rows by the mean quadrature weight of the nodes, like the weighted
-    columns of the system."""
+    ``block(rows, cols)``, and ``incoming``, a ``KernelSpec``, if its
+    incoming proxy field is not the single layer of ``spec``: the layer
+    whose block from the nodes to the proxy surface is that field
+    transposed (the scatterer's Neumann trace is the Helmholtz double
+    layer).  ``KernelSource`` takes the proxy fields of a group of nodes
+    at once, and scales the incoming field by the mean quadrature weight
+    of the nodes, like the weighted columns of the system."""
     tree = build_tree(system.points, max_leaf_size)
     src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
-                       proxy_rows=getattr(system, "proxy_rows", None))
+                       incoming=getattr(system, "incoming", None))
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
     return tree, cm
 
@@ -345,12 +347,16 @@ def _neumann_trace_pair(k, a: PointSet, b: PointSet):
 
 class _Scatterer:
     """One sound-hard obstacle as a curve system: -1/2 plus the
-    Kapur-Rokhlin corrected Neumann trace of the Helmholtz single layer."""
+    Kapur-Rokhlin corrected Neumann trace of the Helmholtz single layer.
+    Its rows are Neumann traces, so its incoming proxy field is too: the
+    double layer from the nodes to the proxy surface, transposed, as
+    ``_neumann_trace_block`` evaluates it."""
 
     def __init__(self, curve: Curve2D, k):
         self.curve = curve
         self.k = k
         self.spec = KernelSpec("helmholtz", 2, "single", k)
+        self.incoming = KernelSpec("helmholtz", 2, "double", k)
         self.points = curve.point_set()
         self.npts = curve.n
 
@@ -361,11 +367,6 @@ class _Scatterer:
         blk = _neumann_trace_block(self.k, self.points.subset(rows),
                                    self.points.subset(cols), kr_dist=dist)
         return _minus_half_identity(blk, rows, cols, self.npts)
-
-    def proxy_rows(self, targets, proxy):
-        """Incoming proxy field: the rows are Neumann traces, so it is the
-        target-normal derivative of the single layer."""
-        return _neumann_trace_block(self.k, targets, proxy)
 
 
 def _translates(scatterers):

@@ -111,17 +111,16 @@ def _rings(centers, radii, n):
 class KernelSource:
     """Adapter presenting a matrix over ``points`` to the compression sweep
     in tree ordering ``perm``.  ``block(rows, cols)`` evaluates entries in
-    point order (default: the kernel of ``spec``); ``proxy_rows(targets,
-    proxy)`` the incoming proxy field (default: the single layer).  Outgoing
-    proxy fields always use the single-layer kernel of the same equation:
-    the proxy only has to span exterior fields.  Over weighted points the
-    incoming field is scaled by the mean weight, like the weighted columns
-    of ``block``, so both halves of a node's ID share one magnitude.
-    ``compress_source`` takes the fields of a group of nodes at once from
-    ``proxy_fields``, which gives ``proxy_col_block``'s and
-    ``proxy_row_block``'s bits; where ``proxy_rows`` is given or either
-    per-node method is replaced, ``proxy_fields`` returns None and the
-    per-node methods are called.
+    point order (default: the kernel of ``spec``).  ``proxy_fields`` gives
+    the far fields of a group of nodes.  The outgoing field is the single
+    layer of the same equation, from the node's points to its proxy
+    surface: the proxy only has to span exterior fields.  The incoming
+    field is the kernel layer ``incoming`` (default: that single layer)
+    evaluated the same way and transposed; a scatterer, whose rows are
+    Neumann traces, gives the Helmholtz double layer.  Over weighted points
+    the incoming field is scaled by the mean weight, like the weighted
+    columns of ``block``, so both halves of a node's ID share one
+    magnitude.
 
     ``symmetric`` marks a plain unweighted single-layer kernel.  Its row
     blocks are the transposes of its column blocks bit for bit (plain
@@ -129,61 +128,43 @@ class KernelSource:
     half out of each node's ID."""
 
     def __init__(self, spec: KernelSpec, points: PointSet, perm, block=None,
-                 proxy_rows=None):
+                 incoming: KernelSpec | None = None):
         self.perm = np.asarray(perm)
         self._points = points
         self.proxy_spec = spec.single_layer()
+        self.incoming = self.proxy_spec if incoming is None else incoming
         self.n = points.n
         self.dtype = spec.dtype
         self.wavenumber = spec.wavenumber
-        self.symmetric = (block is None and proxy_rows is None
+        self.symmetric = (block is None and self.incoming == self.proxy_spec
                           and spec.layer == "single" and points.weights is None)
         self._block = block or (
             lambda r, c: eval_block(spec, points.subset(r), points.subset(c)))
-        self._rows = proxy_rows
         self._w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
 
     def block(self, rows, cols):
         return self._block(self.perm[rows], self.perm[cols])
 
-    def proxy_row_block(self, rows, proxy: PointSet):
-        # incoming fields: proxy charges evaluated at the node's points
-        t = self._points.subset(self.perm[rows])
-        blk = eval_block(self.proxy_spec, t, proxy) if self._rows is None else self._rows(t, proxy)
-        return blk if self._w is None else self._w * blk
-
-    def proxy_col_block(self, cols, proxy: PointSet):
-        # outgoing fields: node sources evaluated on the proxy surface; the
-        # single layer reads no source normals
-        return eval_block(self.proxy_spec, proxy, self._points.subset(self.perm[cols]))
-
     def proxy_fields(self, cols, rings):
-        """The far fields of a group of nodes, from one kernel call: node g
-        has the DOFs ``cols[g]`` and the proxy surface ``rings[g]`` of an
-        (m, p, dim) array.  Returns two lists, whose g-th blocks are
-        ``proxy_col_block(cols[g], PointSet(rings[g]))`` and the transpose
-        of ``proxy_row_block`` of the same, bit for bit.  Both are read off
-        the one unweighted single-layer block G, as G diag(w) and w G with
-        w the mean weight, the products the per-node blocks make; G's
-        transpose is the incoming block bit for bit.
-
-        Returns None if the incoming field is not the single layer (a
-        ``proxy_rows`` was given) or ``proxy_col_block`` or
-        ``proxy_row_block`` is replaced, on a subclass or on the instance:
-        ``compress_source`` then calls those two per node."""
-        if self._rows is not None or any(
-                getattr(getattr(self, name), "__func__", None) is not getattr(KernelSource, name)
-                for name in ("proxy_col_block", "proxy_row_block")):
-            return None
+        """The far fields of a group of nodes: node g has the DOFs
+        ``cols[g]`` and the proxy surface ``rings[g]`` of an (m, p, dim)
+        array.  Returns two lists of p x ``cols[g].size`` blocks, the
+        outgoing fields and the transposed incoming ones, each from one
+        ``eval_fields`` call for the whole group.  With G the single layer
+        from the nodes' points to their surfaces and w the mean weight, the
+        outgoing block is G diag(weights); the incoming block is w G, or w
+        times the ``incoming`` layer's block where that is not the single
+        layer."""
         counts = [c.size for c in cols]
         pts = self._points.subset(self.perm[np.concatenate(cols)])
         G = eval_fields(self.proxy_spec, rings, pts, counts)
         at = np.cumsum(counts[:-1])
         out = G if pts.weights is None else G * pts.weights
+        inc = G if self.incoming == self.proxy_spec else eval_fields(self.incoming, rings, pts, counts)
         if self._w is not None:
             # w comes from the weights, so out is a product, not G
-            G *= self._w
-        return np.split(out, at, axis=1), np.split(G, at, axis=1)
+            inc *= self._w
+        return np.split(out, at, axis=1), np.split(inc, at, axis=1)
 
 
 @dataclass
@@ -378,13 +359,25 @@ def _half(blocks, far):
     yield far()
 
 
+def _node_fields(source, sym):
+    """``proxy_fields`` for a source with the per-node protocol: its
+    ``proxy_col_block`` and, unless it is symmetric, the transposed
+    ``proxy_row_block``, each node on a ``PointSet`` of its surface."""
+    def fields(cols, rings):
+        rings = [PointSet(r) for r in rings]
+        out = [source.proxy_col_block(c, r) for c, r in zip(cols, rings)]
+        return out, out if sym else [source.proxy_row_block(c, r).T for c, r in zip(cols, rings)]
+    return fields
+
+
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
-    """Compression sweep over any matrix source exposing ``block``,
-    ``proxy_row_block``, ``proxy_col_block``, ``n``, ``dtype``, ``wavenumber``,
-    and optionally ``symmetric`` and ``proxy_fields`` (``KernelSource``),
-    which takes precedence over the per-node proxy blocks where it does
-    not return None.
+    """Compression sweep over any matrix source exposing ``block``, ``n``,
+    ``dtype``, ``wavenumber``, optionally ``symmetric``, and its far fields:
+    either ``proxy_fields(cols, rings)``, the fields of a group of nodes
+    (``KernelSource``), or the per-node ``proxy_col_block(cols, proxy)`` and
+    ``proxy_row_block(rows, proxy)`` on a ``PointSet`` of the node's proxy
+    surface, which are then called for each node of a group.
 
     Each level runs in four phases; in proxy mode each kernel block is
     evaluated once:
@@ -414,13 +407,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        a group of one), by one ``proxy_fields`` call when the group's
        first node reaches its far field; each node's surface is the one
        ``proxy_points`` gives its box, and each node lets its fields go
-       once its last half has taken them.  A source without
-       ``proxy_fields``, or whose ``proxy_fields`` returns None (a
-       ``KernelSource`` whose incoming field is not the single layer, or
-       whose per-node proxy blocks are replaced), has both halves
-       evaluated node by node, by ``proxy_col_block`` and
-       ``proxy_row_block``, on one ``PointSet`` of the node's surface.
-       ``lowrank._target_id`` takes the target as these row blocks and
+       once its last half has taken them.  ``lowrank._target_id`` takes the target as these row blocks and
        picks the route: ``id_gram`` on the Gram
        matrix of the blocks, taken one at a time, for a tall target of at
        least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``, and otherwise
@@ -463,7 +450,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
 
     k_wave = getattr(source, "wavenumber", 0.0)
     sym = getattr(source, "symmetric", False)
-    fields = getattr(source, "proxy_fields", None)
+    fields = getattr(source, "proxy_fields", None) or _node_fields(source, sym)
     levels = []
     interp_max = []     # max |P| of every ID kept, in any order
 
@@ -549,25 +536,17 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                 members.append(a)
                 group[a] = members
                 entries += e
-            held = {}   # node -> (outgoing, incoming), or its proxy surface
+            held = {}   # node -> (outgoing, incoming)
 
         def far(a, half):
             # half 0 or 1 of node a's proxy field; its group's fields are
             # evaluated when the group's first node asks, and each node's
-            # are let go when its last half is taken.  Without grouped
-            # fields, each node of the group gets its proxy surface, for
-            # the source's per-node blocks
+            # are let go when its last half is taken
             if a not in held:
                 g = group[a]
                 rings = _rings(centers[g], radii[g], n_far[a])
-                got = fields([dofs[b] for b in g], rings) if fields else None
-                held.update(zip(g, zip(*got) if got else map(PointSet, rings)))
-            f = held.pop(a) if half == (0 if sym else 1) else held[a]
-            if not isinstance(f, PointSet):
-                return f[half]
-            if half == 0:
-                return source.proxy_col_block(dofs[a], f)
-            return source.proxy_row_block(dofs[a], f).T
+                held.update(zip(g, zip(*fields([dofs[b] for b in g], rings))))
+            return (held.pop(a) if half == (0 if sym else 1) else held[a])[half]
 
         def build_node(a):
             d = dofs[a]

@@ -454,13 +454,14 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
     rows, cols = rng.choice(pts.n, 40, replace=False), rng.choice(pts.n, 30, replace=False)
     np.testing.assert_array_equal(src.block(rows, cols), A[np.ix_(perm[rows], perm[cols])])
 
+    # the fields of a group of two nodes, rows and cols, on one proxy surface
     pxy = skel.proxy_points(tree.nodes[tree.levels[0][0]], skel.ProxyConfig(), 2)
-    np.testing.assert_array_equal(src.proxy_row_block(rows, pxy),
-                                  incoming(pts.subset(perm[rows]), pxy))
+    out, inc = src.proxy_fields([rows, cols], np.stack([pxy.coords, pxy.coords]))
+    np.testing.assert_array_equal(inc[0], incoming(pts.subset(perm[rows]), pxy).T)
     # outgoing fields are the single layer: source normals play no part
     tgt = pts.subset(perm[cols])
     bare = PointSet(tgt.coords, None, tgt.weights)
-    np.testing.assert_array_equal(src.proxy_col_block(cols, pxy), eval_block(spec, pxy, bare))
+    np.testing.assert_array_equal(out[1], eval_block(spec, pxy, bare))
 
 
 def _closed_form_neumann_trace(k, targets, sources, kr_dist=None):

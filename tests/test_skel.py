@@ -530,13 +530,39 @@ def _ellipse_points(n, normals=False, weights=False):
                     curve.weights if weights else None)
 
 
+class PerNodeSource:
+    """A matrix source with only ``compress_source``'s per-node protocol:
+    the blocks of ``plain``, a ``KernelSource`` over ``points``, and its far
+    fields node by node from ``eval_block``.  The outgoing field is the
+    single layer; the incoming one is ``incoming(targets, proxy)``, the
+    single layer by default, scaled by the mean weight.  ``calls`` counts
+    the nodes each per-node block was called for.  It has no
+    ``symmetric`` attribute."""
+
+    def __init__(self, plain, points, incoming=None):
+        self.block, self.n = plain.block, plain.n
+        self.dtype, self.wavenumber = plain.dtype, plain.wavenumber
+        self.spec, self.points, self.perm = plain.proxy_spec, points, plain.perm
+        self.incoming = incoming or (lambda t, p: eval_block(self.spec, t, p))
+        self.w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
+        self.calls = {"col": 0, "row": 0}
+
+    def proxy_col_block(self, cols, proxy):
+        self.calls["col"] += 1
+        return eval_block(self.spec, proxy, self.points.subset(self.perm[cols]))
+
+    def proxy_row_block(self, rows, proxy):
+        self.calls["row"] += 1
+        blk = self.incoming(self.points.subset(self.perm[rows]), proxy)
+        return blk if self.w is None else self.w * blk
+
+
 def _caught_compression(case, monkeypatch):
     """(source, tree, compressed matrix) of one compression at eps 1e-6,
     caught at ``compress_source``: a 1024-point kernel matrix through
     ``compress`` (single or double layer, or the single layer with
-    quadrature weights), the same matrix as a custom source without the
-    ``symmetric`` attribute, a 1024-point Dirichlet BIE or the 256-point
-    scatterer preconditioner."""
+    quadrature weights), the same matrix as a ``PerNodeSource``, a
+    1024-point Dirichlet BIE or the 256-point scatterer preconditioner."""
     seen = []
 
     def capture(module):
@@ -556,11 +582,7 @@ def _caught_compression(case, monkeypatch):
     elif case == "custom":
         pts = _ellipse_points(1024)
         tree = build_tree(pts, 64)
-        ks = KernelSource(LAPLACE2, pts, tree.perm)
-        custom = type("Custom", (), {})()
-        for name in ("block", "proxy_row_block", "proxy_col_block", "n", "dtype",
-                     "wavenumber"):
-            setattr(custom, name, getattr(ks, name))
+        custom = PerNodeSource(KernelSource(LAPLACE2, pts, tree.perm), pts)
         seen.append((custom, tree, compress_source(custom, tree, 1e-6)))
     elif case == "scatterer":
         capture(bie)
@@ -620,9 +642,9 @@ def test_every_source_is_square_by_construction(case, monkeypatch):
 
 def _far_fields(case, monkeypatch):
     """One compression's far fields as ``compress_source`` hands them to
-    the IDs: (source, tree, cm, far, groups), with far[i] the far block of
-    each half of the i-th ID's target and groups the (nodes, entries) of
-    each ``proxy_fields`` call."""
+    the IDs: (source, points, tree, cm, far, groups), with far[i] the far
+    block of each half of the i-th ID's target and groups the (nodes,
+    entries) of each ``proxy_fields`` call."""
     far, groups, seen = [], [], []
     real_id = skel._target_id
 
@@ -651,28 +673,36 @@ def _far_fields(case, monkeypatch):
         capture(bie)
         eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
         system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq)
+        pts = system.points
         bie.compress_system(system, 1e-8, 16)
+    elif case == "scatterer":
+        capture(bie)
+        curve = bie.trefoil(256)
+        pts = curve.point_set()
+        bie.scattering_system([curve], 2 * np.pi * 2.0 / curve.diameter()).precond_blocks(1e-8)
     else:
         capture(skel)
         dim = 2 if case == "square" else 3
         pts = PointSet(rng.random((2048 if dim == 2 else 1024, dim)))
         compress(KernelSpec("laplace", dim), pts, build_tree(pts), 1e-6)
     ((source, tree, cm),) = seen
-    return source, tree, cm, far, groups
+    return source, pts, tree, cm, far, groups
 
 
 def _bits(a):
     return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("case", ["laplace_bie", "square", "cube", "helmholtz_bie"])
+@pytest.mark.parametrize("case", ["laplace_bie", "square", "cube", "helmholtz_bie",
+                                  "scatterer"])
 def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
     # each ID's far field comes from one evaluation for a group of nodes;
-    # it must equal, bit for bit, the per-node proxy blocks of the node's
-    # own proxy surface: weighted columns and the mean-weighted incoming
-    # half (BIE), one half (square), groups of one (cube) and a complex
-    # field with more points than n_proxy (Helmholtz)
-    source, tree, cm, far, groups = _far_fields(case, monkeypatch)
+    # it must equal, bit for bit, the blocks of the node's own proxy
+    # surface: weighted columns and the mean-weighted incoming half (BIE),
+    # one half (square), groups of one (cube), a complex field with more
+    # points than n_proxy (Helmholtz) and an incoming Neumann trace
+    # (scatterer)
+    source, pts, tree, cm, far, groups = _far_fields(case, monkeypatch)
     dim, k = tree.dim, source.wavenumber
     if case == "laplace_bie":
         depths = {tree.nodes[i].depth for i in tree.levels[0]}
@@ -684,6 +714,15 @@ def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
         assert any(n == 1 and e > skel._TILE_ENTRIES for n, e in groups)
     else:
         assert max(n for n, _ in groups) > 1
+    w = 1.0 if pts.weights is None else float(np.mean(pts.weights[tree.perm]))
+    single = source.proxy_spec
+
+    def incoming(t, pxy):
+        if case == "scatterer":
+            return w * bie._neumann_trace_block(k, t, pxy)
+        blk = eval_block(single, t, pxy)
+        return blk if pts.weights is None else w * blk
+
     seen = iter(far)
     dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in tree.levels[0]]
     n_far_seen = set()
@@ -705,50 +744,48 @@ def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
                 assert all(g.shape == (n_far, 0) for g in got)
                 continue
             pxy = proxy_points(box, ProxyConfig(n_proxy=n_far), dim)
-            want = [source.proxy_col_block(d, pxy), source.proxy_row_block(d, pxy).T]
-            for g, w in zip(got, want):
-                assert _bits(g) == _bits(w)
+            t = pts.subset(tree.perm[d])
+            want = [eval_block(single, pxy, t), incoming(t, pxy).T]
+            for g, want_g in zip(got, want):
+                assert _bits(g) == _bits(want_g)
     assert next(seen, None) is None
-    if case == "helmholtz_bie":
+    if case in ("helmholtz_bie", "scatterer"):
         assert min(n_far_seen) > skel.DEFAULT_N_PROXY[2] and len(n_far_seen) > 1
 
 
-@pytest.mark.parametrize("replace", ["subclass", "instance", "proxy_rows"])
-def test_replaced_proxy_blocks_are_called_per_node(replace, monkeypatch):
-    # proxy_fields stands in for the per-node proxy blocks only while they
-    # are KernelSource's own and the incoming field is the single layer;
-    # otherwise every ID node calls them, here giving the same bits
-    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512), LAPLACE2)
-    tree = build_tree(system.points, 16)
-    calls, ids = [], []
-
-    class Counting(KernelSource):
-        def proxy_row_block(self, rows, proxy):
-            calls.append(rows.size)
-            return super().proxy_row_block(rows, proxy)
-
-    def make(cls=KernelSource, **kwargs):
-        return cls(system.spec, system.points, tree.perm, block=system.block, **kwargs)
-
-    plain = make()
-    if replace == "subclass":
-        src = make(Counting)
-    elif replace == "instance":
-        src = make()
-        own = src.proxy_row_block
-        src.proxy_row_block = lambda rows, proxy: calls.append(rows.size) or own(rows, proxy)
+@pytest.mark.parametrize("case", ["laplace_bie", "scatterer", "symmetric"])
+def test_per_node_source_gives_the_grouped_bits(case, monkeypatch):
+    # a source with only the per-node proxy blocks takes its far fields
+    # through one adapter: each ID node calls each half's block once (a
+    # symmetric source only the column half's), and per-node blocks with
+    # the bits of KernelSource's grouped fields give its container bytes
+    if case == "symmetric":
+        pts = square_points(2048)
+        tree = build_tree(pts)
+        plain, incoming = KernelSource(LAPLACE2, pts, tree.perm), None
     else:
-        single = system.spec.single_layer()
-        src = make(proxy_rows=lambda t, p: calls.append(t.n) or eval_block(single, t, p))
-    group = ([np.arange(3), np.arange(3, 7)], np.zeros((2, 8, 2)))
-    assert plain.proxy_fields(*group) is not None and src.proxy_fields(*group) is None
+        if case == "laplace_bie":
+            system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512), LAPLACE2)
+            incoming = None
+        else:
+            curve = bie.trefoil(256)
+            system = bie.scattering_system([curve], 2 * np.pi * 2.0 / curve.diameter()).scatterers[0]
+            incoming = lambda t, p: bie._neumann_trace_block(system.k, t, p)
+        pts = system.points
+        tree = build_tree(pts, 16)
+        plain = KernelSource(system.spec, pts, tree.perm, block=system.block,
+                             incoming=getattr(system, "incoming", None))
+    src = PerNodeSource(plain, pts, incoming)
+    if case == "symmetric":
+        src.symmetric = True
     want = serialize_compressed(compress_source(plain, tree, 1e-9))
-    real_id = skel._target_id
+    ids, real_id = [], skel._target_id
     monkeypatch.setattr(skel, "_target_id",
                         lambda halves, shape, eps: ids.append(shape[1]) or real_id(halves, shape, eps))
     got = serialize_compressed(compress_source(src, tree, 1e-9))
     assert got == want
-    assert len(calls) == sum(1 for n in ids if n) > 0
+    nodes = sum(1 for n in ids if n)
+    assert nodes > 0 and src.calls == {"col": nodes, "row": 0 if case == "symmetric" else nodes}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
+from skelkit.skel import (CompressedMatrix, CompressedNode, Level,
                           apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
@@ -82,10 +83,13 @@ def rank_zero_two_level(n=64):
     pts = PointSet(np.random.default_rng(0).uniform(size=(n, 2)))
     tree = build_tree(pts, 16)
     d = 2.0 + np.arange(float(n))
-    src = KernelSource(LAPLACE2, pts, tree.perm,
-                       block=lambda r, c: np.where(r[:, None] == c, d[r][:, None], 0.0),
-                       proxy_rows=lambda t, p: np.zeros((t.n, p.n)))
-    src.proxy_col_block = lambda cols, proxy: np.zeros((proxy.n, len(cols)))
+    # a custom source: block takes tree positions
+    dp = d[tree.perm]
+    src = SimpleNamespace(
+        n=n, dtype=np.float64, wavenumber=0.0,
+        block=lambda r, c: np.where(r[:, None] == c, dp[r][:, None], 0.0),
+        proxy_col_block=lambda cols, proxy: np.zeros((proxy.n, len(cols))),
+        proxy_row_block=lambda rows, proxy: np.zeros((len(rows), proxy.n)))
     return compress_source(src, tree, 1e-9), np.diag(d)
 
 
