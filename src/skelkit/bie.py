@@ -105,14 +105,7 @@ def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
         raise InvalidInput("need n >= 8")
     if not _positive(scale):
         raise InvalidInput(f"trefoil scale must be finite and positive, got {scale}")
-    # two finite reals: np.asarray would read True and "1" as 1.0
-    try:
-        pair = len(center) == 2 and all(map(_finite, center))
-    except TypeError:
-        pair = False
-    if not pair:
-        raise InvalidInput("trefoil center must be a finite pair")
-    center = np.asarray(center, dtype=np.float64)
+    center = _finite_pair(center, "trefoil center")
     t = 2 * np.pi * np.arange(n) / n
     r = (2 + np.cos(3 * t)) / 6
     dr = -np.sin(3 * t) / 2
@@ -128,6 +121,18 @@ def trefoil(n, center=(0.0, 0.0), scale=1.0) -> Curve2D:
     return Curve2D(t, xy, normals, curvature, weights)
 
 
+def _finite_pair(value, what):
+    """``value`` as a float64 pair, or InvalidInput naming ``what`` unless
+    it is two finite reals: np.asarray would read True and "1" as 1.0."""
+    try:
+        pair = len(value) == 2 and all(map(_finite, value))
+    except TypeError:
+        pair = False
+    if not pair:
+        raise InvalidInput(f"{what} must be two finite coordinates, got {value!r}")
+    return np.asarray(value, dtype=np.float64)
+
+
 def _windings(curve: Curve2D, points) -> np.ndarray:
     """Winding of the sampled curve around each of the m x 2 ``points``, in
     one broadcast over points and nodes."""
@@ -139,8 +144,9 @@ def _windings(curve: Curve2D, points) -> np.ndarray:
 
 
 def winding_number(curve: Curve2D, point) -> int:
-    """Winding of the sampled curve around a point (1 inside a CCW curve)."""
-    return int(_windings(curve, np.asarray(point)[None])[0])
+    """Winding of the sampled curve around a point (1 inside a CCW curve).
+    A point that is not two finite coordinates raises InvalidInput."""
+    return int(_windings(curve, _finite_pair(point, "point")[None])[0])
 
 
 def contains(curve: Curve2D, point) -> bool:
@@ -228,7 +234,7 @@ def discretize_dirichlet(curve: Curve2D, spec: KernelSpec) -> BieSystem:
 def point_source_data(curve: Curve2D, source, spec: KernelSpec) -> np.ndarray:
     """Dirichlet data on the curve from an exterior unit point source:
     f_i = G(x_i, source)."""
-    source = np.asarray(source, dtype=np.float64)
+    source = _finite_pair(source, "point source")
     if contains(curve, source):
         raise InvalidInput("point source must lie strictly outside the domain")
     sspec = KernelSpec(spec.equation, 2, "single", spec.wavenumber)

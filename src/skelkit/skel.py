@@ -377,7 +377,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     either ``proxy_fields(cols, rings)``, the fields of a group of nodes
     (``KernelSource``), or the per-node ``proxy_col_block(cols, proxy)`` and
     ``proxy_row_block(rows, proxy)`` on a ``PointSet`` of the node's proxy
-    surface, which are then called for each node of a group.
+    surface, which are then called for each node of a group.  The tree
+    must be over the source's ``n`` points, or InvalidInput is raised.
 
     Each level runs in four phases; in proxy mode each kernel block is
     evaluated once:
@@ -432,6 +433,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     if mode not in ("proxy", "global"):
         raise InvalidInput(f"unknown mode {mode!r}")
     n = tree.n_points
+    if source.n != n:
+        raise InvalidInput(f"the source has {source.n} points, the tree {n}")
     if mode == "global" and n > GLOBAL_MODE_LIMIT and not allow_large:
         raise RefusedTooLarge(
             f"global-mode compression of N={n} is quadratic; "

@@ -418,7 +418,7 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     Krylov space, or a NaN).  It carries the iterate of the steps before
     that one, or of all of them, with that iterate's own residual.  ``tol``
     must be a real number in (0, 1), not a bool; ``max_iter`` an integer of
-    at least 1, not a bool.
+    at least 1, not a bool; ``b`` a vector.
     """
     # a tol of 1 or more (True, inf) returned after one step, far from the answer
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < 1:
@@ -430,6 +430,8 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     A = _as_operator(apply_fn)
     M = _as_operator(precond)
     b = np.asarray(b)
+    if b.ndim != 1:
+        raise InvalidInput(f"b must be a vector, got {b.ndim} dimensions")
     n = b.shape[0]
     max_iter = n if max_iter is None else min(max_iter, n)
 
@@ -439,9 +441,11 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     if beta == 0:
         return np.zeros(n, dtype=dtype), 0
 
-    V = np.empty((max_iter + 1, n), dtype=dtype)
+    # the basis starts at 17 rows and doubles as steps are taken: max_iter
+    # defaults to n, and n + 1 rows of n allocated up front can exceed memory
+    V = np.empty((min(max_iter, 16) + 1, n), dtype=dtype)
     V[0] = r0 / beta
-    R = np.zeros((max_iter, max_iter), dtype=dtype)   # the rotated Hessenberg matrix
+    cols = []   # the columns of the rotated Hessenberg matrix
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter, dtype=dtype)
     g = np.zeros(max_iter + 1, dtype=dtype)
@@ -471,14 +475,19 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
         phase = h[j] / abs(h[j]) if h[j] != 0 else 1.0
         sn[j] = phase * hn / pivot
         h[j] = phase * pivot
-        R[:j + 1, j] = h
+        cols.append(h)
         g[j + 1] = -np.conj(sn[j]) * g[j]
         g[j] *= cs[j]
         k = j + 1
         if abs(g[k]) / beta <= tol:
             break
+        if k == len(V):
+            V = np.concatenate([V, np.empty((min(k, max_iter + 1 - k), n), dtype=dtype)])
         V[k] = w / hn
-    x = solve_triangular(R[:k, :k], g[:k], check_finite=False) @ V[:k]
+    R = np.zeros((k, k), dtype=dtype)
+    for i, h in enumerate(cols):
+        R[:i + 1, i] = h
+    x = solve_triangular(R, g[:k], check_finite=False) @ V[:k]
     res = float(abs(g[k]) / beta)
     if res <= tol:
         return x, k
@@ -560,15 +569,22 @@ def load_factored(path) -> FactoredInverse:
 
 def read_matrix_market(path):
     """Minimal coordinate-format reader; returns (shape, rows, cols, vals).
-    A malformed, truncated or undecodable file raises InvalidInput."""
+    Only ``general`` storage of real, complex or integer entries is read:
+    a symmetric, skew-symmetric or hermitian file, or a pattern field,
+    raises InvalidInput, as does a malformed, truncated or undecodable
+    file."""
     with open(path) as f:
         try:
             # undecodable bytes raise UnicodeDecodeError, a ValueError, at
             # whichever read decodes them; for a small file that is the first
-            header = f.readline()
-            if not header.startswith("%%MatrixMarket matrix coordinate"):
+            banner = f.readline().lower().split()
+            if banner[:3] != ["%%matrixmarket", "matrix", "coordinate"] or len(banner) != 5:
                 raise InvalidInput("unsupported Matrix Market header")
-            complex_field = "complex" in header
+            if banner[3] not in ("real", "complex", "integer") or banner[4] != "general":
+                raise InvalidInput(f"{path}: unsupported Matrix Market storage "
+                                   f"{banner[3]} {banner[4]}: only general real, "
+                                   "complex or integer entries are read")
+            complex_field = banner[3] == "complex"
             width = 4 if complex_field else 3
             line = f.readline()
             while line.startswith("%"):

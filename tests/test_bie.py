@@ -216,6 +216,22 @@ class TestPointSourceData:
             bie.point_source_data(curve, (0.5, 0.2), LAPLACE2)
 
 
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.inf), (0.1, 0.2, 0.3), (True, 0.0)],
+                         ids=["nan", "inf", "three", "bool"])
+def test_points_must_be_two_finite_coordinates(point):
+    # a NaN point once wound -2**63 times round the curve, with a
+    # RuntimeWarning, so it lay inside: point_source_data took a NaN source
+    # for an interior one
+    curve = bie.ellipse(2.0, 1.0, 64)
+    with pytest.raises(InvalidInput, match="two finite coordinates"):
+        bie.contains(curve, point)
+    with pytest.raises(InvalidInput, match="two finite coordinates"):
+        bie.point_source_data(curve, point, LAPLACE2)
+    if point[0] is not True:
+        with pytest.raises(InvalidInput, match="two finite coordinates"):
+            bie.eval_interior(curve, np.ones(64), LAPLACE2, [point])
+
+
 class TestEvalInterior:
     def test_constant_density_gauss(self):
         for curve in (bie.circle(1.0, 256), bie.trefoil(256)):

@@ -212,6 +212,15 @@ def test_eps_validation():
             compress(LAPLACE2, pts, tree, bad)
 
 
+@pytest.mark.parametrize("n_points, n_tree", [(200, 100), (100, 200)])
+def test_tree_over_another_point_count_is_refused(n_points, n_tree):
+    # a tree over fewer points once gave a CompressedMatrix of the wrong
+    # size, and one over more an IndexError
+    tree = build_tree(square_points(n_tree), 16)
+    with pytest.raises(InvalidInput, match=f"{n_points} points, the tree {n_tree}"):
+        compress(LAPLACE2, square_points(n_points), tree, 1e-6)
+
+
 def test_compress_deterministic():
     pts = circle_points(512)
     tree = build_tree(pts, 64)

@@ -384,6 +384,18 @@ class TestGmres:
         assert it == 1
         np.testing.assert_allclose(x, b, rtol=1e-12)
 
+    def test_basis_grows_with_the_steps_taken(self):
+        # max_iter defaults to n: a basis of n + 1 rows of n, allocated
+        # before the first step, was 11.9 GiB here and raised MemoryError
+        x, it = gmres(lambda v: 2.0 * v, np.ones(40000), tol=1e-9)
+        assert it == 1
+        assert np.all(x == 0.5)
+
+    @pytest.mark.parametrize("b", [np.ones((4, 2)), np.float64(1.0)], ids=["matrix", "scalar"])
+    def test_b_must_be_a_vector(self, b):
+        with pytest.raises(InvalidInput, match="vector"):
+            gmres(lambda v: v, b)
+
     def test_diagonal_krylov_bound(self):
         d = np.arange(1.0, 11.0)
         b = np.ones(10)
@@ -567,6 +579,23 @@ class TestMatrixMarket:
             path.write_bytes(blob)
             with pytest.raises(InvalidInput):
                 read_matrix_market(path)
+
+
+    @pytest.mark.parametrize("storage", ["real symmetric", "complex hermitian",
+                                         "real skew-symmetric", "pattern general"])
+    def test_unexpanded_storage_is_refused(self, tmp_path, storage):
+        # a symmetric file stores one triangle: read as stored, this 3 x 3
+        # file would hold no (1, 2) entry, another matrix
+        path = tmp_path / "sym.mtx"
+        entry = "2 1" if storage.startswith("pattern") else "2 1 1.5" + (
+            " 0.5" if storage.startswith("complex") else "")
+        path.write_text(f"%%MatrixMarket matrix coordinate {storage}\n3 3 2\n"
+                        f"1 1 2.0{' 0.0' if storage.startswith('complex') else ''}\n{entry}\n")
+        with pytest.raises(InvalidInput, match="unsupported Matrix Market storage"):
+            read_matrix_market(path)
+        path.write_text(path.read_text().replace(storage.split()[1], "general"))
+        if not storage.startswith("pattern"):
+            assert read_matrix_market(path)[0] == (3, 3)
 
 
 class TestFactoredSerialization:
