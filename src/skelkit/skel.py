@@ -160,7 +160,8 @@ class KernelSource:
         G = eval_fields(self.proxy_spec, rings, pts, counts)
         at = np.cumsum(counts[:-1])
         out = G if pts.weights is None else G * pts.weights
-        inc = G if self.incoming == self.proxy_spec else eval_fields(self.incoming, rings, pts, counts)
+        inc = (G if self.incoming == self.proxy_spec
+               else eval_fields(self.incoming, rings, pts, counts))
         if self._w is not None:
             # w comes from the weights, so out is a product, not G
             inc *= self._w
@@ -408,10 +409,10 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        a group of one), by one ``proxy_fields`` call when the group's
        first node reaches its far field; each node's surface is the one
        ``proxy_points`` gives its box, and each node lets its fields go
-       once its last half has taken them.  ``lowrank._target_id`` takes the target as these row blocks and
-       picks the route: ``id_gram`` on the Gram
-       matrix of the blocks, taken one at a time, for a tall target of at
-       least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``, and otherwise
+       once its last half has taken them.  ``lowrank._target_id`` takes the
+       target as these row blocks and picks the route: ``id_gram`` on the
+       Gram matrix of the blocks, taken one at a time, for a tall target of
+       at least 64 columns at eps >= ``lowrank._GRAM_MIN_EPS``, and otherwise
        ``id_fixed_precision`` on one column-major stack of them, factored
        in place.  A carried node, a leaf above the finest cover (its own
        only child), was compressed against the same box one level down, so

@@ -570,9 +570,8 @@ def load_factored(path) -> FactoredInverse:
 def read_matrix_market(path):
     """Minimal coordinate-format reader; returns (shape, rows, cols, vals).
     Only ``general`` storage of real, complex or integer entries is read:
-    a symmetric, skew-symmetric or hermitian file, or a pattern field,
-    raises InvalidInput, as does a malformed, truncated or undecodable
-    file."""
+    other storage (symmetric, hermitian, pattern) raises InvalidInput, as
+    does a malformed, truncated or undecodable file."""
     with open(path) as f:
         try:
             # undecodable bytes raise UnicodeDecodeError, a ValueError, at
@@ -581,9 +580,8 @@ def read_matrix_market(path):
             if banner[:3] != ["%%matrixmarket", "matrix", "coordinate"] or len(banner) != 5:
                 raise InvalidInput("unsupported Matrix Market header")
             if banner[3] not in ("real", "complex", "integer") or banner[4] != "general":
-                raise InvalidInput(f"{path}: unsupported Matrix Market storage "
-                                   f"{banner[3]} {banner[4]}: only general real, "
-                                   "complex or integer entries are read")
+                raise InvalidInput(f"{path}: unsupported Matrix Market storage {banner[3]} "
+                                   f"{banner[4]}: only general real, complex or integer is read")
             complex_field = banner[3] == "complex"
             width = 4 if complex_field else 3
             line = f.readline()
