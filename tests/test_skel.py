@@ -797,6 +797,36 @@ def test_per_node_source_gives_the_grouped_bits(case, monkeypatch):
     assert nodes > 0 and src.calls == {"col": nodes, "row": 0 if case == "symmetric" else nodes}
 
 
+@pytest.mark.parametrize("replace", ["subclass", "instance"])
+def test_replaced_proxy_blocks_are_called_per_node(replace, monkeypatch):
+    # a per-node source's proxy_row_block, replaced on a subclass or on the
+    # instance, is the one compress_source calls, once for every ID node,
+    # and here gives the grouped path's container bytes
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512), LAPLACE2)
+    tree = build_tree(system.points, 16)
+    plain = KernelSource(system.spec, system.points, tree.perm, block=system.block)
+    calls, ids = [], []
+
+    class Counting(PerNodeSource):
+        def proxy_row_block(self, rows, proxy):
+            calls.append(rows.size)
+            return super().proxy_row_block(rows, proxy)
+
+    if replace == "subclass":
+        src = Counting(plain, system.points)
+    else:
+        src = PerNodeSource(plain, system.points)
+        own = src.proxy_row_block
+        src.proxy_row_block = lambda rows, proxy: calls.append(rows.size) or own(rows, proxy)
+    want = serialize_compressed(compress_source(plain, tree, 1e-9))
+    real_id = skel._target_id
+    monkeypatch.setattr(skel, "_target_id",
+                        lambda halves, shape, eps: ids.append(shape[1]) or real_id(halves, shape, eps))
+    got = serialize_compressed(compress_source(src, tree, 1e-9))
+    assert got == want
+    assert len(calls) == src.calls["row"] == sum(1 for n in ids if n) > 0
+
+
 # ---------------------------------------------------------------------------
 # each kernel block evaluated once: neighbour pairs once, D and S sliced
 
