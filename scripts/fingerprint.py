@@ -34,13 +34,22 @@ The cases are:
   ``gmres`` with that preconditioner at tol 1e-6.
 
 ``--quick`` runs the same cases at small N.
+
+The script runs BLAS on one thread, as ``benchmark/run.py`` does: it sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy loads BLAS, whatever they were.  Threaded BLAS splits its sums
+otherwise, and most lines would then depend on the thread count.
 """
 
 import argparse
 import functools
 import hashlib
+import os
 import pathlib
 import sys
+
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"})  # before numpy loads BLAS
 
 import numpy as np
 

@@ -9,7 +9,8 @@ is smooth on a smooth curve; the diagonal takes the limit -kappa/(4 pi)).
 Helmholtz kernels are weakly singular, so the trapezoidal rule is corrected
 with tenth-order Kapur-Rokhlin endpoint weights.  A multiple-scattering
 driver (sound-hard obstacles, single-layer representation) provides the
-block system and per-scatterer direct-solver preconditioners.
+block system and per-scatterer direct-solver preconditioners.  Kernels put
+0 on coincident pairs, and each curve system adds its own diagonal.
 """
 
 import warnings
@@ -47,7 +48,7 @@ class Curve2D:
     """Closed smooth curve sampled at n equispaced parameter values.
 
     Carries everything the Nystrom discretization needs: positions, unit
-    outward normals, signed curvatures, and arclength weights |x'| * 2pi/n.
+    outward normals, signed curvature, and arclength weights |x'| * 2pi/n.
     """
 
     t: np.ndarray
@@ -68,7 +69,7 @@ class Curve2D:
         return self.xy.shape[0]
 
     def point_set(self):
-        return PointSet(self.xy, self.normals, self.weights, self.curvature)
+        return PointSet(self.xy, self.normals, self.weights)
 
     def node_spacing(self):
         return float(self.weights.max())
@@ -167,33 +168,39 @@ def _kr_correct(blk, dist):
     return blk * np.where(near, 1.0 + KR10_GAMMA[np.minimum(dist, KR10_GAMMA.size) - 1], 1.0)
 
 
-def _minus_half_identity(blk, rows, cols, n):
-    """``blk`` with -1/2 added where the row and the column are the same one
-    of the n nodes, and +0 to the rest of each column that holds one of the
+def _add_diagonal(blk, rows, cols, diagonal):
+    """``blk`` with ``diagonal[j]`` added where the row and the column are
+    the same node j, and +0 to the rest of each column that holds one of the
     rows' nodes (which makes a -0.0 +0.0); a column that holds none is left
     alone, so a column's bits do not depend on the others in the call.
     Most blocks join disjoint sets of nodes, which a mark per node shows
     before any comparison of rows with columns."""
-    mark = np.zeros(n, dtype=bool)
+    mark = np.zeros(diagonal.size, dtype=bool)
     mark[rows] = True
     hit = mark[cols]
     if not hit.any():
         return blk
-    return blk + np.where(rows[:, None] == cols[None, :], -0.5, np.where(hit, 0.0, -0.0))
+    return blk + np.where(rows[:, None] == cols[None, :], diagonal[cols],
+                          np.where(hit, 0.0, -0.0))
 
 
 @dataclass
 class BieSystem:
     """Discretized second-kind system: entries K(x_i, x_j) w_j off the
-    diagonal (Kapur-Rokhlin reweighted near it for Helmholtz) and -1/2
-    (+ the smooth kernel limit, Laplace) on the diagonal.
-    The ``block`` accessor is deterministic and side-effect free."""
+    diagonal (Kapur-Rokhlin reweighted near it for Helmholtz) and
+    ``diagonal``, -1/2 (+ w_i times the smooth limit -kappa_i/(4 pi),
+    Laplace), on it.  The ``block`` accessor is deterministic and
+    side-effect free."""
 
     spec: KernelSpec
     curve: Curve2D
 
     def __post_init__(self):
         self.points = self.curve.point_set()
+        if self.spec.equation == "laplace":
+            self.diagonal = -self.curve.curvature / (4 * np.pi) * self.curve.weights - 0.5
+        else:
+            self.diagonal = np.full(self.n, -0.5)
 
     @property
     def n(self):
@@ -209,7 +216,7 @@ class BieSystem:
         base = eval_block(self.spec, self.points.subset(rows), self.points.subset(cols))
         if self.spec.equation == "helmholtz":
             base = _kr_correct(base, _cyclic_distance(rows, cols, self.n))
-        return _minus_half_identity(base, rows, cols, self.n)
+        return _add_diagonal(base, rows, cols, self.diagonal)
 
     def matrix(self):
         idx = np.arange(self.n)
@@ -225,7 +232,7 @@ def discretize_dirichlet(curve: Curve2D, spec: KernelSpec) -> BieSystem:
     corrected rule with a bare -1/2 diagonal.
     """
     if spec.equation == "laplace":
-        spec = KernelSpec("laplace", 2, "double", 0.0, "curvature_limit")
+        spec = KernelSpec("laplace", 2, "double")
     else:
         spec = KernelSpec("helmholtz", 2, "double", spec.wavenumber)
     return BieSystem(spec=spec, curve=curve)
@@ -309,9 +316,12 @@ def write_density_csv(path, curve: Curve2D, density):
 
 
 def write_field_csv(path, points, values):
-    """Potential field samples as CSV: x, y, re(u), im(u)."""
+    """Potential field samples as CSV: x, y, re(u), im(u).  Anything but
+    (m, 2) points with m values raises InvalidInput."""
     points = np.atleast_2d(np.asarray(points))
     values = np.asarray(values)
+    if points.ndim != 2 or points.shape[1] != 2 or values.shape != points.shape[:1]:
+        raise InvalidInput(f"points of shape {points.shape} with values of shape {values.shape}")
     with open(path, "w") as f:
         f.write("x,y,u_re,u_im\n")
         for p, v in zip(points, values):
@@ -365,6 +375,7 @@ class _Scatterer:
         self.incoming = KernelSpec("helmholtz", 2, "double", k)
         self.points = curve.point_set()
         self.npts = curve.n
+        self.diagonal = np.full(curve.n, -0.5)
 
     def block(self, rows, cols):
         rows = np.asarray(rows)
@@ -372,14 +383,14 @@ class _Scatterer:
         dist = _cyclic_distance(rows, cols, self.npts)
         blk = _neumann_trace_block(self.k, self.points.subset(rows),
                                    self.points.subset(cols), kr_dist=dist)
-        return _minus_half_identity(blk, rows, cols, self.npts)
+        return _add_diagonal(blk, rows, cols, self.diagonal)
 
 
 def _translates(scatterers):
     """For each scatterer, the index of the representative of its shape: the
     first earlier representative it is a rigid translate of, or itself when
     there is none.  A translate has the same wavenumber and node count,
-    bit-equal normals, weights and curvatures, and node offsets
+    bit-equal normals, weights and curvature, and node offsets
     ``xy - xy[0]`` equal to within 4 ulps of the largest coordinate.  The
     kernel is translation invariant, so its self-system is that of its
     representative.  Its cross blocks with another scatterer depend only on
@@ -504,9 +515,13 @@ class ScatteringSystem:
         return [facs[r] for r in reps]
 
     def precond_apply(self, facs):
-        off = self.offsets()
+        """The block-diagonal preconditioner of ``facs``, as a function of a
+        vector of the n unknowns; one of another length raises InvalidInput."""
+        off, n = self.offsets(), self.n
 
         def apply_pinv(x):
+            if np.shape(x)[:1] != (n,):
+                raise InvalidInput(f"vector of shape {np.shape(x)} for {n} unknowns")
             out = np.empty_like(np.asarray(x, dtype=np.complex128))
             for i, fi in enumerate(facs):
                 out[off[i]:off[i + 1]] = solve(fi, x[off[i]:off[i + 1]])
@@ -515,13 +530,22 @@ class ScatteringSystem:
         return apply_pinv
 
     def scattered_field(self, densities, targets):
-        """Single-layer field of the solved densities at exterior points."""
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        """Single-layer field of the solved densities at exterior points.
+        Densities of another shape than (n,), and targets that are not 2D
+        points outside every scatterer, raise InvalidInput."""
+        densities = np.asarray(densities)
+        if densities.shape != (self.n,):
+            raise InvalidInput(f"densities of shape {densities.shape} for {self.n} unknowns")
+        targets = PointSet(np.atleast_2d(targets))
+        if targets.dim != 2:
+            raise InvalidInput(f"targets must be 2D points, got {targets.dim}D")
+        if any(_windings(s.curve, targets.coords).any() for s in self.scatterers):
+            raise InvalidInput("targets must lie outside every scatterer")
         off = self.offsets()
-        out = np.zeros(targets.shape[0], dtype=np.complex128)
+        out = np.zeros(targets.n, dtype=np.complex128)
         spec = KernelSpec("helmholtz", 2, "single", self.k)
         for i, s in enumerate(self.scatterers):
-            blk = eval_block(spec, PointSet(targets), s.points)
+            blk = eval_block(spec, targets, s.points)
             out += blk @ densities[off[i]:off[i + 1]]
         return out
 

@@ -62,7 +62,7 @@ def coincidence_scale(lo, hi):
 @dataclass
 class PointSet:
     """N points in 2 or 3 dimensions, with optional unit normals (needed by
-    double-layer kernels), quadrature weights and signed curvatures.
+    double-layer kernels) and quadrature weights.
 
     ``scale``, the ``coincidence_scale`` of its coordinates, is the length
     against which kernels class two points as coincident.  It is
@@ -73,7 +73,6 @@ class PointSet:
     coords: np.ndarray
     normals: np.ndarray | None = None
     weights: np.ndarray | None = None
-    curvatures: np.ndarray | None = None
 
     def __post_init__(self):
         self.coords = np.ascontiguousarray(self.coords, dtype=np.float64)
@@ -91,15 +90,12 @@ class PointSet:
             lens = np.linalg.norm(self.normals, axis=1)
             if not np.all(np.abs(lens - 1.0) <= 1e-12):  # NaN included
                 raise InvalidInput("normals must be unit vectors (|n| = 1 within 1e-12)")
-        for name in ("weights", "curvatures"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-                if arr.shape[0] != self.coords.shape[0]:
-                    raise InvalidInput(f"{name} must have one entry per point")
-                if not np.all(np.isfinite(arr)):
-                    raise InvalidInput(f"non-finite {name[:-1]}")
-                setattr(self, name, arr)
+        if self.weights is not None:
+            self.weights = np.ascontiguousarray(self.weights, dtype=np.float64).reshape(-1)
+            if self.weights.shape[0] != self.coords.shape[0]:
+                raise InvalidInput("weights must have one entry per point")
+            if not np.all(np.isfinite(self.weights)):
+                raise InvalidInput("non-finite weight")
 
     @property
     def n(self):
@@ -118,7 +114,7 @@ class PointSet:
         out.coords, out.scale = self.coords[idx], self.scale
         if out.coords.ndim != 2 or out.coords.shape[0] < 1:
             raise InvalidInput("subset index must be 1-D and select at least one point")
-        for name in ("normals", "weights", "curvatures"):
+        for name in ("normals", "weights"):
             arr = getattr(self, name)
             setattr(out, name, None if arr is None else arr[idx])
         return out

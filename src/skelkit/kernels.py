@@ -9,7 +9,9 @@ Conventions:
 ``layer="double"`` evaluates dG/dnu_y (normal derivative at the source).
 If the source set carries quadrature weights, column j of every block is
 scaled by w_j, so a block times a density vector is a quadrature sum
-(``eval_fields`` leaves the weights to its caller).
+(``eval_fields`` leaves the weights to its caller).  Coincident pairs take
+0: the limit there is a quadrature decision, which the curve systems of
+``bie`` make when they add their diagonal.
 """
 
 from dataclasses import dataclass
@@ -21,9 +23,8 @@ from .errors import InvalidInput
 from .geom import PointSet, _positive, coincidence_scale
 
 # targets closer to a source than this times the larger ``scale`` of the
-# two point sets count as coincident and are handled by the self-interaction
-# policy; the threshold is symmetric in targets and sources, so single-layer
-# blocks transpose bit for bit
+# two point sets count as coincident and take 0; the threshold is symmetric
+# in targets and sources, so single-layer blocks transpose bit for bit
 COINCIDENT_RTOL = 1e-14
 
 
@@ -33,7 +34,6 @@ class KernelSpec:
     dim: int                        # 2 | 3
     layer: str = "single"           # "single" | "double"
     wavenumber: float = 0.0
-    self_interaction: str = "zero"  # "zero" | "curvature_limit"
 
     def __post_init__(self):
         if self.equation not in ("laplace", "helmholtz"):
@@ -42,8 +42,6 @@ class KernelSpec:
             raise InvalidInput("dim must be 2 or 3")
         if self.layer not in ("single", "double"):
             raise InvalidInput(f"unknown layer {self.layer!r}")
-        if self.self_interaction not in ("zero", "curvature_limit"):
-            raise InvalidInput(f"unknown self_interaction {self.self_interaction!r}")
         if self.equation == "helmholtz":
             check_wavenumber(self.wavenumber)
         if self.equation == "laplace" and self.wavenumber != 0:
@@ -61,8 +59,7 @@ class KernelSpec:
         """Same spec with layer forced to single (used for proxy surfaces)."""
         if self.layer == "single":
             return self
-        return KernelSpec(self.equation, self.dim, "single", self.wavenumber,
-                          self.self_interaction)
+        return KernelSpec(self.equation, self.dim, "single", self.wavenumber)
 
 
 def check_wavenumber(k):
@@ -97,11 +94,9 @@ def eval_block(spec: KernelSpec, targets: PointSet, sources: PointSet) -> np.nda
     """Dense m x n kernel block G(x_i, y_j) (or dG/dnu_y for double layer).
 
     Coincident pairs (distance below 1e-14 times the larger ``scale`` of the
-    two sets, which subsets take from the set they were cut from) are set by
-    ``spec.self_interaction``: "zero", or "curvature_limit" which fills
-    -kappa/(4 pi) (2D Laplace double layer smooth limit; the curvature
-    comes from ``sources.curvatures``).  Blocks between subsets of one set
-    thus class each pair alike, whatever rows and columns they hold.  The
+    two sets, which subsets take from the set they were cut from) are 0.
+    Blocks between subsets of one set thus class each pair alike, whatever
+    rows and columns they hold.  The
     threshold is symmetric in targets and sources, so a single-layer block
     of unweighted sources equals the transpose of the swapped block bit for
     bit.
@@ -117,9 +112,9 @@ def eval_block_pair(spec: KernelSpec, a: PointSet, b: PointSet):
     Both orientations share it exactly: (x - y)**2 and (y - x)**2 are the
     same bits, summed over the axes in the same order, and the coincidence
     scale, the larger of the two sets', is symmetric in them.  Only the
-    normal, the coincidence fill and the weights, all of the source side,
-    are per orientation.  The second block is the transpose of an array
-    laid out like the first."""
+    normal and the weights, both of the source side, are per orientation.
+    The second block is the transpose of an array laid out like the
+    first."""
     ab, ba = _evaluate(spec, a, b, pair=True)
     return ab, ba.T
 
@@ -340,16 +335,7 @@ def _finish(spec, f, rs, coincident, d, x, sources, rows, copy):
         block = f.copy() if copy else f
 
     if coincident is not None:
-        if spec.self_interaction == "zero":
-            fill = 0.0
-        else:
-            if spec.equation != "laplace" or spec.dim != 2 or spec.layer != "double":
-                raise InvalidInput("curvature_limit only defined for the 2D Laplace double layer")
-            kappa = sources.curvatures
-            if kappa is None:
-                raise InvalidInput("curvature_limit needs source curvatures")
-            fill = -_along(kappa, rows) / (4 * np.pi)
-        np.copyto(block, fill, where=coincident)
+        np.copyto(block, 0.0, where=coincident)
     return block
 
 

@@ -342,6 +342,57 @@ class TestScattering:
         x_iter, _ = gmres(lambda v: A @ v, b, tol=1e-10)
         assert np.linalg.norm(x_direct - x_iter) / np.linalg.norm(x_iter) <= 1e-6
 
+    def test_preconditioner_refuses_a_vector_of_another_length(self):
+        # the preconditioner filled an empty array one scatterer at a time,
+        # so a longer vector came back with uninitialized memory in its tail
+        sys_, _ = self.make(n=64)
+        pinv = sys_.precond_apply(sys_.precond_blocks(eps=1e-8))
+        assert pinv(np.ones(sys_.n, dtype=complex)).shape == (sys_.n,)
+        for m in (sys_.n + 7, sys_.n - 1):
+            with pytest.raises(InvalidInput, match=f"for {sys_.n} unknowns"):
+                pinv(np.ones(m, dtype=complex))
+
+    @pytest.mark.parametrize("case", ["longer", "shorter", "inside", "inside-second"])
+    def test_scattered_field_checks_its_inputs(self, case):
+        # longer densities were cut, shorter ones raised numpy's matmul
+        # ValueError, and a target inside a scatterer returned a number
+        sys_, _ = self.make(n=64)
+        densities, target = np.ones(sys_.n, dtype=complex), (0.75, 2.0)
+        assert np.isfinite(sys_.scattered_field(densities, target)).all()
+        densities, target, match = {
+            "longer": (np.ones(sys_.n + 3, dtype=complex), target, "densities"),
+            "shorter": (densities[:-3], target, "densities"),
+            "inside": (densities, (0.0, 0.0), "outside every scatterer"),
+            "inside-second": (densities, [(0.75, 2.0), (1.5, 0.0)], "outside every scatterer"),
+        }[case]
+        with pytest.raises(InvalidInput, match=match):
+            sys_.scattered_field(densities, target)
+
+
+@pytest.mark.parametrize("curve", [bie.ellipse(2.0, 1.0, 256), bie.trefoil(192)],
+                         ids=["ellipse", "trefoil"])
+def test_each_curve_system_holds_its_diagonal(curve):
+    # the kernels put 0 on coincident pairs and the systems add their
+    # diagonal: -kappa/(4 pi) w - 1/2 bit for bit on the Laplace BIE, -1/2
+    # on the Helmholtz BIE and on a scatterer, in blocks of scattered rows
+    # and columns and in the whole matrix
+    rng = np.random.default_rng(4)
+    rows = rng.choice(curve.n, 60, replace=False)
+    cols = np.concatenate([rows[::2], rng.choice(curve.n, 40, replace=False)])
+    i, j = np.nonzero(rows[:, None] == cols[None, :])
+    assert i.size >= 30
+    laplace = bie.discretize_dirichlet(curve, LAPLACE2)
+    want = -curve.curvature / (4 * np.pi) * curve.weights - 0.5
+    assert laplace.block(rows, cols)[i, j].tobytes() == want[rows[i]].tobytes()
+    assert np.diag(laplace.matrix()).tobytes() == want.tobytes()
+    k = 2 * np.pi * 2.0 / curve.diameter()
+    helmholtz = bie.discretize_dirichlet(curve, KernelSpec("helmholtz", 2, wavenumber=k))
+    scattering = bie.scattering_system([curve], k)
+    for system, whole in ((helmholtz, helmholtz.matrix()), (scattering.scatterers[0],
+                                                            scattering.matrix())):
+        assert np.all(system.block(rows, cols)[i, j] == -0.5)
+        assert np.all(np.diag(whole) == -0.5)
+
 
 def test_compress_system_supports_direct_and_iterative_paths():
     curve = bie.ellipse(2.0, 1.0, 512)
@@ -374,6 +425,18 @@ def test_density_and_field_csv(tmp_path):
     fpath = tmp_path / "field.csv"
     bie.write_field_csv(fpath, targets, u)
     assert fpath.read_text().startswith("x,y,u_re,u_im")
+
+
+@pytest.mark.parametrize("points, values", [
+    (np.zeros((3, 2)), np.ones(1)), (np.zeros((3, 2)), np.ones(4)),
+    (np.zeros((3, 3)), np.ones(3)), (np.zeros((3, 2)), np.ones((3, 1))),
+], ids=["fewer-values", "more-values", "three-coordinates", "column-of-values"])
+def test_field_csv_refuses_mismatched_input(tmp_path, points, values):
+    # zip wrote one row for three points with one value, and points with
+    # three columns lost their third coordinate
+    with pytest.raises(InvalidInput, match="points of shape"):
+        bie.write_field_csv(tmp_path / "field.csv", points, values)
+    assert not (tmp_path / "field.csv").exists()
 
 
 def test_helmholtz_direct_solve_paper_frequency():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skelkit import bie
 from skelkit.errors import InvalidInput
 from skelkit.geom import (PointSet, build_tree, level_neighbors,
                           neighbors, read_points_binary, read_points_text,
@@ -184,12 +185,18 @@ def test_invalid_inputs():
 def test_non_finite_point_data_refused(field, bad):
     # a non-finite weight or curvature loaded, and compress failed only
     # inside an ID ("matrix has non-finite entries"); a NaN normal passed
-    # the unit-length check
+    # the unit-length check.  Curvatures reach only the diagonal of a
+    # Laplace BIE, from its curve, which checks them
     data = {"normals": np.tile([1.0, 0.0], (3, 1)), "weights": np.ones(3),
-            "curvatures": np.ones(3)}[field]
+            "curvatures": np.ones(4)}[field]
     data.flat[1] = bad
-    with pytest.raises(InvalidInput, match="non-finite|unit vectors"):
-        PointSet(np.random.default_rng(0).random((3, 2)), **{field: data})
+    if field == "curvatures":
+        c = bie.circle(1.0, 4)
+        with pytest.raises(InvalidInput, match="curve curvature must be finite"):
+            bie.Curve2D(c.t, c.xy, c.normals, data, c.weights)
+    else:
+        with pytest.raises(InvalidInput, match="non-finite|unit vectors"):
+            PointSet(np.random.default_rng(0).random((3, 2)), **{field: data})
 
 
 @pytest.mark.parametrize("leaf", [float("nan"), 2.5, 64.0, True])
@@ -211,8 +218,7 @@ def _full_point_set(n, d, seed):
     rng = np.random.default_rng(seed)
     nrm = rng.standard_normal((n, d))
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    return PointSet(rng.standard_normal((n, d)), nrm, rng.random(n) + 0.5,
-                    rng.standard_normal(n))
+    return PointSet(rng.standard_normal((n, d)), nrm, rng.random(n) + 0.5)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -224,14 +230,14 @@ def test_subset_equals_validated_point_set(d, kind):
     idx = {"int": np.array([7, 3, 49, 0]), "list": [1, 2, 3],
            "mask": np.arange(50) % 3 == 0, "repeat": np.array([5, 5, 5])}[kind]
     sub = ps.subset(idx)
-    want = PointSet(ps.coords[idx], ps.normals[idx], ps.weights[idx], ps.curvatures[idx])
+    want = PointSet(ps.coords[idx], ps.normals[idx], ps.weights[idx])
     assert type(sub) is PointSet
-    for name in ("coords", "normals", "weights", "curvatures"):
+    for name in ("coords", "normals", "weights"):
         got, ref = getattr(sub, name), getattr(want, name)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
     bare = PointSet(ps.coords).subset(idx)
-    assert bare.normals is None and bare.weights is None and bare.curvatures is None
+    assert bare.normals is None and bare.weights is None
 
 
 def test_subsets_keep_the_coincidence_scale_of_their_set():

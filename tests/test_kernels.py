@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from skelkit import kernels
+from skelkit import bie, kernels
 from skelkit.errors import InvalidInput
 from skelkit.geom import PointSet
 from skelkit.kernels import (COINCIDENT_RTOL, KernelSpec, bessel_h0, eval_block,
@@ -198,19 +198,28 @@ def test_dimension_mismatch():
         eval_block(KernelSpec("laplace", 2), random_cloud(3, 3, 0), random_cloud(3, 3, 1))
 
 
+# the Laplace BIE's kernel, run by the cases named "curvature": its
+# coincident pairs took the curvature limit until the BIE added its own
+# diagonal, and take 0 like every kernel's
+_BIE_LAPLACE = bie.discretize_dirichlet(bie.circle(1.0, 8), KernelSpec("laplace", 2)).spec
+
+
 def test_coincident_point_policies():
     spec = KernelSpec("laplace", 2)
     pts = random_cloud(6, 2, 9)
     blk = eval_block(spec, pts, pts)
     assert np.all(np.diag(blk) == 0.0)
 
-    # curvature limit for the 2D Laplace double layer
+    # the 2D Laplace double layer takes +0 there too; its curvature limit,
+    # -1/(4 pi) on the unit circle, is on the diagonal of the BIE, weighted
     th = 2 * np.pi * np.arange(8) / 8
     xy = np.column_stack([np.cos(th), np.sin(th)])
-    ps = PointSet(xy, xy, curvatures=np.ones(8))
-    spec_d = KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")
-    blk = eval_block(spec_d, ps, ps)
-    np.testing.assert_allclose(np.diag(blk), -1 / (4 * np.pi), rtol=1e-14)
+    ps = PointSet(xy, xy)
+    blk = eval_block(KernelSpec("laplace", 2, "double"), ps, ps)
+    assert np.all(np.diag(blk) == 0.0) and not np.signbit(np.diag(blk)).any()
+    system = bie.discretize_dirichlet(bie.circle(1.0, 8), KernelSpec("laplace", 2))
+    np.testing.assert_allclose(np.diag(system.matrix()),
+                               -1 / (4 * np.pi) * system.curve.weights - 0.5, rtol=1e-14)
 
 
 def test_spec_validation():
@@ -259,7 +268,7 @@ def test_laplace2d_blocks_match_closed_forms(layer):
 @pytest.mark.parametrize("spec", [
     KernelSpec("laplace", 2),
     KernelSpec("laplace", 2, "double"),
-    KernelSpec("laplace", 2, "double", self_interaction="curvature_limit"),
+    _BIE_LAPLACE,
     KernelSpec("laplace", 3),
 ], ids=["l2-single", "l2-double", "l2-curvature", "l3-single"])
 def test_coincidence_threshold_fill(spec):
@@ -270,8 +279,7 @@ def test_coincidence_threshold_fill(spec):
     src[:, 0] = [0.9 * COINCIDENT_RTOL, 1.1 * COINCIDENT_RTOL, 1.0]
     nrm = np.zeros((3, d))
     nrm[:, 0] = 1.0
-    kappa = np.array([0.5, 2.0, 3.0])
-    blk = eval_block(spec, PointSet(tg), PointSet(src, nrm, curvatures=kappa))[0]
+    blk = eval_block(spec, PointSet(tg), PointSet(src, nrm))[0]
     r = src[:, 0]
     if spec.dim == 3:
         outside = 1 / (4 * np.pi * r)
@@ -279,8 +287,7 @@ def test_coincidence_threshold_fill(spec):
         outside = -np.log(r) / (2 * np.pi)
     else:
         outside = -r / (2 * np.pi * r * r)
-    inside = -kappa[0] / (4 * np.pi) if spec.self_interaction == "curvature_limit" else 0.0
-    assert blk[0] == inside
+    assert blk[0] == 0.0 and not np.signbit(blk[0])
     np.testing.assert_allclose(blk[1:], outside[1:], rtol=1e-14)
 
 
@@ -344,10 +351,7 @@ def _einsum_block(spec, targets, sources):
         else:
             dgdr = np.exp(1j * k * rs) * (1j * k * rs - 1.0) / (4 * np.pi * rs * rs)
             block = dgdr * ndot / rs
-    if spec.self_interaction == "zero":
-        block = np.where(coincident, np.zeros(1, dtype=block.dtype), block)
-    else:
-        block = np.where(coincident, -sources.curvatures[None, :] / (4 * np.pi), block)
+    block = np.where(coincident, np.zeros(1, dtype=block.dtype), block)
     if sources.weights is not None:
         block = block * sources.weights[None, :]
     return block
@@ -366,22 +370,28 @@ def _grid_cloud(n, d, seed):
     normals = rng.standard_normal((n, d))
     normals[:h] = np.eye(d)[rng.integers(0, d, h)] * rng.choice([-1.0, 1.0], (h, 1))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return coords, normals, rng.random(n) + 0.5, rng.standard_normal(n)
+    return coords, normals, rng.random(n) + 0.5
 
 
-@pytest.mark.parametrize("spec", [
-    KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
-    for eq in ("laplace", "helmholtz") for dim in (2, 3) for layer in ("single", "double")
-] + [KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")],
-    ids=lambda s: f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}")
+# every kernel, "-zero" naming the fill of its coincident pairs, and the
+# Laplace BIE's (see _BIE_LAPLACE)
+_ALL_SPECS = [
+    pytest.param(s, id=f"{s.equation[0]}{s.dim}-{s.layer}-zero")
+    for s in (KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
+              for eq in ("laplace", "helmholtz") for dim in (2, 3)
+              for layer in ("single", "double"))
+] + [pytest.param(_BIE_LAPLACE, id="l2-double-curvature_limit")]
+
+
+@pytest.mark.parametrize("spec", _ALL_SPECS)
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
 @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
 def test_eval_block_matches_einsum_formula_bitwise(spec, weighted, chunked, monkeypatch):
-    coords, normals, weights, kappa = _grid_cloud(90, spec.dim, 5)
-    sources = PointSet(coords, normals, weights if weighted else None, kappa)
+    coords, normals, weights = _grid_cloud(90, spec.dim, 5)
+    sources = PointSet(coords, normals, weights if weighted else None)
     targets = PointSet(np.vstack([coords[::2], coords[:20] + 1e-16]))
     want = _einsum_block(spec, targets, sources)
-    assert np.any(want == 0) or spec.self_interaction == "curvature_limit"
+    assert np.any(want == 0)
     if chunked:
         monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 7 * sources.n)
     got = eval_block(spec, targets, sources)
@@ -389,24 +399,20 @@ def test_eval_block_matches_einsum_formula_bitwise(spec, weighted, chunked, monk
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("spec", [
-    KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
-    for eq in ("laplace", "helmholtz") for dim in (2, 3) for layer in ("single", "double")
-] + [KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")],
-    ids=lambda s: f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}")
+@pytest.mark.parametrize("spec", _ALL_SPECS)
 @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
 @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
 def test_eval_block_pair_matches_einsum_formula_bitwise(spec, weighted, chunked, monkeypatch):
-    # both orientations of a pair, each with its own normals, weights and
-    # curvatures, and pairs of points within COINCIDENT_RTOL of each other
-    coords, normals, weights, kappa = _grid_cloud(90, spec.dim, 5)
-    b_coords, b_normals, b_weights, b_kappa = _grid_cloud(40, spec.dim, 6)
+    # both orientations of a pair, each with its own normals and weights,
+    # and pairs of points within COINCIDENT_RTOL of each other
+    coords, normals, weights = _grid_cloud(90, spec.dim, 5)
+    b_coords, b_normals, b_weights = _grid_cloud(40, spec.dim, 6)
     b_coords[:20] = coords[1:40:2] + 1e-16
-    a = PointSet(coords, normals, weights if weighted else None, kappa)
-    b = PointSet(b_coords, b_normals, b_weights if weighted else None, b_kappa)
+    a = PointSet(coords, normals, weights if weighted else None)
+    b = PointSet(b_coords, b_normals, b_weights if weighted else None)
     want_ab, want_ba = _einsum_block(spec, a, b), _einsum_block(spec, b, a)
     for want in (want_ab, want_ba):
-        assert np.any(want == 0) or spec.self_interaction == "curvature_limit"
+        assert np.any(want == 0)
     if chunked:
         monkeypatch.setattr(kernels, "_CHUNK_ENTRIES", 7 * b.n)
     got_ab, got_ba = eval_block_pair(spec, a, b)
@@ -415,17 +421,7 @@ def test_eval_block_pair_matches_einsum_formula_bitwise(spec, weighted, chunked,
         assert got.tobytes() == want.tobytes()
 
 
-_ALL_SPECS = [
-    KernelSpec(eq, dim, layer, 1.7 if eq == "helmholtz" else 0.0)
-    for eq in ("laplace", "helmholtz") for dim in (2, 3) for layer in ("single", "double")
-] + [KernelSpec("laplace", 2, "double", self_interaction="curvature_limit")]
-
-
-def _spec_id(s):
-    return f"{s.equation[0]}{s.dim}-{s.layer}-{s.self_interaction}"
-
-
-@pytest.mark.parametrize("spec", _ALL_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", _ALL_SPECS)
 @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
 @pytest.mark.parametrize("m", [1, 4])
 def test_eval_fields_match_per_set_blocks_bitwise(spec, chunked, m, monkeypatch):
@@ -435,9 +431,9 @@ def test_eval_fields_match_per_set_blocks_bitwise(spec, chunked, m, monkeypatch)
     # there is not in a set of unit scale, and set 0 holds two sources
     d = spec.dim
     rng = np.random.default_rng(3)
-    coords, normals, weights, kappa = _grid_cloud(60, d, 7)
-    sources = PointSet(coords, normals, weights, kappa)
-    bare = PointSet(coords, normals, None, kappa)
+    coords, normals, weights = _grid_cloud(60, d, 7)
+    sources = PointSet(coords, normals, weights)
+    bare = PointSet(coords, normals)
     counts = [15, 0, 25, 20][:m] if m > 1 else [60]
     targets = rng.standard_normal((m, 9, d))
     targets[0, :2] = coords[:2]
@@ -456,7 +452,7 @@ def test_eval_fields_match_per_set_blocks_bitwise(spec, chunked, m, monkeypatch)
             assert np.ascontiguousarray(got[:, run]).tobytes() == want.tobytes()
     coincident = [(0, 0), (1, 1)] + [(0, 15)] * (m > 1)
     for i, j in coincident:
-        assert got[i, j] == (0.0 if spec.self_interaction == "zero" else -kappa[j] / (4 * np.pi))
+        assert got[i, j] == 0.0
 
 
 def test_eval_fields_checks_its_runs():
@@ -487,7 +483,7 @@ def test_eval_block_pair_checks_both_sides():
 
 @pytest.mark.parametrize("spec", [
     KernelSpec("laplace", 2), KernelSpec("laplace", 3),
-    KernelSpec("laplace", 2, "double", self_interaction="curvature_limit"),
+    _BIE_LAPLACE,
     KernelSpec("helmholtz", 2, "double", 1.7),
 ], ids=["l2-single", "l3-single", "l2-curvature", "h2-double"])
 def test_span_far_from_the_origin_comes_from_the_coordinates(spec):
@@ -504,13 +500,11 @@ def test_span_far_from_the_origin_comes_from_the_coordinates(spec):
     src[-1, 0] += 4 * COINCIDENT_RTOL * scale
     nrm = rng.standard_normal(src.shape)
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    sources = PointSet(src, nrm, rng.random(src.shape[0]) + 0.5, rng.standard_normal(src.shape[0]))
+    sources = PointSet(src, nrm, rng.random(src.shape[0]) + 0.5)
     targets = PointSet(tg)
     got = eval_block(spec, targets, sources)
     want = _einsum_block(spec, targets, sources)
     assert got.tobytes() == want.tobytes()
-    fill = -sources.curvatures[-2] / (4 * np.pi) * sources.weights[-2] \
-        if spec.self_interaction == "curvature_limit" else 0.0
-    assert got[0, -2] == fill and got[1, -1] != 0
+    assert got[0, -2] == 0.0 and got[1, -1] != 0
     # the extent alone would not have made the first pair coincident
     assert np.ptp(np.vstack([tg, src]), axis=0).max() * COINCIDENT_RTOL < 0.5 * COINCIDENT_RTOL * scale

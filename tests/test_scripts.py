@@ -10,8 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, args, cwd):
-    env = dict(os.environ)
+def _run(script, args, cwd, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
@@ -33,11 +33,16 @@ def test_script_runs(tmp_path, script, args, outputs):
 
 
 def test_fingerprint_compare_exits_1_on_a_differing_line(tmp_path):
+    # the saved run asks for two BLAS threads and the compared run for one:
+    # the script runs on one either way, so the lines still match
     saved, again, doctored = (tmp_path / d for d in ("saved", "again", "doctored"))
-    assert _run("fingerprint.py", ["--quick", "--outdir", str(saved)], tmp_path).returncode == 0
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    proc = _run("fingerprint.py", ["--quick", "--outdir", str(saved)], tmp_path,
+                **dict.fromkeys(threads, "2"))
+    assert proc.returncode == 0, proc.stderr
     lines = (saved / "fingerprint.txt").read_text().splitlines()
     proc = _run("fingerprint.py", ["--quick", "--outdir", str(again), "--compare", str(saved)],
-                tmp_path)
+                tmp_path, **dict.fromkeys(threads, "1"))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # one hash changed: the saved line and this run's line are printed
     case, item, sha = lines[3].split()
