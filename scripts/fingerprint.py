@@ -6,11 +6,11 @@ compressed and factored containers (``serialize_compressed`` and
 ``serialize_factored``) and the outputs of ``apply`` and ``solve`` on one
 vector and on a block of 16 columns drawn at ``SEED``.  The sixth hashes the
 dense multiple-scattering path: ``matrix()``, the preconditioner applied
-to one complex vector drawn at ``SEED``, and the preconditioned GMRES answer
-for that vector, whose item name carries its iteration count.  A change
-meant to keep every bit prints the same lines before and after it, so
-running the script on both commits and comparing the files checks bit
-identity:
+to one complex vector drawn at ``SEED``, and the preconditioned and the
+plain GMRES answers for that vector, whose item names carry their
+iteration counts.  A change meant to keep every bit prints the same lines
+before and after it, so running the script on both commits and comparing
+the files checks bit identity:
 
     PYTHONPATH=src python scripts/fingerprint.py --outdir results
     PYTHONPATH=src python scripts/fingerprint.py --outdir new --compare results
@@ -31,7 +31,7 @@ The cases are:
   as the scattering preconditioner compresses it;
 - the benchmark's 2x2 grid of trefoil(256) at spacing 3.0 and 2 wavelengths:
   its ``matrix()``, ``precond_apply(precond_blocks(eps=1e-8))``, and
-  ``gmres`` with that preconditioner at tol 1e-6.
+  ``gmres`` at tol 1e-6 with that preconditioner and with none.
 
 ``--quick`` runs the same cases at small N.
 
@@ -101,8 +101,9 @@ def _factored(build, n):
 
 def _scattering(n):
     """(item, data) for the 2x2 grid of trefoil(n): the dense matrix, the
-    preconditioner applied to one vector, and the preconditioned GMRES
-    answer for that vector, named with its iteration count."""
+    preconditioner applied to one vector, and the preconditioned and the
+    plain GMRES answers for that vector, each named with its iteration
+    count."""
     curves = [bie.trefoil(n, center=(3.0 * i, 3.0 * j)) for i in range(2) for j in range(2)]
     system = bie.scattering_system(curves, 2 * np.pi * 2.0 / curves[0].diameter())
     draw = np.random.default_rng(SEED).standard_normal
@@ -111,7 +112,11 @@ def _scattering(n):
     A = system.matrix()
     items = [("matrix", A), ("precond.x1", precond(x))]
     y, iters = gmres(lambda v: A @ v, x, tol=1e-6, precond=precond)
-    return items + [(f"gmres.x1.iters{iters}", y)]
+    items.append((f"gmres.x1.iters{iters}", y))
+    # unpreconditioned, the solve runs hundreds of steps over several
+    # blocks of the Krylov basis
+    y, iters = gmres(lambda v: A @ v, x, tol=1e-6)
+    return items + [(f"gmres_plain.x1.iters{iters}", y)]
 
 
 # name: (full N, quick N, (item, data) pairs of a case of N points)

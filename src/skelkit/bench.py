@@ -293,7 +293,8 @@ def write_csv(records, path):
 
 def fit_exponent(records, field_name="Tcm"):
     """Least-squares slope of log T against log N, dropping the smallest N
-    (warm-up noise).  Needs at least 4 records with increasing N."""
+    (warm-up noise).  Needs at least 4 records with increasing N, and a
+    finite, positive T in each."""
     if all(hasattr(r, "N") for r in records):
         pairs = [(r.N, getattr(r, field_name)) for r in records]
     else:
@@ -304,6 +305,11 @@ def fit_exponent(records, field_name="Tcm"):
     ts = np.array([p[1] for p in pairs], dtype=float)
     if np.any(np.diff(ns) <= 0):
         raise InvalidInput("records must have increasing N")
+    # a missing (None, so nan), infinite or non-positive time gave a nan slope
+    bad = np.flatnonzero(~(np.isfinite(ts) & (ts > 0)))
+    if bad.size:
+        raise InvalidInput(f"record {bad[0]} has {field_name} = {pairs[bad[0]][1]!r}: "
+                           f"times must be finite and positive")
     ns, ts = ns[1:], ts[1:]
     slope, _ = np.polyfit(np.log(ns), np.log(ts), 1)
     return float(slope)

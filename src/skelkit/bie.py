@@ -306,8 +306,12 @@ def solve_dirichlet(system: BieSystem, rhs, eps, max_leaf_size=None):
 
 
 def write_density_csv(path, curve: Curve2D, density):
-    """Solution density along a curve as CSV: t, x, y, re(sigma), im(sigma)."""
+    """Solution density along a curve as CSV: t, x, y, re(sigma), im(sigma).
+    A density that is not one value per node raises InvalidInput before the
+    file is opened."""
     density = _density(curve, density)
+    if density.ndim != 1:
+        raise InvalidInput(f"density of shape {density.shape}: one value per node is written")
     with open(path, "w") as f:
         f.write("t,x,y,sigma_re,sigma_im\n")
         for i in range(curve.n):

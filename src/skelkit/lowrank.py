@@ -23,6 +23,7 @@ them once.  No warning filter is touched, so IDs in several threads at once
 leave the process-global filter list alone.
 """
 
+import functools
 import os
 import sys
 import warnings
@@ -87,6 +88,16 @@ def _gram_route(m, n, eps):
     return n >= _GRAM_MIN_COLS and m >= _QR_FIRST_ASPECT * n and _GRAM_MIN_EPS <= eps < 1
 
 
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(m, n):
+    """The read-only mask of the entries below the diagonal of an m x n
+    matrix, which np.triu builds anew on every call; a compression factors
+    a few dozen shapes."""
+    mask = np.tri(m, n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def pivoted_qr(A, eps, *, overwrite_a=False):
     """Column-pivoted QR (LAPACK geqp3) with the rank read off R's diagonal:
     the first k whose pivot |R_kk| is at most eps*|R_00|, or min(m, n) if
@@ -116,10 +127,11 @@ def pivoted_qr(A, eps, *, overwrite_a=False):
         # geqp3 factors triu(R0) as a column-major scratch copy, in place
         R0 = geqrf(A, lwork=lwork, overwrite_a=overwrite_a)[0]
         A = np.asfortranarray(R0[:n])
-        np.copyto(A, 0, where=np.tri(n, k=-1, dtype=bool))
+        np.copyto(A, 0, where=_below_diagonal(n, n))
         overwrite_a = True
     qr, jpvt = geqp3(A, lwork=lwork, overwrite_a=overwrite_a)[:2]
-    R = np.triu(qr[:kmax])
+    # np.triu's arithmetic, on a cached mask
+    R = np.where(_below_diagonal(kmax, n), np.zeros(1, qr.dtype), qr[:kmax])
     d = np.abs(np.diagonal(R))
     stop = np.flatnonzero(d <= eps * d[0])
     rank = int(stop[0]) if stop.size else kmax

@@ -394,13 +394,25 @@ def solve(fi: FactoredInverse, b) -> np.ndarray:
                       fi.n, fi.perm, fi.dtype, b)
 
 
-def _as_operator(op):
+def _as_operator(op, name, n):
+    """``op`` (None for the identity, a callable or a matrix) as a function
+    of one vector of the n unknowns; an output that is not one value per
+    unknown raises InvalidInput naming ``name``."""
     if op is None:
         return lambda v: v
-    if callable(op):
-        return op
-    mat = np.asarray(op)
-    return lambda v: mat @ v
+    if not callable(op):
+        mat = np.asarray(op)
+        if mat.shape != (n, n):
+            raise InvalidInput(f"{name} is a matrix of shape {mat.shape}, not ({n}, {n})")
+        return lambda v: mat @ v
+
+    def checked(v):
+        out = np.asarray(op(v))
+        if out.shape != (n,):
+            raise InvalidInput(f"{name} returned shape {out.shape}, not a vector of "
+                               f"the {n} unknowns")
+        return out
+    return checked
 
 
 def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
@@ -409,7 +421,8 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     Each step orthogonalizes M A v_j by classical Gram-Schmidt twice, two
     BLAS-2 products with the basis a pass, which keeps the basis orthogonal
     to working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl.
-    50, 2005).
+    50, 2005).  The basis is held in row blocks that are never copied, so a
+    solve's memory peaks at about its basis.
 
     Returns (x, iterations), where iterations counts applications of the
     operator.  Raises NotConverged if the relative residual has not reached
@@ -418,7 +431,8 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     Krylov space, or a NaN).  It carries the iterate of the steps before
     that one, or of all of them, with that iterate's own residual.  ``tol``
     must be a real number in (0, 1), not a bool; ``max_iter`` an integer of
-    at least 1, not a bool; ``b`` a vector.
+    at least 1, not a bool; ``b`` a vector; and ``apply_fn`` and ``precond``
+    n x n matrices or callables that return a vector of the n unknowns.
     """
     # a tol of 1 or more (True, inf) returned after one step, far from the answer
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < 1:
@@ -427,24 +441,33 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
         max_iter = _index(max_iter, "max_iter")
         if max_iter < 1:
             raise InvalidInput("max_iter must be at least 1")
-    A = _as_operator(apply_fn)
-    M = _as_operator(precond)
     b = np.asarray(b)
     if b.ndim != 1:
         raise InvalidInput(f"b must be a vector, got {b.ndim} dimensions")
     n = b.shape[0]
+    A = _as_operator(apply_fn, "apply_fn", n)
+    M = _as_operator(precond, "precond", n)
     max_iter = n if max_iter is None else min(max_iter, n)
 
-    r0 = np.asarray(M(b))
+    r0 = M(b)
     dtype = np.result_type(r0.dtype, np.float64)
     beta = np.linalg.norm(r0)
     if beta == 0:
         return np.zeros(n, dtype=dtype), 0
 
-    # the basis starts at 17 rows and doubles as steps are taken: max_iter
-    # defaults to n, and n + 1 rows of n allocated up front can exceed memory
-    V = np.empty((min(max_iter, 16) + 1, n), dtype=dtype)
-    V[0] = r0 / beta
+    # max_iter defaults to n, and n + 1 rows of n allocated up front can
+    # exceed memory, so the basis grows as steps are taken: 17 rows, then
+    # blocks of as many rows as it holds, up to 64 a block and max_iter + 1
+    # in all.  The blocks are never copied, since growing one array would
+    # hold its rows twice while it copies them.
+    blocks = [np.empty((min(max_iter, 16) + 1, n), dtype=dtype)]
+    starts = [0]   # the basis row that opens each block
+
+    def rows(m):   # the first m basis rows, as (first row, rows of a block) pairs
+        return [(s, B[:m - s]) for s, B in zip(starts, blocks) if s < m or s == 0]
+
+    v = blocks[0][0]
+    v[:] = r0 / beta
     cols = []   # the columns of the rotated Hessenberg matrix
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter, dtype=dtype)
@@ -452,12 +475,15 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     g[0] = beta
     k = 0   # steps in the iterate
     for j in range(max_iter):
-        w = np.array(M(A(V[j])), dtype=dtype)
+        w = np.array(M(A(v)), dtype=dtype)
         norm0 = np.linalg.norm(w)
         h = np.zeros(j + 1, dtype=dtype)
+        V = rows(j + 1)
         for _ in range(2):   # h += V^H w, w -= V h, with no copy of conj(V)
-            c = (V[:j + 1] @ w.conj()).conj()
-            w -= c @ V[:j + 1]
+            wc = w.conj()
+            c = np.concatenate([(P @ wc).conj() for _, P in V])
+            for s, P in V:
+                w -= c[s:s + len(P)] @ P
             h += c
         hn = np.linalg.norm(w)
         # the earlier rotations, on Python scalars, which cost a fraction of
@@ -481,13 +507,19 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
         k = j + 1
         if abs(g[k]) / beta <= tol:
             break
-        if k == len(V):
-            V = np.concatenate([V, np.empty((min(k, max_iter + 1 - k), n), dtype=dtype)])
-        V[k] = w / hn
+        if k == starts[-1] + len(blocks[-1]):
+            starts.append(k)
+            blocks.append(np.empty((min(k, 64, max_iter + 1 - k), n), dtype=dtype))
+        v = blocks[-1][k - starts[-1]]
+        np.divide(w, hn, out=v)
     R = np.zeros((k, k), dtype=dtype)
     for i, h in enumerate(cols):
         R[:i + 1, i] = h
-    x = solve_triangular(R, g[:k], check_finite=False) @ V[:k]
+    y = solve_triangular(R, g[:k], check_finite=False)
+    (_, P), *rest = rows(k)
+    x = y[:len(P)] @ P
+    for s, P in rest:
+        x += y[s:s + len(P)] @ P
     res = float(abs(g[k]) / beta)
     if res <= tol:
         return x, k

@@ -31,6 +31,16 @@ class TestFitExponent:
         with pytest.raises(InvalidInput):
             fit_exponent([(1, 1.0), (2, 2.0), (4, 4.0)])
 
+    @pytest.mark.parametrize("t", [None, float("nan"), float("inf"), 0.0, -1e-3])
+    def test_times_must_be_finite_and_positive(self, t):
+        # four records with Tcm = None returned a nan slope, and a zero time
+        # a nan slope after a RuntimeWarning from log
+        ns = (512, 1024, 2048, 4096)
+        for i in (0, 2):
+            recs = [BenchRecord(N=n, Tcm=t if j == i else 1e-6 * n) for j, n in enumerate(ns)]
+            with pytest.raises(InvalidInput, match=f"record {i} has Tcm"):
+                fit_exponent(recs)
+
     def test_accepts_records(self):
         recs = [BenchRecord(N=n, Tcm=1e-6 * n) for n in (512, 1024, 2048, 4096)]
         assert fit_exponent(recs) == pytest.approx(1.0, abs=0.01)

@@ -256,6 +256,17 @@ class TestEvalInterior:
             with pytest.raises(InvalidInput, match=f"{len(density)} on a curve of 64"):
                 bie.write_density_csv(tmp_path / "d.csv", curve, density)
 
+    def test_density_csv_takes_one_value_per_node(self, tmp_path):
+        # a (16, 2) density once wrote the header, then raised numpy's
+        # TypeError on the first row, leaving a one-line file
+        curve = bie.circle(1.0, 16)
+        path = tmp_path / "d.csv"
+        with pytest.raises(InvalidInput, match=r"\(16, 2\)"):
+            bie.write_density_csv(path, curve, np.ones((16, 2)))
+        assert not path.exists()
+        # the field of (n, k) densities is (m, k)
+        assert bie.eval_interior(curve, np.ones((16, 2)), LAPLACE2, (0.1, 0.1)).shape == (1, 2)
+
     def test_exterior_target_rejected(self):
         curve = bie.circle(1.0, 64)
         with pytest.raises(InvalidInput):

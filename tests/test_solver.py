@@ -392,6 +392,53 @@ class TestGmres:
         assert it == 1
         assert np.all(x == 0.5)
 
+    def test_peak_memory_is_about_the_basis(self):
+        # the basis once doubled by concatenation, holding the old rows and
+        # their copy at once: 200 steps at n = 10,000 peaked at 2.01 bases
+        n = 10_000
+        d = np.linspace(1.0, 1e4, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotConverged) as exc:
+                gmres(lambda v: d * v, np.ones(n), tol=1e-12, max_iter=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.iterations == 200
+        # 201 basis rows, at most one spare block of 64, and 16 n-vectors
+        # for the iterate, the step's temporaries and the 200 x 200 triangle
+        assert peak <= (201 + 64 + 16) * d.nbytes
+
+    def test_many_blocks_solve_and_report_the_true_residual(self):
+        # hundreds of steps run over several blocks of the basis
+        rng = np.random.default_rng(12)
+        A = np.eye(400) + rng.standard_normal((400, 400)) / 20
+        b = rng.standard_normal(400)
+        with pytest.raises(NotConverged) as exc:
+            gmres(A, b, tol=1e-12, max_iter=150)
+        true = np.linalg.norm(A @ exc.value.x - b) / np.linalg.norm(b)
+        assert exc.value.residual == pytest.approx(true, rel=1e-6)
+        x, it = gmres(A, b, tol=1e-12)
+        assert 150 < it < 400
+        xd = np.linalg.solve(A, b)
+        assert np.linalg.norm(x - xd) / np.linalg.norm(xd) <= 1e-10
+
+    @pytest.mark.parametrize("which", ["apply_fn", "precond"])
+    @pytest.mark.parametrize("out", [lambda v: v[:3], lambda v: v[:, None]],
+                             ids=["short", "column"])
+    def test_operator_must_return_a_vector_of_the_unknowns(self, which, out):
+        # a preconditioner returning 3 values for n = 5 once died in numpy's
+        # broadcast, "could not broadcast input array from shape (3,)"
+        ops = {"apply_fn": lambda v: 2.0 * v, "precond": None, which: out}
+        with pytest.raises(InvalidInput, match=rf"^{which} returned shape"):
+            gmres(ops["apply_fn"], np.ones(5), precond=ops["precond"])
+
+    @pytest.mark.parametrize("which", ["apply_fn", "precond"])
+    def test_matrix_must_be_n_by_n(self, which):
+        ops = {"apply_fn": 2.0 * np.eye(5), "precond": None, which: np.eye(3)}
+        with pytest.raises(InvalidInput, match=rf"^{which} is a matrix of shape \(3, 3\)"):
+            gmres(ops["apply_fn"], np.ones(5), precond=ops["precond"])
+
     @pytest.mark.parametrize("b", [np.ones((4, 2)), np.float64(1.0)], ids=["matrix", "scalar"])
     def test_b_must_be_a_vector(self, b):
         with pytest.raises(InvalidInput, match="vector"):
