@@ -293,8 +293,8 @@ def write_csv(records, path):
 
 def fit_exponent(records, field_name="Tcm"):
     """Least-squares slope of log T against log N, dropping the smallest N
-    (warm-up noise).  Needs at least 4 records with increasing N, and a
-    finite, positive T in each."""
+    (warm-up noise).  Needs at least 4 records with finite, positive,
+    increasing N, and a finite, positive T in each."""
     if all(hasattr(r, "N") for r in records):
         pairs = [(r.N, getattr(r, field_name)) for r in records]
     else:
@@ -303,6 +303,11 @@ def fit_exponent(records, field_name="Tcm"):
         raise InvalidInput("need at least 4 records to fit an exponent")
     ns = np.array([p[0] for p in pairs], dtype=float)
     ts = np.array([p[1] for p in pairs], dtype=float)
+    # a zero or negative N has no logarithm: LAPACK failed on the nan fit
+    bad = np.flatnonzero(~(np.isfinite(ns) & (ns > 0)))
+    if bad.size:
+        raise InvalidInput(f"record {bad[0]} has N = {pairs[bad[0]][0]!r}: "
+                           f"N must be finite and positive")
     if np.any(np.diff(ns) <= 0):
         raise InvalidInput("records must have increasing N")
     # a missing (None, so nan), infinite or non-positive time gave a nan slope

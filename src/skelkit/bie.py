@@ -194,6 +194,9 @@ class BieSystem:
 
     spec: KernelSpec
     curve: Curve2D
+    # the incoming proxy field is the single layer of spec; a class
+    # attribute, not a dataclass field
+    incoming = None
 
     def __post_init__(self):
         self.points = self.curve.point_set()
@@ -283,17 +286,19 @@ def compress_system(system, eps, max_leaf_size=None,
     matrix.  Returns (tree, CompressedMatrix).
 
     A curve system is a ``BieSystem`` or one scatterer of a
-    ``ScatteringSystem``: anything with ``points``, ``spec`` and
-    ``block(rows, cols)``, and ``incoming``, a ``KernelSpec``, if its
-    incoming proxy field is not the single layer of ``spec``: the layer
-    whose block from the nodes to the proxy surface is that field
-    transposed (the scatterer's Neumann trace is the Helmholtz double
-    layer).  ``KernelSource`` takes the proxy fields of a group of nodes
-    at once, and scales the incoming field by the mean quadrature weight
-    of the nodes, like the weighted columns of the system."""
+    ``ScatteringSystem``: anything with ``points``, ``spec``,
+    ``block(rows, cols)`` over node indices, and ``incoming``: None where
+    its incoming proxy field is the single layer of ``spec``, else the
+    ``KernelSpec`` whose block from the nodes to the proxy surface is that
+    field transposed (the scatterer's Neumann trace is the Helmholtz
+    double layer).  The system is handed to ``compress_source`` as a
+    ``KernelSource`` in node order; the tree owns the order in which it is
+    compressed.  ``KernelSource`` takes the proxy fields of a group of
+    nodes at once, and scales the incoming field by the mean quadrature
+    weight of the nodes, like the weighted columns of the system."""
     tree = build_tree(system.points, max_leaf_size)
-    src = KernelSource(system.spec, system.points, tree.perm, block=system.block,
-                       incoming=getattr(system, "incoming", None))
+    src = KernelSource(system.spec, system.points, block=system.block,
+                       incoming=system.incoming)
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
     return tree, cm
 

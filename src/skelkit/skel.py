@@ -109,27 +109,26 @@ def _rings(centers, radii, n):
 
 
 class KernelSource:
-    """Adapter presenting a matrix over ``points`` to the compression sweep
-    in tree ordering ``perm``.  ``block(rows, cols)`` evaluates entries in
-    point order (default: the kernel of ``spec``).  ``proxy_fields`` gives
-    the far fields of a group of nodes.  The outgoing field is the single
-    layer of the same equation, from the node's points to its proxy
-    surface: the proxy only has to span exterior fields.  The incoming
-    field is the kernel layer ``incoming`` (default: that single layer)
-    evaluated the same way and transposed; a scatterer, whose rows are
-    Neumann traces, gives the Helmholtz double layer.  Over weighted points
-    the incoming field is scaled by the mean weight, like the weighted
-    columns of ``block``, so both halves of a node's ID share one
-    magnitude.
+    """The matrix over ``points`` that ``compress_source`` compresses, in
+    point order: the tree that it is compressed over owns the order.
+    ``block(rows, cols)`` evaluates the entries between point indices
+    (default: the kernel of ``spec``).  ``proxy_fields`` gives the far
+    fields of a group of nodes.  The outgoing field is the single layer of
+    the same equation, from the node's points to its proxy surface: the
+    proxy only has to span exterior fields.  The incoming field is the
+    kernel layer ``incoming`` (default: that single layer) evaluated the
+    same way and transposed; a scatterer, whose rows are Neumann traces,
+    gives the Helmholtz double layer.  Over weighted points the incoming
+    field is scaled by the mean weight, like the weighted columns of
+    ``block``, so both halves of a node's ID share one magnitude.
 
     ``symmetric`` marks a plain unweighted single-layer kernel.  Its row
     blocks are the transposes of its column blocks bit for bit (plain
     transpose, Helmholtz included), so ``compress_source`` leaves the row
     half out of each node's ID."""
 
-    def __init__(self, spec: KernelSpec, points: PointSet, perm, block=None,
+    def __init__(self, spec: KernelSpec, points: PointSet, block=None,
                  incoming: KernelSpec | None = None):
-        self.perm = np.asarray(perm)
         self._points = points
         self.proxy_spec = spec.single_layer()
         self.incoming = self.proxy_spec if incoming is None else incoming
@@ -138,15 +137,12 @@ class KernelSource:
         self.wavenumber = spec.wavenumber
         self.symmetric = (block is None and self.incoming == self.proxy_spec
                           and spec.layer == "single" and points.weights is None)
-        self._block = block or (
+        self.block = block or (
             lambda r, c: eval_block(spec, points.subset(r), points.subset(c)))
-        self._w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
-
-    def block(self, rows, cols):
-        return self._block(self.perm[rows], self.perm[cols])
+        self._w = None if points.weights is None else float(np.mean(points.weights))
 
     def proxy_fields(self, cols, rings):
-        """The far fields of a group of nodes: node g has the DOFs
+        """The far fields of a group of nodes: node g has the points
         ``cols[g]`` and the proxy surface ``rings[g]`` of an (m, p, dim)
         array.  Returns two lists of p x ``cols[g].size`` blocks, the
         outgoing fields and the transposed incoming ones, each from one
@@ -156,7 +152,7 @@ class KernelSource:
         times the ``incoming`` layer's block where that is not the single
         layer."""
         counts = [c.size for c in cols]
-        pts = self._points.subset(self.perm[np.concatenate(cols)])
+        pts = self._points.subset(np.concatenate(cols))
         G = eval_fields(self.proxy_spec, rings, pts, counts)
         at = np.cumsum(counts[:-1])
         out = G if pts.weights is None else G * pts.weights
@@ -343,9 +339,8 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     (``KernelSource.symmetric``), and its ID leaves out the row half of the
     target, which repeats the column half; see ``compress_source``.
     """
-    source = KernelSource(spec, points, tree.perm)
-    return compress_source(source, tree, eps, proxy=proxy, mode=mode,
-                           allow_large=allow_large)
+    return compress_source(KernelSource(spec, points), tree, eps, proxy=proxy,
+                           mode=mode, allow_large=allow_large)
 
 
 def _cat(parts):
@@ -360,26 +355,14 @@ def _half(blocks, far):
     yield far()
 
 
-def _node_fields(source, sym):
-    """``proxy_fields`` for a source with the per-node protocol: its
-    ``proxy_col_block`` and, unless it is symmetric, the transposed
-    ``proxy_row_block``, each node on a ``PointSet`` of its surface."""
-    def fields(cols, rings):
-        rings = [PointSet(r) for r in rings]
-        out = [source.proxy_col_block(c, r) for c, r in zip(cols, rings)]
-        return out, out if sym else [source.proxy_row_block(c, r).T for c, r in zip(cols, rings)]
-    return fields
-
-
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
-    """Compression sweep over any matrix source exposing ``block``, ``n``,
-    ``dtype``, ``wavenumber``, optionally ``symmetric``, and its far fields:
-    either ``proxy_fields(cols, rings)``, the fields of a group of nodes
-    (``KernelSource``), or the per-node ``proxy_col_block(cols, proxy)`` and
-    ``proxy_row_block(rows, proxy)`` on a ``PointSet`` of the node's proxy
-    surface, which are then called for each node of a group.  The tree
-    must be over the source's ``n`` points, or InvalidInput is raised.
+    """Compression sweep over a ``KernelSource``; anything else raises
+    InvalidInput.  The tree must be over the source's ``n`` points, or
+    InvalidInput is raised, and it owns the point order: the sweep works in
+    tree positions, and maps each index array through ``tree.perm`` before
+    it calls the source's ``block`` or ``proxy_fields``, which take point
+    indices.
 
     Each level runs in four phases; in proxy mode each kernel block is
     evaluated once:
@@ -393,8 +376,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
        leaf's D comes from the same calls, as its tiles' first columns.
        ``block`` is called on row tiles of about ``_TILE_ENTRIES`` entries
        (one row if a row is longer), each written into its rows of the
-       level's store, so no full-size block is built as a temporary.  A
-       ``KernelSource``'s tiles are blocks between subsets of its point
+       level's store, so no full-size block is built as a temporary.  The
+       default ``block``'s tiles are blocks between subsets of the point
        set, which keep that set's coincidence scale (``PointSet.scale``),
        so each entry is the whole block's, whatever tile holds it.
     3. Each node's ID, one skeleton for rows and columns with L = R^T
@@ -429,6 +412,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     Only the leaves' D are evaluated as such.  IDs whose interpolation
     entries exceed 2 are counted, and reported in one AccuracyWarning per
     call rather than one per block."""
+    if not isinstance(source, KernelSource):
+        raise InvalidInput(f"compress_source takes a KernelSource, not {type(source).__name__}")
     if not 0 < eps < 1:
         raise InvalidInput("eps must lie in (0, 1)")
     if mode not in ("proxy", "global"):
@@ -444,17 +429,15 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     dtype = source.dtype
     field = "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
 
+    perm = tree.perm
     covers = tree.levels
     top = next(i for i, c in enumerate(covers) if len(c) == 1)
     if top == 0:
-        allidx = np.arange(n)
-        S = np.ascontiguousarray(source.block(allidx, allidx), dtype=dtype)
+        S = np.ascontiguousarray(source.block(perm, perm), dtype=dtype)
         return CompressedMatrix(levels=[], S=S, n=n, eps=eps,
-                                perm=tree.perm.copy(), scalar_field=field)
+                                perm=perm.copy(), scalar_field=field)
 
-    k_wave = getattr(source, "wavenumber", 0.0)
-    sym = getattr(source, "symmetric", False)
-    fields = getattr(source, "proxy_fields", None) or _node_fields(source, sym)
+    sym = source.symmetric
     levels = []
     interp_max = []     # max |P| of every ID kept, in any order
 
@@ -462,7 +445,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
         # nodes can be isolated (no neighbors) or fully compressed away
         if len(rows) == 0 or len(cols) == 0:
             return np.zeros((len(rows), len(cols)), dtype=dtype)
-        return source.block(rows, cols)
+        return source.block(perm[rows], perm[cols])
 
     children = [None] * len(covers[0])
     dofs = [np.arange(tree.nodes[i].lo, tree.nodes[i].hi) for i in covers[0]]
@@ -506,7 +489,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             if cols.size:
                 step = max(1, _TILE_ENTRIES // cols.size)
                 for lo in range(0, rows.size, step):
-                    tile = source.block(rows[lo:lo + step], cols)
+                    tile = source.block(perm[rows[lo:lo + step]], perm[cols])
                     if head:
                         Ds[a][lo:lo + step] = tile[:, :head]
                     own[a][lo:lo + step] = tile[:, head:]
@@ -527,8 +510,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             centers = np.array([b.center for b in boxes])
             radii = proxy_radius(np.array([b.halfwidth for b in boxes]), cfg, tree.dim)
             n_far = np.full(nb, cfg.n_proxy)
-            if k_wave > 0:
-                n_far += np.ceil(4.0 * k_wave * radii).astype(np.int64)
+            if source.wavenumber > 0:
+                n_far += np.ceil(4.0 * source.wavenumber * radii).astype(np.int64)
             n_far = n_far.tolist()
             group, members, entries = {}, [], 0
             for a in range(nb):
@@ -549,7 +532,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             if a not in held:
                 g = group[a]
                 rings = _rings(centers[g], radii[g], n_far[a])
-                held.update(zip(g, zip(*fields([dofs[b] for b in g], rings))))
+                held.update(zip(g, zip(*source.proxy_fields([perm[dofs[b]] for b in g], rings))))
             return (held.pop(a) if half == (0 if sym else 1) else held[a])[half]
 
         def build_node(a):
@@ -623,7 +606,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     # the root's block is the dense top-level skeleton matrix; its diagonal
     # blocks stay zero (their interactions were extracted into the final D level)
     return CompressedMatrix(levels=levels, S=Ds[0], n=n, eps=eps,
-                            perm=tree.perm.copy(), scalar_field=field)
+                            perm=perm.copy(), scalar_field=field)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,15 @@ class TestFitExponent:
             with pytest.raises(InvalidInput, match=f"record {i} has Tcm"):
                 fit_exponent(recs)
 
+    def test_sizes_must_be_positive(self):
+        # increasing N through zero passed the order check, and the fit on
+        # the logs of negative N failed in LAPACK with numpy's LinAlgError
+        recs = [(-4, 1.0), (-2, 2.0), (-1, 3.0), (1, 4.0), (2, 5.0)]
+        with pytest.raises(InvalidInput, match="record 0 has N = -4"):
+            fit_exponent(recs)
+        with pytest.raises(InvalidInput, match="record 0 has N = 0"):
+            fit_exponent([(0, 1.0), (1, 2.0), (2, 3.0), (4, 4.0)])
+
     def test_accepts_records(self):
         recs = [BenchRecord(N=n, Tcm=1e-6 * n) for n in (512, 1024, 2048, 4096)]
         assert fit_exponent(recs) == pytest.approx(1.0, abs=0.01)

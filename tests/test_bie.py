@@ -507,7 +507,7 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
         A = eval_block(spec, pts, pts)
         src, tree = _captured_source(monkeypatch, skel, lambda: skel.compress(
             spec, pts, build_tree(pts), 1e-6))
-        wscale = 1.0 if pts.weights is None else float(np.mean(pts.weights[tree.perm]))
+        wscale = 1.0 if pts.weights is None else float(np.mean(pts.weights))
 
         def incoming(t, p):
             return wscale * eval_block(spec, t, p)
@@ -519,7 +519,7 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
         src, tree = _captured_source(monkeypatch, bie,
                                      lambda: system.precond_blocks(eps=1e-6))
         spec = KernelSpec("helmholtz", 2, "single", k)
-        wscale = float(np.mean(pts.weights[tree.perm]))
+        wscale = float(np.mean(pts.weights))
 
         def incoming(t, p):
             return wscale * bie._neumann_trace_block(k, t, p)
@@ -530,26 +530,26 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
         src, tree = _captured_source(monkeypatch, bie,
                                      lambda: bie.compress_system(system, 1e-6))
         spec = system.spec.single_layer()
-        wscale = float(np.mean(pts.weights[tree.perm]))
+        wscale = float(np.mean(pts.weights))
 
         def incoming(t, p):
             return wscale * eval_block(spec, t, p)
 
-    perm = tree.perm
+    # the source is in point order, whatever the tree's order
     assert (src.n, src.dtype, src.wavenumber) == (pts.n, spec.dtype, spec.wavenumber)
-    assert not np.array_equal(perm, np.arange(pts.n))   # tree order is not point order
+    assert not np.array_equal(tree.perm, np.arange(pts.n))
     idx = np.arange(pts.n)
-    np.testing.assert_array_equal(src.block(idx, idx), A[np.ix_(perm, perm)])
+    np.testing.assert_array_equal(src.block(idx, idx), A)
     rng = np.random.default_rng(1)
     rows, cols = rng.choice(pts.n, 40, replace=False), rng.choice(pts.n, 30, replace=False)
-    np.testing.assert_array_equal(src.block(rows, cols), A[np.ix_(perm[rows], perm[cols])])
+    np.testing.assert_array_equal(src.block(rows, cols), A[np.ix_(rows, cols)])
 
     # the fields of a group of two nodes, rows and cols, on one proxy surface
     pxy = skel.proxy_points(tree.nodes[tree.levels[0][0]], skel.ProxyConfig(), 2)
     out, inc = src.proxy_fields([rows, cols], np.stack([pxy.coords, pxy.coords]))
-    np.testing.assert_array_equal(inc[0], incoming(pts.subset(perm[rows]), pxy).T)
+    np.testing.assert_array_equal(inc[0], incoming(pts.subset(rows), pxy).T)
     # outgoing fields are the single layer: source normals play no part
-    tgt = pts.subset(perm[cols])
+    tgt = pts.subset(cols)
     bare = PointSet(tgt.coords, None, tgt.weights)
     np.testing.assert_array_equal(out[1], eval_block(spec, pxy, bare))
 
@@ -634,7 +634,7 @@ def test_stacked_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
     real = bie.compress_source
 
     def counted(source, tree, *args, **kwargs):
-        seen.append((source, tree, count_block_entries(source, monkeypatch)))
+        seen.append((source, tree, count_block_entries(source, tree, monkeypatch)))
         return real(source, tree, *args, **kwargs)
 
     monkeypatch.setattr(bie, "compress_source", counted)

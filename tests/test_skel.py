@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,6 +222,29 @@ def test_tree_over_another_point_count_is_refused(n_points, n_tree):
         compress(LAPLACE2, square_points(n_points), tree, 1e-6)
 
 
+def test_only_a_kernel_source_is_compressed():
+    # a duck-typed source with block, n and dtype once reached the sweep
+    pts = square_points(64)
+    src = SimpleNamespace(n=64, dtype=np.float64,
+                          block=lambda r, c: eval_block(LAPLACE2, pts.subset(r), pts.subset(c)))
+    with pytest.raises(InvalidInput, match="not SimpleNamespace"):
+        compress_source(src, build_tree(pts, 16), 1e-6)
+
+
+def test_one_source_compresses_over_any_tree():
+    # the tree owns the point order: one source, compressed over two trees,
+    # meets eps over both.  A source that held one tree's order once gave
+    # 0.98 over the other
+    eps = 1e-8
+    pts = square_points(2048)
+    source = KernelSource(LAPLACE2, pts)
+    x = np.random.default_rng(0).standard_normal(pts.n)
+    ref = dense_matrix(LAPLACE2, pts) @ x
+    for leaf in (16, 64):
+        cm = compress_source(source, build_tree(pts, leaf), eps)
+        assert np.linalg.norm(apply(cm, x) - ref) <= 100 * eps * np.linalg.norm(ref)
+
+
 def test_compress_deterministic():
     pts = circle_points(512)
     tree = build_tree(pts, 64)
@@ -385,7 +409,7 @@ def test_symmetric_shortcut_is_bit_identical(case):
     pts = PointSet(np.random.default_rng(7).random((n, dim)))
     tree = build_tree(pts)
     mode = "global" if case == "global2d" else "proxy"
-    source = KernelSource(spec, pts, tree.perm)
+    source = KernelSource(spec, pts)
     assert source.symmetric
     one = compress_source(source, tree, 1e-6, mode=mode)
     source.symmetric = False
@@ -517,7 +541,7 @@ def test_degraded_interpolation_warns_once_per_compression(symmetric):
     # shortcut and the joint ID alike take one ID per node, with L = R^T.
     pts = PointSet(np.random.default_rng(201).random((1024, 2)))
     tree = build_tree(pts)
-    source = KernelSource(KernelSpec("helmholtz", 2, wavenumber=20.0), pts, tree.perm)
+    source = KernelSource(KernelSpec("helmholtz", 2, wavenumber=20.0), pts)
     source.symmetric = symmetric
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -539,39 +563,13 @@ def _ellipse_points(n, normals=False, weights=False):
                     curve.weights if weights else None)
 
 
-class PerNodeSource:
-    """A matrix source with only ``compress_source``'s per-node protocol:
-    the blocks of ``plain``, a ``KernelSource`` over ``points``, and its far
-    fields node by node from ``eval_block``.  The outgoing field is the
-    single layer; the incoming one is ``incoming(targets, proxy)``, the
-    single layer by default, scaled by the mean weight.  ``calls`` counts
-    the nodes each per-node block was called for.  It has no
-    ``symmetric`` attribute."""
-
-    def __init__(self, plain, points, incoming=None):
-        self.block, self.n = plain.block, plain.n
-        self.dtype, self.wavenumber = plain.dtype, plain.wavenumber
-        self.spec, self.points, self.perm = plain.proxy_spec, points, plain.perm
-        self.incoming = incoming or (lambda t, p: eval_block(self.spec, t, p))
-        self.w = None if points.weights is None else float(np.mean(points.weights[self.perm]))
-        self.calls = {"col": 0, "row": 0}
-
-    def proxy_col_block(self, cols, proxy):
-        self.calls["col"] += 1
-        return eval_block(self.spec, proxy, self.points.subset(self.perm[cols]))
-
-    def proxy_row_block(self, rows, proxy):
-        self.calls["row"] += 1
-        blk = self.incoming(self.points.subset(self.perm[rows]), proxy)
-        return blk if self.w is None else self.w * blk
-
-
 def _caught_compression(case, monkeypatch):
     """(source, tree, compressed matrix) of one compression at eps 1e-6,
     caught at ``compress_source``: a 1024-point kernel matrix through
     ``compress`` (single or double layer, or the single layer with
-    quadrature weights), the same matrix as a ``PerNodeSource``, a
-    1024-point Dirichlet BIE or the 256-point scatterer preconditioner."""
+    quadrature weights), the same matrix as a ``KernelSource`` with its own
+    ``block``, a 1024-point Dirichlet BIE or the 256-point scatterer
+    preconditioner."""
     seen = []
 
     def capture(module):
@@ -591,7 +589,8 @@ def _caught_compression(case, monkeypatch):
     elif case == "custom":
         pts = _ellipse_points(1024)
         tree = build_tree(pts, 64)
-        custom = PerNodeSource(KernelSource(LAPLACE2, pts, tree.perm), pts)
+        custom = KernelSource(LAPLACE2, pts, block=lambda r, c: eval_block(
+            LAPLACE2, pts.subset(r), pts.subset(c)))
         seen.append((custom, tree, compress_source(custom, tree, 1e-6)))
     elif case == "scatterer":
         capture(bie)
@@ -619,8 +618,7 @@ def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
     monkeypatch.setattr(lowrank, "id_fixed_precision", counting_id)
     gram_shapes = _gram_route_shapes(monkeypatch)
     source, tree, cm = _caught_compression(case, monkeypatch)
-    # a source without the attribute takes the joint ID
-    assert getattr(source, "symmetric", False) == symmetric
+    assert source.symmetric == symmetric
     # carried nodes take no ID
     nodes = len(_compressed_nodes(tree, cm))
     assert nodes > 0
@@ -635,16 +633,16 @@ def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
 def test_every_source_is_square_by_construction(case, monkeypatch):
     # one skeleton serves a node's rows and columns, whatever the source
     source, tree, cm = _caught_compression(case, monkeypatch)
-    assert not getattr(source, "symmetric", False)
+    assert not source.symmetric
     assert len(cm.levels) >= 2
     for lv in cm.levels:
         for nd in lv.nodes:
             assert np.array_equal(nd.L, nd.R.T)
-    # source.block takes tree positions: the dense matrix in tree order
+    # source.block takes point indices: the dense matrix in point order
     n = tree.n_points
     idx = np.arange(n)
     x = np.random.default_rng(0).standard_normal(n)
-    ref = (source.block(idx, idx) @ x[tree.perm])[np.argsort(tree.perm)]
+    ref = source.block(idx, idx) @ x
     err = np.linalg.norm(apply(cm, x) - ref) / np.linalg.norm(ref)
     assert err <= 100 * 1e-6
 
@@ -723,7 +721,7 @@ def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
         assert any(n == 1 and e > skel._TILE_ENTRIES for n, e in groups)
     else:
         assert max(n for n, _ in groups) > 1
-    w = 1.0 if pts.weights is None else float(np.mean(pts.weights[tree.perm]))
+    w = 1.0 if pts.weights is None else float(np.mean(pts.weights))
     single = source.proxy_spec
 
     def incoming(t, pxy):
@@ -762,71 +760,6 @@ def test_grouped_far_fields_equal_the_per_node_blocks(case, monkeypatch):
         assert min(n_far_seen) > skel.DEFAULT_N_PROXY[2] and len(n_far_seen) > 1
 
 
-@pytest.mark.parametrize("case", ["laplace_bie", "scatterer", "symmetric"])
-def test_per_node_source_gives_the_grouped_bits(case, monkeypatch):
-    # a source with only the per-node proxy blocks takes its far fields
-    # through one adapter: each ID node calls each half's block once (a
-    # symmetric source only the column half's), and per-node blocks with
-    # the bits of KernelSource's grouped fields give its container bytes
-    if case == "symmetric":
-        pts = square_points(2048)
-        tree = build_tree(pts)
-        plain, incoming = KernelSource(LAPLACE2, pts, tree.perm), None
-    else:
-        if case == "laplace_bie":
-            system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512), LAPLACE2)
-            incoming = None
-        else:
-            curve = bie.trefoil(256)
-            system = bie.scattering_system([curve], 2 * np.pi * 2.0 / curve.diameter()).scatterers[0]
-            incoming = lambda t, p: bie._neumann_trace_block(system.k, t, p)
-        pts = system.points
-        tree = build_tree(pts, 16)
-        plain = KernelSource(system.spec, pts, tree.perm, block=system.block,
-                             incoming=getattr(system, "incoming", None))
-    src = PerNodeSource(plain, pts, incoming)
-    if case == "symmetric":
-        src.symmetric = True
-    want = serialize_compressed(compress_source(plain, tree, 1e-9))
-    ids, real_id = [], skel._target_id
-    monkeypatch.setattr(skel, "_target_id",
-                        lambda halves, shape, eps: ids.append(shape[1]) or real_id(halves, shape, eps))
-    got = serialize_compressed(compress_source(src, tree, 1e-9))
-    assert got == want
-    nodes = sum(1 for n in ids if n)
-    assert nodes > 0 and src.calls == {"col": nodes, "row": 0 if case == "symmetric" else nodes}
-
-
-@pytest.mark.parametrize("replace", ["subclass", "instance"])
-def test_replaced_proxy_blocks_are_called_per_node(replace, monkeypatch):
-    # a per-node source's proxy_row_block, replaced on a subclass or on the
-    # instance, is the one compress_source calls, once for every ID node,
-    # and here gives the grouped path's container bytes
-    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 512), LAPLACE2)
-    tree = build_tree(system.points, 16)
-    plain = KernelSource(system.spec, system.points, tree.perm, block=system.block)
-    calls, ids = [], []
-
-    class Counting(PerNodeSource):
-        def proxy_row_block(self, rows, proxy):
-            calls.append(rows.size)
-            return super().proxy_row_block(rows, proxy)
-
-    if replace == "subclass":
-        src = Counting(plain, system.points)
-    else:
-        src = PerNodeSource(plain, system.points)
-        own = src.proxy_row_block
-        src.proxy_row_block = lambda rows, proxy: calls.append(rows.size) or own(rows, proxy)
-    want = serialize_compressed(compress_source(plain, tree, 1e-9))
-    real_id = skel._target_id
-    monkeypatch.setattr(skel, "_target_id",
-                        lambda halves, shape, eps: ids.append(shape[1]) or real_id(halves, shape, eps))
-    got = serialize_compressed(compress_source(src, tree, 1e-9))
-    assert got == want
-    assert len(calls) == src.calls["row"] == sum(1 for n in ids if n) > 0
-
-
 # ---------------------------------------------------------------------------
 # each kernel block evaluated once: neighbour pairs once, D and S sliced
 
@@ -844,18 +777,19 @@ def _volume_source(case, symmetric=True):
     else:
         pts, leaf, spec = PointSet(rng.standard_normal((1024, 2))), 16, LAPLACE2
     tree = build_tree(pts, leaf)
-    source = KernelSource(spec, pts, tree.perm)
+    source = KernelSource(spec, pts)
     source.symmetric = symmetric
     return source, tree
 
 
-def _direct_block(source, row_parts, col_parts):
-    """source.block over the stacked parts, with the parts' own diagonal
-    blocks zero: what a parent's D (or S) holds."""
+def _direct_block(source, perm, row_parts, col_parts):
+    """source.block over the stacked parts, tree positions mapped through
+    ``perm``, with the parts' own diagonal blocks zero: what a parent's D
+    (or S) holds."""
     rows, cols = np.concatenate(row_parts), np.concatenate(col_parts)
     out = np.zeros((rows.size, cols.size), dtype=source.dtype)
     if rows.size and cols.size:
-        out[...] = source.block(rows, cols)
+        out[...] = source.block(perm[rows], perm[cols])
     r_off = skel._offsets([p.size for p in row_parts])
     c_off = skel._offsets([p.size for p in col_parts])
     for i in range(len(row_parts)):
@@ -867,35 +801,36 @@ def assert_sliced_blocks_are_kernel_blocks(source, cm):
     """Every D above the leaves, and S, equals a direct ``source.block`` of
     the children's skeletons with the children's diagonal blocks zero; each
     leaf's D, evaluated with its neighbour blocks, equals its own block
-    bit for bit."""
+    bit for bit.  Tree positions map to points through ``cm.perm``."""
     assert cm.nlevels >= 2
-    finest = cm.levels[0]
+    finest, perm = cm.levels[0], cm.perm
     for a, nd in enumerate(finest.nodes):
-        d = np.arange(finest.dof_off[a], finest.dof_off[a + 1])
+        d = perm[finest.dof_off[a]:finest.dof_off[a + 1]]
         assert nd.D.tobytes() == np.asarray(source.block(d, d), dtype=nd.D.dtype).tobytes()
     for below, lv in zip(cm.levels, cm.levels[1:]):
         for nd in lv.nodes:
             kids = [below.nodes[c] for c in nd.children]
             np.testing.assert_array_equal(nd.D, _direct_block(
-                source, [k.skel for k in kids], [k.skel for k in kids]))
+                source, perm, [k.skel for k in kids], [k.skel for k in kids]))
     top = cm.levels[-1].nodes
     np.testing.assert_array_equal(cm.S, _direct_block(
-        source, [k.skel for k in top], [k.skel for k in top]))
+        source, perm, [k.skel for k in top], [k.skel for k in top]))
 
 
-def count_block_entries(source, monkeypatch):
+def count_block_entries(source, tree, monkeypatch):
     """Install a counter on ``source.block``: counts[li][i, j] is how often
     level li evaluates the entry at tree positions (i, j).  A level starts
     with its neighbour search."""
     counts = []
     real_block, real_nbrs = source.block, skel.level_neighbors
+    pos = np.argsort(tree.perm)     # the tree position of each point
 
     def level_neighbors_(tree, li):
         counts.append(np.zeros((source.n, source.n), dtype=np.int8))
         return real_nbrs(tree, li)
 
     def block(rows, cols):
-        counts[-1][np.ix_(rows, cols)] += 1
+        counts[-1][np.ix_(pos[rows], pos[cols])] += 1
         return real_block(rows, cols)
 
     monkeypatch.setattr(skel, "level_neighbors", level_neighbors_)
@@ -935,7 +870,7 @@ def test_parent_blocks_are_sliced_and_pairs_evaluated_once(case, symmetric, monk
     if case == "cloud":
         assert any(tree.nodes[i].size == 1 for i in tree.levels[0])
         assert any(set(a) & set(b) for a, b in zip(tree.levels, tree.levels[1:]))
-    counts = count_block_entries(source, monkeypatch)
+    counts = count_block_entries(source, tree, monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AccuracyWarning)
         cm = compress_source(source, tree, 1e-6)
@@ -973,7 +908,7 @@ def _tile_case(case):
         pts = PointSet(np.vstack([rng.standard_normal((1024, 2)), np.full((50, 2), 0.3)]))
         leaf, spec = 16, LAPLACE2
     tree = build_tree(pts, leaf)
-    return KernelSource(spec, pts, tree.perm), tree
+    return KernelSource(spec, pts), tree
 
 
 @pytest.mark.parametrize("case, tile", [("cube", None), ("square", 4096)])
@@ -1031,7 +966,7 @@ def test_tiles_share_the_coincidence_scale_of_their_point_set(monkeypatch):
                         -500.0 * np.random.default_rng(0).random(200)])
     pts = PointSet(np.column_stack([x, np.zeros_like(x)]))
     tree = build_tree(pts, 16)
-    p, q = np.argsort(tree.perm)[[1, 2]]
+    p, q = 1, 2
     assert eval_block(LAPLACE2, pts.subset([1]), pts.subset([2]))[0, 0] == 0.0
     g = eval_block(LAPLACE2, PointSet(pts.coords[[1]]), PointSet(pts.coords[[2]]))[0, 0]
     assert g == pytest.approx(-np.log(delta) / (2 * np.pi), rel=1e-4)
@@ -1039,7 +974,7 @@ def test_tiles_share_the_coincidence_scale_of_their_point_set(monkeypatch):
     def compressed(tile):
         # the container, and K(p, q) in every block call that holds it
         monkeypatch.setattr(skel, "_TILE_ENTRIES", tile)
-        source, seen = KernelSource(LAPLACE2, pts, tree.perm), []
+        source, seen = KernelSource(LAPLACE2, pts), []
         real = source.block
 
         def block(rows, cols):
@@ -1197,10 +1132,12 @@ def test_global_mode_targets_are_the_whole_block_row_and_column(symmetric, monke
             dofs = [np.concatenate([below[c].skel for c in nd.children])
                     for nd in lv.nodes]
         for a in range(len(lv.nodes)):
-            rest = np.concatenate([dofs[b] for b in range(len(lv.nodes)) if b != a])
-            want = [source.block(rest, dofs[a])]
+            # source.block takes point indices
+            rest = tree.perm[np.concatenate([dofs[b] for b in range(len(lv.nodes)) if b != a])]
+            d = tree.perm[dofs[a]]
+            want = [source.block(rest, d)]
             if not symmetric:
-                want.append(source.block(dofs[a], rest).T)
+                want.append(source.block(d, rest).T)
             route, got = next(captured)
             routes.append(route)
             if route == "qr":
@@ -1292,9 +1229,9 @@ def test_carried_nodes_pass_through_without_an_id(case, monkeypatch):
     n = tree.n_points
     x = np.random.default_rng(0).standard_normal(n)
     if case == "cloud":
-        # source.block takes tree positions: the dense matrix in tree order
+        # source.block takes point indices: the dense matrix in point order
         idx = np.arange(n)
-        ref = (source.block(idx, idx) @ x[tree.perm])[np.argsort(tree.perm)]
+        ref = source.block(idx, idx) @ x
     else:
         ref = source.matrix() @ x
     err = np.linalg.norm(apply(cm, x) - ref) / np.linalg.norm(ref)

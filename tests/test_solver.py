@@ -4,7 +4,6 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from skelkit.bench import DENSE_ORACLE_LIMIT
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
 from skelkit.kernels import KernelSpec, eval_block
-from skelkit.skel import (CompressedMatrix, CompressedNode, Level,
+from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
 from skelkit.solver import (assemble_embedding, deserialize_factored,
@@ -83,14 +82,18 @@ def rank_zero_two_level(n=64):
     pts = PointSet(np.random.default_rng(0).uniform(size=(n, 2)))
     tree = build_tree(pts, 16)
     d = 2.0 + np.arange(float(n))
-    # a custom source: block takes tree positions
-    dp = d[tree.perm]
-    src = SimpleNamespace(
-        n=n, dtype=np.float64, wavenumber=0.0,
-        block=lambda r, c: np.where(r[:, None] == c, dp[r][:, None], 0.0),
-        proxy_col_block=lambda cols, proxy: np.zeros((proxy.n, len(cols))),
-        proxy_row_block=lambda rows, proxy: np.zeros((len(rows), proxy.n)))
+    # block takes point indices
+    src = _ZeroFieldSource(LAPLACE2, pts,
+                           block=lambda r, c: np.where(r[:, None] == c, d[r][:, None], 0.0))
     return compress_source(src, tree, 1e-9), np.diag(d)
+
+
+class _ZeroFieldSource(KernelSource):
+    """A source whose proxy fields are zero blocks."""
+
+    def proxy_fields(self, cols, rings):
+        out = [np.zeros((rings.shape[1], c.size)) for c in cols]
+        return out, out
 
 
 class TestEmbedding:
