@@ -26,7 +26,7 @@ from . import bie
 from .errors import InvalidInput, NotConverged, RefusedTooLarge
 from .geom import PointSet, _index, build_tree, fibonacci_sphere
 from .kernels import KernelSpec, eval_block
-from .skel import ProxyConfig, apply, compress, serialize_compressed
+from .skel import ProxyConfig, apply, compress, serialized_size
 from .solver import (assemble_embedding, export_matrix_market, factor, gmres,
                      solve)
 
@@ -183,7 +183,7 @@ def _apply_bench_one(config, n, want_error):
     x = rng.standard_normal(n)
     tmv, y = _timed(lambda: apply(cm, x), np.median)
     rec = BenchRecord(N=n, Kr=cm.S.shape[0], Kc=cm.S.shape[1], Tcm=tcm, Tmv=tmv,
-                      M=len(serialize_compressed(cm)) / 1e6)
+                      M=serialized_size(cm) / 1e6)
     if want_error:
         if n > DENSE_ORACLE_LIMIT:
             rec.E = None
@@ -225,7 +225,7 @@ def _solve_bench_one(config, n):
                      PointSet(source.reshape(1, 2)))[0, 0]
     rec = BenchRecord(N=n, Kr=cm.S.shape[0], Kc=cm.S.shape[1], Tcm=tcm, Tlu=tlu,
                       Tsv=tsv, E=float(abs(u - uex) / abs(uex)),
-                      M=len(serialize_compressed(cm)) / 1e6)
+                      M=serialized_size(cm) / 1e6)
     return rec, cm
 
 

@@ -626,12 +626,17 @@ def _write_arr(out, a):
     out += struct.pack(f"<BB{a.ndim}q", code, a.ndim, *a.shape), a
 
 
+def _record_sizes(records):
+    """The bytes each listed record takes in the container."""
+    return [r.nbytes if isinstance(r, np.ndarray) else len(r) for r in records]
+
+
 def _joined(records):
     """The container whose records ``_write_arr`` and the writers listed:
     one bytearray of their summed size, each header copied into its slice
     and each array written there row-major by ``np.copyto``, transposed
     views included, so no record is copied anywhere else first."""
-    sizes = [r.nbytes if isinstance(r, np.ndarray) else len(r) for r in records]
+    sizes = _record_sizes(records)
     buf = bytearray(sum(sizes))
     pos = 0
     for r, size in zip(records, sizes):
@@ -785,16 +790,26 @@ def _read_compressed_node(f, li, a):
     return CompressedNode(skel=skel, D=D, L=L, R=R, children=ch if has_ch else None)
 
 
+def _compressed_records(cm):
+    out = []
+    _write_header(out, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
+    _write_levels(out, cm.levels, _write_compressed_head)
+    _write_arr(out, cm.S)
+    return out
+
+
 def serialize_compressed(cm: CompressedMatrix) -> bytearray:
     """Bit-exact binary container: header (N, levels, eps, field), the
     permutation, per-level block tables, dense top S.  See README.  The
     records are listed as headers and the arrays themselves, then written
     by ``_joined`` into one bytearray of the container's size."""
-    out = []
-    _write_header(out, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
-    _write_levels(out, cm.levels, _write_compressed_head)
-    _write_arr(out, cm.S)
-    return _joined(out)
+    return _joined(_compressed_records(cm))
+
+
+def serialized_size(cm: CompressedMatrix) -> int:
+    """``len(serialize_compressed(cm))``, summed over the records it lists
+    without writing the container."""
+    return sum(_record_sizes(_compressed_records(cm)))
 
 
 def deserialize_compressed(data: bytes) -> CompressedMatrix:

@@ -36,7 +36,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
 from .geom import _index
@@ -421,8 +421,12 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     Each step orthogonalizes M A v_j by classical Gram-Schmidt twice, two
     BLAS-2 products with the basis a pass, which keeps the basis orthogonal
     to working precision (Giraud, Langou & Rozloznik, Comput. Math. Appl.
-    50, 2005).  The basis is held in row blocks that are never copied, so a
-    solve's memory peaks at about its basis.
+    50, 2005).  The basis is held in row blocks that are never copied, and
+    the iterate's coefficients come by back substitution on the rotated
+    Hessenberg columns, each dropped once used, so a k-step solve's memory
+    peaks at about its basis plus one triangle of k(k + 1)/2 entries.  The
+    working type is that of M b and of the first M A v, so a complex
+    operator on a real b works in complex.
 
     Returns (x, iterations), where iterations counts applications of the
     operator.  Raises NotConverged if the relative residual has not reached
@@ -454,6 +458,11 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     beta = np.linalg.norm(r0)
     if beta == 0:
         return np.zeros(n, dtype=dtype), 0
+    v = np.asarray(r0 / beta, dtype=dtype)
+    w = M(A(v))
+    # the working type is also the first output's, so a complex operator
+    # on a real b is not cast to real
+    dtype = np.result_type(dtype, w.dtype)
 
     # max_iter defaults to n, and n + 1 rows of n allocated up front can
     # exceed memory, so the basis grows as steps are taken: 17 rows, then
@@ -466,8 +475,8 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     def rows(m):   # the first m basis rows, as (first row, rows of a block) pairs
         return [(s, B[:m - s]) for s, B in zip(starts, blocks) if s < m or s == 0]
 
+    blocks[0][0] = v
     v = blocks[0][0]
-    v[:] = r0 / beta
     cols = []   # the columns of the rotated Hessenberg matrix
     cs = np.zeros(max_iter)
     sn = np.zeros(max_iter, dtype=dtype)
@@ -475,7 +484,7 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     g[0] = beta
     k = 0   # steps in the iterate
     for j in range(max_iter):
-        w = np.array(M(A(v)), dtype=dtype)
+        w = np.array(M(A(v)) if j else w, dtype=dtype)
         norm0 = np.linalg.norm(w)
         h = np.zeros(j + 1, dtype=dtype)
         V = rows(j + 1)
@@ -512,10 +521,13 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
             blocks.append(np.empty((min(k, 64, max_iter + 1 - k), n), dtype=dtype))
         v = blocks[-1][k - starts[-1]]
         np.divide(w, hn, out=v)
-    R = np.zeros((k, k), dtype=dtype)
-    for i, h in enumerate(cols):
-        R[:i + 1, i] = h
-    y = solve_triangular(R, g[:k], check_finite=False)
+    # R y = g by back substitution on R's columns, last first, each dropped
+    # once used, so no dense k x k copy of R is held beside them
+    y = g[:k]
+    for i in range(k - 1, -1, -1):
+        h = cols.pop()
+        y[i] /= h[i]
+        y[:i] -= y[i] * h[:i]
     (_, P), *rest = rows(k)
     x = y[:len(P)] @ P
     for s, P in rest:

@@ -1,5 +1,7 @@
 """Smoke runs of the experiment scripts documented in the README."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -53,3 +55,59 @@ def test_fingerprint_compare_exits_1_on_a_differing_line(tmp_path):
                                    str(doctored)], tmp_path)
     assert proc.returncode == 1
     assert proc.stdout.splitlines()[-2:] == [f"- {wrong}", f"+ {lines[3]}"]
+
+
+def _ab():
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "scripts" / "ab.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_ab_statistics_on_fixed_numbers():
+    ab = _ab()
+    assert ab.parse_seeds("4501-4503, 7") == [4501, 4502, 4503, 7]
+    # the quartiles numpy.percentile gives
+    assert ab.summary([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25,
+                                                "min": 1.0, "max": 4.0, "n": 4}
+    stats = ab.compare([(2.0, 1.0), (1.0, 1.0), (1.0, 3.0)], "lower")
+    assert (stats["change_wins"], stats["ties"], stats["change_losses"]) == (1, 1, 1)
+    assert ab.compare([(2.0, 1.0)], "higher")["change_losses"] == 1
+
+
+@pytest.mark.parametrize("change, met", [
+    # parent 10..19 (median 14.5, IQR 4.5); the change 5 lower in every pair
+    ([p - 5.0 for p in range(10, 20)], True),
+    # 5 lower in 8 pairs, higher in 2: 8 of 10 wins
+    ([p - 5.0 for p in range(10, 18)] + [20.0, 21.0], False),
+    # lower in every pair, but the medians 4 apart, inside the IQR
+    ([p - 4.0 for p in range(10, 20)], False),
+    # 9 pairs, all won by far
+    ([p - 9.0 for p in range(10, 19)], False),
+])
+def test_ab_verdict_on_fixed_numbers(change, met):
+    ab = _ab()
+    pairs = list(zip(map(float, range(10, 20)), change))
+    got = ab.verdict(ab.compare(pairs, "lower"), "peak_rss_mb")
+    assert got["met"] is met
+    # the same numbers negated, for a metric where higher is better
+    flipped = ab.verdict(ab.compare([(-p, -c) for p, c in pairs], "higher"), "err_digits")
+    assert flipped["met"] is met
+    assert flipped["median_gain"] == got["median_gain"]
+
+
+def test_ab_smoke_pair_on_one_checkout(tmp_path):
+    out = tmp_path / "ab.json"
+    proc = _run("ab.py", ["--parent", str(ROOT), "--change", str(ROOT), "--workload",
+                          "trefoil-scatter", "--seeds", "3", "--seconds", "0.3",
+                          "--claim", "peak_rss_mb", "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(out.read_text())
+    assert [p["first"] for p in rec["pairs"]] == ["parent"]
+    assert set(rec["metrics"]) == {"setup_s", "err_digits", "peak_rss_mb"}
+    assert rec["metrics"]["err_digits"]["ties"] == 1   # one checkout, one answer
+    assert rec["host"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    for side in ("parent", "change"):
+        assert rec["sides"][side]["runs"] == 1
+        assert rec["sides"][side]["failed_ops"] == 0
+    assert rec["verdict"]["pairs"] == 1 and rec["verdict"]["met"] is False

@@ -1253,6 +1253,17 @@ def test_serialize_holds_no_second_copy_of_the_blocks():
     assert peak <= 1.05 * len(blob)
 
 
+@pytest.mark.parametrize("spec, pts", [
+    (LAPLACE2, square_points(1024)),
+    (KernelSpec("laplace", 3), PointSet(np.random.default_rng(3).random((1024, 3)))),
+    (KernelSpec("helmholtz", 2, wavenumber=3.0), circle_points(600)),
+], ids=["2d", "3d", "complex"])
+def test_serialized_size_is_the_container_length(spec, pts):
+    # the bench's M column reads the container's length without writing it
+    cm = compress(spec, pts, build_tree(pts, 64), 1e-6)
+    assert skel.serialized_size(cm) == len(serialize_compressed(cm))
+
+
 def _write_arr_tobytes(out, a):
     """Reference record writer: header, shape, then ``a.tobytes()``."""
     a = np.ascontiguousarray(a)

@@ -412,6 +412,40 @@ class TestGmres:
         # for the iterate, the step's temporaries and the 200 x 200 triangle
         assert peak <= (201 + 64 + 16) * d.nbytes
 
+    def test_peak_memory_of_a_long_solve_at_small_n(self):
+        # at n = 256 the k(k + 1)/2 Hessenberg triangle is half the basis;
+        # copying it into a dense k x k R for a triangular solve peaked at
+        # 2.45 MB here, 1.4 times the bound
+        n, k = 256, 240
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotConverged) as exc:
+                gmres(A, b, tol=1e-12, max_iter=k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.iterations == k
+        # k + 1 basis rows, at most 63 spare ones, the triangle and 8
+        # n-vectors for the iterate and the step's temporaries
+        assert peak <= (k + 1 + 63 + 8) * b.nbytes + k * (k + 1) // 2 * b.itemsize
+
+    @pytest.mark.parametrize("op", [lambda v: (1 + 1j) * v, np.diag([1j, 2, 3, 4])],
+                             ids=["callable", "matrix"])
+    def test_complex_operator_on_a_real_b(self, op):
+        # the working type was b's alone: the callable returned [1, 1, 1, 1]
+        # as converged after one step (true residual 1.0), and the matrix
+        # raised NotConverged at residual 0.5
+        b = np.ones(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _ = gmres(op, b, tol=1e-12)
+        A = op(np.eye(4)) if callable(op) else op
+        assert np.iscomplexobj(x)
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
+
     def test_many_blocks_solve_and_report_the_true_residual(self):
         # hundreds of steps run over several blocks of the basis
         rng = np.random.default_rng(12)
