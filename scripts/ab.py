@@ -14,7 +14,9 @@ parent goes first in the first pair, the change in the second, and so on,
 so neither side always runs on a host that the other has just warmed.
 
 It writes one JSON file with the host record that run.py reports, each
-side's commit and source digest, every run's metrics and operation counts,
+side's commit and source digest, whether its ``src`` had uncommitted
+changes before the first run (``git status``; such a side ran code that its
+commit does not hold), every run's metrics and operation counts,
 and per end-to-end metric each side's median, quartiles, min and max and
 how many pairs the change won.  A pair is won when the change's value is
 better than the parent's in the direction ``BENCHMARK.json`` gives the
@@ -97,6 +99,20 @@ def verdict(stats, metric):
             "met": pairs >= MIN_PAIRS and wins >= need and gain > iqr}
 
 
+def src_uncommitted(checkout):
+    """Whether the checkout's ``src`` differs from its commit, tracked or
+    untracked files alike; None where the checkout has no ``.git`` of its
+    own or git cannot tell."""
+    if not (Path(checkout) / ".git").exists():
+        return None
+    try:
+        proc = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def run_one(checkout, workload, seed, seconds):
     """One benchmark process in ``checkout``; returns its run record, with
     ``metrics`` only if the run exited 0."""
@@ -131,8 +147,9 @@ def run_pairs(checkouts, workload, seeds, seconds, log=print):
     return pairs
 
 
-def report(pairs, directions, claim=None):
-    """The JSON record of a list of ``run_pairs`` pairs."""
+def report(pairs, directions, claim=None, uncommitted=None):
+    """The JSON record of a list of ``run_pairs`` pairs; ``uncommitted``
+    gives each side's ``src_uncommitted``."""
     ok = [p for p in pairs if all("metrics" in p[s] for s in SIDES)]
     metrics = {n: compare([(p["parent"]["metrics"][n], p["change"]["metrics"][n]) for p in ok],
                           better) for n, better in directions.items() if ok}
@@ -140,6 +157,7 @@ def report(pairs, directions, claim=None):
     host = next((r["env"] for side in SIDES for r in runs[side]), {})
     sides = {side: {"commit": rs[0]["env"]["git_commit"] if rs else None,
                     "source_sha256": rs[0]["env"]["source_sha256"] if rs else None,
+                    "src_uncommitted": (uncommitted or {}).get(side),
                     "runs": len(pairs), "failed_runs": len(pairs) - len(rs),
                     "attempted_ops": sum(r["attempted"] for r in rs),
                     "failed_ops": sum(r["failed"] for r in rs),
@@ -172,11 +190,12 @@ def main(argv=None):
     for side, path in checkouts.items():
         if not (path / "benchmark" / "run.py").is_file():
             ap.error(f"--{side} {path} has no benchmark/run.py")
+    uncommitted = {side: src_uncommitted(path) for side, path in checkouts.items()}
     pairs = run_pairs(checkouts, args.workload, seeds, args.seconds,
                       log=lambda msg: print(msg, file=sys.stderr))
     out = {"workload": args.workload, "seconds": args.seconds, "seeds": seeds,
            "command": "python3 benchmark/run.py --workload W --seed S --seconds T --trace 0",
-           **report(pairs, directions, args.claim)}
+           **report(pairs, directions, args.claim, uncommitted)}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     if "verdict" in out:
         print(json.dumps(out["verdict"]))

@@ -10,7 +10,8 @@ Helmholtz kernels are weakly singular, so the trapezoidal rule is corrected
 with tenth-order Kapur-Rokhlin endpoint weights.  A multiple-scattering
 driver (sound-hard obstacles, single-layer representation) provides the
 block system and per-scatterer direct-solver preconditioners.  Kernels put
-0 on coincident pairs, and each curve system adds its own diagonal.
+0 on coincident pairs; each curve system holds its own diagonal, which
+``compress_system`` adds once to the compressed matrix.
 """
 
 import warnings
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import AccuracyWarning, InvalidInput
 from .geom import PointSet, _finite, _index, _positive, build_tree
 from .kernels import KernelSpec, check_wavenumber, eval_block, eval_block_pair
-from .skel import KernelSource, ProxyConfig, _offsets, compress_source
+from .skel import KernelSource, ProxyConfig, _offsets, add_diagonal, compress_source
 from .solver import factor, solve
 
 # Two-sided Kapur-Rokhlin correction weights of order 10 for integrands of
@@ -169,19 +170,21 @@ def _kr_correct(blk, dist):
 
 
 def _add_diagonal(blk, rows, cols, diagonal):
-    """``blk`` with ``diagonal[j]`` added where the row and the column are
-    the same node j, and +0 to the rest of each column that holds one of the
-    rows' nodes (which makes a -0.0 +0.0); a column that holds none is left
-    alone, so a column's bits do not depend on the others in the call.
-    Most blocks join disjoint sets of nodes, which a mark per node shows
-    before any comparison of rows with columns."""
-    mark = np.zeros(diagonal.size, dtype=bool)
-    mark[rows] = True
-    hit = mark[cols]
-    if not hit.any():
-        return blk
-    return blk + np.where(rows[:, None] == cols[None, :], diagonal[cols],
-                          np.where(hit, 0.0, -0.0))
+    """``blk`` plus ``diagonal[j]`` where the row and the column are the
+    same node j, as a new array."""
+    return blk + np.where(rows[:, None] == cols[None, :], diagonal[cols], 0.0)
+
+
+def _nodes(idx, n):
+    """``idx`` as an array of node indices, or InvalidInput unless it is a
+    1-D array of integers in [0, n): a negative index would miss its
+    coincident pair's diagonal, and a bool mask would select rows."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+            idx.size and not 0 <= idx.min() <= idx.max() < n):
+        raise InvalidInput(f"node indices must be a 1-D array of integers in [0, {n}), "
+                           f"got {idx.dtype} of shape {idx.shape}")
+    return idx
 
 
 @dataclass
@@ -189,7 +192,8 @@ class BieSystem:
     """Discretized second-kind system: entries K(x_i, x_j) w_j off the
     diagonal (Kapur-Rokhlin reweighted near it for Helmholtz) and
     ``diagonal``, -1/2 (+ w_i times the smooth limit -kappa_i/(4 pi),
-    Laplace), on it.  The ``block`` accessor is deterministic and
+    Laplace), on it.  ``block`` gives the entries between nodes with the
+    diagonal, ``kernel_block`` without it; both are deterministic and
     side-effect free."""
 
     spec: KernelSpec
@@ -213,13 +217,15 @@ class BieSystem:
     def dtype(self):
         return self.spec.dtype
 
-    def block(self, rows, cols):
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
+    def kernel_block(self, rows, cols):
         base = eval_block(self.spec, self.points.subset(rows), self.points.subset(cols))
         if self.spec.equation == "helmholtz":
             base = _kr_correct(base, _cyclic_distance(rows, cols, self.n))
-        return _add_diagonal(base, rows, cols, self.diagonal)
+        return base
+
+    def block(self, rows, cols):
+        rows, cols = _nodes(rows, self.n), _nodes(cols, self.n)
+        return _add_diagonal(self.kernel_block(rows, cols), rows, cols, self.diagonal)
 
     def matrix(self):
         idx = np.arange(self.n)
@@ -234,6 +240,7 @@ def discretize_dirichlet(curve: Curve2D, spec: KernelSpec) -> BieSystem:
     Helmholtz is weakly singular and takes the tenth-order Kapur-Rokhlin
     corrected rule with a bare -1/2 diagonal.
     """
+    _planar(spec)
     if spec.equation == "laplace":
         spec = KernelSpec("laplace", 2, "double")
     else:
@@ -244,6 +251,7 @@ def discretize_dirichlet(curve: Curve2D, spec: KernelSpec) -> BieSystem:
 def point_source_data(curve: Curve2D, source, spec: KernelSpec) -> np.ndarray:
     """Dirichlet data on the curve from an exterior unit point source:
     f_i = G(x_i, source)."""
+    _planar(spec)
     source = _finite_pair(source, "point source")
     if contains(curve, source):
         raise InvalidInput("point source must lie strictly outside the domain")
@@ -251,6 +259,12 @@ def point_source_data(curve: Curve2D, source, spec: KernelSpec) -> np.ndarray:
     tgt = PointSet(curve.xy)
     src = PointSet(source.reshape(1, 2))
     return eval_block(sspec, tgt, src)[:, 0]
+
+
+def _planar(spec):
+    """InvalidInput unless ``spec`` is a 2D kernel, as a curve's is."""
+    if spec.dim != 2:
+        raise InvalidInput(f"a curve takes a 2D kernel, got a {spec.dim}D {spec.equation} kernel")
 
 
 def _density(curve, density):
@@ -266,6 +280,7 @@ def eval_interior(curve: Curve2D, density, spec: KernelSpec, targets) -> np.ndar
     """Double-layer potential of ``density`` at interior targets via the
     trapezoidal rule.  Targets within two node spacings of the curve get an
     AccuracyWarning (the result is returned regardless)."""
+    _planar(spec)
     density = _density(curve, density)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     for p in targets:
@@ -287,7 +302,8 @@ def compress_system(system, eps, max_leaf_size=None,
 
     A curve system is a ``BieSystem`` or one scatterer of a
     ``ScatteringSystem``: anything with ``points``, ``spec``,
-    ``block(rows, cols)`` over node indices, and ``incoming``: None where
+    ``kernel_block(rows, cols)``, its entries between node indices without
+    the diagonal, its ``diagonal`` of n values, and ``incoming``: None where
     its incoming proxy field is the single layer of ``spec``, else the
     ``KernelSpec`` whose block from the nodes to the proxy surface is that
     field transposed (the scatterer's Neumann trace is the Helmholtz
@@ -295,11 +311,13 @@ def compress_system(system, eps, max_leaf_size=None,
     ``KernelSource`` in node order; the tree owns the order in which it is
     compressed.  ``KernelSource`` takes the proxy fields of a group of
     nodes at once, and scales the incoming field by the mean quadrature
-    weight of the nodes, like the weighted columns of the system."""
+    weight of the nodes, like the weighted columns of the system.  The
+    diagonal enters the compressed matrix once, by ``skel.add_diagonal``."""
     tree = build_tree(system.points, max_leaf_size)
-    src = KernelSource(system.spec, system.points, block=system.block,
+    src = KernelSource(system.spec, system.points, block=system.kernel_block,
                        incoming=system.incoming)
     cm = compress_source(src, tree, eps, proxy=proxy, mode=mode)
+    add_diagonal(cm, system.diagonal)
     return tree, cm
 
 
@@ -386,13 +404,13 @@ class _Scatterer:
         self.npts = curve.n
         self.diagonal = np.full(curve.n, -0.5)
 
+    def kernel_block(self, rows, cols):
+        return _neumann_trace_block(self.k, self.points.subset(rows), self.points.subset(cols),
+                                    kr_dist=_cyclic_distance(rows, cols, self.npts))
+
     def block(self, rows, cols):
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        dist = _cyclic_distance(rows, cols, self.npts)
-        blk = _neumann_trace_block(self.k, self.points.subset(rows),
-                                   self.points.subset(cols), kr_dist=dist)
-        return _add_diagonal(blk, rows, cols, self.diagonal)
+        rows, cols = _nodes(rows, self.npts), _nodes(cols, self.npts)
+        return _add_diagonal(self.kernel_block(rows, cols), rows, cols, self.diagonal)
 
 
 def _translates(scatterers):

@@ -609,6 +609,24 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
                             perm=perm.copy(), scalar_field=field)
 
 
+def add_diagonal(cm: CompressedMatrix, diagonal):
+    """Add ``diagonal``, n values in point order, to ``cm`` in place: to the
+    diagonal of each finest-level D, through ``cm.perm``, or of S when there
+    is no level.  Only a leaf's D holds coincident pairs, since each level's
+    matrix is the submatrix of the one below at its skeletons (Martinsson-
+    Rokhlin 2005).  Anything but n finite values of the matrix's field
+    raises InvalidInput."""
+    diagonal = np.asarray(diagonal)
+    if (diagonal.shape != (cm.n,) or not np.can_cast(diagonal.dtype, cm.dtype, "same_kind")
+            or not np.isfinite(diagonal).all()):
+        raise InvalidInput(f"a diagonal must be {cm.n} finite {cm.scalar_field} values, "
+                           f"got {diagonal.dtype} of shape {diagonal.shape}")
+    d, lo = diagonal[cm.perm], 0
+    for D in [nd.D for nd in cm.levels[0].nodes] if cm.levels else [cm.S]:
+        D[np.diag_indices_from(D)] += d[lo:lo + len(D)]
+        lo += len(D)
+
+
 # ---------------------------------------------------------------------------
 # binary container (shared with the factored-inverse serialization)
 

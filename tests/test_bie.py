@@ -8,7 +8,7 @@ from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec, bessel_h0, eval_block
 from skelkit.solver import factor, gmres, solve
 from test_skel import (assert_each_entry_evaluated_once, assert_sliced_blocks_are_kernel_blocks,
-                       count_block_entries)
+                       count_block_entries, diagonal_per_call)
 
 LAPLACE2 = KernelSpec("laplace", 2)
 
@@ -405,6 +405,65 @@ def test_each_curve_system_holds_its_diagonal(curve):
         assert np.all(np.diag(whole) == -0.5)
 
 
+@pytest.mark.parametrize("bad", [[-1], [64], [[63]], [63.0], np.arange(64) == 63, []],
+                         ids=["negative", "past-the-end", "2-D", "float", "bool-mask", "empty"])
+@pytest.mark.parametrize("kind", ["bie", "scatterer"])
+def test_curve_system_block_refuses_bad_node_indices(kind, bad):
+    # block([-1], [63]) gave [[0.]] where block([63], [63]) gives the
+    # diagonal entry: the coincident pair missed its diagonal.  A bool mask
+    # gave a 64 x 1 block, and 64 raised numpy's IndexError
+    curve = bie.ellipse(2.0, 1.0, 64)
+    system = (bie.discretize_dirichlet(curve, LAPLACE2) if kind == "bie"
+              else bie.scattering_system([curve], 1.0).scatterers[0])
+    assert system.block([63], [63])[0, 0] == system.diagonal[63] != 0
+    for rows, cols in ((bad, [63]), ([63], bad)):
+        with pytest.raises(InvalidInput, match="node indices"):
+            system.block(rows, cols)
+
+
+@pytest.mark.parametrize("call", ["discretize", "point_source", "eval_interior"])
+def test_curve_routines_refuse_a_3d_kernel(call):
+    # KernelSpec("laplace", 3) silently gave the 2D kernel
+    curve = bie.circle(1.0, 32)
+    spec = KernelSpec("laplace", 3)
+    with pytest.raises(InvalidInput, match="2D kernel"):
+        if call == "discretize":
+            bie.discretize_dirichlet(curve, spec)
+        elif call == "point_source":
+            bie.point_source_data(curve, (3.0, 0.0), spec)
+        else:
+            bie.eval_interior(curve, np.ones(32), spec, (0.1, 0.0))
+
+
+@pytest.mark.parametrize("case", ["leaf40", "helmholtz", "scatterer", "global", "no_level"])
+def test_diagonal_added_after_compression_keeps_every_byte(case):
+    # compress_system compresses the kernel alone and adds the diagonal to
+    # the leaves' D; the container must be the one a source that adds the
+    # diagonal on every block call compresses to
+    leaf, mode, eps = None, "proxy", 1e-9
+    if case == "scatterer":
+        curve = bie.trefoil(256)
+        system = bie.scattering_system([curve], 2 * np.pi * 2.0 / curve.diameter()).scatterers[0]
+    elif case == "helmholtz":
+        spec = KernelSpec("helmholtz", 2, wavenumber=10.0)
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), spec)
+    else:
+        n = {"leaf40": 3000, "global": 1024, "no_level": 40}[case]
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, n), LAPLACE2)
+        leaf = 40 if case == "leaf40" else None
+        mode = "global" if case == "global" else mode
+    tree, cm = bie.compress_system(system, eps, leaf, mode=mode)
+    ref = skel.compress_source(
+        skel.KernelSource(system.spec, system.points, incoming=system.incoming,
+                          block=diagonal_per_call(system.kernel_block, system.diagonal)),
+        tree, eps, mode=mode)
+    assert skel.serialize_compressed(cm) == skel.serialize_compressed(ref)
+    if case == "leaf40":
+        # carried leaves: leaves above the finest cover
+        assert any(not tree.nodes[i].children for cover in tree.levels[1:] for i in cover)
+    assert (cm.nlevels == 0) == (case == "no_level")
+
+
 def test_compress_system_supports_direct_and_iterative_paths():
     curve = bie.ellipse(2.0, 1.0, 512)
     system = bie.discretize_dirichlet(curve, LAPLACE2)
@@ -498,6 +557,8 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
     # every driver hands compress_source the same adapter; check it against
     # the matrix and the proxy fields it stands for.  Over weighted points
     # the incoming field carries the mean weight, like the weighted columns.
+    # A curve system's source is its matrix without the diagonal, which
+    # compress_system adds to the compressed matrix afterwards.
     if case in ("kernel", "weighted_kernel"):
         spec = LAPLACE2
         rng = np.random.default_rng(0)
@@ -515,7 +576,8 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
         curve = bie.trefoil(128)
         k = 2 * np.pi * 2.0 / curve.diameter()
         system = bie.scattering_system([curve], k)
-        pts, A = curve.point_set(), system.matrix()
+        pts = curve.point_set()
+        A = system.matrix() - np.diag(system.scatterers[0].diagonal)
         src, tree = _captured_source(monkeypatch, bie,
                                      lambda: system.precond_blocks(eps=1e-6))
         spec = KernelSpec("helmholtz", 2, "single", k)
@@ -526,7 +588,7 @@ def test_proxy_source_matches_definitions(case, monkeypatch):
     else:
         eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
         system = bie.discretize_dirichlet(bie.ellipse(1.0, 0.5, 256), eq)
-        pts, A = system.points, system.matrix()
+        pts, A = system.points, system.matrix() - np.diag(system.diagonal)
         src, tree = _captured_source(monkeypatch, bie,
                                      lambda: bie.compress_system(system, 1e-6))
         spec = system.spec.single_layer()
@@ -624,7 +686,8 @@ def _scatterer(n=256):
 def test_stacked_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
     # both halves stacked (source.symmetric is False): the row block of each
     # node is evaluated once; its neighbours' column blocks, the parents' D
-    # and the top S are slices of it
+    # and the top S are slices of it.  The source evaluates the matrix
+    # without its diagonal, and the compressed result holds the whole matrix
     if case == "scatterer":
         system = _scatterer()
     else:
@@ -642,7 +705,8 @@ def test_stacked_blocks_are_sliced_and_pairs_evaluated_once(case, monkeypatch):
     ((source, tree, counts),) = seen
     assert not source.symmetric
     assert_each_entry_evaluated_once(counts, cm, tree, symmetric=False)
-    assert_sliced_blocks_are_kernel_blocks(source, cm)
+    assert_sliced_blocks_are_kernel_blocks(
+        skel.KernelSource(system.spec, system.points, block=system.block), cm)
 
 
 

@@ -96,6 +96,34 @@ def test_ab_verdict_on_fixed_numbers(change, met):
     assert flipped["median_gain"] == got["median_gain"]
 
 
+def test_ab_records_uncommitted_src(tmp_path):
+    # a side whose src is not its commit ran code that its commit field
+    # does not name
+    ab = _ab()
+    assert ab.src_uncommitted(tmp_path) is None    # no .git of its own
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("outside src\n")
+    git("add", "src")
+    git("commit", "-q", "-m", "one")
+    assert ab.src_uncommitted(tmp_path) is False
+    (tmp_path / "src" / "b.py").write_text("y = 2\n")
+    assert ab.src_uncommitted(tmp_path) is True
+    (tmp_path / "src" / "b.py").unlink()
+    (tmp_path / "src" / "a.py").write_text("x = 2\n")
+    assert ab.src_uncommitted(tmp_path) is True
+    git("commit", "-q", "-am", "two")
+    assert ab.src_uncommitted(tmp_path) is False
+    rec = ab.report([], {}, uncommitted={"parent": False, "change": True})
+    assert [rec["sides"][s]["src_uncommitted"] for s in ab.SIDES] == [False, True]
+
+
 def test_ab_smoke_pair_on_one_checkout(tmp_path):
     out = tmp_path / "ab.json"
     proc = _run("ab.py", ["--parent", str(ROOT), "--change", str(ROOT), "--workload",
@@ -110,4 +138,5 @@ def test_ab_smoke_pair_on_one_checkout(tmp_path):
     for side in ("parent", "change"):
         assert rec["sides"][side]["runs"] == 1
         assert rec["sides"][side]["failed_ops"] == 0
+        assert "src_uncommitted" in rec["sides"][side]
     assert rec["verdict"]["pairs"] == 1 and rec["verdict"]["met"] is False

@@ -33,6 +33,7 @@ def dense_matrix(spec, pts):
 
 
 LAPLACE2 = KernelSpec("laplace", 2)
+LAPLACE3 = KernelSpec("laplace", 3)
 
 
 class TestProxyPoints:
@@ -564,13 +565,16 @@ def _ellipse_points(n, normals=False, weights=False):
 
 
 def _caught_compression(case, monkeypatch):
-    """(source, tree, compressed matrix) of one compression at eps 1e-6,
-    caught at ``compress_source``: a 1024-point kernel matrix through
+    """(source, tree, compressed matrix, block) of one compression at eps
+    1e-6, caught at ``compress_source``: a 1024-point kernel matrix through
     ``compress`` (single or double layer, or the single layer with
     quadrature weights), the same matrix as a ``KernelSource`` with its own
     ``block``, a 1024-point Dirichlet BIE or the 256-point scatterer
-    preconditioner."""
+    preconditioner.  ``block`` evaluates the whole matrix that ``cm``
+    stands for: the source's, or a curve system's with its diagonal, which
+    the source leaves out."""
     seen = []
+    whole = None
 
     def capture(module):
         real = module.compress_source
@@ -596,13 +600,17 @@ def _caught_compression(case, monkeypatch):
         capture(bie)
         curve = bie.trefoil(256)
         k = 2 * np.pi * 2.0 / curve.diameter()
-        bie.scattering_system([curve], k).precond_blocks(eps=1e-6)
+        system = bie.scattering_system([curve], k)
+        system.precond_blocks(eps=1e-6)
+        whole = system.scatterers[0].block
     else:
         capture(bie)
         eq = LAPLACE2 if case == "laplace_bie" else KernelSpec("helmholtz", 2, wavenumber=10.0)
-        bie.compress_system(bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq), 1e-6)
+        system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), eq)
+        bie.compress_system(system, 1e-6)
+        whole = system.block
     ((source, tree, cm),) = seen
-    return source, tree, cm
+    return source, tree, cm, whole or source.block
 
 
 @pytest.mark.parametrize("case, symmetric", [
@@ -617,7 +625,7 @@ def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
 
     monkeypatch.setattr(lowrank, "id_fixed_precision", counting_id)
     gram_shapes = _gram_route_shapes(monkeypatch)
-    source, tree, cm = _caught_compression(case, monkeypatch)
+    source, tree, cm, _ = _caught_compression(case, monkeypatch)
     assert source.symmetric == symmetric
     # carried nodes take no ID
     nodes = len(_compressed_nodes(tree, cm))
@@ -632,17 +640,17 @@ def test_every_source_takes_one_id_per_node(case, symmetric, monkeypatch):
                                   "helmholtz_bie", "scatterer"])
 def test_every_source_is_square_by_construction(case, monkeypatch):
     # one skeleton serves a node's rows and columns, whatever the source
-    source, tree, cm = _caught_compression(case, monkeypatch)
+    source, tree, cm, block = _caught_compression(case, monkeypatch)
     assert not source.symmetric
     assert len(cm.levels) >= 2
     for lv in cm.levels:
         for nd in lv.nodes:
             assert np.array_equal(nd.L, nd.R.T)
-    # source.block takes point indices: the dense matrix in point order
+    # block takes point indices: the dense matrix in point order
     n = tree.n_points
     idx = np.arange(n)
     x = np.random.default_rng(0).standard_normal(n)
-    ref = source.block(idx, idx) @ x
+    ref = block(idx, idx) @ x
     err = np.linalg.norm(apply(cm, x) - ref) / np.linalg.norm(ref)
     assert err <= 100 * 1e-6
 
@@ -1092,6 +1100,76 @@ def test_global_mode_slices_its_targets():
             warnings.simplefilter("ignore", AccuracyWarning)
             cm = compress_source(source, tree, 1e-6, mode="global")
         assert_sliced_blocks_are_kernel_blocks(source, cm)
+
+
+# ---------------------------------------------------------------------------
+# a diagonal added once, after compression
+
+def diagonal_per_call(block, diagonal):
+    """``block`` with ``diagonal[j]`` added on every call where the row and
+    the column are the same point j: the reference for a diagonal added
+    once, after compression."""
+    return lambda r, c: block(r, c) + np.where(r[:, None] == c[None, :], diagonal[c], 0.0)
+
+
+def _cloud(case, n):
+    rng = np.random.default_rng(46)
+    coords = rng.random((n, 3)) if case == "cube" else geom.fibonacci_sphere(n)
+    return PointSet(coords), rng.uniform(1.0, 2.0, n)
+
+
+@pytest.mark.parametrize("case", ["cube", "sphere"])
+def test_diagonal_added_to_a_cloud_keeps_every_byte(case):
+    # the kernel compressed alone, then given a random diagonal, is the
+    # container of a source that adds the diagonal on every block call
+    pts, d = _cloud(case, 2048)
+    tree = build_tree(pts)
+    kernel = KernelSource(LAPLACE3, pts).block
+    cm = compress_source(KernelSource(LAPLACE3, pts, block=kernel), tree, 1e-6)
+    assert skel.add_diagonal(cm, d) is None
+    ref = compress_source(KernelSource(LAPLACE3, pts, block=diagonal_per_call(kernel, d)),
+                          tree, 1e-6)
+    assert cm.nlevels >= 2
+    assert serialize_compressed(cm) == serialize_compressed(ref)
+
+
+def test_symmetric_kernel_with_a_diagonal_compresses_on_one_id(monkeypatch):
+    # compress then add_diagonal: the single layer on the sphere keeps the
+    # symmetric path, and the result is the dense K + diag(d) within eps
+    pts, d = _cloud("sphere", 1024)
+    seen, real = [], skel.compress_source
+
+    def capture(source, *args, **kwargs):
+        seen.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(skel, "compress_source", capture)
+    cm = compress(LAPLACE3, pts, build_tree(pts), 1e-6)
+    skel.add_diagonal(cm, d)
+    assert [s.symmetric for s in seen] == [True] and cm.nlevels >= 2
+    A = eval_block(LAPLACE3, pts, pts) + np.diag(d)
+    err = np.linalg.norm(apply(cm, np.eye(pts.n)) - A) / np.linalg.norm(A)
+    assert err <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.ones(63), np.ones(65), np.ones((64, 1)),
+                                 np.r_[np.ones(63), np.nan], np.r_[np.ones(63), np.inf],
+                                 np.ones(64, dtype=complex), np.array(["1"] * 64)],
+                         ids=["short", "long", "column", "nan", "inf", "complex", "strings"])
+@pytest.mark.parametrize("leaf", [16, 64], ids=["levels", "no_level"])
+def test_add_diagonal_refuses_anything_but_n_finite_values(bad, leaf):
+    pts = _ellipse_points(64)
+    cm = compress(LAPLACE2, pts, build_tree(pts, leaf), 1e-6)
+    assert (cm.nlevels == 0) == (leaf == 64)
+    before = serialize_compressed(cm)
+    with pytest.raises(InvalidInput, match="a diagonal must be 64 finite real values"):
+        skel.add_diagonal(cm, bad)
+    assert serialize_compressed(cm) == before
+    # a good one goes on the leaves' D, or on S where there is no level
+    d = np.arange(64.0)
+    skel.add_diagonal(cm, d)
+    A = eval_block(LAPLACE2, pts, pts) + np.diag(d)
+    np.testing.assert_allclose(apply(cm, np.eye(64)), A, atol=1e-5 * np.linalg.norm(A))
 
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["one-ID", "both_halves"])
