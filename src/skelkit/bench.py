@@ -24,9 +24,9 @@ import numpy as np
 
 from . import bie
 from .errors import InvalidInput, NotConverged, RefusedTooLarge
-from .geom import PointSet, _index, build_tree, fibonacci_sphere
+from .geom import PointSet, _finite, _fraction, _index, build_tree, fibonacci_sphere
 from .kernels import KernelSpec, eval_block
-from .skel import ProxyConfig, apply, compress, serialized_size
+from .skel import ProxyConfig, add_diagonal, apply, compress, serialized_size
 from .solver import (assemble_embedding, export_matrix_market, factor, gmres,
                      solve)
 
@@ -73,10 +73,10 @@ class RunConfig:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise InvalidInput("N values must be increasing")
         self.ns = ns
-        if not 0 < self.eps < 1:
-            raise InvalidInput("eps must lie in (0, 1)")
-        if not 0 < self.tol < 1:
-            raise InvalidInput("tol must lie in (0, 1)")
+        _fraction(self.eps, "eps")
+        _fraction(self.tol, "tol")
+        if not _finite(self.regularize):
+            raise InvalidInput(f"--regularize must be a finite real, got {self.regularize!r}")
         self.seed = _index(self.seed, "seed")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
@@ -215,8 +215,11 @@ def _solve_bench_one(config, n):
     tree, cm = bie.compress_system(system, config.eps, config.max_leaf,
                                    mode=config.mode)
     tcm = time.perf_counter() - t0
+    # (A + delta I) x = b: the shift enters the compressed matrix, and
+    # factor inverts the matrix it is given
+    add_diagonal(cm, np.full(n, config.regularize))
     t0 = time.perf_counter()
-    fi = factor(cm, regularize=config.regularize)
+    fi = factor(cm)
     tlu = time.perf_counter() - t0
     tsv, sigma = _timed(lambda: solve(fi, rhs), np.median)
     u = bie.eval_interior(curve, sigma, spec, checkpoint)[0]

@@ -300,8 +300,8 @@ def compress_system(system, eps, max_leaf_size=None,
     """Build a tree over the nodes of a curve system and skeletonize its
     matrix.  Returns (tree, CompressedMatrix).
 
-    A curve system is a ``BieSystem`` or one scatterer of a
-    ``ScatteringSystem``: anything with ``points``, ``spec``,
+    A curve system is a ``BieSystem``, such as one scatterer of a
+    ``ScatteringSystem``: its ``points``, ``spec``,
     ``kernel_block(rows, cols)``, its entries between node indices without
     the diagonal, its ``diagonal`` of n values, and ``incoming``: None where
     its incoming proxy field is the single layer of ``spec``, else the
@@ -388,29 +388,22 @@ def _neumann_trace_pair(k, a: PointSet, b: PointSet):
     return ba, ab
 
 
-class _Scatterer:
+class _Scatterer(BieSystem):
     """One sound-hard obstacle as a curve system: -1/2 plus the
     Kapur-Rokhlin corrected Neumann trace of the Helmholtz single layer.
     Its rows are Neumann traces, so its incoming proxy field is too: the
     double layer from the nodes to the proxy surface, transposed, as
-    ``_neumann_trace_block`` evaluates it."""
+    ``_neumann_trace_block`` evaluates it.  ``BieSystem`` gives it its
+    points, its diagonal and ``block``."""
 
     def __init__(self, curve: Curve2D, k):
-        self.curve = curve
         self.k = k
-        self.spec = KernelSpec("helmholtz", 2, "single", k)
         self.incoming = KernelSpec("helmholtz", 2, "double", k)
-        self.points = curve.point_set()
-        self.npts = curve.n
-        self.diagonal = np.full(curve.n, -0.5)
+        super().__init__(spec=KernelSpec("helmholtz", 2, "single", k), curve=curve)
 
     def kernel_block(self, rows, cols):
         return _neumann_trace_block(self.k, self.points.subset(rows), self.points.subset(cols),
-                                    kr_dist=_cyclic_distance(rows, cols, self.npts))
-
-    def block(self, rows, cols):
-        rows, cols = _nodes(rows, self.npts), _nodes(cols, self.npts)
-        return _add_diagonal(self.kernel_block(rows, cols), rows, cols, self.diagonal)
+                                    kr_dist=_cyclic_distance(rows, cols, self.n))
 
 
 def _translates(scatterers):
@@ -430,7 +423,7 @@ def _translates(scatterers):
         reps.append(i)
         for j in range(i):
             r = scatterers[j]
-            if reps[j] != j or r.k != s.k or r.npts != s.npts:
+            if reps[j] != j or r.k != s.k or r.n != s.n:
                 continue
             a, b = r.curve, s.curve
             if not (np.array_equal(a.normals, b.normals) and np.array_equal(a.weights, b.weights)
@@ -491,10 +484,10 @@ class ScatteringSystem:
 
     @property
     def n(self):
-        return sum(s.npts for s in self.scatterers)
+        return sum(s.n for s in self.scatterers)
 
     def offsets(self):
-        return _offsets([s.npts for s in self.scatterers])
+        return _offsets([s.n for s in self.scatterers])
 
     def matrix(self):
         """The dense block system.  A translate of an earlier scatterer takes
@@ -514,8 +507,7 @@ class ScatteringSystem:
             if r != i:
                 A[blk[i], blk[i]] = A[blk[r], blk[r]]
             else:
-                idx = np.arange(sc[i].npts)
-                A[blk[i], blk[i]] = sc[i].block(idx, idx)
+                A[blk[i], blk[i]] = sc[i].matrix()
         for (i, j), (p, q) in _shared_pairs(sc, reps).items():
             if (p, q) == (i, j):
                 A[blk[i], blk[j]], A[blk[j], blk[i]] = _neumann_trace_pair(self.k, sc[i].points,

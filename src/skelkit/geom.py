@@ -52,6 +52,14 @@ def _positive(value):
     return _finite(value) and value > 0
 
 
+def _fraction(value, what, lo=0.0):
+    """InvalidInput naming ``what`` unless ``value`` is a finite real
+    (``_finite``: not a bool) in (0, 1), and at least ``lo``."""
+    if not (_finite(value) and 0 < value < 1 and value >= lo):
+        bounds = f"[{lo:.3g}, 1)" if lo else "(0, 1)"
+        raise InvalidInput(f"{what} must be a real number in {bounds}, got {value!r}")
+
+
 def coincidence_scale(lo, hi):
     """max(largest per-axis extent, largest |coordinate|, 1) of a point set
     whose coordinates on each axis run from lo to hi: arrays whose last axis

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import AccuracyWarning, InvalidInput
+from .geom import _fraction
 
 # blocks with m >= _QR_FIRST_ASPECT * n and n >= _QR_FIRST_MIN_COLS take
 # geqrf before geqp3; on smaller or squarer blocks the extra pass costs more
@@ -199,8 +200,7 @@ def id_fixed_precision(A, eps, *, overwrite_a=False) -> InterpDecomp:
     convention): an F-contiguous floating-point A is then not copied, and
     its contents are undefined afterwards.  By default A is left alone.
     """
-    if not 0 < eps < 1:
-        raise InvalidInput("eps must lie in (0, 1)")
+    _fraction(eps, "eps")
     A = np.asarray(A)
     if A.dtype.kind not in "fc":
         A = A.astype(np.float64)
@@ -254,8 +254,7 @@ def id_gram(halves, eps) -> InterpDecomp:
     R11^-1 R12 is the same.  Forming G costs about u/eps^2 relative in
     that matrix and u/eps ||A|| in the residual, 1000 times below eps
     ||A|| at eps >= _GRAM_MIN_EPS; a smaller eps is refused."""
-    if not _GRAM_MIN_EPS <= eps < 1:
-        raise InvalidInput(f"eps must lie in [{_GRAM_MIN_EPS:.3g}, 1) for a Gram-matrix ID")
+    _fraction(eps, "the eps of a Gram-matrix ID", _GRAM_MIN_EPS)
     grams = [G for G in map(_gram, halves) if G is not None]
     if not grams:
         raise InvalidInput("expected at least one row block")

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInput, RefusedTooLarge
-from .geom import OrthTree, PointSet, _index, _positive, fibonacci_sphere, level_neighbors
+from .geom import (OrthTree, PointSet, _fraction, _index, _positive, fibonacci_sphere,
+                   level_neighbors)
 from .kernels import KernelSpec, eval_block, eval_fields
 from .lowrank import _above_two, _target_id, _warn
 # unused here: benchmark/spans.py::patch_table, their only reader, wraps both
@@ -61,6 +62,8 @@ class ProxyConfig:
     radius_factor: float = 1.0
 
     def resolve(self, dim):
+        if dim not in (2, 3):
+            raise InvalidInput(f"a proxy surface takes dim 2 or 3, got dim {dim!r}")
         n = _index(self.n_proxy if self.n_proxy is not None else DEFAULT_N_PROXY[dim],
                    "n_proxy")
         # a zero radius stacks every proxy point at the box centre
@@ -167,19 +170,23 @@ class KernelSource:
 @dataclass
 class CompressedNode:
     """One node of a compressed level.  Rows and columns share one
-    skeleton, so D is square and L and R have k = skel.size columns and
-    rows; ``Level`` checks the shapes.  ``compress_source`` and the reader
-    hold L as ``R.T``, a read-only view of R's buffer."""
+    skeleton and one interpolation matrix: D is square, R has k = skel.size
+    rows, and the row interpolation L is R^T, a read-only view of R's
+    buffer; ``Level`` checks the shapes."""
 
     skel: np.ndarray        # surviving indices, global tree order, sorted
     D: np.ndarray           # extracted diagonal block (n x n)
-    L: np.ndarray           # row interpolation, n x k: R.T
     R: np.ndarray           # column interpolation, k x n
     children: np.ndarray | None   # positions in the previous level (None at finest)
 
     @property
     def k(self):
         return self.skel.size
+
+    @property
+    def L(self):
+        """The row interpolation, n x k: ``R.T``, read-only."""
+        return _transposed(self.R)
 
     @property
     def blocks(self):
@@ -249,14 +256,10 @@ class CompressedMatrix:
         return [lv.K for lv in self.levels]
 
     def storage_bytes(self):
-        """Bytes of the arrays held, each buffer counted once: an L that is
-        a view of R adds nothing."""
-        arrays = [self.S, self.perm]
-        for lv in self.levels:
-            for nd in lv.nodes:
-                arrays += nd.D, nd.L, nd.R, nd.skel
-        return sum({(a.__array_interface__["data"][0], a.nbytes): a.nbytes
-                    for a in arrays}.values())
+        """Bytes of the arrays held: S, the permutation, and each node's D,
+        R and skeleton."""
+        return self.S.nbytes + self.perm.nbytes + sum(
+            nd.D.nbytes + nd.R.nbytes + nd.skel.nbytes for lv in self.levels for nd in lv.nodes)
 
     def apply(self, x):
         return apply(self, x)
@@ -276,6 +279,8 @@ def _telescope(levels, top, n, perm, dtype, x):
     u1 = up1 x, u2 = up2 u1, and so on, over ``Level``s listed finest
     first.  ``top`` acts on the coarsest skeleton vector."""
     x = np.asarray(x)
+    if x.dtype.kind not in "biufc":
+        raise InvalidInput(f"expected bool, integer, real or complex values, got {x.dtype}")
     if x.ndim not in (1, 2):
         raise InvalidInput(f"expected a vector or a column block, got {x.ndim} dimensions")
     single = x.ndim == 1
@@ -333,9 +338,8 @@ def compress(spec: KernelSpec, points: PointSet, tree: OrthTree, eps,
     (quadratic work, refused above 20000 points unless allow_large).
 
     Each node takes one ID, whose skeleton serves its rows and columns
-    alike, with L = R^T, held as a view of R, so every diagonal block of the
-    inverse recursion is square.  A single-layer
-    kernel without quadrature weights is symmetric
+    alike, with L = R^T, so every diagonal block of the inverse recursion
+    is square.  A single-layer kernel without quadrature weights is symmetric
     (``KernelSource.symmetric``), and its ID leaves out the row half of the
     target, which repeats the column half; see ``compress_source``.
     """
@@ -414,8 +418,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     call rather than one per block."""
     if not isinstance(source, KernelSource):
         raise InvalidInput(f"compress_source takes a KernelSource, not {type(source).__name__}")
-    if not 0 < eps < 1:
-        raise InvalidInput("eps must lie in (0, 1)")
+    _fraction(eps, "eps")
     if mode not in ("proxy", "global"):
         raise InvalidInput(f"unknown mode {mode!r}")
     n = tree.n_points
@@ -541,8 +544,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             if carried[a]:
                 # carried, so its D is zero
                 R = np.eye(d.size, dtype=dtype)
-                return CompressedNode(skel=d, D=D, L=_transposed(R), R=R,
-                                      children=children[a]), np.arange(d.size)
+                return CompressedNode(skel=d, D=D, R=R, children=children[a]), np.arange(d.size)
             # the far field: the proxy surface, or in global mode every other
             # node; evaluated only when its half reaches it, since one held
             # through the ID raised the 4096-point cube's compression peak
@@ -569,8 +571,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             order = np.argsort(idp.skel)
             pos = idp.skel[order]
             R = np.ascontiguousarray(idp.proj[order, :], dtype=dtype)
-            return (CompressedNode(skel=d[pos], D=D, L=_transposed(R), R=R,
-                                   children=children[a]), pos)
+            return CompressedNode(skel=d[pos], D=D, R=R, children=children[a]), pos
 
         nodes, pos = zip(*[build_node(a) for a in range(nb)])
         levels.append(Level(list(nodes)))
@@ -699,6 +700,8 @@ class _Reader:
             raise InvalidInput(f"unsupported container version {version}")
         if got != kind:
             raise InvalidInput(f"container kind {got}, expected {kind}")
+        if self.value_code not in _CODE_DT:
+            raise InvalidInput(f"corrupt skelkit container: scalar field {self.value_code}")
         self.field = "complex" if self.value_code else "real"
         self.n, self.nlevels, self.eps = self.unpack("<qId")
         self.perm = self.array(1, index=True)
@@ -732,12 +735,10 @@ class _Reader:
         return a if order is None else a.copy(order=order)
 
     def blocks(self):
-        """The next node's diag, down and up records, as (up, diag, down).
-        A down record with the bits of up transposed is held as ``up.T``, a
-        read-only view, as ``compress_source`` and ``solver.factor`` hold
-        it; any other is copied out as read."""
+        """The next node's (up, diag, down) records: up and diag copied out,
+        down a read-only view of the container's bytes."""
         diag, down, up = self.array(2), self.array(2, order=None), self.array(2)
-        return up, diag, _transposed(up) if _same_bits(down, up.T) else down.copy()
+        return up, diag, down
 
     def finish(self):
         if self.pos != len(self.buf):
@@ -803,9 +804,13 @@ def _read_compressed_node(f, li, a):
         raise InvalidInput(
             f"skelkit container: level {li + 1}, node {a} has different row and "
             "column skeletons; recompress the matrix to load it")
-    if L.shape[1] != skel.size or R.shape[0] != skel.size:
+    if R.shape[0] != skel.size:
         raise InvalidInput("corrupt skelkit container: skeleton sizes")
-    return CompressedNode(skel=skel, D=D, L=L, R=R, children=ch if has_ch else None)
+    if not _same_bits(L, R.T):
+        # a node holds one interpolation matrix, R; its L is R^T
+        raise InvalidInput(f"skelkit container: level {li + 1}, node {a} is not interpolative: "
+                           f"L is not R^T (down {L.shape}, up {R.shape})")
+    return CompressedNode(skel=skel, D=D, R=R, children=ch if has_ch else None)
 
 
 def _compressed_records(cm):

@@ -32,14 +32,13 @@ can serve as an independent cross-check.
 """
 
 import itertools
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
-from .geom import _index
+from .geom import _fraction, _index
 from .skel import (CompressedMatrix, Level, _joined, _offsets, _read_levels, _Reader,
                    _same_bits, _telescope, _transposed, _write_arr, _write_header,
                    _write_levels)
@@ -207,15 +206,6 @@ def _rcond1(A, Ainv):
     return 1.0 / (na * nb) if na * nb > 0 else 0.0
 
 
-def _put_diagonal(M, blocks):
-    """Write the square ``blocks`` down M's diagonal, one after another."""
-    o = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        M[o:o + k, o:o + k] = blk
-        o += k
-
-
 def _symmetric(cm):
     """Whether every node's D and the top S equal their transposes bit for
     bit.  With L = R^T at every node, the matrix and each node's bordered
@@ -227,6 +217,18 @@ def _symmetric(cm):
     blocks = [nd.D for lv in cm.levels for nd in lv.nodes] + [cm.S]
     return all(_same_bits(A[i:i + 128, i:], A[i:, i:i + 128].T)
                for A in blocks for i in range(0, A.shape[0], 128))
+
+
+def _effective(D, blocks, dtype):
+    """A copy of D, of ``dtype``, with the square ``blocks`` down its
+    diagonal: a node's D_eff with its children's Lambdas, or the top's Shat."""
+    De = np.array(D, dtype=dtype)
+    o = 0
+    for blk in blocks:
+        k = blk.shape[0]
+        De[o:o + k, o:o + k] = blk
+        o += k
+    return De
 
 
 def _not_interpolative(level, node, why):
@@ -278,12 +280,14 @@ def _level_orders(lv, dofs, level):
     return order - start, inverse - start, r.tolist(), skel
 
 
-def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
-    """Telescoping inverse of a compressed matrix, in elimination form.
+def factor(cm: CompressedMatrix) -> FactoredInverse:
+    """Telescoping inverse of a compressed matrix, in elimination form: the
+    inverse of ``cm`` as given.  A shifted system A + delta I is factored
+    by adding the shift first, with ``skel.add_diagonal``.
 
     Every node must be interpolative, as ``compress_source`` builds it: R
-    is exactly I at the skeleton positions p (its skeletons among its DOFs)
-    and L == R^T bitwise; otherwise InvalidInput names the level and node.
+    is exactly I at the skeleton positions p (its skeletons among its
+    DOFs), or InvalidInput names the level and node; its L is R^T.
     If every D and S equals its transpose bit for bit, so that each
     bordered block is symmetric, each node's Rd is read off Ld^T and Ld is
     held as ``Rd.T``, a read-only view: one buffer for the pair.  The
@@ -299,11 +303,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
     takes no LU: Dd = 0, Ld = L = Rd^T, Rd = R and Lambda = D_eff exactly.
     Blocks M with reciprocal condition (1-norm, of M and the M^-1 read off
     the solve) below 1e-14 are recorded in ``warnings`` rather than
-    aborting.  ``regularize``, a finite real, adds delta*I to every D_eff
-    and to the top block before factorization (off by default)."""
-    if (not isinstance(regularize, numbers.Real) or isinstance(regularize, bool)
-            or not np.isfinite(regularize)):
-        raise InvalidInput(f"regularize must be a finite real, got {regularize!r}")
+    aborting."""
     dtype = cm.dtype
     warnings_list = []
 
@@ -312,14 +312,6 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
         if not lu.diagonal().all():
             raise SingularBlock(level, node, what)
         return lu, piv
-
-    def _effective(D, blocks):
-        """D with ``blocks`` down its diagonal and delta added to it, a copy."""
-        De = np.array(D, dtype=dtype)
-        _put_diagonal(De, blocks)
-        if regularize:
-            De[np.diag_indices_from(De)] += regularize
-        return De
 
     sym = _symmetric(cm)
     lams = []           # the Lambdas of the level below, until this level has read them
@@ -336,9 +328,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
             R = nd.R.take(qp, axis=1)
             if not _same_bits(R[:, r:], np.eye(k, dtype=R.dtype)):
                 raise _not_interpolative(li + 1, a, "R is not I at its skeletons")
-            if not _same_bits(nd.L, nd.R.T):
-                raise _not_interpolative(li + 1, a, "L is not R^T")
-            C = _effective(nd.D, [lams[c] for c in nd.children] if li else ())
+            C = _effective(nd.D, [lams[c] for c in nd.children] if li else (), dtype)
             C = C.take(qp, axis=0).take(qp, axis=1)         # D_eff in [q, p] order
             if r == 0:
                 # every DOF is a skeleton: B^-1 = [[0, L], [R, -D_eff]], L = R^T
@@ -380,7 +370,7 @@ def factor(cm: CompressedMatrix, regularize: float = 0.0) -> FactoredInverse:
         flevels.append(Level(list(fnodes)))
 
     # top: Shat = Lambda + S with the final level's Lambdas on the diagonal
-    Shat = _effective(cm.S, lams)
+    Shat = _effective(cm.S, lams, dtype)
     lams = None
     S_lu = _lu(Shat, "top", 0, "S")
     return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
@@ -439,8 +429,7 @@ def gmres(apply_fn, b, tol=1e-9, max_iter=None, precond=None):
     n x n matrices or callables that return a vector of the n unknowns.
     """
     # a tol of 1 or more (True, inf) returned after one step, far from the answer
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < 1:
-        raise InvalidInput(f"tol must be a real number in (0, 1), got {tol!r}")
+    _fraction(tol, "tol")
     if max_iter is not None:
         max_iter = _index(max_iter, "max_iter")
         if max_iter < 1:
@@ -577,6 +566,8 @@ def serialize_factored(fi: FactoredInverse) -> bytearray:
 
 def _read_factored_node(f, *_):
     Rd, Dd, Ld = f.blocks()
+    # an Ld with the bits of Rd^T is held as its read-only view, as factor holds it
+    Ld = _transposed(Rd) if _same_bits(Ld, Rd.T) else Ld.copy()
     return FactoredNode(Dd=Dd, Ld=Ld, Rd=Rd)
 
 

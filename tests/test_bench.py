@@ -77,6 +77,14 @@ class TestConfig:
         with pytest.raises(InvalidInput, match="integer"):
             RunConfig(experiment="apply_bench", **{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", "1e-6"), ("eps", None), ("eps", 1e-6j), ("tol", "1e-6"), ("tol", None),
+        ("tol", 1e-6j)])
+    def test_tolerances_must_be_real_numbers(self, field, value):
+        # each once raised TypeError from the comparison with 0 and 1
+        with pytest.raises(InvalidInput, match=field):
+            RunConfig(experiment="apply_bench", **{field: value})
+
     def test_numpy_integer_counts_accepted(self):
         cfg = RunConfig(experiment="apply_bench", ns=(np.int64(64),), seed=np.int64(3))
         assert cfg.ns == (64,) and cfg.seed == 3
@@ -235,6 +243,16 @@ def test_write_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[1].startswith("10,3,")
     assert lines[2].split(",")[1] == ""
+
+
+def test_solve_bench_regularize_solves_the_shifted_system():
+    # --regularize DELTA solves (A + DELTA I) x = b, so the Dirichlet
+    # solution is off by about DELTA (E = 1.0e-6 here).  A shift added
+    # inside factor's elimination, the inverse of no named matrix, read
+    # E = 8.7e-5
+    cfg = RunConfig(experiment="solve_bench", geometry="ellipse", ns=(2048,), eps=1e-10,
+                    regularize=1e-6)
+    assert run(cfg)[0].E <= 1e-5
 
 
 def test_solve_bench_ellipse_paper_scale():

@@ -769,7 +769,7 @@ def test_shared_inverse_matches_per_scatterer_reference():
     A = sys_.matrix()
     A_ref = A.copy()
     for i, s in enumerate(sys_.scatterers):
-        idx = np.arange(s.npts)
+        idx = np.arange(s.n)
         A_ref[off[i]:off[i + 1], off[i]:off[i + 1]] = s.block(idx, idx)
     ref_facs = [factor(bie.compress_system(s, 1e-8)[1]) for s in sys_.scatterers]
     b = sys_.rhs_plane_wave()
@@ -785,7 +785,7 @@ def test_copied_diagonal_blocks_match_their_own():
     off = sys_.offsets()
     A = sys_.matrix()
     for i, s in enumerate(sys_.scatterers):
-        idx = np.arange(s.npts)
+        idx = np.arange(s.n)
         own = s.block(idx, idx)
         got = A[off[i]:off[i + 1], off[i]:off[i + 1]]
         assert np.linalg.norm(got - own) <= 1e-13 * np.linalg.norm(own)
@@ -808,7 +808,7 @@ def _per_block_matrix(sys_):
                 br = slice(off[reps[i]], off[reps[i] + 1])
                 A[bi, bj] = A[br, br]
             else:
-                idx = np.arange(si.npts)
+                idx = np.arange(si.n)
                 A[bi, bj] = si.block(idx, idx)
     return A
 

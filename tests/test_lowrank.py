@@ -147,6 +147,15 @@ def test_invalid_inputs():
         id_fixed_precision(np.eye(3), 0.0)
 
 
+@pytest.mark.parametrize("eps", ["1e-6", None, 1e-6j])
+def test_eps_must_be_a_real_number(eps):
+    # each once raised TypeError from the comparison with the bounds
+    with pytest.raises(InvalidInput, match="eps"):
+        id_fixed_precision(np.eye(3), eps)
+    with pytest.raises(InvalidInput, match="eps"):
+        id_gram([[tall_block(False)]], eps)
+
+
 def test_complex_input():
     rng = np.random.default_rng(9)
     A = (rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))) @ \

@@ -3,7 +3,6 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,6 +77,16 @@ class TestProxyPoints:
 
     def test_numpy_integer_count_accepted(self):
         assert ProxyConfig(n_proxy=np.int64(40)).resolve(3).n_proxy == 40
+
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_dim_must_be_2_or_3(self, dim):
+        # resolve raised KeyError from the default count, and proxy_points
+        # with a count of its own a ValueError from numpy
+        box = TreeNode(center=np.zeros(dim), halfwidth=1.0, lo=0, hi=0, depth=0)
+        with pytest.raises(InvalidInput, match=f"got dim {dim}"):
+            ProxyConfig().resolve(dim)
+        with pytest.raises(InvalidInput, match=f"got dim {dim}"):
+            proxy_points(box, ProxyConfig(n_proxy=64), dim)
 
     def test_doubling_proxy_count_keeps_accuracy(self):
         pts = circle_points(1024)
@@ -209,8 +218,9 @@ def test_global_mode_size_guard(monkeypatch):
 def test_eps_validation():
     pts = circle_points(64)
     tree = build_tree(pts, 16)
-    for bad in (0.0, 1.0, -1e-3, 2.0):
-        with pytest.raises(InvalidInput):
+    # a str, None or complex eps once raised TypeError from the comparison
+    for bad in (0.0, 1.0, -1e-3, 2.0, "1e-3", None, 1e-3j):
+        with pytest.raises(InvalidInput, match="eps"):
             compress(LAPLACE2, pts, tree, bad)
 
 
@@ -350,22 +360,21 @@ def test_synthetic_compressed_matrix_apply():
     rng = np.random.default_rng(7)
     n1, n2, k = 6, 5, 2
     D1, D2 = rng.standard_normal((n1, n1)), rng.standard_normal((n2, n2))
-    L1, L2 = rng.standard_normal((n1, k)), rng.standard_normal((n2, k))
     R1, R2 = rng.standard_normal((k, n1)), rng.standard_normal((k, n2))
     S = np.zeros((2 * k, 2 * k))
     S[:k, k:] = rng.standard_normal((k, k))
     S[k:, :k] = rng.standard_normal((k, k))
     nodes = [
-        CompressedNode(np.arange(0, k), D1, L1, R1, None),
-        CompressedNode(np.arange(n1, n1 + k), D2, L2, R2, None),
+        CompressedNode(np.arange(0, k), D1, R1, None),
+        CompressedNode(np.arange(n1, n1 + k), D2, R2, None),
     ]
     cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=n1 + n2,
                           eps=1e-15, perm=np.arange(n1 + n2), scalar_field="real")
     Afull = np.zeros((n1 + n2, n1 + n2))
     Afull[:n1, :n1] = D1
     Afull[n1:, n1:] = D2
-    Afull[:n1, n1:] = L1 @ S[:k, k:] @ R2
-    Afull[n1:, :n1] = L2 @ S[k:, :k] @ R1
+    Afull[:n1, n1:] = R1.T @ S[:k, k:] @ R2
+    Afull[n1:, :n1] = R2.T @ S[k:, :k] @ R1
     x = rng.standard_normal(n1 + n2)
     np.testing.assert_allclose(apply(cm, x), Afull @ x, rtol=1e-13)
 
@@ -1355,10 +1364,9 @@ def test_zero_size_blocks_round_trip(dtype, monkeypatch):
     # a node compressed away entirely has 3 x 0 and 0 x 3 interpolants
     rng = np.random.default_rng(0)
     nodes = [CompressedNode(np.empty(0, dtype=np.int64), rng.random((3, 3)).astype(dtype),
-                            np.zeros((3, 0), dtype), np.zeros((0, 3), dtype), None),
+                            np.zeros((0, 3), dtype), None),
              CompressedNode(np.array([3]), rng.random((2, 2)).astype(dtype),
-                            rng.random((2, 1)).astype(dtype), rng.random((1, 2)).astype(dtype),
-                            None)]
+                            rng.random((1, 2)).astype(dtype), None)]
     cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((1, 1), dtype), n=5, eps=1e-6,
                           perm=np.arange(5)[::-1].copy(),
                           scalar_field="complex" if dtype is np.complex128 else "real")
@@ -1397,35 +1405,44 @@ def test_l_is_a_view_of_r_after_compress_and_load(case):
             nodes[0].L[0, 0] = 2.0
 
 
-def test_a_record_that_is_not_r_transposed_loads_as_read():
-    # a hand-built node whose L is not R^T bit for bit keeps its own L, and
-    # -0.0 is not 0.0
+def test_a_record_that_is_not_r_transposed_is_refused():
+    # a node holds one interpolation matrix, R, and L is R^T: a down record
+    # that is not R^T bit for bit is refused, naming its level and node, and
+    # -0.0 is not 0.0.  Such a record once loaded as read, and the node then
+    # held an L of its own
     R = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
-    L = R.T.copy()
-    L[1, 0] = -0.0
-    assert np.array_equal(L, R.T)
-    nodes = [CompressedNode(np.array([0, 1]), np.eye(3), L, R, None),
-             CompressedNode(np.array([3]), np.eye(1), np.eye(1), np.eye(1), None)]
+    nodes = [CompressedNode(np.array([0, 1]), np.eye(3), R, None),
+             CompressedNode(np.array([3]), np.eye(1), np.eye(1), None)]
     cm = CompressedMatrix(levels=[Level(nodes)], S=np.ones((3, 3)), n=4, eps=1e-6,
                           perm=np.arange(4), scalar_field="real")
     blob = serialize_compressed(cm)
-    got = deserialize_compressed(blob).levels[0].nodes
-    assert got[0].L.flags.c_contiguous and got[0].L.tobytes() == L.tobytes()
-    assert _holds_transpose(got[1].L, got[1].R)
     assert serialize_compressed(deserialize_compressed(blob)) == blob
+    # node 0's down record, L = R^T of 3 x 2, whose entry [1, 0] is 0.0
+    record = struct.pack("<BB2q", 0, 2, 3, 2) + R.T.tobytes()
+    at = blob.find(record)
+    assert at > 0 and blob.find(record, at + 1) < 0
+    bad = bytearray(blob)
+    bad[at + 18 + 16:at + 18 + 24] = struct.pack("<d", -0.0)
+    with pytest.raises(InvalidInput, match="level 1, node 0 is not interpolative: L is not R"):
+        deserialize_compressed(bytes(bad))
 
 
 @pytest.mark.parametrize("case", ["square", "cube"])
 def test_storage_bytes_counts_each_buffer_once(case):
-    # an L that is a view of R adds nothing; held as copies, the L blocks
-    # add exactly their own bytes
+    # a node holds R and no L, so the pair counts once: the container,
+    # which writes L beside R and each skeleton twice, is larger by their
+    # bytes and its record headers
     cm = _compressed_case(case)
-    copies = CompressedMatrix(
-        levels=[Level([replace(nd, L=nd.L.copy()) for nd in lv.nodes]) for lv in cm.levels],
-        S=cm.S, n=cm.n, eps=cm.eps, perm=cm.perm, scalar_field=cm.scalar_field)
-    sum_l = sum(nd.L.nbytes for lv in cm.levels for nd in lv.nodes)
-    assert sum_l > 0.1 * cm.storage_bytes()
-    assert copies.storage_bytes() - cm.storage_bytes() == sum_l
+    nodes = [nd for lv in cm.levels for nd in lv.nodes]
+    sum_r = sum(nd.R.nbytes for nd in nodes)
+    assert sum_r > 0.1 * cm.storage_bytes()
+    children = sum(nd.children.nbytes for nd in nodes if nd.children is not None)
+    # 38 bytes of header and permutation record header, 4 per level, 18 for
+    # S's record header; per node a flag byte, three index and three block
+    # record headers
+    headers = 38 + 4 * cm.nlevels + 18 + len(nodes) * (1 + 3 * 10 + 3 * 18)
+    assert cm.storage_bytes() + sum_r + sum(nd.skel.nbytes for nd in nodes) + children \
+        + headers == len(serialize_compressed(cm))
 
 
 def test_transposed_views_write_the_reference_bytes(monkeypatch):

@@ -3,7 +3,9 @@ import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,14 +16,14 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from skelkit import bie, solver
-from skelkit.bench import DENSE_ORACLE_LIMIT
+from skelkit.bench import DENSE_ORACLE_LIMIT, RunConfig
 from skelkit.errors import InvalidInput, NotConverged, SingularBlock
 from skelkit.geom import PointSet, build_tree, fibonacci_sphere
 from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
-                          apply, compress, compress_source,
+                          add_diagonal, apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
-from skelkit.solver import (assemble_embedding, deserialize_factored,
+from skelkit.solver import (FactoredNode, assemble_embedding, deserialize_factored,
                             export_matrix_market, factor, gmres, lu_factor,
                             lu_solve, read_matrix_market, serialize_factored, solve)
 
@@ -46,16 +48,14 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
     koff = np.concatenate([[0], np.cumsum(ks)])
     n = offs[-1]
     nodes = []
-    Ds, Ls, Rs = [], [], []
+    Ds, Rs = [], []
     for a, (na, ka) in enumerate(zip(sizes, ks)):
         D = rng.standard_normal((na, na)) + diag_shift * np.eye(na)
         R = np.hstack([np.eye(ka), rng.standard_normal((ka, na - ka))])
-        L = np.ascontiguousarray(R.T)
         Ds.append(D)
-        Ls.append(L)
         Rs.append(R)
         skel = np.arange(offs[a], offs[a] + ka)
-        nodes.append(CompressedNode(skel, D, L, R, None))
+        nodes.append(CompressedNode(skel, D, R, None))
     S = np.zeros((koff[-1], koff[-1]))
     for a in range(p):
         for b in range(p):
@@ -71,7 +71,7 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
         for b in range(p):
             if a != b:
                 sb = slice(offs[b], offs[b + 1])
-                A[sa, sb] = Ls[a] @ S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] @ Rs[b]
+                A[sa, sb] = Rs[a].T @ S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] @ Rs[b]
     return cm, A
 
 
@@ -185,9 +185,9 @@ class TestFactor:
     def test_diagonal_matrix_trivial_compression(self):
         # 1x1 blocks with empty skeletons: solve is exact division
         nodes = [CompressedNode(np.empty(0, dtype=int), np.array([[2.0]]),
-                                np.zeros((1, 0)), np.zeros((0, 1)), None),
+                                np.zeros((0, 1)), None),
                  CompressedNode(np.empty(0, dtype=int), np.array([[3.0]]),
-                                np.zeros((1, 0)), np.zeros((0, 1)), None)]
+                                np.zeros((0, 1)), None)]
         cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((0, 0)),
                               n=2, eps=1e-15, perm=np.arange(2), scalar_field="real")
         fi = factor(cm)
@@ -246,14 +246,24 @@ class TestFactor:
         np.testing.assert_allclose(A @ X, B, atol=1e-9 * np.abs(B).max())
 
     def test_singular_block_raises_and_regularize_rescues(self):
-        cm, _ = one_level_synthetic(seed=1, sizes=(8, 8), k=2)
+        # a shift is added to the matrix before factor, which then inverts
+        # A + delta I as given: a factor-side shift once solved a system
+        # that was no named matrix's
+        cm, A = one_level_synthetic(seed=1, sizes=(8, 8), k=2)
         cm.levels[0].nodes[1].D[:] = 0.0
+        A[8:, 8:] = 0.0
         with pytest.raises(SingularBlock) as exc:
             factor(cm)
         assert exc.value.level == 1
         assert exc.value.node == 1
-        fi = factor(cm, regularize=1e-8)
-        assert fi is not None
+        # at delta = 1e-3, A + delta I has condition 1.4e4 (1.4e9 at 1e-8,
+        # where the dense solve itself is off by about 1e-8)
+        delta = 1e-3
+        add_diagonal(cm, np.full(cm.n, delta))
+        b = np.random.default_rng(0).standard_normal(cm.n)
+        want = np.linalg.solve(A + delta * np.eye(cm.n), b)
+        x = solve(factor(cm), b)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_singular_d_inside_invertible_bordered_block_factors(self):
         # node 1's D is singular, but [[D, L], [R, 0]] is not: inverting D on
@@ -269,11 +279,12 @@ class TestFactor:
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), "1e-8", True])
     def test_regularize_must_be_a_finite_real(self, delta):
-        # a nan or inf shift once factored and made solve return non-finite
-        # x; True, a numbers.Real, once added 1.0 * I
-        cm, _ = one_level_synthetic()
-        with pytest.raises(InvalidInput, match="regularize"):
-            factor(cm, regularize=delta)
+        # factor takes no shift; the bench's --regularize adds one to the
+        # compressed matrix before factoring.  A nan or inf shift once
+        # factored and made solve return non-finite x; True, a numbers.Real,
+        # once added 1.0 * I
+        with pytest.raises(InvalidInput, match="--regularize"):
+            RunConfig("solve_bench", regularize=delta)
 
     def test_rank_zero_leaves_and_empty_nodes(self):
         # a diagonal matrix with zero proxy fields: every leaf has rank 0,
@@ -355,6 +366,17 @@ class TestSweep:
         fn, M = _sweep_fn(op, cm, A)
         x = np.random.default_rng(3).standard_normal((cm.n, 2))
         assert np.linalg.norm(fn(x) - M @ x) <= 1e-12 * np.linalg.norm(M @ x)
+
+    @pytest.mark.parametrize("kind", ["str", "object"])
+    def test_rejects_non_numeric_input(self, op, kind):
+        # a string vector raised ValueError from np.dot; an object array
+        # was multiplied by apply as Python objects, and solve raised
+        # ValueError on it
+        cm, A = one_level_synthetic(seed=4, sizes=(30, 20, 25), k=4)
+        fn, _ = _sweep_fn(op, cm, A)
+        x = np.full(cm.n, "1.0") if kind == "str" else np.full(cm.n, 1.0, dtype=object)
+        with pytest.raises(InvalidInput, match="bool, integer, real or complex"):
+            fn(x)
 
     def test_rejects_more_than_two_dimensions(self, op):
         # trailing axes were once flattened into columns: an (n, 2, 2)
@@ -591,9 +613,6 @@ class TestGmres:
 
 class TestMatrixMarket:
     def test_identity_format(self, tmp_path):
-        nodes = [CompressedNode(np.empty(0, dtype=int), np.eye(1), np.zeros((1, 0)),
-                                np.zeros((0, 1)), None)
-                 for _ in range(2)]
         cm = CompressedMatrix(levels=[], S=np.eye(2), n=2, eps=1e-15,
                               perm=np.arange(2), scalar_field="real")
         se = assemble_embedding(cm)
@@ -712,14 +731,15 @@ class TestFactoredSerialization:
 
 def test_nonsquare_lambda_rejected():
     # rectangular skeleton blocks cannot enter the telescoping inverse:
-    # Level, the one shape check, refuses a node with 3 row and 2 column
-    # interpolation columns
+    # Level, the one shape check, refuses a node with 3 down and 2 up
+    # skeleton columns.  A compressed node's L is R^T, so the node is a
+    # factored one, whose Ld need not be Rd^T
     rng = np.random.default_rng(0)
     n1 = 8
-    square = CompressedNode(np.arange(2), rng.standard_normal((n1, n1)),
-                            rng.standard_normal((n1, 2)), rng.standard_normal((2, n1)), None)
-    skewed = CompressedNode(np.arange(3), rng.standard_normal((n1, n1)),
-                            rng.standard_normal((n1, 3)), rng.standard_normal((2, n1)), None)
+    square = FactoredNode(Dd=rng.standard_normal((n1, n1)), Ld=rng.standard_normal((n1, 2)),
+                          Rd=rng.standard_normal((2, n1)))
+    skewed = FactoredNode(Dd=rng.standard_normal((n1, n1)), Ld=rng.standard_normal((n1, 3)),
+                          Rd=rng.standard_normal((2, n1)))
     with pytest.raises(InvalidInput, match=r"^node 1 has diag \(8, 8\), down \(8, 3\) "
                                            r"and up \(2, 8\)"):
         Level([square, skewed])
@@ -728,12 +748,14 @@ def test_nonsquare_lambda_rejected():
 def _one_level_container(n1, skels, rng):
     """README's layout of a one-level compressed container whose node a
     stores the row and column skeleton records ``skels[a]`` (offset into
-    its n1 points) with L and R of their sizes, and a random S."""
+    its n1 points) with L and R of their sizes, L = R^T where they are of
+    one size, and a random S."""
     records = []
     for a, (rows, cols) in enumerate(skels):
+        R = rng.standard_normal((cols.size, n1))
+        L = R.T if rows.size == cols.size else rng.standard_normal((n1, rows.size))
         arrays = (np.empty(0, np.int64), n1 * a + rows, n1 * a + cols,
-                  rng.standard_normal((n1, n1)) + 4 * np.eye(n1),
-                  rng.standard_normal((n1, rows.size)), rng.standard_normal((cols.size, n1)))
+                  rng.standard_normal((n1, n1)) + 4 * np.eye(n1), L, R)
         records.append(struct.pack("<B", 0) + b"".join(_ref_array(x) for x in arrays))
     S = rng.standard_normal((sum(r.size for r, _ in skels), sum(c.size for _, c in skels)))
     n = n1 * len(skels)
@@ -837,11 +859,13 @@ def test_lu_solve_is_scipys(cplx_lu, cplx_b, nrhs):
 
 @pytest.mark.parametrize("regularize", [0.0, 1e-3])
 def test_factor_leaves_the_compressed_matrix_alone(regularize):
-    # factor reads the compressed blocks and writes none of them
+    # factor reads the compressed blocks and writes none of them, a shifted
+    # matrix's included
     system = bie.discretize_dirichlet(bie.circle(1.0, 512), LAPLACE2)
     cm = bie.compress_system(system, 1e-9, 16)[1]
+    add_diagonal(cm, np.full(cm.n, regularize))
     before = serialize_compressed(cm)
-    factor(cm, regularize=regularize)
+    factor(cm)
     assert serialize_compressed(cm) == before
 
 
@@ -942,11 +966,11 @@ def test_nodes_that_keep_every_dof_take_no_lu(case, monkeypatch):
     # factor puts it, on the parent's diagonal or the top's
     cm = _pass_through_case(case)
     puts, lus = [], []
-    real_put, real_lu = solver._put_diagonal, solver.lu_factor
+    real_eff, real_lu = solver._effective, solver.lu_factor
     # the finest level's nodes put no blocks
-    monkeypatch.setattr(solver, "_put_diagonal",
-                        lambda M, blocks: (blocks and puts.append(list(blocks)))
-                        or real_put(M, blocks))
+    monkeypatch.setattr(solver, "_effective",
+                        lambda D, blocks, dtype: (blocks and puts.append(list(blocks)))
+                        or real_eff(D, blocks, dtype))
     monkeypatch.setattr(solver, "lu_factor", lambda a: lus.append(a.shape) or real_lu(a))
     fi = factor(cm)
     calls = iter(puts)
@@ -963,9 +987,8 @@ def test_nodes_that_keep_every_dof_take_no_lu(case, monkeypatch):
             eye = np.eye(n)
             assert not fn.Dd.any() and fn.Dd.shape == (n, n)
             assert fn.Ld.tobytes() == eye.tobytes() and fn.Rd.tobytes() == eye.tobytes()
-            D_eff = nd.D.copy()
-            if li:
-                real_put(D_eff, [lams[li - 1][c] for c in nd.children])
+            D_eff = real_eff(nd.D, [lams[li - 1][c] for c in nd.children] if li else (),
+                             cm.dtype)
             assert lams[li][a].tobytes() == D_eff.tobytes()
     nodes = sum(len(lv.nodes) for lv in cm.levels)
     assert kept >= (40 if case == "ellipse_bie" else 8)
@@ -982,12 +1005,12 @@ def _interpolative_corruptions(corrupt):
     p = np.searchsorted(dofs, nd.skel)
     if corrupt == "r_not_identity":
         nd.R[1, p[1]] = np.nextafter(1.0, 2.0)
-        nd.L = np.ascontiguousarray(nd.R.T)
     elif corrupt == "l_not_r_transposed":
-        # L is a view of R: corrupt a copy, or R changes with it
+        # a node holds no L, so the container is written with one
         q = np.setdiff1d(np.arange(dofs.size), p)[0]
-        nd.L = nd.L.copy()
-        nd.L[q, 0] = np.nextafter(nd.L[q, 0], np.inf)
+        L = nd.L.copy()
+        L[q, 0] = np.nextafter(L[q, 0], np.inf)
+        return _with_down(cm, 1, a, L), a
     elif corrupt == "skeleton_of_another_node":
         nd.skel[0] = next(i for i in range(cm.n) if i not in dofs)
     else:
@@ -999,11 +1022,12 @@ def _interpolative_corruptions(corrupt):
                                      "skeleton_of_another_node", "skeleton_twice"])
 def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
     # the elimination reads R = [T, I] and L = R^T off each node; a loaded
-    # node that is not so is refused by name rather than factored wrongly
+    # node that is not so is refused by name rather than factored wrongly.
+    # L is R^T by construction, so a down record that is not is refused by
+    # the reader
     blob, a = _interpolative_corruptions(corrupt)
-    cm = deserialize_compressed(blob)
-    with pytest.raises(InvalidInput, match=f"^level 2, node {a} is not interpolative"):
-        factor(cm)
+    with pytest.raises(InvalidInput, match=f"level 2, node {a} is not interpolative"):
+        factor(deserialize_compressed(blob))
 
 
 @pytest.mark.parametrize("corrupt, why", [("r_not_identity", "R is not I at its skeletons"),
@@ -1011,8 +1035,9 @@ def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
 @pytest.mark.parametrize("keeps_every_dof", [False, True], ids=["eliminated", "kept"])
 def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps_every_dof):
     # the checks run at every node, one that keeps every DOF included, and
-    # name the node: here the last of its level, after nodes that pass.  L,
-    # held as R.T, is made a copy before one of its entries is changed
+    # name the node: here the last of its level, after nodes that pass.  A
+    # node's L is R^T, so an L that is not is written into a container,
+    # which the reader refuses
     system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), LAPLACE2)
     _, cm = bie.compress_system(system, 1e-8, 16)
     li, a, nd = next((li, len(lv.nodes) - 1, lv.nodes[-1]) for li, lv in enumerate(cm.levels)
@@ -1023,14 +1048,17 @@ def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps
     dofs = (np.arange(*cm.levels[0].dof_off[a:a + 2]) if li == 0 else
             np.concatenate([cm.levels[li - 1].nodes[c].skel for c in nd.children]))
     p = np.searchsorted(dofs, nd.skel)
+    match = f"level {li + 1}, node {a} is not interpolative: {why}"
     if corrupt == "r_not_identity":
         R[1, p[1]] = np.nextafter(1.0, 2.0)
-        nd.R, nd.L = R, R.T
+        nd.R = R
+        with pytest.raises(InvalidInput, match="^" + match):
+            factor(cm)
     else:
-        nd.L = R.T.copy()
-        nd.L[p[0], 1] = np.nextafter(nd.L[p[0], 1], np.inf)
-    with pytest.raises(InvalidInput, match=f"^level {li + 1}, node {a} is not interpolative: {why}"):
-        factor(cm)
+        L = R.T.copy()
+        L[p[0], 1] = np.nextafter(L[p[0], 1], np.inf)
+        with pytest.raises(InvalidInput, match=f"^skelkit container: {match}"):
+            deserialize_compressed(_with_down(cm, li, a, L))
 
 
 def test_factor_refuses_a_level_short_of_the_dofs_below():
@@ -1056,7 +1084,7 @@ def test_skeletons_in_any_order_and_place():
         R = rng.standard_normal((ka, na))
         R[:, pos] = np.eye(ka)
         D = rng.standard_normal((na, na)) + 4 * np.eye(na)
-        nodes.append(CompressedNode(offs[a] + pos, D, np.ascontiguousarray(R.T), R, None))
+        nodes.append(CompressedNode(offs[a] + pos, D, R, None))
         blocks.append((D, R))
     S = rng.standard_normal((koff[-1], koff[-1]))
     A = np.zeros((offs[-1], offs[-1]))
@@ -1102,6 +1130,16 @@ def _ref_compressed(cm):
                                                    nd.D, nd.L, nd.R)))
     return _ref_container(1, cm.scalar_field, cm.n, cm.eps, cm.perm,
                           [[record(nd) for nd in lv.nodes] for lv in cm.levels], [cm.S])
+
+
+def _with_down(cm, li, a, L):
+    """``cm``'s container in README's layout, with ``L`` as the down record
+    of node a at level li (0-based)."""
+    nd = cm.levels[li].nodes[a]
+    levels = [SimpleNamespace(nodes=list(lv.nodes)) for lv in cm.levels]
+    levels[li].nodes[a] = SimpleNamespace(children=nd.children, skel=nd.skel, D=nd.D, L=L,
+                                          R=nd.R)
+    return _ref_compressed(replace(cm, levels=levels))
 
 
 def _ref_factored(fi):
@@ -1193,7 +1231,7 @@ def test_sweeps_write_the_reference_bytes_at_one_skeleton_nodes(shape):
     for lo in (0, 5):
         R = cplx(1, 5)
         R[0, 0] = 1
-        nodes.append(CompressedNode(np.array([lo]), cplx(5, 5), R.T, R, None))
+        nodes.append(CompressedNode(np.array([lo]), cplx(5, 5), R, None))
     cm = CompressedMatrix(levels=[Level(nodes)], S=cplx(2, 2), n=10, eps=1e-6,
                           perm=np.arange(10), scalar_field="complex")
     fi = factor(cm)
@@ -1295,6 +1333,21 @@ def test_complex_block_in_real_container_raises_invalid_input(kind):
         read(write(obj))
 
 
+@pytest.mark.parametrize("code", [2, 5, 255])
+@pytest.mark.parametrize("kind", [1, 2], ids=["compressed", "factored"])
+def test_unknown_scalar_field_raises_invalid_input(kind, code):
+    # the header's scalar-field byte is 0 (real) or 1 (complex); another,
+    # with the top value record's code the same, once raised KeyError
+    blob = bytearray(_ref_container(kind, "real", 2, 1e-6, np.arange(2), [], []))
+    blob[7] = code
+    blob += bytes([code]) + _ref_array(np.eye(2))[1:]
+    if kind == 2:
+        blob += _ref_array(np.arange(2))
+    read = deserialize_compressed if kind == 1 else deserialize_factored
+    with pytest.raises(InvalidInput, match=f"scalar field {code}"):
+        read(bytes(blob))
+
+
 @pytest.mark.parametrize("corrupt", ["child_out_of_range", "child_dropped",
                                      "flag_at_finest", "flag_missing"])
 def test_inconsistent_children_raise_invalid_input(corrupt):
@@ -1316,12 +1369,17 @@ def test_inconsistent_children_raise_invalid_input(corrupt):
 
 def test_compressed_level1_d_l_row_raises_invalid_input():
     # the compressed-kind twin of the factored level1_dd_ld_row case below:
-    # both kinds share one shape check, Level's, and the reader names the level
+    # both kinds share one shape check, Level's, and the reader names the
+    # level.  A compressed down record must also be up^T, shape included,
+    # which the reader checks first
     cm = deserialize_compressed(_containers()["compressed"][0])
-    nd = next(nd for nd in cm.levels[0].nodes if nd.D.size and nd.L.shape[1])
-    nd.D, nd.L = nd.D[:-1], nd.L[:-1]
-    with pytest.raises(InvalidInput, match=r"level 1, node \d+ has diag"):
+    a, nd = next((a, nd) for a, nd in enumerate(cm.levels[0].nodes) if nd.D.size and nd.k)
+    L = nd.L[:-1]
+    nd.D = nd.D[:-1]
+    with pytest.raises(InvalidInput, match=rf"level 1, node {a} has diag"):
         deserialize_compressed(serialize_compressed(cm))
+    with pytest.raises(InvalidInput, match=rf"level 1, node {a} is not interpolative: L is not"):
+        deserialize_compressed(_with_down(cm, 0, a, L))
 
 
 @pytest.mark.parametrize("kind", ["compressed", "factored"])
@@ -1332,7 +1390,8 @@ def test_level_short_of_the_dofs_below_raises_invalid_input(kind):
     obj = read(blob)
     nd = next(nd for nd in obj.levels[0].nodes if nd.blocks[1].size)
     up, diag, down = nd.blocks
-    names = ("R", "D", "L") if kind == "compressed" else ("Rd", "Dd", "Ld")
+    # a compressed node's L is R^T: it drops the row with R's column
+    names = ("R", "D") if kind == "compressed" else ("Rd", "Dd", "Ld")
     for name, blk in zip(names, (up[:, :-1], diag[:-1, :-1], down[:-1])):
         setattr(nd, name, blk)
     with pytest.raises(InvalidInput, match=f"level 1 takes {obj.n - 1} DOFs"):
