@@ -26,6 +26,13 @@ medians apart, in the better direction, by more than the parent's
 interquartile distance, over at least 10 pairs.  Quartiles interpolate
 linearly between the sorted values, as ``numpy.percentile`` does.
 
+Every end-to-end metric also gets a no-regression verdict against its
+``bound`` in ``BENCHMARK.json``, a fraction of the parent's median.  It is
+"worse" when the change's median is worse than the parent's by more than
+the bound; "unresolved" when the parent's interquartile distance over its
+median is wider than the bound, unless every run of the change is better
+than every run of the parent; and "within bound" otherwise.
+
 A run that exits non-zero is listed with its exit status and the tail of
 its standard error; its pair then counts for no metric.  The script exits
 with status 1 if any run failed so, and 0 otherwise, whatever the
@@ -99,6 +106,25 @@ def verdict(stats, metric):
             "met": pairs >= MIN_PAIRS and wins >= need and gain > iqr}
 
 
+def regression(stats, bound):
+    """The no-regression verdict on one metric's ``compare`` output, with
+    ``bound`` a fraction of the parent's median."""
+    parent, change = stats["parent"], stats["change"]
+    lower = stats["better"] == "lower"
+    base = abs(parent["median"])
+    loss = (change["median"] - parent["median"]) * (1.0 if lower else -1.0)
+    spread = (parent["q3"] - parent["q1"]) / base if base else math.inf
+    apart = change["max"] < parent["min"] if lower else change["min"] > parent["max"]
+    if loss > bound * base:
+        status = "worse"
+    elif spread > bound and not apart:
+        status = "unresolved"
+    else:
+        status = "within bound"
+    return {"status": status, "bound": bound, "median_loss": loss, "parent_spread": spread,
+            "all_runs_better": apart}
+
+
 def src_uncommitted(checkout):
     """Whether the checkout's ``src`` differs from its commit, tracked or
     untracked files alike; None where the checkout has no ``.git`` of its
@@ -147,9 +173,10 @@ def run_pairs(checkouts, workload, seeds, seconds, log=print):
     return pairs
 
 
-def report(pairs, directions, claim=None, uncommitted=None):
+def report(pairs, directions, claim=None, uncommitted=None, bounds=None):
     """The JSON record of a list of ``run_pairs`` pairs; ``uncommitted``
-    gives each side's ``src_uncommitted``."""
+    gives each side's ``src_uncommitted``, and ``bounds`` each metric's
+    bound for the no-regression verdicts."""
     ok = [p for p in pairs if all("metrics" in p[s] for s in SIDES)]
     metrics = {n: compare([(p["parent"]["metrics"][n], p["change"]["metrics"][n]) for p in ok],
                           better) for n, better in directions.items() if ok}
@@ -165,6 +192,8 @@ def report(pairs, directions, claim=None, uncommitted=None):
              for side, rs in runs.items()}
     out = {"host": {k: v for k, v in host.items() if k not in ("git_commit", "source_sha256")},
            "sides": sides, "metrics": metrics, "pairs": pairs}
+    if bounds:
+        out["no_regression"] = {n: regression(stats, bounds[n]) for n, stats in metrics.items()}
     if claim is not None:
         out["verdict"] = (verdict(metrics[claim], claim) if claim in metrics else
                           {"metric": claim, "met": False, "why": "no pair ran on both sides"})
@@ -182,8 +211,8 @@ def main(argv=None):
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     args = ap.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    directions = {m["name"]: m["better"] for m in
-                  json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    directions = {m["name"]: m["better"] for m in end_to_end}
     if args.claim is not None and args.claim not in directions:
         ap.error(f"--claim must be one of {sorted(directions)}")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -195,8 +224,11 @@ def main(argv=None):
                       log=lambda msg: print(msg, file=sys.stderr))
     out = {"workload": args.workload, "seconds": args.seconds, "seeds": seeds,
            "command": "python3 benchmark/run.py --workload W --seed S --seconds T --trace 0",
-           **report(pairs, directions, args.claim, uncommitted)}
+           **report(pairs, directions, args.claim, uncommitted,
+                    {m["name"]: m["bound"] for m in end_to_end})}
     args.out.write_text(json.dumps(out, indent=1) + "\n")
+    for name, got in out.get("no_regression", {}).items():
+        print(json.dumps({"metric": name, **got}))
     if "verdict" in out:
         print(json.dumps(out["verdict"]))
     return 1 if any(s["failed_runs"] for s in out["sides"].values()) else 0

@@ -77,6 +77,9 @@ class RunConfig:
         _fraction(self.tol, "tol")
         if not _finite(self.regularize):
             raise InvalidInput(f"--regularize must be a finite real, got {self.regularize!r}")
+        if self.regularize and self.experiment != "solve_bench":
+            raise InvalidInput(f"--regularize shifts the matrix that solve_bench factors; "
+                               f"{self.experiment} takes none, got {self.regularize!r}")
         self.seed = _index(self.seed, "seed")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")

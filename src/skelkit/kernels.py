@@ -12,12 +12,15 @@ scaled by w_j, so a block times a density vector is a quadrature sum
 (``eval_fields`` leaves the weights to its caller).  Coincident pairs take
 0: the limit there is a quadrature decision, which the curve systems of
 ``bie`` make when they add their diagonal.
+
+The Bessel functions of the 2D Helmholtz kernel come from ``scipy.special``,
+which loads on first use: the first 2D Helmholtz block or ``bessel_h0`` call.
+A process that evaluates only the other kernels never loads it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import InvalidInput
 from .geom import PointSet, _positive, coincidence_scale
@@ -70,15 +73,25 @@ def check_wavenumber(k):
         raise InvalidInput(f"helmholtz requires a finite real wavenumber > 0, got {k!r}")
 
 
+def _special():
+    """``scipy.special``, imported on the first call (later calls find it in
+    ``sys.modules``): it holds the Bessel functions of the 2D Helmholtz
+    kernel and nothing else skelkit uses."""
+    from scipy import special
+    return special
+
+
 def bessel_h0(z):
     """Zeroth-order Hankel function of the first kind, J0(z) + i Y0(z).
 
     Accepts a positive scalar or array; relative accuracy ~1e-15 over
     (0, 700] (Cephes via scipy).  Y0 blows up at 0, so z <= 0 is rejected.
+    The first call loads ``scipy.special``.
     """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(z > 0):
         raise InvalidInput("bessel_h0 requires z > 0 (Y0 is singular at 0)")
+    sp = _special()
     out = sp.j0(z) + 1j * sp.y0(z)
     return complex(out) if out.ndim == 0 else out
 
@@ -270,6 +283,7 @@ def _radial(spec, x, y, limit):
             elif spec.dim == 2:
                 # 0.25j * (j0(k rs) + 1j * y0(k rs))
                 kr = np.multiply(k, rs, out=rs)
+                sp = _special()
                 f = np.multiply(1j, sp.y0(kr, out=d))
                 f += sp.j0(kr, out=d)
                 np.multiply(0.25j, f, out=f)
@@ -288,6 +302,7 @@ def _radial(spec, x, y, limit):
         elif spec.dim == 2:
             # -0.25j k (j1(k rs) + 1j * y1(k rs)) of dG/drs * ndot / rs
             kr = np.multiply(k, rs, out=d)
+            sp = _special()
             f = np.multiply(1j, sp.y1(kr))
             f += sp.j1(kr, out=d)
             np.multiply(-0.25j * k, f, out=f)

@@ -255,6 +255,18 @@ def test_solve_bench_regularize_solves_the_shifted_system():
     assert run(cfg)[0].E <= 1e-5
 
 
+@pytest.mark.parametrize("experiment", ["apply_bench", "sweep", "scatter_demo"])
+def test_regularize_is_refused_outside_solve_bench(experiment, capsys):
+    # only solve_bench factors a matrix to shift: the others ran and printed
+    # the rows they print without the flag
+    with pytest.raises(InvalidInput, match="--regularize"):
+        RunConfig(experiment=experiment, regularize=5.0)
+    assert main([experiment, "--n", "64", "--regularize", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--regularize" in err
+    assert RunConfig(experiment=experiment, regularize=0.0).regularize == 0.0
+
+
 def test_solve_bench_ellipse_paper_scale():
     # reference point: ellipse alpha=2, N=1024, eps=1e-9 solves to ~1e-10
     # interior error with a few dozen top-level skeletons.  The skeleton

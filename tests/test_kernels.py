@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -508,3 +514,49 @@ def test_span_far_from_the_origin_comes_from_the_coordinates(spec):
     assert got[0, -2] == 0.0 and got[1, -1] != 0
     # the extent alone would not have made the first pair coincident
     assert np.ptp(np.vstack([tg, src]), axis=0).max() * COINCIDENT_RTOL < 0.5 * COINCIDENT_RTOL * scale
+
+
+_LAZY_SPECIAL = textwrap.dedent("""
+    import sys
+    import numpy as np
+    import skelkit
+    from skelkit import bie, geom, kernels, skel, solver
+
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 256), kernels.KernelSpec("laplace", 2))
+    _, cm = bie.compress_system(system, 1e-9)
+    x = solver.solve(solver.factor(cm), np.ones(256))
+    pts = geom.PointSet(np.random.default_rng(0).random((512, 3)))
+    cube = skel.compress(kernels.KernelSpec("laplace", 3), pts, geom.build_tree(pts), 1e-6)
+    y = skel.apply(cube, np.ones(512))
+    assert np.isfinite(x).all() and np.isfinite(y).all()
+    assert "scipy.special" not in sys.modules, "Laplace runs loaded scipy.special"
+
+    z = np.linspace(0.1, 30.0, 97)
+    h0 = kernels.bessel_h0(z)
+    assert "scipy.special" in sys.modules
+    from scipy import special as sp
+    assert h0.tobytes() == (sp.j0(z) + 1j * sp.y0(z)).tobytes()
+
+    rng = np.random.default_rng(1)
+    tg, src = rng.random((40, 2)), rng.random((30, 2))
+    k = 3.0
+    block = kernels.eval_block(kernels.KernelSpec("helmholtz", 2, wavenumber=k),
+                               geom.PointSet(tg), geom.PointSet(src))
+    d = tg[:, None, :] - src[None, :, :]
+    kr = k * np.sqrt(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])
+    assert block.tobytes() == (0.25j * (sp.j0(kr) + 1j * sp.y0(kr))).tobytes()
+    print("ok")
+""")
+
+
+def test_laplace_runs_do_not_load_scipy_special():
+    # this session imported scipy.special above, so the check runs in a
+    # fresh interpreter: import skelkit, compress, factor, solve and apply
+    # Laplace systems, then the first Bessel evaluation loads the module
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SPECIAL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -96,6 +96,48 @@ def test_ab_verdict_on_fixed_numbers(change, met):
     assert flipped["median_gain"] == got["median_gain"]
 
 
+@pytest.mark.parametrize("change, status", [
+    # parent 100..109 (median 104.5, IQR 4.5, a spread of 0.043); bound 0.15
+    ([p + 0.0 for p in range(100, 110)], "within bound"),
+    # medians 15 apart, inside the bound's 15.675
+    ([p + 15.0 for p in range(100, 110)], "within bound"),
+    # medians 16 apart, outside it
+    ([p + 16.0 for p in range(100, 110)], "worse"),
+    # better by far: within bound
+    ([p - 50.0 for p in range(100, 110)], "within bound"),
+])
+def test_ab_regression_on_fixed_numbers(change, status):
+    ab = _ab()
+    pairs = list(zip(map(float, range(100, 110)), change))
+    assert ab.regression(ab.compare(pairs, "lower"), 0.15)["status"] == status
+    # the numbers mirrored about the parent's median, for a metric where
+    # higher is better
+    flipped = ab.regression(ab.compare([(209 - p, 209 - c) for p, c in pairs], "higher"), 0.15)
+    assert flipped["status"] == status
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_ab_regression_unresolved_when_the_parent_spreads_wider_than_the_bound(better):
+    ab = _ab()
+    # parent 50, 60, ..., 140: median 95, IQR 45, a spread of 0.47 > 0.15
+    parent = [50.0 + 10 * i for i in range(10)]
+    sign = 1.0 if better == "lower" else -1.0
+    same = ab.regression(ab.compare(list(zip(parent, parent)), better), 0.15)
+    assert same["status"] == "unresolved" and same["parent_spread"] == pytest.approx(45 / 95)
+    # better in every pair, but the runs overlap: still unresolved
+    near = [p - sign * 20.0 for p in parent]
+    assert ab.regression(ab.compare(list(zip(parent, near)), better), 0.15)["status"] == \
+        "unresolved"
+    # every change run better than every parent run
+    apart = [p - sign * 100.0 for p in parent]
+    got = ab.regression(ab.compare(list(zip(parent, apart)), better), 0.15)
+    assert got["status"] == "within bound" and got["all_runs_better"]
+    # worse by more than the bound is worse, whatever the spread
+    worse = [p + sign * 20.0 for p in parent]
+    assert ab.regression(ab.compare(list(zip(parent, worse)), better), 0.15)["status"] == \
+        "worse"
+
+
 def test_ab_records_uncommitted_src(tmp_path):
     # a side whose src is not its commit ran code that its commit field
     # does not name
@@ -140,3 +182,6 @@ def test_ab_smoke_pair_on_one_checkout(tmp_path):
         assert rec["sides"][side]["failed_ops"] == 0
         assert "src_uncommitted" in rec["sides"][side]
     assert rec["verdict"]["pairs"] == 1 and rec["verdict"]["met"] is False
+    # one run a side: no spread, the same answer, so nothing is worse
+    assert set(rec["no_regression"]) == set(rec["metrics"])
+    assert rec["no_regression"]["err_digits"]["status"] == "within bound"
