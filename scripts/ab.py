@@ -16,8 +16,9 @@ so neither side always runs on a host that the other has just warmed.
 It writes one JSON file with the host record that run.py reports, each
 side's commit and source digest, whether its ``src`` had uncommitted
 changes before the first run (``git status``; such a side ran code that its
-commit does not hold), every run's metrics and operation counts,
-and per end-to-end metric each side's median, quartiles, min and max and
+commit does not hold), every run's metrics and operation counts, each run's
+set-up times (``setup_times_s`` from the record file that run.py names on its
+first line; ``setup_s`` is their median), and per end-to-end metric each side's median, quartiles, min and max and
 how many pairs the change won.  A pair is won when the change's value is
 better than the parent's in the direction ``BENCHMARK.json`` gives the
 metric; a tie is not a win.  ``--claim METRIC`` adds the verdict of the
@@ -153,8 +154,9 @@ def run_one(checkout, workload, seed, seconds):
     # run.py prints its environment first and its result line last
     lines = proc.stdout.splitlines()
     head, result = json.loads(lines[0]), json.loads(lines[-1])
+    record = json.loads((Path(checkout) / head["record"]).read_text())
     rec.update(env=head["env"], correct=result["correct"], attempted=result["attempted"],
-               failed=result["failed"],
+               failed=result["failed"], setup_times_s=record["setup_times_s"],
                metrics={name: m["value"] for name, m in result["metrics"].items()})
     return rec
 

@@ -35,7 +35,7 @@ def main():
     for sep in (3.0, 2.0, 1.5, 1.25):
         cfg = RunConfig(experiment="scatter_demo", geometry="trefoil_scatterers",
                         ns=(args.n,), eps=args.eps, omega=args.omega,
-                        separation=sep, tol=args.tol)
+                        geometry_params=(sep,), tol=args.tol)
         rec, it0, dens = _scatter_demo_one(cfg, args.n)
         it1, agree = rec.iters, rec.E
         print(f"{sep:6.2f} {it0:6d} {it1:5d} {it0 / it1:6.1f} {agree:10.2e}")

@@ -18,30 +18,48 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import bie
 from .errors import InvalidInput, NotConverged, RefusedTooLarge
-from .geom import PointSet, _finite, _fraction, _index, build_tree, fibonacci_sphere
+from .geom import (PointSet, _finite, _fraction, _index, _positive, build_tree,
+                   fibonacci_sphere)
 from .kernels import KernelSpec, eval_block
-from .skel import ProxyConfig, add_diagonal, apply, compress, serialized_size
+from .skel import add_diagonal, apply, compress, serialized_size
 from .solver import (assemble_embedding, export_matrix_market, factor, gmres,
                      solve)
 
 DENSE_ORACLE_LIMIT = 4096
 
-GEOMETRIES = ("circle", "square", "sphere", "cube", "ellipse", "trefoil_scatterers")
-EXPERIMENTS = ("apply_bench", "solve_bench", "scatter_demo", "sweep")
+# each geometry's dimension and default parameters
+GEOMETRIES = {"circle": (2, ()), "square": (2, ()), "sphere": (3, ()), "cube": (3, ()),
+              "ellipse": (2, (2.0, 1.0)),              # semi-axes
+              "trefoil_scatterers": (2, (1.5,))}      # centre separation
+# each experiment's geometries, the first its default, and the options it
+# reads besides ns, eps, max_leaf and out; omega only with a Helmholtz kernel
+_CLOUDS = (("circle", "square", "sphere", "cube", "ellipse"),
+           {"seed", "kernel", "omega", "mode", "export_mm"})
+EXPERIMENTS = {
+    "apply_bench": _CLOUDS,
+    "solve_bench": (("circle", "ellipse"), {"kernel", "omega", "mode", "export_mm", "regularize"}),
+    "scatter_demo": (("trefoil_scatterers",), {"omega", "tol"}),
+    "sweep": _CLOUDS,
+}
+_OPTIONS = set().union(*(reads for _, reads in EXPERIMENTS.values()))   # read by some
+KERNELS = {"laplace2d": ("laplace", 2), "laplace3d": ("laplace", 3),
+           "helmholtz2d": ("helmholtz", 2), "helmholtz3d": ("helmholtz", 3)}
 
 CSV_COLUMNS = ["N", "Kr", "Kc", "Tcm", "Tlu", "Tsv", "Tmv", "E", "M", "iters"]
 
 
 @dataclass
 class RunConfig:
+    """One experiment's settings: an option that the experiment does not
+    read (``EXPERIMENTS``) must keep its default, or InvalidInput is raised."""
     experiment: str
-    geometry: str | None = None   # trefoil_scatterers for scatter_demo, else circle
+    geometry: str | None = None   # None: the experiment's first geometry
     ns: tuple = (1024,)
     eps: float = 1e-9
     kernel: str = "laplace2d"
@@ -52,21 +70,13 @@ class RunConfig:
     mode: str = "proxy"
     regularize: float = 0.0
     max_leaf: int | None = None
-    separation: float = 1.5
     tol: float = 1e-6
-    geometry_params: tuple = (2.0, 1.0)   # ellipse semi-axes
+    geometry_params: tuple | None = None   # None: the geometry's defaults
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidInput(f"unknown experiment {self.experiment!r}")
-        demo = self.experiment == "scatter_demo"
-        if self.geometry is None:
-            self.geometry = "trefoil_scatterers" if demo else "circle"
-        if self.geometry not in GEOMETRIES:
-            raise InvalidInput(f"unknown geometry {self.geometry!r}")
-        if (self.geometry == "trefoil_scatterers") != demo:
-            raise InvalidInput("geometry trefoil_scatterers goes with scatter_demo, and only "
-                               f"with it: got {self.experiment} on {self.geometry}")
+        geometries, reads = EXPERIMENTS[self.experiment]
         ns = tuple(_index(n, "each N") for n in self.ns)
         if not ns or any(n <= 0 for n in ns):
             raise InvalidInput("N values must be positive")
@@ -77,18 +87,36 @@ class RunConfig:
         _fraction(self.tol, "tol")
         if not _finite(self.regularize):
             raise InvalidInput(f"--regularize must be a finite real, got {self.regularize!r}")
-        if self.regularize and self.experiment != "solve_bench":
-            raise InvalidInput(f"--regularize shifts the matrix that solve_bench factors; "
-                               f"{self.experiment} takes none, got {self.regularize!r}")
         self.seed = _index(self.seed, "seed")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
-        if self.export_mm and self.experiment == "scatter_demo":
-            raise InvalidInput("scatter_demo builds no compressed matrix to export")
-        axes = self.geometry_params
-        if self.geometry == "ellipse" and not (
-                len(axes) == 2 and all(0 < v < np.inf for v in axes)):
-            raise InvalidInput(f"an ellipse takes two positive semi-axes, got {axes}")
+        if not isinstance(self.kernel, str) or self.kernel.lower() not in KERNELS:
+            raise InvalidInput(f"unknown kernel {self.kernel!r}")
+        equation, kernel_dim = KERNELS[self.kernel.lower()]
+        if equation == "laplace" and "kernel" in reads:
+            reads = reads - {"omega"}   # omega sets a Helmholtz wavenumber
+        for f in fields(self):
+            if f.name in _OPTIONS - reads and getattr(self, f.name) != f.default:
+                with_kernel = f" with kernel {self.kernel}" if f.name == "omega" else ""
+                raise InvalidInput(f"--{f.name.replace('_', '-')} is not read by "
+                                   f"{self.experiment}{with_kernel}")
+        if self.geometry is None:
+            self.geometry = geometries[0]
+        if self.geometry not in GEOMETRIES:
+            raise InvalidInput(f"unknown geometry {self.geometry!r}")
+        if self.geometry not in geometries:
+            raise InvalidInput(f"{self.experiment} runs on {'|'.join(geometries)}, "
+                               f"not {self.geometry}")
+        dim, defaults = GEOMETRIES[self.geometry]
+        params = defaults if self.geometry_params is None else self.geometry_params
+        if not (isinstance(params, tuple) and len(params) == len(defaults)
+                and all(map(_positive, params))):
+            raise InvalidInput(f"geometry {self.geometry} takes a tuple of {len(defaults)} "
+                               f"finite, positive parameter(s), got {params!r}")
+        self.geometry_params = params
+        if kernel_dim != dim:
+            raise InvalidInput(f"kernel {self.kernel} is {kernel_dim}D but geometry "
+                               f"{self.geometry} is {dim}D")
 
 
 @dataclass
@@ -120,7 +148,7 @@ class BenchRecord:
 # ---------------------------------------------------------------------------
 # geometries and kernels
 
-def make_points(geometry, n, seed, params=(2.0, 1.0)) -> PointSet:
+def make_points(geometry, n, seed, params=None) -> PointSet:
     rng = np.random.default_rng(seed)
     if geometry == "circle":
         th = 2 * np.pi * np.arange(n) / n
@@ -132,23 +160,18 @@ def make_points(geometry, n, seed, params=(2.0, 1.0)) -> PointSet:
     if geometry == "cube":
         return PointSet(rng.random((n, 3)))
     if geometry == "ellipse":
-        a, b = params
-        return PointSet(bie.ellipse(a, b, n).xy)
+        return PointSet(bie.ellipse(*(params or GEOMETRIES["ellipse"][1]), n).xy)
     raise InvalidInput(f"geometry {geometry!r} is not a point cloud")
 
 
-def geometry_diameter(geometry, params=(2.0, 1.0)):
-    return {"circle": 2.0, "square": np.sqrt(2.0), "sphere": 2.0,
-            "cube": np.sqrt(3.0), "ellipse": 2.0 * max(params)}[geometry]
+def geometry_diameter(geometry, params):
+    if geometry == "ellipse":
+        return 2.0 * max(params)
+    return {"circle": 2.0, "square": np.sqrt(2.0), "sphere": 2.0, "cube": np.sqrt(3.0)}[geometry]
 
 
 def make_kernel(config: RunConfig) -> KernelSpec:
-    name = config.kernel.lower()
-    table = {"laplace2d": ("laplace", 2), "laplace3d": ("laplace", 3),
-             "helmholtz2d": ("helmholtz", 2), "helmholtz3d": ("helmholtz", 3)}
-    if name not in table:
-        raise InvalidInput(f"unknown kernel {config.kernel!r}")
-    eq, dim = table[name]
+    eq, dim = KERNELS[config.kernel.lower()]
     k = 0.0
     if eq == "helmholtz":
         diam = geometry_diameter(config.geometry, config.geometry_params)
@@ -174,44 +197,30 @@ def _timed(fn, stat, repeats=3):
 def _apply_bench_one(config, n, want_error):
     spec = make_kernel(config)
     pts = make_points(config.geometry, n, config.seed, config.geometry_params)
-    if spec.dim != pts.dim:
-        raise InvalidInput(f"kernel {config.kernel} is {spec.dim}D but geometry "
-                           f"{config.geometry} is {pts.dim}D")
     tree = build_tree(pts, config.max_leaf)
     # the fastest of three: a scaling fit needs the compression's own cost,
     # not whatever else the machine was doing during one run
-    tcm, cm = _timed(lambda: compress(spec, pts, tree, config.eps, ProxyConfig(),
-                                      mode=config.mode), min)
+    tcm, cm = _timed(lambda: compress(spec, pts, tree, config.eps, mode=config.mode), min)
     rng = np.random.default_rng(config.seed + 1)
     x = rng.standard_normal(n)
     tmv, y = _timed(lambda: apply(cm, x), np.median)
     rec = BenchRecord(N=n, Kr=cm.S.shape[0], Kc=cm.S.shape[1], Tcm=tcm, Tmv=tmv,
                       M=serialized_size(cm) / 1e6)
-    if want_error:
-        if n > DENSE_ORACLE_LIMIT:
-            rec.E = None
-        else:
-            dense = eval_block(spec, pts, pts)
-            ref = dense @ x
-            rec.E = float(np.linalg.norm(y - ref) / np.linalg.norm(ref))
+    if want_error and n <= DENSE_ORACLE_LIMIT:
+        ref = eval_block(spec, pts, pts) @ x
+        rec.E = float(np.linalg.norm(y - ref) / np.linalg.norm(ref))
     return rec, cm
 
 
 def _solve_bench_one(config, n):
     spec = make_kernel(config)
-    if spec.dim != 2:
-        raise InvalidInput("solve_bench drives 2D boundary integral equations")
     if config.geometry == "circle":
-        curve = bie.circle(1.0, n)
-    elif config.geometry == "ellipse":
-        a, b = config.geometry_params
-        curve = bie.ellipse(a, b, n)
-    else:
-        raise InvalidInput("solve_bench needs a curve geometry (circle or ellipse)")
+        curve, scale = bie.circle(1.0, n), 1.0
+    else:   # the ellipse
+        curve, scale = bie.ellipse(*config.geometry_params, n), min(config.geometry_params)
     system = bie.discretize_dirichlet(curve, spec)
     source = np.array([4.0, 3.0])
-    checkpoint = np.array([0.31, -0.22]) * min(config.geometry_params) \
-        if config.geometry == "ellipse" else np.array([0.31, -0.22])
+    checkpoint = np.array([0.31, -0.22]) * scale
     rhs = bie.point_source_data(curve, source, spec)
 
     t0 = time.perf_counter()
@@ -239,8 +248,8 @@ def _scatter_demo_one(config, n):
     """Two trefoil scatterers, plane-wave excitation, block-diagonal
     direct-solver preconditioner versus plain GMRES.  Returns the record,
     the plain GMRES iteration count and the preconditioned density."""
-    curves = [bie.trefoil(n, center=(0.0, 0.0)),
-              bie.trefoil(n, center=(config.separation, 0.0))]
+    sep, = config.geometry_params
+    curves = [bie.trefoil(n, center=(0.0, 0.0)), bie.trefoil(n, center=(sep, 0.0))]
     diam = curves[0].diameter()
     k = 2 * np.pi * config.omega / diam
     sys_ = bie.scattering_system(curves, k)
@@ -258,7 +267,7 @@ def _scatter_demo_one(config, n):
         x_plain, it_plain = exc.x, exc.iterations
     x_prec, it_prec = gmres(lambda v: A @ v, b, tol=config.tol,
                             max_iter=2 * n, precond=pinv)
-    checkpoint = np.array([config.separation / 2, 2.5])
+    checkpoint = np.array([sep / 2, 2.5])
     u1 = sys_.scattered_field(x_plain, checkpoint)[0]
     u2 = sys_.scattered_field(x_prec, checkpoint)[0]
     rec = BenchRecord(N=n, Tlu=tlu, iters=it_prec,
@@ -272,15 +281,13 @@ def run(config: RunConfig):
     records = []
     last_cm = None
     for n in config.ns:
-        if config.experiment in ("apply_bench", "sweep"):
-            rec, cm = _apply_bench_one(config, n,
-                                       want_error=config.experiment == "apply_bench")
-            last_cm = cm
-        elif config.experiment == "solve_bench":
-            rec, cm = _solve_bench_one(config, n)
-            last_cm = cm
-        else:
+        if config.experiment == "solve_bench":
+            rec, last_cm = _solve_bench_one(config, n)
+        elif config.experiment == "scatter_demo":
             rec = _scatter_demo_one(config, n)[0]
+        else:
+            rec, last_cm = _apply_bench_one(config, n,
+                                            want_error=config.experiment == "apply_bench")
         records.append(rec)
     if config.export_mm:
         export_matrix_market(assemble_embedding(last_cm), config.export_mm)
@@ -342,15 +349,18 @@ def _build_parser():
     p.add_argument("--kernel", default="laplace2d",
                    help="laplace2d|laplace3d|helmholtz2d|helmholtz3d")
     p.add_argument("--omega", type=float, default=10.0,
-                   help="domain size in wavelengths (Helmholtz)")
-    p.add_argument("--seed", type=int, default=0)
+                   help="domain size in wavelengths; read by scatter_demo, and by the "
+                        "others with a Helmholtz kernel")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the points and right-hand sides; read by apply_bench and sweep")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--export-mm", default=None,
                    help="write the sparse embedding of the largest run as Matrix Market")
     p.add_argument("--mode", choices=("proxy", "global"), default="proxy")
-    p.add_argument("--regularize", type=float, default=0.0, metavar="DELTA")
+    p.add_argument("--regularize", type=float, default=0.0, metavar="DELTA",
+                   help="solve (A + DELTA I) x = b; read by solve_bench")
     p.add_argument("--max-leaf", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6, help="GMRES tolerance")
+    p.add_argument("--tol", type=float, default=1e-6, help="GMRES tolerance; read by scatter_demo")
     return p
 
 
@@ -363,41 +373,20 @@ def _numbers(text, conv, what):
 
 
 def _parse_geometry(text):
+    """The name and parameters (None if none are given) of ``G[:a,b]``."""
     if text is None or ":" not in text:
         return text, None
     name, args = text.split(":", 1)
-    params = _numbers(args, float, f"{name} parameters")
-    # an ellipse reads two semi-axes, the scatterers one separation
-    want = {"ellipse": 2, "trefoil_scatterers": 1}.get(name, 0)
-    if name in GEOMETRIES and len(params) != want:
-        raise InvalidInput(f"geometry {name} takes {want} parameter(s), got {text!r}")
-    return name, params
+    return name, _numbers(args, float, f"{name} parameters")
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    # each parsed option but --geometry and --n is the RunConfig field of its name
+    args = vars(_build_parser().parse_args(argv))
     try:
-        geometry, gparams = _parse_geometry(args.geometry)
-        kwargs = dict(
-            experiment=args.experiment,
-            geometry=geometry,
-            ns=_numbers(args.n, int, "--n"),
-            eps=args.eps,
-            kernel=args.kernel,
-            omega=args.omega,
-            seed=args.seed,
-            out=args.out,
-            export_mm=args.export_mm,
-            mode=args.mode,
-            regularize=args.regularize,
-            max_leaf=args.max_leaf,
-            tol=args.tol,
-        )
-        if geometry == "ellipse" and gparams:
-            kwargs["geometry_params"] = gparams
-        if geometry == "trefoil_scatterers" and gparams:
-            kwargs["separation"] = gparams[0]
-        config = RunConfig(**kwargs)
+        geometry, params = _parse_geometry(args.pop("geometry"))
+        config = RunConfig(geometry=geometry, geometry_params=params,
+                           ns=_numbers(args.pop("n"), int, "--n"), **args)
         records = run(config)
     except (InvalidInput, RefusedTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)

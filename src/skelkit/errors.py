@@ -27,8 +27,8 @@ class SingularBlock(SkelkitError):
         self.what = what
         super().__init__(
             f"singular {what} block at level {level}, node {node}; "
-            "consider solving the assembled embedding densely or passing "
-            "a regularization delta"
+            "consider solving the assembled embedding densely, or factoring "
+            "A + delta I after skel.add_diagonal(cm, np.full(n, delta))"
         )
 
 

@@ -362,7 +362,8 @@ def _half(blocks, far):
 def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = None,
                     mode: str = "proxy", allow_large: bool = False) -> CompressedMatrix:
     """Compression sweep over a ``KernelSource``; anything else raises
-    InvalidInput.  The tree must be over the source's ``n`` points, or
+    InvalidInput, and so does a ``proxy`` in global mode, which has no
+    proxy surface.  The tree must be over the source's ``n`` points, or
     InvalidInput is raised, and it owns the point order: the sweep works in
     tree positions, and maps each index array through ``tree.perm`` before
     it calls the source's ``block`` or ``proxy_fields``, which take point
@@ -421,6 +422,8 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
     _fraction(eps, "eps")
     if mode not in ("proxy", "global"):
         raise InvalidInput(f"unknown mode {mode!r}")
+    if mode == "global" and proxy is not None:
+        raise InvalidInput("global mode has no proxy surface: pass no proxy")
     n = tree.n_points
     if source.n != n:
         raise InvalidInput(f"the source has {source.n} points, the tree {n}")

@@ -267,6 +267,43 @@ def test_regularize_is_refused_outside_solve_bench(experiment, capsys):
     assert RunConfig(experiment=experiment, regularize=0.0).regularize == 0.0
 
 
+@pytest.mark.parametrize("experiment, field, value", [
+    ("apply_bench", "omega", 5.0), ("apply_bench", "tol", 0.5), ("apply_bench", "regularize", 5.0),
+    ("sweep", "omega", 5.0), ("sweep", "tol", 0.5), ("sweep", "regularize", 5.0),
+    ("solve_bench", "seed", 7), ("solve_bench", "omega", 3.0), ("solve_bench", "tol", 0.9),
+    ("scatter_demo", "seed", 9), ("scatter_demo", "kernel", "laplace3d"),
+    ("scatter_demo", "mode", "global"), ("scatter_demo", "export_mm", "demo.mtx"),
+    ("scatter_demo", "regularize", 5.0),
+    ("apply_bench", "geometry_params", (3.0,))])
+def test_options_the_experiment_does_not_read_are_refused(experiment, field, value, tmp_path,
+                                                          monkeypatch, capsys):
+    # each ran and printed the row it prints without the option; omega is
+    # read only with a Helmholtz kernel, and the default kernel is Laplace's
+    monkeypatch.chdir(tmp_path)
+    if field == "geometry_params":   # a square takes no parameters
+        kwargs, argv, name = {"geometry": "square", field: value}, ["--geometry", "square:3"], \
+            "square"
+    else:
+        name = "--" + field.replace("_", "-")
+        kwargs, argv = {field: value}, [name, str(value)]
+    with pytest.raises(InvalidInput, match=name):
+        RunConfig(experiment=experiment, **kwargs)
+    assert main([experiment, "--n", "64", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not list(tmp_path.iterdir())   # refused before anything ran
+
+
+@pytest.mark.parametrize("experiment", ["apply_bench", "solve_bench", "scatter_demo", "sweep"])
+def test_every_option_at_its_default_is_accepted(experiment, capsys):
+    # an unread option is refused only when it is set to something else
+    assert main([experiment, "--n", "64", "--seed", "0", "--kernel", "laplace2d", "--omega",
+                 "10", "--mode", "proxy", "--regularize", "0", "--tol", "1e-6"]) == 0
+    assert capsys.readouterr().out.startswith("N,Kr,Kc,")
+    cfg = RunConfig(experiment=experiment, export_mm=None, geometry_params=None)
+    assert cfg.geometry_params == {"scatter_demo": (1.5,)}.get(experiment, ())
+
+
 def test_solve_bench_ellipse_paper_scale():
     # reference point: ellipse alpha=2, N=1024, eps=1e-9 solves to ~1e-10
     # interior error with a few dozen top-level skeletons.  The skeleton

@@ -23,6 +23,9 @@ def _run(script, args, cwd, **env_vars):
 @pytest.mark.parametrize("script, args, outputs", [
     ("run_desk_suite.py", ["--nmax", "1024"],
      ["apply_circle.csv", "apply_square.csv", "solve_ellipse.csv"]),
+    # solve_bench reads no seed: passed to it, a seed stopped the suite
+    ("run_desk_suite.py", ["--nmax", "1024", "--seed", "3"],
+     ["apply_circle.csv", "apply_square.csv", "solve_ellipse.csv"]),
     ("scatter_demo.py", ["--n", "64"], ["scatter_demo.csv", "scatter_density.csv"]),
     ("fingerprint.py", ["--quick"], ["fingerprint.txt"]),
 ])
@@ -178,6 +181,10 @@ def test_ab_smoke_pair_on_one_checkout(tmp_path):
     assert rec["metrics"]["err_digits"]["ties"] == 1   # one checkout, one answer
     assert rec["host"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
     for side in ("parent", "change"):
+        # the three set-ups whose median is setup_s, from run.py's record file
+        times = rec["pairs"][0][side]["setup_times_s"]
+        assert len(times) == 3 and all(t > 0 for t in times)
+        assert sorted(times)[1] == rec["pairs"][0][side]["metrics"]["setup_s"]
         assert rec["sides"][side]["runs"] == 1
         assert rec["sides"][side]["failed_ops"] == 0
         assert "src_uncommitted" in rec["sides"][side]

@@ -203,6 +203,20 @@ def test_proxy_vs_global_agreement():
     assert np.linalg.norm(yp - yg) / np.linalg.norm(yg) <= 10 * eps
 
 
+def test_global_mode_refuses_a_proxy():
+    # global mode has no proxy surface: a proxy there was checked and then
+    # ignored, and wrote the same container as no proxy
+    pts = square_points(600)
+    tree = build_tree(pts)
+    proxy = ProxyConfig(n_proxy=8, radius_factor=3.0)
+    with pytest.raises(InvalidInput, match="proxy"):
+        compress(LAPLACE2, pts, tree, 1e-6, proxy, mode="global")
+    system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 256), LAPLACE2)
+    with pytest.raises(InvalidInput, match="proxy"):
+        bie.compress_system(system, 1e-6, proxy=proxy, mode="global")
+    assert compress(LAPLACE2, pts, tree, 1e-6, mode="global").n == 600
+
+
 def test_global_mode_size_guard(monkeypatch):
     import skelkit.skel as skel_mod
     monkeypatch.setattr(skel_mod, "GLOBAL_MODE_LIMIT", 400)

@@ -256,6 +256,9 @@ class TestFactor:
             factor(cm)
         assert exc.value.level == 1
         assert exc.value.node == 1
+        # the message names the shift that rescues it; it once suggested a
+        # regularization option that factor no longer has
+        assert "add_diagonal" in str(exc.value)
         # at delta = 1e-3, A + delta I has condition 1.4e4 (1.4e9 at 1e-8,
         # where the dense solve itself is off by about 1e-8)
         delta = 1e-3
