@@ -18,10 +18,10 @@ side's commit and source digest, whether its ``src`` had uncommitted
 changes before the first run (``git status``; such a side ran code that its
 commit does not hold), every run's metrics and operation counts, each run's
 set-up times (``setup_times_s`` from the record file that run.py names on its
-first line; ``setup_s`` is their median), and per end-to-end metric each side's median, quartiles, min and max and
-how many pairs the change won.  A pair is won when the change's value is
-better than the parent's in the direction ``BENCHMARK.json`` gives the
-metric; a tie is not a win.  ``--claim METRIC`` adds the verdict of the
+first line; ``setup_s`` is their median), and per end-to-end metric each
+side's median, quartiles, min and max and how many pairs the change won.
+A pair is won when the change's value is better than the parent's in the
+direction ``BENCHMARK.json`` gives the metric; a tie is not a win.  ``--claim METRIC`` adds the verdict of the
 rule a claimed gain is held to: better in at least 9 of 10 pairs, and the
 medians apart, in the better direction, by more than the parent's
 interquartile distance, over at least 10 pairs.  Quartiles interpolate
