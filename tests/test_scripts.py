@@ -23,11 +23,11 @@ def _run(script, args, cwd, **env_vars):
 @pytest.mark.parametrize("script, args, outputs", [
     ("run_desk_suite.py", ["--nmax", "1024"],
      ["apply_circle.csv", "apply_square.csv", "solve_ellipse.csv"]),
+    ("scatter_demo.py", ["--n", "64"], ["scatter_demo.csv", "scatter_density.csv"]),
+    ("fingerprint.py", ["--quick"], ["fingerprint.txt"]),
     # solve_bench reads no seed: passed to it, a seed stopped the suite
     ("run_desk_suite.py", ["--nmax", "1024", "--seed", "3"],
      ["apply_circle.csv", "apply_square.csv", "solve_ellipse.csv"]),
-    ("scatter_demo.py", ["--n", "64"], ["scatter_demo.csv", "scatter_density.csv"]),
-    ("fingerprint.py", ["--quick"], ["fingerprint.txt"]),
 ])
 def test_script_runs(tmp_path, script, args, outputs):
     proc = _run(script, [*args, "--outdir", str(tmp_path)], tmp_path)
