@@ -4,13 +4,15 @@
 Five cases compress and factor one matrix.  The script then hashes the
 compressed and factored containers (``serialize_compressed`` and
 ``serialize_factored``) and the outputs of ``apply`` and ``solve`` on one
-vector and on a block of 16 columns drawn at ``SEED``.  The sixth hashes the
-dense multiple-scattering path: ``matrix()``, the preconditioner applied
-to one complex vector drawn at ``SEED``, and the preconditioned and the
-plain GMRES answers for that vector, whose item names carry their
-iteration counts.  A change meant to keep every bit prints the same lines
-before and after it, so running the script on both commits and comparing
-the files checks bit identity:
+vector and on a block of 16 columns drawn at ``SEED``.  It also checks that
+each container, loaded and written again, gives the same bytes, and stops
+with an AssertionError if one does not; the check prints nothing.  The
+sixth hashes the dense multiple-scattering path: ``matrix()``, the
+preconditioner applied to one complex vector drawn at ``SEED``, and the
+preconditioned and the plain GMRES answers for that vector, whose item
+names carry their iteration counts.  A change meant to keep every bit
+prints the same lines before and after it, so running the script on both
+commits and comparing the files checks bit identity:
 
     PYTHONPATH=src python scripts/fingerprint.py --outdir results
     PYTHONPATH=src python scripts/fingerprint.py --outdir new --compare results
@@ -56,8 +58,8 @@ import numpy as np
 from skelkit import bie
 from skelkit.geom import PointSet, build_tree
 from skelkit.kernels import KernelSpec
-from skelkit.skel import apply, compress, serialize_compressed
-from skelkit.solver import factor, gmres, serialize_factored, solve
+from skelkit.skel import apply, compress, deserialize_compressed, serialize_compressed
+from skelkit.solver import deserialize_factored, factor, gmres, serialize_factored, solve
 
 # every random draw: the volume clouds and the apply/solve inputs
 SEED = 201
@@ -94,6 +96,10 @@ def _factored(build, n):
     if np.iscomplexobj(cm.S):
         inputs = {k: v + 1j * draw(v.shape) for k, v in inputs.items()}
     items = [("compressed", serialize_compressed(cm)), ("factored", serialize_factored(fi))]
+    for (kind, blob), load, save in zip(items, (deserialize_compressed, deserialize_factored),
+                                        (serialize_compressed, serialize_factored)):
+        if save(load(blob)) != blob:   # not an assert, which python -O would skip
+            raise AssertionError(f"the {kind} container does not round-trip")
     for key, x in inputs.items():
         items += [(f"apply.{key}", apply(cm, x)), (f"solve.{key}", solve(fi, x))]
     return items

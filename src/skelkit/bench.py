@@ -100,6 +100,8 @@ class RunConfig:
                 with_kernel = f" with kernel {self.kernel}" if f.name == "omega" else ""
                 raise InvalidInput(f"--{f.name.replace('_', '-')} is not read by "
                                    f"{self.experiment}{with_kernel}")
+        if "omega" in reads and not _positive(self.omega):
+            raise InvalidInput(f"--omega must be finite and > 0, got {self.omega!r}")
         if self.geometry is None:
             self.geometry = geometries[0]
         if self.geometry not in GEOMETRIES:

@@ -14,6 +14,7 @@ block system and per-scatterer direct-solver preconditioners.  Kernels put
 ``compress_system`` adds once to the compressed matrix.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -394,15 +395,14 @@ class _Scatterer(BieSystem):
     Its rows are Neumann traces, so its incoming proxy field is too: the
     double layer from the nodes to the proxy surface, transposed, as
     ``_neumann_trace_block`` evaluates it.  ``BieSystem`` gives it its
-    points, its diagonal and ``block``."""
+    points, its diagonal and ``block``; its wavenumber is its spec's."""
 
     def __init__(self, curve: Curve2D, k):
-        self.k = k
         self.incoming = KernelSpec("helmholtz", 2, "double", k)
         super().__init__(spec=KernelSpec("helmholtz", 2, "single", k), curve=curve)
 
     def kernel_block(self, rows, cols):
-        return _neumann_trace_block(self.k, self.points.subset(rows), self.points.subset(cols),
+        return _neumann_trace_block(self.spec.wavenumber, *map(self.points.subset, (rows, cols)),
                                     kr_dist=_cyclic_distance(rows, cols, self.n))
 
 
@@ -423,7 +423,7 @@ def _translates(scatterers):
         reps.append(i)
         for j in range(i):
             r = scatterers[j]
-            if reps[j] != j or r.k != s.k or r.n != s.n:
+            if reps[j] != j or r.spec.wavenumber != s.spec.wavenumber or r.n != s.n:
                 continue
             a, b = r.curve, s.curve
             if not (np.array_equal(a.normals, b.normals) and np.array_equal(a.weights, b.weights)
@@ -477,10 +477,23 @@ def _shared_pairs(scatterers, reps):
 class ScatteringSystem:
     """Block system A_ij = -I/2 + K_ii (i = j), K_ij (i != j), with K the
     target-normal derivative of the Helmholtz single layer; the incoming
-    field is the vertical plane wave exp(i k x2)."""
+    field is the vertical plane wave exp(i k x2).  Each curve's ``_Scatterer``
+    is made at k.  Two curves whose bounding boxes meet are refused when any
+    node of either lies inside the other."""
 
-    scatterers: list
+    curves: list
     k: float
+
+    def __post_init__(self):
+        check_wavenumber(self.k)
+        self.curves = list(self.curves)
+        if not all(isinstance(c, Curve2D) for c in self.curves):
+            raise InvalidInput("a scattering system is built from Curve2D curves")
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.curves), 2):
+            meet = np.all(a.xy.min(0) <= b.xy.max(0)) and np.all(b.xy.min(0) <= a.xy.max(0))
+            if meet and (_windings(a, b.xy).any() or _windings(b, a.xy).any()):
+                raise InvalidInput(f"scatterers {i} and {j} overlap")
+        self.scatterers = [_Scatterer(c, self.k) for c in self.curves]
 
     @property
     def n(self):
@@ -570,17 +583,5 @@ class ScatteringSystem:
 
 
 def scattering_system(scatterers, k) -> ScatteringSystem:
-    """Validate geometry (pairwise disjoint) and assemble the block system.
-    Two scatterers whose bounding boxes meet are refused when any node of
-    either lies inside the other."""
-    check_wavenumber(k)
-    curves = list(scatterers)
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            a, b = curves[i], curves[j]
-            lo_a, hi_a = a.xy.min(0), a.xy.max(0)
-            lo_b, hi_b = b.xy.min(0), b.xy.max(0)
-            boxes_overlap = np.all(lo_a <= hi_b) and np.all(lo_b <= hi_a)
-            if boxes_overlap and (_windings(a, b.xy).any() or _windings(b, a.xy).any()):
-                raise InvalidInput(f"scatterers {i} and {j} overlap")
-    return ScatteringSystem([_Scatterer(c, k) for c in curves], k)
+    """The validated block system of these curves at wavenumber k."""
+    return ScatteringSystem(scatterers, k)

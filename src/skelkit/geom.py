@@ -135,7 +135,6 @@ class TreeNode:
     lo: int          # index range [lo, hi) in tree ordering
     hi: int
     depth: int
-    parent: int | None = None
     children: list = field(default_factory=list)
 
     @property
@@ -164,9 +163,6 @@ class OrthTree:
     @property
     def n_points(self):
         return self.root.size
-
-    def leaves(self):
-        return [i for i, nd in enumerate(self.nodes) if not nd.children]
 
     def cover_children(self, level):
         """For each node of cover ``level``, the ascending positions of its
@@ -237,10 +233,10 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
     order = np.arange(n, dtype=np.int64)
     pos = [0]  # running DFS write position into perm
 
-    def recurse(idx, center, hw, depth, parent):
+    def recurse(idx, center, hw, depth):
         node_id = len(nodes)
         node = TreeNode(center=center.copy(), halfwidth=hw, lo=pos[0],
-                        hi=pos[0] + idx.size, depth=depth, parent=parent)
+                        hi=pos[0] + idx.size, depth=depth)
         nodes.append(node)
         if idx.size <= max_leaf_size or depth >= _MAX_DEPTH:
             perm[node.lo:node.hi] = idx
@@ -256,11 +252,11 @@ def build_tree(points: PointSet, max_leaf_size: int | None = None) -> OrthTree:
             if sel.size == 0:
                 continue
             offs = np.array([(0.5 if (c >> a) & 1 else -0.5) * hw for a in range(d)])
-            cid = recurse(sel, center + offs, 0.5 * hw, depth + 1, node_id)
+            cid = recurse(sel, center + offs, 0.5 * hw, depth + 1)
             node.children.append(cid)
         return node_id
 
-    recurse(order, center, halfwidth, 0, None)
+    recurse(order, center, halfwidth, 0)
 
     max_depth = max(nd.depth for nd in nodes)
     # cover at fineness f: nodes at depth (max_depth - f) plus shallower leaves

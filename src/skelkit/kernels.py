@@ -51,10 +51,6 @@ class KernelSpec:
             raise InvalidInput("laplace requires wavenumber == 0")
 
     @property
-    def scalar_field(self):
-        return "complex" if self.equation == "helmholtz" else "real"
-
-    @property
     def dtype(self):
         return np.complex128 if self.equation == "helmholtz" else np.float64
 

@@ -232,16 +232,35 @@ class Level:
         self.K = int(self.k_off[-1])
 
 
+def _permutation(perm, message="perm must be a permutation of 0..N-1"):
+    """``perm`` as an array, or InvalidInput(``message``) unless it is a 1-D
+    integer array that holds each of 0..len(perm)-1 once."""
+    p = np.asarray(perm)
+    if p.ndim != 1 or p.dtype.kind not in "iu" or (np.sort(p) != np.arange(p.size)).any():
+        raise InvalidInput(message)
+    return p
+
+
+class _Permuted:
+    """An operator of N = ``perm.size`` unknowns, in the order of ``perm``,
+    which must be a permutation of 0..N-1 (InvalidInput)."""
+
+    def __post_init__(self):
+        self.perm = _permutation(self.perm)
+
+    @property
+    def n(self):
+        return self.perm.size
+
+
 @dataclass
-class CompressedMatrix:
-    """Telescoping compressed form of an N x N structured matrix."""
+class CompressedMatrix(_Permuted):
+    """Telescoping compressed form of an N x N matrix, of S's scalar type."""
 
     levels: list
     S: np.ndarray
-    n: int
     eps: float
     perm: np.ndarray
-    scalar_field: str
 
     @property
     def nlevels(self):
@@ -249,7 +268,7 @@ class CompressedMatrix:
 
     @property
     def dtype(self):
-        return np.complex128 if self.scalar_field == "complex" else np.float64
+        return np.result_type(self.S, np.float64)
 
     def skeleton_counts(self):
         """Skeleton total K per level, finest first."""
@@ -433,15 +452,13 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
             "pass allow_large=True to force it")
     cfg = (proxy or ProxyConfig()).resolve(tree.dim)
     dtype = source.dtype
-    field = "complex" if np.issubdtype(dtype, np.complexfloating) else "real"
 
     perm = tree.perm
     covers = tree.levels
     top = next(i for i, c in enumerate(covers) if len(c) == 1)
     if top == 0:
         S = np.ascontiguousarray(source.block(perm, perm), dtype=dtype)
-        return CompressedMatrix(levels=[], S=S, n=n, eps=eps,
-                                perm=perm.copy(), scalar_field=field)
+        return CompressedMatrix(levels=[], S=S, eps=eps, perm=perm.copy())
 
     sym = source.symmetric
     levels = []
@@ -609,8 +626,7 @@ def compress_source(source, tree: OrthTree, eps, proxy: ProxyConfig | None = Non
               "pivoting quality degraded")
     # the root's block is the dense top-level skeleton matrix; its diagonal
     # blocks stay zero (their interactions were extracted into the final D level)
-    return CompressedMatrix(levels=levels, S=Ds[0], n=n, eps=eps,
-                            perm=perm.copy(), scalar_field=field)
+    return CompressedMatrix(levels=levels, S=Ds[0], eps=eps, perm=perm.copy())
 
 
 def add_diagonal(cm: CompressedMatrix, diagonal):
@@ -623,7 +639,8 @@ def add_diagonal(cm: CompressedMatrix, diagonal):
     diagonal = np.asarray(diagonal)
     if (diagonal.shape != (cm.n,) or not np.can_cast(diagonal.dtype, cm.dtype, "same_kind")
             or not np.isfinite(diagonal).all()):
-        raise InvalidInput(f"a diagonal must be {cm.n} finite {cm.scalar_field} values, "
+        field = "complex" if cm.dtype.kind == "c" else "real"
+        raise InvalidInput(f"a diagonal must be {cm.n} finite {field} values, "
                            f"got {diagonal.dtype} of shape {diagonal.shape}")
     d, lo = diagonal[cm.perm], 0
     for D in [nd.D for nd in cm.levels[0].nodes] if cm.levels else [cm.S]:
@@ -679,11 +696,11 @@ def _same_bits(a, b):
         np.array_equal(f(a).view(np.uint64), f(b).view(np.uint64)) for f in parts)
 
 
-def _write_header(out, kind, field, n, nlevels, eps, perm):
-    """Magic, version, container kind and scalar field, then (N, levels,
-    eps) and the tree permutation; ``_Reader`` reads them back."""
-    out += _MAGIC, struct.pack("<HBBqId", _VERSION, kind, 1 if field == "complex" else 0,
-                               n, nlevels, eps)
+def _write_header(out, kind, dtype, nlevels, eps, perm):
+    """Magic, version, container kind and ``dtype``'s scalar field, then (N
+    = perm.size, levels, eps) and the tree permutation; ``_Reader`` reads them back."""
+    out += _MAGIC, struct.pack("<HBBqId", _VERSION, kind, _DT_CODE[dtype], perm.size,
+                               nlevels, eps)
     _write_arr(out, np.asarray(perm, dtype=np.int64))
 
 
@@ -705,12 +722,11 @@ class _Reader:
             raise InvalidInput(f"container kind {got}, expected {kind}")
         if self.value_code not in _CODE_DT:
             raise InvalidInput(f"corrupt skelkit container: scalar field {self.value_code}")
-        self.field = "complex" if self.value_code else "real"
         self.n, self.nlevels, self.eps = self.unpack("<qId")
-        self.perm = self.array(1, index=True)
-        if self.perm.size != self.n or \
-                not np.array_equal(np.sort(self.perm), np.arange(self.n)):
-            raise InvalidInput("corrupt skelkit container: bad permutation")
+        bad = "corrupt skelkit container: bad permutation"
+        self.perm = _permutation(self.array(1, index=True), bad)
+        if self.perm.size != self.n:
+            raise InvalidInput(bad)
 
     def take(self, nbytes):
         if nbytes > len(self.buf) - self.pos:
@@ -818,7 +834,7 @@ def _read_compressed_node(f, li, a):
 
 def _compressed_records(cm):
     out = []
-    _write_header(out, 1, cm.scalar_field, cm.n, cm.nlevels, cm.eps, cm.perm)
+    _write_header(out, 1, cm.dtype, cm.nlevels, cm.eps, cm.perm)
     _write_levels(out, cm.levels, _write_compressed_head)
     _write_arr(out, cm.S)
     return out
@@ -856,8 +872,7 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
     f.finish()
     if S.shape != (top, top):
         raise InvalidInput("corrupt skelkit container: top block shape")
-    return CompressedMatrix(levels=levels, S=S, n=f.n, eps=f.eps, perm=f.perm,
-                            scalar_field=f.field)
+    return CompressedMatrix(levels=levels, S=S, eps=f.eps, perm=f.perm)
 
 
 def save_compressed(cm: CompressedMatrix, path):

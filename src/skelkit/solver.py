@@ -39,8 +39,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
 from .geom import _fraction, _index
-from .skel import (CompressedMatrix, Level, _joined, _offsets, _read_levels, _Reader,
-                   _same_bits, _telescope, _transposed, _write_arr, _write_header,
+from .skel import (CompressedMatrix, Level, _joined, _offsets, _Permuted, _read_levels,
+                   _Reader, _same_bits, _telescope, _transposed, _write_arr, _write_header,
                    _write_levels)
 
 _RCOND_WARN = 1e-14
@@ -156,17 +156,17 @@ class FactoredNode:
 
 
 @dataclass
-class FactoredInverse:
+class FactoredInverse(_Permuted):
+    """The telescoping inverse ``factor`` builds, of the top LU's scalar type."""
+
     levels: list
     S_lu: tuple
-    n: int
     perm: np.ndarray
-    scalar_field: str
     warnings: list = field(default_factory=list)
 
     @property
     def dtype(self):
-        return np.complex128 if self.scalar_field == "complex" else np.float64
+        return np.result_type(self.S_lu[0], np.float64)
 
     def solve(self, b):
         return solve(self, b)
@@ -373,8 +373,7 @@ def factor(cm: CompressedMatrix) -> FactoredInverse:
     Shat = _effective(cm.S, lams, dtype)
     lams = None
     S_lu = _lu(Shat, "top", 0, "S")
-    return FactoredInverse(levels=flevels, S_lu=S_lu, n=cm.n, perm=cm.perm.copy(),
-                           scalar_field=cm.scalar_field, warnings=warnings_list)
+    return FactoredInverse(levels=flevels, S_lu=S_lu, perm=cm.perm.copy(), warnings=warnings_list)
 
 
 def solve(fi: FactoredInverse, b) -> np.ndarray:
@@ -557,7 +556,7 @@ def serialize_factored(fi: FactoredInverse) -> bytearray:
     written the same way: the column-major top LU, like a transposed Ld,
     goes straight into its slice."""
     out = []
-    _write_header(out, 2, fi.scalar_field, fi.n, len(fi.levels), 0.0, fi.perm)
+    _write_header(out, 2, fi.dtype, len(fi.levels), 0.0, fi.perm)
     _write_levels(out, fi.levels)
     _write_arr(out, fi.S_lu[0])
     _write_arr(out, np.asarray(fi.S_lu[1], dtype=np.int64))
@@ -588,8 +587,7 @@ def deserialize_factored(data: bytes) -> FactoredInverse:
             f"for {k} skeletons")
     if k and not 0 <= piv.min() <= piv.max() < k:
         raise InvalidInput(f"corrupt skelkit container: top LU pivot outside [0, {k})")
-    return FactoredInverse(levels=levels, S_lu=(lu, piv.astype(np.int32)), n=f.n,
-                           perm=f.perm, scalar_field=f.field)
+    return FactoredInverse(levels=levels, S_lu=(lu, piv.astype(np.int32)), perm=f.perm)
 
 
 def save_factored(fi: FactoredInverse, path):

@@ -294,6 +294,23 @@ def test_options_the_experiment_does_not_read_are_refused(experiment, field, val
     assert not list(tmp_path.iterdir())   # refused before anything ran
 
 
+@pytest.mark.parametrize("argv", [
+    ["apply_bench", "--n", "256", "--kernel", "helmholtz2d", "--omega", "-5"],
+    ["scatter_demo", "--n", "64", "--omega", "0"],
+    ["scatter_demo", "--n", "64", "--omega", "nan"]], ids=["negative", "zero", "nan"])
+def test_omega_is_checked_where_it_is_read(argv, tmp_path, monkeypatch, capsys):
+    # each was refused in terms of the wavenumber made from it, which the
+    # user never typed ("got -15.707963267948966")
+    monkeypatch.chdir(tmp_path)
+    kernel = {"kernel": "helmholtz2d"} if "--kernel" in argv else {}
+    with pytest.raises(InvalidInput, match=f"^--omega must be finite and > 0, got {argv[-1]}"):
+        RunConfig(experiment=argv[0], omega=float(argv[-1]), **kernel)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --omega") and "wavenumber" not in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("experiment", ["apply_bench", "solve_bench", "scatter_demo", "sweep"])
 def test_every_option_at_its_default_is_accepted(experiment, capsys):
     # an unread option is refused only when it is set to something else

@@ -342,6 +342,22 @@ class TestScattering:
         with pytest.raises(InvalidInput, match="overlap"):
             bie.scattering_system(curves, 5.0)
 
+    def test_the_system_holds_one_wavenumber(self):
+        # scatterers made at k = 2 under a system of k = 5 once gave self
+        # blocks at 2 and cross blocks at 5
+        curves = [bie.trefoil(64), bie.trefoil(64, center=(3.0, 0.0))]
+        sys_ = bie.ScatteringSystem(curves, 2.0)
+        assert sys_.k == 2.0 and len(sys_.scatterers) == 2
+        for s, c in zip(sys_.scatterers, curves):
+            assert s.curve is c and s.spec.wavenumber == s.incoming.wavenumber == 2.0
+        with pytest.raises(InvalidInput, match="Curve2D"):
+            bie.ScatteringSystem(sys_.scatterers, 5.0)
+        for bad in (np.nan, 0.0):
+            with pytest.raises(InvalidInput, match="wavenumber"):
+                bie.ScatteringSystem(curves, bad)
+        with pytest.raises(InvalidInput, match="overlap"):
+            bie.ScatteringSystem([curves[0], bie.trefoil(64, center=(0.1, 0.0))], 2.0)
+
     def test_direct_and_gmres_agree(self):
         # one scatterer: compressed direct solve of the self block against
         # dense GMRES on the same matrix

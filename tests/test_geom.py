@@ -14,13 +14,16 @@ def uniform_cloud(n, seed=0, d=2):
     return PointSet(np.random.default_rng(seed).random((n, d)))
 
 
+def leaves(tree):
+    return [i for i, nd in enumerate(tree.nodes) if not nd.children]
+
+
 def test_four_corner_points_single_split():
     pts = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     tree = build_tree(pts, 1)
     assert tree.depth == 2
-    leaves = tree.leaves()
-    assert len(leaves) == 4
-    assert all(tree.nodes[i].size == 1 for i in leaves)
+    assert len(leaves(tree)) == 4
+    assert all(tree.nodes[i].size == 1 for i in leaves(tree))
 
 
 def test_empty_quadrants_are_pruned():
@@ -38,9 +41,9 @@ def test_empty_quadrants_are_pruned():
 def test_uniform_8192_leaf_count():
     pts = uniform_cloud(8192, seed=1)
     tree = build_tree(pts, 64)
-    leaves = tree.leaves()
-    assert 128 <= len(leaves) <= 256
-    ranges = sorted((tree.nodes[i].lo, tree.nodes[i].hi) for i in leaves)
+    ids = leaves(tree)
+    assert 128 <= len(ids) <= 256
+    ranges = sorted((tree.nodes[i].lo, tree.nodes[i].hi) for i in ids)
     assert ranges[0][0] == 0 and ranges[-1][1] == 8192
     for (a, b), (c, d) in zip(ranges, ranges[1:]):
         assert b == c  # disjoint and covering
@@ -110,7 +113,7 @@ def test_tree_invariants(n, seed, d, leaf):
             assert lo == nd.hi
     # leaf occupancy and geometry
     coords = pts.coords[tree.perm]
-    for i in tree.leaves():
+    for i in leaves(tree):
         nd = tree.nodes[i]
         assert nd.size <= max(leaf, 1) or nd.depth >= 60
         box_pts = coords[nd.lo:nd.hi]

@@ -285,7 +285,7 @@ def test_helmholtz_complex_apply():
     pts = circle_points(512)
     tree = build_tree(pts, 64)
     cm = compress(spec, pts, tree, 1e-6)
-    assert cm.scalar_field == "complex"
+    assert cm.dtype == np.complex128
     dense = dense_matrix(spec, pts)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
@@ -340,7 +340,7 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
         blob = serialize_compressed(cm)
         cm2 = deserialize_compressed(blob)
         assert cm2.n == cm.n and cm2.nlevels == cm.nlevels and cm2.eps == cm.eps
-        assert cm2.scalar_field == cm.scalar_field
+        assert cm2.dtype == cm.dtype
         assert np.array_equal(cm2.S, cm.S)
         assert np.array_equal(cm2.perm, cm.perm)
         for l1, l2 in zip(cm.levels, cm2.levels):
@@ -351,7 +351,7 @@ def test_serialization_roundtrip_bit_exact(tmp_path):
                 assert np.array_equal(n1.skel, n2.skel)
         # a loaded matrix applies identically (bit-exact round trip)
         x = np.random.default_rng(0).standard_normal(cm.n)
-        if cm.scalar_field == "complex":
+        if cm.dtype == np.complex128:
             x = x + 0j
         assert np.array_equal(apply(cm, x), apply(cm2, x))
         assert serialize_compressed(cm2) == blob
@@ -382,8 +382,7 @@ def test_synthetic_compressed_matrix_apply():
         CompressedNode(np.arange(0, k), D1, R1, None),
         CompressedNode(np.arange(n1, n1 + k), D2, R2, None),
     ]
-    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=n1 + n2,
-                          eps=1e-15, perm=np.arange(n1 + n2), scalar_field="real")
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, eps=1e-15, perm=np.arange(n1 + n2))
     Afull = np.zeros((n1 + n2, n1 + n2))
     Afull[:n1, :n1] = D1
     Afull[n1:, n1:] = D2
@@ -1381,9 +1380,8 @@ def test_zero_size_blocks_round_trip(dtype, monkeypatch):
                             np.zeros((0, 3), dtype), None),
              CompressedNode(np.array([3]), rng.random((2, 2)).astype(dtype),
                             rng.random((1, 2)).astype(dtype), None)]
-    cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((1, 1), dtype), n=5, eps=1e-6,
-                          perm=np.arange(5)[::-1].copy(),
-                          scalar_field="complex" if dtype is np.complex128 else "real")
+    cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((1, 1), dtype), eps=1e-6,
+                          perm=np.arange(5)[::-1].copy())
     blob = serialize_compressed(cm)
     assert serialize_compressed(deserialize_compressed(blob)) == blob
     monkeypatch.setattr(skel, "_write_arr", _write_arr_tobytes)
@@ -1427,8 +1425,8 @@ def test_a_record_that_is_not_r_transposed_is_refused():
     R = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]])
     nodes = [CompressedNode(np.array([0, 1]), np.eye(3), R, None),
              CompressedNode(np.array([3]), np.eye(1), np.eye(1), None)]
-    cm = CompressedMatrix(levels=[Level(nodes)], S=np.ones((3, 3)), n=4, eps=1e-6,
-                          perm=np.arange(4), scalar_field="real")
+    cm = CompressedMatrix(levels=[Level(nodes)], S=np.ones((3, 3)), eps=1e-6,
+                          perm=np.arange(4))
     blob = serialize_compressed(cm)
     assert serialize_compressed(deserialize_compressed(blob)) == blob
     # node 0's down record, L = R^T of 3 x 2, whose entry [1, 0] is 0.0

@@ -62,8 +62,7 @@ def one_level_synthetic(seed=0, sizes=(50, 50), k=5, diag_shift=4.0):
             if a != b:
                 S[koff[a]:koff[a + 1], koff[b]:koff[b + 1]] = \
                     rng.standard_normal((ks[a], ks[b]))
-    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=n, eps=1e-15,
-                          perm=np.arange(n), scalar_field="real")
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, eps=1e-15, perm=np.arange(n))
     A = np.zeros((n, n))
     for a in range(p):
         sa = slice(offs[a], offs[a + 1])
@@ -189,7 +188,7 @@ class TestFactor:
                  CompressedNode(np.empty(0, dtype=int), np.array([[3.0]]),
                                 np.zeros((0, 1)), None)]
         cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((0, 0)),
-                              n=2, eps=1e-15, perm=np.arange(2), scalar_field="real")
+                              eps=1e-15, perm=np.arange(2))
         fi = factor(cm)
         b = np.array([4.0, 9.0])
         np.testing.assert_array_equal(solve(fi, b), [2.0, 3.0])
@@ -616,8 +615,7 @@ class TestGmres:
 
 class TestMatrixMarket:
     def test_identity_format(self, tmp_path):
-        cm = CompressedMatrix(levels=[], S=np.eye(2), n=2, eps=1e-15,
-                              perm=np.arange(2), scalar_field="real")
+        cm = CompressedMatrix(levels=[], S=np.eye(2), eps=1e-15, perm=np.arange(2))
         se = assemble_embedding(cm)
         path = tmp_path / "eye.mtx"
         export_matrix_market(se, path)
@@ -711,7 +709,7 @@ class TestFactoredSerialization:
         path = tmp_path / "fi.bin"
         save_factored(fi, path)
         fi2 = load_factored(path)
-        assert fi2.n == fi.n and fi2.scalar_field == fi.scalar_field
+        assert fi2.n == fi.n and fi2.dtype == fi.dtype
         # the top LU comes back column-major, as factor leaves it, so getrs
         # solves with it in place
         assert fi.S_lu[0].flags.f_contiguous and fi2.S_lu[0].flags.f_contiguous
@@ -762,7 +760,7 @@ def _one_level_container(n1, skels, rng):
         records.append(struct.pack("<B", 0) + b"".join(_ref_array(x) for x in arrays))
     S = rng.standard_normal((sum(r.size for r, _ in skels), sum(c.size for _, c in skels)))
     n = n1 * len(skels)
-    return _ref_container(1, "real", n, 1e-15, np.arange(n), [records], [S])
+    return _ref_container(1, np.float64, n, 1e-15, np.arange(n), [records], [S])
 
 
 def test_loaded_non_square_node_is_named():
@@ -1068,10 +1066,51 @@ def test_factor_refuses_a_level_short_of_the_dofs_below():
     # a hand-built level that takes fewer DOFs than the matrix has: the
     # readers refuse such a container, and factor refuses the object
     cm, _ = one_level_synthetic()
-    cm.n += 1
-    cm.perm = np.arange(cm.n)
+    cm.perm = np.arange(cm.n + 1)
     with pytest.raises(InvalidInput, match=f"^level 1 takes {cm.n - 1} DOFs"):
         factor(cm)
+
+
+def test_a_hand_built_matrix_takes_n_from_its_permutation():
+    # a separate n of 5 over this 4-permutation once gave apply and solve a
+    # 5th entry of uninitialised memory
+    cm = CompressedMatrix(levels=[], S=2 * np.eye(4), eps=1e-6, perm=np.arange(4))
+    fi = factor(cm)
+    assert cm.n == fi.n == 4 and cm.dtype == fi.dtype == np.float64
+    for op in (cm.apply, fi.solve):
+        with pytest.raises(InvalidInput, match="length mismatch: operator is 4, input 5"):
+            op(np.ones(5))
+    assert np.array_equal(solve(fi, apply(cm, np.arange(4.0))), np.arange(4.0))
+
+
+@pytest.mark.parametrize("S, dtype", [(np.eye(3, dtype=np.int64), np.float64),
+                                      (np.eye(3, dtype=np.float32), np.float64),
+                                      ((1 + 1j) * np.eye(3), np.complex128)])
+def test_the_scalar_type_is_read_off_the_arrays(S, dtype):
+    # a complex S under a separate "real" field once came back real, its
+    # imaginary parts dropped with only a ComplexWarning
+    cm = CompressedMatrix(levels=[], S=S, eps=1e-6, perm=np.arange(3))
+    assert cm.dtype == dtype
+    assert np.array_equal(apply(cm, np.ones(3)), S.astype(dtype) @ np.ones(3))
+
+
+def test_a_complex_top_factors_complex():
+    cm = CompressedMatrix(levels=[], S=(1 + 1j) * np.eye(3), eps=1e-6, perm=np.arange(3))
+    fi = factor(cm)
+    assert fi.dtype == np.complex128
+    assert np.array_equal(solve(fi, np.full(3, 1 + 1j)), np.ones(3))
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1, 2], [1, 2, 3, 4], [0, 1, 2, -1], [[0, 1], [2, 3]],
+                                  [0.0, 1.0, 2.0, 3.0], [True, False, True, True]])
+def test_a_perm_that_is_not_a_permutation_is_refused(perm):
+    # [0, 0, 1, 2] made apply give [2, 4, 6, 3]: the last entry was never
+    # written
+    with pytest.raises(InvalidInput, match="perm must be a permutation of 0..N-1"):
+        CompressedMatrix(levels=[], S=2 * np.eye(4), eps=1e-6, perm=np.array(perm))
+    fi = factor(CompressedMatrix(levels=[], S=2 * np.eye(4), eps=1e-6, perm=np.arange(4)))
+    with pytest.raises(InvalidInput, match="perm must be a permutation of 0..N-1"):
+        replace(fi, perm=np.array(perm))
 
 
 def test_skeletons_in_any_order_and_place():
@@ -1100,8 +1139,7 @@ def test_skeletons_in_any_order_and_place():
                 A[sa, offs[b]:offs[b + 1]] = Ra.T @ Sab @ Rb
     for a in range(3):
         S[koff[a]:koff[a + 1], koff[a]:koff[a + 1]] = 0
-    cm = CompressedMatrix(levels=[Level(nodes)], S=S, n=offs[-1], eps=1e-15,
-                          perm=np.arange(offs[-1]), scalar_field="real")
+    cm = CompressedMatrix(levels=[Level(nodes)], S=S, eps=1e-15, perm=np.arange(offs[-1]))
     b = rng.standard_normal(offs[-1])
     x = solve(factor(cm), b)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -1115,10 +1153,10 @@ def _ref_array(a):
             + a.astype(a.dtype.newbyteorder("<")).tobytes(order="C"))
 
 
-def _ref_container(kind, field, n, eps, perm, levels, tail):
+def _ref_container(kind, dtype, n, eps, perm, levels, tail):
     """README's container: the header, the permutation, per level a u32 node
     count and the nodes' records, then the ``tail`` arrays."""
-    out = b"SKLC" + struct.pack("<HBB", 1, kind, field == "complex")
+    out = b"SKLC" + struct.pack("<HBB", 1, kind, dtype == np.complex128)
     out += struct.pack("<qId", n, len(levels), eps) + _ref_array(perm)
     for records in levels:
         out += struct.pack("<I", len(records)) + b"".join(records)
@@ -1131,7 +1169,7 @@ def _ref_compressed(cm):
         return (struct.pack("<B", nd.children is not None)
                 + b"".join(_ref_array(a) for a in (ch, nd.skel, nd.skel,
                                                    nd.D, nd.L, nd.R)))
-    return _ref_container(1, cm.scalar_field, cm.n, cm.eps, cm.perm,
+    return _ref_container(1, cm.dtype, cm.n, cm.eps, cm.perm,
                           [[record(nd) for nd in lv.nodes] for lv in cm.levels], [cm.S])
 
 
@@ -1149,7 +1187,7 @@ def _ref_factored(fi):
     levels = [[b"".join(_ref_array(a) for a in (fn.Dd, fn.Ld, fn.Rd)) for fn in lv.nodes]
               for lv in fi.levels]
     lu, piv = fi.S_lu
-    return _ref_container(2, fi.scalar_field, fi.n, 0.0, fi.perm, levels,
+    return _ref_container(2, fi.dtype, fi.n, 0.0, fi.perm, levels,
                           [lu, piv.astype(np.int64)])
 
 
@@ -1169,7 +1207,7 @@ def test_containers_follow_the_readme_layout(case):
         spec = LAPLACE2 if case == "real" else KernelSpec("helmholtz", 2, wavenumber=10.0)
         cm = bie.compress_system(bie.discretize_dirichlet(bie.circle(1.0, 512), spec),
                                  1e-9, 16)[1]
-        assert cm.nlevels >= 2 and cm.scalar_field == case
+        assert cm.nlevels >= 2 and cm.dtype == {"real": np.float64, "complex": np.complex128}[case]
     fi = factor(cm)
     assert serialize_compressed(cm) == _ref_compressed(cm)
     assert serialize_factored(fi) == _ref_factored(fi)
@@ -1235,8 +1273,7 @@ def test_sweeps_write_the_reference_bytes_at_one_skeleton_nodes(shape):
         R = cplx(1, 5)
         R[0, 0] = 1
         nodes.append(CompressedNode(np.array([lo]), cplx(5, 5), R, None))
-    cm = CompressedMatrix(levels=[Level(nodes)], S=cplx(2, 2), n=10, eps=1e-6,
-                          perm=np.arange(10), scalar_field="complex")
+    cm = CompressedMatrix(levels=[Level(nodes)], S=cplx(2, 2), eps=1e-6, perm=np.arange(10))
     fi = factor(cm)
     x = cplx(*shape)
     want = _reference_sweep(cm.levels, lambda u: cm.S @ u, cm.perm, x)
@@ -1341,7 +1378,7 @@ def test_complex_block_in_real_container_raises_invalid_input(kind):
 def test_unknown_scalar_field_raises_invalid_input(kind, code):
     # the header's scalar-field byte is 0 (real) or 1 (complex); another,
     # with the top value record's code the same, once raised KeyError
-    blob = bytearray(_ref_container(kind, "real", 2, 1e-6, np.arange(2), [], []))
+    blob = bytearray(_ref_container(kind, np.float64, 2, 1e-6, np.arange(2), [], []))
     blob[7] = code
     blob += bytes([code]) + _ref_array(np.eye(2))[1:]
     if kind == 2:
