@@ -172,7 +172,7 @@ class CompressedNode:
     """One node of a compressed level.  Rows and columns share one
     skeleton and one interpolation matrix: D is square, R has k = skel.size
     rows, and the row interpolation L is R^T, a read-only view of R's
-    buffer; ``Level`` checks the shapes."""
+    buffer; ``Level`` checks the shapes, ``CompressedMatrix`` the rest."""
 
     skel: np.ndarray        # surviving indices, global tree order, sorted
     D: np.ndarray           # extracted diagonal block (n x n)
@@ -241,12 +241,142 @@ def _permutation(perm, message="perm must be a permutation of 0..N-1"):
     return p
 
 
-class _Permuted:
-    """An operator of N = ``perm.size`` unknowns, in the order of ``perm``,
-    which must be a permutation of 0..N-1 (InvalidInput)."""
+def _values(a, what):
+    """``a`` as an array of float64 or complex128, whichever holds its field:
+    a narrower type of that field (bool, an integer, float32, complex64) is
+    cast, and any other raises InvalidInput."""
+    a = np.asarray(a)
+    dtype = np.dtype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    if not np.can_cast(a.dtype, dtype):
+        raise InvalidInput(f"{what} holds {a.dtype} values, not real or complex ones")
+    return a.astype(dtype, copy=False)
 
-    def __post_init__(self):
+
+def _level_orders(lv, dofs):
+    """Each node's elimination order [q, p] and its inverse, in positions
+    local to the node, cut from two level-wide arrays by ``lv.dof_off``.
+
+    ``dofs`` lists the level's DOFs, node after node.  p holds the positions
+    of a node's skeletons among its DOFs, in skeleton order, and q the rest,
+    ascending.  Returns (order, inverse, r, skel, strays): the two
+    level-wide arrays, the count r of q per node, the skeletons, which are
+    the next level's DOFs, and per node whether its skeletons are not
+    distinct DOFs of its own; a level with such a node has no order, and
+    its first three are None."""
+    nb, off, k_off = len(lv.nodes), lv.dof_off, lv.k_off
+    sizes, ks = np.diff(off), np.diff(k_off)
+    owner = np.repeat(np.arange(nb), sizes)         # level position -> node
+    skel_owner = np.repeat(np.arange(nb), ks)
+    skel = np.concatenate([np.asarray(nd.skel, dtype=np.int64) for nd in lv.nodes]
+                          + [np.empty(0, dtype=np.int64)])
+    where = np.full(int(dofs.max(initial=-1)) + 1, -1)
+    where[dofs] = np.arange(dofs.size)
+    inside = (skel >= 0) & (skel < where.size)
+    p = np.full(skel.size, -1)
+    p[inside] = where[skel[inside]]
+    mine = p >= 0
+    mine[mine] = owner[p[mine]] == skel_owner[mine]
+    mask = np.zeros(dofs.size, dtype=bool)
+    mask[p[mine]] = True
+    # a node whose skeletons mark fewer of its DOFs than it has skeletons
+    strays = np.bincount(owner[mask], minlength=nb) != ks
+    if strays.any():
+        return None, None, None, skel, strays
+    q = np.flatnonzero(~mask)
+    r = sizes - ks
+    q_owner = owner[q]
+    order = np.empty(dofs.size, dtype=np.int64)
+    order[off[q_owner] + np.arange(q.size) - _offsets(r)[q_owner]] = q
+    order[off[skel_owner] + r[skel_owner] + np.arange(skel.size) - k_off[skel_owner]] = p
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    start = off[owner]
+    return order - start, inverse - start, r.tolist(), skel, strays
+
+
+def _check_tree(lv, below, level):
+    """InvalidInput unless ``lv``, at ``level``, fits the tree over ``below``,
+    the level under it, or None at the finest (``CompressedMatrix``)."""
+    kids = [nd.children for nd in lv.nodes]
+    starts = _offsets([0 if c is None else len(c) for c in kids])
+    nb = 0 if below is None else len(below.nodes)
+    if all((c is None) == (below is None) for c in kids) and np.array_equal(
+            _cat([c for c in kids if c is not None]), np.arange(nb)):
+        wrong = [] if below is None else np.flatnonzero(lv.dof_off != below.k_off[starts])
+        if len(wrong):
+            raise InvalidInput(f"level {level} does not fit the tree: node {wrong[0] - 1} "
+                               "does not end on the skeletons of its last child")
+        return
+    a = next((a for a, c in enumerate(kids) if (c is None) != (below is None) or not (
+        c is None or np.array_equal(c, np.arange(starts[a], starts[a + 1])))), len(kids) - 1)
+    raise InvalidInput(f"level {level} does not fit the tree: node {a} has children "
+                       f"{kids[a]}, not the next of the {nb} nodes below")
+
+
+def _check_interpolative(lv, dofs, level, dtype):
+    """InvalidInput naming the first node of ``lv``, at ``level`` over the
+    DOFs ``dofs``, that is not interpolative (``CompressedMatrix``): R's
+    k x k entries at the skeleton positions are tested for the whole level
+    at once, bit for bit.  Returns the skeletons, the next level's DOFs."""
+    ks = np.diff(lv.k_off)
+    shapes, want = [nd.skel.shape for nd in lv.nodes], [(k,) for k in ks.tolist()]
+    if shapes != want:
+        a = next(a for a, (s, w) in enumerate(zip(shapes, want)) if s != w)
+        raise InvalidInput(f"skeleton sizes: level {level}, node {a} has skeletons of "
+                           f"shape {shapes[a]} for the {ks[a]} rows of R")
+    order, _, r, skel, strays = _level_orders(lv, dofs)
+    if strays.any():
+        raise InvalidInput(f"level {level}, node {np.flatnonzero(strays)[0]} is not "
+                           "interpolative: its skeletons are not distinct DOFs of its own")
+    # each node's R at its skeleton positions, k x k, taken into one buffer;
+    # the bits of 1.0 cleared from the diagonals, any bit left is a fault.
+    # The buffer is its own mapping: freed from the heap, its size raised
+    # malloc's mmap threshold, and with it the peak of the 4096-point cube's
+    # next set-up by 9 MB at 3 of 10 seeds (2-vCPU Xeon, glibc)
+    off, size = lv.dof_off.tolist(), int(ks @ ks)
+    base = _offsets(ks * ks)
+    got = np.frombuffer(mmap.mmap(-1, max(1, size * np.dtype(dtype).itemsize), **_STORE_FLAGS),
+                        dtype, size)
+    for nd, lo, ra, hi, b, k in zip(lv.nodes, off, r, off[1:], base.tolist(), ks.tolist()):
+        nd.R.take(order[lo + ra:hi], axis=1, out=got[b:b + k * k].reshape(k, k), mode="clip")
+    owner, step = np.repeat(np.arange(ks.size), ks), got.itemsize // 8
+    bits = got.view(np.uint64)
+    bits[(base[owner] + (np.arange(skel.size) - lv.k_off[owner]) * (ks[owner] + 1)) * step] ^= \
+        np.float64(1).view(np.uint64)
+    wrong = np.flatnonzero(bits) // step
+    if wrong.size:
+        raise InvalidInput(f"level {level}, node {np.searchsorted(base, wrong[0], 'right') - 1}"
+                           " is not interpolative: R is not I at its skeletons")
+    return skel
+
+
+class _Permuted:
+    """A telescoping operator of N = ``perm.size`` unknowns, in the order of
+    ``perm``, over ``Level``s, finest first, and a top, checked once, when
+    it is built (by hand, by ``compress_source``, ``factor`` or a reader,
+    or through ``dataclasses.replace``), with InvalidInput.  The rules both
+    kinds share: ``perm`` is a permutation of 0..N-1; the finest level takes
+    N DOFs and each coarser one exactly the K the level below leaves; each
+    node's blocks are of the scalar type, float64 or complex128, that the
+    top sets (a top of a narrower type of its field, such as an integer or
+    float32 S, is cast to it; a block is never cast); the top is K x K.  A
+    field reassigned later, or an array edited in place, is not checked
+    again until the object is rebuilt or round-tripped."""
+
+    def _check_common(self, dtype):
+        """The shared rules but the top's shape; returns the top's K."""
         self.perm = _permutation(self.perm)
+        k = self.n
+        for li, lv in enumerate(self.levels, 1):
+            if lv.dof_off[-1] != k:
+                raise InvalidInput(f"level {li} takes {lv.dof_off[-1]} DOFs, the level "
+                                   f"below leaves {k}")
+            wrong = [(a, b.dtype) for a, bl in enumerate(lv.blocks) for b in bl if b.dtype != dtype]
+            if wrong:
+                raise InvalidInput(f"level {li}, node {wrong[0][0]} has a {wrong[0][1]} "
+                                   f"block in a {dtype} operator")
+            k = lv.K
+        return k
 
     @property
     def n(self):
@@ -255,12 +385,28 @@ class _Permuted:
 
 @dataclass
 class CompressedMatrix(_Permuted):
-    """Telescoping compressed form of an N x N matrix, of S's scalar type."""
+    """Telescoping compressed form of an N x N matrix, of S's scalar type.
+    Besides ``_Permuted``'s rules, each level fits the tree: no child at the
+    finest level, and above it children that list the level below once
+    each, in order, each D the size of its children's skeletons.  Each node
+    is interpolative, as ``compress_source`` builds it: one skeleton for
+    each row of R, distinct DOFs of its own, at whose positions R is
+    exactly I (its L is R^T by construction)."""
 
     levels: list
     S: np.ndarray
     eps: float
     perm: np.ndarray
+
+    def __post_init__(self):
+        self.S = _values(self.S, "S")
+        K = self._check_common(self.S.dtype)
+        if self.S.shape != (K, K):
+            raise InvalidInput(f"top block shape {self.S.shape} for {K} skeletons")
+        dofs, below = np.arange(self.n), None
+        for li, lv in enumerate(self.levels, 1):
+            _check_tree(lv, below, li)
+            dofs, below = _check_interpolative(lv, dofs, li, self.S.dtype), lv
 
     @property
     def nlevels(self):
@@ -781,26 +927,26 @@ def _write_levels(out, levels, write_head=None):
 def _read_levels(f, read_node):
     """Inverse of ``_write_levels``; ``read_node(f, li, a)`` reads node a's
     record at level li, its blocks through ``f.blocks()``.  ``Level`` checks
-    each node's shapes, and its message is given the level.  One DOF count
-    chains from N: the finest level takes N DOFs, and every coarser level
-    exactly the skeletons the level below leaves.  Returns the levels and
-    the skeleton count the top must take."""
+    each node's shapes, and its message is given the level; the object the
+    levels are built into checks the rest (``_built``)."""
     levels = []
-    leaves = f.n
     for li in range(f.nlevels):
         (count,) = f.unpack("<I")
         nodes = [read_node(f, li, a) for a in range(count)]
         try:
-            lv = Level(nodes)
+            levels.append(Level(nodes))
         except InvalidInput as exc:
             raise InvalidInput(f"corrupt skelkit container: level {li + 1}, {exc}") from None
-        if lv.dof_off[-1] != leaves:
-            raise InvalidInput(
-                f"corrupt skelkit container: level {li + 1} takes {lv.dof_off[-1]} "
-                f"DOFs, the level below leaves {leaves}")
-        leaves = lv.K
-        levels.append(lv)
-    return levels, leaves
+    return levels
+
+
+def _built(cls, **fields):
+    """``cls(**fields)`` for a reader: the InvalidInput of its checks is
+    given the prefix of a corrupt container."""
+    try:
+        return cls(**fields)
+    except InvalidInput as exc:
+        raise InvalidInput(f"corrupt skelkit container: {exc}") from None
 
 
 def _write_compressed_head(out, nd):
@@ -816,15 +962,13 @@ def _read_compressed_node(f, li, a):
     ch = f.array(1, index=True)
     skel, again = f.array(1, index=True), f.array(1, index=True)
     R, D, L = f.blocks()
-    if has_ch != (li > 0) or (li == 0 and ch.size):
+    if has_ch > 1 or (ch.size and not has_ch):
         raise InvalidInput("corrupt skelkit container: children flag")
     if not np.array_equal(skel, again):
         # what a source with separate row and column IDs wrote
         raise InvalidInput(
             f"skelkit container: level {li + 1}, node {a} has different row and "
             "column skeletons; recompress the matrix to load it")
-    if R.shape[0] != skel.size:
-        raise InvalidInput("corrupt skelkit container: skeleton sizes")
     if not _same_bits(L, R.T):
         # a node holds one interpolation matrix, R; its L is R^T
         raise InvalidInput(f"skelkit container: level {li + 1}, node {a} is not interpolative: "
@@ -858,21 +1002,10 @@ def deserialize_compressed(data: bytes) -> CompressedMatrix:
     """Inverse of serialize_compressed; raises InvalidInput on bytes that
     are truncated or do not form a consistent container."""
     f = _Reader(data, kind=1)
-    levels, top = _read_levels(f, _read_compressed_node)
-    for li in range(1, len(levels)):
-        # children list the previous level's nodes once each, in order, and
-        # each D block stacks its children's skeletons
-        k = np.diff(levels[li - 1].k_off)
-        kids = [nd.children for nd in levels[li].nodes]
-        if not (np.array_equal(np.concatenate(kids) if kids else [], np.arange(k.size))
-                and all(nd.D.shape[0] == k[c].sum() for nd, c in zip(levels[li].nodes, kids))):
-            raise InvalidInput(f"corrupt skelkit container: level {li + 1} "
-                               "does not fit the tree")
+    levels = _read_levels(f, _read_compressed_node)
     S = f.array(2)
     f.finish()
-    if S.shape != (top, top):
-        raise InvalidInput("corrupt skelkit container: top block shape")
-    return CompressedMatrix(levels=levels, S=S, eps=f.eps, perm=f.perm)
+    return _built(CompressedMatrix, levels=levels, S=S, eps=f.eps, perm=f.perm)
 
 
 def save_compressed(cm: CompressedMatrix, path):

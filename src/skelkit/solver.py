@@ -39,9 +39,9 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import InvalidInput, NotConverged, SingularBlock
 from .geom import _fraction, _index
-from .skel import (CompressedMatrix, Level, _joined, _offsets, _Permuted, _read_levels,
-                   _Reader, _same_bits, _telescope, _transposed, _write_arr, _write_header,
-                   _write_levels)
+from .skel import (CompressedMatrix, Level, _built, _joined, _level_orders, _Permuted,
+                   _read_levels, _Reader, _same_bits, _telescope, _transposed, _values,
+                   _write_arr, _write_header, _write_levels)
 
 _RCOND_WARN = 1e-14
 # gmres breaks down at a rotated pivot of at most this fraction of |M A v_j|
@@ -157,12 +157,24 @@ class FactoredNode:
 
 @dataclass
 class FactoredInverse(_Permuted):
-    """The telescoping inverse ``factor`` builds, of the top LU's scalar type."""
+    """The telescoping inverse ``factor`` builds, of the top LU's scalar type.
+    Besides ``_Permuted``'s rules, ``S_lu`` is a K x K LU and K integer
+    pivots in [0, K), held as int32, as LAPACK getrf gives them."""
 
     levels: list
     S_lu: tuple
     perm: np.ndarray
     warnings: list = field(default_factory=list)
+
+    def __post_init__(self):
+        lu, piv = self.S_lu
+        lu, piv = _values(lu, "the top LU"), np.asarray(piv)
+        K = self._check_common(lu.dtype)
+        if lu.shape != (K, K) or piv.shape != (K,) or piv.dtype.kind not in "iu":
+            raise InvalidInput(f"top LU {lu.shape} with {piv.size} pivots for {K} skeletons")
+        if K and not 0 <= piv.min() <= piv.max() < K:
+            raise InvalidInput(f"top LU pivot outside [0, {K})")
+        self.S_lu = (lu, piv.astype(np.int32, copy=False))
 
     @property
     def dtype(self):
@@ -231,66 +243,17 @@ def _effective(D, blocks, dtype):
     return De
 
 
-def _not_interpolative(level, node, why):
-    return InvalidInput(f"level {level}, node {node} is not interpolative: {why}")
-
-
-def _level_orders(lv, dofs, level):
-    """Each node's elimination order [q, p] and its inverse, in positions
-    local to the node, cut from two level-wide arrays by ``lv.dof_off``.
-
-    ``dofs`` lists the level's DOFs, node after node.  p holds the positions
-    of a node's skeletons among its DOFs, in skeleton order, and q the rest,
-    ascending.  A skeleton that is not one of its node's DOFs, or is listed
-    twice, is refused with InvalidInput.  Returns (order, inverse, r, skel):
-    the two level-wide arrays, the count r of q per node, and the
-    skeletons, which are the next level's DOFs."""
-    nb, off, k_off = len(lv.nodes), lv.dof_off, lv.k_off
-    if off[-1] != dofs.size:
-        raise InvalidInput(f"level {level} takes {off[-1]} DOFs, the level below "
-                           f"leaves {dofs.size}")
-    sizes, ks = np.diff(off), np.diff(k_off)
-    owner = np.repeat(np.arange(nb), sizes)         # level position -> node
-    skel_owner = np.repeat(np.arange(nb), ks)
-    skel = np.concatenate([np.asarray(nd.skel, dtype=np.int64) for nd in lv.nodes]
-                          + [np.empty(0, dtype=np.int64)])
-    where = np.full(int(dofs.max(initial=-1)) + 1, -1)
-    where[dofs] = np.arange(dofs.size)
-    inside = (skel >= 0) & (skel < where.size)
-    p = np.full(skel.size, -1)
-    p[inside] = where[skel[inside]]
-    mine = p >= 0
-    mine[mine] = owner[p[mine]] == skel_owner[mine]
-    mask = np.zeros(dofs.size, dtype=bool)
-    mask[p[mine]] = True
-    # a node whose skeletons mark fewer of its DOFs than it has skeletons
-    bad = np.bincount(owner[mask], minlength=nb) != ks
-    if bad.any():
-        raise _not_interpolative(level, int(np.flatnonzero(bad)[0]),
-                                 "its skeletons are not distinct DOFs of its own")
-    q = np.flatnonzero(~mask)
-    r = sizes - ks
-    q_owner = owner[q]
-    order = np.empty(dofs.size, dtype=np.int64)
-    order[off[q_owner] + np.arange(q.size) - _offsets(r)[q_owner]] = q
-    order[off[skel_owner] + r[skel_owner] + np.arange(skel.size) - k_off[skel_owner]] = p
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    start = off[owner]
-    return order - start, inverse - start, r.tolist(), skel
-
-
 def factor(cm: CompressedMatrix) -> FactoredInverse:
     """Telescoping inverse of a compressed matrix, in elimination form: the
     inverse of ``cm`` as given.  A shifted system A + delta I is factored
     by adding the shift first, with ``skel.add_diagonal``.
 
-    Every node must be interpolative, as ``compress_source`` builds it: R
-    is exactly I at the skeleton positions p (its skeletons among its
-    DOFs), or InvalidInput names the level and node; its L is R^T.
-    If every D and S equals its transpose bit for bit, so that each
-    bordered block is symmetric, each node's Rd is read off Ld^T and Ld is
-    held as ``Rd.T``, a read-only view: one buffer for the pair.  The
+    Every node is interpolative, as ``CompressedMatrix`` checked when it
+    was built: R is exactly I at the skeleton positions p (its skeletons
+    among its DOFs), and L is R^T.  If every D and S equals its transpose
+    bit for bit, so that each bordered block is symmetric, each node's Rd is
+    read off Ld^T and Ld is held as ``Rd.T``, a read-only view: one buffer
+    for the pair.  The
     matrix alone decides this, so a loaded copy factors bit for bit alike.
     Per level and node, D_eff is D with the children's Lambda on its
     diagonal.  In the order [q, p], one pivoted LU of M = N^T D_eff N, r x r
@@ -318,23 +281,20 @@ def factor(cm: CompressedMatrix) -> FactoredInverse:
     flevels = []
     dofs = np.arange(cm.n)
     for li, lv in enumerate(cm.levels):
-        order, inverse, rs, dofs = _level_orders(lv, dofs, li + 1)
+        order, inverse, rs, dofs, _ = _level_orders(lv, dofs)
         off = lv.dof_off.tolist()
 
         def factor_node(a):
             nd = lv.nodes[a]
-            n, k, r = nd.D.shape[0], nd.k, rs[a]
+            n, r = nd.D.shape[0], rs[a]
             qp, iv = order[off[a]:off[a + 1]], inverse[off[a]:off[a + 1]]
-            R = nd.R.take(qp, axis=1)
-            if not _same_bits(R[:, r:], np.eye(k, dtype=R.dtype)):
-                raise _not_interpolative(li + 1, a, "R is not I at its skeletons")
             C = _effective(nd.D, [lams[c] for c in nd.children] if li else (), dtype)
             C = C.take(qp, axis=0).take(qp, axis=1)         # D_eff in [q, p] order
             if r == 0:
                 # every DOF is a skeleton: B^-1 = [[0, L], [R, -D_eff]], L = R^T
                 Rd = np.array(nd.R, dtype=dtype, order="C")
                 return FactoredNode(Dd=np.zeros((n, n), dtype=dtype), Ld=_transposed(Rd), Rd=Rd), C
-            Tn = -R[:, :r]
+            Tn = -nd.R.take(qp[:r], axis=1)
             # C = [N, E]^T D_eff [N, E] = [[M, N^T D E], [(D N)_p, D_pp]]
             C[:, :r] += C[:, r:] @ Tn
             C[:r] += Tn.T @ C[r:]
@@ -572,22 +532,16 @@ def _read_factored_node(f, *_):
 
 def deserialize_factored(data: bytes) -> FactoredInverse:
     """Inverse of serialize_factored; raises InvalidInput on bytes that are
-    truncated or do not form a factored-inverse container, including block
-    shapes that do not chain from N through the levels to the top LU, and
-    pivots out of range."""
+    truncated or do not form a factored-inverse container, or whose object
+    ``FactoredInverse`` refuses: block shapes that do not chain from N
+    through the levels to the top LU, or pivots out of range."""
     f = _Reader(data, kind=2)
-    levels, k = _read_levels(f, _read_factored_node)
+    levels = _read_levels(f, _read_factored_node)
     # column-major, as factor leaves it: getrs would copy a row-major LU on every solve
     lu = f.array(2, order="F")
     piv = f.array(1, index=True)
     f.finish()
-    if lu.shape != (k, k) or piv.shape != (k,):
-        raise InvalidInput(
-            f"corrupt skelkit container: top LU {lu.shape} with {piv.size} pivots "
-            f"for {k} skeletons")
-    if k and not 0 <= piv.min() <= piv.max() < k:
-        raise InvalidInput(f"corrupt skelkit container: top LU pivot outside [0, {k})")
-    return FactoredInverse(levels=levels, S_lu=(lu, piv.astype(np.int32)), perm=f.perm)
+    return _built(FactoredInverse, levels=levels, S_lu=(lu, piv), perm=f.perm)
 
 
 def save_factored(fi: FactoredInverse, path):

@@ -375,6 +375,8 @@ def test_synthetic_compressed_matrix_apply():
     n1, n2, k = 6, 5, 2
     D1, D2 = rng.standard_normal((n1, n1)), rng.standard_normal((n2, n2))
     R1, R2 = rng.standard_normal((k, n1)), rng.standard_normal((k, n2))
+    # interpolative at the skeletons, each node's first k DOFs
+    R1[:, :k] = R2[:, :k] = np.eye(k)
     S = np.zeros((2 * k, 2 * k))
     S[:k, k:] = rng.standard_normal((k, k))
     S[k:, :k] = rng.standard_normal((k, k))
@@ -1380,6 +1382,7 @@ def test_zero_size_blocks_round_trip(dtype, monkeypatch):
                             np.zeros((0, 3), dtype), None),
              CompressedNode(np.array([3]), rng.random((2, 2)).astype(dtype),
                             rng.random((1, 2)).astype(dtype), None)]
+    nodes[1].R[0, 0] = 1    # interpolative at its skeleton, its first DOF
     cm = CompressedMatrix(levels=[Level(nodes)], S=np.zeros((1, 1), dtype), eps=1e-6,
                           perm=np.arange(5)[::-1].copy())
     blob = serialize_compressed(cm)

@@ -23,9 +23,9 @@ from skelkit.kernels import KernelSpec, eval_block
 from skelkit.skel import (CompressedMatrix, CompressedNode, KernelSource, Level,
                           add_diagonal, apply, compress, compress_source,
                           deserialize_compressed, serialize_compressed)
-from skelkit.solver import (FactoredNode, assemble_embedding, deserialize_factored,
-                            export_matrix_market, factor, gmres, lu_factor,
-                            lu_solve, read_matrix_market, serialize_factored, solve)
+from skelkit.solver import (FactoredInverse, FactoredNode, assemble_embedding,
+                            deserialize_factored, export_matrix_market, factor, gmres,
+                            lu_factor, lu_solve, read_matrix_market, serialize_factored, solve)
 
 LAPLACE2 = KernelSpec("laplace", 2)
 
@@ -749,11 +749,12 @@ def test_nonsquare_lambda_rejected():
 def _one_level_container(n1, skels, rng):
     """README's layout of a one-level compressed container whose node a
     stores the row and column skeleton records ``skels[a]`` (offset into
-    its n1 points) with L and R of their sizes, L = R^T where they are of
-    one size, and a random S."""
+    its n1 points) with L and R of their sizes, R interpolative at the
+    column skeletons, L = R^T where they are of one size, and a random S."""
     records = []
     for a, (rows, cols) in enumerate(skels):
         R = rng.standard_normal((cols.size, n1))
+        R[:, cols] = np.eye(cols.size)
         L = R.T if rows.size == cols.size else rng.standard_normal((n1, rows.size))
         arrays = (np.empty(0, np.int64), n1 * a + rows, n1 * a + cols,
                   rng.standard_normal((n1, n1)) + 4 * np.eye(n1), L, R)
@@ -1023,12 +1024,12 @@ def _interpolative_corruptions(corrupt):
                                      "skeleton_of_another_node", "skeleton_twice"])
 def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
     # the elimination reads R = [T, I] and L = R^T off each node; a loaded
-    # node that is not so is refused by name rather than factored wrongly.
-    # L is R^T by construction, so a down record that is not is refused by
-    # the reader
+    # node that is not so is refused by name, when the matrix is built,
+    # rather than factored wrongly.  L is R^T by construction, so a down
+    # record that is not is refused by the reader
     blob, a = _interpolative_corruptions(corrupt)
     with pytest.raises(InvalidInput, match=f"level 2, node {a} is not interpolative"):
-        factor(deserialize_compressed(blob))
+        deserialize_compressed(blob)
 
 
 @pytest.mark.parametrize("corrupt, why", [("r_not_identity", "R is not I at its skeletons"),
@@ -1036,8 +1037,9 @@ def test_factor_refuses_a_node_that_is_not_interpolative(corrupt):
 @pytest.mark.parametrize("keeps_every_dof", [False, True], ids=["eliminated", "kept"])
 def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps_every_dof):
     # the checks run at every node, one that keeps every DOF included, and
-    # name the node: here the last of its level, after nodes that pass.  A
-    # node's L is R^T, so an L that is not is written into a container,
+    # name the node: here the last of its level, after nodes that pass.  An
+    # R reassigned after the matrix was built is checked when it is rebuilt.
+    # A node's L is R^T, so an L that is not is written into a container,
     # which the reader refuses
     system = bie.discretize_dirichlet(bie.ellipse(2.0, 1.0, 1024), LAPLACE2)
     _, cm = bie.compress_system(system, 1e-8, 16)
@@ -1054,7 +1056,7 @@ def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps
         R[1, p[1]] = np.nextafter(1.0, 2.0)
         nd.R = R
         with pytest.raises(InvalidInput, match="^" + match):
-            factor(cm)
+            replace(cm)
     else:
         L = R.T.copy()
         L[p[0], 1] = np.nextafter(L[p[0], 1], np.inf)
@@ -1064,11 +1066,10 @@ def test_factor_names_a_later_node_that_is_not_interpolative(corrupt, why, keeps
 
 def test_factor_refuses_a_level_short_of_the_dofs_below():
     # a hand-built level that takes fewer DOFs than the matrix has: the
-    # readers refuse such a container, and factor refuses the object
+    # readers refuse such a container, and the object is refused when built
     cm, _ = one_level_synthetic()
-    cm.perm = np.arange(cm.n + 1)
-    with pytest.raises(InvalidInput, match=f"^level 1 takes {cm.n - 1} DOFs"):
-        factor(cm)
+    with pytest.raises(InvalidInput, match=f"^level 1 takes {cm.n} DOFs"):
+        replace(cm, perm=np.arange(cm.n + 1))
 
 
 def test_a_hand_built_matrix_takes_n_from_its_permutation():
@@ -1092,6 +1093,57 @@ def test_the_scalar_type_is_read_off_the_arrays(S, dtype):
     cm = CompressedMatrix(levels=[], S=S, eps=1e-6, perm=np.arange(3))
     assert cm.dtype == dtype
     assert np.array_equal(apply(cm, np.ones(3)), S.astype(dtype) @ np.ones(3))
+    # an integer or float32 S is cast to float64 when the matrix is built:
+    # its container once held S as an index record, which the reader
+    # refused, or could not be written (KeyError)
+    blob = serialize_compressed(cm)
+    loaded = deserialize_compressed(blob)
+    assert loaded.dtype == dtype and serialize_compressed(loaded) == blob
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("skel_short_of_r", r"^skeleton sizes: level 1, node 1 "),
+    ("top_larger_than_k", r"^top block shape \(3, 3\) for 2 skeletons"),
+    ("children_out_of_order", r"^level 2 does not fit the tree: node \d+ has children"),
+    ("level_short_of_the_dofs_below", r"^level 1 takes 7 DOFs, the level below leaves 8"),
+    ("complex_blocks_under_real_s", r"^level 1, node 1 has a complex128 block in a float64"),
+], ids=["skel_short_of_r", "top_larger_than_k", "children_out_of_order",
+        "level_short_of_the_dofs_below", "complex_blocks_under_real_s"])
+def test_a_hand_built_matrix_is_checked_when_built(fault, match):
+    # each of these was once built without complaint: apply ran or raised
+    # numpy's ValueError, and factor raised IndexError or UFuncTypeError,
+    # or succeeded silently
+    cm, _ = one_level_synthetic(sizes=(4, 4), k=1)
+    nodes = cm.levels[0].nodes
+    if fault == "children_out_of_order":
+        cm = deserialize_compressed(_containers()["compressed"][0])
+        nd = next(nd for nd in cm.levels[1].nodes if len(nd.children) > 1)
+        nd.children = nd.children[::-1].copy()
+        levels = cm.levels
+    elif fault == "level_short_of_the_dofs_below":
+        nd = nodes[1]
+        levels = [Level([nodes[0], CompressedNode(nd.skel, nd.D[:-1, :-1], nd.R[:, :-1], None)])]
+    elif fault == "complex_blocks_under_real_s":
+        nodes[1].D = nodes[1].D.astype(complex)
+        levels = [Level(nodes)]
+    else:
+        if fault == "skel_short_of_r":
+            nodes[1].skel = nodes[1].skel[:0]
+        levels = cm.levels
+    S = np.eye(3) if fault == "top_larger_than_k" else cm.S
+    with pytest.raises(InvalidInput, match=match):
+        replace(cm, levels=levels, S=S)
+
+
+@pytest.mark.parametrize("lu, piv", [(np.eye(3), [5, 1, 2]), (np.eye(3), [-3, 1, 2]),
+                                     (np.eye(2), [0, 1])],
+                         ids=["pivot_too_large", "pivot_negative", "lu_short_of_n"])
+def test_a_hand_built_top_lu_is_refused_when_built(lu, piv):
+    # with such a top, solve returned garbage and getrs swapped rows outside
+    # the LU, which crashed the process at exit; solve is not called here
+    with pytest.raises(InvalidInput, match="^top LU "):
+        FactoredInverse(levels=[], S_lu=(lu, np.array(piv, dtype=np.int32)),
+                        perm=np.arange(3))
 
 
 def test_a_complex_top_factors_complex():
@@ -1180,7 +1232,8 @@ def _with_down(cm, li, a, L):
     levels = [SimpleNamespace(nodes=list(lv.nodes)) for lv in cm.levels]
     levels[li].nodes[a] = SimpleNamespace(children=nd.children, skel=nd.skel, D=nd.D, L=L,
                                           R=nd.R)
-    return _ref_compressed(replace(cm, levels=levels))
+    return _ref_compressed(SimpleNamespace(**{**vars(cm), "levels": levels},
+                                           dtype=cm.dtype, n=cm.n))
 
 
 def _ref_factored(fi):
